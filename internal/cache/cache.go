@@ -57,6 +57,7 @@ func (s Stats) HitRatio() float64 {
 type Cache struct {
 	lineShift uint
 	setMask   uint64
+	tagShift  uint     // bits of the set index, stripped from the line address
 	sets      [][]line // MRU-first
 	stats     Stats
 }
@@ -76,6 +77,9 @@ func New(cfg Config) *Cache {
 	for l := cfg.LineBytes; l > 1; l >>= 1 {
 		c.lineShift++
 	}
+	for n := numSets; n > 1; n >>= 1 {
+		c.tagShift++
+	}
 	c.sets = make([][]line, numSets)
 	backing := make([]line, numSets*cfg.Ways)
 	for i := range c.sets {
@@ -90,7 +94,7 @@ func (c *Cache) Access(addr uint64) bool {
 	c.stats.Accesses++
 	lineAddr := addr >> c.lineShift
 	set := c.sets[lineAddr&c.setMask]
-	tag := lineAddr >> uint(popcount(c.setMask))
+	tag := lineAddr >> c.tagShift
 	for w := range set {
 		if set[w].valid && set[w].tag == tag {
 			l := set[w]
@@ -104,14 +108,6 @@ func (c *Cache) Access(addr uint64) bool {
 	copy(set[1:], set[:len(set)-1])
 	set[0] = line{tag: tag, valid: true}
 	return false
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }
 
 // Stats snapshots the counters.

@@ -72,7 +72,8 @@ type PassReport struct {
 	Errors []*CellError
 }
 
-// add records a cell failure (concurrent components report in parallel).
+// add records a cell failure (workloads replaying concurrently report in
+// parallel).
 func (r *PassReport) add(ce *CellError) {
 	r.mu.Lock()
 	r.Errors = append(r.Errors, ce)

@@ -457,8 +457,24 @@ func TestFanoutStatsHammer(t *testing.T) {
 	e := New(8)
 	keys := []string{"h0", "h1", "h2", "h3"}
 	capture := emitMixed(2 * blockLen)
+	newSinks := func() ([]trace.Sink, []*trace.Counter) {
+		sinks := make([]trace.Sink, 6)
+		counters := make([]*trace.Counter, len(sinks))
+		for i := range sinks {
+			counters[i] = &trace.Counter{}
+			sinks[i] = counters[i]
+		}
+		return sinks, counters
+	}
 	for _, k := range keys {
 		if err := e.Warm(k, capture); err != nil {
+			t.Fatal(err)
+		}
+		// Decode every key's blocks before the hammer: a replay that
+		// finds another goroutine mid-decode takes the byte path, which
+		// the per-sink delivery counter balanced below does not see.
+		sinks, _ := newSinks()
+		if _, err := e.ReplayAll(k, capture, sinks); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -487,12 +503,7 @@ func TestFanoutStatsHammer(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 8; iter++ {
 				key := keys[(w+iter)%len(keys)]
-				sinks := make([]trace.Sink, 6)
-				counters := make([]*trace.Counter, len(sinks))
-				for i := range sinks {
-					counters[i] = &trace.Counter{}
-					sinks[i] = counters[i]
-				}
+				sinks, counters := newSinks()
 				n, err := e.ReplayAll(key, capture, sinks)
 				if err != nil {
 					t.Errorf("worker %d: ReplayAll(%q): %v", w, key, err)

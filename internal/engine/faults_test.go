@@ -238,8 +238,9 @@ func TestSinkPanicIsolatedToCell(t *testing.T) {
 	if !errors.Is(ce, ErrSinkPanic) || ce.Stage != "sink" {
 		t.Fatalf("cell error %v (stage %q), want ErrSinkPanic at sink", ce.Err, ce.Stage)
 	}
-	// The serial engine replays components in key order, so the panic
-	// lands on "a" and "b" must be untouched by it.
+	// The serial engine replays the pass's serial order inline ("a" was
+	// named first), so the panic lands on "a" and "b" must be untouched
+	// by it.
 	if ce.Key != "a" {
 		t.Fatalf("faulted cell = %q, want a", ce.Key)
 	}

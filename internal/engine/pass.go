@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"sync"
 
 	"memotable/internal/trace"
 )
@@ -22,11 +22,19 @@ import (
 // set that aggregates an application over its inputs must see those
 // inputs' streams back to back, in its declared order. A Subscription
 // therefore carries an *ordered* workload sequence, and the planner
-// replays workloads in an order compatible with every subscription —
-// a topological order of the per-subscription chains. Subscriptions
-// whose sequences disagree (w1 before w2 in one, w2 before w1 in
-// another) have no single-pass schedule; RunPass reports them as an
-// error rather than silently replaying twice.
+// fixes one serial schedule compatible with every subscription — a
+// topological order of the per-subscription chains. Subscriptions whose
+// sequences disagree (w1 before w2 in one, w2 before w1 in another)
+// have no single-pass schedule; RunPass reports them as an error before
+// any capture or replay rather than silently replaying twice.
+//
+// The serial schedule defines what every sink observes; it does not
+// have to be executed serially. For each sink the planner adds a
+// precedence edge from each workload that feeds it to the next one that
+// does, in serial order. Any execution respecting those edges delivers
+// every sink exactly its serial stream, so the pass replays the DAG on
+// the worker pool: two workloads run concurrently whenever no sink needs
+// them ordered, even when a chain of shared subscriptions connects them.
 
 // PassWorkload names one capturable operand stream for the planner.
 type PassWorkload struct {
@@ -47,15 +55,16 @@ type Subscription struct {
 }
 
 // passNode is one distinct workload in a pass: its capture, the sink
-// groups subscribed to it (in subscription order), and its scheduling
-// edges (indegree plus successors from per-subscription chains).
+// groups subscribed to it (in subscription order), the successors its
+// subscriptions declare (chain), and its precedence edges in the replay
+// DAG (indeg plus succ, as serial positions).
 type passNode struct {
 	key     string
 	capture CaptureFunc
 	groups  [][]trace.Sink
+	chain   []int
 	indeg   int
 	succ    []int
-	done    bool
 }
 
 // RunPass is RunPassContext without cancellation and with fail-fast
@@ -72,11 +81,11 @@ func (e *Engine) RunPass(subs []Subscription) error {
 // RunPassContext replays every workload named by the subscriptions
 // exactly once, feeding all subscribed sinks in one fused ReplayAll per
 // workload. Workloads are first warmed (captured) across the worker
-// pool; replays then run with independent workload chains in parallel —
-// two workloads replay concurrently only when no subscription (and no
-// shared sink) connects them, so every sink observes exactly its
-// declared stream sequence and results are bit-identical at any worker
-// count.
+// pool; replays then run on the pool in a precedence DAG — two workloads
+// replay concurrently whenever no sink observes both, and a sink fed by
+// several workloads receives them in the pass's deterministic serial
+// order — so every sink observes exactly its declared stream sequence
+// and results are bit-identical at any worker count.
 //
 // The pass degrades instead of aborting: a failing cell — a workload
 // whose capture errors or panics, a sink that panics mid-replay, an
@@ -89,7 +98,7 @@ func (e *Engine) RunPass(subs []Subscription) error {
 // ErrCanceled and the report is marked Canceled. The error return is
 // reserved for planning defects (empty keys, repeated workloads,
 // inconsistent subscription orders) — failures of the pass's shape, not
-// of any one cell.
+// of any one cell — and is returned before anything is captured.
 func (e *Engine) RunPassContext(ctx context.Context, subs []Subscription) (*PassReport, error) {
 	if err := e.begin(); err != nil {
 		return nil, err
@@ -97,78 +106,38 @@ func (e *Engine) RunPassContext(ctx context.Context, subs []Subscription) (*Pass
 	defer e.end()
 	ids := make(map[string]int)
 	var nodes []*passNode
-	nodeOf := func(w PassWorkload) (int, error) {
-		if w.Key == "" {
-			return 0, fmt.Errorf("engine: pass workload with empty key")
-		}
-		id, ok := ids[w.Key]
-		if !ok {
-			id = len(nodes)
-			ids[w.Key] = id
-			nodes = append(nodes, &passNode{key: w.Key, capture: w.Capture})
-		}
-		return id, nil
-	}
-
-	// Union-find over nodes: workloads joined by a subscription (or by a
-	// sharing a sink) must replay sequentially relative to each other;
-	// disjoint chains may run in parallel.
-	var parent []int
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			if rb < ra {
-				ra, rb = rb, ra
-			}
-			parent[rb] = ra
-		}
-	}
-
-	sinkHome := make(map[trace.Sink]int)
 	for _, sub := range subs {
 		seen := make(map[string]bool, len(sub.Workloads))
 		prev := -1
 		for _, w := range sub.Workloads {
+			if w.Key == "" {
+				return nil, fmt.Errorf("engine: pass workload with empty key")
+			}
 			if seen[w.Key] {
 				return nil, fmt.Errorf("engine: subscription names workload %q twice", w.Key)
 			}
 			seen[w.Key] = true
-			id, err := nodeOf(w)
-			if err != nil {
-				return nil, err
-			}
-			for len(parent) <= id {
-				parent = append(parent, len(parent))
+			id, ok := ids[w.Key]
+			if !ok {
+				id = len(nodes)
+				ids[w.Key] = id
+				nodes = append(nodes, &passNode{key: w.Key, capture: w.Capture})
 			}
 			nodes[id].groups = append(nodes[id].groups, sub.Sinks)
 			if prev >= 0 {
-				nodes[prev].succ = append(nodes[prev].succ, id)
-				nodes[id].indeg++
-				union(prev, id)
+				nodes[prev].chain = append(nodes[prev].chain, id)
 			}
 			prev = id
-			// A sink shared between subscriptions joins their chains:
-			// parallel components must never feed the same sink.
-			for _, s := range sub.Sinks {
-				if home, ok := sinkHome[s]; ok {
-					union(home, id)
-				} else {
-					sinkHome[s] = id
-				}
-			}
 		}
 	}
 	if len(nodes) == 0 {
 		return &PassReport{}, nil
 	}
+	order, err := serialOrder(nodes)
+	if err != nil {
+		return nil, err
+	}
+	linkSinks(nodes, order)
 
 	// Warm phase: every capture runs (once, singleflighted) before any
 	// replay, so the replay fan-out never stalls a chain on a capture.
@@ -181,29 +150,8 @@ func (e *Engine) RunPassContext(ctx context.Context, subs []Subscription) (*Pass
 		}
 	})
 
-	// Group nodes into components, ordered by their smallest node id so
-	// the schedule is deterministic.
-	compOf := make(map[int][]int)
-	for id := range nodes {
-		root := find(id)
-		compOf[root] = append(compOf[root], id)
-	}
-	roots := make([]int, 0, len(compOf))
-	for root := range compOf {
-		roots = append(roots, root)
-	}
-	sort.Ints(roots)
-
 	rep := &PassReport{}
-	planErrs := make([]error, len(roots))
-	e.Map(len(roots), func(ci int) {
-		planErrs[ci] = e.runComponent(ctx, rep, nodes, compOf[roots[ci]])
-	})
-	for _, err := range planErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
+	e.replayDAG(ctx, rep, nodes, order)
 	if ctx.Err() != nil {
 		rep.Canceled = true
 	}
@@ -211,47 +159,132 @@ func (e *Engine) RunPassContext(ctx context.Context, subs []Subscription) (*Pass
 	return rep, nil
 }
 
-// runComponent replays one connected component's workloads in a
-// topological order of the subscription chains (Kahn's algorithm with a
-// smallest-id tie break, so the order is deterministic). A workload
-// whose replay fails is recorded in rep and its successors still run —
-// their streams are independent captures, so one poisoned cell must not
-// starve the rest of the chain. Only the inconsistent-ordering planning
-// defect is returned as an error.
-func (e *Engine) runComponent(ctx context.Context, rep *PassReport, nodes []*passNode, comp []int) error {
-	sort.Ints(comp)
-	remaining := len(comp)
-	for remaining > 0 {
+// serialOrder is the pass's reference schedule: a topological order of
+// the subscription chains (Kahn's algorithm with a smallest-id tie
+// break, so the order is deterministic). Chains with no common order
+// are the inconsistent-ordering planning defect.
+func serialOrder(nodes []*passNode) ([]int, error) {
+	indeg := make([]int, len(nodes))
+	for _, n := range nodes {
+		for _, s := range n.chain {
+			indeg[s]++
+		}
+	}
+	placed := make([]bool, len(nodes))
+	order := make([]int, 0, len(nodes))
+	for len(order) < len(nodes) {
 		picked := -1
-		for _, id := range comp {
-			n := nodes[id]
-			if !n.done && n.indeg == 0 {
+		for id := range nodes {
+			if !placed[id] && indeg[id] == 0 {
 				picked = id
 				break
 			}
 		}
 		if picked < 0 {
-			stuck := make([]string, 0, remaining)
-			for _, id := range comp {
-				if !nodes[id].done {
-					stuck = append(stuck, nodes[id].key)
+			var stuck []string
+			for id, n := range nodes {
+				if !placed[id] {
+					stuck = append(stuck, n.key)
 				}
 			}
-			return fmt.Errorf("engine: subscriptions order workloads inconsistently (no single-pass schedule for %v)", stuck)
+			return nil, fmt.Errorf("engine: subscriptions order workloads inconsistently (no single-pass schedule for %v)", stuck)
 		}
-		n := nodes[picked]
-		if err := ctx.Err(); err != nil {
+		placed[picked] = true
+		order = append(order, picked)
+		for _, s := range nodes[picked].chain {
+			indeg[s]--
+		}
+	}
+	return order, nil
+}
+
+// linkSinks builds the replay DAG over serial positions: for every sink,
+// an edge from each workload that feeds it to the next one that does.
+// Subscription chains need no edges of their own — each of a
+// subscription's sinks already orders its workloads — and a sink-less
+// subscription constrains nothing.
+func linkSinks(nodes []*passNode, order []int) {
+	lastFed := make(map[trace.Sink]int)
+	for pos, id := range order {
+		for _, g := range nodes[id].groups {
+			for _, s := range g {
+				// Sinks sharing an edge add it once each; the duplicates
+				// are counted into indeg and retired alike.
+				if prev, ok := lastFed[s]; ok && prev != pos {
+					nodes[order[prev]].succ = append(nodes[order[prev]].succ, pos)
+					nodes[id].indeg++
+				}
+				lastFed[s] = pos
+			}
+		}
+	}
+}
+
+// replayDAG replays every workload once, on the worker pool, in an
+// order respecting the sink precedence edges; among ready workloads the
+// earliest serial position goes first. A single-worker engine runs the
+// serial order inline — the reference path. A workload whose replay
+// fails is recorded in rep and its successors still run: their streams
+// are independent captures, so one poisoned cell must not starve the
+// rest of the pass.
+func (e *Engine) replayDAG(ctx context.Context, rep *PassReport, nodes []*passNode, order []int) {
+	run := func(n *passNode) {
+		if ctx.Err() != nil {
 			rep.add(&CellError{Key: n.key, Stage: "schedule", Err: ctxErr(ctx)})
 		} else if err := e.replayGuarded(ctx, n.key, n.capture, trace.Flatten(n.groups...)); err != nil {
 			rep.add(&CellError{Key: n.key, Stage: stageOf(err), Err: err})
 		}
-		n.done = true
-		remaining--
-		for _, s := range n.succ {
-			nodes[s].indeg--
-		}
 	}
-	return nil
+	workers := min(e.workers, len(order))
+	if workers <= 1 {
+		for _, id := range order {
+			run(nodes[id])
+		}
+		return
+	}
+
+	var mu sync.Mutex
+	cond := sync.NewCond(&mu)
+	started := make([]bool, len(order))
+	first := 0 // lowest position not yet started
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mu.Lock()
+			defer mu.Unlock()
+			for {
+				pos := -1
+				for p := first; p < len(order); p++ {
+					if !started[p] && nodes[order[p]].indeg == 0 {
+						pos = p
+						break
+					}
+				}
+				if pos < 0 {
+					if first == len(order) {
+						return
+					}
+					cond.Wait()
+					continue
+				}
+				started[pos] = true
+				for first < len(order) && started[first] {
+					first++
+				}
+				n := nodes[order[pos]]
+				mu.Unlock()
+				run(n)
+				mu.Lock()
+				for _, s := range n.succ {
+					nodes[order[s]].indeg--
+				}
+				cond.Broadcast()
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // replayGuarded is ReplayAllContext with panic isolation: a sink (or
