@@ -18,7 +18,7 @@
 // Ingest mode (-listen or -stdin) accepts a self-delimiting CRC-framed
 // v2 stream — from one connection on a unix or TCP socket, or from
 // standard input — and feeds each complete frame through live
-// MEMO-TABLE banks and cycle models as it arrives. -snapshot N prints a
+// MEMO-TABLE banks and a cycle tally as it arrives. -snapshot N prints a
 // rolling hit-ratio/speedup snapshot every N events; the final snapshot
 // always prints on stdout. With -store DIR, a stream that ends at a
 // clean frame boundary is sealed into the persistent trace store under

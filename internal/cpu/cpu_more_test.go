@@ -11,12 +11,13 @@ import (
 
 func TestStoresUseTheHierarchy(t *testing.T) {
 	proc := isa.FastFP()
-	m := New(proc)
-	m.Emit(trace.Event{Op: isa.OpStore, A: 0x9000}) // cold store: memory
-	m.Emit(trace.Event{Op: isa.OpStore, A: 0x9000}) // L1 hit
-	m.Emit(trace.Event{Op: isa.OpLoad, A: 0x9008})  // same line: hit
-	if m.Cycles() != 30+1+1 {
-		t.Fatalf("cycles = %d, want 32", m.Cycles())
+	m := New()
+	feed(m, nil,
+		trace.Event{Op: isa.OpStore, A: 0x9000}, // cold store: memory
+		trace.Event{Op: isa.OpStore, A: 0x9000}, // L1 hit
+		trace.Event{Op: isa.OpLoad, A: 0x9008})  // same line: hit
+	if c := m.On(proc); c.Total != 30+1+1 {
+		t.Fatalf("cycles = %d, want 32", c.Total)
 	}
 	if m.ClassCount(isa.OpStore) != 2 || m.ClassCount(isa.OpLoad) != 1 {
 		t.Fatal("class counts wrong")
@@ -25,41 +26,42 @@ func TestStoresUseTheHierarchy(t *testing.T) {
 
 func TestMultipleUnitsIndependentStats(t *testing.T) {
 	proc := isa.FastFP()
-	um := memo.NewUnit(memo.New(isa.OpFMul, memo.Paper32x4()), memo.NonTrivialOnly, nil)
-	ud := memo.NewUnit(memo.New(isa.OpFDiv, memo.Paper32x4()), memo.NonTrivialOnly, nil)
-	m := New(proc, um, ud)
+	um := unit(isa.OpFMul, memo.NonTrivialOnly)
+	ud := unit(isa.OpFDiv, memo.NonTrivialOnly)
 	ev := func(op isa.Op, a, b float64) trace.Event {
 		return trace.Event{Op: op, A: math.Float64bits(a), B: math.Float64bits(b)}
 	}
-	m.Emit(ev(isa.OpFMul, 2, 3))
-	m.Emit(ev(isa.OpFMul, 2, 3))
-	m.Emit(ev(isa.OpFDiv, 2, 3))
+	m := New()
+	feed(m, []*memo.Unit{um, ud},
+		ev(isa.OpFMul, 2, 3),
+		ev(isa.OpFMul, 2, 3),
+		ev(isa.OpFDiv, 2, 3))
 	if um.Table().Stats().Hits != 1 || ud.Table().Stats().Hits != 0 {
 		t.Fatal("unit stats crossed")
 	}
 	// fmul: 3 + 1, fdiv: 13.
-	if m.Cycles() != 3+1+13 {
-		t.Fatalf("cycles = %d", m.Cycles())
+	c := m.On(proc, um, ud)
+	if c.Total != 3+1+13 {
+		t.Fatalf("cycles = %d", c.Total)
 	}
-	if m.SavedCycles() != 2 {
-		t.Fatalf("saved = %d", m.SavedCycles())
+	if c.Saved != 2 {
+		t.Fatalf("saved = %d", c.Saved)
 	}
 }
 
 func TestSqrtUnitMemoized(t *testing.T) {
 	proc := isa.FastFP() // fsqrt 17
-	u := memo.NewUnit(memo.New(isa.OpFSqrt, memo.Paper32x4()), memo.NonTrivialOnly, nil)
-	m := New(proc, u)
+	u := unit(isa.OpFSqrt, memo.NonTrivialOnly)
 	ev := trace.Event{Op: isa.OpFSqrt, A: math.Float64bits(9.0)}
-	m.Emit(ev)
-	m.Emit(ev)
-	if m.Cycles() != 17+1 {
-		t.Fatalf("cycles = %d, want 18", m.Cycles())
+	m := New()
+	feed(m, []*memo.Unit{u}, ev, ev)
+	if c := m.On(proc, u); c.Total != 17+1 {
+		t.Fatalf("cycles = %d, want 18", c.Total)
 	}
 }
 
 func TestFractionSumsToOne(t *testing.T) {
-	m := New(isa.SlowFP())
+	m := New()
 	ops := []isa.Op{isa.OpIAlu, isa.OpFAdd, isa.OpBranch, isa.OpNop,
 		isa.OpFMul, isa.OpFDiv, isa.OpIMul, isa.OpFSqrt}
 	for i, op := range ops {
@@ -68,21 +70,22 @@ func TestFractionSumsToOne(t *testing.T) {
 	}
 	m.Emit(trace.Event{Op: isa.OpLoad, A: 0x100})
 	m.Emit(trace.Event{Op: isa.OpStore, A: 0x200})
+	c := m.On(isa.SlowFP())
 	all := append(ops, isa.OpLoad, isa.OpStore)
-	if got := m.Fraction(all...); math.Abs(got-1) > 1e-12 {
+	if got := c.Fraction(all...); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("fractions sum to %g", got)
 	}
-	if m.Fraction() != 0 {
+	if c.Fraction() != 0 {
 		t.Fatal("empty fraction not zero")
 	}
 }
 
 func TestEmptyModelFractionZero(t *testing.T) {
-	m := New(isa.FastFP())
-	if m.Fraction(isa.OpFDiv) != 0 {
+	c := New().On(isa.FastFP())
+	if c.Fraction(isa.OpFDiv) != 0 {
 		t.Fatal("fraction on empty model")
 	}
-	if m.Cycles() != 0 || m.SavedCycles() != 0 {
+	if c.Total != 0 || c.Saved != 0 {
 		t.Fatal("fresh model not zeroed")
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"memotable/internal/isa"
 	"memotable/internal/memo"
 	"memotable/internal/report"
-	"memotable/internal/trace"
 	"memotable/internal/workloads"
 )
 
@@ -48,7 +47,7 @@ type Fig2Point struct {
 
 // planTable8 plans every Table 7 application over every catalog image it
 // accepts: one single-workload demand per (application, image) cell,
-// each with its own 32/4 table set. The entropy-measurement copies are
+// each feeding one 32/4 table set. The entropy-measurement copies are
 // decimated here, in the serial plan phase, so the entropies are on hand
 // when finish runs (the copies are detached — entropy needs values, not
 // addresses).
@@ -74,12 +73,10 @@ func planTable8(ctx *Context) ([]Demand, func() *Table8Result) {
 			if !accepts(app, in.Name) {
 				continue
 			}
-			ts := NewTableSet(memo.Paper32x4(), memo.NonTrivialOnly)
+			f := ctx.Feed(ctx.AppWorkload(app, in.Name))
+			ts := f.Tables(memo.Paper32x4(), memo.NonTrivialOnly, ratioOps...)
 			cells[ci] = append(cells[ci], cell{app: app, ts: ts})
-			demands = append(demands, Demand{
-				Sinks:     []trace.Sink{ts},
-				Workloads: []Workload{ctx.AppWorkload(app, in.Name)},
-			})
+			demands = append(demands, f.Demand())
 		}
 	}
 
@@ -179,11 +176,11 @@ type Figure2Result struct {
 	Fits   []Fig2Fit
 }
 
-// planFigure2 plans the hit-ratio/entropy relation: the same demands as
-// Table 8 (its own sinks — when both experiments are selected the
-// planner still replays each workload once, feeding both), with the
-// line fits computed in finish. The paper observes roughly a 5%
-// hit-ratio decrease per added bit of entropy.
+// planFigure2 plans the hit-ratio/entropy relation: Table 8's plan, with
+// the line fits computed in finish. Planned on the same Context as
+// table8 it reads table8's cells and subscribes no sinks of its own,
+// while its demands still name every workload it depends on. The paper
+// observes roughly a 5% hit-ratio decrease per added bit of entropy.
 func planFigure2(ctx *Context) ([]Demand, func() *Figure2Result) {
 	demands, t8finish := planTable8(ctx)
 	finish := func() *Figure2Result {
@@ -243,8 +240,7 @@ func (r *Figure2Result) Result() *report.Result {
 func (r *Figure2Result) Render() string { return report.Text(r.Result()) }
 
 func init() {
-	entropyOps := []isa.Op{isa.OpIMul, isa.OpFMul, isa.OpFDiv}
-	register("table8", "Input images: entropies and mean hit ratios", entropyOps, planTable8)
+	register("table8", "Input images: entropies and mean hit ratios", ratioOps, planTable8)
 	register("figure2", "Hit ratio vs entropy line fits (Marquardt-Levenberg)",
 		[]isa.Op{isa.OpFMul, isa.OpFDiv}, planFigure2)
 }

@@ -37,30 +37,28 @@ type SqrtResult struct {
 // planSqrt plans MEMO-TABLEs on the square-root unit (latency 17 cycles,
 // a digit-recurrence unit's cost at 1 bit/cycle), the paper's first
 // future-work item, with the Table 11 methodology: per application one
-// ordered demand feeding a baseline and an enhanced cycle model.
+// ordered demand whose cycle tally is priced on a baseline and an
+// enhanced machine.
 func planSqrt(ctx *Context) ([]Demand, func() *SqrtResult) {
 	proc := isa.FastFP()
-	type machines struct {
-		base, enh *cpu.Model
+	type machine struct {
+		tally  *cpu.Model
+		tables *TableSet
 	}
-	ms := make([]machines, len(SqrtApps))
+	ms := make([]machine, len(SqrtApps))
 	demands := make([]Demand, len(SqrtApps))
 	for i, name := range SqrtApps {
-		app := ctx.App(name)
-		ms[i] = machines{
-			base: cpu.New(proc),
-			enh: cpu.New(proc,
-				memo.NewUnit(memo.New(isa.OpFSqrt, memo.Paper32x4()), memo.NonTrivialOnly, nil)),
+		f := ctx.Feed(ctx.AppWorkloads(ctx.App(name))...)
+		ms[i] = machine{
+			tally:  f.Model(),
+			tables: f.Tables(memo.Paper32x4(), memo.NonTrivialOnly, isa.OpFSqrt),
 		}
-		demands[i] = Demand{
-			Sinks:     []trace.Sink{ms[i].base, ms[i].enh},
-			Workloads: ctx.AppWorkloads(app),
-		}
+		demands[i] = f.Demand()
 	}
 	finish := func() *SqrtResult {
 		res := &SqrtResult{Rows: make([]SqrtRow, len(SqrtApps))}
 		for i, name := range SqrtApps {
-			c := cellFrom(ms[i].base, ms[i].enh, []isa.Op{isa.OpFSqrt})
+			c := cellFrom(ms[i].tally, proc, ms[i].tables.Units(isa.OpFSqrt))
 			res.Rows[i] = SqrtRow{
 				Name: name, HitRatio: c.HitRatio, FE: c.FE, SE: c.SE, Speedup: c.Speedup,
 			}
@@ -160,23 +158,13 @@ func planRecip(ctx *Context) ([]Demand, func() *RecipResult) {
 	ss := make([]schemes, len(SpeedupApps))
 	demands := make([]Demand, len(SpeedupApps))
 	for i, name := range SpeedupApps {
-		app := ctx.App(name)
+		f := ctx.Feed(ctx.AppWorkloads(ctx.App(name))...)
 		ss[i] = schemes{
-			memoSet: NewTableSet(memo.Paper32x4(), memo.NonTrivialOnly),
+			memoSet: f.Tables(memo.Paper32x4(), memo.NonTrivialOnly, isa.OpFDiv),
 			rc:      memo.NewRecipCache(memo.Paper32x4()),
 		}
-		// Fan-out affinity hint: the reciprocal cache sees divisions
-		// only, so it skips most blocks — co-schedule it with its paired
-		// memo set instead of letting it occupy a fan-out worker of its
-		// own when this demand is fused with heavier experiments.
-		group := "recip|" + name
-		demands[i] = Demand{
-			Sinks: []trace.Sink{
-				trace.Grouped(group, ss[i].memoSet),
-				trace.Grouped(group, recipSink{ss[i].rc}),
-			},
-			Workloads: ctx.AppWorkloads(app),
-		}
+		f.Sink(recipSink{ss[i].rc})
+		demands[i] = f.Demand()
 	}
 	finish := func() *RecipResult {
 		res := &RecipResult{}

@@ -8,7 +8,6 @@ import (
 	"memotable/internal/memo"
 	"memotable/internal/report"
 	"memotable/internal/stats"
-	"memotable/internal/trace"
 )
 
 // GeometryApps are the five sample applications of Figures 3 and 4.
@@ -94,20 +93,19 @@ func Figure4(eng *engine.Engine, scale Scale) *GeometryResult {
 // configurations: one TableSet per (app, config), shared across that
 // app's inputs (the paper's averages are across the applications at
 // each size), so each app is one ordered demand whose fused replays
-// feed every configuration's set at once.
+// feed every configuration's set at once. The 32/4 point is table7's
+// set, and figure3 and figure4 share it too.
 func planSweep(ctx *Context, title, xName string, cfgs []memo.Config) ([]Demand, func() *GeometryResult) {
 	perApp := make([][]*TableSet, len(GeometryApps))
 	demands := make([]Demand, len(GeometryApps))
 	for a, name := range GeometryApps {
-		app := ctx.App(name)
+		f := ctx.Feed(ctx.AppWorkloads(ctx.App(name))...)
 		sets := make([]*TableSet, len(cfgs))
-		sinks := make([]trace.Sink, len(cfgs))
 		for i, cfg := range cfgs {
-			sets[i] = NewTableSet(cfg, memo.NonTrivialOnly)
-			sinks[i] = sets[i]
+			sets[i] = f.Tables(cfg, memo.NonTrivialOnly, isa.OpFMul, isa.OpFDiv)
 		}
 		perApp[a] = sets
-		demands[a] = Demand{Sinks: sinks, Workloads: ctx.AppWorkloads(app)}
+		demands[a] = f.Demand()
 	}
 	finish := func() *GeometryResult {
 		res := &GeometryResult{Title: title, XName: xName}

@@ -7,7 +7,6 @@ import (
 	"memotable/internal/probe"
 	"memotable/internal/report"
 	"memotable/internal/scientific"
-	"memotable/internal/trace"
 )
 
 // HitRow is one application's hit ratios under two table configurations.
@@ -67,11 +66,12 @@ type hitPair struct {
 	small, inf *TableSet
 }
 
-// newHitPair builds the paper's basic 32/4 set and the infinite set.
-func newHitPair() hitPair {
+// newHitPair takes the paper's basic 32/4 set and the infinite set from
+// the feed.
+func newHitPair(f *Feed) hitPair {
 	return hitPair{
-		small: NewTableSet(memo.Paper32x4(), memo.NonTrivialOnly),
-		inf:   NewTableSet(memo.Infinite(), memo.NonTrivialOnly),
+		small: f.Tables(memo.Paper32x4(), memo.NonTrivialOnly, ratioOps...),
+		inf:   f.Tables(memo.Infinite(), memo.NonTrivialOnly, ratioOps...),
 	}
 }
 
@@ -92,11 +92,9 @@ func planSuiteHit(ctx *Context, title string, names []string, runs []func(*probe
 	pairs := make([]hitPair, len(runs))
 	demands := make([]Demand, len(runs))
 	for i := range runs {
-		pairs[i] = newHitPair()
-		demands[i] = Demand{
-			Sinks:     []trace.Sink{pairs[i].small, pairs[i].inf},
-			Workloads: []Workload{ctx.KernelWorkload(names[i], runs[i])},
-		}
+		f := ctx.Feed(ctx.KernelWorkload(names[i], runs[i]))
+		pairs[i] = newHitPair(f)
+		demands[i] = f.Demand()
 	}
 	finish := func() *HitTable {
 		t := &HitTable{Title: title, Rows: make([]HitRow, len(runs))}
@@ -158,12 +156,9 @@ func planTable7(ctx *Context) ([]Demand, func() *HitTable) {
 	pairs := make([]hitPair, len(mmTable7Apps))
 	demands := make([]Demand, len(mmTable7Apps))
 	for i, name := range mmTable7Apps {
-		app := ctx.App(name)
-		pairs[i] = newHitPair()
-		demands[i] = Demand{
-			Sinks:     []trace.Sink{pairs[i].small, pairs[i].inf},
-			Workloads: ctx.AppWorkloads(app),
-		}
+		f := ctx.Feed(ctx.AppWorkloads(ctx.App(name))...)
+		pairs[i] = newHitPair(f)
+		demands[i] = f.Demand()
 	}
 	finish := func() *HitTable {
 		t := &HitTable{
@@ -198,13 +193,14 @@ type Table10Result struct {
 func planTable10(ctx *Context) ([]Demand, func() *Table10Result) {
 	mantCfg := memo.Paper32x4()
 	mantCfg.MantissaOnly = true
+	fpOps := []isa.Op{isa.OpFMul, isa.OpFDiv}
 	type suite struct {
 		full, mant *TableSet
 	}
-	newSuite := func() suite {
+	newSuite := func(f *Feed) suite {
 		return suite{
-			full: NewTableSet(memo.Paper32x4(), memo.NonTrivialOnly),
-			mant: NewTableSet(mantCfg, memo.NonTrivialOnly),
+			full: f.Tables(memo.Paper32x4(), memo.NonTrivialOnly, fpOps...),
+			mant: f.Tables(mantCfg, memo.NonTrivialOnly, fpOps...),
 		}
 	}
 	var perfWs, mmWs []Workload
@@ -215,15 +211,13 @@ func planTable10(ctx *Context) ([]Demand, func() *Table10Result) {
 		app := ctx.App(name)
 		mmWs = append(mmWs, ctx.AppWorkload(app, app.Inputs[0]))
 	}
-	perf, mm := newSuite(), newSuite()
-	demands := []Demand{
-		{Sinks: []trace.Sink{perf.full, perf.mant}, Workloads: perfWs},
-		{Sinks: []trace.Sink{mm.full, mm.mant}, Workloads: mmWs},
-	}
+	perfFeed, mmFeed := ctx.Feed(perfWs...), ctx.Feed(mmWs...)
+	perf, mm := newSuite(perfFeed), newSuite(mmFeed)
+	demands := []Demand{perfFeed.Demand(), mmFeed.Demand()}
 	read := func(s suite) (full, mant map[isa.Op]float64) {
 		full = map[isa.Op]float64{}
 		mant = map[isa.Op]float64{}
-		for _, op := range []isa.Op{isa.OpFMul, isa.OpFDiv} {
+		for _, op := range fpOps {
 			full[op] = s.full.HitRatio(op)
 			mant[op] = s.mant.HitRatio(op)
 		}

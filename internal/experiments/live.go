@@ -16,40 +16,37 @@ import (
 // LiveBank is the measurement half of a live ingest session: the banks a
 // streamed operand trace feeds while it is still arriving. It bundles
 // the same instruments the offline drivers use — a TableSet for per-class
-// hit ratios, a baseline and a memo-enhanced cycle model for speedup (the
-// planSpeedupStudy pairing), and a bounded-memory sketch estimator for
-// the stream's reuse ratio — behind one sink fan-out, plus rolling
-// report.Result snapshots of all of them.
+// hit ratios, a cycle tally priced on a baseline machine and on one
+// enhanced with the TableSet's own units (the planSpeedupStudy pairing),
+// and a bounded-memory sketch estimator for the stream's reuse ratio —
+// behind one sink fan-out, plus rolling report.Result snapshots of all
+// of them.
 //
 // Determinism carries over from the replay machinery: the banks' state
 // after N events is a pure function of the first N events, so a live
 // session and an offline replay of the same stream render byte-identical
 // snapshots — the property the differential tests pin.
 type LiveBank struct {
+	proc   isa.Processor
 	tables *TableSet
-	base   *cpu.Model
-	enh    *cpu.Model
+	tally  *cpu.Model
 	est    *sketch.ReuseEstimator
 	sinks  []trace.Sink
 }
 
 // NewLiveBank builds a bank: tables of the given geometry and policy for
-// hit ratios, baseline and enhanced cycle models on the processor (the
-// enhanced machine owns its own units, separate from the hit-ratio
-// tables, exactly as in the speedup studies), and a default-geometry
+// hit ratios, a cycle tally priced on the processor (the enhanced
+// machine attaches the hit-ratio tables' own units, as the speedup
+// studies attach their shared table sets'), and a default-geometry
 // sketch estimator seeded with seed.
 func NewLiveBank(proc isa.Processor, cfg memo.Config, policy memo.TrivialPolicy, seed uint64) *LiveBank {
-	units := make([]*memo.Unit, len(MemoOps))
-	for i, op := range MemoOps {
-		units[i] = memo.NewUnit(memo.New(op, cfg), policy, nil)
-	}
 	b := &LiveBank{
+		proc:   proc,
 		tables: NewTableSet(cfg, policy),
-		base:   cpu.New(proc),
-		enh:    cpu.New(proc, units...),
+		tally:  cpu.New(),
 		est:    sketch.NewDefaultReuseEstimator(seed),
 	}
-	b.sinks = []trace.Sink{b.tables, b.base, b.enh, &sketchSink{est: b.est, mask: trace.MaskOf(MemoOps...)}}
+	b.sinks = []trace.Sink{b.tables, b.tally, &sketchSink{est: b.est, mask: trace.MaskOf(MemoOps...)}}
 	return b
 }
 
@@ -69,10 +66,11 @@ func (b *LiveBank) HitRatio(op isa.Op) float64 { return b.tables.HitRatio(op) }
 // Speedup returns baseline cycles over enhanced cycles so far — the
 // rolling whole-stream speedup (NaN before any event).
 func (b *LiveBank) Speedup() float64 {
-	if b.enh.Cycles() == 0 {
+	enh := b.tally.On(b.proc, b.tables.Units(MemoOps...)...)
+	if enh.Total == 0 {
 		return math.NaN()
 	}
-	return float64(b.base.Cycles()) / float64(b.enh.Cycles())
+	return float64(b.tally.On(b.proc).Total) / float64(enh.Total)
 }
 
 // SketchReuse returns the sketch estimate of the memoizable stream's

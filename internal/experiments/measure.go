@@ -8,8 +8,8 @@
 // cross-experiment planner (engine.RunPass) captures each demanded
 // workload once and replays it once into every subscribed sink across
 // the whole selection, and its finish half assembles a typed
-// report.Result. Results are read from per-experiment sinks in declared
-// order, so rendered output is bit-identical at any worker count;
+// report.Result. Every sink sees its workloads in declared order, so
+// rendered output is bit-identical at any worker count;
 // engine.Serial() gives the reference single-threaded path.
 package experiments
 
@@ -31,21 +31,34 @@ import (
 // fp square root extension.
 var MemoOps = []isa.Op{isa.OpIMul, isa.OpFMul, isa.OpFDiv, isa.OpFSqrt}
 
-// TableSet is one simulated system: a MEMO-TABLE per memoizable class,
-// fed from a trace stream. Units are held in a per-class array — the
-// replay loop indexes it once per event, so the dispatch must not cost a
-// map probe.
+// TableSet is one simulated system: a MEMO-TABLE per memoizable class it
+// measures, all of one geometry and trivial-operation policy, fed from a
+// trace stream. Units are held in a per-class array — the replay loop
+// indexes it once per event, so the dispatch must not cost a map probe.
 type TableSet struct {
-	units [isa.NumOps]*memo.Unit
+	cfg    memo.Config
+	policy memo.TrivialPolicy
+	units  [isa.NumOps]*memo.Unit
+	mask   trace.OpMask
 }
 
 // NewTableSet builds identical tables for all MemoOps.
 func NewTableSet(cfg memo.Config, policy memo.TrivialPolicy) *TableSet {
-	ts := &TableSet{}
-	for _, op := range MemoOps {
-		ts.units[op] = memo.NewUnit(memo.New(op, cfg), policy, nil)
-	}
+	ts := &TableSet{cfg: cfg, policy: policy}
+	ts.widen(MemoOps...)
 	return ts
+}
+
+// widen gives the set a table for each of ops it does not hold yet. It
+// must run before the set sees its first event, or the new tables would
+// miss the start of the stream.
+func (ts *TableSet) widen(ops ...isa.Op) {
+	for _, op := range ops {
+		if ts.units[op] == nil {
+			ts.units[op] = memo.NewUnit(memo.New(op, ts.cfg), ts.policy, nil)
+			ts.mask |= trace.MaskOf(op)
+		}
+	}
 }
 
 // Emit implements trace.Sink: memoizable events exercise their table.
@@ -65,12 +78,22 @@ func (ts *TableSet) EmitBatch(evs []trace.Event) {
 	}
 }
 
-// OpMask implements trace.OpMasker: only memoizable classes reach the
-// tables, so fused replays skip blocks carrying none of them.
-func (ts *TableSet) OpMask() trace.OpMask { return trace.MaskOf(MemoOps...) }
+// OpMask implements trace.OpMasker: only the classes the set holds reach
+// its tables, so fused replays skip blocks carrying none of them.
+func (ts *TableSet) OpMask() trace.OpMask { return ts.mask }
 
-// Unit returns the unit for one class.
+// Unit returns the unit for one class, or nil if the set holds none.
 func (ts *TableSet) Unit(op isa.Op) *memo.Unit { return ts.units[op] }
+
+// Units returns the units for the given classes, in order — the memo
+// units a cycle model prices its enhanced machine with.
+func (ts *TableSet) Units(ops ...isa.Op) []*memo.Unit {
+	us := make([]*memo.Unit, len(ops))
+	for i, op := range ops {
+		us[i] = ts.units[op]
+	}
+	return us
+}
 
 // HitRatio returns the class's hit ratio under the set's policy, or NaN
 // if the class never appeared (the paper's '-' entries).

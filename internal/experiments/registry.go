@@ -135,10 +135,14 @@ type Experiment struct {
 // Context carries the run-wide knobs a plan builds against: the engine
 // (for finish-phase fan-out) and the input scale. The scale helpers
 // live here so drivers share one decimation path instead of each
-// re-deriving geometry bounds.
+// re-deriving geometry bounds. A Context is also the scope within which
+// plans share simulated structures (Feed); the zero value is ready to
+// use, and one Context serves one planned pass.
 type Context struct {
 	Eng   *engine.Engine
 	Scale Scale
+
+	shared *interned // built by the first Feed
 }
 
 // MaxDim returns the per-side image bound of the run's scale.
@@ -324,10 +328,18 @@ func RunContext(ctx context.Context, eng *engine.Engine, scale Scale, names ...s
 	}
 	ectx := &Context{Eng: eng, Scale: scale}
 	plans := make([]Plan, len(exps))
-	var subs []engine.Subscription
 	for i, ex := range exps {
 		plans[i] = ex.Plan(ectx)
-		subs = append(subs, plans[i].Demands...)
+	}
+	return runPlans(ctx, eng, exps, plans)
+}
+
+// runPlans is RunContext after planning: one pass over every plan's
+// demands, then each experiment's finish or degraded result.
+func runPlans(ctx context.Context, eng *engine.Engine, exps []Experiment, plans []Plan) ([]*report.Result, *engine.PassReport, error) {
+	var subs []engine.Subscription
+	for _, p := range plans {
+		subs = append(subs, p.Demands...)
 	}
 	rep, err := eng.RunPassContext(ctx, subs)
 	if err != nil {

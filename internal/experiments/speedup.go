@@ -8,7 +8,6 @@ import (
 	"memotable/internal/isa"
 	"memotable/internal/memo"
 	"memotable/internal/report"
-	"memotable/internal/trace"
 )
 
 // SpeedupApps are the nine applications of the paper's speedup study
@@ -95,35 +94,27 @@ func Table13(eng *engine.Engine, scale Scale) *SpeedupResult {
 }
 
 // planSpeedupStudy plans each application over its inputs on four
-// machines in one fused pass per workload: baseline and memo-enhanced,
-// at fast and slow FP latencies. Each application is one ordered demand.
+// machines: baseline and memo-enhanced, at fast and slow FP latencies.
+// All four price the application's one cycle tally, and the enhanced
+// machines attach the units of its shared 32/4 table set (the sets
+// table7 reads), so each application is one ordered demand that
+// simulates nothing the other plans do not.
 func planSpeedupStudy(ctx *Context, title, fastLabel, slowLabel string, ops []isa.Op,
 	fast, slow isa.Processor) ([]Demand, func() *SpeedupResult) {
 
-	type machines struct {
-		fastBase, fastEnh, slowBase, slowEnh *cpu.Model
+	type machine struct {
+		tally  *cpu.Model
+		tables *TableSet
 	}
-	units := func() []*memo.Unit {
-		us := make([]*memo.Unit, len(ops))
-		for i, op := range ops {
-			us[i] = memo.NewUnit(memo.New(op, memo.Paper32x4()), memo.NonTrivialOnly, nil)
-		}
-		return us
-	}
-	ms := make([]machines, len(SpeedupApps))
+	ms := make([]machine, len(SpeedupApps))
 	demands := make([]Demand, len(SpeedupApps))
 	for i, name := range SpeedupApps {
-		app := ctx.App(name)
-		ms[i] = machines{
-			fastBase: cpu.New(fast),
-			fastEnh:  cpu.New(fast, units()...),
-			slowBase: cpu.New(slow),
-			slowEnh:  cpu.New(slow, units()...),
+		f := ctx.Feed(ctx.AppWorkloads(ctx.App(name))...)
+		ms[i] = machine{
+			tally:  f.Model(),
+			tables: f.Tables(memo.Paper32x4(), memo.NonTrivialOnly, ops...),
 		}
-		demands[i] = Demand{
-			Sinks:     []trace.Sink{ms[i].fastBase, ms[i].fastEnh, ms[i].slowBase, ms[i].slowEnh},
-			Workloads: ctx.AppWorkloads(app),
-		}
+		demands[i] = f.Demand()
 	}
 	finish := func() *SpeedupResult {
 		res := &SpeedupResult{
@@ -131,10 +122,11 @@ func planSpeedupStudy(ctx *Context, title, fastLabel, slowLabel string, ops []is
 			Rows: make([]SpeedupRow, len(SpeedupApps)),
 		}
 		for i, name := range SpeedupApps {
+			units := ms[i].tables.Units(ops...)
 			res.Rows[i] = SpeedupRow{
 				Name: name,
-				Fast: cellFrom(ms[i].fastBase, ms[i].fastEnh, ops),
-				Slow: cellFrom(ms[i].slowBase, ms[i].slowEnh, ops),
+				Fast: cellFrom(ms[i].tally, fast, units),
+				Slow: cellFrom(ms[i].tally, slow, units),
 			}
 		}
 		return res
@@ -142,20 +134,24 @@ func planSpeedupStudy(ctx *Context, title, fastLabel, slowLabel string, ops []is
 	return demands, finish
 }
 
-// cellFrom derives the paper's four columns from a baseline/enhanced
-// model pair.
-func cellFrom(base, enh *cpu.Model, ops []isa.Op) SpeedupCell {
+// cellFrom derives the paper's four columns from a tally priced on the
+// baseline machine and on the machine enhanced with units.
+func cellFrom(tally *cpu.Model, proc isa.Processor, units []*memo.Unit) SpeedupCell {
+	base, enh := tally.On(proc), tally.On(proc, units...)
 	var c SpeedupCell
-	c.FE = base.Fraction(ops...)
+	var ops []isa.Op
 	var baseClass, enhClass uint64
 	var hits, lookups uint64
-	for _, op := range ops {
-		baseClass += base.ClassCycles(op)
-		enhClass += enh.ClassCycles(op)
-		st := enh.Unit(op).Table().Stats()
+	for _, u := range units {
+		op := u.Table().Op()
+		ops = append(ops, op)
+		baseClass += base.Class[op]
+		enhClass += enh.Class[op]
+		st := u.Table().Stats()
 		hits += st.Hits
 		lookups += st.Lookups
 	}
+	c.FE = base.Fraction(ops...)
 	if lookups > 0 {
 		c.HitRatio = float64(hits) / float64(lookups)
 	} else {
@@ -166,8 +162,8 @@ func cellFrom(base, enh *cpu.Model, ops []isa.Op) SpeedupCell {
 	} else {
 		c.SE = 1
 	}
-	if enh.Cycles() > 0 {
-		c.Speedup = float64(base.Cycles()) / float64(enh.Cycles())
+	if enh.Total > 0 {
+		c.Speedup = float64(base.Total) / float64(enh.Total)
 	} else {
 		c.Speedup = 1
 	}

@@ -7,7 +7,6 @@ import (
 	"memotable/internal/isa"
 	"memotable/internal/memo"
 	"memotable/internal/report"
-	"memotable/internal/trace"
 )
 
 // Table9Apps are the eight applications of the paper's trivial-operation
@@ -37,7 +36,8 @@ type Table9Result struct {
 
 // planTable9 plans the trivial-operation policy comparison: for each
 // application, one ordered demand feeds three table sets — one per
-// policy — over the application's inputs (32/4 tables).
+// policy — over the application's inputs (32/4 tables). The
+// non-trivial-only set is the one table7 reads.
 func planTable9(ctx *Context) ([]Demand, func() *Table9Result) {
 	type policies struct {
 		all, non, intg *TableSet
@@ -45,16 +45,13 @@ func planTable9(ctx *Context) ([]Demand, func() *Table9Result) {
 	ps := make([]policies, len(Table9Apps))
 	demands := make([]Demand, len(Table9Apps))
 	for i, name := range Table9Apps {
-		app := ctx.App(name)
+		f := ctx.Feed(ctx.AppWorkloads(ctx.App(name))...)
 		ps[i] = policies{
-			all:  NewTableSet(memo.Paper32x4(), memo.CacheAll),
-			non:  NewTableSet(memo.Paper32x4(), memo.NonTrivialOnly),
-			intg: NewTableSet(memo.Paper32x4(), memo.Integrated),
+			all:  f.Tables(memo.Paper32x4(), memo.CacheAll, ratioOps...),
+			non:  f.Tables(memo.Paper32x4(), memo.NonTrivialOnly, ratioOps...),
+			intg: f.Tables(memo.Paper32x4(), memo.Integrated, ratioOps...),
 		}
-		demands[i] = Demand{
-			Sinks:     []trace.Sink{ps[i].all, ps[i].non, ps[i].intg},
-			Workloads: ctx.AppWorkloads(app),
-		}
+		demands[i] = f.Demand()
 	}
 	finish := func() *Table9Result {
 		res := &Table9Result{Rows: make([]Table9Row, len(Table9Apps))}

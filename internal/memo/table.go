@@ -25,18 +25,8 @@ type Table struct {
 	idxBits uint
 	ways    int
 	sets    [][]entry // MRU-first within each set
-	// hint[s] is the way where set s's last-hit entry now sits — the
-	// way-memoization fast path (Ishihara & Fallah): probe it with a
-	// single compare before the associative scan. MRU reordering pins a
-	// fresh hit at way 0 (where the scan starts anyway), so the hint
-	// earns its keep after inserts shift the last-hit entry deeper; it
-	// is tracked across those shifts and cleared when the entry is
-	// evicted or shadowed. 0 means "no useful hint". nil when ways == 1
-	// or in infinite mode, where no scan exists to shortcut.
-	hint   []uint16
-	noHint bool // ablation switch for the before/after benchmark
-	inf    map[tagKey]stored
-	stats  Stats
+	inf     map[tagKey]stored
+	stats   Stats
 }
 
 type tagKey struct{ a, b uint64 }
@@ -72,9 +62,6 @@ func New(op isa.Op, cfg Config) *Table {
 	for i := range t.sets {
 		t.sets[i], backing = backing[:t.ways], backing[t.ways:]
 	}
-	if t.ways > 1 {
-		t.hint = make([]uint16, t.numSets)
-	}
 	return t
 }
 
@@ -98,9 +85,6 @@ func (t *Table) Reset() {
 		for i := range set {
 			set[i] = entry{}
 		}
-	}
-	for i := range t.hint {
-		t.hint[i] = 0
 	}
 }
 
@@ -227,21 +211,6 @@ func (t *Table) probeOne(key tagKey) (stored, bool) {
 		}
 		return stored{}, false
 	}
-	if h := int(t.hint[si]); h > 0 && !t.noHint {
-		// Way-memoization fast path: the set's last-hit entry is known to
-		// sit at way h (insert tracks it through shifts and clears the
-		// hint on eviction or shadowing), so one compare resolves a
-		// repeat hit without scanning ways 0..h-1. The hint entry is
-		// always the newest for its tag, so probing it first returns
-		// exactly what the scan would.
-		if set[h].valid && set[h].tag == key {
-			e := set[h]
-			copy(set[1:h+1], set[:h])
-			set[0] = e
-			t.hint[si] = 0
-			return e.stored, true
-		}
-	}
 	for w := range set {
 		if set[w].valid && set[w].tag == key {
 			st := set[w].stored
@@ -249,7 +218,6 @@ func (t *Table) probeOne(key tagKey) (stored, bool) {
 			e := set[w]
 			copy(set[1:w+1], set[:w])
 			set[0] = e
-			t.hint[si] = 0 // the hit entry now leads the scan itself
 			return st, true
 		}
 	}
@@ -273,20 +241,7 @@ func (t *Table) insert(key tagKey, a, b, result uint64) {
 	if set[len(set)-1].valid {
 		t.stats.Evictions++
 	}
-	if t.ways > 1 {
-		// Keep the hint pointing at the set's tracked entry as the shift
-		// moves it one way deeper. The hint dies when the entry falls off
-		// the set's far end, was never valid, or is shadowed by this very
-		// insert (a duplicate tag via the public Insert path — the one
-		// case where probing the hinted way first could otherwise return
-		// a stale result).
-		if h := t.hint[si]; int(h) >= t.ways-1 || !set[h].valid || set[h].tag == key {
-			t.hint[si] = 0
-		} else {
-			t.hint[si] = h + 1
-		}
-		copy(set[1:], set[:len(set)-1])
-	}
+	copy(set[1:], set[:len(set)-1])
 	set[0] = entry{tag: key, stored: st, valid: true}
 }
 

@@ -12,15 +12,7 @@ import (
 // (the probe path dominates), a large pool keeps it miss-and-evict-heavy
 // (the insert path dominates).
 func benchTable(b *testing.B, op isa.Op, cfg Config, pool uint64) {
-	benchTableHint(b, op, cfg, pool, false)
-}
-
-// benchTableHint is benchTable with the last-hit-way hint switchable, so
-// the hint's fast path can be measured against its own ablation on the
-// same stream.
-func benchTableHint(b *testing.B, op isa.Op, cfg Config, pool uint64, noHint bool) {
 	t := New(op, cfg)
-	t.noHint = noHint
 	const streamLen = 4096
 	as := make([]uint64, streamLen)
 	bs := make([]uint64, streamLen)
@@ -74,67 +66,9 @@ func BenchmarkTable(b *testing.B) {
 	b.Run("fsqrt-32x4-hot", func(b *testing.B) {
 		benchTable(b, isa.OpFSqrt, Config{Entries: 32, Ways: 4}, 5)
 	})
-	// Mixed hit/insert traffic is where the last-hit-way hint earns its
-	// keep: inserts shift the hot entries deeper, so repeat hits resolve
-	// on the hinted way instead of scanning past the fresh inserts.
+	// Mixed hit/insert traffic: inserts shift the hot entries deeper, so
+	// repeat hits scan past the fresh inserts.
 	b.Run("fmul-32x4-mixed", func(b *testing.B) {
 		benchTable(b, isa.OpFMul, Config{Entries: 32, Ways: 4}, 64)
 	})
-}
-
-// BenchmarkTableWayHint is the hint's before/after ablation on identical
-// streams: the -nohint variants disable the hinted first probe (the
-// maintenance writes stay, as they would in a real regression), pinning
-// that the hint helps mixed traffic and costs nothing on the hot,
-// cold, and 1-way paths.
-func BenchmarkTableWayHint(b *testing.B) {
-	cases := []struct {
-		name string
-		cfg  Config
-		pool uint64
-	}{
-		{"fmul-32x4-hot", Config{Entries: 32, Ways: 4}, 5},
-		{"fmul-32x4-mixed", Config{Entries: 32, Ways: 4}, 64},
-		{"fmul-32x4-cold", Config{Entries: 32, Ways: 4}, 512},
-		{"fmul-32x1-hot", Config{Entries: 32, Ways: 1}, 5},
-		{"fmul-32x1-cold", Config{Entries: 32, Ways: 1}, 512},
-	}
-	for _, c := range cases {
-		b.Run(c.name+"-hint", func(b *testing.B) {
-			benchTableHint(b, isa.OpFMul, c.cfg, c.pool, false)
-		})
-		b.Run(c.name+"-nohint", func(b *testing.B) {
-			benchTableHint(b, isa.OpFMul, c.cfg, c.pool, true)
-		})
-	}
-}
-
-// BenchmarkTableWayHintChurn is the hint's best case, isolated: a hot
-// key re-hit between bursts of cold inserts into its own set. Each
-// burst shifts the hot entry three ways deeper, so the unhinted probe
-// scans past three fresh entries on every repeat hit while the hinted
-// probe resolves it with one compare — the loop-carried recurrence
-// pattern way-memoization targets.
-func BenchmarkTableWayHintChurn(b *testing.B) {
-	run := func(b *testing.B, noHint bool) {
-		tb := New(isa.OpIMul, Config{Entries: 8, Ways: 8})
-		tb.noHint = noHint
-		const hot = 5
-		tb.Insert(hot, hot, 1)
-		churn := uint64(100)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i%4 == 3 {
-				if _, hit := tb.Lookup(hot, hot); !hit {
-					b.Fatal("hot key missed")
-				}
-			} else {
-				churn++
-				tb.Insert(churn, churn, churn)
-			}
-		}
-	}
-	b.Run("hint", func(b *testing.B) { run(b, false) })
-	b.Run("nohint", func(b *testing.B) { run(b, true) })
 }

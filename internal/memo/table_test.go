@@ -212,6 +212,28 @@ func TestResetClears(t *testing.T) {
 	}
 }
 
+// TestDuplicateInsertShadowsOlderEntry: a second Insert of a tag already
+// in its set, after unrelated inserts pushed the first copy deeper, must
+// win the next lookup — the probe returns the newest copy, never the
+// stale one behind it.
+func TestDuplicateInsertShadowsOlderEntry(t *testing.T) {
+	// Entries == Ways makes a single set, so every key shares it.
+	tb := New(isa.OpIMul, Config{Entries: 4, Ways: 4})
+	const k = 7
+	tb.Insert(k, k, 100)
+	if v, hit := tb.Lookup(k, k); !hit || v != 100 {
+		t.Fatalf("Lookup(k) = %d, %v; want 100, true", v, hit)
+	}
+	// Two unrelated inserts shift k's entry to way 2.
+	tb.Insert(11, 11, 1)
+	tb.Insert(13, 13, 2)
+	// Shadow it: a fresh value for the same tag lands at way 0.
+	tb.Insert(k, k, 200)
+	if v, hit := tb.Lookup(k, k); !hit || v != 200 {
+		t.Fatalf("Lookup(k) after shadowing = %d, %v; want 200, true", v, hit)
+	}
+}
+
 func TestIntegerIndexUsesLSBXor(t *testing.T) {
 	tab := New(isa.OpIMul, Config{Entries: 32, Ways: 4})
 	// (a^b)&7 identical for all of these: they must contend for one set.

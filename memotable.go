@@ -145,9 +145,9 @@ type IngestResult = engine.IngestResult
 var ErrIngestBroken = engine.ErrIngestBroken
 
 // LiveBank bundles the rolling instruments of a live ingest session —
-// MEMO-TABLE banks, baseline and memo-enhanced cycle models, and a
-// bounded-memory reuse-ratio sketch — behind one sink fan-out with
-// typed report snapshots.
+// MEMO-TABLE banks, a cycle tally priced on baseline and memo-enhanced
+// machines, and a bounded-memory reuse-ratio sketch — behind one sink
+// fan-out with typed report snapshots.
 type LiveBank = experiments.LiveBank
 
 // NewLiveBank builds a live bank with the paper's study defaults (the
