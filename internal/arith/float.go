@@ -82,19 +82,6 @@ func Mantissa(x float64) uint64 {
 	return math.Float64bits(x) & mantissaMask
 }
 
-// MantissaMSBs returns the n most significant bits of the stored mantissa of
-// x. The paper's floating-point index hash XORs these between the two
-// operands to form a MEMO-TABLE set index (§3.1).
-func MantissaMSBs(x float64, n uint) uint64 {
-	if n == 0 {
-		return 0
-	}
-	if n > MantissaBits {
-		n = MantissaBits
-	}
-	return Mantissa(x) >> (MantissaBits - n)
-}
-
 // IsNaN reports whether the bit pattern b encodes a NaN.
 func IsNaN(b uint64) bool {
 	return b&exponentMask == exponentMask && b&mantissaMask != 0

@@ -85,19 +85,6 @@ func TestNormSignificandSubnormal(t *testing.T) {
 	}
 }
 
-func TestMantissaMSBs(t *testing.T) {
-	x := math.Float64frombits(0xABC << (MantissaBits - 12))
-	if got := MantissaMSBs(x, 12); got != 0xABC {
-		t.Fatalf("MantissaMSBs = %#x, want 0xABC", got)
-	}
-	if got := MantissaMSBs(x, 0); got != 0 {
-		t.Fatalf("MantissaMSBs(n=0) = %#x, want 0", got)
-	}
-	if got := MantissaMSBs(x, 64); got != Mantissa(x) {
-		t.Fatalf("MantissaMSBs(n=64) = %#x, want full mantissa", got)
-	}
-}
-
 func TestClassifiers(t *testing.T) {
 	if !IsNaN(math.Float64bits(math.NaN())) {
 		t.Error("IsNaN(NaN) = false")

@@ -165,7 +165,8 @@ func (s *Stats) Add(other Stats) {
 	s.Evictions += other.Evictions
 }
 
-// opName guards against tables built for non-memoizable classes.
+// validateOp panics on an operation class that has no MEMO-TABLE: only
+// the multi-cycle classes are memoizable.
 func validateOp(op isa.Op) {
 	if !op.Memoizable() {
 		panic(fmt.Sprintf("memo: op %v is not a multi-cycle memoizable class", op))

@@ -133,11 +133,11 @@ func (s *Shared) stripeFor(a, b uint64) *sharedStripe {
 	if s.cfg.Entries == 0 {
 		return &s.stripes[symmetricMix(a, b)&mask]
 	}
-	key, ok := s.router.key(a, b)
+	ka, kb, ok := s.router.key(a, b)
 	if !ok {
 		return &s.stripes[symmetricMix(a, b)&mask]
 	}
-	i := uint64(s.router.index(key))
+	i := uint64(s.router.index(ka, kb))
 	if s.op == isa.OpIMul {
 		return &s.stripes[i>>s.subIdxBits]
 	}

@@ -18,27 +18,36 @@ import (
 // operands XOR their n least significant bits, floating-point operands XOR
 // the n most significant bits of their mantissas, where 2^n is the set
 // count.
+//
+// A finite table keeps all its sets in one flat slice, set s at
+// sets[s*ways : (s+1)*ways]. Each set is ordered most recently used
+// first, so its valid entries always form a prefix, and an access walks
+// the set once: it computes the index once, compares the presented and
+// (for commutative classes) the swapped operand order in the same walk,
+// and on a miss inserts into the set it already found. The infinite table
+// is an open-addressing hash table (unbounded.go).
 type Table struct {
-	op      isa.Op
-	cfg     Config
-	numSets int
-	idxBits uint
-	ways    int
-	sets    [][]entry // MRU-first within each set
-	inf     map[tagKey]stored
-	stats   Stats
+	op   isa.Op
+	cfg  Config
+	mant bool // mantissa-only tags in effect
+	comm bool // the swapped operand order is compared too (§2.2)
+	// A set index is ((ka ^ kb) & idxMask) >> idxShift, which is both
+	// §3.1 hashes: integer tags keep their low bits, fp tags keep the
+	// top bits of their mantissas.
+	idxMask  uint64
+	idxShift uint
+	ways     int
+	sets     []entry
+	inf      *unbounded // Entries == 0
+	stats    Stats
 }
 
-type tagKey struct{ a, b uint64 }
-
-type stored struct {
-	val uint64
-	aux int32 // mantissa-only mode: result exponent displacement
-}
-
+// entry is one way of a finite set: the tag, the stored result and its
+// valid bit, packed into 32 bytes.
 type entry struct {
-	tag tagKey
-	stored
+	a, b  uint64 // tag
+	val   uint64 // the result, or its mantissa in mantissa-only mode
+	aux   int32  // mantissa-only mode: result exponent displacement
 	valid bool
 }
 
@@ -51,16 +60,20 @@ func New(op isa.Op, cfg Config) *Table {
 		panic(err.Error())
 	}
 	t := &Table{op: op, cfg: cfg}
+	t.mant = cfg.MantissaOnly && op != isa.OpIMul
+	t.comm = op.Commutative() && !cfg.NoCommutativeLookup
 	if cfg.Entries == 0 {
-		t.inf = make(map[tagKey]stored)
+		t.inf = newUnbounded(t.comm, t.mant)
 		return t
 	}
-	t.numSets, t.idxBits = cfg.sets()
-	t.ways = cfg.Entries / t.numSets
-	t.sets = make([][]entry, t.numSets)
-	backing := make([]entry, cfg.Entries)
-	for i := range t.sets {
-		t.sets[i], backing = backing[:t.ways], backing[t.ways:]
+	numSets, idxBits := cfg.sets()
+	t.ways = cfg.Entries / numSets
+	t.sets = make([]entry, cfg.Entries)
+	if op == isa.OpIMul {
+		t.idxMask = uint64(numSets - 1)
+	} else {
+		t.idxMask = 1<<arith.MantissaBits - 1
+		t.idxShift = arith.MantissaBits - idxBits
 	}
 	return t
 }
@@ -78,14 +91,10 @@ func (t *Table) Stats() Stats { return t.stats }
 func (t *Table) Reset() {
 	t.stats = Stats{}
 	if t.inf != nil {
-		t.inf = make(map[tagKey]stored)
+		t.inf = newUnbounded(t.comm, t.mant)
 		return
 	}
-	for _, set := range t.sets {
-		for i := range set {
-			set[i] = entry{}
-		}
-	}
+	clear(t.sets)
 }
 
 // Access performs the full per-operation protocol of §2.2 on raw operand
@@ -96,7 +105,7 @@ func (t *Table) Reset() {
 // For unary operations b must be zero. Integer operands are two's
 // complement patterns; floating-point operands are IEEE-754 bit patterns.
 func (t *Table) Access(a, b uint64, compute func() uint64) (uint64, bool) {
-	key, ok := t.key(a, b)
+	ka, kb, ok := t.key(a, b)
 	if !ok {
 		// Operand combination the tagging scheme cannot represent
 		// (special or subnormal values in mantissa-only mode): the
@@ -104,18 +113,12 @@ func (t *Table) Access(a, b uint64, compute func() uint64) (uint64, bool) {
 		t.stats.Bypassed++
 		return compute(), false
 	}
-	t.stats.Lookups++
-	if st, hit := t.probe(key); hit {
-		if res, ok := t.reconstruct(st, a, b); ok {
-			t.stats.Hits++
-			return res, true
-		}
-		// Reconstruction out of range (mantissa-only mode only): the
-		// range check in the comparator rejects the hit.
+	res, hit, at := t.lookup(ka, kb, a, b)
+	if hit {
+		return res, true
 	}
-	t.stats.Misses++
-	res := compute()
-	t.insert(key, a, b, res)
+	res = compute()
+	t.insert(at, ka, kb, a, b, res)
 	return res, false
 }
 
@@ -123,59 +126,92 @@ func (t *Table) Access(a, b uint64, compute func() uint64) (uint64, bool) {
 // any unit. It still updates recency and statistics, making it suitable
 // for trace-driven hit-ratio measurement where results are not needed.
 func (t *Table) Lookup(a, b uint64) (uint64, bool) {
-	key, ok := t.key(a, b)
+	ka, kb, ok := t.key(a, b)
 	if !ok {
 		t.stats.Bypassed++
 		return 0, false
 	}
-	t.stats.Lookups++
-	if st, hit := t.probe(key); hit {
-		if res, ok := t.reconstruct(st, a, b); ok {
-			t.stats.Hits++
-			return res, true
-		}
-	}
-	t.stats.Misses++
-	return 0, false
+	res, hit, _ := t.lookup(ka, kb, a, b)
+	return res, hit
 }
 
 // Insert stores the result for the operand pair, as the unit does when a
 // computation completes after a miss (§2.2: "in parallel entered into the
 // MEMO-TABLE").
 func (t *Table) Insert(a, b, result uint64) {
-	key, ok := t.key(a, b)
+	ka, kb, ok := t.key(a, b)
 	if !ok {
 		return
 	}
-	t.insert(key, a, b, result)
+	var at int
+	if t.inf != nil {
+		at, _, _ = t.inf.walk(ka, kb)
+	} else {
+		at = t.index(ka, kb) * t.ways
+	}
+	t.insert(at, ka, kb, a, b, result)
+}
+
+// lookup presents the tag (ka, kb) of operands (a, b) to the compare and
+// counts the outcome. On a hit it returns the result; either way it
+// returns where an insert of the tag goes: the first way of its set, or
+// the unbounded table's slot for it.
+func (t *Table) lookup(ka, kb, a, b uint64) (res uint64, hit bool, at int) {
+	t.stats.Lookups++
+	var val uint64
+	var aux int32
+	if t.inf != nil {
+		// A presented-order match wins over a swapped one. The insert
+		// position is the presented order's slot, or the empty slot
+		// that ended its walk, even after a swapped-order hit.
+		var found bool
+		var sw int
+		at, found, sw = t.inf.walk(ka, kb)
+		if found {
+			sw = at
+		}
+		if hit = sw >= 0; hit {
+			val, aux = t.inf.slots[sw].val, t.inf.auxAt(sw)
+		}
+	} else {
+		at = t.index(ka, kb) * t.ways
+		if hit = t.probe(t.sets[at:at+t.ways], ka, kb); hit {
+			val, aux = t.sets[at].val, t.sets[at].aux
+		}
+	}
+	if hit {
+		if res, ok := t.reconstruct(val, aux, a, b); ok {
+			t.stats.Hits++
+			return res, true, at
+		}
+		// Reconstruction out of range (mantissa-only mode only): the
+		// range check in the comparator rejects the hit.
+	}
+	t.stats.Misses++
+	return 0, false, at
 }
 
 // key derives the tag for the operand pair, reporting false when the
 // tagging scheme cannot represent the pair.
-func (t *Table) key(a, b uint64) (tagKey, bool) {
-	if !t.mantissaMode() {
-		return tagKey{a, b}, true
+func (t *Table) key(a, b uint64) (ka, kb uint64, ok bool) {
+	if !t.mant {
+		return a, b, true
 	}
 	// Mantissa-only tags (§2.1 variation 1, Table 10). Specials and
 	// subnormals have no hidden-bit-normalized mantissa; they bypass.
 	fa, fb := math.Float64frombits(a), math.Float64frombits(b)
 	if !normalFinite(fa) || (!t.op.Unary() && !normalFinite(fb)) {
-		return tagKey{}, false
+		return 0, 0, false
 	}
-	ka := arith.Mantissa(fa)
+	ka = arith.Mantissa(fa)
 	if t.op == isa.OpFSqrt {
 		// The result mantissa of sqrt depends on the exponent's parity.
 		ka |= uint64(arith.Unpack(fa).Exponent&1) << 63
 	}
-	kb := uint64(0)
 	if !t.op.Unary() {
 		kb = arith.Mantissa(fb)
 	}
-	return tagKey{ka, kb}, true
-}
-
-func (t *Table) mantissaMode() bool {
-	return t.cfg.MantissaOnly && t.op != isa.OpIMul
+	return ka, kb, true
 }
 
 func normalFinite(x float64) bool {
@@ -183,86 +219,71 @@ func normalFinite(x float64) bool {
 	return f.Exponent != 0 && f.Exponent != arith.ExponentMax
 }
 
-// probe looks the key up (both operand orders for commutative classes) and
-// updates recency on a hit. The swapped key is derived only after the
-// presented order misses, keeping the common first-probe hit free of it.
-func (t *Table) probe(key tagKey) (stored, bool) {
-	if st, ok := t.probeOne(key); ok {
-		return st, true
-	}
-	if t.op.Commutative() && !t.cfg.NoCommutativeLookup && key.a != key.b {
-		return t.probeOne(tagKey{key.b, key.a})
-	}
-	return stored{}, false
+// index hashes a tag to a set number (§3.1). The sqrt parity bit of a
+// mantissa-only tag (bit 63) lies outside the fp mask.
+func (t *Table) index(ka, kb uint64) int {
+	return int((ka ^ kb) & t.idxMask >> t.idxShift)
 }
 
-// probeOne looks up one tag in its set.
-func (t *Table) probeOne(key tagKey) (stored, bool) {
-	if t.inf != nil {
-		st, ok := t.inf[key]
-		return st, ok
-	}
-	si := t.index(key)
-	set := t.sets[si]
-	if t.ways == 1 {
-		// Direct-mapped: single compare, no recency state to maintain.
-		if set[0].valid && set[0].tag == key {
-			return set[0].stored, true
-		}
-		return stored{}, false
-	}
+// probe walks set once, most recently used first, stopping at the first
+// invalid way. The first way holding the presented order wins; failing
+// that, the first holding the swapped order does (commutative classes
+// only). A hit moves the matching entry to set[0], the MRU position, which
+// is how MRU ordering implements LRU eviction.
+func (t *Table) probe(set []entry, ka, kb uint64) bool {
+	swapped := -1
 	for w := range set {
-		if set[w].valid && set[w].tag == key {
-			st := set[w].stored
-			// Move to front: MRU ordering implements LRU eviction.
-			e := set[w]
-			copy(set[1:w+1], set[:w])
-			set[0] = e
-			return st, true
+		e := &set[w]
+		if !e.valid {
+			break
+		}
+		if e.a == ka && e.b == kb {
+			promote(set, w)
+			return true
+		}
+		if t.comm && swapped < 0 && e.a == kb && e.b == ka {
+			swapped = w
 		}
 	}
-	return stored{}, false
+	if swapped < 0 {
+		return false
+	}
+	promote(set, swapped)
+	return true
 }
 
-// insert writes the entry at the MRU position of its set, evicting the LRU
-// entry if the set is full.
-func (t *Table) insert(key tagKey, a, b, result uint64) {
-	st, ok := t.encode(a, b, result)
+// promote moves set[w] to the MRU position, shifting the ways before it
+// down by one.
+func promote(set []entry, w int) {
+	if w == 0 {
+		return
+	}
+	e := set[w]
+	copy(set[1:w+1], set[:w])
+	set[0] = e
+}
+
+// insert stores the result for tag (ka, kb) at position at, as lookup
+// returned it. A finite table writes the set's MRU way, evicting its LRU
+// entry if the set is full; the unbounded table writes the slot.
+func (t *Table) insert(at int, ka, kb, a, b, result uint64) {
+	val, aux, ok := t.encode(a, b, result)
 	if !ok {
 		return // result not representable under mantissa-only tagging
 	}
 	t.stats.Inserts++
 	if t.inf != nil {
-		t.inf[key] = st
+		t.inf.put(at, ka, kb, val, aux)
 		return
 	}
-	si := t.index(key)
-	set := t.sets[si]
-	if set[len(set)-1].valid {
+	set := t.sets[at : at+t.ways]
+	last := len(set) - 1
+	if set[last].valid {
 		t.stats.Evictions++
 	}
-	copy(set[1:], set[:len(set)-1])
-	set[0] = entry{tag: key, stored: st, valid: true}
-}
-
-// index hashes a tag to a set number (§3.1).
-func (t *Table) index(key tagKey) int {
-	if t.numSets == 1 {
-		return 0
-	}
-	mask := uint64(t.numSets - 1)
-	if t.op == isa.OpIMul {
-		return int((key.a ^ key.b) & mask)
-	}
-	if t.mantissaMode() {
-		// Tags are already mantissas; take their top stored bits.
-		ha := (key.a &^ (1 << 63)) >> (arith.MantissaBits - t.idxBits)
-		hb := key.b >> (arith.MantissaBits - t.idxBits)
-		return int((ha ^ hb) & mask)
-	}
-	ha := arith.MantissaMSBs(math.Float64frombits(key.a), t.idxBits)
-	hb := arith.MantissaMSBs(math.Float64frombits(key.b), t.idxBits)
-	return int((ha ^ hb) & mask)
+	copy(set[1:], set[:last])
+	e := &set[0]
+	e.a, e.b, e.val, e.aux, e.valid = ka, kb, val, aux, true
 }
 
 // encode prepares the stored form of a result. In full-value mode this is
@@ -270,29 +291,32 @@ func (t *Table) index(key tagKey) int {
 // plus its exponent displacement from the operand exponents, so the hit
 // path can rebuild the full value for operands that share mantissas but
 // not exponents.
-func (t *Table) encode(a, b, result uint64) (stored, bool) {
-	if !t.mantissaMode() {
-		return stored{val: result}, true
+func (t *Table) encode(a, b, result uint64) (val uint64, aux int32, ok bool) {
+	if !t.mant {
+		return result, 0, true
 	}
 	fr := math.Float64frombits(result)
 	if !normalFinite(fr) {
-		return stored{}, false
+		return 0, 0, false
 	}
 	er := arith.Unpack(fr).Exponent
-	return stored{
-		val: arith.Mantissa(fr),
-		aux: int32(er - t.expBase(a, b)),
-	}, true
+	return arith.Mantissa(fr), int32(er - t.expBase(a, b)), true
 }
 
 // reconstruct rebuilds the full result on a hit. In mantissa-only mode the
 // reconstructed exponent must land in the normal range or the comparator
 // rejects the hit (ok == false): this keeps memoized results bit-exact.
-func (t *Table) reconstruct(st stored, a, b uint64) (uint64, bool) {
-	if !t.mantissaMode() {
-		return st.val, true
+func (t *Table) reconstruct(val uint64, aux int32, a, b uint64) (uint64, bool) {
+	if !t.mant {
+		return val, true
 	}
-	er := t.expBase(a, b) + int(st.aux)
+	return t.reconstructMantissa(val, aux, a, b)
+}
+
+// reconstructMantissa is reconstruct's mantissa-only half, kept apart so
+// the full-value hit path inlines.
+func (t *Table) reconstructMantissa(val uint64, aux int32, a, b uint64) (uint64, bool) {
+	er := t.expBase(a, b) + int(aux)
 	if er <= 0 || er >= arith.ExponentMax {
 		return 0, false
 	}
@@ -303,7 +327,7 @@ func (t *Table) reconstruct(st stored, a, b uint64) (uint64, bool) {
 	return math.Float64bits(arith.Pack(arith.Fields{
 		Sign:     sign,
 		Exponent: er,
-		Mantissa: st.val,
+		Mantissa: val,
 	})), true
 }
 
@@ -330,14 +354,12 @@ func (t *Table) expBase(a, b uint64) int {
 // sizing reports).
 func (t *Table) Len() int {
 	if t.inf != nil {
-		return len(t.inf)
+		return t.inf.n
 	}
 	n := 0
-	for _, set := range t.sets {
-		for _, e := range set {
-			if e.valid {
-				n++
-			}
+	for i := range t.sets {
+		if t.sets[i].valid {
+			n++
 		}
 	}
 	return n

@@ -10,10 +10,10 @@ import (
 // benchTable drives one table with a deterministic operand stream drawn
 // from a pool of the given size: a small pool keeps the table hit-heavy
 // (the probe path dominates), a large pool keeps it miss-and-evict-heavy
-// (the insert path dominates).
-func benchTable(b *testing.B, op isa.Op, cfg Config, pool uint64) {
+// (the insert path dominates). The stream repeats every streamLen
+// accesses, so a cold case needs a stream longer than the table.
+func benchTable(b *testing.B, op isa.Op, cfg Config, pool uint64, streamLen int) {
 	t := New(op, cfg)
-	const streamLen = 4096
 	as := make([]uint64, streamLen)
 	bs := make([]uint64, streamLen)
 	seed := uint64(0x9e3779b97f4a7c15)
@@ -45,30 +45,81 @@ func benchTable(b *testing.B, op isa.Op, cfg Config, pool uint64) {
 
 // BenchmarkTable measures the probe/insert fast paths across the
 // geometries the experiment matrix exercises most: the paper's 32/4
-// baseline hot and cold, a direct-mapped variant, and the integer
-// multiplier's XOR-indexed path.
+// baseline hot and cold, a direct-mapped variant, the integer
+// multiplier's XOR-indexed path, the largest swept table cold, a hit
+// found only in the swapped operand order, and the unbounded table hot
+// and growing.
 func BenchmarkTable(b *testing.B) {
 	b.Run("fmul-32x4-hot", func(b *testing.B) {
-		benchTable(b, isa.OpFMul, Config{Entries: 32, Ways: 4}, 5)
+		benchTable(b, isa.OpFMul, Config{Entries: 32, Ways: 4}, 5, 4096)
 	})
 	b.Run("fmul-32x4-cold", func(b *testing.B) {
-		benchTable(b, isa.OpFMul, Config{Entries: 32, Ways: 4}, 512)
+		benchTable(b, isa.OpFMul, Config{Entries: 32, Ways: 4}, 512, 4096)
 	})
 	b.Run("fmul-32x1-hot", func(b *testing.B) {
-		benchTable(b, isa.OpFMul, Config{Entries: 32, Ways: 1}, 5)
+		benchTable(b, isa.OpFMul, Config{Entries: 32, Ways: 1}, 5, 4096)
 	})
 	b.Run("fmul-32x1-cold", func(b *testing.B) {
-		benchTable(b, isa.OpFMul, Config{Entries: 32, Ways: 1}, 512)
+		benchTable(b, isa.OpFMul, Config{Entries: 32, Ways: 1}, 512, 4096)
 	})
 	b.Run("imul-32x4-hot", func(b *testing.B) {
-		benchTable(b, isa.OpIMul, Config{Entries: 32, Ways: 4}, 5)
+		benchTable(b, isa.OpIMul, Config{Entries: 32, Ways: 4}, 5, 4096)
 	})
 	b.Run("fsqrt-32x4-hot", func(b *testing.B) {
-		benchTable(b, isa.OpFSqrt, Config{Entries: 32, Ways: 4}, 5)
+		benchTable(b, isa.OpFSqrt, Config{Entries: 32, Ways: 4}, 5, 4096)
 	})
 	// Mixed hit/insert traffic: inserts shift the hot entries deeper, so
 	// repeat hits scan past the fresh inserts.
 	b.Run("fmul-32x4-mixed", func(b *testing.B) {
-		benchTable(b, isa.OpFMul, Config{Entries: 32, Ways: 4}, 64)
+		benchTable(b, isa.OpFMul, Config{Entries: 32, Ways: 4}, 64, 4096)
 	})
+	// 16384 distinct pairs against 8192 entries: nearly every access
+	// misses, and the insert evicts from a 4-way set of a large table.
+	b.Run("fmul-8192x4-cold", func(b *testing.B) {
+		benchTable(b, isa.OpFMul, Config{Entries: 8192, Ways: 4}, 1<<12, 1<<14)
+	})
+	b.Run("fmul-32x4-swapped", func(b *testing.B) {
+		benchSwapped(b, Config{Entries: 32, Ways: 4})
+	})
+	b.Run("fmul-inf-hot", func(b *testing.B) {
+		benchTable(b, isa.OpFMul, Infinite(), 64, 4096)
+	})
+	b.Run("fmul-inf-growing", func(b *testing.B) {
+		benchGrowing(b, isa.OpFMul)
+	})
+}
+
+// benchSwapped fills a table with a few operand pairs, then presents each
+// in the swapped order only: every access is a commutative hit that no
+// way matches in the presented order.
+func benchSwapped(b *testing.B, cfg Config) {
+	t := New(isa.OpFMul, cfg)
+	const pairs = 4
+	for i := 0; i < pairs; i++ {
+		t.Insert(math.Float64bits(1.5+float64(i)), math.Float64bits(2.5+float64(i)), uint64(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := float64(i % pairs)
+		if _, hit := t.Lookup(math.Float64bits(2.5+j), math.Float64bits(1.5+j)); !hit {
+			b.Fatal("swapped-order lookup missed")
+		}
+	}
+}
+
+// benchGrowing presents a fresh operand pair on every access, so the
+// unbounded table misses, inserts and grows; it is reset every 2^20
+// entries to bound its memory, and so also pays for growing from empty.
+func benchGrowing(b *testing.B, op isa.Op) {
+	t := New(op, Infinite())
+	compute := func() uint64 { return 0 }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i&(1<<20-1) == 0 {
+			t.Reset()
+		}
+		t.Access(math.Float64bits(1.5+float64(i)), math.Float64bits(2.5), compute)
+	}
 }

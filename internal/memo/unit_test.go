@@ -2,6 +2,7 @@ package memo
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -69,6 +70,38 @@ func TestUnitIntegratedRatioCountsTrivialAsHits(t *testing.T) {
 	st := u.Table().Stats()
 	if got := st.IntegratedHitRatio(); math.Abs(got-2.0/3) > 1e-15 {
 		t.Fatalf("integrated ratio = %g, want 2/3", got)
+	}
+}
+
+// TestIntegratedAndNonTrivialTablesAgree: under both policies a trivial
+// operation only bumps Stats.Trivial and never reaches the table, so one
+// stream leaves identical table statistics and outcomes behind. Table 9
+// relies on this to read its integrated column from the non-trivial-only
+// tables.
+func TestIntegratedAndNonTrivialTablesAgree(t *testing.T) {
+	for _, op := range []isa.Op{isa.OpIMul, isa.OpFMul, isa.OpFDiv, isa.OpFSqrt} {
+		rng := rand.New(rand.NewSource(int64(op)))
+		pool := operandPool(rng, op, 24)
+		non := NewUnit(New(op, Paper32x4()), NonTrivialOnly, nil)
+		intg := NewUnit(New(op, Paper32x4()), Integrated, nil)
+		for i := 0; i < 20000; i++ {
+			a, b := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
+			if op.Unary() {
+				b = 0
+			}
+			r1, o1 := non.Apply(a, b)
+			r2, o2 := intg.Apply(a, b)
+			if r1 != r2 || o1 != o2 {
+				t.Fatalf("%v step %d: non %#x/%v, intgr %#x/%v", op, i, r1, o1, r2, o2)
+			}
+		}
+		sn, si := non.Table().Stats(), intg.Table().Stats()
+		if sn != si {
+			t.Fatalf("%v: non stats %+v, intgr stats %+v", op, sn, si)
+		}
+		if sn.Trivial == 0 || sn.Hits == 0 || sn.Misses == 0 {
+			t.Fatalf("%v: stream exercised too little: %+v", op, sn)
+		}
 	}
 }
 
