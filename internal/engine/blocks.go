@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -13,12 +12,13 @@ import (
 
 // The decoded-block cache tier. Encoded trace bytes answer "run this
 // workload's stream again" without re-executing the workload, but every
-// replay still pays a full varint decode. The experiment matrix replays
-// each workload's stream once per table configuration, so the decode —
-// not the MEMO-TABLE simulation — dominates the matrix. This tier decodes
-// a key's v1/v2 bytes (or its spill file) into immutable []trace.Event
-// blocks exactly once; every later replay of the key walks the shared
-// blocks read-only and feeds sinks whole blocks at a time.
+// replay still pays a full varint decode. A key replayed more than once
+// — by several passes on one engine, or by several requests to the
+// service — would pay that decode each time. This tier decodes a key's
+// v1/v2 bytes (in place, for the memory tier) or its spill file into
+// immutable []trace.Event blocks exactly once; every later replay of the
+// key walks the shared blocks read-only and feeds sinks whole blocks at
+// a time.
 //
 // Block memory is charged against the same byte budget as the encoded
 // tier (decoded events cost bytesPerEvent each), so a tight budget simply
@@ -129,7 +129,7 @@ func (e *Engine) decodeBlocksRetrying(snap entrySnapshot) ([]traceBlock, error) 
 // verified by the decode itself, so a torn or corrupt file fails here
 // before any event could reach a sink.
 func decodeBlocks(snap entrySnapshot) ([]traceBlock, error) {
-	var src io.Reader
+	var r *trace.Reader
 	if snap.state == stateDisk {
 		if err := faults.Inject(faults.SpillRead); err != nil {
 			return nil, err
@@ -139,13 +139,14 @@ func decodeBlocks(snap entrySnapshot) ([]traceBlock, error) {
 			return nil, err
 		}
 		defer func() { _ = f.Close() }()
-		src = f
+		if r, err = trace.NewReader(f); err != nil {
+			return nil, err
+		}
 	} else {
-		src = bytes.NewReader(snap.data)
-	}
-	r, err := trace.NewReader(src)
-	if err != nil {
-		return nil, err
+		var err error
+		if r, err = trace.NewBytesReader(snap.data); err != nil {
+			return nil, err
+		}
 	}
 	blocks := make([]traceBlock, 0, snap.events/blockLen+1)
 	var decoded uint64

@@ -37,7 +37,6 @@
 package engine
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -559,7 +558,7 @@ func (e *Engine) ReplayAllContext(ctx context.Context, key string, capture Captu
 			if err := faults.Inject(faults.SinkEmit); err != nil {
 				return 0, fmt.Errorf("engine: cached trace %q: replay delivery: %w", key, err)
 			}
-			r, err := trace.NewReader(bytes.NewReader(snap.data))
+			r, err := trace.NewBytesReader(snap.data)
 			if err != nil {
 				return 0, fmt.Errorf("engine: cached trace %q: %w", key, err)
 			}

@@ -141,18 +141,32 @@ const defaultBatchLen = 4096
 // ReadBatch decodes up to cap(dst) events (at least one; a default block
 // if dst has no capacity) into dst[:0] and returns the filled slice. At a
 // clean end of stream it returns (nil, io.EOF); a short batch before EOF
-// is not an error. The returned slice aliases dst's backing array, so
-// callers own its reuse.
+// is not an error. On corruption it returns the events decoded before
+// the defect with the error, which every later call returns alone. The
+// returned slice aliases dst's backing array, so callers own its reuse.
 func (r *Reader) ReadBatch(dst []Event) ([]Event, error) {
+	if r.err != nil {
+		return nil, r.err
+	}
 	if cap(dst) == 0 {
 		dst = make([]Event, 0, defaultBatchLen)
 	}
-	dst = dst[:0]
+	var err error
 	if r.version == formatVersionV2 {
-		return r.readBatchV2(dst)
+		dst, err = r.readBatchV2(dst[:0])
+	} else {
+		dst, err = r.readBatchV1(dst[:0])
 	}
+	if err != nil && err != io.EOF {
+		r.err = err
+	}
+	return dst, err
+}
+
+// readBatchV1 fills dst event by event from a v1 stream.
+func (r *Reader) readBatchV1(dst []Event) ([]Event, error) {
 	for len(dst) < cap(dst) {
-		ev, err := r.Next()
+		ev, err := r.nextV1()
 		if err != nil {
 			if err == io.EOF && len(dst) > 0 {
 				return dst, nil

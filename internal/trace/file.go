@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -16,9 +17,11 @@ import (
 //	version uint8                 (1)
 //	events  repeated {op uint8, a uvarint, b uvarint}
 //
-// The format is append-only and stream-decodable; operand patterns are
-// varint-encoded because image-processing operands cluster in the low
-// exponent range after XOR folding is applied by the reader's consumers.
+// The format is append-only and stream-decodable. Operands are
+// varint-encoded, which pays for small integers and loads but not for
+// FP bit patterns: over the tiny experiment registry 30% of operand
+// varints take one byte and 61% take 9 or 10 (uvarint, varint.go, is
+// built for that mix).
 //
 // Version 2 (filev2.go) keeps the per-event encoding but groups events
 // into CRC32C-checksummed, optionally compressed frames. Reader decodes
@@ -75,15 +78,23 @@ func (w *Writer) Flush() error {
 
 // Reader decodes a trace stream of either format version: the header's
 // version byte selects the raw v1 event decoder or the checksummed v2
-// frame decoder.
+// frame decoder. A reader over an io.Reader (NewReader) reads each v2
+// frame into one reused buffer; a reader over bytes (NewBytesReader)
+// decodes v2 frames where they lie. Errors are sticky: once Next or
+// ReadBatch returns one other than io.EOF, every later call returns it
+// and delivers nothing.
 type Reader struct {
-	r       *bufio.Reader
+	r       *bufio.Reader // the source; nil for an in-memory v2 stream
 	count   uint64
 	version uint8
+	err     error // the first decode error, returned from then on
 
 	// v2 frame state (filev2.go).
 	compressed bool
-	frame      []byte
+	data       []byte // in-memory stream: the frames not yet parsed
+	buf        []byte // io.Reader source: the reused frame buffer
+	z          inflater
+	frame      []byte // raw event bytes of the current frame
 	fpos       int
 	fEvents    uint32
 }
@@ -91,36 +102,75 @@ type Reader struct {
 // NewReader validates the header and prepares to decode events.
 func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [5]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: missing header", ErrBadTrace)
+	// Peek only as far as the version needs: a v1 header is five bytes,
+	// and the reader must not wait on a sixth. Short headers are
+	// reported by parseStreamHeader.
+	hdr, _ := br.Peek(len(magic) + 1)
+	if len(hdr) == len(magic)+1 && hdr[4] == formatVersionV2 {
+		hdr, _ = br.Peek(streamHeaderLen)
 	}
-	if [4]byte(hdr[:4]) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadTrace, hdr[:4])
+	version, compressed, n, err := parseStreamHeader(hdr)
+	if err != nil {
+		return nil, err
 	}
-	switch hdr[4] {
+	_, _ = br.Discard(n) // the n bytes are buffered: Peek returned them
+	return &Reader{r: br, version: version, compressed: compressed}, nil
+}
+
+// NewBytesReader validates the header of a stream held in memory and
+// prepares to decode it. A v2 stream's frames are checked and decoded
+// where they lie in data, without copying; a v1 stream is decoded as
+// NewReader decodes it. data must not change while the reader is used.
+func NewBytesReader(data []byte) (*Reader, error) {
+	version, compressed, n, err := parseStreamHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	if version == formatVersion {
+		return NewReader(bytes.NewReader(data))
+	}
+	return &Reader{version: version, compressed: compressed, data: data[n:]}, nil
+}
+
+// parseStreamHeader vets the preamble at the head of p — magic, version
+// byte and, for v2, the flags byte — and returns the format version,
+// the compression flag and the preamble's length.
+func parseStreamHeader(p []byte) (version uint8, compressed bool, n int, err error) {
+	if len(p) < len(magic)+1 {
+		return 0, false, 0, fmt.Errorf("%w: missing header", ErrBadTrace)
+	}
+	if [4]byte(p[:4]) != magic {
+		return 0, false, 0, fmt.Errorf("%w: bad magic %q", ErrBadTrace, p[:4])
+	}
+	switch p[4] {
 	case formatVersion:
-		return &Reader{r: br, version: formatVersion}, nil
+		return formatVersion, false, len(magic) + 1, nil
 	case formatVersionV2:
-		flags, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("%w: missing flags byte", ErrBadTrace)
+		if len(p) < streamHeaderLen {
+			return 0, false, 0, fmt.Errorf("%w: missing flags byte", ErrBadTrace)
 		}
-		if flags&^byte(flagFlate) != 0 {
-			return nil, fmt.Errorf("%w: unknown flags %#02x", ErrBadTrace, flags)
+		if flags := p[5]; flags&^byte(flagFlate) != 0 {
+			return 0, false, 0, fmt.Errorf("%w: unknown flags %#02x", ErrBadTrace, flags)
 		}
-		return &Reader{r: br, version: formatVersionV2, compressed: flags&flagFlate != 0}, nil
+		return formatVersionV2, p[5]&flagFlate != 0, streamHeaderLen, nil
 	default:
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadTrace, hdr[4])
+		return 0, false, 0, fmt.Errorf("%w: unsupported version %d", ErrBadTrace, p[4])
 	}
 }
 
 // Next decodes one event. It returns io.EOF at a clean end of stream and
 // ErrBadTrace on corruption.
 func (r *Reader) Next() (Event, error) {
-	if r.version == formatVersionV2 {
-		return r.nextV2()
+	var one [1]Event
+	batch, err := r.ReadBatch(one[:0])
+	if len(batch) == 1 {
+		return batch[0], nil
 	}
+	return Event{}, err
+}
+
+// nextV1 decodes one event of a v1 stream.
+func (r *Reader) nextV1() (Event, error) {
 	opByte, err := r.r.ReadByte()
 	if err == io.EOF {
 		return Event{}, io.EOF

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
@@ -36,9 +35,8 @@ import (
 // A frame holds ~64 KiB of raw event bytes (frameTarget), so the reader
 // verifies each checksum over a bounded buffer before decoding a single
 // event from it, and a clean io.EOF is only reported at a frame
-// boundary. The per-event encoding is exactly v1's, so the two versions
-// share one decoder; NewReader dispatches on the version byte and reads
-// either stream.
+// boundary. The per-event encoding is exactly v1's; NewReader and
+// NewBytesReader dispatch on the version byte and read either stream.
 
 const (
 	formatVersionV2 = 2
@@ -69,6 +67,9 @@ const (
 	maxFrameStored = maxFrameRaw + 1024
 
 	frameHeaderLen = 16
+
+	// streamHeaderLen is the v2 stream preamble: magic, version, flags.
+	streamHeaderLen = 6
 )
 
 // castagnoli is the CRC32C table used by every frame checksum.
@@ -213,56 +214,64 @@ func (w *WriterV2) flushFrame() error {
 	return nil
 }
 
-// readFrame loads, checksums and (if flagged) decompresses the next
-// frame into r.frame. It returns io.EOF only at a clean frame boundary;
-// every other defect is ErrBadTrace.
-func (r *Reader) readFrame() error {
-	if r.fpos != len(r.frame) {
-		return fmt.Errorf("%w: %d trailing bytes in frame", ErrBadTrace, len(r.frame)-r.fpos)
+// Reading v2 in place. Every v2 read — Reader over an io.Reader or over
+// bytes, Verify, StreamDecoder — checks a frame with the one function
+// parseFrame, where the frame already lies: in the caller's buffer, in
+// an in-memory stream, or in a reader's reused frame buffer. The
+// payload is then inflated (compressed streams only) into reused
+// scratch and decoded by the one event loop, decodeEvents.
+
+// shortFrame reports that a buffer ends inside the frame at its head;
+// its value names the part cut off. A stream decoder waits for more
+// bytes, a reader over a complete stream reports a torn frame.
+type shortFrame string
+
+const (
+	shortHeader  shortFrame = "frame header"
+	shortPayload shortFrame = "frame payload"
+)
+
+func (s shortFrame) Error() string { return "trace: buffer ends inside " + string(s) }
+
+// frame is one checked v2 frame as it lies in its buffer.
+type frame struct {
+	stored []byte // the payload as stored; aliases the parsed buffer
+	rawLen uint32 // payload size before compression
+	events uint32 // declared event count
+	size   int    // header plus stored payload: the bytes the frame spans
+}
+
+// parseFrame checks the v2 frame at the head of p without copying it:
+// the header's bounds (checkFrameHeader), then the CRC32C over header
+// and stored payload, then the trace.frame.crc injection point. When p
+// ends inside the frame it returns shortHeader, or shortPayload with
+// the frame's size set, so a caller can fetch exactly the missing
+// bytes; the header is vetted before any payload is waited for.
+func parseFrame(p []byte, compressed bool) (frame, error) {
+	if len(p) < frameHeaderLen {
+		return frame{}, shortHeader
 	}
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return io.EOF
-		}
-		return fmt.Errorf("%w: torn frame header: %v", ErrBadTrace, err)
+	rawLen := binary.LittleEndian.Uint32(p[0:])
+	storedLen := binary.LittleEndian.Uint32(p[4:])
+	events := binary.LittleEndian.Uint32(p[8:])
+	crc := binary.LittleEndian.Uint32(p[12:])
+	if err := checkFrameHeader(rawLen, storedLen, events, compressed); err != nil {
+		return frame{}, err
 	}
-	rawLen := binary.LittleEndian.Uint32(hdr[0:])
-	storedLen := binary.LittleEndian.Uint32(hdr[4:])
-	events := binary.LittleEndian.Uint32(hdr[8:])
-	crc := binary.LittleEndian.Uint32(hdr[12:])
-	if err := checkFrameHeader(rawLen, storedLen, events, r.compressed); err != nil {
-		return err
+	f := frame{rawLen: rawLen, events: events, size: frameHeaderLen + int(storedLen)}
+	if len(p) < f.size {
+		return f, shortPayload
 	}
-	stored := make([]byte, storedLen)
-	if _, err := io.ReadFull(r.r, stored); err != nil {
-		return fmt.Errorf("%w: torn frame payload: %v", ErrBadTrace, err)
-	}
-	got := crc32.Update(0, castagnoli, hdr[:12])
-	got = crc32.Update(got, castagnoli, stored)
+	f.stored = p[frameHeaderLen:f.size]
+	got := crc32.Update(0, castagnoli, p[:12])
+	got = crc32.Update(got, castagnoli, f.stored)
 	if got != crc {
-		return fmt.Errorf("%w: frame CRC %08x, computed %08x", ErrBadTrace, crc, got)
+		return frame{}, fmt.Errorf("%w: frame CRC %08x, computed %08x", ErrBadTrace, crc, got)
 	}
 	if ferr := faults.Inject(faults.FrameCRC); ferr != nil {
-		return fmt.Errorf("%w: frame CRC rejected: %v", ErrBadTrace, ferr)
+		return frame{}, fmt.Errorf("%w: frame CRC rejected: %v", ErrBadTrace, ferr)
 	}
-	if r.compressed {
-		raw := make([]byte, rawLen)
-		fr := flate.NewReader(bytes.NewReader(stored))
-		if _, err := io.ReadFull(fr, raw); err != nil {
-			return fmt.Errorf("%w: frame decompression: %v", ErrBadTrace, err)
-		}
-		var tail [1]byte
-		if n, _ := fr.Read(tail[:]); n != 0 {
-			return fmt.Errorf("%w: frame inflates past declared size %d", ErrBadTrace, rawLen)
-		}
-		r.frame = raw
-	} else {
-		r.frame = stored
-	}
-	r.fpos = 0
-	r.fEvents = events
-	return nil
+	return f, nil
 }
 
 // checkFrameHeader vets the declared sizes of a frame before any buffer
@@ -284,43 +293,106 @@ func checkFrameHeader(rawLen, storedLen, events uint32, compressed bool) error {
 	return nil
 }
 
-// nextV2 decodes one event from the current frame, pulling in the next
-// frame as needed.
-func (r *Reader) nextV2() (Event, error) {
-	for r.fEvents == 0 {
-		if err := r.readFrame(); err != nil {
-			return Event{}, err
-		}
-	}
-	if r.fpos >= len(r.frame) {
-		return Event{}, fmt.Errorf("%w: frame under-delivers its declared events", ErrBadTrace)
-	}
-	opByte := r.frame[r.fpos]
-	if opByte >= byte(isa.NumOps) {
-		return Event{}, fmt.Errorf("%w: op byte %d", ErrBadTrace, opByte)
-	}
-	pos := r.fpos + 1
-	a, n := binary.Uvarint(r.frame[pos:])
-	if n <= 0 {
-		return Event{}, fmt.Errorf("%w: operand A varint", ErrBadTrace)
-	}
-	pos += n
-	b, n := binary.Uvarint(r.frame[pos:])
-	if n <= 0 {
-		return Event{}, fmt.Errorf("%w: operand B varint", ErrBadTrace)
-	}
-	r.fpos = pos + n
-	r.fEvents--
-	r.count++
-	return Event{Op: isa.Op(opByte), A: a, B: b}, nil
+// inflater expands compressed frame payloads into a reused buffer with
+// a reused decompressor, so a compressed stream allocates nothing per
+// frame once its first frame is read.
+type inflater struct {
+	src  bytes.Reader
+	fr   io.ReadCloser // a flate reader; also a flate.Resetter
+	raw  []byte
+	tail [1]byte
 }
 
-// readBatchV2 fills dst from the current frame in one tight loop, pulling
-// in the next frame when the current one is exhausted. Decoding a whole
-// frame's events without the per-event Next call is what makes block
-// replay cheaper than event replay even before batch fan-out: the frame
-// bounds are checked once and the varint decoder runs over one contiguous
-// buffer.
+// payload returns f's raw event bytes: the stored payload itself for an
+// uncompressed stream, else the payload inflated into z's scratch, which
+// the next call overwrites. A payload that inflates to anything but
+// exactly its declared size is corrupt.
+func (z *inflater) payload(f frame, compressed bool) ([]byte, error) {
+	if !compressed {
+		return f.stored, nil
+	}
+	z.src.Reset(f.stored)
+	if z.fr == nil {
+		z.fr = flate.NewReader(&z.src)
+	} else if err := z.fr.(flate.Resetter).Reset(&z.src, nil); err != nil {
+		return nil, fmt.Errorf("%w: frame decompression: %v", ErrBadTrace, err)
+	}
+	if z.raw == nil {
+		z.raw = make([]byte, maxFrameRaw)
+	}
+	raw := z.raw[:f.rawLen] // checkFrameHeader bounds rawLen
+	if _, err := io.ReadFull(z.fr, raw); err != nil {
+		return nil, fmt.Errorf("%w: frame decompression: %v", ErrBadTrace, err)
+	}
+	if n, _ := z.fr.Read(z.tail[:]); n != 0 {
+		return nil, fmt.Errorf("%w: frame inflates past declared size %d", ErrBadTrace, f.rawLen)
+	}
+	return raw, nil
+}
+
+// nextFrame returns the stream's next checked frame: parsed where it
+// lies in an in-memory stream, or read from the source into the
+// reader's reused frame buffer and parsed there. It returns io.EOF only
+// at a clean frame boundary; every other defect is ErrBadTrace.
+func (r *Reader) nextFrame() (frame, error) {
+	if r.r == nil {
+		if len(r.data) == 0 {
+			return frame{}, io.EOF
+		}
+		f, err := parseFrame(r.data, r.compressed)
+		if part, ok := err.(shortFrame); ok {
+			return frame{}, fmt.Errorf("%w: torn %s", ErrBadTrace, string(part))
+		}
+		if err != nil {
+			return frame{}, err
+		}
+		r.data = r.data[f.size:]
+		return f, nil
+	}
+	if r.buf == nil {
+		r.buf = make([]byte, frameHeaderLen+maxFrameStored)
+	}
+	buf := r.buf[:frameHeaderLen]
+	if _, err := io.ReadFull(r.r, buf); err != nil {
+		if err == io.EOF {
+			return frame{}, io.EOF
+		}
+		return frame{}, fmt.Errorf("%w: torn frame header: %v", ErrBadTrace, err)
+	}
+	f, err := parseFrame(buf, r.compressed)
+	if err != shortPayload {
+		return f, err
+	}
+	buf = r.buf[:f.size] // checkFrameHeader bounds f.size
+	if _, err := io.ReadFull(r.r, buf[frameHeaderLen:]); err != nil {
+		return frame{}, fmt.Errorf("%w: torn frame payload: %v", ErrBadTrace, err)
+	}
+	return parseFrame(buf, r.compressed)
+}
+
+// readFrame loads the next frame's raw event bytes into r.frame. It
+// returns io.EOF only at a clean frame boundary; every other defect,
+// including undecoded bytes left in the current frame, is ErrBadTrace.
+func (r *Reader) readFrame() error {
+	if r.fpos != len(r.frame) {
+		return fmt.Errorf("%w: %d trailing bytes in frame", ErrBadTrace, len(r.frame)-r.fpos)
+	}
+	f, err := r.nextFrame()
+	if err != nil {
+		return err
+	}
+	raw, err := r.z.payload(f, r.compressed)
+	if err != nil {
+		return err
+	}
+	r.frame, r.fpos, r.fEvents = raw, 0, f.events
+	return nil
+}
+
+// readBatchV2 fills dst from the current frame, pulling in the next
+// frame when the current one is exhausted. Decoding a whole frame's
+// events in one loop, without a call per event, is what makes block
+// replay cheaper than event replay even before batch fan-out.
 func (r *Reader) readBatchV2(dst []Event) ([]Event, error) {
 	for len(dst) < cap(dst) {
 		for r.fEvents == 0 {
@@ -334,35 +406,43 @@ func (r *Reader) readBatchV2(dst []Event) ([]Event, error) {
 				return dst, err
 			}
 		}
-		frame, pos := r.frame, r.fpos
-		for r.fEvents > 0 && len(dst) < cap(dst) {
-			if pos >= len(frame) {
-				r.fpos, r.frame = pos, frame
-				return dst, fmt.Errorf("%w: frame under-delivers its declared events", ErrBadTrace)
-			}
-			opByte := frame[pos]
-			if opByte >= byte(isa.NumOps) {
-				r.fpos = pos
-				return dst, fmt.Errorf("%w: op byte %d", ErrBadTrace, opByte)
-			}
-			a, n := binary.Uvarint(frame[pos+1:])
-			if n <= 0 {
-				r.fpos = pos
-				return dst, fmt.Errorf("%w: operand A varint", ErrBadTrace)
-			}
-			pos += 1 + n
-			b, n := binary.Uvarint(frame[pos:])
-			if n <= 0 {
-				return dst, fmt.Errorf("%w: operand B varint", ErrBadTrace)
-			}
-			pos += n
-			dst = append(dst, Event{Op: isa.Op(opByte), A: a, B: b})
-			r.fEvents--
-			r.count++
+		n := len(dst)
+		var err error
+		dst, r.fpos, err = decodeEvents(dst, r.frame, r.fpos, r.fEvents)
+		r.fEvents -= uint32(len(dst) - n)
+		r.count += uint64(len(dst) - n)
+		if err != nil {
+			return dst, err
 		}
-		r.fpos = pos
 	}
 	return dst, nil
+}
+
+// decodeEvents is the v2 event loop. It decodes up to n events of a
+// checked frame payload p, starting at pos, appending them to dst while
+// dst has room, and returns dst with the position after the last event
+// decoded. On a malformed event it stops there and returns ErrBadTrace.
+func decodeEvents(dst []Event, p []byte, pos int, n uint32) ([]Event, int, error) {
+	for ; n > 0 && len(dst) < cap(dst); n-- {
+		if pos >= len(p) {
+			return dst, pos, fmt.Errorf("%w: frame under-delivers its declared events", ErrBadTrace)
+		}
+		opByte := p[pos]
+		if opByte >= byte(isa.NumOps) {
+			return dst, pos, fmt.Errorf("%w: op byte %d", ErrBadTrace, opByte)
+		}
+		a, na := uvarint(p[pos+1:])
+		if na <= 0 {
+			return dst, pos, fmt.Errorf("%w: operand A varint", ErrBadTrace)
+		}
+		b, nb := uvarint(p[pos+1+na:])
+		if nb <= 0 {
+			return dst, pos, fmt.Errorf("%w: operand B varint", ErrBadTrace)
+		}
+		pos += 1 + na + nb
+		dst = append(dst, Event{Op: isa.Op(opByte), A: a, B: b})
+	}
+	return dst, pos, nil
 }
 
 // Verify scans a trace stream end to end and returns its event count
@@ -371,59 +451,38 @@ func (r *Reader) readBatchV2(dst []Event) ([]Event, error) {
 // spill file is vetted at sequential-read speed before a replay commits
 // events to a sink. v1 streams carry no checksums and are fully decoded.
 func Verify(rd io.Reader) (uint64, error) {
-	br := bufio.NewReaderSize(rd, 1<<16)
-	var hdr [5]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return 0, fmt.Errorf("%w: missing header", ErrBadTrace)
+	r, err := NewReader(rd)
+	if err != nil {
+		return 0, err
 	}
-	if [4]byte(hdr[:4]) != magic {
-		return 0, fmt.Errorf("%w: bad magic %q", ErrBadTrace, hdr[:4])
+	return r.verify()
+}
+
+// VerifyBytes is Verify over a stream held in memory: v2 frames are
+// checked where they lie in data, without a copy.
+func VerifyBytes(data []byte) (uint64, error) {
+	r, err := NewBytesReader(data)
+	if err != nil {
+		return 0, err
 	}
-	switch hdr[4] {
-	case formatVersion:
-		r := &Reader{r: br, version: formatVersion}
+	return r.verify()
+}
+
+// verify implements Verify and VerifyBytes on a fresh reader.
+func (r *Reader) verify() (uint64, error) {
+	if r.version == formatVersion {
 		return r.Replay(discardSink{})
-	case formatVersionV2:
-		flags, err := br.ReadByte()
+	}
+	var events uint64
+	for {
+		f, err := r.nextFrame()
+		if err == io.EOF {
+			return events, nil
+		}
 		if err != nil {
-			return 0, fmt.Errorf("%w: missing flags byte", ErrBadTrace)
+			return events, err
 		}
-		if flags&^byte(flagFlate) != 0 {
-			return 0, fmt.Errorf("%w: unknown flags %#02x", ErrBadTrace, flags)
-		}
-		compressed := flags&flagFlate != 0
-		var events uint64
-		var fh [frameHeaderLen]byte
-		for {
-			if _, err := io.ReadFull(br, fh[:]); err != nil {
-				if err == io.EOF {
-					return events, nil
-				}
-				return events, fmt.Errorf("%w: torn frame header: %v", ErrBadTrace, err)
-			}
-			rawLen := binary.LittleEndian.Uint32(fh[0:])
-			storedLen := binary.LittleEndian.Uint32(fh[4:])
-			n := binary.LittleEndian.Uint32(fh[8:])
-			crc := binary.LittleEndian.Uint32(fh[12:])
-			if err := checkFrameHeader(rawLen, storedLen, n, compressed); err != nil {
-				return events, err
-			}
-			stored := make([]byte, storedLen)
-			if _, err := io.ReadFull(br, stored); err != nil {
-				return events, fmt.Errorf("%w: torn frame payload: %v", ErrBadTrace, err)
-			}
-			got := crc32.Update(0, castagnoli, fh[:12])
-			got = crc32.Update(got, castagnoli, stored)
-			if got != crc {
-				return events, fmt.Errorf("%w: frame CRC %08x, computed %08x", ErrBadTrace, crc, got)
-			}
-			if ferr := faults.Inject(faults.FrameCRC); ferr != nil {
-				return events, fmt.Errorf("%w: frame CRC rejected: %v", ErrBadTrace, ferr)
-			}
-			events += uint64(n)
-		}
-	default:
-		return 0, fmt.Errorf("%w: unsupported version %d", ErrBadTrace, hdr[4])
+		events += uint64(f.events)
 	}
 }
 

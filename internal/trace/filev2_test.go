@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"memotable/internal/isa"
@@ -342,6 +344,76 @@ func TestV2FlushedPrefixIsReadable(t *testing.T) {
 		}
 		if got := decodeAll(t, buf.Bytes()); len(got) != len(events) {
 			t.Fatalf("compress=%v: full stream decodes %d events, want %d", compress, len(got), len(events))
+		}
+	}
+}
+
+// v2Frame builds one uncompressed v2 frame around a hand-made payload
+// declaring events, with a valid CRC, so a test can reach the event
+// decoder with a payload no writer would produce.
+func v2Frame(payload []byte, events uint32) []byte {
+	var hdr [frameHeaderLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[8:], events)
+	crc := crc32.Update(0, castagnoli, hdr[:12])
+	binary.LittleEndian.PutUint32(hdr[12:], crc32.Update(crc, castagnoli, payload))
+	return append(hdr[:], payload...)
+}
+
+// TestReaderErrorsAreSticky checks that once a Reader reports corruption
+// every later call, batched or not, returns the error again and delivers
+// nothing — no event twice, no event from past the defect, and no count
+// moving on. Two defects: a CRC-valid frame of three good events and
+// then one whose operand B varint runs past ten bytes (the first batch
+// delivers the three events), and a first frame failing its CRC with a
+// good frame after it.
+func TestReaderErrorsAreSticky(t *testing.T) {
+	good := []Event{{Op: isa.OpFMul, A: 100, B: 200}, {Op: isa.OpIMul, A: 3, B: 4}, {Op: isa.OpFDiv, A: 5, B: 6}}
+	var payload []byte
+	for _, ev := range good {
+		payload = append(payload, byte(ev.Op))
+		payload = binary.AppendUvarint(payload, ev.A)
+		payload = binary.AppendUvarint(payload, ev.B)
+	}
+	header := []byte{'M', 'T', 'R', 'C', formatVersionV2, 0}
+	overflowB := append(append([]byte(nil), payload...), byte(isa.OpFMul), 7)
+	overflowB = append(overflowB, bytes.Repeat([]byte{0x80}, 11)...)
+	overflowB = append(overflowB, 0x01)
+	badCRC := v2Frame(payload, 3)
+	badCRC[12] ^= 0xff
+
+	for _, tc := range []struct {
+		name  string
+		data  []byte
+		first []Event // delivered with the error by the first batch
+	}{
+		{"operand B overflow", append(append([]byte(nil), header...), v2Frame(overflowB, 4)...), good},
+		{"frame CRC", slices.Concat(header, badCRC, v2Frame(payload, 3)), nil},
+	} {
+		for name, open := range map[string]func() (*Reader, error){
+			"io":    func() (*Reader, error) { return NewReader(bytes.NewReader(tc.data)) },
+			"bytes": func() (*Reader, error) { return NewBytesReader(tc.data) },
+		} {
+			r, err := open()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, name, err)
+			}
+			batch, err := r.ReadBatch(make([]Event, 0, 16))
+			if !errors.Is(err, ErrBadTrace) || !slices.Equal(batch, tc.first) {
+				t.Fatalf("%s/%s: first batch = %v, %v; want %v and ErrBadTrace", tc.name, name, batch, err, tc.first)
+			}
+			for i := 0; i < 2; i++ {
+				if batch, err := r.ReadBatch(make([]Event, 0, 16)); len(batch) != 0 || !errors.Is(err, ErrBadTrace) {
+					t.Fatalf("%s/%s: later batch = %v, %v; want nothing and ErrBadTrace", tc.name, name, batch, err)
+				}
+				if ev, err := r.Next(); !errors.Is(err, ErrBadTrace) {
+					t.Fatalf("%s/%s: later Next = %v, %v; want ErrBadTrace", tc.name, name, ev, err)
+				}
+			}
+			if r.Count() != uint64(len(tc.first)) {
+				t.Fatalf("%s/%s: Count() = %d after the error, want %d", tc.name, name, r.Count(), len(tc.first))
+			}
 		}
 	}
 }

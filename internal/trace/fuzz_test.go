@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"memotable/internal/isa"
@@ -27,6 +28,79 @@ func readSeedTrace(t testing.TB) []byte {
 // success or a classified corruption error — never anything unwrapped.
 func cleanDecodeErr(err error) bool {
 	return err == nil || err == io.EOF || errors.Is(err, ErrBadTrace)
+}
+
+// errClass buckets a decode outcome for differential checks: a clean
+// end, classified corruption, or anything else (a bug in itself).
+func errClass(err error) string {
+	switch {
+	case err == nil || err == io.EOF:
+		return "clean"
+	case errors.Is(err, ErrBadTrace):
+		return "corrupt"
+	default:
+		return "unclassified: " + err.Error()
+	}
+}
+
+// decodeBothWays decodes data through a Reader over an io.Reader and a
+// Reader over the bytes, in batches that straddle frames, and requires
+// the same events, the same Count() and the same error class from both.
+// Verify and VerifyBytes must agree on the count and the error class
+// too, and none of the four may return an unclassified error. It
+// returns the decoded events and the decode error.
+func decodeBothWays(t *testing.T, data []byte) ([]Event, error) {
+	t.Helper()
+	type outcome struct {
+		evs   []Event
+		count uint64
+		err   error
+	}
+	decode := func(r *Reader, err error) outcome {
+		if err != nil {
+			return outcome{err: err}
+		}
+		var o outcome
+		buf := make([]Event, 0, 97)
+		for {
+			batch, err := r.ReadBatch(buf)
+			o.evs = append(o.evs, batch...)
+			if err != nil {
+				if err != io.EOF {
+					o.err = err
+				}
+				o.count = r.Count()
+				return o
+			}
+		}
+	}
+	viaIO := decode(NewReader(bytes.NewReader(data)))
+	inMem := decode(NewBytesReader(data))
+	if !cleanDecodeErr(viaIO.err) || !cleanDecodeErr(inMem.err) {
+		t.Fatalf("decode: unclassified error %v / %v", viaIO.err, inMem.err)
+	}
+	if errClass(viaIO.err) != errClass(inMem.err) {
+		t.Fatalf("io.Reader path error %v, in-memory path error %v", viaIO.err, inMem.err)
+	}
+	if !slices.Equal(viaIO.evs, inMem.evs) || viaIO.count != inMem.count {
+		t.Fatalf("io.Reader path decoded %d events (count %d), in-memory path %d (count %d)",
+			len(viaIO.evs), viaIO.count, len(inMem.evs), inMem.count)
+	}
+	if viaIO.count != uint64(len(viaIO.evs)) {
+		t.Fatalf("reader count %d, delivered %d events", viaIO.count, len(viaIO.evs))
+	}
+	n, err := Verify(bytes.NewReader(data))
+	nb, errb := VerifyBytes(data)
+	if !cleanDecodeErr(err) || !cleanDecodeErr(errb) {
+		t.Fatalf("Verify: unclassified error %v / %v", err, errb)
+	}
+	if n != nb || errClass(err) != errClass(errb) {
+		t.Fatalf("Verify = %d, %v; VerifyBytes = %d, %v", n, err, nb, errb)
+	}
+	if errClass(viaIO.err) == "clean" && (err != nil || n != uint64(len(viaIO.evs))) {
+		t.Fatalf("clean decode of %d events, Verify = %d, %v", len(viaIO.evs), n, err)
+	}
+	return viaIO.evs, viaIO.err
 }
 
 // reencodeV2 decodes a v1 stream and re-encodes it in format v2.
@@ -52,7 +126,9 @@ func reencodeV2(t testing.TB, v1 []byte, compress bool) []byte {
 
 // FuzzTraceReader feeds arbitrary bytes to the reader: corrupt or
 // truncated input must surface ErrBadTrace (or decode cleanly), never
-// panic and never return an unclassified error.
+// panic and never return an unclassified error. Next, ReadBatch over an
+// io.Reader and ReadBatch over bytes must deliver the same events and
+// the same error class, and Verify must agree with VerifyBytes.
 func FuzzTraceReader(f *testing.F) {
 	seed := readSeedTrace(f)
 	f.Add(seed)
@@ -79,7 +155,8 @@ func FuzzTraceReader(f *testing.F) {
 			}
 			return
 		}
-		var n uint64
+		var evs []Event
+		var nextErr error
 		for {
 			ev, err := r.Next()
 			if err == io.EOF {
@@ -89,15 +166,20 @@ func FuzzTraceReader(f *testing.F) {
 				if !cleanDecodeErr(err) {
 					t.Fatalf("Next: unclassified error %v", err)
 				}
+				nextErr = err
 				break
 			}
 			if ev.Op >= isa.NumOps {
 				t.Fatalf("decoded out-of-range op %d", ev.Op)
 			}
-			n++
+			evs = append(evs, ev)
 		}
-		if n != r.Count() {
-			t.Fatalf("reader count %d, decoded %d", r.Count(), n)
+		if uint64(len(evs)) != r.Count() {
+			t.Fatalf("reader count %d, decoded %d", r.Count(), len(evs))
+		}
+		batched, err := decodeBothWays(t, data)
+		if errClass(err) != errClass(nextErr) || !slices.Equal(batched, evs) {
+			t.Fatalf("Next decoded %d events (%v), ReadBatch %d (%v)", len(evs), nextErr, len(batched), err)
 		}
 	})
 }
@@ -177,7 +259,8 @@ func FuzzTraceRoundTrip(f *testing.F) {
 // either decode cleanly (flips in a varint payload can yield a different
 // but well-formed stream only when the CRC also collides — effectively
 // never) or fail with ErrBadTrace. Panics, hangs and unclassified errors
-// are the bugs being hunted; Verify must classify identically.
+// are the bugs being hunted. The io.Reader and in-memory decoders must
+// agree event for event, and Verify with VerifyBytes.
 func FuzzTraceV2FrameCorruption(f *testing.F) {
 	seed := readSeedTrace(f)
 	f.Add(seed[5:2048], uint32(77), false)
@@ -208,24 +291,14 @@ func FuzzTraceV2FrameCorruption(f *testing.F) {
 		encoded := buf.Bytes()
 		encoded[int(pos)%len(encoded)] ^= 1 << (pos % 8)
 
-		r, err := NewReader(bytes.NewReader(encoded))
-		if err != nil {
-			if !errors.Is(err, ErrBadTrace) {
-				t.Fatalf("NewReader: unclassified error %v", err)
-			}
-			return
+		evs, err := decodeBothWays(t, encoded)
+		if !cleanDecodeErr(err) {
+			t.Fatalf("decode: unclassified error %v", err)
 		}
-		var rec Recorder
-		if _, err := r.Replay(&rec); !cleanDecodeErr(err) {
-			t.Fatalf("Replay: unclassified error %v", err)
-		}
-		for i, ev := range rec.Events {
+		for i, ev := range evs {
 			if ev.Op >= isa.NumOps {
 				t.Fatalf("event %d: decoded out-of-range op %d", i, ev.Op)
 			}
-		}
-		if _, err := Verify(bytes.NewReader(encoded)); !cleanDecodeErr(err) {
-			t.Fatalf("Verify: unclassified error %v", err)
 		}
 	})
 }

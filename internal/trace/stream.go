@@ -1,16 +1,9 @@
 package trace
 
 import (
-	"bytes"
-	"compress/flate"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-
-	"memotable/internal/faults"
-	"memotable/internal/isa"
 )
 
 // Incremental decoding of a v2 trace stream that is still being
@@ -35,9 +28,6 @@ import (
 // NextFrame again.
 var ErrStreamOpen = errors.New("trace: stream still open, frame incomplete")
 
-// streamHeaderLen is the stream preamble: magic, version, flags.
-const streamHeaderLen = 6
-
 // StreamDecoder decodes a v2 trace stream incrementally from pushed
 // byte chunks. The zero value is not usable; construct with
 // NewStreamDecoder. It is not safe for concurrent use.
@@ -52,8 +42,8 @@ type StreamDecoder struct {
 	events  uint64
 	bytesIn int64
 
-	evbuf []Event // decoded events of the last delivered frame, reused
-	raw   []byte  // decompression scratch, reused
+	evbuf []Event  // decoded events of the last delivered frame, reused
+	z     inflater // decompression scratch, reused
 }
 
 // NewStreamDecoder prepares an empty decoder; the stream header is
@@ -119,57 +109,26 @@ func (d *StreamDecoder) NextFrame() ([]Event, error) {
 		}
 	}
 	avail := d.buf[d.pos:]
-	if len(avail) == 0 {
-		if d.sealed {
-			return nil, io.EOF
-		}
-		return nil, d.incomplete("frame header")
+	if len(avail) == 0 && d.sealed {
+		return nil, io.EOF
 	}
-	if len(avail) < frameHeaderLen {
-		return nil, d.incomplete("frame header")
+	// A complete header is vetted even while its payload is in flight.
+	f, err := parseFrame(avail, d.compressed)
+	if part, ok := err.(shortFrame); ok {
+		return nil, d.incomplete(string(part))
 	}
-	rawLen := binary.LittleEndian.Uint32(avail[0:])
-	storedLen := binary.LittleEndian.Uint32(avail[4:])
-	events := binary.LittleEndian.Uint32(avail[8:])
-	crc := binary.LittleEndian.Uint32(avail[12:])
-	// The header is complete, so its self-consistency is decidable now
-	// even if the payload is still in flight.
-	if err := checkFrameHeader(rawLen, storedLen, events, d.compressed); err != nil {
-		return nil, err
-	}
-	if len(avail) < frameHeaderLen+int(storedLen) {
-		return nil, d.incomplete("frame payload")
-	}
-	stored := avail[frameHeaderLen : frameHeaderLen+int(storedLen)]
-	got := crc32.Update(0, castagnoli, avail[:12])
-	got = crc32.Update(got, castagnoli, stored)
-	if got != crc {
-		return nil, fmt.Errorf("%w: frame CRC %08x, computed %08x", ErrBadTrace, crc, got)
-	}
-	if ferr := faults.Inject(faults.FrameCRC); ferr != nil {
-		return nil, fmt.Errorf("%w: frame CRC rejected: %v", ErrBadTrace, ferr)
-	}
-	raw := stored
-	if d.compressed {
-		if cap(d.raw) < int(rawLen) {
-			d.raw = make([]byte, rawLen)
-		}
-		d.raw = d.raw[:rawLen]
-		fr := flate.NewReader(bytes.NewReader(stored))
-		if _, err := io.ReadFull(fr, d.raw); err != nil {
-			return nil, fmt.Errorf("%w: frame decompression: %v", ErrBadTrace, err)
-		}
-		var tail [1]byte
-		if n, _ := fr.Read(tail[:]); n != 0 {
-			return nil, fmt.Errorf("%w: frame inflates past declared size %d", ErrBadTrace, rawLen)
-		}
-		raw = d.raw
-	}
-	evs, err := d.decodeFrame(raw, events)
 	if err != nil {
 		return nil, err
 	}
-	d.pos += frameHeaderLen + int(storedLen)
+	raw, err := d.z.payload(f, d.compressed)
+	if err != nil {
+		return nil, err
+	}
+	evs, err := d.decodeFrame(raw, f.events)
+	if err != nil {
+		return nil, err
+	}
+	d.pos += f.size
 	d.frames++
 	d.events += uint64(len(evs))
 	return evs, nil
@@ -182,22 +141,14 @@ func (d *StreamDecoder) parseHeader() error {
 	if len(avail) < streamHeaderLen {
 		return d.incomplete("stream header")
 	}
-	if [4]byte(avail[:4]) != magic {
-		return fmt.Errorf("%w: bad magic %q", ErrBadTrace, avail[:4])
+	version, compressed, _, err := parseStreamHeader(avail)
+	if err != nil {
+		return err
 	}
-	switch avail[4] {
-	case formatVersionV2:
-		// The only streamable generation.
-	case formatVersion:
+	if version != formatVersionV2 {
 		return fmt.Errorf("%w: v1 streams are not self-delimiting; stream ingest requires v2", ErrBadTrace)
-	default:
-		return fmt.Errorf("%w: unsupported version %d", ErrBadTrace, avail[4])
 	}
-	flags := avail[5]
-	if flags&^byte(flagFlate) != 0 {
-		return fmt.Errorf("%w: unknown flags %#02x", ErrBadTrace, flags)
-	}
-	d.compressed = flags&flagFlate != 0
+	d.compressed = compressed
 	d.pos += streamHeaderLen
 	d.headerDone = true
 	return nil
@@ -210,27 +161,9 @@ func (d *StreamDecoder) decodeFrame(raw []byte, events uint32) ([]Event, error) 
 	if cap(d.evbuf) < int(events) {
 		d.evbuf = make([]Event, 0, events)
 	}
-	dst := d.evbuf[:0]
-	pos := 0
-	for i := uint32(0); i < events; i++ {
-		if pos >= len(raw) {
-			return nil, fmt.Errorf("%w: frame under-delivers its declared events", ErrBadTrace)
-		}
-		opByte := raw[pos]
-		if opByte >= byte(isa.NumOps) {
-			return nil, fmt.Errorf("%w: op byte %d", ErrBadTrace, opByte)
-		}
-		a, n := binary.Uvarint(raw[pos+1:])
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: operand A varint", ErrBadTrace)
-		}
-		pos += 1 + n
-		b, n := binary.Uvarint(raw[pos:])
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: operand B varint", ErrBadTrace)
-		}
-		pos += n
-		dst = append(dst, Event{Op: isa.Op(opByte), A: a, B: b})
+	dst, pos, err := decodeEvents(d.evbuf[:0], raw, 0, events)
+	if err != nil {
+		return nil, err
 	}
 	if pos != len(raw) {
 		return nil, fmt.Errorf("%w: %d trailing bytes in frame", ErrBadTrace, len(raw)-pos)

@@ -36,7 +36,6 @@
 package tracestore
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -143,7 +142,7 @@ func (s *Store) Get(fingerprint string) ([]byte, uint64, error) {
 	case crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(seal[4:]):
 		return nil, 0, fmt.Errorf("%w: entry seal CRC mismatch", ErrMiss)
 	}
-	events, err := trace.Verify(bytes.NewReader(body))
+	events, err := trace.VerifyBytes(body)
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: entry corrupt: %w", ErrMiss, err)
 	}
