@@ -21,10 +21,14 @@ import (
 //
 // A plan declares a demand through a Feed. Feed hands out the shared
 // instances and subscribes only the ones it created, since the engine
-// delivers twice to a sink named in two demands. Every demand still
-// lists its whole workload sequence, even when all of its sinks belong
-// to an earlier plan, so the pass's serial order and the attribution of
-// failed workloads to experiments do not depend on what was shared.
+// delivers twice to a sink named in two demands. Table sets go further:
+// the first set built over a sequence is its one memo sink, and every
+// later set over the sequence, of any configuration or policy, joins it
+// (TableSet.EmitBatch), so each block reaches the MEMO-TABLEs of a
+// sequence once. Every demand still lists its whole workload sequence,
+// even when all of its sinks belong to an earlier plan, so the pass's
+// serial order and the attribution of failed workloads to experiments do
+// not depend on what was shared.
 
 // tablesKey names one shared TableSet.
 type tablesKey struct {
@@ -37,6 +41,7 @@ type tablesKey struct {
 // sequence.
 type interned struct {
 	tables map[tablesKey]*TableSet
+	leads  map[string]*TableSet // the subscribed set of each sequence
 	models map[string]*cpu.Model
 }
 
@@ -54,6 +59,7 @@ func (c *Context) Feed(ws ...Workload) *Feed {
 	if c.shared == nil {
 		c.shared = &interned{
 			tables: make(map[tablesKey]*TableSet),
+			leads:  make(map[string]*TableSet),
 			models: make(map[string]*cpu.Model),
 		}
 	}
@@ -67,15 +73,21 @@ func (c *Context) Feed(ws ...Workload) *Feed {
 // Tables returns the Context's one TableSet of the configuration and
 // policy over the feed's sequence, holding at least a table for each of
 // ops. A set another plan asked for with other classes is widened to the
-// union; its mask follows, so replays still skip blocks with none of its
-// classes.
+// union. The sequence's first set is subscribed and every later one joins
+// it; the subscribed set's mask is the union of its joined sets', so
+// replays still skip blocks with none of their classes.
 func (f *Feed) Tables(cfg memo.Config, policy memo.TrivialPolicy, ops ...isa.Op) *TableSet {
 	k := tablesKey{seq: f.seq, cfg: cfg, policy: policy}
 	ts := f.shared.tables[k]
 	if ts == nil {
-		ts = &TableSet{cfg: cfg, policy: policy}
+		ts = newTableSet(cfg, policy)
 		f.shared.tables[k] = ts
-		f.sinks = append(f.sinks, ts)
+		if lead := f.shared.leads[f.seq]; lead != nil {
+			lead.join(ts)
+		} else {
+			f.shared.leads[f.seq] = ts
+			f.sinks = append(f.sinks, ts)
+		}
 	}
 	ts.widen(ops...)
 	return ts

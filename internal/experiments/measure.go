@@ -16,6 +16,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"memotable/internal/engine"
 	"memotable/internal/imaging"
@@ -33,19 +34,36 @@ var MemoOps = []isa.Op{isa.OpIMul, isa.OpFMul, isa.OpFDiv, isa.OpFSqrt}
 
 // TableSet is one simulated system: a MEMO-TABLE per memoizable class it
 // measures, all of one geometry and trivial-operation policy, fed from a
-// trace stream. Units are held in a per-class array — the replay loop
-// indexes it once per event, so the dispatch must not cost a map probe.
+// trace stream. Units are held in a per-class array, so dispatch costs
+// no map probe.
+//
+// A set is also a sink for itself and for the sets that joined it: every
+// set a Context builds over one workload sequence joins the first, and
+// only that first set is subscribed (Feed.Tables). Its EmitBatch splits
+// each block once into per-class operand columns and runs every joined
+// unit of a class over the class's column, so the block is walked and
+// its operands classified once per sequence, not once per set.
 type TableSet struct {
 	cfg    memo.Config
 	policy memo.TrivialPolicy
 	units  [isa.NumOps]*memo.Unit
 	mask   trace.OpMask
+	// fed lists the sets this set's Emit and EmitBatch feed: itself
+	// first, then the sets that joined it, in join order.
+	fed []*TableSet
 }
 
 // NewTableSet builds identical tables for all MemoOps.
 func NewTableSet(cfg memo.Config, policy memo.TrivialPolicy) *TableSet {
-	ts := &TableSet{cfg: cfg, policy: policy}
+	ts := newTableSet(cfg, policy)
 	ts.widen(MemoOps...)
+	return ts
+}
+
+// newTableSet builds a set holding no tables yet.
+func newTableSet(cfg memo.Config, policy memo.TrivialPolicy) *TableSet {
+	ts := &TableSet{cfg: cfg, policy: policy}
+	ts.fed = []*TableSet{ts}
 	return ts
 }
 
@@ -61,26 +79,76 @@ func (ts *TableSet) widen(ops ...isa.Op) {
 	}
 }
 
-// Emit implements trace.Sink: memoizable events exercise their table.
-func (ts *TableSet) Emit(ev trace.Event) {
-	if u := ts.units[ev.Op]; u != nil {
-		u.Apply(ev.A, ev.B)
-	}
-}
+// join makes ts feed o, which must hold no sets of its own and must not
+// be subscribed anywhere. Like widen, it runs before ts sees an event.
+func (ts *TableSet) join(o *TableSet) { ts.fed = append(ts.fed, o) }
 
-// EmitBatch implements trace.BatchSink: one interface dispatch per decoded
-// block instead of one per event.
-func (ts *TableSet) EmitBatch(evs []trace.Event) {
-	for _, ev := range evs {
-		if u := ts.units[ev.Op]; u != nil {
+// Emit implements trace.Sink: a memoizable event exercises its class's
+// table in every fed set.
+func (ts *TableSet) Emit(ev trace.Event) {
+	for _, s := range ts.fed {
+		if u := s.units[ev.Op]; u != nil {
 			u.Apply(ev.A, ev.B)
 		}
 	}
 }
 
-// OpMask implements trace.OpMasker: only the classes the set holds reach
-// its tables, so fused replays skip blocks carrying none of them.
-func (ts *TableSet) OpMask() trace.OpMask { return ts.mask }
+// columns is the scratch of one EmitBatch call: an operand column per
+// class. It is pooled rather than kept per set, so a pass holds about
+// one per worker, not one per set.
+type columns [isa.NumOps]memo.Column
+
+var columnPool = sync.Pool{New: func() any { return new(columns) }}
+
+// columnChunk bounds the events split into columns at once, so a caller
+// handing over a whole trace in one batch does not grow the pooled
+// scratch past an engine block's worth (8192 events).
+const columnChunk = 8192
+
+// EmitBatch implements trace.BatchSink: the block is split into one
+// column per class the fed sets hold, and each fed unit runs over its
+// class's column. Every unit sees exactly the events Emit would give it,
+// in order.
+func (ts *TableSet) EmitBatch(evs []trace.Event) {
+	mask := ts.OpMask()
+	cols := columnPool.Get().(*columns)
+	for len(evs) > 0 {
+		chunk := evs[:min(len(evs), columnChunk)]
+		evs = evs[len(chunk):]
+		for _, op := range MemoOps {
+			cols[op].Reset(op)
+		}
+		for _, ev := range chunk {
+			if mask.Has(ev.Op) {
+				cols[ev.Op].Push(ev.A, ev.B)
+			}
+		}
+		for _, op := range MemoOps {
+			c := &cols[op]
+			if c.Len() == 0 {
+				continue
+			}
+			for _, s := range ts.fed {
+				if u := s.units[op]; u != nil {
+					u.ApplyColumn(c)
+				}
+			}
+		}
+	}
+	columnPool.Put(cols)
+}
+
+// OpMask implements trace.OpMasker: the union of the classes the fed sets
+// hold, so fused replays skip blocks carrying none of them. It is read
+// when a replay starts, so it covers sets joined or widened while
+// planning.
+func (ts *TableSet) OpMask() trace.OpMask {
+	var m trace.OpMask
+	for _, s := range ts.fed {
+		m |= s.mask
+	}
+	return m
+}
 
 // Unit returns the unit for one class, or nil if the set holds none.
 func (ts *TableSet) Unit(op isa.Op) *memo.Unit { return ts.units[op] }
@@ -139,15 +207,21 @@ func Measure(run Runner, cfg memo.Config, policy memo.TrivialPolicy) (*TableSet,
 
 // MeasureMany runs the program once with several table configurations
 // simultaneously (one pass over the trace feeds them all), the way the
-// paper's simulator evaluated multiple geometries per run.
+// paper's simulator evaluated multiple geometries per run: the first set
+// is the sink, and the rest join it.
 func MeasureMany(run Runner, policy memo.TrivialPolicy, cfgs ...memo.Config) []*TableSet {
 	sets := make([]*TableSet, len(cfgs))
-	sinks := make([]trace.Sink, len(cfgs))
 	for i, cfg := range cfgs {
 		sets[i] = NewTableSet(cfg, policy)
-		sinks[i] = sets[i]
+		if i > 0 {
+			sets[0].join(sets[i])
+		}
 	}
-	run(probe.New(trace.Multi(sinks)), imaging.NewAddressSpace())
+	var sink trace.Sink
+	if len(sets) > 0 {
+		sink = sets[0]
+	}
+	run(probe.New(sink), imaging.NewAddressSpace())
 	return sets
 }
 

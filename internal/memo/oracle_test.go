@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"memotable/internal/arith"
@@ -294,10 +296,129 @@ func operandPool(rng *rand.Rand, op isa.Op, size int) []uint64 {
 	return pool
 }
 
+// columnCheck is one unit the lockstep drives through the batch path:
+// column steps reach it through ApplyColumn, while its twin takes the
+// same pairs one Apply at a time and its oracle replays them too.
+type columnCheck struct {
+	name        string
+	policy      TrivialPolicy
+	batch, twin *Unit
+	ora         *oracle
+}
+
+func newColumnCheck(op isa.Op, cfg Config, policy TrivialPolicy) *columnCheck {
+	return &columnCheck{
+		name:   fmt.Sprintf("%dx%d/mant=%v/%v", cfg.Entries, cfg.Ways, cfg.MantissaOnly, policy),
+		policy: policy,
+		batch:  NewUnit(New(op, cfg), policy, nil),
+		twin:   NewUnit(New(op, cfg), policy, nil),
+		ora:    newOracle(op, cfg),
+	}
+}
+
+// verify holds the batch unit to its twin (counters, statistics and the
+// exact table state) and to the oracle (statistics and Len, and with
+// stored set, every stored entry and result).
+func (c *columnCheck) verify(t *testing.T, step int, stored bool) {
+	t.Helper()
+	b, w := c.batch, c.twin
+	if b.TotalOps() != w.TotalOps() || b.TrivialOps() != w.TrivialOps() {
+		t.Fatalf("step %d column %s: ops %d/%d trivial, per-event twin %d/%d",
+			step, c.name, b.TotalOps(), b.TrivialOps(), w.TotalOps(), w.TrivialOps())
+	}
+	if s, ws, os := b.Table().Stats(), w.Table().Stats(), c.ora.stats; s != ws || s != os {
+		t.Fatalf("step %d column %s: stats %+v, per-event twin %+v, oracle %+v", step, c.name, s, ws, os)
+	}
+	if n, o := b.Table().Len(), c.ora.Len(); n != o {
+		t.Fatalf("step %d column %s: Len %d, oracle %d", step, c.name, n, o)
+	}
+	if !sameState(b.Table(), w.Table()) {
+		t.Fatalf("step %d column %s: table state differs from its per-event twin", step, c.name)
+	}
+	if !stored {
+		return
+	}
+	if got, want := contents(b.Table()), c.ora.contents(); !slices.Equal(got, want) {
+		t.Fatalf("step %d column %s: stored entries\n%v\noracle\n%v", step, c.name, got, want)
+	}
+}
+
+// sameState reports whether two tables hold identical entries in
+// identical positions.
+func sameState(x, y *Table) bool {
+	if x.inf == nil || y.inf == nil {
+		return x.inf == y.inf && slices.Equal(x.sets, y.sets)
+	}
+	return x.inf.n == y.inf.n && slices.Equal(x.inf.ctrl, y.inf.ctrl) &&
+		slices.Equal(x.inf.slots, y.inf.slots) && slices.Equal(x.inf.aux, y.inf.aux)
+}
+
+// storedEntry is one entry as the oracle sees it: set number (0 for the
+// unbounded table), recency rank within the set, tag and stored result.
+type storedEntry struct {
+	set  uint64
+	rank int
+	tag  [2]uint64
+	val  uint64
+	exp  int
+}
+
+// contents lists a table's valid entries: a finite table's in set order,
+// most recent first, and the unbounded table's sorted by tag.
+func contents(t *Table) []storedEntry {
+	var out []storedEntry
+	if t.inf != nil {
+		for i, c := range t.inf.ctrl {
+			if c != 0 {
+				s := t.inf.slots[i]
+				out = append(out, storedEntry{tag: [2]uint64{s.a, s.b}, val: s.val, exp: int(t.inf.auxAt(i))})
+			}
+		}
+		sortEntries(out)
+		return out
+	}
+	for i, e := range t.sets {
+		if e.valid {
+			out = append(out, storedEntry{set: uint64(i / t.ways), rank: i % t.ways, tag: [2]uint64{e.a, e.b}, val: e.val, exp: int(e.aux)})
+		}
+	}
+	return out
+}
+
+// contents lists the oracle's entries in the order contents(Table) does.
+func (o *oracle) contents() []storedEntry {
+	var out []storedEntry
+	if o.cfg.Entries == 0 {
+		for tag, e := range o.inf {
+			out = append(out, storedEntry{tag: tag, val: e.val, exp: e.exp})
+		}
+		sortEntries(out)
+		return out
+	}
+	for s := uint64(0); s < o.numSets; s++ {
+		for r, e := range o.sets[s] {
+			out = append(out, storedEntry{set: s, rank: r, tag: e.tag, val: e.val, exp: e.exp})
+		}
+	}
+	return out
+}
+
+func sortEntries(es []storedEntry) {
+	sort.Slice(es, func(i, j int) bool {
+		if es[i].tag[0] != es[j].tag[0] {
+			return es[i].tag[0] < es[j].tag[0]
+		}
+		return es[i].tag[1] < es[j].tag[1]
+	})
+}
+
 // lockstep drives a Table, a Unit over a second Table, and two oracles
-// through one random stream of Access, Lookup, Insert, Reset and Apply
-// steps, failing at the first divergence in a result, hit flag, outcome,
-// Stats or Len.
+// through one random stream of Access, Lookup, Insert, Reset, Apply and
+// column steps, failing at the first divergence in a result, hit flag,
+// outcome, Stats or Len. A column step presents a random-length run of
+// pairs through one Column to the Unit and to two more units of other
+// geometries, tagging schemes and policies at once (columnCheck); their
+// stored entries are held to the oracles' at the end of the stream.
 func lockstep(t *testing.T, op isa.Op, cfg Config, policy TrivialPolicy, seed int64, steps int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -307,13 +428,31 @@ func lockstep(t *testing.T, op isa.Op, cfg Config, policy TrivialPolicy, seed in
 	}
 	pool := operandPool(rng, op, size)
 	tab, ora := New(op, cfg), newOracle(op, cfg)
-	unit, uora := NewUnit(New(op, cfg), policy, nil), newOracle(op, cfg)
+	lead := newColumnCheck(op, cfg, policy)
+	unit, uora := lead.batch, lead.ora
+	checks := []*columnCheck{lead}
+	var geos []Config
+	for _, c := range oracleGeometries() {
+		if c.Entries <= 256 {
+			geos = append(geos, c)
+		}
+	}
+	for len(checks) < 3 {
+		c := geos[rng.Intn(len(geos))]
+		c.MantissaOnly, c.NoCommutativeLookup = rng.Intn(2) == 0, rng.Intn(4) == 0
+		checks = append(checks, newColumnCheck(op, c, TrivialPolicy((int(policy)+len(checks))%3)))
+	}
+	var col Column
 	compute := hostCompute(op)
-	for step := 0; step < steps; step++ {
+	draw := func() (uint64, uint64) {
 		a, b := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
 		if op.Unary() {
 			b = 0
 		}
+		return a, b
+	}
+	for step := 0; step < steps; step++ {
+		a, b := draw()
 		var got, want uint64
 		var gotHit, wantHit bool
 		kind := rng.Intn(100)
@@ -324,7 +463,7 @@ func lockstep(t *testing.T, op isa.Op, cfg Config, policy TrivialPolicy, seed in
 		case kind < 55:
 			got, gotHit = tab.Lookup(a, b)
 			want, wantHit = ora.Lookup(a, b)
-		case kind < 70:
+		case kind < 65:
 			// Half the inserts store an arbitrary result, as a caller
 			// may: mantissa-only tags then encode far-off exponents.
 			res := compute(a, b)
@@ -333,13 +472,27 @@ func lockstep(t *testing.T, op isa.Op, cfg Config, policy TrivialPolicy, seed in
 			}
 			tab.Insert(a, b, res)
 			ora.Insert(a, b, res)
-		case kind < 71 && rng.Intn(20) == 0:
+		case kind < 66 && rng.Intn(20) == 0:
 			tab.Reset()
 			ora.Reset()
+		case kind < 70:
+			col.Reset(op)
+			for n := rng.Intn(64); n > 0; n-- {
+				col.Push(draw())
+			}
+			for _, c := range checks {
+				c.batch.ApplyColumn(&col)
+				for i, ca := range col.a {
+					c.twin.Apply(ca, col.b[i])
+					c.ora.Apply(c.policy, ca, col.b[i])
+				}
+				c.verify(t, step, false)
+			}
 		default:
 			var gotOut, wantOut Outcome
 			got, gotOut = unit.Apply(a, b)
 			want, wantOut = uora.Apply(policy, a, b)
+			lead.twin.Apply(a, b)
 			gotHit, wantHit = gotOut == Hit, wantOut == Hit
 			if gotOut != wantOut {
 				t.Fatalf("step %d Apply(%#x, %#x): outcome %v, oracle %v", step, a, b, gotOut, wantOut)
@@ -361,6 +514,9 @@ func lockstep(t *testing.T, op isa.Op, cfg Config, policy TrivialPolicy, seed in
 		if n, w := tab.Len(), ora.Len(); n != w {
 			t.Fatalf("step %d (kind %d): Len %d, oracle %d", step, kind, n, w)
 		}
+	}
+	for _, c := range checks {
+		c.verify(t, steps, true)
 	}
 }
 

@@ -123,3 +123,53 @@ func benchGrowing(b *testing.B, op isa.Op) {
 		t.Access(math.Float64bits(1.5+float64(i)), math.Float64bits(2.5), compute)
 	}
 }
+
+// BenchmarkUnitColumn compares per-event Apply with the batch path (a
+// column filled, classified and run by one unit) on one unit, the case
+// with nothing to share: each iteration is one event, one in eight of
+// them trivial.
+func BenchmarkUnitColumn(b *testing.B) {
+	const block = 4096
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		pool uint64
+	}{
+		{"32x4-mixed", Config{Entries: 32, Ways: 4}, 64},
+		{"1024x4-mixed", Config{Entries: 1024, Ways: 4}, 64},
+		{"inf-mixed", Infinite(), 64},
+		{"32x4-mant", Config{Entries: 32, Ways: 4, MantissaOnly: true}, 64},
+	} {
+		as := make([]uint64, block)
+		bs := make([]uint64, block)
+		seed := uint64(0x9e3779b97f4a7c15)
+		for i := range as {
+			seed = seed*6364136223846793005 + 1442695040888963407
+			av, bv := seed>>33%tc.pool, seed>>13%tc.pool
+			as[i], bs[i] = math.Float64bits(1.5+float64(av)), math.Float64bits(2.5+float64(bv))
+			if i%8 == 0 {
+				bs[i] = math.Float64bits(1)
+			}
+		}
+		b.Run(tc.name+"/apply", func(b *testing.B) {
+			u := NewUnit(New(isa.OpFMul, tc.cfg), NonTrivialOnly, nil)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				j := i % block
+				u.Apply(as[j], bs[j])
+			}
+		})
+		b.Run(tc.name+"/column", func(b *testing.B) {
+			u := NewUnit(New(isa.OpFMul, tc.cfg), NonTrivialOnly, nil)
+			var c Column
+			b.ReportAllocs()
+			for i := 0; i < b.N; i += block {
+				c.Reset(isa.OpFMul)
+				for j := range min(block, b.N-i) {
+					c.Push(as[j], bs[j])
+				}
+				u.ApplyColumn(&c)
+			}
+		})
+	}
+}
