@@ -149,12 +149,12 @@ func TestBenchReplayFanout(t *testing.T) {
 	}
 	const rounds = 3
 	serialEPS, serialNs := measureReplay(t, eng, 1, rounds)
-	if eng.FanoutReplays() != 0 {
+	if eng.Stats().FanoutReplays != 0 {
 		t.Fatal("serial regime fanned out")
 	}
-	stalls0 := eng.RingStalls()
+	stalls0 := eng.Stats().RingStalls
 	fanEPS, fanNs := measureReplay(t, eng, benchReplaySinks, rounds)
-	if eng.FanoutReplays() == 0 {
+	if eng.Stats().FanoutReplays == 0 {
 		t.Fatal("fan-out regime delivered serially")
 	}
 
@@ -165,7 +165,7 @@ func TestBenchReplayFanout(t *testing.T) {
 		CPUs:     runtime.NumCPU(),
 		Serial:   benchReplayLeg{EventsPerSec: serialEPS, NsPerEvent: serialNs, Workers: 1},
 		Fanout: benchReplayLeg{EventsPerSec: fanEPS, NsPerEvent: fanNs,
-			Workers: benchReplaySinks, RingStalls: eng.RingStalls() - stalls0},
+			Workers: benchReplaySinks, RingStalls: eng.Stats().RingStalls - stalls0},
 		Speedup: fanEPS / serialEPS,
 	}
 	buf, err := json.MarshalIndent(rep, "", "  ")

@@ -594,7 +594,7 @@ func BenchmarkEngineSpillReplay(b *testing.B) {
 		}
 	}
 	run() // capture and spill once
-	if eng.SpilledTraces() != 1 {
+	if eng.Stats().SpilledTraces != 1 {
 		b.Fatal("capture did not spill")
 	}
 	b.ResetTimer()

@@ -119,7 +119,7 @@ func TestFaultSoak(t *testing.T) {
 				t.Error("every experiment degraded; the soak should leave survivors to compare")
 			}
 			t.Logf("seed %d: %d faulted cells, %d/%d experiments clean, %d spill retries, %d degraded captures, %d store hits, %d store puts, %d faults fired",
-				seed, len(rep.Errors), clean, len(results), eng.SpillRetries(), eng.DegradedCaptures(), eng.StoreHits(), eng.StorePuts(), plan.Fired())
+				seed, len(rep.Errors), clean, len(results), eng.Stats().SpillRetries, eng.Stats().DegradedCaptures, eng.Stats().StoreHits, eng.Stats().StorePuts, plan.Fired())
 		})
 	}
 }

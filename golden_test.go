@@ -93,12 +93,12 @@ func TestFusedMatrixGoldens(t *testing.T) {
 						r.Name, got, want)
 				}
 			}
-			if eng.Captures() == 0 || eng.Captures() != eng.Replays() {
+			if eng.Stats().Captures == 0 || eng.Stats().Captures != eng.Stats().Replays {
 				t.Errorf("fused matrix: captures=%d replays=%d, want equal and nonzero",
-					eng.Captures(), eng.Replays())
+					eng.Stats().Captures, eng.Stats().Replays)
 			}
-			if eng.Recaptures() != 0 {
-				t.Errorf("fused matrix: %d recaptures", eng.Recaptures())
+			if eng.Stats().Recaptures != 0 {
+				t.Errorf("fused matrix: %d recaptures", eng.Stats().Recaptures)
 			}
 		})
 	}
@@ -134,10 +134,10 @@ func TestExperimentGoldensWithSpillTier(t *testing.T) {
 			}
 		})
 	}
-	if eng.SpilledTraces() == 0 {
+	if eng.Stats().SpilledTraces == 0 {
 		t.Error("no capture spilled: the spill tier went unexercised")
 	}
-	if eng.CachedTraces() != 0 {
-		t.Errorf("%d captures in the memory tier despite a 1-byte budget", eng.CachedTraces())
+	if eng.Stats().CachedTraces != 0 {
+		t.Errorf("%d captures in the memory tier despite a 1-byte budget", eng.Stats().CachedTraces)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 
 	"memotable/internal/faults"
 	"memotable/internal/trace"
@@ -124,22 +123,20 @@ func (e *Engine) decodeBlocksRetrying(snap entrySnapshot) ([]traceBlock, error) 
 	return blocks, err
 }
 
-// decodeBlocks decodes a settled entry's whole stream — memory bytes or
-// spill file — into owned blocks. For spill files the frame checksums are
-// verified by the decode itself, so a torn or corrupt file fails here
-// before any event could reach a sink.
+// decodeBlocks decodes a settled entry's whole stream — memory bytes, a
+// spill file or a store entry's trace bytes — into owned blocks. For
+// disk-tier entries the frame checksums are verified by the decode
+// itself, so a torn or corrupt file fails here before any event could
+// reach a sink.
 func decodeBlocks(snap entrySnapshot) ([]traceBlock, error) {
 	var r *trace.Reader
 	if snap.state == stateDisk {
-		if err := faults.Inject(faults.SpillRead); err != nil {
-			return nil, err
-		}
-		f, err := os.Open(snap.path)
+		f, rd, err := openDisk(snap)
 		if err != nil {
 			return nil, err
 		}
 		defer func() { _ = f.Close() }()
-		if r, err = trace.NewReader(f); err != nil {
+		if r, err = trace.NewReader(rd); err != nil {
 			return nil, err
 		}
 	} else {

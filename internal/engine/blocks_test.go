@@ -58,11 +58,11 @@ func TestReplayAllMatchesSerialReplays(t *testing.T) {
 			t.Fatalf("sink %d: fused stream diverged from serial replay", i)
 		}
 	}
-	if fused.Captures() != 1 || fused.Replays() != 1 {
-		t.Fatalf("captures=%d replays=%d, want 1 and 1", fused.Captures(), fused.Replays())
+	if fused.Stats().Captures != 1 || fused.Stats().Replays != 1 {
+		t.Fatalf("captures=%d replays=%d, want 1 and 1", fused.Stats().Captures, fused.Stats().Replays)
 	}
-	if fused.ReplayedEvents() != events {
-		t.Fatalf("replayed events %d, want %d", fused.ReplayedEvents(), events)
+	if fused.Stats().ReplayedEvents != events {
+		t.Fatalf("replayed events %d, want %d", fused.Stats().ReplayedEvents, events)
 	}
 }
 
@@ -78,13 +78,13 @@ func TestDecodedBlocksSharedAcrossReplays(t *testing.T) {
 	if _, err := e.Replay("k", capture, &r1); err != nil {
 		t.Fatal(err)
 	}
-	if e.DecodedEntries() != 1 {
-		t.Fatalf("decoded entries %d after first replay, want 1", e.DecodedEntries())
+	if e.Stats().DecodedEntries != 1 {
+		t.Fatalf("decoded entries %d after first replay, want 1", e.Stats().DecodedEntries)
 	}
-	if got, want := e.DecodedBlockBytes(), int64(events)*bytesPerEvent; got != want {
+	if got, want := e.Stats().DecodedBlockBytes, int64(events)*bytesPerEvent; got != want {
 		t.Fatalf("decoded block bytes %d, want %d", got, want)
 	}
-	if e.DecodeOnceHits() != 0 {
+	if e.Stats().DecodeOnceHits != 0 {
 		t.Fatalf("first replay counted as a decode-once hit")
 	}
 
@@ -92,8 +92,8 @@ func TestDecodedBlocksSharedAcrossReplays(t *testing.T) {
 	if _, err := e.Replay("k", capture, &r2); err != nil {
 		t.Fatal(err)
 	}
-	if e.DecodeOnceHits() != 1 {
-		t.Fatalf("decode-once hits %d after second replay, want 1", e.DecodeOnceHits())
+	if e.Stats().DecodeOnceHits != 1 {
+		t.Fatalf("decode-once hits %d after second replay, want 1", e.Stats().DecodeOnceHits)
 	}
 	if !reflect.DeepEqual(r1.Events, r2.Events) {
 		t.Fatal("block-served replay diverged from decoding replay")
@@ -117,12 +117,12 @@ func TestBlockTierRespectsBudget(t *testing.T) {
 	if _, err := e.Replay("k", capture, &r2); err != nil {
 		t.Fatal(err)
 	}
-	if e.SpilledTraces() != 1 {
-		t.Fatalf("spilled=%d, want 1", e.SpilledTraces())
+	if e.Stats().SpilledTraces != 1 {
+		t.Fatalf("spilled=%d, want 1", e.Stats().SpilledTraces)
 	}
-	if e.DecodedEntries() != 0 || e.DecodedBlockBytes() != 0 {
+	if e.Stats().DecodedEntries != 0 || e.Stats().DecodedBlockBytes != 0 {
 		t.Fatalf("block tier held entries despite a 1-byte budget: %d entries, %d bytes",
-			e.DecodedEntries(), e.DecodedBlockBytes())
+			e.Stats().DecodedEntries, e.Stats().DecodedBlockBytes)
 	}
 	if !reflect.DeepEqual(r1.Events, r2.Events) {
 		t.Fatal("byte-path replays diverged")
@@ -145,8 +145,8 @@ func TestBlocksDecodedFromSpillFile(t *testing.T) {
 	if _, err := e.Replay("k", capture, &r1); err != nil {
 		t.Fatal(err)
 	}
-	if e.SpilledTraces() != 1 {
-		t.Fatalf("spilled=%d, want 1", e.SpilledTraces())
+	if e.Stats().SpilledTraces != 1 {
+		t.Fatalf("spilled=%d, want 1", e.Stats().SpilledTraces)
 	}
 
 	// Now give the block tier room: the next replay decodes the spill
@@ -156,8 +156,8 @@ func TestBlocksDecodedFromSpillFile(t *testing.T) {
 	if _, err := e.Replay("k", capture, &r2); err != nil {
 		t.Fatal(err)
 	}
-	if e.DecodedEntries() != 1 {
-		t.Fatalf("decoded entries %d, want 1 (spill decode)", e.DecodedEntries())
+	if e.Stats().DecodedEntries != 1 {
+		t.Fatalf("decoded entries %d, want 1 (spill decode)", e.Stats().DecodedEntries)
 	}
 
 	// Remove the spill file out from under the engine: block-served
@@ -176,8 +176,8 @@ func TestBlocksDecodedFromSpillFile(t *testing.T) {
 	if !reflect.DeepEqual(r1.Events, r3.Events) || !reflect.DeepEqual(r1.Events, r2.Events) {
 		t.Fatal("spill-decoded blocks diverged from the original stream")
 	}
-	if e.Captures() != 1 {
-		t.Fatalf("captures=%d, want 1 (no re-execution)", e.Captures())
+	if e.Stats().Captures != 1 {
+		t.Fatalf("captures=%d, want 1 (no re-execution)", e.Stats().Captures)
 	}
 }
 
@@ -191,25 +191,25 @@ func TestSetBlockCacheDisablesAndReleases(t *testing.T) {
 	if _, err := e.Replay("k", capture, &r); err != nil {
 		t.Fatal(err)
 	}
-	if e.DecodedEntries() != 1 {
-		t.Fatalf("decoded entries %d, want 1", e.DecodedEntries())
+	if e.Stats().DecodedEntries != 1 {
+		t.Fatalf("decoded entries %d, want 1", e.Stats().DecodedEntries)
 	}
 	e.SetBlockCache(false)
-	if e.DecodedEntries() != 0 || e.DecodedBlockBytes() != 0 {
+	if e.Stats().DecodedEntries != 0 || e.Stats().DecodedBlockBytes != 0 {
 		t.Fatal("disabling the block cache did not release blocks")
 	}
 	var r2 trace.Recorder
 	if _, err := e.Replay("k", capture, &r2); err != nil {
 		t.Fatal(err)
 	}
-	if e.DecodedEntries() != 0 {
+	if e.Stats().DecodedEntries != 0 {
 		t.Fatal("disabled block cache decoded blocks anyway")
 	}
 	e.SetBlockCache(true)
 	if _, err := e.Replay("k", capture, &r2); err != nil {
 		t.Fatal(err)
 	}
-	if e.DecodedEntries() != 1 {
+	if e.Stats().DecodedEntries != 1 {
 		t.Fatal("re-enabled block cache did not decode blocks")
 	}
 }
@@ -284,10 +284,10 @@ func TestConcurrentFusedReplaysShareOneEntry(t *testing.T) {
 			}
 		}
 	}
-	if e.Captures() != 1 {
-		t.Fatalf("captures=%d, want 1", e.Captures())
+	if e.Stats().Captures != 1 {
+		t.Fatalf("captures=%d, want 1", e.Stats().Captures)
 	}
-	if e.DecodedEntries() != 1 {
-		t.Fatalf("decoded entries %d, want 1", e.DecodedEntries())
+	if e.Stats().DecodedEntries != 1 {
+		t.Fatalf("decoded entries %d, want 1", e.Stats().DecodedEntries)
 	}
 }

@@ -115,10 +115,10 @@ func TestTenantBudgetIsolation(t *testing.T) {
 	}
 	// The first replay executes twice — the declined store attempt plus
 	// the direct re-run — and every later replay re-executes once.
-	if got := e.Captures(); got != 3 {
+	if got := e.Stats().Captures; got != 3 {
 		t.Fatalf("starved tenant executed %d captures for 2 replays, want 3 (declined)", got)
 	}
-	if e.CachedTraces() != 0 {
+	if e.Stats().CachedTraces != 0 {
 		t.Fatal("starved tenant cached a trace past its budget")
 	}
 
@@ -127,8 +127,8 @@ func TestTenantBudgetIsolation(t *testing.T) {
 	if _, err := e.ReplayAllContext(healthy, "h", emitN(300, 32), []trace.Sink{&cnt}); err != nil {
 		t.Fatalf("healthy replay: %v", err)
 	}
-	if e.CachedTraces() != 1 {
-		t.Fatalf("healthy tenant cached %d traces, want 1", e.CachedTraces())
+	if e.Stats().CachedTraces != 1 {
+		t.Fatalf("healthy tenant cached %d traces, want 1", e.Stats().CachedTraces)
 	}
 	healthyUsed := e.Budget().Used()
 
@@ -137,9 +137,9 @@ func TestTenantBudgetIsolation(t *testing.T) {
 	if _, err := e.ReplayAllContext(starved, "w", emitN(500, 64), []trace.Sink{&again}); err != nil {
 		t.Fatalf("starved replay after healthy: %v", err)
 	}
-	if e.CachedTraces() != 1 || e.Budget().Used() != healthyUsed {
+	if e.Stats().CachedTraces != 1 || e.Budget().Used() != healthyUsed {
 		t.Fatalf("starved tenant disturbed the cache: traces=%d used=%d (was %d)",
-			e.CachedTraces(), e.Budget().Used(), healthyUsed)
+			e.Stats().CachedTraces, e.Budget().Used(), healthyUsed)
 	}
 }
 
@@ -155,7 +155,7 @@ func TestDeclineRearmAcrossTenants(t *testing.T) {
 	if _, err := e.ReplayAllContext(starved, "w", emitN(400, 64), []trace.Sink{&a}); err != nil {
 		t.Fatal(err)
 	}
-	if e.CachedTraces() != 0 {
+	if e.Stats().CachedTraces != 0 {
 		t.Fatal("starved tenant cached its workload")
 	}
 
@@ -163,20 +163,20 @@ func TestDeclineRearmAcrossTenants(t *testing.T) {
 	if _, err := e.ReplayAllContext(healthy, "w", emitN(400, 64), []trace.Sink{&b}); err != nil {
 		t.Fatal(err)
 	}
-	if e.CachedTraces() != 1 {
-		t.Fatalf("healthy tenant did not re-arm the declined workload (cached=%d)", e.CachedTraces())
+	if e.Stats().CachedTraces != 1 {
+		t.Fatalf("healthy tenant did not re-arm the declined workload (cached=%d)", e.Stats().CachedTraces)
 	}
 	if a.Total() != b.Total() {
 		t.Fatalf("declined and cached replays disagree: %d vs %d events", a.Total(), b.Total())
 	}
 
 	// Now cached: further replays from either tenant serve the cache.
-	caps := e.Captures()
+	caps := e.Stats().Captures
 	var c trace.Counter
 	if _, err := e.ReplayAllContext(starved, "w", emitN(400, 64), []trace.Sink{&c}); err != nil {
 		t.Fatal(err)
 	}
-	if e.Captures() != caps {
+	if e.Stats().Captures != caps {
 		t.Fatal("replay of a cached workload re-executed it")
 	}
 }

@@ -20,11 +20,14 @@
 //     under the cache lock before bytes are buffered, so concurrent
 //     captures cannot transiently hold multiples of the budget), and a
 //     capture that outgrows the budget fails over mid-stream to a
-//     CRC-framed spill file under TraceDir. Only when both tiers are
-//     unavailable is a capture declined — and a decline is re-armed as
-//     soon as the budget grows or a spill directory appears, so raising
-//     either limit retroactively repairs earlier declines. Corrupt or
-//     torn spill files are detected by frame checksum on every replay
+//     CRC-framed spill file under TraceDir. A persistent-store hit that
+//     outgrows the budget is not captured at all: it joins the disk
+//     tier in place, pointing at the store's own sealed file, which the
+//     engine replays but never removes. Only when neither tier can hold
+//     a capture is it declined — and a decline is re-armed as soon as
+//     the budget grows or a spill directory appears, so raising either
+//     limit retroactively repairs earlier declines. Corrupt or torn
+//     disk-tier files are detected by frame checksum on every replay
 //     and transparently re-captured.
 //
 // On top of the two encoded tiers sits the decoded-block cache
@@ -40,6 +43,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sync"
@@ -76,7 +80,7 @@ const (
 	stateEmpty    entryState = iota // no usable capture; next request captures
 	stateInflight                   // one goroutine is capturing; others wait
 	stateMemory                     // encoded trace held in RAM
-	stateDisk                       // encoded trace spilled to a v2 file
+	stateDisk                       // encoded trace in a v2 file: a spill file or a store entry
 	stateDeclined                   // no tier could hold it; direct-run until re-armed
 )
 
@@ -89,8 +93,10 @@ type traceEntry struct {
 	state  entryState
 	data   []byte // stateMemory: encoded v2 trace
 	events uint64
-	path   string // stateDisk: spill file
+	path   string // stateDisk: spill file, or store entry when stored
 	disk   int64  // stateDisk: sealed spill file size (spill-tier stats)
+	body   int64  // stateDisk, stored: trace bytes in front of the entry's seal
+	stored bool   // stateDisk: path belongs to the store; the engine never removes it
 
 	// Decoded-block tier: the stream decoded once into event blocks.
 	blocks     []traceBlock
@@ -114,6 +120,8 @@ type entrySnapshot struct {
 	data   []byte
 	events uint64
 	path   string
+	body   int64
+	stored bool
 }
 
 // Engine is a bounded worker pool with an attached two-tier trace cache.
@@ -240,7 +248,8 @@ func (e *Engine) TraceDir() string {
 // workload the engine asks the store for its settled trace, and every
 // fresh capture is published back, so a store shared across processes
 // (or across runs of the same binary) makes all but the first run
-// replay-only. A nil store detaches. Store I/O is strictly an
+// replay-only; a hit the cache budget cannot hold is replayed from the
+// store's own file. A nil store detaches. Store I/O is strictly an
 // accelerator: a failed read is a miss and a failed publish is dropped —
 // neither can fail a cell.
 func (e *Engine) SetStore(st *tracestore.Store) {
@@ -312,9 +321,10 @@ func (e *Engine) end() {
 // NewIngest calls fail with ErrClosed, in-flight work is waited out, and
 // only then are the engine's spill files removed and orphaned spill temp
 // files swept from the trace directory — a live replay can never race
-// the removal of the file it is streaming. Close is idempotent: the
-// first call does the work and latches its result, later calls return
-// that same result without re-touching the filesystem.
+// the removal of the file it is streaming. Store entries the engine
+// replayed in place belong to the store and are left alone. Close is
+// idempotent: the first call does the work and latches its result, later
+// calls return that same result without re-touching the filesystem.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -330,9 +340,11 @@ func (e *Engine) Close() error {
 	var paths []string
 	for _, ent := range e.traces {
 		if ent.state == stateDisk {
-			paths = append(paths, ent.path)
+			if !ent.stored {
+				paths = append(paths, ent.path)
+			}
 			ent.state = stateEmpty
-			ent.path = ""
+			ent.path, ent.body, ent.stored = "", 0, false
 			// Blocks decoded from the removed file must not outlive it.
 			e.dropBlocksLocked(ent)
 		}
@@ -418,7 +430,8 @@ func (e *Engine) ensure(acct BudgetAccountant, key string, capture CaptureFunc) 
 	for {
 		switch ent.state {
 		case stateMemory, stateDisk:
-			snap := entrySnapshot{state: ent.state, data: ent.data, events: ent.events, path: ent.path}
+			snap := entrySnapshot{state: ent.state, data: ent.data, events: ent.events,
+				path: ent.path, body: ent.body, stored: ent.stored}
 			e.mu.Unlock()
 			return snap, nil
 		case stateDeclined:
@@ -574,9 +587,13 @@ func (e *Engine) ReplayAllContext(ctx context.Context, key string, capture Captu
 			return n, nil
 
 		case stateDisk:
+			what := "spilled trace"
+			if snap.stored {
+				what = "stored trace"
+			}
 			// Decoding into blocks verifies every frame checksum before
-			// any event reaches a sink, so a corrupt spill file detected
-			// here is re-captured transparently, exactly like the
+			// any event reaches a sink, so a corrupt file detected here is
+			// re-captured transparently, exactly like the
 			// verify-then-replay byte path below.
 			blocks, err := e.blocksFor(acct, key, snap)
 			if err != nil {
@@ -588,7 +605,7 @@ func (e *Engine) ReplayAllContext(ctx context.Context, key string, capture Captu
 			if blocks != nil {
 				n, err := e.deliverBlocks(ctx, blocks, sinks)
 				if err != nil {
-					return n, fmt.Errorf("engine: spilled trace %q: %w", key, err)
+					return n, fmt.Errorf("engine: %s %q: %w", what, key, err)
 				}
 				e.replays.Add(1)
 				e.replayedEv.Add(n)
@@ -598,22 +615,22 @@ func (e *Engine) ReplayAllContext(ctx context.Context, key string, capture Captu
 			// emitted: a corrupt or torn file must be caught while the
 			// sink is still untouched, so re-capturing stays
 			// transparent to the caller.
-			if err := e.withSpillRetry(func() error { return e.verifySpill(snap.path, snap.events) }); err != nil {
+			if err := e.withSpillRetry(func() error { return verifySpill(snap) }); err != nil {
 				if err = e.retireSpill(key, snap, attempt, err); err != nil {
 					return 0, err
 				}
 				continue
 			}
 			if err := faults.Inject(faults.SinkEmit); err != nil {
-				return 0, fmt.Errorf("engine: spilled trace %q: replay delivery: %w", key, err)
+				return 0, fmt.Errorf("engine: %s %q: replay delivery: %w", what, key, err)
 			}
-			n, err := e.replaySpill(snap, fanout)
+			n, err := replaySpill(snap, fanout)
 			if err != nil {
 				// Post-verification failure (the file changed under
 				// us): the sink has seen partial events, so a silent
 				// re-capture would double-feed it. Surface the error.
-				e.invalidateSpill(key, snap.path)
-				return n, fmt.Errorf("engine: spilled trace %q: %w: %w", key, ErrSpillIO, err)
+				e.invalidateSpill(key, snap)
+				return n, fmt.Errorf("engine: %s %q: %w: %w", what, key, ErrSpillIO, err)
 			}
 			e.replays.Add(1)
 			e.replayedEv.Add(n)
@@ -622,13 +639,13 @@ func (e *Engine) ReplayAllContext(ctx context.Context, key string, capture Captu
 	}
 }
 
-// retireSpill handles an unreadable spill file during replay: the file
-// is invalidated (the next ensure re-captures) and nil is returned so
-// the caller retries — until the attempt budget is spent, at which point
-// the failure surfaces wrapping ErrCorruptTrace (frame verification
+// retireSpill handles an unreadable disk-tier file during replay: the
+// entry is invalidated (the next ensure re-captures) and nil is returned
+// so the caller retries — until the attempt budget is spent, at which
+// point the failure surfaces wrapping ErrCorruptTrace (frame verification
 // failed) or ErrSpillIO (the file could not be read at all).
 func (e *Engine) retireSpill(key string, snap entrySnapshot, attempt int, err error) error {
-	e.invalidateSpill(key, snap.path)
+	e.invalidateSpill(key, snap)
 	if attempt < maxSpillAttempts {
 		return nil
 	}
@@ -636,7 +653,7 @@ func (e *Engine) retireSpill(key string, snap entrySnapshot, attempt int, err er
 	if errors.Is(err, trace.ErrBadTrace) {
 		kind = ErrCorruptTrace
 	}
-	return fmt.Errorf("engine: spilled trace %q unreadable after %d attempts: %w: %w", key, attempt, kind, err)
+	return fmt.Errorf("engine: disk-tier trace %q unreadable after %d attempts: %w: %w", key, attempt, kind, err)
 }
 
 // withSpillRetry runs a spill-read operation, retrying transient
@@ -658,42 +675,58 @@ func (e *Engine) withSpillRetry(op func() error) error {
 	}
 }
 
-// verifySpill checksums every frame of a spill file and checks the total
-// event count against the capture's, without emitting anything.
-func (e *Engine) verifySpill(path string, events uint64) error {
-	if err := faults.Inject(faults.SpillRead); err != nil {
-		return err
+// openDisk opens a disk-tier entry's trace stream: a spill file whole,
+// or a store entry's trace bytes, which stop at its seal trailer. The
+// spill.read injection point fires first for a spill file, store.read
+// for a store entry.
+func openDisk(snap entrySnapshot) (*os.File, io.Reader, error) {
+	point := faults.SpillRead
+	if snap.stored {
+		point = faults.StoreRead
 	}
-	f, err := os.Open(path)
+	if err := faults.Inject(point); err != nil {
+		return nil, nil, err
+	}
+	f, err := os.Open(snap.path)
+	if err != nil {
+		return nil, nil, err
+	}
+	if snap.stored {
+		return f, io.LimitReader(f, snap.body), nil
+	}
+	return f, f, nil
+}
+
+// verifySpill checksums every frame of a disk-tier entry and checks the
+// total event count against the capture's, without emitting anything.
+func verifySpill(snap entrySnapshot) error {
+	f, r, err := openDisk(snap)
 	if err != nil {
 		return err
 	}
 	defer func() { _ = f.Close() }()
-	n, err := trace.Verify(f)
+	n, err := trace.Verify(r)
 	if err != nil {
 		return err
 	}
-	if n != events {
-		return fmt.Errorf("spill holds %d of %d events", n, events)
+	if n != snap.events {
+		return fmt.Errorf("disk tier holds %d of %d events", n, snap.events)
 	}
 	return nil
 }
 
-// replaySpill streams a verified spill file into sink.
-func (e *Engine) replaySpill(snap entrySnapshot, sink trace.Sink) (uint64, error) {
-	if err := faults.Inject(faults.SpillRead); err != nil {
-		return 0, err
-	}
-	f, err := os.Open(snap.path)
+// replaySpill streams a verified disk-tier entry into sink.
+func replaySpill(snap entrySnapshot, sink trace.Sink) (uint64, error) {
+	f, r, err := openDisk(snap)
 	if err != nil {
 		return 0, err
 	}
 	defer func() { _ = f.Close() }()
-	r, err := trace.NewReader(f)
+	tr, err := trace.NewReader(r)
 	if err != nil {
 		return 0, err
 	}
-	n, err := r.ReplayBatch(sink)
+	n, err := tr.ReplayBatch(sink)
 	if err != nil {
 		return n, err
 	}
@@ -703,22 +736,26 @@ func (e *Engine) replaySpill(snap entrySnapshot, sink trace.Sink) (uint64, error
 	return n, nil
 }
 
-// invalidateSpill retires a spill file observed to be corrupt: the entry
-// returns to stateEmpty (so the next request re-captures) and the file
-// is removed. The path guard makes concurrent detections idempotent.
-func (e *Engine) invalidateSpill(key, path string) {
+// invalidateSpill retires a disk-tier entry observed to be corrupt: the
+// entry returns to stateEmpty (so the next request re-captures, or finds
+// a healed store entry) and a spill file is removed. A store entry is
+// the store's to replace, never the engine's to delete. The path guard
+// makes concurrent detections idempotent.
+func (e *Engine) invalidateSpill(key string, snap entrySnapshot) {
 	e.mu.Lock()
 	ent := e.traces[key]
-	if ent != nil && ent.state == stateDisk && ent.path == path {
+	if ent != nil && ent.state == stateDisk && ent.path == snap.path {
 		ent.state = stateEmpty
-		ent.path = ""
+		ent.path, ent.body, ent.stored = "", 0, false
 		ent.events = 0
 		ent.disk = 0
 		e.dropBlocksLocked(ent)
 		e.recaptures.Add(1)
 	}
 	e.mu.Unlock()
-	_ = os.Remove(path)
+	if !snap.stored {
+		_ = os.Remove(snap.path)
+	}
 }
 
 // runCapture executes a workload capture, converting a panicking
@@ -813,10 +850,12 @@ func (e *Engine) settleDeclined(acct BudgetAccountant, ent *traceEntry) {
 }
 
 // loadFromStore tries to settle an in-flight entry from the persistent
-// trace store. The store verifies every frame CRC before handing bytes
-// over, and the bytes are adopted into the memory tier only when the
-// byte budget covers them — an engine run with a tiny budget falls
-// through to its own capture path, whose tiers know how to stream. Any
+// trace store. The store verifies the entry's seal and every frame CRC
+// before handing anything over. An entry the byte budget covers is
+// adopted into the memory tier; one it does not cover settles as a
+// disk-tier entry that points at the store file and is replayed in
+// place. Such an entry is stored: Close and invalidation leave the file
+// to the store, and it counts as a store hit, not a spilled trace. Any
 // store failure (absent, torn, corrupt, injected fault) is a miss: the
 // caller captures, and the put that follows heals the entry.
 func (e *Engine) loadFromStore(acct BudgetAccountant, ent *traceEntry) bool {
@@ -826,20 +865,21 @@ func (e *Engine) loadFromStore(acct BudgetAccountant, ent *traceEntry) bool {
 	if st == nil {
 		return false
 	}
-	data, events, err := st.Get(ent.key)
+	hit, err := st.Lookup(ent.key, acct)
 	if err != nil {
 		return false
 	}
-	n := int64(len(data))
-	if !acct.Reserve(n) {
-		return false
-	}
 	e.mu.Lock()
-	acct.Commit(n, n)
-	e.memBytes += n
-	ent.data = data
-	ent.events = events
-	ent.state = stateMemory
+	if hit.Data != nil {
+		acct.Commit(hit.Size, hit.Size)
+		e.memBytes += hit.Size
+		ent.data = hit.Data
+		ent.state = stateMemory
+	} else {
+		ent.path, ent.body, ent.stored = hit.Path, hit.Size, true
+		ent.state = stateDisk
+	}
+	ent.events = hit.Events
 	e.cond.Broadcast()
 	e.mu.Unlock()
 	e.storeHits.Add(1)

@@ -84,10 +84,10 @@ func TestReplaySingleflight(t *testing.T) {
 			t.Fatalf("caller %d replayed %d events, want 10000", c, n)
 		}
 	}
-	if e.CachedTraces() != 1 || e.Replays() != callers || e.Captures() != 1 {
-		t.Fatalf("cached=%d replays=%d captures=%d", e.CachedTraces(), e.Replays(), e.Captures())
+	if e.Stats().CachedTraces != 1 || e.Stats().Replays != callers || e.Stats().Captures != 1 {
+		t.Fatalf("cached=%d replays=%d captures=%d", e.Stats().CachedTraces, e.Stats().Replays, e.Stats().Captures)
 	}
-	if e.CachedBytes() <= 0 {
+	if e.Stats().CachedBytes <= 0 {
 		t.Fatal("no bytes accounted for the stored trace")
 	}
 }
@@ -100,18 +100,18 @@ func TestReplayDeclinesOverBudgetAndRerunsWorkload(t *testing.T) {
 	if err != nil || n != 5000 {
 		t.Fatalf("replay: n=%d err=%v", n, err)
 	}
-	if e.CachedTraces() != 0 || e.CachedBytes() != 0 {
+	if e.Stats().CachedTraces != 0 || e.Stats().CachedBytes != 0 {
 		t.Fatalf("over-budget capture was stored: %d traces, %d bytes",
-			e.CachedTraces(), e.CachedBytes())
+			e.Stats().CachedTraces, e.Stats().CachedBytes)
 	}
 	// Subsequent requests re-run the workload, still correctly.
 	n, err = e.Replay("big", emitN(5000, 32), &cnt)
 	if err != nil || n != 5000 {
 		t.Fatalf("second replay: n=%d err=%v", n, err)
 	}
-	if e.Captures() < 3 || e.Replays() != 0 {
+	if e.Stats().Captures < 3 || e.Stats().Replays != 0 {
 		// one capture attempt during store + one direct run per Replay
-		t.Fatalf("captures=%d replays=%d", e.Captures(), e.Replays())
+		t.Fatalf("captures=%d replays=%d", e.Stats().Captures, e.Stats().Replays)
 	}
 	if cnt.Total() != 10000 {
 		t.Fatalf("sink saw %d events, want 10000", cnt.Total())
@@ -126,7 +126,7 @@ func TestWarmThenReplayServesFromCache(t *testing.T) {
 		emitN(100, 8)(s)
 	}
 	e.Warm("w", capture)
-	if executions.Load() != 1 || e.CachedTraces() != 1 {
+	if executions.Load() != 1 || e.Stats().CachedTraces != 1 {
 		t.Fatalf("warm did not capture exactly once: %d", executions.Load())
 	}
 	var rec trace.Recorder
@@ -177,7 +177,7 @@ func TestEnginePoolHammersSharedTable(t *testing.T) {
 	if got, want := parTable.Stats(), serialTable.Stats(); got != want {
 		t.Fatalf("concurrent pool stats %+v diverge from serial %+v", got, want)
 	}
-	if parEng.Captures() != 1 {
-		t.Fatalf("parallel pool executed the workload %d times, want 1", parEng.Captures())
+	if parEng.Stats().Captures != 1 {
+		t.Fatalf("parallel pool executed the workload %d times, want 1", parEng.Stats().Captures)
 	}
 }

@@ -103,12 +103,12 @@ func TestFanoutMatchesSerialAcrossSinkCounts(t *testing.T) {
 			sameEvents(t, fmt.Sprintf("%d sinks, sink %d (mask %04b)", sinkCount, i, masks[i]),
 				fout[i], sout[i])
 		}
-		if sinkCount >= 2 && fan.FanoutReplays() == 0 {
+		if sinkCount >= 2 && fan.Stats().FanoutReplays == 0 {
 			t.Fatalf("%d sinks: fan-out engine delivered serially", sinkCount)
 		}
-		if fan.DeliveredEvents() != serial.DeliveredEvents() {
+		if fan.Stats().DeliveredEvents != serial.Stats().DeliveredEvents {
 			t.Fatalf("%d sinks: delivered-event totals diverged: serial %d, fan-out %d",
-				sinkCount, serial.DeliveredEvents(), fan.DeliveredEvents())
+				sinkCount, serial.Stats().DeliveredEvents, fan.Stats().DeliveredEvents)
 		}
 	}
 }
@@ -154,9 +154,9 @@ func TestFanoutEveryMaskCombination(t *testing.T) {
 	if len(sout[combos]) != 4*blockLen {
 		t.Fatalf("MaskAll sink got %d events, want %d", len(sout[combos]), 4*blockLen)
 	}
-	if fan.MaskSkips() != serial.MaskSkips() {
+	if fan.Stats().MaskSkips != serial.Stats().MaskSkips {
 		t.Fatalf("mask-skip counts diverged: serial %d, fan-out %d",
-			serial.MaskSkips(), fan.MaskSkips())
+			serial.Stats().MaskSkips, fan.Stats().MaskSkips)
 	}
 }
 
@@ -213,7 +213,7 @@ func TestFanoutFormats(t *testing.T) {
 			sameEvents(t, fmt.Sprintf("%s sink %d", enc.name, i), fout[i], sout[i])
 		}
 		sameEvents(t, enc.name+" vs original", fout[0], want.Events)
-		if fan.FanoutReplays() == 0 {
+		if fan.Stats().FanoutReplays == 0 {
 			t.Fatalf("%s: fan-out engine delivered serially", enc.name)
 		}
 	}
@@ -253,8 +253,8 @@ func TestFanoutSpillCorruptionMatchesSerial(t *testing.T) {
 		if n != 30000 {
 			t.Fatalf("replay over corrupt spill: n=%d", n)
 		}
-		if w.execs.Load() != 2 || w.e.Recaptures() != 1 {
-			t.Fatalf("execs=%d recaptures=%d, want 2 and 1", w.execs.Load(), w.e.Recaptures())
+		if w.execs.Load() != 2 || w.e.Stats().Recaptures != 1 {
+			t.Fatalf("execs=%d recaptures=%d, want 2 and 1", w.execs.Load(), w.e.Stats().Recaptures)
 		}
 		streams[wi] = out
 	}
@@ -311,7 +311,7 @@ func TestFanoutNonComparableSinkFallsBackSerial(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReplayAll: %v", err)
 	}
-	if e.FanoutReplays() != 0 {
+	if e.Stats().FanoutReplays != 0 {
 		t.Fatal("non-comparable sink set went through the fan-out")
 	}
 	if inner1.Total() != n || inner2.Total() != n || flat.Total() != n {
@@ -338,8 +338,8 @@ func TestFanoutDuplicateSinkOccurrences(t *testing.T) {
 	fan := New(8)
 	fout := run(fan)
 	sameEvents(t, "duplicate-subscription sink", fout, sout)
-	if fan.FanoutReplays() != 1 {
-		t.Fatalf("fan-out replays = %d, want 1", fan.FanoutReplays())
+	if fan.Stats().FanoutReplays != 1 {
+		t.Fatalf("fan-out replays = %d, want 1", fan.Stats().FanoutReplays)
 	}
 }
 
@@ -356,7 +356,7 @@ func TestFanoutBudgetExhaustionFallsBackSerial(t *testing.T) {
 	if _, out := replayRecorded(t, e, "starved", capture, masks); len(out[0]) != blockLen {
 		t.Fatalf("starved replay delivered %d events", len(out[0]))
 	}
-	if e.FanoutReplays() != 0 {
+	if e.Stats().FanoutReplays != 0 {
 		t.Fatal("replay fanned out on a one-token budget")
 	}
 	e.releaseFanTokens(7)
@@ -366,8 +366,8 @@ func TestFanoutBudgetExhaustionFallsBackSerial(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("ReplayAll after release: %v", err)
 	}
-	if e.FanoutReplays() != 1 {
-		t.Fatalf("fan-out replays after token release = %d, want 1", e.FanoutReplays())
+	if e.Stats().FanoutReplays != 1 {
+		t.Fatalf("fan-out replays after token release = %d, want 1", e.Stats().FanoutReplays)
 	}
 }
 
@@ -403,12 +403,12 @@ func TestFanoutFaultPoints(t *testing.T) {
 		faults.Activate(nil)
 
 		// The pipeline must have fully torn down: a fresh replay fans out.
-		before := e.FanoutReplays()
+		before := e.Stats().FanoutReplays
 		if _, out := replayRecorded(t, e, "flt", capture, masks); len(out[0]) != 2*blockLen {
 			t.Fatalf("%s: post-fault replay delivered %d events", tc.spec, len(out[0]))
 		}
-		if e.FanoutReplays() != before+1 {
-			t.Fatalf("%s: fan-out did not recover (replays %d -> %d)", tc.spec, before, e.FanoutReplays())
+		if e.Stats().FanoutReplays != before+1 {
+			t.Fatalf("%s: fan-out did not recover (replays %d -> %d)", tc.spec, before, e.Stats().FanoutReplays)
 		}
 	}
 }
@@ -445,8 +445,8 @@ func TestFanoutProducerPanicReleasesTokens(t *testing.T) {
 	if _, err := e.ReplayAll("pp", capture, sinks); err != nil {
 		t.Fatalf("replay after producer panic: %v", err)
 	}
-	if e.FanoutReplays() != 1 {
-		t.Fatalf("fan-out replays after recovery = %d, want 1", e.FanoutReplays())
+	if e.Stats().FanoutReplays != 1 {
+		t.Fatalf("fan-out replays after recovery = %d, want 1", e.Stats().FanoutReplays)
 	}
 }
 
@@ -488,12 +488,12 @@ func TestFanoutStatsHammer(t *testing.T) {
 				return
 			default:
 			}
-			_ = e.Captures() + e.Replays() + e.Recaptures() + e.ReplayedEvents() +
-				e.DecodeOnceHits() + e.FanoutReplays() + e.RingStalls() +
-				e.DeliveredEvents() + e.MaskSkips() + e.SpillRetries() +
-				e.DegradedCaptures() + e.StoreHits() + e.StorePuts()
-			_ = e.CachedBytes() + e.DecodedBlockBytes() + int64(e.CachedTraces()) +
-				int64(e.DecodedEntries()) + int64(e.FanOut()) + int64(e.Workers())
+			_ = e.Stats().Captures + e.Stats().Replays + e.Stats().Recaptures + e.Stats().ReplayedEvents +
+				e.Stats().DecodeOnceHits + e.Stats().FanoutReplays + e.Stats().RingStalls +
+				e.Stats().DeliveredEvents + e.Stats().MaskSkips + e.Stats().SpillRetries +
+				e.Stats().DegradedCaptures + e.Stats().StoreHits + e.Stats().StorePuts
+			_ = e.Stats().CachedBytes + e.Stats().DecodedBlockBytes + int64(e.Stats().CachedTraces) +
+				int64(e.Stats().DecodedEntries) + int64(e.FanOut()) + int64(e.Workers())
 		}
 	}()
 	var wg sync.WaitGroup
@@ -520,13 +520,13 @@ func TestFanoutStatsHammer(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-readerDone
-	if e.FanoutReplays() == 0 {
+	if e.Stats().FanoutReplays == 0 {
 		t.Fatal("hammer never fanned out")
 	}
 	// Per-sink accounting must balance: six sinks saw every event of
 	// every replay, serial or fanned.
-	want := e.ReplayedEvents() * 6
-	if e.DeliveredEvents() != want {
-		t.Fatalf("delivered %d per-sink events, want %d", e.DeliveredEvents(), want)
+	want := e.Stats().ReplayedEvents * 6
+	if e.Stats().DeliveredEvents != want {
+		t.Fatalf("delivered %d per-sink events, want %d", e.Stats().DeliveredEvents, want)
 	}
 }

@@ -188,12 +188,12 @@ func TestPersistentSpillFaultDegradesToDirectRuns(t *testing.T) {
 	if cnt.Total() != 10000 {
 		t.Fatalf("sink saw %d events, want 10000", cnt.Total())
 	}
-	if e.DegradedCaptures() == 0 {
+	if e.Stats().DegradedCaptures == 0 {
 		t.Fatal("degraded-capture counter not incremented")
 	}
-	if e.CachedTraces() != 0 || e.SpilledTraces() != 0 {
+	if e.Stats().CachedTraces != 0 || e.Stats().SpilledTraces != 0 {
 		t.Fatalf("unspillable trace stored anyway: cached=%d spilled=%d",
-			e.CachedTraces(), e.SpilledTraces())
+			e.Stats().CachedTraces, e.Stats().SpilledTraces)
 	}
 }
 
@@ -211,10 +211,10 @@ func TestTransientSpillFaultRetriesAndSpills(t *testing.T) {
 	if err != nil || n != 5000 {
 		t.Fatalf("replay: n=%d err=%v", n, err)
 	}
-	if e.SpilledTraces() != 1 {
-		t.Fatalf("spilled traces = %d, want 1 after the retry", e.SpilledTraces())
+	if e.Stats().SpilledTraces != 1 {
+		t.Fatalf("spilled traces = %d, want 1 after the retry", e.Stats().SpilledTraces)
 	}
-	if e.DegradedCaptures() != 0 {
+	if e.Stats().DegradedCaptures != 0 {
 		t.Fatal("transient fault degraded the capture instead of retrying")
 	}
 }

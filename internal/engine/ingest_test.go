@@ -82,8 +82,8 @@ func TestIngestMatchesOfflineReplay(t *testing.T) {
 		if liveCnt != offCnt {
 			t.Fatalf("compress=%v: live counts %v, offline %v", compress, liveCnt, offCnt)
 		}
-		if e.IngestedEvents() != events || e.SealedIngests() != 1 {
-			t.Fatalf("compress=%v: engine counters events=%d sealed=%d", compress, e.IngestedEvents(), e.SealedIngests())
+		if e.Stats().IngestedEvents != events || e.Stats().SealedIngests != 1 {
+			t.Fatalf("compress=%v: engine counters events=%d sealed=%d", compress, e.Stats().IngestedEvents, e.Stats().SealedIngests)
 		}
 	}
 }
@@ -117,8 +117,8 @@ func TestIngestSealedBecomesWarmEntry(t *testing.T) {
 	if n, err := e.Replay("warm", mustNotRun, &rec); err != nil || n != events {
 		t.Fatalf("replay after seal: n=%d err=%v", n, err)
 	}
-	if e.Captures() != 0 || e.Replays() != 1 {
-		t.Fatalf("captures=%d replays=%d, want 0/1", e.Captures(), e.Replays())
+	if e.Stats().Captures != 0 || e.Stats().Replays != 1 {
+		t.Fatalf("captures=%d replays=%d, want 0/1", e.Stats().Captures, e.Stats().Replays)
 	}
 
 	// Cold engine sharing the store: the sealed entry is a store hit.
@@ -127,8 +127,8 @@ func TestIngestSealedBecomesWarmEntry(t *testing.T) {
 	if n, err := b.Replay("warm", mustNotRun, &trace.Counter{}); err != nil || n != events {
 		t.Fatalf("cold replay: n=%d err=%v", n, err)
 	}
-	if b.StoreHits() != 1 || b.Captures() != 0 {
-		t.Fatalf("cold engine storeHits=%d captures=%d, want 1/0", b.StoreHits(), b.Captures())
+	if b.Stats().StoreHits != 1 || b.Stats().Captures != 0 {
+		t.Fatalf("cold engine storeHits=%d captures=%d, want 1/0", b.Stats().StoreHits, b.Stats().Captures)
 	}
 }
 
@@ -151,7 +151,7 @@ func TestIngestTornTailFailsSeal(t *testing.T) {
 	if got := storeEntries(t, dir); len(got) != 0 {
 		t.Fatalf("torn session installed store entries: %v", got)
 	}
-	if e.SealedIngests() != 0 {
+	if e.Stats().SealedIngests != 0 {
 		t.Fatalf("torn session counted as sealed")
 	}
 	// The session is broken for good.
@@ -342,9 +342,9 @@ func TestIngestConcurrentWithReplayHammer(t *testing.T) {
 				return
 			default:
 			}
-			_ = e.Captures() + e.Replays() + e.Recaptures() + e.ReplayedEvents() +
-				e.StoreHits() + e.StorePuts() + e.DecodeOnceHits() +
-				e.IngestedFrames() + e.IngestedEvents() + e.SealedIngests()
+			_ = e.Stats().Captures + e.Stats().Replays + e.Stats().Recaptures + e.Stats().ReplayedEvents +
+				e.Stats().StoreHits + e.Stats().StorePuts + e.Stats().DecodeOnceHits +
+				e.Stats().IngestedFrames + e.Stats().IngestedEvents + e.Stats().SealedIngests
 		}
 	}()
 
@@ -389,10 +389,10 @@ func TestIngestConcurrentWithReplayHammer(t *testing.T) {
 	close(stop)
 	<-readerDone
 
-	if e.IngestedEvents() != events {
-		t.Fatalf("ingested events %d, want %d", e.IngestedEvents(), events)
+	if e.Stats().IngestedEvents != events {
+		t.Fatalf("ingested events %d, want %d", e.Stats().IngestedEvents, events)
 	}
-	if e.SealedIngests() != 1 {
-		t.Fatalf("sealed ingests %d, want 1", e.SealedIngests())
+	if e.Stats().SealedIngests != 1 {
+		t.Fatalf("sealed ingests %d, want 1", e.Stats().SealedIngests)
 	}
 }

@@ -64,11 +64,11 @@ func TestRunPassOrdersAndFusesReplays(t *testing.T) {
 	}
 	// The whole pass: each workload captured once and replayed once,
 	// however many subscriptions share it.
-	if e.Captures() != 3 || e.Replays() != 3 {
-		t.Errorf("captures=%d replays=%d, want 3 and 3", e.Captures(), e.Replays())
+	if e.Stats().Captures != 3 || e.Stats().Replays != 3 {
+		t.Errorf("captures=%d replays=%d, want 3 and 3", e.Stats().Captures, e.Stats().Replays)
 	}
-	if e.ReplayedEvents() != 35 {
-		t.Errorf("replayed %d events, want 35 (each stream once)", e.ReplayedEvents())
+	if e.Stats().ReplayedEvents != 35 {
+		t.Errorf("replayed %d events, want 35 (each stream once)", e.Stats().ReplayedEvents)
 	}
 }
 
@@ -134,8 +134,8 @@ func TestRunPassEmptyAndNoSinks(t *testing.T) {
 	}
 	// A sink-less subscription still warms and replays its workload once
 	// (the stream is decoded and counted, just delivered to nobody).
-	if e.Captures() != 1 {
-		t.Errorf("captures=%d, want 1", e.Captures())
+	if e.Stats().Captures != 1 {
+		t.Errorf("captures=%d, want 1", e.Stats().Captures)
 	}
 }
 
@@ -173,8 +173,8 @@ func TestRunPassConcurrentPasses(t *testing.T) {
 			t.Errorf("pass %d event counts %v, want [100 50]", g, ns)
 		}
 	}
-	if e.Captures() != 3 {
-		t.Errorf("captures=%d, want 3 (singleflight across passes)", e.Captures())
+	if e.Stats().Captures != 3 {
+		t.Errorf("captures=%d, want 3 (singleflight across passes)", e.Stats().Captures)
 	}
 }
 
@@ -321,7 +321,7 @@ func TestRunPassOverlapsChainsJoinedBySuite(t *testing.T) {
 			t.Errorf("sink saw tags %v, want %v", got, c.want)
 		}
 	}
-	if e.Captures() != 6 || e.Replays() != 6 {
-		t.Errorf("captures=%d replays=%d, want 6 and 6", e.Captures(), e.Replays())
+	if e.Stats().Captures != 6 || e.Stats().Replays != 6 {
+		t.Errorf("captures=%d replays=%d, want 6 and 6", e.Stats().Captures, e.Stats().Replays)
 	}
 }

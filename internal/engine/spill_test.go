@@ -34,8 +34,8 @@ func TestDeclinedCaptureRetriesAfterBudgetRaise(t *testing.T) {
 	if err != nil || n != 5000 {
 		t.Fatalf("declined replay: n=%d err=%v", n, err)
 	}
-	if e.CachedTraces() != 0 || e.Replays() != 0 {
-		t.Fatalf("over-budget capture was stored: cached=%d replays=%d", e.CachedTraces(), e.Replays())
+	if e.Stats().CachedTraces != 0 || e.Stats().Replays != 0 {
+		t.Fatalf("over-budget capture was stored: cached=%d replays=%d", e.Stats().CachedTraces, e.Stats().Replays)
 	}
 
 	e.SetCacheLimit(1 << 20)
@@ -44,11 +44,11 @@ func TestDeclinedCaptureRetriesAfterBudgetRaise(t *testing.T) {
 	if err != nil || n != 5000 {
 		t.Fatalf("post-raise replay: n=%d err=%v", n, err)
 	}
-	if e.CachedTraces() != 1 {
-		t.Fatalf("raised budget did not re-arm the declined capture: cached=%d", e.CachedTraces())
+	if e.Stats().CachedTraces != 1 {
+		t.Fatalf("raised budget did not re-arm the declined capture: cached=%d", e.Stats().CachedTraces)
 	}
-	if e.Replays() != 1 {
-		t.Fatalf("post-raise replay not served from cache: replays=%d", e.Replays())
+	if e.Stats().Replays != 1 {
+		t.Fatalf("post-raise replay not served from cache: replays=%d", e.Stats().Replays)
 	}
 	execsAfterRecapture := execs.Load()
 
@@ -76,7 +76,7 @@ func TestDeclinedCaptureRetriesWhenSpillTierAppears(t *testing.T) {
 	if n, err := e.Replay("k", capture, &c); err != nil || n != 5000 {
 		t.Fatalf("declined replay: n=%d err=%v", n, err)
 	}
-	if e.SpilledTraces() != 0 {
+	if e.Stats().SpilledTraces != 0 {
 		t.Fatal("spilled without a trace dir")
 	}
 
@@ -84,11 +84,11 @@ func TestDeclinedCaptureRetriesWhenSpillTierAppears(t *testing.T) {
 	if n, err := e.Replay("k", capture, &c); err != nil || n != 5000 {
 		t.Fatalf("post-spill-enable replay: n=%d err=%v", n, err)
 	}
-	if e.SpilledTraces() != 1 {
-		t.Fatalf("enabling the spill tier did not re-arm the declined capture: spilled=%d", e.SpilledTraces())
+	if e.Stats().SpilledTraces != 1 {
+		t.Fatalf("enabling the spill tier did not re-arm the declined capture: spilled=%d", e.Stats().SpilledTraces)
 	}
-	if e.Replays() != 1 {
-		t.Fatalf("replay not served from disk: replays=%d", e.Replays())
+	if e.Stats().Replays != 1 {
+		t.Fatalf("replay not served from disk: replays=%d", e.Stats().Replays)
 	}
 }
 
@@ -139,11 +139,11 @@ func TestConcurrentStoresNeverExceedBudget(t *testing.T) {
 	if violated.Load() {
 		t.Fatal("used+reserved exceeded the cache limit during concurrent stores")
 	}
-	if e.CachedBytes() > limit {
-		t.Fatalf("cached %d bytes over the %d limit", e.CachedBytes(), limit)
+	if e.Stats().CachedBytes > limit {
+		t.Fatalf("cached %d bytes over the %d limit", e.Stats().CachedBytes, limit)
 	}
-	if e.CachedTraces() != 1 {
-		t.Fatalf("budget fits exactly one capture, stored %d", e.CachedTraces())
+	if e.Stats().CachedTraces != 1 {
+		t.Fatalf("budget fits exactly one capture, stored %d", e.Stats().CachedTraces)
 	}
 	if reserved := e.budget.Reserved(); reserved != 0 {
 		t.Fatalf("%d bytes still reserved after all stores settled", reserved)
@@ -175,11 +175,11 @@ func TestOverBudgetCaptureSpillsToDisk(t *testing.T) {
 	if got := execs.Load(); got != 1 {
 		t.Fatalf("workload executed %d times, want 1 (spill tier should absorb the overflow)", got)
 	}
-	if e.Captures() != 1 || e.Replays() != 2 {
-		t.Fatalf("captures=%d replays=%d, want 1 and 2", e.Captures(), e.Replays())
+	if e.Stats().Captures != 1 || e.Stats().Replays != 2 {
+		t.Fatalf("captures=%d replays=%d, want 1 and 2", e.Stats().Captures, e.Stats().Replays)
 	}
-	if e.CachedTraces() != 0 || e.SpilledTraces() != 1 {
-		t.Fatalf("cached=%d spilled=%d, want 0 and 1", e.CachedTraces(), e.SpilledTraces())
+	if e.Stats().CachedTraces != 0 || e.Stats().SpilledTraces != 1 {
+		t.Fatalf("cached=%d spilled=%d, want 0 and 1", e.Stats().CachedTraces, e.Stats().SpilledTraces)
 	}
 	if c1 != c2 {
 		t.Fatal("disk replays diverged")
@@ -250,8 +250,8 @@ func TestTornSpillFileRecapturedTransparently(t *testing.T) {
 	if execs.Load() != 2 {
 		t.Fatalf("workload executed %d times, want 2 (one re-capture)", execs.Load())
 	}
-	if e.Recaptures() != 1 {
-		t.Fatalf("recaptures=%d, want 1", e.Recaptures())
+	if e.Stats().Recaptures != 1 {
+		t.Fatalf("recaptures=%d, want 1", e.Stats().Recaptures)
 	}
 	if newPath := spillPathOf(t, e, "big"); newPath == path {
 		t.Fatal("torn spill file was not replaced")
@@ -295,8 +295,8 @@ func TestCorruptSpillFileDetectedByCRC(t *testing.T) {
 	if err != nil || n != 30000 || c2.Total() != 30000 {
 		t.Fatalf("replay over corrupt spill: n=%d total=%d err=%v", n, c2.Total(), err)
 	}
-	if execs.Load() != 2 || e.Recaptures() != 1 {
-		t.Fatalf("execs=%d recaptures=%d, want 2 and 1", execs.Load(), e.Recaptures())
+	if execs.Load() != 2 || e.Stats().Recaptures != 1 {
+		t.Fatalf("execs=%d recaptures=%d, want 2 and 1", execs.Load(), e.Stats().Recaptures)
 	}
 }
 
@@ -311,7 +311,7 @@ func TestSpillReplayMatchesMemoryReplay(t *testing.T) {
 	if _, err := mem.Replay("k", capture, &fromMem); err != nil {
 		t.Fatal(err)
 	}
-	if mem.CachedTraces() != 1 {
+	if mem.Stats().CachedTraces != 1 {
 		t.Fatal("memory engine did not cache")
 	}
 
@@ -322,7 +322,7 @@ func TestSpillReplayMatchesMemoryReplay(t *testing.T) {
 	if _, err := disk.Replay("k", capture, &fromDisk); err != nil {
 		t.Fatal(err)
 	}
-	if disk.SpilledTraces() != 1 {
+	if disk.Stats().SpilledTraces != 1 {
 		t.Fatal("disk engine did not spill")
 	}
 
@@ -363,7 +363,7 @@ func TestSpillSingleflight(t *testing.T) {
 	if execs.Load() != 1 {
 		t.Fatalf("workload executed %d times under concurrent spill replay, want 1", execs.Load())
 	}
-	if e.Replays() != callers || e.SpilledTraces() != 1 {
-		t.Fatalf("replays=%d spilled=%d", e.Replays(), e.SpilledTraces())
+	if e.Stats().Replays != callers || e.Stats().SpilledTraces != 1 {
+		t.Fatalf("replays=%d spilled=%d", e.Stats().Replays, e.Stats().SpilledTraces)
 	}
 }

@@ -7,9 +7,8 @@ import "sort"
 // sprawl no front-end could serialize. Stats flattens the whole picture
 // into one snapshot struct — counters loaded atomically, cache-shape
 // fields read under one acquisition of the cache lock — that marshals
-// directly to JSON (flat, snake_case, CSV-friendly). The per-counter
-// getters survive as thin wrappers over the snapshot so no call site
-// breaks; new code should take one Stats() and read fields.
+// directly to JSON (flat, snake_case, CSV-friendly): take one Stats()
+// and read its fields.
 //
 // Tiers() is the structural companion: each cache layer — memory,
 // decoded blocks, spill files, the persistent store — presented through
@@ -94,7 +93,9 @@ func (e *Engine) Stats() Stats {
 		case stateMemory:
 			s.CachedTraces++
 		case stateDisk:
-			s.SpilledTraces++
+			if !ent.stored {
+				s.SpilledTraces++
+			}
 		}
 		if ent.blocks != nil {
 			s.DecodedEntries++
@@ -108,10 +109,11 @@ func (e *Engine) Stats() Stats {
 }
 
 // TraceFingerprints returns the sorted workload fingerprints of every
-// settled cache entry (memory or disk tier). This is what a fleet
-// worker's provenance chain binds its run to: the exact set of traces
-// the shard captured or adopted, independent of which tier holds them
-// or whether they came warm from the store.
+// settled cache entry (memory or disk tier, spilled or replayed in place
+// from the store). This is what a fleet worker's provenance chain binds
+// its run to: the exact set of traces the shard captured or adopted,
+// independent of which tier holds them or whether they came warm from
+// the store.
 func (e *Engine) TraceFingerprints() []string {
 	e.mu.Lock()
 	keys := make([]string, 0, len(e.traces))
@@ -214,7 +216,8 @@ func (t blockTier) Bytes() int64 {
 	return t.e.blockBytes
 }
 
-// spillTier views the disk spill files as a Tier.
+// spillTier views the disk spill files as a Tier. Store entries replayed
+// in place are the store tier's, not the spill tier's.
 type spillTier struct{ e *Engine }
 
 func (t spillTier) Name() string { return "spill" }
@@ -228,7 +231,7 @@ func (t spillTier) Bytes() int64 {
 }
 func (t spillTier) spilled() (int, int64) {
 	return t.e.countTier(
-		func(ent *traceEntry) bool { return ent.state == stateDisk },
+		func(ent *traceEntry) bool { return ent.state == stateDisk && !ent.stored },
 		func(ent *traceEntry) int64 { return ent.disk })
 }
 
@@ -254,90 +257,3 @@ func (t storeTier) Bytes() int64 {
 	b, _ := st.Bytes()
 	return b
 }
-
-// The legacy per-counter getters, kept as thin wrappers over Stats so no
-// call site breaks. New code should snapshot once with Stats().
-
-// CachedTraces returns the number of captures held in the memory tier.
-func (e *Engine) CachedTraces() int { return e.Stats().CachedTraces }
-
-// SpilledTraces returns the number of captures held in the disk tier.
-func (e *Engine) SpilledTraces() int { return e.Stats().SpilledTraces }
-
-// CachedBytes returns the encoded size of all memory-tier captures.
-func (e *Engine) CachedBytes() int64 { return e.Stats().CachedBytes }
-
-// DecodedEntries returns the number of cache entries holding decoded
-// blocks.
-func (e *Engine) DecodedEntries() int { return e.Stats().DecodedEntries }
-
-// DecodedBlockBytes returns the budget bytes held by the decoded-block
-// tier across all entries.
-func (e *Engine) DecodedBlockBytes() int64 { return e.Stats().DecodedBlockBytes }
-
-// Captures returns how many workload executions the engine has performed
-// (cache misses plus declined-to-store re-runs).
-func (e *Engine) Captures() uint64 { return e.captures.Load() }
-
-// Replays returns how many cache replays the engine has served, from
-// either tier.
-func (e *Engine) Replays() uint64 { return e.replays.Load() }
-
-// Recaptures returns how many spill files failed checksum verification
-// and were invalidated for transparent re-capture.
-func (e *Engine) Recaptures() uint64 { return e.recaptures.Load() }
-
-// DecodeOnceHits returns how many cache replays were served from shared
-// decoded blocks rather than by re-decoding encoded bytes.
-func (e *Engine) DecodeOnceHits() uint64 { return e.decodeHits.Load() }
-
-// ReplayedEvents returns the total events delivered by cache replays
-// (fused replays count their stream once, not once per sink).
-func (e *Engine) ReplayedEvents() uint64 { return e.replayedEv.Load() }
-
-// SpillRetries returns how many spill I/O operations were retried after
-// a transient failure.
-func (e *Engine) SpillRetries() uint64 { return e.spillRetry.Load() }
-
-// DegradedCaptures returns how many captures were degraded to direct
-// re-execution because their spill I/O kept failing after the bounded
-// retries. A degraded workload still produces byte-identical results —
-// it just re-executes on every replay instead of being cached.
-func (e *Engine) DegradedCaptures() uint64 { return e.degradedCap.Load() }
-
-// StoreHits returns how many cache entries were settled from the
-// persistent trace store instead of executing their workload.
-func (e *Engine) StoreHits() uint64 { return e.storeHits.Load() }
-
-// StorePuts returns how many fresh captures were published to the
-// persistent trace store.
-func (e *Engine) StorePuts() uint64 { return e.storePuts.Load() }
-
-// FanoutReplays returns how many fused replays delivered through the
-// fan-out pipeline (serial fallbacks are not counted).
-func (e *Engine) FanoutReplays() uint64 { return e.fanReplays.Load() }
-
-// RingStalls returns how many fan-out block publishes had to wait for
-// the slowest consumer — sustained stalls mean one sink is the
-// bottleneck and more fan-out workers won't help.
-func (e *Engine) RingStalls() uint64 { return e.ringStalls.Load() }
-
-// DeliveredEvents returns the per-sink delivered event total: every
-// event counted once per sink that consumed it, across block replays
-// (serial and fan-out) and ingest frame delivery. This is the fan-out's
-// throughput numerator — ReplayedEvents counts each stream once,
-// DeliveredEvents counts the work of feeding it to M sinks.
-func (e *Engine) DeliveredEvents() uint64 { return e.deliveredEv.Load() }
-
-// MaskSkips returns how many (sink, block) deliveries were skipped
-// because the sink's class mask missed every event in the block.
-func (e *Engine) MaskSkips() uint64 { return e.maskSkips.Load() }
-
-// IngestedFrames returns the frames delivered by live ingest sessions.
-func (e *Engine) IngestedFrames() uint64 { return e.ingestFrames.Load() }
-
-// IngestedEvents returns the events delivered by live ingest sessions.
-func (e *Engine) IngestedEvents() uint64 { return e.ingestEvents.Load() }
-
-// SealedIngests returns how many ingest sessions sealed cleanly.
-func (e *Engine) SealedIngests() uint64 { return e.sealedIngests.Load() }

@@ -353,8 +353,8 @@ func TestReplayFansOut(t *testing.T) {
 	if _, err := eng.ReplayAll("test|fanout", capture, []trace.Sink{a}); err != nil {
 		t.Fatal(err)
 	}
-	if eng.Captures() != 1 || eng.Replays() != 2 {
-		t.Fatalf("captures=%d replays=%d, want 1 and 2", eng.Captures(), eng.Replays())
+	if eng.Stats().Captures != 1 || eng.Stats().Replays != 2 {
+		t.Fatalf("captures=%d replays=%d, want 1 and 2", eng.Stats().Captures, eng.Stats().Replays)
 	}
 	var _ trace.Sink = a // TableSet is a Sink
 }

@@ -61,8 +61,8 @@ func TestRunUnknownNameRunsNothing(t *testing.T) {
 	if _, err := Run(eng, Tiny, "table5", "bogus"); err == nil {
 		t.Fatal("want error")
 	}
-	if eng.Captures() != 0 {
-		t.Fatalf("a failed lookup must not run anything: %d captures", eng.Captures())
+	if eng.Stats().Captures != 0 {
+		t.Fatalf("a failed lookup must not run anything: %d captures", eng.Stats().Captures)
 	}
 }
 
@@ -93,24 +93,24 @@ func TestRunFusesWholeMatrix(t *testing.T) {
 			t.Errorf("%s rendered empty", r.Name)
 		}
 	}
-	if eng.Captures() == 0 {
+	if eng.Stats().Captures == 0 {
 		t.Fatal("matrix ran no captures")
 	}
-	if eng.Captures() != eng.Replays() {
+	if eng.Stats().Captures != eng.Stats().Replays {
 		t.Errorf("captures %d != replays %d: fusion failed (a workload was replayed per-sink or re-captured)",
-			eng.Captures(), eng.Replays())
+			eng.Stats().Captures, eng.Stats().Replays)
 	}
-	if eng.Recaptures() != 0 {
-		t.Errorf("%d recaptures in a fused pass", eng.Recaptures())
+	if eng.Stats().Recaptures != 0 {
+		t.Errorf("%d recaptures in a fused pass", eng.Stats().Recaptures)
 	}
 
 	// A second identical Run replays from cache: no further captures.
-	before := eng.Captures()
+	before := eng.Stats().Captures
 	if _, err := Run(eng, Tiny, "table7", "table9"); err != nil {
 		t.Fatal(err)
 	}
-	if eng.Captures() != before {
-		t.Errorf("cached selection re-captured: %d -> %d", before, eng.Captures())
+	if eng.Stats().Captures != before {
+		t.Errorf("cached selection re-captured: %d -> %d", before, eng.Stats().Captures)
 	}
 }
 

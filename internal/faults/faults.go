@@ -91,7 +91,9 @@ const (
 	// stays valid but nothing is persisted.
 	IngestSeal = "ingest.seal"
 	// StoreRead fires before a persistent trace-store entry is opened
-	// and verified. Error mode makes the lookup a miss.
+	// and verified, and before an entry the engine replays in place is
+	// opened for verification, replay, or block decoding. Error mode
+	// makes the lookup a miss; at replay it is a transient read failure.
 	StoreRead = "store.read"
 	// StoreWrite fires before each write to a trace-store temp file.
 	StoreWrite = "store.write"

@@ -29,10 +29,12 @@
 // magic, a CRC32C over the whole body, and the body length. Frame
 // checksums alone cannot catch a file truncated at a frame boundary —
 // the stream just looks shorter — but such a cut destroys the trailer,
-// so the entry reads as a miss. Get verifies the seal and then every
-// frame CRC before a byte is handed to the engine; a corrupt or
-// truncated entry reads as a miss, and the put that follows the
-// re-capture heals it.
+// so the entry reads as a miss. Get and Lookup verify the seal and every
+// frame CRC before a byte or a path is handed to the engine; a corrupt
+// or truncated entry reads as a miss, and the put that follows the
+// re-capture heals it. Lookup serves an entry too large for the caller's
+// budget by path: it is verified by streaming, never read whole, and the
+// caller replays the trace bytes in front of the seal from disk.
 package tracestore
 
 import (
@@ -120,33 +122,119 @@ func (s *Store) entryPath(fingerprint string) string {
 // are verified before the bytes are returned, so a torn, truncated, or
 // bit-flipped entry is reported as a miss rather than replayed.
 func (s *Store) Get(fingerprint string) ([]byte, uint64, error) {
+	h, err := s.Lookup(fingerprint, nil)
+	return h.Data, h.Events, err
+}
+
+// Reserver is the slice of a byte budget Lookup charges an entry it
+// reads into memory.
+type Reserver interface {
+	// Reserve claims n bytes, or has no effect and returns false.
+	Reserve(n int64) bool
+	// Release returns reserved bytes that were never used.
+	Release(reserved, used int64)
+}
+
+// Hit is a verified store entry. Exactly one of Data and Path is set.
+type Hit struct {
+	Data   []byte // the trace bytes, when the entry was read into memory
+	Path   string // the entry file, when it was not
+	Size   int64  // the trace's length: the entry file minus its seal
+	Events uint64 // the trace's event count
+}
+
+// Lookup is Get under a byte budget. The entry file is opened once and
+// one reservation of the trace's length is taken from budget (a nil
+// budget admits everything). When the reservation succeeds the entry is
+// read into memory and verified in place; Hit.Data holds the bytes and
+// the reservation passes to the caller, who commits it. When it fails
+// the entry is verified by streaming it through a bounded buffer and
+// nothing is held: Hit.Path and Hit.Size name the file and the trace
+// bytes that lie before its seal, for the caller to replay from disk.
+// Either way the seal trailer and every frame checksum are verified
+// before Lookup returns, and a miss holds no reservation.
+func (s *Store) Lookup(fingerprint string, budget Reserver) (Hit, error) {
 	if err := faults.Inject(faults.StoreRead); err != nil {
-		return nil, 0, fmt.Errorf("%w: %w", ErrMiss, err)
+		return Hit{}, fmt.Errorf("%w: %w", ErrMiss, err)
 	}
-	data, err := os.ReadFile(s.entryPath(fingerprint))
+	path := s.entryPath(fingerprint)
+	f, err := os.Open(path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			return nil, 0, ErrMiss
+			return Hit{}, ErrMiss
 		}
-		return nil, 0, fmt.Errorf("%w: %w", ErrMiss, err)
+		return Hit{}, fmt.Errorf("%w: %w", ErrMiss, err)
 	}
-	if len(data) < trailerLen {
-		return nil, 0, fmt.Errorf("%w: entry shorter than its seal", ErrMiss)
+	defer func() { _ = f.Close() }()
+	fi, err := f.Stat()
+	if err != nil {
+		return Hit{}, fmt.Errorf("%w: %w", ErrMiss, err)
 	}
-	body, seal := data[:len(data)-trailerLen], data[len(data)-trailerLen:]
+	if fi.Size() < trailerLen {
+		return Hit{}, fmt.Errorf("%w: entry shorter than its seal", ErrMiss)
+	}
+	h := Hit{Size: fi.Size() - trailerLen}
+	if budget != nil && !budget.Reserve(h.Size) {
+		if h.Events, err = verify(f, h.Size, nil); err != nil {
+			return Hit{}, err
+		}
+		h.Path = path
+		return h, nil
+	}
+	data := make([]byte, fi.Size())
+	if _, err = io.ReadFull(f, data); err == nil {
+		h.Events, err = verify(f, h.Size, data)
+	} else {
+		err = fmt.Errorf("%w: %w", ErrMiss, err)
+	}
+	if err != nil {
+		if budget != nil {
+			budget.Release(h.Size, 0)
+		}
+		return Hit{}, err
+	}
+	h.Data = data[:h.Size]
+	return h, nil
+}
+
+// verify checks an entry whose trace is size bytes long — its seal
+// trailer, the seal's CRC32C over the trace, and every frame — and
+// returns the trace's event count. An entry read whole (data) is checked
+// where it lies; otherwise the trace is streamed from f through a
+// bounded buffer, so an entry of any size is vetted in constant memory.
+// Every failure wraps ErrMiss.
+func verify(f *os.File, size int64, data []byte) (uint64, error) {
+	seal := make([]byte, trailerLen)
+	if data != nil {
+		seal = data[size:]
+	} else if _, err := f.ReadAt(seal, size); err != nil {
+		return 0, fmt.Errorf("%w: %w", ErrMiss, err)
+	}
 	switch {
 	case string(seal[:4]) != trailerMagic:
-		return nil, 0, fmt.Errorf("%w: entry seal missing", ErrMiss)
-	case binary.LittleEndian.Uint64(seal[8:]) != uint64(len(body)):
-		return nil, 0, fmt.Errorf("%w: entry truncated", ErrMiss)
-	case crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(seal[4:]):
-		return nil, 0, fmt.Errorf("%w: entry seal CRC mismatch", ErrMiss)
+		return 0, fmt.Errorf("%w: entry seal missing", ErrMiss)
+	case binary.LittleEndian.Uint64(seal[8:]) != uint64(size):
+		return 0, fmt.Errorf("%w: entry truncated", ErrMiss)
 	}
-	events, err := trace.VerifyBytes(body)
+	want := binary.LittleEndian.Uint32(seal[4:])
+	var events uint64
+	var err error
+	if data != nil {
+		if crc32.Checksum(data[:size], castagnoli) != want {
+			return 0, fmt.Errorf("%w: entry seal CRC mismatch", ErrMiss)
+		}
+		events, err = trace.VerifyBytes(data[:size])
+	} else {
+		crc := crc32.New(castagnoli)
+		events, err = trace.Verify(io.TeeReader(io.NewSectionReader(f, 0, size), crc))
+		if err == nil && crc.Sum32() != want {
+			return 0, fmt.Errorf("%w: entry seal CRC mismatch", ErrMiss)
+		}
+	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("%w: entry corrupt: %w", ErrMiss, err)
+		return 0, fmt.Errorf("%w: entry corrupt: %w", ErrMiss, err)
 	}
-	return body, events, nil
+	return events, nil
 }
 
 // Put installs a trace for a fingerprint from its in-memory bytes.

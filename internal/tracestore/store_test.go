@@ -117,6 +117,56 @@ func TestStoreCorruptEntryIsMiss(t *testing.T) {
 	}
 }
 
+// TestLookupStreamsOverBudgetEntry reads a multi-frame entry through
+// Lookup with and without room in the budget: with room it comes back in
+// memory and holds its reservation, without it comes back by path having
+// been verified in a stream, and damage to its last frame or to its
+// seal makes both lookups a miss that holds nothing.
+func TestLookupStreamsOverBudgetEntry(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const events = 100000 // several frames, more than one read buffer
+	data := testTrace(t, events)
+	if err := s.Put("fp", data); err != nil {
+		t.Fatal(err)
+	}
+	room := &testBudget{limit: 1 << 30}
+	if h, err := s.Lookup("fp", room); err != nil || !bytes.Equal(h.Data, data) || h.Path != "" ||
+		h.Size != int64(len(data)) || h.Events != events || room.reserved != h.Size {
+		t.Fatalf("in-budget Lookup: %v, %d events, %d bytes reserved", err, h.Events, room.reserved)
+	}
+	none := &testBudget{}
+	h, err := s.Lookup("fp", none)
+	if err != nil || h.Data != nil || h.Size != int64(len(data)) || h.Events != events || none.reserved != 0 {
+		t.Fatalf("over-budget Lookup: %v, %+v", err, h)
+	}
+	if raw, err := os.ReadFile(h.Path); err != nil || !bytes.Equal(raw[:h.Size], data) {
+		t.Fatalf("over-budget Lookup path %q does not hold the trace: %v", h.Path, err)
+	}
+
+	orig, err := os.ReadFile(h.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Damage the last frame, which only the frame checks see, then the
+	// seal's CRC field, which only the seal check sees.
+	for _, off := range []int{len(orig) - trailerLen - 3, len(orig) - trailerLen + 4} {
+		raw := append([]byte(nil), orig...)
+		raw[off] ^= 0x04
+		if err := os.WriteFile(h.Path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []*testBudget{{limit: 1 << 30}, {}} {
+			if _, err := s.Lookup("fp", b); !errors.Is(err, ErrMiss) || b.reserved != 0 {
+				t.Fatalf("entry damaged at %d: Lookup (limit %d) = %v with %d bytes reserved", off, b.limit, err, b.reserved)
+			}
+		}
+	}
+}
+
 func TestStoreKeyProperties(t *testing.T) {
 	k := Key("mm|vdiff|mandrill|32")
 	if len(k) != 32 || strings.ToLower(k) != k {
