@@ -141,7 +141,7 @@ func decodeBlocks(snap entrySnapshot) ([]traceBlock, error) {
 		}
 	} else {
 		var err error
-		if r, err = trace.NewBytesReader(snap.data); err != nil {
+		if r, err = trace.NewSegmentReader(snap.data); err != nil {
 			return nil, err
 		}
 	}

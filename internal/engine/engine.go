@@ -85,13 +85,13 @@ const (
 )
 
 // traceEntry is one cache slot. All fields are guarded by Engine.mu; the
-// data slice is immutable once the entry reaches stateMemory, and the
+// data segments are immutable once the entry reaches stateMemory, and the
 // blocks slice (the decoded-block tier, blocks.go) is immutable once
 // published — concurrent replays share it read-only.
 type traceEntry struct {
 	key    string // the workload fingerprint this slot caches
 	state  entryState
-	data   []byte // stateMemory: encoded v2 trace
+	data   [][]byte // stateMemory: encoded v2 trace as frame-aligned segments
 	events uint64
 	path   string // stateDisk: spill file, or store entry when stored
 	disk   int64  // stateDisk: sealed spill file size (spill-tier stats)
@@ -117,7 +117,7 @@ type traceEntry struct {
 // works from after releasing the cache lock.
 type entrySnapshot struct {
 	state  entryState
-	data   []byte
+	data   [][]byte
 	events uint64
 	path   string
 	body   int64
@@ -571,7 +571,7 @@ func (e *Engine) ReplayAllContext(ctx context.Context, key string, capture Captu
 			if err := faults.Inject(faults.SinkEmit); err != nil {
 				return 0, fmt.Errorf("engine: cached trace %q: replay delivery: %w", key, err)
 			}
-			r, err := trace.NewBytesReader(snap.data)
+			r, err := trace.NewSegmentReader(snap.data)
 			if err != nil {
 				return 0, fmt.Errorf("engine: cached trace %q: %w", key, err)
 			}
@@ -873,7 +873,7 @@ func (e *Engine) loadFromStore(acct BudgetAccountant, ent *traceEntry) bool {
 	if hit.Data != nil {
 		acct.Commit(hit.Size, hit.Size)
 		e.memBytes += hit.Size
-		ent.data = hit.Data
+		ent.data = [][]byte{hit.Data}
 		ent.state = stateMemory
 	} else {
 		ent.path, ent.body, ent.stored = hit.Path, hit.Size, true
@@ -902,7 +902,7 @@ func (e *Engine) putToStore(ent *traceEntry) {
 	var err error
 	switch state {
 	case stateMemory:
-		err = st.Put(ent.key, data)
+		err = st.Put(ent.key, data...)
 	case stateDisk:
 		err = st.PutFile(ent.key, path)
 	default:
@@ -931,12 +931,12 @@ func (e *Engine) captureOnce(acct BudgetAccountant, ent *traceEntry, capture Cap
 	}
 
 	if err == nil && arm.mem {
-		// The whole stream fits the memory reservation: adopt it.
+		// The whole stream fits the memory reservation: adopt its slabs.
 		e.mu.Lock()
-		acct.Commit(arm.reserved, int64(arm.buf.Len()))
+		acct.Commit(arm.reserved, arm.slabs.Len())
 		arm.reserved = 0
-		e.memBytes += int64(arm.buf.Len())
-		ent.data = arm.buf.Bytes()
+		e.memBytes += arm.slabs.Len()
+		ent.data = arm.slabs.Segments()
 		ent.events = tw.Count()
 		ent.state = stateMemory
 		e.cond.Broadcast()

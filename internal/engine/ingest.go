@@ -335,7 +335,7 @@ func (e *Engine) adoptIngest(key string, data []byte, events uint64) bool {
 	}
 	e.budget.Commit(n, n)
 	e.memBytes += n
-	ent.data = data
+	ent.data = [][]byte{data}
 	ent.events = events
 	ent.state = stateMemory
 	ent.path = ""

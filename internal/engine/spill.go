@@ -1,12 +1,12 @@
 package engine
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"memotable/internal/faults"
+	"memotable/internal/trace"
 )
 
 // spillTempSuffix marks a spill file that has not been sealed yet. A
@@ -41,11 +41,14 @@ func sweepSpillOrphans(dir string) {
 //     captures share the budget instead of each transiently buffering
 //     up to the whole remainder. (The encoder's internal frame buffer
 //     is the reservation granularity: at most one ~64 KiB frame per
-//     in-flight capture sits outside the accounting.)
+//     in-flight capture sits outside the accounting.) The chunk is
+//     copied once, into the capture's frame slabs (trace.SlabWriter);
+//     the memory tier adopts those slabs as they are, so the bytes are
+//     never regrown or copied again.
 //   - The first chunk that cannot be reserved fails the capture over to
-//     a spill temp file: the buffered prefix — header plus whole frames,
-//     because WriterV2 writes frame-atomically — is flushed to the
-//     file, the reservation is released, and the rest of the stream
+//     a spill temp file: the slabs — header plus whole frames, because
+//     WriterV2 writes frame-atomically — are written to the file and
+//     freed, the reservation is released, and the rest of the stream
 //     goes straight to disk. seal later renames the completed file to
 //     its durable name.
 //   - With no spill directory set, the fail-over write fails instead,
@@ -58,7 +61,7 @@ type captureArm struct {
 	e        *Engine
 	acct     BudgetAccountant // the budget this capture reserves against
 	mem      bool             // memory tier still viable
-	buf      bytes.Buffer
+	slabs    trace.SlabWriter
 	reserved int64 // bytes this arm holds reserved in acct
 	f        *os.File
 	path     string
@@ -68,15 +71,14 @@ type captureArm struct {
 func (a *captureArm) Write(p []byte) (int, error) {
 	if a.mem {
 		if a.reserve(int64(len(p))) {
-			a.buf.Write(p)
-			return len(p), nil
+			return a.slabs.Write(p)
 		}
 		a.mem = false
 		a.release()
 		if err := a.openSpill(); err != nil {
 			return 0, err
 		}
-		a.buf = bytes.Buffer{} // prefix is on disk now; free it
+		a.slabs = trace.SlabWriter{} // prefix is on disk now; free it
 	}
 	if err := faults.Inject(faults.SpillWrite); err != nil {
 		return 0, err
@@ -103,8 +105,9 @@ func (a *captureArm) release() {
 	a.reserved = 0
 }
 
-// openSpill creates the spill temp file and seeds it with the buffered
-// stream prefix. It fails with errCacheFull when the tier is disabled.
+// openSpill creates the spill temp file and seeds it with the stream
+// prefix held in the slabs. It fails with errCacheFull when the tier is
+// disabled.
 func (a *captureArm) openSpill() error {
 	e := a.e
 	e.mu.Lock()
@@ -123,10 +126,12 @@ func (a *captureArm) openSpill() error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(a.buf.Bytes()); err != nil {
-		_ = f.Close()
-		_ = os.Remove(f.Name())
-		return err
+	for _, seg := range a.slabs.Segments() {
+		if _, err := f.Write(seg); err != nil {
+			_ = f.Close()
+			_ = os.Remove(f.Name())
+			return err
+		}
 	}
 	a.f, a.path = f, f.Name()
 	return nil

@@ -1,6 +1,10 @@
 package engine
 
-import "sort"
+import (
+	"sort"
+
+	"memotable/internal/trace"
+)
 
 // The engine's observability layer. Historically every counter grew its
 // own getter, which meant N lock round-trips for one report and a getter
@@ -191,7 +195,7 @@ func (t memoryTier) Name() string { return "memory" }
 func (t memoryTier) Entries() int {
 	n, _ := t.e.countTier(
 		func(ent *traceEntry) bool { return ent.state == stateMemory },
-		func(ent *traceEntry) int64 { return int64(len(ent.data)) })
+		func(ent *traceEntry) int64 { return trace.SegmentsLen(ent.data) })
 	return n
 }
 func (t memoryTier) Bytes() int64 {

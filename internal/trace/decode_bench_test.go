@@ -135,3 +135,41 @@ func BenchmarkDecode(b *testing.B) {
 		perEvent(b)
 	})
 }
+
+// encodeBenchSink counts the bytes a WriterV2 writes and keeps none, so
+// BenchmarkEncode times the encoder alone.
+type encodeBenchSink struct{ n int64 }
+
+func (s *encodeBenchSink) Write(p []byte) (int, error) {
+	s.n += int64(len(p))
+	return len(p), nil
+}
+
+// BenchmarkEncode measures WriterV2 per event over BenchmarkDecode's
+// generated stream, with plain and with compressed frames.
+func BenchmarkEncode(b *testing.B) {
+	evs := decodeBenchStream()
+	for _, tc := range []struct {
+		name     string
+		compress bool
+	}{{"plain", false}, {"compressed", true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			var out encodeBenchSink
+			for i := 0; i < b.N; i++ {
+				out.n = 0
+				w, err := NewWriterV2(&out, tc.compress)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, ev := range evs {
+					w.Emit(ev)
+				}
+				if err := w.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(out.n)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(evs)), "ns/event")
+		})
+	}
+}

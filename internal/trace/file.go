@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -79,8 +78,8 @@ func (w *Writer) Flush() error {
 // Reader decodes a trace stream of either format version: the header's
 // version byte selects the raw v1 event decoder or the checksummed v2
 // frame decoder. A reader over an io.Reader (NewReader) reads each v2
-// frame into one reused buffer; a reader over bytes (NewBytesReader)
-// decodes v2 frames where they lie. Errors are sticky: once Next or
+// frame into one reused buffer; a reader over bytes (NewSegmentReader,
+// NewBytesReader) decodes v2 frames where they lie. Errors are sticky: once Next or
 // ReadBatch returns one other than io.EOF, every later call returns it
 // and delivers nothing.
 type Reader struct {
@@ -91,8 +90,9 @@ type Reader struct {
 
 	// v2 frame state (filev2.go).
 	compressed bool
-	data       []byte // in-memory stream: the frames not yet parsed
-	buf        []byte // io.Reader source: the reused frame buffer
+	data       []byte   // in-memory stream: the unparsed frames of the current segment
+	segs       [][]byte // in-memory stream: the segments after data
+	buf        []byte   // io.Reader source: the reused frame buffer
 	z          inflater
 	frame      []byte // raw event bytes of the current frame
 	fpos       int
@@ -115,21 +115,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 	}
 	_, _ = br.Discard(n) // the n bytes are buffered: Peek returned them
 	return &Reader{r: br, version: version, compressed: compressed}, nil
-}
-
-// NewBytesReader validates the header of a stream held in memory and
-// prepares to decode it. A v2 stream's frames are checked and decoded
-// where they lie in data, without copying; a v1 stream is decoded as
-// NewReader decodes it. data must not change while the reader is used.
-func NewBytesReader(data []byte) (*Reader, error) {
-	version, compressed, n, err := parseStreamHeader(data)
-	if err != nil {
-		return nil, err
-	}
-	if version == formatVersion {
-		return NewReader(bytes.NewReader(data))
-	}
-	return &Reader{version: version, compressed: compressed, data: data[n:]}, nil
 }
 
 // parseStreamHeader vets the preamble at the head of p — magic, version

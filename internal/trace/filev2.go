@@ -36,7 +36,7 @@ import (
 // verifies each checksum over a bounded buffer before decoding a single
 // event from it, and a clean io.EOF is only reported at a frame
 // boundary. The per-event encoding is exactly v1's; NewReader and
-// NewBytesReader dispatch on the version byte and read either stream.
+// NewSegmentReader dispatch on the version byte and read either stream.
 
 const (
 	formatVersionV2 = 2
@@ -91,12 +91,12 @@ var ErrWriterClosed = errors.New("trace: emit on closed writer")
 // Close is an error (surfaced by the next Flush/Close/Err call) rather
 // than a silently lost frame.
 type WriterV2 struct {
-	w           io.Writer
-	frame       bytes.Buffer // raw event bytes of the open frame
-	wire        bytes.Buffer // assembled header+payload, one Write per frame
-	cbuf        bytes.Buffer // compressed payload scratch
+	w io.Writer
+	// frame is the open frame as it goes on the wire: a reserved header,
+	// filled in when the frame is sealed, then the raw event bytes.
+	frame       []byte
+	cbuf        bytes.Buffer // compressed frame: reserved header, then stored payload
 	comp        *flate.Writer
-	buf         [maxEventLen]byte
 	frameEvents uint32
 	count       uint64
 	err         error
@@ -121,7 +121,10 @@ func NewWriterV2(w io.Writer, compress bool) (*WriterV2, error) {
 	if _, err := w.Write(hdr); err != nil {
 		return nil, err
 	}
-	return &WriterV2{w: w, comp: comp}, nil
+	// Emit seals a frame once it reaches frameTarget, so one event past
+	// that is all the open frame ever holds: it never regrows.
+	frame := make([]byte, frameHeaderLen, frameHeaderLen+maxFrameRaw)
+	return &WriterV2{w: w, frame: frame, comp: comp}, nil
 }
 
 // Emit implements Sink. Encoding and write errors are deferred to Flush.
@@ -137,13 +140,16 @@ func (w *WriterV2) Emit(ev Event) {
 		return
 	}
 	w.count++
-	w.buf[0] = byte(ev.Op)
-	n := 1
-	n += binary.PutUvarint(w.buf[n:], ev.A)
-	n += binary.PutUvarint(w.buf[n:], ev.B)
-	_, _ = w.frame.Write(w.buf[:n]) // bytes.Buffer writes cannot fail
+	f := w.frame
+	n := len(f)
+	f = f[:n+maxEventLen] // room for one event, and for putUvarint's word stores
+	f[n] = byte(ev.Op)
+	n++
+	n += putUvarint(f[n:], ev.A)
+	n += putUvarint(f[n:], ev.B)
+	w.frame = f[:n]
 	w.frameEvents++
-	if w.frame.Len() >= frameTarget {
+	if len(w.frame)-frameHeaderLen >= frameTarget {
 		w.err = w.flushFrame()
 	}
 }
@@ -160,7 +166,7 @@ func (w *WriterV2) Flush() error {
 	if w.err != nil {
 		return w.err
 	}
-	if w.frame.Len() > 0 {
+	if len(w.frame) > frameHeaderLen {
 		w.err = w.flushFrame()
 	}
 	return w.err
@@ -179,37 +185,37 @@ func (w *WriterV2) Close() error {
 // ErrWriterClosed after an Emit on a closed writer.
 func (w *WriterV2) Err() error { return w.err }
 
-// flushFrame seals the open frame and writes it to the underlying writer
-// as a single Write call, so downstream writers (the engine's spill
-// fail-over, for one) observe whole frames.
+// flushFrame seals the open frame in place — its header is written into
+// the bytes reserved in front of the payload — and writes header and
+// payload to the underlying writer as a single Write call, so
+// downstream writers (the engine's capture slabs and spill fail-over,
+// for two) observe whole frames. A compressed payload is deflated
+// behind a header reserved the same way.
 func (w *WriterV2) flushFrame() error {
-	raw := w.frame.Bytes()
-	stored := raw
+	out := w.frame
 	if w.comp != nil {
 		w.cbuf.Reset()
+		_, _ = w.cbuf.Write(w.frame[:frameHeaderLen]) // reserves the header; bytes.Buffer writes cannot fail
 		w.comp.Reset(&w.cbuf)
-		if _, err := w.comp.Write(raw); err != nil {
+		if _, err := w.comp.Write(w.frame[frameHeaderLen:]); err != nil {
 			return err
 		}
 		if err := w.comp.Close(); err != nil {
 			return err
 		}
-		stored = w.cbuf.Bytes()
+		out = w.cbuf.Bytes()
 	}
-	w.wire.Reset()
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(raw)))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(stored)))
+	hdr := out[:frameHeaderLen]
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(w.frame)-frameHeaderLen))
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(out)-frameHeaderLen))
 	binary.LittleEndian.PutUint32(hdr[8:], w.frameEvents)
 	crc := crc32.Update(0, castagnoli, hdr[:12])
-	crc = crc32.Update(crc, castagnoli, stored)
+	crc = crc32.Update(crc, castagnoli, out[frameHeaderLen:])
 	binary.LittleEndian.PutUint32(hdr[12:], crc)
-	_, _ = w.wire.Write(hdr[:]) // bytes.Buffer writes cannot fail
-	_, _ = w.wire.Write(stored)
-	if _, err := w.w.Write(w.wire.Bytes()); err != nil {
+	if _, err := w.w.Write(out); err != nil {
 		return err
 	}
-	w.frame.Reset()
+	w.frame = w.frame[:frameHeaderLen]
 	w.frameEvents = 0
 	return nil
 }
@@ -331,13 +337,16 @@ func (z *inflater) payload(f frame, compressed bool) ([]byte, error) {
 }
 
 // nextFrame returns the stream's next checked frame: parsed where it
-// lies in an in-memory stream, or read from the source into the
+// lies in an in-memory stream's segment, or read from the source into the
 // reader's reused frame buffer and parsed there. It returns io.EOF only
 // at a clean frame boundary; every other defect is ErrBadTrace.
 func (r *Reader) nextFrame() (frame, error) {
 	if r.r == nil {
-		if len(r.data) == 0 {
-			return frame{}, io.EOF
+		for len(r.data) == 0 {
+			if len(r.segs) == 0 {
+				return frame{}, io.EOF
+			}
+			r.data, r.segs = r.segs[0], r.segs[1:]
 		}
 		f, err := parseFrame(r.data, r.compressed)
 		if part, ok := err.(shortFrame); ok {
@@ -458,17 +467,7 @@ func Verify(rd io.Reader) (uint64, error) {
 	return r.verify()
 }
 
-// VerifyBytes is Verify over a stream held in memory: v2 frames are
-// checked where they lie in data, without a copy.
-func VerifyBytes(data []byte) (uint64, error) {
-	r, err := NewBytesReader(data)
-	if err != nil {
-		return 0, err
-	}
-	return r.verify()
-}
-
-// verify implements Verify and VerifyBytes on a fresh reader.
+// verify implements Verify and VerifySegments on a fresh reader.
 func (r *Reader) verify() (uint64, error) {
 	if r.version == formatVersion {
 		return r.Replay(discardSink{})

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -43,12 +45,47 @@ func errClass(err error) string {
 	}
 }
 
+// frameBoundaries returns the offsets at which a v2 stream can be cut
+// into frame-aligned segments: after the stream header, and after every
+// frame whose declared size ends within data. Frames are walked by
+// their declared sizes alone, so a corrupt frame is cut where a reader
+// of the whole buffer would also take it to end.
+func frameBoundaries(data []byte) []int {
+	if len(data) < streamHeaderLen || data[4] != formatVersionV2 {
+		return nil
+	}
+	cuts := []int{streamHeaderLen}
+	for pos := streamHeaderLen; pos+frameHeaderLen <= len(data); {
+		next := pos + frameHeaderLen + int(binary.LittleEndian.Uint32(data[pos+4:]))
+		if next > len(data) {
+			break
+		}
+		cuts = append(cuts, next)
+		pos = next
+	}
+	return cuts
+}
+
+// splitAt cuts data into segments at the given ascending offsets.
+func splitAt(data []byte, cuts []int) [][]byte {
+	segs := make([][]byte, 0, len(cuts)+1)
+	prev := 0
+	for _, c := range cuts {
+		segs = append(segs, data[prev:c])
+		prev = c
+	}
+	return append(segs, data[prev:])
+}
+
 // decodeBothWays decodes data through a Reader over an io.Reader and a
 // Reader over the bytes, in batches that straddle frames, and requires
 // the same events, the same Count() and the same error class from both.
-// Verify and VerifyBytes must agree on the count and the error class
-// too, and none of the four may return an unclassified error. It
-// returns the decoded events and the decode error.
+// A v2 stream is also decoded as frame-aligned segments, cut at every
+// frame boundary and at a random subset of them, and must match the
+// reader over the bytes. Verify, VerifyBytes and VerifySegments must
+// agree on the count and the error class too, and none of them may
+// return an unclassified error. It returns the decoded events and the
+// decode error.
 func decodeBothWays(t *testing.T, data []byte) ([]Event, error) {
 	t.Helper()
 	type outcome struct {
@@ -97,6 +134,21 @@ func decodeBothWays(t *testing.T, data []byte) ([]Event, error) {
 	if n != nb || errClass(err) != errClass(errb) {
 		t.Fatalf("Verify = %d, %v; VerifyBytes = %d, %v", n, err, nb, errb)
 	}
+	if cuts := frameBoundaries(data); cuts != nil {
+		rng := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(data))))
+		some := slices.DeleteFunc(slices.Clone(cuts), func(int) bool { return rng.Intn(2) == 0 })
+		for _, segs := range [][][]byte{splitAt(data, cuts), splitAt(data, some)} {
+			seg := decode(NewSegmentReader(segs))
+			if errClass(seg.err) != errClass(inMem.err) || !slices.Equal(seg.evs, inMem.evs) || seg.count != inMem.count {
+				t.Fatalf("%d segments decoded %d events (count %d, %v), one buffer %d (count %d, %v)",
+					len(segs), len(seg.evs), seg.count, seg.err, len(inMem.evs), inMem.count, inMem.err)
+			}
+			ns, errs := VerifySegments(segs)
+			if ns != nb || errClass(errs) != errClass(errb) {
+				t.Fatalf("VerifySegments over %d segments = %d, %v; VerifyBytes = %d, %v", len(segs), ns, errs, nb, errb)
+			}
+		}
+	}
 	if errClass(viaIO.err) == "clean" && (err != nil || n != uint64(len(viaIO.evs))) {
 		t.Fatalf("clean decode of %d events, Verify = %d, %v", len(viaIO.evs), n, err)
 	}
@@ -127,8 +179,9 @@ func reencodeV2(t testing.TB, v1 []byte, compress bool) []byte {
 // FuzzTraceReader feeds arbitrary bytes to the reader: corrupt or
 // truncated input must surface ErrBadTrace (or decode cleanly), never
 // panic and never return an unclassified error. Next, ReadBatch over an
-// io.Reader and ReadBatch over bytes must deliver the same events and
-// the same error class, and Verify must agree with VerifyBytes.
+// io.Reader, ReadBatch over bytes and, for v2, ReadBatch over
+// frame-aligned segments must deliver the same events and the same
+// error class, and Verify must agree with VerifyBytes and VerifySegments.
 func FuzzTraceReader(f *testing.F) {
 	seed := readSeedTrace(f)
 	f.Add(seed)
@@ -259,14 +312,20 @@ func FuzzTraceRoundTrip(f *testing.F) {
 // either decode cleanly (flips in a varint payload can yield a different
 // but well-formed stream only when the CRC also collides — effectively
 // never) or fail with ErrBadTrace. Panics, hangs and unclassified errors
-// are the bugs being hunted. The io.Reader and in-memory decoders must
-// agree event for event, and Verify with VerifyBytes.
+// are the bugs being hunted. The io.Reader, in-memory and segmented
+// decoders must agree event for event, and Verify with VerifyBytes and
+// VerifySegments.
 func FuzzTraceV2FrameCorruption(f *testing.F) {
 	seed := readSeedTrace(f)
 	f.Add(seed[5:2048], uint32(77), false)
 	f.Add(seed[5:2048], uint32(1<<20), true)
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8}, uint32(3), false)
 	f.Add([]byte{}, uint32(0), true)
+	// 4096 events of two 9-byte operands: two frames, so the segmented
+	// decode sees more than one frame.
+	nineByte := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
+	twoFrames := bytes.Repeat(append(append([]byte{0}, nineByte...), nineByte...), 4096)
+	f.Add(twoFrames, uint32(70000), false) // flips a bit in the second frame
 	f.Fuzz(func(t *testing.T, data []byte, pos uint32, compress bool) {
 		// Derive an event stream from the raw input, as the round-trip
 		// fuzzer does, and encode it in v2.

@@ -62,9 +62,38 @@ func TestUvarintMatchesStdlib(t *testing.T) {
 	}
 }
 
+// checkPutUvarint compares putUvarint with its oracle,
+// binary.PutUvarint, on x: the same length and the same bytes.
+func checkPutUvarint(t *testing.T, x uint64) {
+	t.Helper()
+	var want, got [binary.MaxVarintLen64]byte
+	wantN := binary.PutUvarint(want[:], x)
+	gotN := putUvarint(got[:], x)
+	if gotN != wantN || string(got[:gotN]) != string(want[:wantN]) {
+		t.Fatalf("putUvarint(%#x) = % x, binary.PutUvarint = % x", x, got[:gotN], want[:wantN])
+	}
+}
+
+// TestPutUvarintMatchesStdlib checks putUvarint at both ends of every
+// encoding length and on values of random bit length.
+func TestPutUvarintMatchesStdlib(t *testing.T) {
+	for k := 0; k <= 64; k++ {
+		if k < 64 {
+			checkPutUvarint(t, 1<<k)
+		}
+		checkPutUvarint(t, 1<<k-1)
+	}
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 200000; i++ {
+		checkPutUvarint(t, rng.Uint64()>>rng.Intn(64))
+	}
+}
+
 // FuzzUvarintMatchesStdlib drives uvarint and binary.Uvarint with the
 // same arbitrary bytes (and all their prefixes) and requires the same
-// value and length, overflow and short input included.
+// value and length, overflow and short input included. It also encodes
+// the value the input's first bytes spell with putUvarint and
+// binary.PutUvarint and requires the same bytes.
 func FuzzUvarintMatchesStdlib(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
@@ -74,5 +103,12 @@ func FuzzUvarintMatchesStdlib(f *testing.F) {
 	f.Add([]byte{0xe3, 0x8f, 0xa1, 0xc4, 0xd2, 0xb7, 0x9e, 0xf3, 0x3f, 0x00, 0x05, 0x9a, 0x01, 0x00, 0x00, 0x00})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		checkUvarint(t, b)
+		var word [8]byte
+		copy(word[:], b)
+		x := binary.LittleEndian.Uint64(word[:])
+		checkPutUvarint(t, x)
+		if len(b) > 8 {
+			checkPutUvarint(t, x>>(b[8]%64))
+		}
 	})
 }

@@ -48,7 +48,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"memotable/internal/faults"
 	"memotable/internal/trace"
@@ -237,9 +236,22 @@ func verify(f *os.File, size int64, data []byte) (uint64, error) {
 	return events, nil
 }
 
-// Put installs a trace for a fingerprint from its in-memory bytes.
-func (s *Store) Put(fingerprint string, data []byte) error {
-	return s.install(fingerprint, strings.NewReader(string(data)))
+// Put installs a trace for a fingerprint from its in-memory bytes: one
+// buffer, or the frame-aligned segments an engine capture holds. The
+// segments are written to the entry file where they lie, without being
+// joined or copied.
+func (s *Store) Put(fingerprint string, segs ...[]byte) error {
+	return s.install(fingerprint, func(w io.Writer) (int64, error) {
+		var n int64
+		for _, seg := range segs {
+			m, err := w.Write(seg)
+			n += int64(m)
+			if err != nil {
+				return n, err
+			}
+		}
+		return n, nil
+	})
 }
 
 // PutFile installs a trace for a fingerprint by copying an existing
@@ -250,13 +262,14 @@ func (s *Store) PutFile(fingerprint, path string) error {
 		return fmt.Errorf("tracestore: %w", err)
 	}
 	defer func() { _ = f.Close() }()
-	return s.install(fingerprint, f)
+	return s.install(fingerprint, func(w io.Writer) (int64, error) { return io.Copy(w, f) })
 }
 
-// install streams a trace into a temp file, appends the seal trailer,
-// and atomically renames the file to the fingerprint's durable name. On
-// any failure the temp file is removed and the store is unchanged.
-func (s *Store) install(fingerprint string, r io.Reader) error {
+// install writes a trace into a temp file through write, appends the
+// seal trailer, and atomically renames the file to the fingerprint's
+// durable name. On any failure the temp file is removed and the store
+// is unchanged.
+func (s *Store) install(fingerprint string, write func(io.Writer) (int64, error)) error {
 	f, err := os.CreateTemp(s.dir, "t-*.mtrc"+tempSuffix)
 	if err != nil {
 		return fmt.Errorf("tracestore: %w", err)
@@ -271,7 +284,7 @@ func (s *Store) install(fingerprint string, r io.Reader) error {
 		return fail(err)
 	}
 	crc := crc32.New(castagnoli)
-	n, err := io.Copy(io.MultiWriter(f, crc), r)
+	n, err := write(io.MultiWriter(f, crc))
 	if err != nil {
 		return fail(err)
 	}
