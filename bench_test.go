@@ -460,26 +460,10 @@ func BenchmarkEvaluationMatrixFused(b *testing.B) { benchFusedMatrix(b, 8) }
 // threaded; compare against BenchmarkEvaluationMatrix1Worker.
 func BenchmarkEvaluationMatrixFused1Worker(b *testing.B) { benchFusedMatrix(b, 1) }
 
-// BenchmarkEvaluationMatrixNoBlockCache ablates the decoded-block tier:
-// every fused replay re-decodes the workload's encoded bytes.
-func BenchmarkEvaluationMatrixNoBlockCache(b *testing.B) {
-	benchMatrix(b, 8, func(b *testing.B, eng *memotable.Engine) {
-		eng.SetBlockCache(false)
-	})
-}
-
 // BenchmarkEvaluationMatrix1Worker is the single-threaded matrix with the
 // block tier on, isolating the decode-once win from pool parallelism.
 func BenchmarkEvaluationMatrix1Worker(b *testing.B) {
 	benchMatrix(b, 1, func(*testing.B, *memotable.Engine) {})
-}
-
-// BenchmarkEvaluationMatrix1WorkerNoBlockCache is the single-threaded
-// matrix re-decoding bytes on every replay.
-func BenchmarkEvaluationMatrix1WorkerNoBlockCache(b *testing.B) {
-	benchMatrix(b, 1, func(b *testing.B, eng *memotable.Engine) {
-		eng.SetBlockCache(false)
-	})
 }
 
 // BenchmarkEvaluationMatrixSpillTier models a full-scale run whose
@@ -508,8 +492,9 @@ func BenchmarkEvaluationMatrixDeclineTier(b *testing.B) {
 // MM workload trace (vdiff over the ablation input) swept across the 11
 // Figure 3 configurations:
 //
-//   - bytes-per-cell: block tier off, one Replay per configuration — the
-//     pre-block-cache engine's cost: 11 full varint decodes per sweep.
+//   - bytes-per-cell: a budget that holds the encoded trace but not its
+//     decoded blocks, one Replay per configuration — the pre-block-cache
+//     engine's cost: 11 full varint decodes per sweep.
 //   - blocks-per-cell: block tier on, one Replay per configuration — one
 //     decode, 11 block walks.
 //   - fused: one ReplayAll feeding all 11 configurations in a single pass
@@ -523,11 +508,17 @@ func BenchmarkReplayModes(b *testing.B) {
 		}
 		cfgs[i] = memo.Config{Entries: n, Ways: ways}
 	}
-	run := func(b *testing.B, blockCache, fused bool) {
+	run := func(b *testing.B, blocks, fused bool) {
 		capture, events := spillBenchCapture(b)
 		eng := memotable.NewEngine(1)
 		defer eng.Close()
-		eng.SetBlockCache(blockCache)
+		if err := eng.Warm("bench", capture); err != nil {
+			b.Fatal(err)
+		}
+		if !blocks {
+			// Room for the encoded bytes already held, none for blocks.
+			eng.SetCacheLimit(eng.Stats().CachedBytes)
+		}
 		var c trace.Counter
 		if _, err := eng.Replay("bench", capture, &c); err != nil {
 			b.Fatal(err)

@@ -26,7 +26,6 @@ type fleetOpts struct {
 	retries      int
 	retryBase    time.Duration
 	parallel     int
-	fanout       int
 	traceDir     string
 	store        string
 	faults       string
@@ -144,9 +143,6 @@ func workerArgs(o fleetOpts, shard int) []string {
 	}
 	if o.parallel != 0 {
 		args = append(args, "-parallel", strconv.Itoa(o.parallel))
-	}
-	if o.fanout > 0 {
-		args = append(args, "-fanout", strconv.Itoa(o.fanout))
 	}
 	if o.store != "" {
 		args = append(args, "-store", o.store)

@@ -6,7 +6,7 @@
 //
 //	memosim -list
 //	memosim [-scale tiny|quick|full] [-run all|table5,table6,...|figure4]
-//	        [-json] [-parallel N] [-fanout N] [-tracedir DIR] [-store DIR]
+//	        [-json] [-parallel N] [-tracedir DIR] [-store DIR]
 //	        [-timeout D] [-keep-going] [-faults SPEC]
 //	        [-shards N] [-shard-timeout D] [-shard-retries R]
 //	        [-cpuprofile FILE] [-memprofile FILE]
@@ -84,8 +84,6 @@ func run() int {
 		"serve the experiment engine over HTTP on this address (e.g. 127.0.0.1:8080): GET /v1/run responses are byte-identical to -run -json output for the same selection; tenants share one warm trace cache")
 	tenantBudgetFlag := flag.Int64("tenant-budget", 0,
 		"with -serve: per-tenant trace-cache byte budget, nested under the engine's global limit (0 gives every tenant the global limit)")
-	fanoutFlag := flag.Int("fanout", 0,
-		"fan-out replay budget: delivery goroutines shared by all concurrently replaying cells; 0 matches the worker count, 1 forces serial delivery")
 	shardsFlag := flag.Int("shards", 0,
 		"run the selection as a supervised fleet of this many worker processes; merged output is byte-identical to a single-process run plus a trailing provenance line (0 = single process)")
 	workerFlag := flag.Bool("worker", false,
@@ -188,7 +186,6 @@ func run() int {
 			retries:      *shardRetriesFlag,
 			retryBase:    50 * time.Millisecond,
 			parallel:     *parallelFlag,
-			fanout:       *fanoutFlag,
 			traceDir:     *traceDirFlag,
 			store:        *storeFlag,
 			faults:       spec,
@@ -201,9 +198,6 @@ func run() int {
 	// bit-identical at any worker count. Over-budget captures spill to
 	// -tracedir rather than being re-executed on every replay.
 	eng := memotable.NewEngine(*parallelFlag)
-	if *fanoutFlag > 0 {
-		eng.SetFanOut(*fanoutFlag)
-	}
 	if *traceDirFlag != "" {
 		eng.SetTraceDir(*traceDirFlag)
 	}
@@ -306,8 +300,7 @@ func engineSummary(w io.Writer, eng *memotable.Engine, st memotable.EngineStats,
 		float64(st.ReplayedEvents)/elapsed.Seconds()/1e6)
 	fmt.Fprintf(w, "engine: decoded-block cache: %d entries, %.1f MiB, %d decode-once hits\n",
 		st.DecodedEntries, float64(st.DecodedBlockBytes)/(1<<20), st.DecodeOnceHits)
-	fmt.Fprintf(w, "engine: fan-out: %d workers, %d fan-out replays, %d ring stalls; %d per-sink events delivered (%.1fM events/sec), %d mask skips\n",
-		st.FanOut, st.FanoutReplays, st.RingStalls,
+	fmt.Fprintf(w, "engine: delivery: %d per-sink events delivered (%.1fM events/sec), %d mask skips\n",
 		st.DeliveredEvents, float64(st.DeliveredEvents)/elapsed.Seconds()/1e6,
 		st.MaskSkips)
 }

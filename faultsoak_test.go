@@ -3,8 +3,7 @@ package memotable_test
 // The fault soak: the full experiment registry at 8 workers with a
 // spill tier squeezed by a tiny memory budget and a shared persistent
 // trace store, under an injected ~1% fault rate on spill writes and on
-// every store I/O edge, ~0.5% on both fan-out delivery edges (the ring
-// publish and consume points), plus exactly one panicking sink, swept
+// every store I/O edge, plus exactly one panicking sink, swept
 // over deterministic seeds. The pass must complete (no planning error),
 // every faulted cell must appear exactly once in the PassReport, every
 // experiment untouched by a fault must render byte-identically to the
@@ -50,7 +49,6 @@ func TestFaultSoak(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			plan, err := faults.Parse(fmt.Sprintf(
 				"seed=%d;engine.spill.write:p=0.01;engine.sink.emit:count=1:panic;"+
-					"replay.fanout.publish:p=0.005;replay.fanout.consume:p=0.005;"+
 					"store.read:p=0.01;store.write:p=0.01;store.rename:p=0.01", seed))
 			if err != nil {
 				t.Fatal(err)

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -32,7 +31,8 @@ const bytesPerEvent = 24
 
 // blockLen is the event capacity of one decoded block: 8192 events
 // (192 KiB) keeps a block L2-resident while amortizing per-block
-// dispatch across the sink fan-out.
+// dispatch across the sinks. The byte path decodes in batches of the
+// same length.
 const blockLen = 8192
 
 // traceBlock is one immutable decoded block plus the union mask of its
@@ -44,11 +44,11 @@ type traceBlock struct {
 }
 
 // blocksFor returns key's decoded blocks, building them on first use.
-// It returns nil (and no error) when the tier cannot serve: the block
-// cache is disabled, another goroutine is mid-decode, or the byte budget
-// has no room — callers then fall back to the byte decoder. A decode
-// failure of a disk-tier entry is returned as an error so the caller can
-// invalidate the spill file and retry; nothing has been emitted.
+// It returns nil (and no error) when the tier cannot serve: another
+// goroutine is mid-decode, or the byte budget has no room — callers then
+// fall back to the byte decoder. A decode failure of a disk-tier entry
+// is returned as an error so the caller can invalidate the spill file
+// and retry; nothing has been emitted.
 func (e *Engine) blocksFor(acct BudgetAccountant, key string, snap entrySnapshot) ([]traceBlock, error) {
 	e.mu.Lock()
 	ent := e.traces[key]
@@ -63,7 +63,7 @@ func (e *Engine) blocksFor(acct BudgetAccountant, key string, snap entrySnapshot
 		return blocks, nil
 	}
 	cost := int64(snap.events) * bytesPerEvent
-	if !e.blockCache || ent.blockBusy || !acct.Reserve(cost) {
+	if ent.blockBusy || !acct.Reserve(cost) {
 		e.mu.Unlock()
 		return nil, nil
 	}
@@ -129,22 +129,11 @@ func (e *Engine) decodeBlocksRetrying(snap entrySnapshot) ([]traceBlock, error) 
 // itself, so a torn or corrupt file fails here before any event could
 // reach a sink.
 func decodeBlocks(snap entrySnapshot) ([]traceBlock, error) {
-	var r *trace.Reader
-	if snap.state == stateDisk {
-		f, rd, err := openDisk(snap)
-		if err != nil {
-			return nil, err
-		}
-		defer func() { _ = f.Close() }()
-		if r, err = trace.NewReader(rd); err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		if r, err = trace.NewSegmentReader(snap.data); err != nil {
-			return nil, err
-		}
+	r, done, err := openSnapshot(snap)
+	if err != nil {
+		return nil, err
 	}
+	defer done()
 	blocks := make([]traceBlock, 0, snap.events/blockLen+1)
 	var decoded uint64
 	for decoded < snap.events {
@@ -159,11 +148,7 @@ func decodeBlocks(snap entrySnapshot) ([]traceBlock, error) {
 		if err != nil {
 			return nil, err
 		}
-		var mask trace.OpMask
-		for _, ev := range batch {
-			mask |= 1 << ev.Op
-		}
-		blocks = append(blocks, traceBlock{events: batch, mask: mask})
+		blocks = append(blocks, traceBlock{events: batch, mask: batchMask(batch)})
 		decoded += uint64(len(batch))
 	}
 	if decoded != snap.events {
@@ -173,36 +158,4 @@ func decodeBlocks(snap entrySnapshot) ([]traceBlock, error) {
 		return nil, fmt.Errorf("stream continues past %d declared events", snap.events)
 	}
 	return blocks, nil
-}
-
-// emitBlocks feeds every block to every sink whose class mask intersects
-// the block's, in block order — the serial fused pass over a decoded
-// stream, and the reference the fan-out path (fanout.go) must match
-// byte-for-byte. It returns the total event count of the stream.
-// Cancellation is checked between blocks (one atomic-ish Err probe per
-// 8192 events); a cancellation or an injected sink.emit fault observed
-// mid-stream returns with the sinks partially fed, so callers must
-// treat the cell as failed.
-func (e *Engine) emitBlocks(ctx context.Context, blocks []traceBlock, sinks []trace.Sink, masks []trace.OpMask) (uint64, error) {
-	var n uint64
-	for i := range blocks {
-		if ctx.Err() != nil {
-			return n, ctxErr(ctx)
-		}
-		if err := faults.Inject(faults.SinkEmit); err != nil {
-			return n, fmt.Errorf("replay delivery: %w", err)
-		}
-		b := &blocks[i]
-		n += uint64(len(b.events))
-		fed := 0
-		for j, s := range sinks {
-			if masks[j]&b.mask != 0 {
-				trace.EmitAll(s, b.events)
-				fed++
-			}
-		}
-		e.deliveredEv.Add(uint64(fed) * uint64(len(b.events)))
-		e.maskSkips.Add(uint64(len(sinks) - fed))
-	}
-	return n, nil
 }

@@ -106,9 +106,8 @@ func TestStatsSnapshotMatchesGetters(t *testing.T) {
 		t.Fatalf("snapshot cache shape %d/%d, memory tier %d/%d",
 			st.CachedTraces, st.CachedBytes, mem.Entries(), mem.Bytes())
 	}
-	if st.Workers != e.Workers() || st.FanOut != e.FanOut() {
-		t.Fatalf("snapshot workers/fanout %d/%d, getters %d/%d",
-			st.Workers, st.FanOut, e.Workers(), e.FanOut())
+	if st.Workers != e.Workers() {
+		t.Fatalf("snapshot workers %d, getter %d", st.Workers, e.Workers())
 	}
 	if st.BudgetLimit != e.Budget().Limit() || st.BudgetUsed <= 0 {
 		t.Fatalf("snapshot budget %d/%d inconsistent with root budget %d/%d",

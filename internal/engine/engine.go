@@ -36,7 +36,8 @@
 // and every later replay walks the shared blocks instead of re-decoding.
 // ReplayAll fuses a whole configuration sweep into one pass over those
 // blocks: M sinks cost one decode, and per-block class masks skip sinks
-// that consume none of a block's events.
+// that consume none of a block's events. Every path feeds its sinks
+// through one serial delivery loop (deliver.go).
 package engine
 
 import (
@@ -140,7 +141,6 @@ type Engine struct {
 	cond       *sync.Cond // broadcast when an entry leaves stateInflight
 	memBytes   int64      // bytes held by stateMemory entries
 	blockBytes int64      // bytes held by decoded-block tiers of all entries
-	blockCache bool       // decoded-block tier enabled (default true)
 	spillDir   string
 	traces     map[string]*traceEntry
 	tstore     *tracestore.Store // persistent cross-process store (nil: disabled)
@@ -151,11 +151,6 @@ type Engine struct {
 	closed   bool
 	inflight int
 	closeErr error // result of the first Close, repeated by later calls
-
-	// Fan-out replay budget (fanout.go): tokens for delivery goroutines
-	// shared by all concurrently replaying cells and ingest sessions.
-	fanWorkers int // SetFanOut; <= 1 disables fan-out
-	fanInUse   int // tokens currently held by live pipelines
 
 	// Failure-model knobs (errors.go): transient spill I/O retries.
 	retryAttempts int
@@ -172,12 +167,10 @@ type Engine struct {
 	storeHits   atomic.Uint64 // entries settled from the persistent store instead of capturing
 	storePuts   atomic.Uint64 // fresh captures published to the persistent store
 
-	// Fan-out counters (fanout.go). deliveredEv and maskSkips are
-	// written from consumer goroutines, so they must stay atomic.
-	fanReplays  atomic.Uint64 // fused replays delivered through the fan-out pipeline
-	ringStalls  atomic.Uint64 // block publishes that waited for the slowest consumer
-	deliveredEv atomic.Uint64 // events delivered per sink (blocks + ingest frames)
-	maskSkips   atomic.Uint64 // (sink, block) deliveries skipped by class mask
+	// Delivery counters (deliver.go), written by every replay and
+	// ingest session.
+	deliveredEv atomic.Uint64 // events delivered per sink
+	maskSkips   atomic.Uint64 // (sink, batch) deliveries skipped by class mask
 
 	// Live-ingest counters (ingest.go).
 	ingestFrames  atomic.Uint64 // frames delivered by ingest sessions
@@ -195,8 +188,6 @@ func New(workers int) *Engine {
 	e := &Engine{
 		workers:       workers,
 		budget:        NewBudget(DefaultCacheBytes),
-		blockCache:    true,
-		fanWorkers:    workers,
 		traces:        make(map[string]*traceEntry),
 		retryAttempts: defaultRetryAttempts,
 		retryBase:     defaultRetryBase,
@@ -263,21 +254,6 @@ func (e *Engine) Store() *tracestore.Store {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.tstore
-}
-
-// SetBlockCache enables or disables the decoded-block tier (on by
-// default). With the tier off every replay decodes the encoded bytes —
-// the ablation baseline the block benchmarks compare against. Disabling
-// the tier releases blocks already decoded.
-func (e *Engine) SetBlockCache(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.blockCache = on
-	if !on {
-		for _, ent := range e.traces {
-			e.dropBlocksLocked(ent)
-		}
-	}
 }
 
 // dropBlocksLocked releases an entry's decoded-block tier — the shared
@@ -457,7 +433,7 @@ func (e *Engine) ensure(acct BudgetAccountant, key string, capture CaptureFunc) 
 
 // Warm ensures key's trace is captured and stored (tier permitting)
 // without replaying it anywhere. Drivers call it over their workload
-// list up front so the replay fan-out never stalls a cell on a capture.
+// list up front so the replay phase never stalls a cell on a capture.
 // A failing workload surfaces here wrapping ErrCaptureFailed; the entry
 // stays re-armed, so a later Replay retries rather than inheriting the
 // fault. A closed engine fails with ErrClosed.
@@ -501,20 +477,19 @@ func (e *Engine) ReplayAll(key string, capture CaptureFunc, sinks []trace.Sink) 
 // decode of the stream, not M. The first fused replay of a key decodes
 // its bytes into the shared decoded-block tier (budget permitting) and
 // later replays of the key — fused or not — walk the blocks read-only;
-// blocks whose events all fall outside a sink's advertised class mask
-// skip that sink entirely. Every sink observes the exact event sequence
-// a serial Replay would deliver it. When the engine's fan-out budget
-// allows (SetFanOut), block delivery itself is parallelized across
-// consumer goroutines — see fanout.go; per-sink results are identical
-// either way.
+// without room for blocks the encoded bytes are decoded batch by batch.
+// Either way every batch goes through one serial delivery loop
+// (deliver.go): a batch whose events all fall outside a sink's
+// advertised class mask skips that sink, and every sink observes the
+// exact event sequence a serial Replay would deliver it.
 //
-// Cancellation is checked before the capture boundary and between
-// decoded blocks during replay; a cancellation observed mid-stream
-// returns wrapping ErrCanceled with the sinks partially fed, so the
-// caller must treat the cell as failed. Transient spill-read failures
-// are retried with backoff; a spill file that stays unreadable is
-// invalidated and transparently re-captured, and errors that survive
-// all of that wrap ErrSpillIO or ErrCorruptTrace.
+// Cancellation is checked before the capture boundary and before every
+// delivered batch; a cancellation observed mid-stream returns wrapping
+// ErrCanceled with the sinks partially fed, so the caller must treat the
+// cell as failed. Transient spill-read failures are retried with
+// backoff; a spill file that stays unreadable is invalidated and
+// transparently re-captured, and errors that survive all of that wrap
+// ErrSpillIO or ErrCorruptTrace.
 func (e *Engine) ReplayAllContext(ctx context.Context, key string, capture CaptureFunc, sinks []trace.Sink) (uint64, error) {
 	if len(sinks) == 0 {
 		return 0, nil
@@ -524,11 +499,11 @@ func (e *Engine) ReplayAllContext(ctx context.Context, key string, capture Captu
 	}
 	defer e.end()
 	acct := e.budgetFrom(ctx)
-	var fanout trace.Sink
-	if len(sinks) == 1 {
-		fanout = sinks[0]
-	} else {
-		fanout = trace.Multi(sinks)
+	masks := trace.SinkMasks(sinks)
+	replayed := func(n uint64) (uint64, error) {
+		e.replays.Add(1)
+		e.replayedEv.Add(n)
+		return n, nil
 	}
 	for attempt := 1; ; attempt++ {
 		if ctx.Err() != nil {
@@ -544,7 +519,7 @@ func (e *Engine) ReplayAllContext(ctx context.Context, key string, capture Captu
 			// through the same guarded path captures take (capture.run
 			// injection, panic recovery, capture-lock hygiene).
 			e.captures.Add(1)
-			cs := &countingSink{next: fanout}
+			cs := &countingSink{next: trace.Multi(sinks)}
 			if err := runCapture(capture, cs); err != nil {
 				return cs.n, fmt.Errorf("engine: workload %q: %w: %w", key, ErrCaptureFailed, err)
 			}
@@ -557,34 +532,20 @@ func (e *Engine) ReplayAllContext(ctx context.Context, key string, capture Captu
 				// failing to decode them is a programming error.
 				return 0, fmt.Errorf("engine: cached trace %q: %w", key, err)
 			}
+			var n uint64
 			if blocks != nil {
-				n, err := e.deliverBlocks(ctx, blocks, sinks)
-				if err != nil {
-					return n, fmt.Errorf("engine: cached trace %q: %w", key, err)
+				n, err = e.emitBlocks(ctx, blocks, sinks, masks)
+			} else {
+				var readErr error
+				n, readErr, err = e.replayBytes(ctx, snap, sinks, masks)
+				if err == nil {
+					err = readErr
 				}
-				e.replays.Add(1)
-				e.replayedEv.Add(n)
-				return n, nil
 			}
-			// No room for blocks: one batched decode pass feeds the
-			// whole fan-out.
-			if err := faults.Inject(faults.SinkEmit); err != nil {
-				return 0, fmt.Errorf("engine: cached trace %q: replay delivery: %w", key, err)
-			}
-			r, err := trace.NewSegmentReader(snap.data)
-			if err != nil {
-				return 0, fmt.Errorf("engine: cached trace %q: %w", key, err)
-			}
-			n, err := r.ReplayBatch(fanout)
 			if err != nil {
 				return n, fmt.Errorf("engine: cached trace %q: %w", key, err)
 			}
-			if n != snap.events {
-				return n, fmt.Errorf("engine: cached trace %q replayed %d of %d events", key, n, snap.events)
-			}
-			e.replays.Add(1)
-			e.replayedEv.Add(n)
-			return n, nil
+			return replayed(n)
 
 		case stateDisk:
 			what := "spilled trace"
@@ -603,13 +564,11 @@ func (e *Engine) ReplayAllContext(ctx context.Context, key string, capture Captu
 				continue
 			}
 			if blocks != nil {
-				n, err := e.deliverBlocks(ctx, blocks, sinks)
+				n, err := e.emitBlocks(ctx, blocks, sinks, masks)
 				if err != nil {
 					return n, fmt.Errorf("engine: %s %q: %w", what, key, err)
 				}
-				e.replays.Add(1)
-				e.replayedEv.Add(n)
-				return n, nil
+				return replayed(n)
 			}
 			// Verify every frame checksum before the first event is
 			// emitted: a corrupt or torn file must be caught while the
@@ -621,20 +580,18 @@ func (e *Engine) ReplayAllContext(ctx context.Context, key string, capture Captu
 				}
 				continue
 			}
-			if err := faults.Inject(faults.SinkEmit); err != nil {
-				return 0, fmt.Errorf("engine: %s %q: replay delivery: %w", what, key, err)
-			}
-			n, err := replaySpill(snap, fanout)
+			n, readErr, err := e.replayBytes(ctx, snap, sinks, masks)
 			if err != nil {
+				return n, fmt.Errorf("engine: %s %q: %w", what, key, err)
+			}
+			if readErr != nil {
 				// Post-verification failure (the file changed under
 				// us): the sink has seen partial events, so a silent
 				// re-capture would double-feed it. Surface the error.
 				e.invalidateSpill(key, snap)
-				return n, fmt.Errorf("engine: %s %q: %w: %w", what, key, ErrSpillIO, err)
+				return n, fmt.Errorf("engine: %s %q: %w: %w", what, key, ErrSpillIO, readErr)
 			}
-			e.replays.Add(1)
-			e.replayedEv.Add(n)
-			return n, nil
+			return replayed(n)
 		}
 	}
 }
@@ -697,6 +654,25 @@ func openDisk(snap entrySnapshot) (*os.File, io.Reader, error) {
 	return f, f, nil
 }
 
+// openSnapshot opens a settled entry's encoded stream for decoding: its
+// memory-tier segments in place, or its disk-tier file. done releases
+// the file (a no-op for memory).
+func openSnapshot(snap entrySnapshot) (r *trace.Reader, done func(), err error) {
+	if snap.state != stateDisk {
+		r, err = trace.NewSegmentReader(snap.data)
+		return r, func() {}, err
+	}
+	f, rd, err := openDisk(snap)
+	if err != nil {
+		return nil, nil, err
+	}
+	if r, err = trace.NewReader(rd); err != nil {
+		_ = f.Close()
+		return nil, nil, err
+	}
+	return r, func() { _ = f.Close() }, nil
+}
+
 // verifySpill checksums every frame of a disk-tier entry and checks the
 // total event count against the capture's, without emitting anything.
 func verifySpill(snap entrySnapshot) error {
@@ -713,27 +689,6 @@ func verifySpill(snap entrySnapshot) error {
 		return fmt.Errorf("disk tier holds %d of %d events", n, snap.events)
 	}
 	return nil
-}
-
-// replaySpill streams a verified disk-tier entry into sink.
-func replaySpill(snap entrySnapshot, sink trace.Sink) (uint64, error) {
-	f, r, err := openDisk(snap)
-	if err != nil {
-		return 0, err
-	}
-	defer func() { _ = f.Close() }()
-	tr, err := trace.NewReader(r)
-	if err != nil {
-		return 0, err
-	}
-	n, err := tr.ReplayBatch(sink)
-	if err != nil {
-		return n, err
-	}
-	if n != snap.events {
-		return n, fmt.Errorf("replayed %d of %d events", n, snap.events)
-	}
-	return n, nil
 }
 
 // invalidateSpill retires a disk-tier entry observed to be corrupt: the

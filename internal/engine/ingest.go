@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -12,11 +13,11 @@ import (
 // Live trace ingestion. The capture/replay pipeline above assumes the
 // whole operand stream exists before the first sink sees an event — the
 // engine runs the workload, the encoding settles into a tier, replays
-// fan it out. An IngestSession inverts that: an external producer pushes
-// encoded v2 bytes as it generates them (over a socket, a pipe, a file
-// tail), the session decodes complete frames incrementally
-// (trace.StreamDecoder) and feeds each one through the same fused sink
-// fan-out a ReplayAll would use, so MEMO-TABLE banks simulate the
+// feed it to the sinks. An IngestSession inverts that: an external
+// producer pushes encoded v2 bytes as it generates them (over a socket,
+// a pipe, a file tail), the session decodes complete frames incrementally
+// (trace.StreamDecoder) and feeds each one through the same delivery
+// loop a ReplayAll uses (deliver.go), so MEMO-TABLE banks simulate the
 // workload while it is still running. When the producer finishes, Seal
 // verifies the stream ended at a clean frame boundary and settles the
 // accumulated bytes exactly where a local capture would have gone: the
@@ -48,10 +49,10 @@ type IngestStats struct {
 
 // IngestOptions configures a live ingest session.
 type IngestOptions struct {
-	// Sinks is the replay fan-out fed as frames arrive. Frames are
-	// delivered in one fused pass with per-frame class masks, exactly
-	// like ReplayAll's block delivery: a sink whose advertised OpMask
-	// has no class in a frame skips that frame.
+	// Sinks are fed as frames arrive. Frames are delivered in one fused
+	// pass with per-frame class masks, exactly like ReplayAll's block
+	// delivery: a sink whose advertised OpMask has no class in a frame
+	// skips that frame.
 	Sinks []trace.Sink
 
 	// SnapshotEvery invokes OnSnapshot each time the delivered event
@@ -89,16 +90,9 @@ type IngestSession struct {
 	e     *Engine
 	key   string
 	dec   *trace.StreamDecoder
-	fan   []trace.Sink
+	sinks []trace.Sink
 	masks []trace.OpMask
 	opts  IngestOptions
-
-	// Fan-out delivery (fanout.go): built lazily on the first frame when
-	// the engine's budget allows, torn down at Seal or on failure. While
-	// live, frames are broadcast to the pipe's consumers and flushed
-	// before the decoder may reuse its frame buffer.
-	pipe      *sinkFanout
-	pipeTried bool
 
 	raw      []byte // retained stream bytes, nil after overflow
 	overflow bool
@@ -117,11 +111,11 @@ func (e *Engine) NewIngest(key string, opts IngestOptions) *IngestSession {
 		opts.RetainLimit = DefaultIngestRetain
 	}
 	s := &IngestSession{
-		e:    e,
-		key:  key,
-		dec:  trace.NewStreamDecoder(),
-		fan:  opts.Sinks,
-		opts: opts,
+		e:     e,
+		key:   key,
+		dec:   trace.NewStreamDecoder(),
+		sinks: opts.Sinks,
+		opts:  opts,
 	}
 	s.masks = trace.SinkMasks(opts.Sinks)
 	if opts.SnapshotEvery > 0 {
@@ -145,29 +139,12 @@ func (s *IngestSession) Stats() IngestStats {
 // Err returns the session's latched failure, nil while healthy.
 func (s *IngestSession) Err() error { return s.err }
 
-// fail latches the session's first failure and returns it wrapped. A
-// live fan-out pipeline is torn down first, so a broken session never
-// strands consumer goroutines or fan-out tokens.
+// fail latches the session's first failure and returns it wrapped.
 func (s *IngestSession) fail(err error) error {
-	if s.pipe != nil {
-		s.pipe.abort(fmt.Errorf("%w: %w", ErrIngestBroken, err))
-		s.teardownPipe()
-	}
 	if s.err == nil {
 		s.err = fmt.Errorf("%w: %w", ErrIngestBroken, err)
 	}
 	return s.err
-}
-
-// teardownPipe closes the fan-out pipeline, returning its latched error
-// (nil after a clean life). Safe to call with no pipe.
-func (s *IngestSession) teardownPipe() error {
-	if s.pipe == nil {
-		return nil
-	}
-	err := s.pipe.close()
-	s.pipe = nil
-	return err
 }
 
 // Feed pushes arriving stream bytes and delivers every frame they
@@ -224,44 +201,16 @@ func (s *IngestSession) drain() error {
 	}
 }
 
-// deliver fans one decoded frame out to the sinks, skipping sinks whose
-// class mask misses every event in the frame — the per-frame analogue of
-// emitBlocks's per-block masking. When the engine's fan-out budget
-// allows, delivery goes through the same pipeline a block replay uses:
-// the frame is broadcast to per-sink-group consumers and flushed before
-// returning, because the stream decoder reuses the frame buffer on the
-// next decode — and because OnSnapshot's contract ("after the crossing
-// frame has been delivered") requires the sinks settled.
+// deliver feeds one decoded frame to the sinks through the engine's
+// delivery loop, which skips sinks whose class mask misses every event
+// in the frame. Delivery is done when it returns, before the stream
+// decoder reuses the frame buffer and before OnSnapshot runs.
 func (s *IngestSession) deliver(evs []trace.Event) error {
 	if ferr := faults.Inject(faults.IngestFrame); ferr != nil {
 		return s.fail(fmt.Errorf("frame delivery: %w", ferr))
 	}
-	var mask trace.OpMask
-	for i := range evs {
-		mask |= 1 << evs[i].Op
-	}
-	if !s.pipeTried {
-		s.pipeTried = true
-		s.pipe = s.e.newSinkFanout(s.fan, s.masks)
-	}
-	if s.pipe != nil {
-		err := s.pipe.publish(trace.Block{Events: evs, Mask: mask})
-		if err == nil {
-			err = s.pipe.flush()
-		}
-		if err != nil {
-			return s.fail(fmt.Errorf("frame delivery: %w", err))
-		}
-	} else {
-		fed := 0
-		for i, sink := range s.fan {
-			if s.masks[i]&mask != 0 {
-				trace.EmitAll(sink, evs)
-				fed++
-			}
-		}
-		s.e.deliveredEv.Add(uint64(fed) * uint64(len(evs)))
-		s.e.maskSkips.Add(uint64(len(s.fan) - fed))
+	if err := s.e.deliver(context.TODO(), s.sinks, s.masks, evs, batchMask(evs)); err != nil {
+		return s.fail(fmt.Errorf("frame delivery: %w", err))
 	}
 	s.e.ingestFrames.Add(1)
 	s.e.ingestEvents.Add(uint64(len(evs)))
@@ -290,13 +239,6 @@ func (s *IngestSession) Seal() (IngestResult, error) {
 	// torn/corrupt tail — ErrStreamOpen can no longer occur.
 	if err := s.drain(); err != nil {
 		return IngestResult{Stats: s.Stats()}, err
-	}
-	// Every frame was flushed through the pipeline as it was delivered,
-	// so this teardown is a formality — but a consumer abort racing the
-	// final flush would surface here, and the sinks must be settled
-	// before the stream is adopted as a warm entry.
-	if err := s.teardownPipe(); err != nil {
-		return IngestResult{Stats: s.Stats()}, s.fail(fmt.Errorf("frame delivery: %w", err))
 	}
 	res := IngestResult{Stats: s.Stats(), Retained: !s.overflow}
 	if ferr := faults.Inject(faults.IngestSeal); ferr != nil {

@@ -321,7 +321,7 @@ func TestIngestFaultPoints(t *testing.T) {
 }
 
 // TestIngestConcurrentWithReplayHammer is the -race audit of the rolling
-// counters: a live ingest session, a replay fan-out on other keys, and a
+// counters: a live ingest session, fused replays of other keys, and a
 // stats reader all run concurrently against one engine.
 func TestIngestConcurrentWithReplayHammer(t *testing.T) {
 	data, events := encodeStream(t, emitN(40000, 64), true)

@@ -140,7 +140,7 @@ func (e *Engine) RunPassContext(ctx context.Context, subs []Subscription) (*Pass
 	linkSinks(nodes, order)
 
 	// Warm phase: every capture runs (once, singleflighted) before any
-	// replay, so the replay fan-out never stalls a chain on a capture.
+	// replay, so the replay phase never stalls a chain on a capture.
 	// Warm failures are deliberately dropped here — the replay phase is
 	// authoritative and will observe (and attribute) the same failure, or
 	// succeed outright if the fault was transient.

@@ -25,7 +25,6 @@ import (
 // (cached/spilled/decoded, budget) describe the instant of the call.
 type Stats struct {
 	Workers int `json:"workers"`
-	FanOut  int `json:"fanout"`
 
 	// Capture/replay pipeline.
 	Captures         uint64 `json:"captures"`
@@ -38,11 +37,18 @@ type Stats struct {
 	StoreHits        uint64 `json:"store_hits"`
 	StorePuts        uint64 `json:"store_puts"`
 
-	// Fan-out delivery.
-	FanoutReplays   uint64 `json:"fanout_replays"`
-	RingStalls      uint64 `json:"ring_stalls"`
+	// Delivery (deliver.go): per-sink events fed, and (sink, batch)
+	// deliveries skipped by class mask.
 	DeliveredEvents uint64 `json:"delivered_events"`
 	MaskSkips       uint64 `json:"mask_skips"`
+
+	// FanoutReplays always reads 0: replays no longer fan out to
+	// delivery goroutines. memobench reads it; the field goes with the
+	// next benchmark change.
+	FanoutReplays uint64 `json:"fanout_replays"`
+	// RingStalls always reads 0, for the same reason and with the same
+	// fate as FanoutReplays.
+	RingStalls uint64 `json:"ring_stalls"`
 
 	// Live ingest.
 	IngestedFrames uint64 `json:"ingested_frames"`
@@ -79,8 +85,6 @@ func (e *Engine) Stats() Stats {
 		DegradedCaptures: e.degradedCap.Load(),
 		StoreHits:        e.storeHits.Load(),
 		StorePuts:        e.storePuts.Load(),
-		FanoutReplays:    e.fanReplays.Load(),
-		RingStalls:       e.ringStalls.Load(),
 		DeliveredEvents:  e.deliveredEv.Load(),
 		MaskSkips:        e.maskSkips.Load(),
 		IngestedFrames:   e.ingestFrames.Load(),
@@ -89,7 +93,6 @@ func (e *Engine) Stats() Stats {
 		SealedIngests:    e.sealedIngests.Load(),
 	}
 	e.mu.Lock()
-	s.FanOut = e.fanWorkers
 	s.CachedBytes = e.memBytes
 	s.DecodedBlockBytes = e.blockBytes
 	for _, ent := range e.traces {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -370,6 +371,45 @@ func TestStoreHitOverBudgetReadFault(t *testing.T) {
 				t.Fatalf("%s: the engine removed the store entry: %v", label, err)
 			}
 		}
+	}
+}
+
+// cancelOnFirstBatch records events and cancels its context when the
+// first batch arrives.
+type cancelOnFirstBatch struct {
+	rec    *trace.Recorder
+	cancel context.CancelFunc
+}
+
+func (s cancelOnFirstBatch) Emit(ev trace.Event) { s.EmitBatch([]trace.Event{ev}) }
+func (s cancelOnFirstBatch) EmitBatch(evs []trace.Event) {
+	s.cancel()
+	s.rec.EmitBatch(evs)
+}
+
+// TestStoreHitOverBudgetCancelMidStream cancels the context from inside
+// the sink while an over-budget store hit replays in place from the
+// bytes: the replay stops at the next batch and reports the
+// cancellation, rather than feeding the rest of the stream.
+func TestStoreHitOverBudgetCancelMidStream(t *testing.T) {
+	dir := t.TempDir()
+	const events = 4 * blockLen
+	seedStore(t, dir, "big", emitN(events, 32))
+	e, capture, execs := overBudget(t, dir, emitN(events, 32))
+	defer e.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var rec trace.Recorder
+	n, err := e.ReplayAllContext(ctx, "big", capture, []trace.Sink{cancelOnFirstBatch{rec: &rec, cancel: cancel}})
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want one wrapping ErrCanceled", err)
+	}
+	if len(rec.Events) == 0 || len(rec.Events) >= events || uint64(len(rec.Events)) != n {
+		t.Fatalf("sink received %d events (n=%d), want some but fewer than %d", len(rec.Events), n, events)
+	}
+	if st := e.Stats(); st.StoreHits != 1 || execs.Load() != 0 || st.DecodedEntries != 0 {
+		t.Fatalf("%d store hits, %d executions, %d decoded entries; want an in-place replay from the bytes",
+			st.StoreHits, execs.Load(), st.DecodedEntries)
 	}
 }
 

@@ -64,20 +64,11 @@ const (
 	// Error mode makes the decoded-block tier unavailable for that
 	// replay (it falls back to the byte path); panic mode panics.
 	BlockDecode = "engine.block.decode"
-	// SinkEmit fires during replay delivery: once per decoded block on
-	// the block path (serial or fan-out), once per stream on the byte
-	// paths. Panic mode simulates a panicking measurement sink.
+	// SinkEmit fires once per batch delivered to a replay's or an
+	// ingest session's sinks: each decoded block, each batch decoded
+	// from the memory tier or a disk-tier file, each ingest frame.
+	// Panic mode simulates a panicking measurement sink.
 	SinkEmit = "engine.sink.emit"
-	// FanoutPublish fires on the producer side of a fan-out replay,
-	// before each block is broadcast to the consumer ring. Error mode
-	// fails the replay mid-stream; panic mode unwinds the producer
-	// through the replay's panic isolation.
-	FanoutPublish = "replay.fanout.publish"
-	// FanoutConsume fires on each fan-out consumer goroutine, once per
-	// block it receives. Both modes abort the ring: the producer's replay
-	// fails with the consumer's error, exactly as a panicking sink would
-	// fail a serial replay.
-	FanoutConsume = "replay.fanout.consume"
 	// IngestFeed fires on each chunk of bytes fed into a live ingest
 	// session. Error mode fails the feed, aborting the session as a
 	// dropped connection would.
@@ -130,7 +121,7 @@ const (
 func Points() []string {
 	pts := []string{
 		CaptureRun, SpillCreate, SpillWrite, SpillRename, SpillRead,
-		FrameCRC, BlockDecode, SinkEmit, FanoutPublish, FanoutConsume,
+		FrameCRC, BlockDecode, SinkEmit,
 		IngestFeed, IngestFrame, IngestSeal,
 		StoreRead, StoreWrite, StoreRename,
 		ServiceAdmit, ServiceRun, ServiceRender,

@@ -65,11 +65,9 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{name: "memosim_engine_store_hits_total", help: "Cache entries settled from the persistent trace store.", typ: "counter", value: float64(es.StoreHits)},
 		{name: "memosim_engine_store_puts_total", help: "Fresh captures published to the persistent trace store.", typ: "counter", value: float64(es.StorePuts)},
 
-		// Fan-out delivery counters.
-		{name: "memosim_engine_fanout_replays_total", help: "Fused replays delivered through the fan-out pipeline.", typ: "counter", value: float64(es.FanoutReplays)},
-		{name: "memosim_engine_ring_stalls_total", help: "Fan-out publishes that waited on the slowest consumer.", typ: "counter", value: float64(es.RingStalls)},
+		// Delivery counters.
 		{name: "memosim_engine_delivered_events_total", help: "Per-sink delivered events across replay and ingest.", typ: "counter", value: float64(es.DeliveredEvents)},
-		{name: "memosim_engine_mask_skips_total", help: "Sink/block deliveries skipped by class-mask mismatch.", typ: "counter", value: float64(es.MaskSkips)},
+		{name: "memosim_engine_mask_skips_total", help: "Sink/batch deliveries skipped by class-mask mismatch.", typ: "counter", value: float64(es.MaskSkips)},
 
 		// Live-ingest counters.
 		{name: "memosim_engine_ingested_frames_total", help: "Frames delivered by live ingest sessions.", typ: "counter", value: float64(es.IngestedFrames)},
@@ -79,7 +77,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 		// Engine shape gauges.
 		{name: "memosim_engine_workers", help: "Engine worker-pool size.", typ: "gauge", value: float64(es.Workers)},
-		{name: "memosim_engine_fanout_workers", help: "Fan-out delivery goroutine budget.", typ: "gauge", value: float64(es.FanOut)},
 		{name: "memosim_engine_cached_traces", help: "Captures resident in the memory tier.", typ: "gauge", value: float64(es.CachedTraces)},
 		{name: "memosim_engine_spilled_traces", help: "Captures resident in the disk tier.", typ: "gauge", value: float64(es.SpilledTraces)},
 		{name: "memosim_engine_cached_bytes", help: "Encoded bytes held by the memory tier.", typ: "gauge", value: float64(es.CachedBytes)},

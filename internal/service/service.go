@@ -90,7 +90,7 @@ type Service struct {
 }
 
 // New builds a Service over an engine the caller constructed (workers,
-// trace dir, store and fan-out already configured). The Service owns
+// trace dir and store already configured). The Service owns
 // the engine from here: Close closes it.
 func New(eng *engine.Engine, cfg Config) *Service {
 	if cfg.MaxInflight <= 0 {

@@ -2,9 +2,9 @@ package trace
 
 // Sink grouping helpers for fused replay planners: a planner collects
 // several subscriptions' sink groups for one workload and needs a single
-// fan-out list plus the per-sink class masks to drive block skipping.
+// sink list plus the per-sink class masks to drive block skipping.
 
-// Flatten concatenates sink groups into one fan-out list, preserving
+// Flatten concatenates sink groups into one sink list, preserving
 // group order and the order within each group. Duplicates are kept: a
 // sink subscribed through two groups is owed two deliveries.
 func Flatten(groups ...[]Sink) []Sink {
@@ -29,36 +29,17 @@ func SinkMasks(sinks []Sink) []OpMask {
 	return masks
 }
 
-// FanoutGrouper is implemented by sinks that want co-scheduling in a
-// fan-out replay: sinks of one fused pass sharing the same non-empty
-// group key are fed by the same consumer goroutine. Planners use it to
-// keep a cheap sink (a narrow-mask observer that skips most blocks) from
-// occupying a fan-out worker of its own. A sink without the method — or
-// returning "" — is scheduled independently.
+// FanoutGrouper is the method set of a sink that asked for a fan-out
+// affinity key. Replays no longer fan out, so the engine never calls
+// it. memobench reads it; it goes with the next benchmark change.
 type FanoutGrouper interface {
 	FanoutGroup() string
 }
 
-// GroupedSink tags a sink with a fan-out affinity key. It forwards
-// everything to the wrapped sink and advertises the sink's own class
-// mask, so grouping never changes what the sink observes — only which
-// goroutine feeds it. Construct with Grouped.
+// GroupedSink was a sink tagged with a fan-out affinity key. Nothing in
+// this module builds one any more. memobench reads it; it goes with the
+// next benchmark change.
 type GroupedSink struct {
 	Sink
 	Key string
 }
-
-// Grouped wraps a sink with a fan-out affinity key (see FanoutGrouper).
-// The wrapper is comparable exactly when the wrapped sink is, which the
-// fan-out's identity grouping relies on.
-func Grouped(key string, s Sink) GroupedSink { return GroupedSink{Sink: s, Key: key} }
-
-// FanoutGroup implements FanoutGrouper.
-func (g GroupedSink) FanoutGroup() string { return g.Key }
-
-// EmitBatch implements BatchSink by forwarding whole blocks, so the
-// wrapper does not demote a batch-aware sink to per-event delivery.
-func (g GroupedSink) EmitBatch(evs []Event) { EmitAll(g.Sink, evs) }
-
-// OpMask implements OpMasker with the wrapped sink's advertised mask.
-func (g GroupedSink) OpMask() OpMask { return SinkMask(g.Sink) }

@@ -110,10 +110,10 @@ func NewSharedStriped(op Op, cfg Config, ports, stripes int) *Shared {
 // every table configuration — from memory within the byte budget
 // (Engine.SetCacheLimit), from CRC-framed spill files on disk beyond it
 // (Engine.SetTraceDir), and from decoded event blocks shared across
-// replays of the same workload (Engine.SetBlockCache, on by default).
+// replays of the same workload when the budget also has room for them.
 // Engine.ReplayAll feeds several configurations' sinks in one pass over
-// the stream. Experiment output is bit-identical at any worker count,
-// spill on or off, block cache on or off.
+// the stream. Experiment output is bit-identical at any worker count and
+// budget, spill on or off.
 type Engine = engine.Engine
 
 // CaptureFunc runs a workload, emitting its operand trace into a sink;
@@ -147,7 +147,7 @@ var ErrIngestBroken = engine.ErrIngestBroken
 // LiveBank bundles the rolling instruments of a live ingest session —
 // MEMO-TABLE banks, a cycle tally priced on baseline and memo-enhanced
 // machines, and a bounded-memory reuse-ratio sketch — behind one sink
-// fan-out with typed report snapshots.
+// list with typed report snapshots.
 type LiveBank = experiments.LiveBank
 
 // NewLiveBank builds a live bank with the paper's study defaults (the
