@@ -467,22 +467,12 @@ func BenchmarkEvaluationMatrix1Worker(b *testing.B) {
 }
 
 // BenchmarkEvaluationMatrixSpillTier models a full-scale run whose
-// captures overflow memory with the disk tier available: a 1-byte budget
-// forces every trace into a spill file, and all replays stream from
-// disk.
+// captures overflow memory: a 1-byte budget forces every trace into a
+// scratch store entry, and all replays stream from disk.
 func BenchmarkEvaluationMatrixSpillTier(b *testing.B) {
 	benchMatrix(b, 8, func(b *testing.B, eng *memotable.Engine) {
 		eng.SetCacheLimit(1)
 		eng.SetTraceDir(b.TempDir())
-	})
-}
-
-// BenchmarkEvaluationMatrixDeclineTier models the same overflow on PR
-// 1's engine: no disk tier, so every replay request re-executes its
-// workload under the process-wide capture lock.
-func BenchmarkEvaluationMatrixDeclineTier(b *testing.B) {
-	benchMatrix(b, 8, func(b *testing.B, eng *memotable.Engine) {
-		eng.SetCacheLimit(1)
 	})
 }
 
@@ -550,8 +540,8 @@ func BenchmarkReplayModes(b *testing.B) {
 }
 
 // spillBenchCapture is a real MM workload (vdiff over the ablation
-// input), so the decline path below pays what it pays in practice: the
-// imaging kernel re-executes, not just a stream re-emission.
+// input), so a capture pays what it pays in practice: the imaging
+// kernel executes, not just a stream re-emission.
 func spillBenchCapture(b *testing.B) (memotable.CaptureFunc, uint64) {
 	b.Helper()
 	app, err := workloads.Lookup("vdiff")
@@ -569,8 +559,8 @@ func spillBenchCapture(b *testing.B) (memotable.CaptureFunc, uint64) {
 }
 
 // BenchmarkEngineSpillReplay measures the disk tier on a real workload:
-// the capture exceeds the memory budget and every request streams from a
-// CRC-framed spill file (verify pass + frame decode).
+// the capture exceeds the memory budget and every request streams from
+// its CRC-framed store entry (verify pass + frame decode).
 func BenchmarkEngineSpillReplay(b *testing.B) {
 	capture, events := spillBenchCapture(b)
 	eng := memotable.NewEngine(1)
@@ -588,29 +578,6 @@ func BenchmarkEngineSpillReplay(b *testing.B) {
 	if eng.Stats().SpilledTraces != 1 {
 		b.Fatal("capture did not spill")
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
-	}
-	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
-// BenchmarkEngineDeclineReexecute measures the path spilling replaces:
-// the capture is declined for space and every request re-executes the
-// workload under the process-wide capture lock — PR 1's only recourse
-// when a trace outgrew the budget.
-func BenchmarkEngineDeclineReexecute(b *testing.B) {
-	capture, events := spillBenchCapture(b)
-	eng := memotable.NewEngine(1)
-	eng.SetCacheLimit(1) // decline every capture; no spill tier
-	run := func() {
-		var c trace.Counter
-		n, err := eng.Replay("bench", capture, &c)
-		if err != nil || n != events {
-			b.Fatalf("replay: n=%d want=%d err=%v", n, events, err)
-		}
-	}
-	run()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()

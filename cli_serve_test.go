@@ -23,7 +23,7 @@ import (
 func startServeDaemon(t *testing.T, args ...string) (string, *exec.Cmd) {
 	t.Helper()
 	cmd := exec.Command(cliBin(t, "memosim"),
-		append([]string{"-serve", "127.0.0.1:0", "-tracedir", t.TempDir()}, args...)...)
+		append([]string{"-serve", "127.0.0.1:0"}, args...)...)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func startServeDaemon(t *testing.T, args ...string) (string, *exec.Cmd) {
 func TestServeDaemonMatchesOfflineJSON(t *testing.T) {
 	// Offline reference bytes for the same selection.
 	offline, stderr, code := runCLI(t, nil, cliBin(t, "memosim"),
-		"-scale", "tiny", "-run", "table5,figure4", "-json", "-tracedir", t.TempDir())
+		"-scale", "tiny", "-run", "table5,figure4", "-json")
 	if code != 0 {
 		t.Fatalf("offline run exited %d: %s", code, stderr)
 	}

@@ -177,8 +177,7 @@ func TestMemosimCLI(t *testing.T) {
 		t.Skip("builds and executes command binaries")
 	}
 	bin := cliBin(t, "memosim")
-	tracedir := t.TempDir()
-	base := []string{"-scale", "tiny", "-tracedir", tracedir, "-run", "table5"}
+	base := []string{"-scale", "tiny", "-run", "table5"}
 
 	t.Run("usage errors", func(t *testing.T) {
 		for _, tc := range []struct {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"time"
 
@@ -26,7 +25,6 @@ type fleetOpts struct {
 	retries      int
 	retryBase    time.Duration
 	parallel     int
-	traceDir     string
 	store        string
 	faults       string
 }
@@ -65,7 +63,7 @@ func runFleet(o fleetOpts) int {
 		Retries:   o.retries,
 		RetryBase: o.retryBase,
 		Stderr:    os.Stderr,
-		Args:      func(shard int) []string { return workerArgs(o, shard) },
+		Args:      func(int) []string { return workerArgs(o) },
 	}
 	start := time.Now()
 	rep, err := fleet.Run(ctx, cfg)
@@ -132,15 +130,10 @@ func runFleet(o fleetOpts) int {
 }
 
 // workerArgs forwards the run-shaping flags to a shard's worker. The
-// spill directory is always passed explicitly — per-shard when enabled,
-// empty when disabled — because concurrent workers must never share a
-// spill directory (each sweeps orphaned temp files on startup), while
-// the content-addressed -store is designed for exactly that sharing.
-func workerArgs(o fleetOpts, shard int) []string {
-	args := []string{"-tracedir", ""}
-	if o.traceDir != "" {
-		args[1] = filepath.Join(o.traceDir, "shard-"+strconv.Itoa(shard))
-	}
+// content-addressed -store is shared by every worker; each worker's
+// overflow scratch store is its own.
+func workerArgs(o fleetOpts) []string {
+	var args []string
 	if o.parallel != 0 {
 		args = append(args, "-parallel", strconv.Itoa(o.parallel))
 	}

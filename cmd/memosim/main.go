@@ -6,7 +6,7 @@
 //
 //	memosim -list
 //	memosim [-scale tiny|quick|full] [-run all|table5,table6,...|figure4]
-//	        [-json] [-parallel N] [-tracedir DIR] [-store DIR]
+//	        [-json] [-parallel N] [-store DIR]
 //	        [-timeout D] [-keep-going] [-faults SPEC]
 //	        [-shards N] [-shard-timeout D] [-shard-retries R]
 //	        [-cpuprofile FILE] [-memprofile FILE]
@@ -48,7 +48,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -68,8 +67,6 @@ func run() int {
 	jsonFlag := flag.Bool("json", false, "emit results as a JSON array instead of text tables")
 	parallelFlag := flag.Int("parallel", 0,
 		"experiment engine workers: 1 is serial, 0 selects GOMAXPROCS")
-	traceDirFlag := flag.String("tracedir", filepath.Join(os.TempDir(), "memosim-traces"),
-		"spill directory for operand traces that exceed the in-memory cache budget; empty disables the disk tier")
 	storeFlag := flag.String("store", "",
 		"persistent trace-store directory shared across runs and processes: workloads already stored there replay without executing, fresh captures are published back (empty disables)")
 	timeoutFlag := flag.Duration("timeout", 0,
@@ -77,7 +74,7 @@ func run() int {
 	keepGoingFlag := flag.Bool("keep-going", false,
 		"print partial results and exit 2 when workload cells fail, instead of aborting with exit 1")
 	faultsFlag := flag.String("faults", "",
-		"fault-injection spec (testing), e.g. 'seed=1;engine.spill.write:p=0.01'; overrides $FAULTS")
+		"fault-injection spec (testing), e.g. 'seed=1;store.write:p=0.01'; overrides $FAULTS")
 	ingestFlag := flag.String("ingest", "",
 		"replay a v2 trace file through the live-ingest instruments and print the final snapshot (offline comparator for tracecap -listen)")
 	serveFlag := flag.String("serve", "",
@@ -186,7 +183,6 @@ func run() int {
 			retries:      *shardRetriesFlag,
 			retryBase:    50 * time.Millisecond,
 			parallel:     *parallelFlag,
-			traceDir:     *traceDirFlag,
 			store:        *storeFlag,
 			faults:       spec,
 		})
@@ -195,12 +191,10 @@ func run() int {
 	// One engine for the whole invocation: its trace cache makes workloads
 	// shared between experiments run once per process, and its worker pool
 	// fans each experiment's cells across -parallel goroutines. Output is
-	// bit-identical at any worker count. Over-budget captures spill to
-	// -tracedir rather than being re-executed on every replay.
+	// bit-identical at any worker count. Over-budget captures overflow
+	// into -store, or into a scratch store under $TMPDIR that Close
+	// removes, rather than being re-executed on every replay.
 	eng := memotable.NewEngine(*parallelFlag)
-	if *traceDirFlag != "" {
-		eng.SetTraceDir(*traceDirFlag)
-	}
 	if *storeFlag != "" {
 		st, err := memotable.OpenTraceStore(*storeFlag)
 		if err != nil {

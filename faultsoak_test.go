@@ -1,9 +1,9 @@
 package memotable_test
 
 // The fault soak: the full experiment registry at 8 workers with a
-// spill tier squeezed by a tiny memory budget and a shared persistent
-// trace store, under an injected ~1% fault rate on spill writes and on
-// every store I/O edge, plus exactly one panicking sink, swept
+// tiny memory budget that overflows most captures into a shared
+// persistent trace store, under an injected ~1% fault rate on every
+// store I/O edge, plus exactly one panicking sink, swept
 // over deterministic seeds. The pass must complete (no planning error),
 // every faulted cell must appear exactly once in the PassReport, every
 // experiment untouched by a fault must render byte-identically to the
@@ -48,7 +48,7 @@ func TestFaultSoak(t *testing.T) {
 	for seed := 1; seed <= seeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			plan, err := faults.Parse(fmt.Sprintf(
-				"seed=%d;engine.spill.write:p=0.01;engine.sink.emit:count=1:panic;"+
+				"seed=%d;engine.sink.emit:count=1:panic;"+
 					"store.read:p=0.01;store.write:p=0.01;store.rename:p=0.01", seed))
 			if err != nil {
 				t.Fatal(err)
@@ -58,7 +58,7 @@ func TestFaultSoak(t *testing.T) {
 
 			eng := memotable.NewEngine(8)
 			defer eng.Close()
-			eng.SetCacheLimit(64 << 10) // push most captures through the faulty spill path
+			eng.SetCacheLimit(64 << 10) // push most captures through the faulty overflow path
 			eng.SetTraceDir(t.TempDir())
 			eng.SetRetryPolicy(2, 0) // bounded retries, no backoff sleep
 			st, err := memotable.OpenTraceStore(storeDir)

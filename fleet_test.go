@@ -75,7 +75,7 @@ func TestFleetMatchesSingleProcess(t *testing.T) {
 		t.Fatalf("single-process run exited %d: %s", code, stderr)
 	}
 	fleetOut, stderr, code := runCLI(t, nil, bin,
-		"-scale", "tiny", "-run", sel, "-json", "-shards", "4", "-tracedir", t.TempDir())
+		"-scale", "tiny", "-run", sel, "-json", "-shards", "4")
 	if code != 0 {
 		t.Fatalf("fleet run exited %d: %s", code, stderr)
 	}
@@ -106,7 +106,7 @@ func TestFleetMatchesSingleProcess(t *testing.T) {
 
 	// Text mode reports the per-shard roots and the combined root.
 	text, stderr, code := runCLI(t, nil, bin,
-		"-scale", "tiny", "-run", "table1,table5", "-shards", "2", "-tracedir", t.TempDir())
+		"-scale", "tiny", "-run", "table1,table5", "-shards", "2")
 	if code != 0 {
 		t.Fatalf("fleet text run exited %d: %s", code, stderr)
 	}
@@ -128,7 +128,7 @@ func TestWorkerExitCodes(t *testing.T) {
 
 	t.Run("clean manifest", func(t *testing.T) {
 		stdout, stderr, code := runCLI(t, nil, bin,
-			"-worker", "-shard", "0/2", "-scale", "tiny", "-run", "table1,figure4", "-tracedir", "")
+			"-worker", "-shard", "0/2", "-scale", "tiny", "-run", "table1,figure4")
 		if code != 0 {
 			t.Fatalf("clean worker exited %d: %s", code, stderr)
 		}
@@ -151,7 +151,7 @@ func TestWorkerExitCodes(t *testing.T) {
 		// A guaranteed sink panic degrades one cell; the worker must
 		// still emit its manifest and signal the degradation by exit code.
 		stdout, stderr, code := runCLI(t, nil, bin,
-			"-worker", "-shard", "0/1", "-scale", "tiny", "-run", "table5", "-tracedir", "",
+			"-worker", "-shard", "0/1", "-scale", "tiny", "-run", "table5",
 			"-faults", "seed=1;engine.sink.emit:count=1:panic")
 		if code != 3 {
 			t.Fatalf("degraded worker exited %d, want 3 (stderr: %s)", code, stderr)
@@ -207,7 +207,6 @@ func TestFleetSoak(t *testing.T) {
 		Timeout:   2 * time.Minute,
 		Retries:   2,
 		RetryBase: time.Millisecond,
-		Args:      func(int) []string { return []string{"-tracedir", ""} },
 		SpawnHook: func(shard, attempt int, proc *os.Process) {
 			if shard == 1 && attempt == 1 {
 				killOnce.Do(func() { _ = proc.Kill() })

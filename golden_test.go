@@ -23,6 +23,7 @@ func TestExperimentGoldens(t *testing.T) {
 			t.Fatal(err)
 		}
 		serial := memotable.NewEngine(1)
+		defer func() { _ = serial.Close() }()
 		for _, name := range memotable.Experiments() {
 			out, err := memotable.RunExperimentWith(serial, name, memotable.Tiny)
 			if err != nil {
@@ -37,6 +38,7 @@ func TestExperimentGoldens(t *testing.T) {
 	}
 
 	eng := memotable.NewEngine(8)
+	defer func() { _ = eng.Close() }()
 	for _, name := range memotable.Experiments() {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -72,6 +74,7 @@ func TestFusedMatrixGoldens(t *testing.T) {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			eng := memotable.NewEngine(workers)
+			defer func() { _ = eng.Close() }()
 			results, err := memotable.Run(eng, memotable.Tiny)
 			if err != nil {
 				t.Fatal(err)
@@ -106,8 +109,8 @@ func TestFusedMatrixGoldens(t *testing.T) {
 
 // TestExperimentGoldensWithSpillTier reruns the golden matrix on an
 // 8-worker engine whose memory budget is too small for any capture, so
-// every workload trace spills to disk and every cell replays through the
-// CRC-framed spill files. Output must stay byte-identical to the serial
+// every workload trace overflows into a scratch store entry on disk and
+// every cell replays through it. Output must stay byte-identical to the serial
 // goldens: the disk tier is invisible to the experiments.
 func TestExperimentGoldensWithSpillTier(t *testing.T) {
 	if *updateGolden {

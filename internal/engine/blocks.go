@@ -13,7 +13,7 @@ import (
 // replay still pays a full varint decode. A key replayed more than once
 // — by several passes on one engine, or by several requests to the
 // service — would pay that decode each time. This tier decodes a key's
-// v1/v2 bytes (in place, for the memory tier) or its spill file into
+// v1/v2 bytes (in place, for the memory tier) or its store entry into
 // immutable []trace.Event blocks exactly once; every later replay of the
 // key walks the shared blocks read-only and feeds sinks whole blocks at
 // a time.
@@ -21,9 +21,9 @@ import (
 // Block memory is charged against the same byte budget as the encoded
 // tier (decoded events cost bytesPerEvent each), so a tight budget simply
 // leaves the tier cold and replays fall back to the byte decoder; and the
-// tier is spill-aware: a disk-tier entry's blocks are decoded straight
-// from its CRC-framed spill file, after which replays never touch the
-// disk again.
+// tier covers the disk tier too: a disk-tier entry's blocks are decoded
+// straight from its CRC-framed store entry, after which replays never
+// touch the disk again.
 
 // bytesPerEvent is the in-memory cost of one decoded trace.Event: Op
 // (uint8) padded to 8 bytes plus two uint64 operands.
@@ -47,8 +47,8 @@ type traceBlock struct {
 // It returns nil (and no error) when the tier cannot serve: another
 // goroutine is mid-decode, or the byte budget has no room — callers then
 // fall back to the byte decoder. A decode failure of a disk-tier entry
-// is returned as an error so the caller can invalidate the spill file
-// and retry; nothing has been emitted.
+// is returned as an error so the caller can invalidate the entry and
+// retry; nothing has been emitted.
 func (e *Engine) blocksFor(acct BudgetAccountant, key string, snap entrySnapshot) ([]traceBlock, error) {
 	e.mu.Lock()
 	ent := e.traces[key]
@@ -106,9 +106,9 @@ func (e *Engine) blocksFor(acct BudgetAccountant, key string, snap entrySnapshot
 	return blocks, nil
 }
 
-// decodeBlocksRetrying decodes with the engine's spill-read retry
+// decodeBlocksRetrying decodes with the engine's disk-read retry
 // policy: a disk-tier decode that fails for a reason other than
-// corruption (an injected spill.read fault, a vanished file) is retried
+// corruption (an injected store.read fault, a vanished file) is retried
 // with backoff before the caller gives up and invalidates the file.
 func (e *Engine) decodeBlocksRetrying(snap entrySnapshot) ([]traceBlock, error) {
 	if snap.state != stateDisk {
@@ -123,8 +123,8 @@ func (e *Engine) decodeBlocksRetrying(snap entrySnapshot) ([]traceBlock, error) 
 	return blocks, err
 }
 
-// decodeBlocks decodes a settled entry's whole stream — memory bytes, a
-// spill file or a store entry's trace bytes — into owned blocks. For
+// decodeBlocks decodes a settled entry's whole stream — memory bytes or
+// a store entry's trace bytes — into owned blocks. For
 // disk-tier entries the frame checksums are verified by the decode
 // itself, so a torn or corrupt file fails here before any event could
 // reach a sink.

@@ -296,7 +296,7 @@ func TestBlockTierRespectsBudget(t *testing.T) {
 		t.Fatal("byte-path replays diverged")
 	}
 
-	// A spill file corrupted mid-file is caught by the frame check before
+	// An overflow entry corrupted mid-file is caught by the frame check before
 	// any event is delivered and re-captured transparently: every sink
 	// sees exactly one full stream.
 	t.Run("spill corruption", func(t *testing.T) {
@@ -338,14 +338,14 @@ func TestBlockTierRespectsBudget(t *testing.T) {
 	})
 }
 
-// TestBlocksDecodedFromSpillFile checks the tier is spill-aware: an entry
-// whose bytes live on disk gets its blocks decoded from the file once,
-// after which replays never reopen it — even if the file disappears.
+// TestBlocksDecodedFromSpillFile checks the tier covers the disk tier:
+// an overflowed capture's store entry gets its blocks decoded from the
+// file once, after which replays never reopen it — even if the file
+// disappears.
 func TestBlocksDecodedFromSpillFile(t *testing.T) {
 	e := New(1)
 	e.SetCacheLimit(1) // capture must spill
-	dir := t.TempDir()
-	e.SetTraceDir(dir)
+	e.SetTraceDir(t.TempDir())
 	defer e.Close()
 	const events = 20000
 	capture := emitMixed(events)
@@ -369,14 +369,10 @@ func TestBlocksDecodedFromSpillFile(t *testing.T) {
 		t.Fatalf("decoded entries %d, want 1 (spill decode)", e.Stats().DecodedEntries)
 	}
 
-	// Remove the spill file out from under the engine: block-served
+	// Remove the overflow entry out from under the engine: block-served
 	// replays must not notice.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	if err := os.Remove(spillPathOf(t, e, "k")); err != nil {
 		t.Fatal(err)
-	}
-	for _, de := range entries {
-		os.Remove(dir + "/" + de.Name())
 	}
 	var r3 trace.Recorder
 	if _, err := e.Replay("k", capture, &r3); err != nil {

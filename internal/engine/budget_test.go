@@ -91,18 +91,20 @@ func TestBudgetSetLimit(t *testing.T) {
 }
 
 // TestTenantBudgetIsolation drives the engine through two tenant
-// budgets nested under its root: the starved tenant's workloads degrade
-// to direct re-execution with byte-identical output, and never evict —
-// or even touch — the healthy tenant's cached entries.
+// budgets nested under its root: the starved tenant's workloads overflow
+// to the disk tier with byte-identical output, and never evict — or
+// even touch — the healthy tenant's cached entries.
 func TestTenantBudgetIsolation(t *testing.T) {
-	e := New(1) // no spill dir: over-budget captures decline
+	e := New(1)
+	e.SetTraceDir(t.TempDir())
+	defer e.Close()
 	starved := WithBudget(context.Background(), e.Budget().Child(1))
 	healthy := WithBudget(context.Background(), e.Budget().Child(1<<20))
 
 	var ref trace.Counter
 	emitN(500, 64)(&ref)
 
-	// The starved tenant declines its capture and re-runs per replay.
+	// The starved tenant's capture overflows to disk; replays read it.
 	for i := 1; i <= 2; i++ {
 		var cnt trace.Counter
 		n, err := e.ReplayAllContext(starved, "w", emitN(500, 64), []trace.Sink{&cnt})
@@ -113,10 +115,8 @@ func TestTenantBudgetIsolation(t *testing.T) {
 			t.Fatalf("starved replay %d delivered %d events, want %d", i, n, ref.Total())
 		}
 	}
-	// The first replay executes twice — the declined store attempt plus
-	// the direct re-run — and every later replay re-executes once.
-	if got := e.Stats().Captures; got != 3 {
-		t.Fatalf("starved tenant executed %d captures for 2 replays, want 3 (declined)", got)
+	if s := e.Stats(); s.Captures != 1 || s.SpilledTraces != 1 {
+		t.Fatalf("starved tenant: %d captures, %d spilled for 2 replays, want 1 and 1", s.Captures, s.SpilledTraces)
 	}
 	if e.Stats().CachedTraces != 0 {
 		t.Fatal("starved tenant cached a trace past its budget")
@@ -144,10 +144,14 @@ func TestTenantBudgetIsolation(t *testing.T) {
 }
 
 // TestDeclineRearmAcrossTenants: a workload declined under one tenant's
-// exhausted budget re-arms when a different tenant — with room — asks
-// for it, instead of staying declined engine-wide.
+// exhausted budget (its overflow entry failing to write) re-arms when a
+// different tenant — with room — asks for it, instead of staying
+// declined engine-wide.
 func TestDeclineRearmAcrossTenants(t *testing.T) {
+	withFaults(t, "store.write") // the starved tenant's overflow entry cannot be written
 	e := New(1)
+	defer e.Close()
+	e.SetRetryPolicy(1, 0)
 	starved := WithBudget(context.Background(), e.Budget().Child(1))
 	healthy := WithBudget(context.Background(), e.Budget().Child(1<<20))
 

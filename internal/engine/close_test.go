@@ -45,7 +45,7 @@ func TestClosedEngineRefusesWork(t *testing.T) {
 	}
 }
 
-// TestCloseWaitsForInflight: Close must not tear the spill tier down
+// TestCloseWaitsForInflight: Close must not remove the scratch store
 // under a pass still replaying — it blocks until in-flight work drains.
 func TestCloseWaitsForInflight(t *testing.T) {
 	e := New(2)

@@ -81,8 +81,14 @@ var batchBufs = sync.Pool{New: func() any {
 // sink.emit fault) comes back as err. Callers treat the two differently:
 // only a read failure says anything about the entry's storage.
 func (e *Engine) replayBytes(ctx context.Context, snap entrySnapshot, sinks []trace.Sink, masks []trace.OpMask) (n uint64, readErr, err error) {
-	r, done, oerr := openSnapshot(snap)
-	if oerr != nil {
+	// No event has reached a sink yet, so a disk-tier open that fails
+	// transiently is retried like any other disk read.
+	var r *trace.Reader
+	var done func()
+	if oerr := e.withSpillRetry(func() (err error) {
+		r, done, err = openSnapshot(snap)
+		return err
+	}); oerr != nil {
 		return 0, oerr, nil
 	}
 	defer done()

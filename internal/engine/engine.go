@@ -20,15 +20,16 @@
 //     under the cache lock before bytes are buffered, so concurrent
 //     captures cannot transiently hold multiples of the budget), and a
 //     capture that outgrows the budget fails over mid-stream to a
-//     CRC-framed spill file under TraceDir. A persistent-store hit that
-//     outgrows the budget is not captured at all: it joins the disk
-//     tier in place, pointing at the store's own sealed file, which the
-//     engine replays but never removes. Only when neither tier can hold
-//     a capture is it declined — and a decline is re-armed as soon as
-//     the budget grows or a spill directory appears, so raising either
-//     limit retroactively repairs earlier declines. Corrupt or torn
-//     disk-tier files are detected by frame checksum on every replay
-//     and transparently re-captured.
+//     sealed trace-store entry: in the attached persistent store, or
+//     else in a scratch store the engine creates on first overflow and
+//     removes on Close. The disk tier has one format and one read
+//     path: an overflowed capture and a persistent-store hit that
+//     outgrows the budget both settle there, pointing at a store entry
+//     the engine replays in place. A capture is declined only when its
+//     overflow entry keeps failing to write — and a decline re-arms as
+//     soon as the budget grows or another tenant asks for it. Corrupt
+//     or torn disk-tier entries are detected by frame checksum on every
+//     replay and transparently re-captured.
 //
 // On top of the two encoded tiers sits the decoded-block cache
 // (blocks.go): the first replay of a key decodes its bytes once into
@@ -81,8 +82,8 @@ const (
 	stateEmpty    entryState = iota // no usable capture; next request captures
 	stateInflight                   // one goroutine is capturing; others wait
 	stateMemory                     // encoded trace held in RAM
-	stateDisk                       // encoded trace in a v2 file: a spill file or a store entry
-	stateDeclined                   // no tier could hold it; direct-run until re-armed
+	stateDisk                       // encoded trace in a trace-store entry, replayed in place
+	stateDeclined                   // its overflow entry kept failing; direct-run until re-armed
 )
 
 // traceEntry is one cache slot. All fields are guarded by Engine.mu; the
@@ -90,14 +91,13 @@ const (
 // blocks slice (the decoded-block tier, blocks.go) is immutable once
 // published — concurrent replays share it read-only.
 type traceEntry struct {
-	key    string // the workload fingerprint this slot caches
-	state  entryState
-	data   [][]byte // stateMemory: encoded v2 trace as frame-aligned segments
-	events uint64
-	path   string // stateDisk: spill file, or store entry when stored
-	disk   int64  // stateDisk: sealed spill file size (spill-tier stats)
-	body   int64  // stateDisk, stored: trace bytes in front of the entry's seal
-	stored bool   // stateDisk: path belongs to the store; the engine never removes it
+	key     string // the workload fingerprint this slot caches
+	state   entryState
+	data    [][]byte // stateMemory: encoded v2 trace as frame-aligned segments
+	events  uint64
+	path    string // stateDisk: the store entry file
+	body    int64  // stateDisk: trace bytes in front of the entry's seal
+	spilled bool   // stateDisk: settled by an overflowing capture, not a store hit
 
 	// Decoded-block tier: the stream decoded once into event blocks.
 	blocks     []traceBlock
@@ -106,12 +106,11 @@ type traceEntry struct {
 	blockBusy  bool             // one goroutine is decoding; others use the byte path
 
 	// Conditions observed when the entry was declined. The entry re-arms
-	// when any improves: the declining accountant's budget grew, a spill
-	// tier appeared, or a different accountant (another tenant, with its
-	// own budget) asks for the entry.
+	// when either changes: the declining accountant's budget grew, or a
+	// different accountant (another tenant, with its own budget) asks for
+	// the entry.
 	declinedAcct  BudgetAccountant
 	declinedLimit int64
-	declinedSpill bool
 }
 
 // entrySnapshot is the immutable view of a settled entry that Replay
@@ -122,7 +121,6 @@ type entrySnapshot struct {
 	events uint64
 	path   string
 	body   int64
-	stored bool
 }
 
 // Engine is a bounded worker pool with an attached two-tier trace cache.
@@ -141,29 +139,30 @@ type Engine struct {
 	cond       *sync.Cond // broadcast when an entry leaves stateInflight
 	memBytes   int64      // bytes held by stateMemory entries
 	blockBytes int64      // bytes held by decoded-block tiers of all entries
-	spillDir   string
 	traces     map[string]*traceEntry
 	tstore     *tracestore.Store // persistent cross-process store (nil: disabled)
+	traceDir   string            // parent of the scratch store ("": os.TempDir())
+	scratch    *tracestore.Store // overflow store without tstore, made on first use
 
 	// Close latch: once closed, new passes, replays and ingest sessions
 	// fail with ErrClosed; Close itself waits for in-flight work (begin/
-	// end brackets) to drain before touching spill files.
+	// end brackets) to drain before removing the scratch store.
 	closed   bool
 	inflight int
 	closeErr error // result of the first Close, repeated by later calls
 
-	// Failure-model knobs (errors.go): transient spill I/O retries.
+	// Failure-model knobs (errors.go): transient overflow I/O retries.
 	retryAttempts int
 	retryBase     time.Duration
 
 	// Counters (atomic; exposed for benchmarks and reports).
 	captures    atomic.Uint64 // workload executions performed
 	replays     atomic.Uint64 // cache replays served (both tiers)
-	recaptures  atomic.Uint64 // spill files invalidated by checksum and re-captured
+	recaptures  atomic.Uint64 // disk-tier entries invalidated by checksum and re-captured
 	decodeHits  atomic.Uint64 // replays served from shared decoded blocks
 	replayedEv  atomic.Uint64 // events delivered by cache replays
-	spillRetry  atomic.Uint64 // spill I/O operations retried after a transient failure
-	degradedCap atomic.Uint64 // captures degraded to direct re-execution by persistent spill failure
+	spillRetry  atomic.Uint64 // overflow I/O operations retried after a transient failure
+	degradedCap atomic.Uint64 // captures degraded to direct re-execution by persistent overflow failure
 	storeHits   atomic.Uint64 // entries settled from the persistent store instead of capturing
 	storePuts   atomic.Uint64 // fresh captures published to the persistent store
 
@@ -180,7 +179,9 @@ type Engine struct {
 }
 
 // New builds an engine with the given worker count (<= 0 selects
-// GOMAXPROCS), the default trace-cache budget, and no spill tier.
+// GOMAXPROCS) and the default trace-cache budget. Captures that overflow
+// the budget go to a scratch store under os.TempDir() until SetTraceDir
+// or SetStore says otherwise.
 func New(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -204,45 +205,33 @@ func Serial() *Engine { return New(1) }
 func (e *Engine) Workers() int { return e.workers }
 
 // SetCacheLimit adjusts the memory tier's byte budget. A non-positive
-// limit disables the memory tier (captures spill to TraceDir when one is
-// set, and are declined otherwise). Raising the limit re-arms captures
-// that were previously declined for space.
+// limit disables the memory tier: every capture overflows to a store
+// entry. Raising the limit re-arms captures that were previously
+// declined.
 func (e *Engine) SetCacheLimit(n int64) {
 	e.budget.SetLimit(n)
 }
 
-// SetTraceDir enables the disk spill tier: captures that exceed the
-// memory budget stream into CRC-framed trace files under dir, created on
-// demand. An empty dir disables the tier. Enabling it re-arms captures
-// that were previously declined for space.
-//
-// SetTraceDir also sweeps the directory for orphaned spill temp files
-// (*.mtrc.tmp) left by a process that died between creating a spill file
-// and sealing it — sealed files are renamed out of the temp suffix, so
-// anything still wearing it is garbage. The sweep assumes the directory
-// is not shared with a concurrently spilling process.
+// SetTraceDir sets where the engine makes its scratch store — the store
+// that takes overflowing captures when no persistent store is attached —
+// as a fresh directory under dir, created on first overflow and removed
+// by Close. Engines may share dir: each one's scratch store is its own.
+// An empty dir selects os.TempDir(), the default.
 func (e *Engine) SetTraceDir(dir string) {
 	e.mu.Lock()
-	e.spillDir = dir
+	e.traceDir = dir
 	e.mu.Unlock()
-	sweepSpillOrphans(dir)
-}
-
-// TraceDir returns the spill directory ("" when the tier is disabled).
-func (e *Engine) TraceDir() string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.spillDir
 }
 
 // SetStore attaches a persistent trace store: before executing any
 // workload the engine asks the store for its settled trace, and every
-// fresh capture is published back, so a store shared across processes
-// (or across runs of the same binary) makes all but the first run
-// replay-only; a hit the cache budget cannot hold is replayed from the
-// store's own file. A nil store detaches. Store I/O is strictly an
-// accelerator: a failed read is a miss and a failed publish is dropped —
-// neither can fail a cell.
+// fresh capture is published back — one that overflows the cache
+// budget by streaming straight into its store entry — so a store shared
+// across processes (or across runs of the same binary) makes all but
+// the first run replay-only; an entry the cache budget cannot hold is
+// replayed from the store's own file. A nil store detaches. Store reads
+// and memory-tier publishes are strictly an accelerator: a failed read
+// is a miss and a failed publish is dropped — neither can fail a cell.
 func (e *Engine) SetStore(st *tracestore.Store) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -295,10 +284,9 @@ func (e *Engine) end() {
 
 // Close shuts the engine down: new RunPassContext, Warm, Replay and
 // NewIngest calls fail with ErrClosed, in-flight work is waited out, and
-// only then are the engine's spill files removed and orphaned spill temp
-// files swept from the trace directory — a live replay can never race
-// the removal of the file it is streaming. Store entries the engine
-// replayed in place belong to the store and are left alone. Close is
+// only then is the scratch store removed — a live replay can never race
+// the removal of the entry it is streaming. Entries of the attached
+// persistent store belong to the store and are left alone. Close is
 // idempotent: the first call does the work and latches its result, later
 // calls return that same result without re-touching the filesystem.
 func (e *Engine) Close() error {
@@ -312,31 +300,25 @@ func (e *Engine) Close() error {
 	for e.inflight > 0 {
 		e.cond.Wait()
 	}
-	dir := e.spillDir
-	var paths []string
 	for _, ent := range e.traces {
 		if ent.state == stateDisk {
-			if !ent.stored {
-				paths = append(paths, ent.path)
-			}
 			ent.state = stateEmpty
-			ent.path, ent.body, ent.stored = "", 0, false
-			// Blocks decoded from the removed file must not outlive it.
+			ent.path, ent.body, ent.spilled = "", 0, false
+			// Blocks decoded from a removed entry must not outlive it.
 			e.dropBlocksLocked(ent)
 		}
 	}
+	scratch := e.scratch
+	e.scratch = nil
 	e.mu.Unlock()
-	var firstErr error
-	for _, p := range paths {
-		if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) && firstErr == nil {
-			firstErr = err
-		}
+	var err error
+	if scratch != nil {
+		err = os.RemoveAll(scratch.Dir())
 	}
-	sweepSpillOrphans(dir)
 	e.mu.Lock()
-	e.closeErr = firstErr
+	e.closeErr = err
 	e.mu.Unlock()
-	return firstErr
+	return err
 }
 
 // Map runs cell(0..n-1) across the worker pool and returns when all
@@ -390,12 +372,12 @@ func (e *Engine) Map(n int, cell func(i int)) {
 // holds it yet — and returns a snapshot of the settled state. Concurrent
 // callers for the same key singleflight: exactly one captures, the rest
 // wait on the engine's condition variable. A declined entry re-arms here
-// when the budget has grown, a spill tier has appeared, or a different
-// accountant (with its own budget) asks for the entry. A capture whose
-// workload fails (an error from the capture.run injection point, or a
-// panic inside the workload) re-arms the entry for later callers and
-// returns the failure, wrapping ErrCaptureFailed, to the caller that
-// triggered it. Cache bytes the settle buffers are charged to acct.
+// when the budget has grown or a different accountant (with its own
+// budget) asks for the entry. A capture whose workload fails (an error
+// from the capture.run injection point, or a panic inside the workload)
+// re-arms the entry for later callers and returns the failure, wrapping
+// ErrCaptureFailed, to the caller that triggered it. Cache bytes the
+// settle buffers are charged to acct.
 func (e *Engine) ensure(acct BudgetAccountant, key string, capture CaptureFunc) (entrySnapshot, error) {
 	e.mu.Lock()
 	ent, ok := e.traces[key]
@@ -407,12 +389,11 @@ func (e *Engine) ensure(acct BudgetAccountant, key string, capture CaptureFunc) 
 		switch ent.state {
 		case stateMemory, stateDisk:
 			snap := entrySnapshot{state: ent.state, data: ent.data, events: ent.events,
-				path: ent.path, body: ent.body, stored: ent.stored}
+				path: ent.path, body: ent.body}
 			e.mu.Unlock()
 			return snap, nil
 		case stateDeclined:
-			if acct != ent.declinedAcct || acct.Limit() > ent.declinedLimit ||
-				(e.spillDir != "" && !ent.declinedSpill) {
+			if acct != ent.declinedAcct || acct.Limit() > ent.declinedLimit {
 				ent.state = stateEmpty // conditions improved: re-arm
 				continue
 			}
@@ -453,16 +434,16 @@ func (e *Engine) WarmContext(ctx context.Context, key string, capture CaptureFun
 }
 
 // maxSpillAttempts bounds how many times one Replay call will invalidate
-// a corrupt spill file and re-capture before giving up.
+// a corrupt disk-tier entry and re-capture before giving up.
 const maxSpillAttempts = 3
 
 // Replay feeds key's operand stream into sink and returns the event
 // count. The first request captures the workload (storing the encoding
 // in whichever tier has room); concurrent requests for the same key wait
 // for that single capture. When no tier could hold the capture, the
-// workload simply runs again, streaming straight into sink. A spill file
-// that fails checksum verification is removed and transparently
-// re-captured before anything reaches the sink.
+// workload simply runs again, streaming straight into sink. A disk-tier
+// entry that fails checksum verification is transparently re-captured
+// before anything reaches the sink.
 func (e *Engine) Replay(key string, capture CaptureFunc, sink trace.Sink) (uint64, error) {
 	return e.ReplayAll(key, capture, []trace.Sink{sink})
 }
@@ -486,8 +467,8 @@ func (e *Engine) ReplayAll(key string, capture CaptureFunc, sinks []trace.Sink) 
 // Cancellation is checked before the capture boundary and before every
 // delivered batch; a cancellation observed mid-stream returns wrapping
 // ErrCanceled with the sinks partially fed, so the caller must treat the
-// cell as failed. Transient spill-read failures are retried with
-// backoff; a spill file that stays unreadable is invalidated and
+// cell as failed. Transient disk-tier read failures are retried with
+// backoff; an entry that stays unreadable is invalidated and
 // transparently re-captured, and errors that survive all of that wrap
 // ErrSpillIO or ErrCorruptTrace.
 func (e *Engine) ReplayAllContext(ctx context.Context, key string, capture CaptureFunc, sinks []trace.Sink) (uint64, error) {
@@ -548,10 +529,7 @@ func (e *Engine) ReplayAllContext(ctx context.Context, key string, capture Captu
 			return replayed(n)
 
 		case stateDisk:
-			what := "spilled trace"
-			if snap.stored {
-				what = "stored trace"
-			}
+			const what = "disk-tier trace"
 			// Decoding into blocks verifies every frame checksum before
 			// any event reaches a sink, so a corrupt file detected here is
 			// re-captured transparently, exactly like the
@@ -613,7 +591,7 @@ func (e *Engine) retireSpill(key string, snap entrySnapshot, attempt int, err er
 	return fmt.Errorf("engine: disk-tier trace %q unreadable after %d attempts: %w: %w", key, attempt, kind, err)
 }
 
-// withSpillRetry runs a spill-read operation, retrying transient
+// withSpillRetry runs a disk-tier read, retrying transient
 // failures with jittered backoff under the engine's retry policy.
 // Corruption (trace.ErrBadTrace) is never retried: re-reading a file
 // with a bad checksum cannot fix it, only re-capturing can.
@@ -632,26 +610,18 @@ func (e *Engine) withSpillRetry(op func() error) error {
 	}
 }
 
-// openDisk opens a disk-tier entry's trace stream: a spill file whole,
-// or a store entry's trace bytes, which stop at its seal trailer. The
-// spill.read injection point fires first for a spill file, store.read
-// for a store entry.
+// openDisk opens a disk-tier entry's trace stream: the store entry's
+// trace bytes, which stop at its seal trailer. The store.read injection
+// point fires first.
 func openDisk(snap entrySnapshot) (*os.File, io.Reader, error) {
-	point := faults.SpillRead
-	if snap.stored {
-		point = faults.StoreRead
-	}
-	if err := faults.Inject(point); err != nil {
+	if err := faults.Inject(faults.StoreRead); err != nil {
 		return nil, nil, err
 	}
 	f, err := os.Open(snap.path)
 	if err != nil {
 		return nil, nil, err
 	}
-	if snap.stored {
-		return f, io.LimitReader(f, snap.body), nil
-	}
-	return f, f, nil
+	return f, io.LimitReader(f, snap.body), nil
 }
 
 // openSnapshot opens a settled entry's encoded stream for decoding: its
@@ -692,24 +662,20 @@ func verifySpill(snap entrySnapshot) error {
 }
 
 // invalidateSpill retires a disk-tier entry observed to be corrupt: the
-// entry returns to stateEmpty (so the next request re-captures, or finds
-// a healed store entry) and a spill file is removed. A store entry is
-// the store's to replace, never the engine's to delete. The path guard
-// makes concurrent detections idempotent.
+// entry returns to stateEmpty, so the next request re-captures (or finds
+// a healed persistent-store entry). The file is left for the store: the
+// re-capture's commit renames over it. The path guard makes concurrent
+// detections idempotent.
 func (e *Engine) invalidateSpill(key string, snap entrySnapshot) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	ent := e.traces[key]
 	if ent != nil && ent.state == stateDisk && ent.path == snap.path {
 		ent.state = stateEmpty
-		ent.path, ent.body, ent.stored = "", 0, false
+		ent.path, ent.body, ent.spilled = "", 0, false
 		ent.events = 0
-		ent.disk = 0
 		e.dropBlocksLocked(ent)
 		e.recaptures.Add(1)
-	}
-	e.mu.Unlock()
-	if !snap.stored {
-		_ = os.Remove(snap.path)
 	}
 }
 
@@ -737,22 +703,21 @@ type captureOutcome uint8
 const (
 	captureStored   captureOutcome = iota // entry settled into memory or disk
 	captureFailed                         // the workload itself errored or panicked
-	captureSpillErr                       // spill-tier I/O failed; the capture may be retried
-	captureNoRoom                         // no tier has room; decline
+	captureSpillErr                       // overflow-entry I/O failed; the capture may be retried
 )
 
 // store settles an in-flight entry into a terminal state: from the
 // persistent trace store when one is attached and holds the workload,
 // else by capturing — into memory when the encoding fits the reserved
-// budget, disk when it overflows and a spill directory is set, declined
-// otherwise. Fresh captures are published back to the persistent store.
-// Transient spill I/O failures re-run the capture (captures are
-// deterministic by contract) with jittered backoff; a spill tier that
-// keeps failing degrades the workload to a decline, so replays
-// direct-run it rather than losing the cell. A failing workload settles
-// the entry back to empty — later callers retry — and the failure is
-// returned wrapping ErrCaptureFailed. The caller has already moved the
-// entry to stateInflight.
+// budget, into a store entry on disk when it overflows. Fresh memory-tier
+// captures are published to the persistent store; an overflowing one
+// already streamed into it. Transient overflow I/O failures re-run the
+// capture (captures are deterministic by contract) with jittered
+// backoff; overflow I/O that keeps failing degrades the workload to a
+// decline, so replays direct-run it rather than losing the cell. A
+// failing workload settles the entry back to empty — later callers
+// retry — and the failure is returned wrapping ErrCaptureFailed. The
+// caller has already moved the entry to stateInflight.
 func (e *Engine) store(acct BudgetAccountant, ent *traceEntry, capture CaptureFunc) error {
 	if e.loadFromStore(acct, ent) {
 		return nil
@@ -767,12 +732,9 @@ func (e *Engine) store(acct BudgetAccountant, ent *traceEntry, capture CaptureFu
 		case captureFailed:
 			e.settle(ent, stateEmpty)
 			return fmt.Errorf("%w: %w", ErrCaptureFailed, err)
-		case captureNoRoom:
-			e.settleDeclined(acct, ent)
-			return nil
 		}
 		if try >= attempts {
-			// Persistent spill failure: degrade to direct re-execution.
+			// Persistent overflow failure: degrade to direct re-execution.
 			// Results stay byte-identical; the workload just re-runs on
 			// every replay instead of being cached.
 			e.degradedCap.Add(1)
@@ -793,13 +755,12 @@ func (e *Engine) settle(ent *traceEntry, s entryState) {
 }
 
 // settleDeclined records a decline with the conditions that produced it,
-// so the entry re-arms when any improves.
+// so the entry re-arms when either changes.
 func (e *Engine) settleDeclined(acct BudgetAccountant, ent *traceEntry) {
 	e.mu.Lock()
 	ent.state = stateDeclined
 	ent.declinedAcct = acct
 	ent.declinedLimit = acct.Limit()
-	ent.declinedSpill = e.spillDir != ""
 	e.cond.Broadcast()
 	e.mu.Unlock()
 }
@@ -809,10 +770,10 @@ func (e *Engine) settleDeclined(acct BudgetAccountant, ent *traceEntry) {
 // before handing anything over. An entry the byte budget covers is
 // adopted into the memory tier; one it does not cover settles as a
 // disk-tier entry that points at the store file and is replayed in
-// place. Such an entry is stored: Close and invalidation leave the file
-// to the store, and it counts as a store hit, not a spilled trace. Any
-// store failure (absent, torn, corrupt, injected fault) is a miss: the
-// caller captures, and the put that follows heals the entry.
+// place, exactly as an overflowed capture is; it counts as a store hit,
+// not a spilled trace. Any store failure (absent, torn, corrupt,
+// injected fault) is a miss: the caller captures, and the put that
+// follows heals the entry.
 func (e *Engine) loadFromStore(acct BudgetAccountant, ent *traceEntry) bool {
 	e.mu.Lock()
 	st := e.tstore
@@ -831,7 +792,7 @@ func (e *Engine) loadFromStore(acct BudgetAccountant, ent *traceEntry) bool {
 		ent.data = [][]byte{hit.Data}
 		ent.state = stateMemory
 	} else {
-		ent.path, ent.body, ent.stored = hit.Path, hit.Size, true
+		ent.path, ent.body = hit.Path, hit.Size
 		ent.state = stateDisk
 	}
 	ent.events = hit.Events
@@ -841,29 +802,21 @@ func (e *Engine) loadFromStore(acct BudgetAccountant, ent *traceEntry) bool {
 	return true
 }
 
-// putToStore publishes a freshly settled capture to the persistent
-// trace store. Failures are deliberately dropped: the store is an
+// putToStore publishes a freshly settled memory-tier capture to the
+// persistent trace store (an overflowed capture is already a store
+// entry). Failures are deliberately dropped: the store is an
 // accelerator, and a faulted publish must not cost the cell — the entry
 // is simply captured again by the next cold process, whose own publish
 // heals the store.
 func (e *Engine) putToStore(ent *traceEntry) {
 	e.mu.Lock()
 	st := e.tstore
-	state, data, path := ent.state, ent.data, ent.path
+	state, data := ent.state, ent.data
 	e.mu.Unlock()
-	if st == nil {
+	if st == nil || state != stateMemory {
 		return
 	}
-	var err error
-	switch state {
-	case stateMemory:
-		err = st.Put(ent.key, data...)
-	case stateDisk:
-		err = st.PutFile(ent.key, path)
-	default:
-		return
-	}
-	if err == nil {
+	if st.Put(ent.key, data...) == nil {
 		e.storePuts.Add(1)
 	}
 }
@@ -875,7 +828,7 @@ func (e *Engine) putToStore(ent *traceEntry) {
 // settle.
 func (e *Engine) captureOnce(acct BudgetAccountant, ent *traceEntry, capture CaptureFunc) (captureOutcome, error) {
 	e.captures.Add(1)
-	arm := &captureArm{e: e, acct: acct, mem: true}
+	arm := &captureArm{e: e, key: ent.key, acct: acct, mem: true}
 	tw, err := trace.NewWriterV2(arm, false)
 	if err == nil {
 		if cerr := runCapture(capture, tw); cerr != nil {
@@ -898,36 +851,26 @@ func (e *Engine) captureOnce(acct BudgetAccountant, ent *traceEntry, capture Cap
 		e.mu.Unlock()
 		return captureStored, nil
 	}
-	if err == nil && arm.f != nil {
-		if cerr := arm.seal(); cerr == nil {
-			var size int64
-			if fi, serr := os.Stat(arm.path); serr == nil {
-				size = fi.Size()
+	if err == nil {
+		// The stream overflowed into a store entry: seal it, and it
+		// settles in the disk tier as a store hit would.
+		var path string
+		if path, err = arm.w.Commit(); err == nil {
+			if arm.persistent {
+				e.storePuts.Add(1)
 			}
 			e.mu.Lock()
-			ent.path = arm.path
+			ent.path, ent.body, ent.spilled = path, arm.w.Size(), true
 			ent.events = tw.Count()
 			ent.state = stateDisk
-			ent.disk = size
 			e.cond.Broadcast()
 			e.mu.Unlock()
 			return captureStored, nil
-		} else {
-			err = cerr
 		}
 	}
-
-	// The capture encoded fine but no tier adopted it: release whatever
-	// the arm still holds and classify why.
 	arm.discard()
-	if err == nil || errors.Is(err, errCacheFull) {
-		return captureNoRoom, nil
-	}
 	return captureSpillErr, fmt.Errorf("%w: %w", ErrSpillIO, err)
 }
-
-// errCacheFull aborts a capture no tier can hold.
-var errCacheFull = errors.New("engine: trace cache budget exceeded and no spill tier")
 
 // countingSink counts events on their way to the wrapped sink.
 type countingSink struct {

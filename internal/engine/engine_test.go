@@ -92,9 +92,15 @@ func TestReplaySingleflight(t *testing.T) {
 	}
 }
 
+// TestReplayDeclinesOverBudgetAndRerunsWorkload: a capture that
+// overflows the budget while its store entry cannot be written is
+// declined, and every request re-runs the workload, still correctly.
 func TestReplayDeclinesOverBudgetAndRerunsWorkload(t *testing.T) {
+	withFaults(t, "store.write")
 	e := New(2)
+	defer e.Close()
 	e.SetCacheLimit(64) // far below the trace encoding
+	e.SetRetryPolicy(1, 0)
 	var cnt trace.Counter
 	n, err := e.Replay("big", emitN(5000, 32), &cnt)
 	if err != nil || n != 5000 {

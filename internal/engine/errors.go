@@ -11,12 +11,12 @@ import (
 )
 
 // The engine's failure model. Every fault on an I/O or compute edge is
-// either retried (transient spill I/O, with jittered backoff), degraded
-// (a permanently unspillable capture declines and the workload direct-
-// runs on every replay), or reported (as a typed *CellError in the
-// PassReport of the pass that observed it). The sentinels below form the
-// errors.Is-able taxonomy callers classify against; DESIGN.md §10 maps
-// every injection point to its sentinel.
+// either retried (transient overflow I/O, with jittered backoff),
+// degraded (a capture whose overflow entry keeps failing declines and
+// the workload direct-runs on every replay), or reported (as a typed
+// *CellError in the PassReport of the pass that observed it). The
+// sentinels below form the errors.Is-able taxonomy callers classify
+// against; DESIGN.md §10 maps every injection point to its sentinel.
 
 // Sentinel errors of the failure taxonomy.
 var (
@@ -26,7 +26,8 @@ var (
 	// ErrCaptureFailed marks a workload whose capture (or declined
 	// direct re-execution) returned a fault or panicked.
 	ErrCaptureFailed = errors.New("engine: workload capture failed")
-	// ErrSpillIO marks spill-tier I/O that kept failing after the
+	// ErrSpillIO marks disk-tier I/O — an overflowing capture's store
+	// entry, or a disk-tier entry's read — that kept failing after the
 	// bounded retries.
 	ErrSpillIO = errors.New("engine: spill I/O failed")
 	// ErrCorruptTrace marks a trace whose frames failed verification
@@ -37,7 +38,7 @@ var (
 	ErrSinkPanic = errors.New("engine: sink panicked during replay")
 	// ErrClosed marks work submitted to an engine after Close: new
 	// passes, replays, warms and ingest sessions are refused instead of
-	// racing the teardown of the spill tier.
+	// racing the teardown of the scratch store.
 	ErrClosed = errors.New("engine: closed")
 )
 
@@ -113,7 +114,7 @@ func (r *PassReport) FailedKeys() []string {
 	return keys
 }
 
-// Retry policy defaults: transient spill I/O is retried up to
+// Retry policy defaults: transient overflow I/O is retried up to
 // defaultRetryAttempts times with exponential backoff starting at
 // defaultRetryBase (full jitter, so concurrent retries decorrelate).
 const (
@@ -121,7 +122,7 @@ const (
 	defaultRetryBase     = 2 * time.Millisecond
 )
 
-// SetRetryPolicy adjusts how transient spill I/O failures are retried:
+// SetRetryPolicy adjusts how transient overflow I/O failures are retried:
 // at most attempts retries per operation, with jittered exponential
 // backoff starting at base. attempts <= 0 disables retries (a first
 // failure degrades immediately); base <= 0 retries without sleeping —

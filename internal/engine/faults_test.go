@@ -9,6 +9,7 @@ import (
 
 	"memotable/internal/faults"
 	"memotable/internal/trace"
+	"memotable/internal/tracestore"
 )
 
 // withFaults activates a fault plan for one test and guarantees
@@ -24,39 +25,55 @@ func withFaults(t *testing.T, spec string) *faults.Plan {
 	return plan
 }
 
-func TestSweepSpillOrphans(t *testing.T) {
+// TestCloseRemovesScratchStoreOnly: Close removes the scratch store an
+// engine made for its overflowing captures, and nothing else in the
+// trace dir; an engine overflowing into a persistent store leaves the
+// entry there on Close.
+func TestCloseRemovesScratchStoreOnly(t *testing.T) {
 	dir := t.TempDir()
-	orphan := filepath.Join(dir, "trace-123.mtrc.tmp")
-	sealed := filepath.Join(dir, "trace-456.mtrc")
 	unrelated := filepath.Join(dir, "notes.tmp")
-	for _, p := range []string{orphan, sealed, unrelated} {
-		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	e := New(1)
-	e.SetTraceDir(dir)
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Fatal("SetTraceDir left the orphaned spill temp file behind")
-	}
-	for _, p := range []string{sealed, unrelated} {
-		if _, err := os.Stat(p); err != nil {
-			t.Fatalf("SetTraceDir removed %s, which is not a spill temp file", p)
-		}
-	}
-
-	// Close sweeps too: an orphan created mid-run (a crashed helper
-	// process, say) is gone after shutdown.
-	if err := os.WriteFile(orphan, []byte("x"), 0o644); err != nil {
+	if err := os.WriteFile(unrelated, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e.Close()
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Fatal("Close left the orphaned spill temp file behind")
+	e := New(1)
+	e.SetTraceDir(dir)
+	e.SetCacheLimit(1)
+	if err := e.Warm("w", emitN(5000, 32)); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(sealed); err != nil {
-		t.Fatal("Close removed a sealed spill file")
+	scratch := filepath.Dir(spillPathOf(t, e, "w"))
+	if filepath.Dir(scratch) != dir {
+		t.Fatalf("scratch store %s is not under the trace dir %s", scratch, dir)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(scratch); !os.IsNotExist(err) {
+		t.Fatal("Close left the scratch store behind")
+	}
+	if _, err := os.Stat(unrelated); err != nil {
+		t.Fatal("Close removed a file it did not create")
+	}
+
+	st, err := tracestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(1)
+	p.SetTraceDir(dir)
+	p.SetStore(st)
+	p.SetCacheLimit(1)
+	if err := p.Warm("w", emitN(5000, 32)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := st.Len(); n != 1 {
+		t.Fatalf("persistent store holds %d entries after Close, want the overflow entry", n)
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 1 {
+		t.Fatalf("an engine with a persistent store left %d files in the trace dir", len(left))
 	}
 }
 
@@ -170,11 +187,11 @@ func TestCapturePanicIsolatedToCell(t *testing.T) {
 }
 
 func TestPersistentSpillFaultDegradesToDirectRuns(t *testing.T) {
-	withFaults(t, "engine.spill.write")
+	withFaults(t, "store.write")
 
 	e := New(2)
 	defer e.Close()
-	e.SetCacheLimit(64) // force every capture to the spill tier
+	e.SetCacheLimit(64) // force every capture to overflow
 	e.SetTraceDir(t.TempDir())
 	e.SetRetryPolicy(2, 0)
 
@@ -198,7 +215,7 @@ func TestPersistentSpillFaultDegradesToDirectRuns(t *testing.T) {
 }
 
 func TestTransientSpillFaultRetriesAndSpills(t *testing.T) {
-	withFaults(t, "engine.spill.write:count=1")
+	withFaults(t, "store.write:count=1")
 
 	e := New(2)
 	defer e.Close()

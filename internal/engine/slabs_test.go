@@ -62,10 +62,10 @@ func (b *checkedBudget) Release(reserved, used int64) {
 }
 
 // TestSpillFailoverAfterSlabsMatchesMemoryBytes: a capture that fails
-// over to the spill tier after filling several slabs leaves a spill file
-// byte-identical to the memory-tier bytes of the same capture under a
-// budget that holds it whole — the slab prefix reaches the file intact
-// and in order.
+// over to a store entry after filling several slabs leaves an entry
+// whose bytes in front of its 16-byte seal are byte-identical to the
+// memory-tier bytes of the same capture under a budget that holds it
+// whole — the slab prefix reaches the entry intact and in order.
 func TestSpillFailoverAfterSlabsMatchesMemoryBytes(t *testing.T) {
 	capture := emitN(200000, 512) // about 1 MB: sixteen frames
 
@@ -100,8 +100,9 @@ func TestSpillFailoverAfterSlabsMatchesMemoryBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("spill file (%d bytes) differs from the memory-tier bytes (%d)", len(got), len(want))
+	const sealLen = 16
+	if len(got) != len(want)+sealLen || !bytes.Equal(got[:len(want)], want) {
+		t.Fatalf("overflow entry (%d bytes) is not the memory-tier bytes (%d) and a seal", len(got), len(want))
 	}
 }
 

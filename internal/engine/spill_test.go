@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -9,6 +11,7 @@ import (
 
 	"memotable/internal/isa"
 	"memotable/internal/trace"
+	"memotable/internal/tracestore"
 )
 
 // countingCapture wraps emitN and counts workload executions.
@@ -20,12 +23,16 @@ func countingCapture(execs *atomic.Int64, n int, period uint64) CaptureFunc {
 }
 
 // TestDeclinedCaptureRetriesAfterBudgetRaise is the regression test for
-// the consumed-once decline: a capture declined for budget must become
-// storable again once SetCacheLimit raises the budget, instead of
-// re-running the workload on every replay forever.
+// the consumed-once decline: a capture declined because its overflow
+// entry cannot be written must become storable again once SetCacheLimit
+// raises the budget, instead of re-running the workload on every replay
+// forever.
 func TestDeclinedCaptureRetriesAfterBudgetRaise(t *testing.T) {
+	withFaults(t, "store.write")
 	e := Serial()
 	e.SetCacheLimit(64) // far below the ~15 KB encoding
+	e.SetTraceDir(t.TempDir())
+	e.SetRetryPolicy(1, 0)
 	var execs atomic.Int64
 	capture := countingCapture(&execs, 5000, 32)
 
@@ -64,34 +71,6 @@ func TestDeclinedCaptureRetriesAfterBudgetRaise(t *testing.T) {
 	}
 }
 
-// TestDeclinedCaptureRetriesWhenSpillTierAppears: the other re-arm
-// trigger — a decline must be retried once SetTraceDir enables disk.
-func TestDeclinedCaptureRetriesWhenSpillTierAppears(t *testing.T) {
-	e := Serial()
-	e.SetCacheLimit(64)
-	var execs atomic.Int64
-	capture := countingCapture(&execs, 5000, 32)
-
-	var c trace.Counter
-	if n, err := e.Replay("k", capture, &c); err != nil || n != 5000 {
-		t.Fatalf("declined replay: n=%d err=%v", n, err)
-	}
-	if e.Stats().SpilledTraces != 0 {
-		t.Fatal("spilled without a trace dir")
-	}
-
-	e.SetTraceDir(t.TempDir())
-	if n, err := e.Replay("k", capture, &c); err != nil || n != 5000 {
-		t.Fatalf("post-spill-enable replay: n=%d err=%v", n, err)
-	}
-	if e.Stats().SpilledTraces != 1 {
-		t.Fatalf("enabling the spill tier did not re-arm the declined capture: spilled=%d", e.Stats().SpilledTraces)
-	}
-	if e.Stats().Replays != 1 {
-		t.Fatalf("replay not served from disk: replays=%d", e.Stats().Replays)
-	}
-}
-
 // TestConcurrentStoresNeverExceedBudget is the regression test for the
 // reservation bugfix: captures reserve bytes against the budget before
 // buffering, so used+reserved can never exceed the limit no matter how
@@ -99,6 +78,7 @@ func TestDeclinedCaptureRetriesWhenSpillTierAppears(t *testing.T) {
 // buffer up to the full remaining budget before any accounting.
 func TestConcurrentStoresNeverExceedBudget(t *testing.T) {
 	e := New(8)
+	e.SetTraceDir(t.TempDir())
 	// Each capture encodes to ~120 KB (40000 events x ~3 bytes, two v2
 	// frames), so the 200 KB budget fits exactly one.
 	const limit = 200 << 10
@@ -151,8 +131,9 @@ func TestConcurrentStoresNeverExceedBudget(t *testing.T) {
 }
 
 // TestOverBudgetCaptureSpillsToDisk is the acceptance scenario: with a
-// small memory budget and a TraceDir, a large capture is executed once,
-// spilled, and every replay streams from disk — no repeated captures.
+// small memory budget, a large capture is executed once, overflows into
+// a scratch store entry under the trace dir, and every replay streams
+// from disk — no repeated captures. Close removes the scratch store.
 func TestOverBudgetCaptureSpillsToDisk(t *testing.T) {
 	dir := t.TempDir()
 	e := New(2)
@@ -192,19 +173,19 @@ func TestOverBudgetCaptureSpillsToDisk(t *testing.T) {
 		t.Fatalf("disk replay stats %+v diverge from direct emission %+v", c1.Counts, want.Counts)
 	}
 
-	files, err := filepath.Glob(filepath.Join(dir, "trace-*.mtrc"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("spill dir holds %d trace files (%v), want 1", len(files), err)
+	files, err := filepath.Glob(filepath.Join(dir, "*", "t-*.mtrc"))
+	if err != nil || len(files) != 1 || files[0] != spillPathOf(t, e, "big") {
+		t.Fatalf("trace dir holds entries %v (%v), want the one overflow entry", files, err)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if files, _ = filepath.Glob(filepath.Join(dir, "trace-*.mtrc")); len(files) != 0 {
-		t.Fatalf("Close left %d spill files", len(files))
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Fatalf("Close left %d files in the trace dir", len(left))
 	}
 }
 
-// spillPathOf digs out the spill file backing key.
+// spillPathOf digs out the store entry backing key's disk-tier entry.
 func spillPathOf(t *testing.T, e *Engine, key string) string {
 	t.Helper()
 	e.mu.Lock()
@@ -216,87 +197,108 @@ func spillPathOf(t *testing.T, e *Engine, key string) string {
 	return ent.path
 }
 
-// TestTornSpillFileRecapturedTransparently truncates a spill file
+// TestTornSpillFileRecapturedTransparently truncates an overflow entry
 // mid-frame: the next replay must detect it via CRC before feeding the
 // sink, re-capture the workload, and still deliver the full stream.
 func TestTornSpillFileRecapturedTransparently(t *testing.T) {
-	e := Serial()
-	e.SetCacheLimit(1)
-	e.SetTraceDir(t.TempDir())
-	var execs atomic.Int64
-	capture := countingCapture(&execs, 30000, 128)
+	recapturesDamagedOverflow(t, func(path string, data []byte) error {
+		return os.Truncate(path, int64(len(data)/3))
+	})
+}
 
-	var c trace.Counter
-	if n, err := e.Replay("big", capture, &c); err != nil || n != 30000 {
-		t.Fatalf("first replay: n=%d err=%v", n, err)
-	}
-	path := spillPathOf(t, e, "big")
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, info.Size()/3); err != nil {
-		t.Fatal(err)
-	}
+// TestCorruptSpillFileDetectedByCRC flips one payload byte — the entry
+// keeps its length, only the checksum can catch it.
+func TestCorruptSpillFileDetectedByCRC(t *testing.T) {
+	recapturesDamagedOverflow(t, func(path string, data []byte) error {
+		data[len(data)/2] ^= 0x20
+		return os.WriteFile(path, data, 0o644)
+	})
+}
 
-	var c2 trace.Counter
-	n, err := e.Replay("big", capture, &c2)
-	if err != nil || n != 30000 {
-		t.Fatalf("replay over torn spill: n=%d err=%v", n, err)
-	}
-	if c2.Total() != 30000 {
-		t.Fatalf("sink saw %d events, want 30000 (no partial feed before detection)", c2.Total())
-	}
-	if execs.Load() != 2 {
-		t.Fatalf("workload executed %d times, want 2 (one re-capture)", execs.Load())
-	}
-	if e.Stats().Recaptures != 1 {
-		t.Fatalf("recaptures=%d, want 1", e.Stats().Recaptures)
-	}
-	if newPath := spillPathOf(t, e, "big"); newPath == path {
-		t.Fatal("torn spill file was not replaced")
-	}
-
-	// And the replacement serves replays without further executions.
-	var c3 trace.Counter
-	if n, err := e.Replay("big", capture, &c3); err != nil || n != 30000 {
-		t.Fatalf("replay after recapture: n=%d err=%v", n, err)
-	}
-	if execs.Load() != 2 {
-		t.Fatal("healthy respilled trace re-executed the workload")
+// recapturesDamagedOverflow damages a capture's overflow entry — in a
+// scratch store, and in an attached persistent store — and checks the
+// next replay re-captures it transparently, healing the entry, and the
+// one after replays it without executing the workload.
+func recapturesDamagedOverflow(t *testing.T, damage func(path string, data []byte) error) {
+	for _, persistent := range []bool{false, true} {
+		t.Run(fmt.Sprintf("persistent=%v", persistent), func(t *testing.T) {
+			e := Serial()
+			defer e.Close()
+			e.SetCacheLimit(1)
+			e.SetTraceDir(t.TempDir())
+			if persistent {
+				st, err := tracestore.Open(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.SetStore(st)
+			}
+			var execs atomic.Int64
+			capture := countingCapture(&execs, 30000, 128)
+			for i := 0; i < 3; i++ {
+				var c trace.Counter
+				if n, err := e.Replay("big", capture, &c); err != nil || n != 30000 || c.Total() != 30000 {
+					t.Fatalf("replay %d: n=%d, sink saw %d, err=%v", i, n, c.Total(), err)
+				}
+				path := spillPathOf(t, e, "big")
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					if err := damage(path, data); err != nil {
+						t.Fatal(err)
+					}
+				} else if _, err := trace.Verify(bytes.NewReader(data[:len(data)-16])); err != nil {
+					t.Fatalf("replay %d left a damaged entry: %v", i, err)
+				}
+			}
+			if s := e.Stats(); execs.Load() != 2 || s.Recaptures != 1 || s.SpilledTraces != 1 {
+				t.Fatalf("execs=%d recaptures=%d spilled=%d, want 2, 1 and 1", execs.Load(), s.Recaptures, s.SpilledTraces)
+			}
+		})
 	}
 }
 
-// TestCorruptSpillFileDetectedByCRC flips one payload byte — the file
-// keeps its length, only the checksum can catch it.
-func TestCorruptSpillFileDetectedByCRC(t *testing.T) {
-	e := Serial()
-	e.SetCacheLimit(1)
-	e.SetTraceDir(t.TempDir())
-	var execs atomic.Int64
-	capture := countingCapture(&execs, 30000, 128)
-
-	var c trace.Counter
-	if n, err := e.Replay("big", capture, &c); err != nil || n != 30000 {
-		t.Fatalf("first replay: n=%d err=%v", n, err)
+// TestEnginesSharingTraceDirKeepTheirOverflow is the regression test for
+// processes sharing a trace dir: one engine's Close must not remove the
+// overflow entry another engine is still streaming. The blocked capture
+// settles on its first try.
+func TestEnginesSharingTraceDirKeepTheirOverflow(t *testing.T) {
+	dir := t.TempDir()
+	a, b := Serial(), Serial()
+	for _, e := range []*Engine{a, b} {
+		e.SetTraceDir(dir)
+		e.SetCacheLimit(1)
 	}
-	path := spillPathOf(t, e, "big")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x20
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	defer b.Close()
+	if err := a.Warm("a", emitN(20000, 64)); err != nil {
 		t.Fatal(err)
 	}
 
-	var c2 trace.Counter
-	n, err := e.Replay("big", capture, &c2)
-	if err != nil || n != 30000 || c2.Total() != 30000 {
-		t.Fatalf("replay over corrupt spill: n=%d total=%d err=%v", n, c2.Total(), err)
+	midStream := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	capture := func(s trace.Sink) {
+		emitN(100000, 512)(s) // several frames, already in the overflow entry
+		once.Do(func() {
+			close(midStream)
+			<-release
+		})
+		emitN(100000, 256)(s)
 	}
-	if execs.Load() != 2 || e.Stats().Recaptures != 1 {
-		t.Fatalf("execs=%d recaptures=%d, want 2 and 1", execs.Load(), e.Stats().Recaptures)
+	done := make(chan error, 1)
+	go func() { done <- b.Warm("b", capture) }()
+	<-midStream
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if s := b.Stats(); s.Captures != 1 || s.SpillRetries != 0 || s.SpilledTraces != 1 {
+		t.Fatalf("captures=%d spill retries=%d spilled=%d, want 1, 0 and 1", s.Captures, s.SpillRetries, s.SpilledTraces)
 	}
 }
 

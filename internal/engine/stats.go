@@ -15,7 +15,7 @@ import (
 // and read its fields.
 //
 // Tiers() is the structural companion: each cache layer — memory,
-// decoded blocks, spill files, the persistent store — presented through
+// decoded blocks, overflowed captures, the persistent store — presented through
 // the narrow Tier interface (name, entry count, resident bytes), which
 // is how the service front-end and the CLI describe the cache without
 // reaching into engine internals.
@@ -100,7 +100,7 @@ func (e *Engine) Stats() Stats {
 		case stateMemory:
 			s.CachedTraces++
 		case stateDisk:
-			if !ent.stored {
+			if ent.spilled {
 				s.SpilledTraces++
 			}
 		}
@@ -154,8 +154,9 @@ type TierStats struct {
 }
 
 // Tiers returns the engine's cache layers, outermost first: the memory
-// tier (encoded v2 bytes), the decoded-block tier, the disk spill tier,
-// and — when a persistent store is attached — the store tier.
+// tier (encoded v2 bytes), the decoded-block tier, the spill view (disk
+// entries settled by overflowing captures), and — when a persistent
+// store is attached — the store tier.
 func (e *Engine) Tiers() []Tier {
 	tiers := []Tier{memoryTier{e}, blockTier{e}, spillTier{e}}
 	if e.Store() != nil {
@@ -223,8 +224,9 @@ func (t blockTier) Bytes() int64 {
 	return t.e.blockBytes
 }
 
-// spillTier views the disk spill files as a Tier. Store entries replayed
-// in place are the store tier's, not the spill tier's.
+// spillTier views, as a Tier, the disk-tier entries an overflowing
+// capture settled (in the attached store or the scratch one). Store hits
+// replayed in place are the store tier's, not the spill tier's.
 type spillTier struct{ e *Engine }
 
 func (t spillTier) Name() string { return "spill" }
@@ -238,8 +240,8 @@ func (t spillTier) Bytes() int64 {
 }
 func (t spillTier) spilled() (int, int64) {
 	return t.e.countTier(
-		func(ent *traceEntry) bool { return ent.state == stateDisk && !ent.stored },
-		func(ent *traceEntry) int64 { return ent.disk })
+		func(ent *traceEntry) bool { return ent.state == stateDisk && ent.spilled },
+		func(ent *traceEntry) int64 { return ent.body })
 }
 
 // storeTier views the attached persistent trace store as a Tier. Store

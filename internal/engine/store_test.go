@@ -337,7 +337,9 @@ func TestStoreHitOverBudgetCorruptedBeforeReplay(t *testing.T) {
 // entry settled in place, at every position and for every run length:
 // the replay either surfaces an error before any event reaches the sink
 // or delivers the whole stream, never a part of it, and the store entry
-// survives its invalidation.
+// survives its invalidation. A run of faults the retry policy covers —
+// at the verify open or at the replay open after it — is retried and
+// never fails the replay.
 func TestStoreHitOverBudgetReadFault(t *testing.T) {
 	dir := t.TempDir()
 	want, path := seedStore(t, dir, "big", emitN(5000, 32))
@@ -354,6 +356,9 @@ func TestStoreHitOverBudgetReadFault(t *testing.T) {
 			n, err := e.Replay("big", capture, &got)
 			faults.Activate(nil)
 			if err != nil {
+				if count <= 3 {
+					t.Fatalf("%s: a fault run within the 3 retries failed the replay: %v", label, err)
+				}
 				if len(got.Events) != 0 || n != 0 {
 					t.Fatalf("%s: error %v after %d events reached the sink", label, err, len(got.Events))
 				}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"memotable/internal/engine"
 	"memotable/internal/fitting"
 	"memotable/internal/imaging"
 	"memotable/internal/isa"
@@ -125,11 +124,6 @@ func planTable8(ctx *Context) ([]Demand, func() *Table8Result) {
 	return demands, finish
 }
 
-// Table8 reproduces the image table standalone on the given engine.
-func Table8(eng *engine.Engine, scale Scale) *Table8Result {
-	return runPlan(eng, scale, planTable8)
-}
-
 // accepts reports whether the application's default input list includes
 // the image.
 func accepts(app workloads.App, input string) bool {
@@ -217,11 +211,6 @@ func planFigure2(ctx *Context) ([]Demand, func() *Figure2Result) {
 		return res
 	}
 	return demands, finish
-}
-
-// Figure2 reproduces the entropy fits standalone on the given engine.
-func Figure2(eng *engine.Engine, scale Scale) *Figure2Result {
-	return runPlan(eng, scale, planFigure2)
 }
 
 // Result builds the fitted lines (the figure's interpretable content) as

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -18,6 +19,14 @@ import (
 // any worker count, replaying it here both exercises the pool under
 // -race and shares the trace cache between tests.
 var tEng = engine.New(4)
+
+// TestMain closes tEng after the package's tests, removing the scratch
+// store its overflowing captures landed in once the shared cache filled.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	_ = tEng.Close()
+	os.Exit(code)
+}
 
 func TestTableSetRoutesMemoizableOps(t *testing.T) {
 	ts := NewTableSet(memo.Paper32x4(), memo.NonTrivialOnly)
@@ -79,11 +88,11 @@ func TestTable1Static(t *testing.T) {
 }
 
 func TestTables5And6SuiteShape(t *testing.T) {
-	t5 := Table5(tEng)
+	t5 := runPlan(tEng, Tiny, planTable5)
 	if len(t5.Rows) != 9 {
 		t.Fatalf("Table 5 has %d rows", len(t5.Rows))
 	}
-	t6 := Table6(tEng)
+	t6 := runPlan(tEng, Tiny, planTable6)
 	if len(t6.Rows) != 10 {
 		t.Fatalf("Table 6 has %d rows", len(t6.Rows))
 	}
@@ -114,7 +123,7 @@ func TestTables5And6SuiteShape(t *testing.T) {
 }
 
 func TestTable7MMShape(t *testing.T) {
-	t7 := Table7(tEng, Tiny)
+	t7 := runPlan(tEng, Tiny, planTable7)
 	if len(t7.Rows) != 17 {
 		t.Fatalf("Table 7 has %d rows", len(t7.Rows))
 	}
@@ -146,8 +155,8 @@ func TestTable7MMShape(t *testing.T) {
 }
 
 func TestMMBeatsScientificAt32(t *testing.T) {
-	mm := Table7(tEng, Tiny).Average()
-	sci := Table5(tEng).Average()
+	mm := runPlan(tEng, Tiny, planTable7).Average()
+	sci := runPlan(tEng, Tiny, planTable5).Average()
 	if mm.Small[isa.OpFMul] <= sci.Small[isa.OpFMul] {
 		t.Errorf("MM fmul %.2f not above Perfect %.2f",
 			mm.Small[isa.OpFMul], sci.Small[isa.OpFMul])
@@ -159,7 +168,7 @@ func TestMMBeatsScientificAt32(t *testing.T) {
 }
 
 func TestTable8AndFigure2(t *testing.T) {
-	fig := Figure2(tEng, Tiny)
+	fig := runPlan(tEng, Tiny, planFigure2)
 	if len(fig.Points) == 0 {
 		t.Fatal("no Figure 2 points")
 	}
@@ -182,7 +191,7 @@ func TestTable8AndFigure2(t *testing.T) {
 }
 
 func TestTable9PolicyOrdering(t *testing.T) {
-	t9 := Table9(tEng, Tiny)
+	t9 := runPlan(tEng, Tiny, planTable9)
 	if len(t9.Rows) != 8 {
 		t.Fatalf("Table 9 rows = %d", len(t9.Rows))
 	}
@@ -210,7 +219,7 @@ func TestTable9PolicyOrdering(t *testing.T) {
 }
 
 func TestTable10MantissaRaisesRatios(t *testing.T) {
-	t10 := Table10(tEng, Tiny)
+	t10 := runPlan(tEng, Tiny, planTable10)
 	// Mantissa-only tags can only merge entries, so the suite averages
 	// must not drop (the paper: "raises the hit ratios, albeit not by
 	// much").
@@ -229,7 +238,7 @@ func TestTable10MantissaRaisesRatios(t *testing.T) {
 }
 
 func TestFigure3MonotoneAndFlattening(t *testing.T) {
-	fig := Figure3(tEng, Tiny)
+	fig := runPlan(tEng, Tiny, planFigure3)
 	if len(fig.Points) != len(Figure3Sizes) {
 		t.Fatalf("points = %d", len(fig.Points))
 	}
@@ -252,7 +261,7 @@ func TestFigure3MonotoneAndFlattening(t *testing.T) {
 }
 
 func TestFigure4AssociativityShape(t *testing.T) {
-	fig := Figure4(tEng, Tiny)
+	fig := runPlan(tEng, Tiny, planFigure4)
 	if len(fig.Points) != 4 {
 		t.Fatalf("points = %d", len(fig.Points))
 	}
@@ -271,9 +280,9 @@ func TestFigure4AssociativityShape(t *testing.T) {
 }
 
 func TestSpeedupTables(t *testing.T) {
-	t11 := Table11(tEng, Tiny)
-	t12 := Table12(tEng, Tiny)
-	t13 := Table13(tEng, Tiny)
+	t11 := runPlan(tEng, Tiny, planTable11)
+	t12 := runPlan(tEng, Tiny, planTable12)
+	t13 := runPlan(tEng, Tiny, planTable13)
 	for _, tbl := range []*SpeedupResult{t11, t12, t13} {
 		if len(tbl.Rows) != 9 {
 			t.Fatalf("%s: %d rows", tbl.Title, len(tbl.Rows))
@@ -323,7 +332,7 @@ func TestAmdahlConsistency(t *testing.T) {
 	// The measured whole-application speedup must equal Amdahl's
 	// prediction from the measured FE and SE (they are defined from the
 	// same cycle accounting).
-	t11 := Table11(tEng, Tiny)
+	t11 := runPlan(tEng, Tiny, planTable11)
 	for _, r := range t11.Rows {
 		for _, c := range []SpeedupCell{r.Fast, r.Slow} {
 			if c.FE == 0 {
@@ -363,8 +372,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 	// The engine's whole contract: rendered output is bit-identical at any
 	// worker count. (The root golden tests pin every experiment; this is
 	// the in-package witness on one sweep.)
-	serial := Figure4(engine.Serial(), Tiny).Render()
-	parallel := Figure4(engine.New(8), Tiny).Render()
+	serial := runPlan(engine.Serial(), Tiny, planFigure4).Render()
+	parallel := runPlan(engine.New(8), Tiny, planFigure4).Render()
 	if serial != parallel {
 		t.Fatalf("parallel output diverged from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			serial, parallel)

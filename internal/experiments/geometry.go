@@ -3,7 +3,6 @@ package experiments
 import (
 	"math"
 
-	"memotable/internal/engine"
 	"memotable/internal/isa"
 	"memotable/internal/memo"
 	"memotable/internal/report"
@@ -59,11 +58,6 @@ func planFigure3(ctx *Context) ([]Demand, func() *GeometryResult) {
 	}
 }
 
-// Figure3 reproduces the size sweep standalone on the given engine.
-func Figure3(eng *engine.Engine, scale Scale) *GeometryResult {
-	return runPlan(eng, scale, planFigure3)
-}
-
 // Figure4Ways are the associativities swept at 32 entries.
 var Figure4Ways = []int{1, 2, 4, 8}
 
@@ -82,11 +76,6 @@ func planFigure4(ctx *Context) ([]Demand, func() *GeometryResult) {
 		}
 		return res
 	}
-}
-
-// Figure4 reproduces the associativity sweep standalone.
-func Figure4(eng *engine.Engine, scale Scale) *GeometryResult {
-	return runPlan(eng, scale, planFigure4)
 }
 
 // planSweep plans the five sample applications across all

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"memotable/internal/engine"
 	"memotable/internal/isa"
 	"memotable/internal/memo"
 	"memotable/internal/probe"
@@ -129,16 +128,6 @@ func planTable6(ctx *Context) ([]Demand, func() *HitTable) {
 	return planSuiteHit(ctx, "Table 6: hit ratios, SPEC CFP95 benchmarks", names, runs)
 }
 
-// Table5 reproduces Table 5 standalone on the given engine.
-func Table5(eng *engine.Engine) *HitTable {
-	return runPlan(eng, Tiny, planTable5)
-}
-
-// Table6 reproduces Table 6 standalone on the given engine.
-func Table6(eng *engine.Engine) *HitTable {
-	return runPlan(eng, Tiny, planTable6)
-}
-
 // mmTable7Apps lists the seventeen applications of Table 7 in paper
 // order (vsqrt appears in Table 4 and the speedup study but not in
 // Table 7).
@@ -171,11 +160,6 @@ func planTable7(ctx *Context) ([]Demand, func() *HitTable) {
 		return t
 	}
 	return demands, finish
-}
-
-// Table7 reproduces Table 7 standalone on the given engine.
-func Table7(eng *engine.Engine, scale Scale) *HitTable {
-	return runPlan(eng, scale, planTable7)
 }
 
 // Table10Result compares full-value and mantissa-only tagging (Table 10):
@@ -230,11 +214,6 @@ func planTable10(ctx *Context) ([]Demand, func() *Table10Result) {
 		return res
 	}
 	return demands, finish
-}
-
-// Table10 reproduces the mantissa-only comparison standalone.
-func Table10(eng *engine.Engine, scale Scale) *Table10Result {
-	return runPlan(eng, scale, planTable10)
 }
 
 // Result builds Table 10 as a typed table.

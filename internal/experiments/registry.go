@@ -306,7 +306,7 @@ func Run(eng *engine.Engine, scale Scale, names ...string) ([]*report.Result, er
 
 // RunContext is Run with cooperative cancellation and degraded-mode
 // results. The replay pass runs under ctx; workload failures (injected
-// faults, panicking sinks, unreadable spill files, cancellation) do not
+// faults, panicking sinks, unreadable disk-tier entries, cancellation) do not
 // abort the selection. Instead:
 //
 //   - an experiment none of whose demanded workloads failed finishes
@@ -396,8 +396,8 @@ func finishGuarded(finish func() *report.Result) (r *report.Result, err error) {
 	return finish(), nil
 }
 
-// runPlan drives one driver's plan standalone: the legacy typed entry
-// points (Table5, Figure3, ...) run through it, so they share the
+// runPlan drives one driver's plan standalone: the typed extension entry
+// points and the package tests run through it, so they share the
 // planner path — and its exactly-once guarantee — with Run.
 func runPlan[T any](eng *engine.Engine, scale Scale, plan func(*Context) ([]Demand, func() T)) T {
 	ctx := &Context{Eng: eng, Scale: scale}

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"memotable/internal/cpu"
-	"memotable/internal/engine"
 	"memotable/internal/isa"
 	"memotable/internal/memo"
 	"memotable/internal/report"
@@ -76,21 +75,6 @@ func planTable13(ctx *Context) ([]Demand, func() *SpeedupResult) {
 		"3/13 cycles", "5/39 cycles",
 		[]isa.Op{isa.OpFMul, isa.OpFDiv},
 		base.WithFPLatencies(3, 13), base.WithFPLatencies(5, 39))
-}
-
-// Table11 reproduces Table 11 standalone on the given engine.
-func Table11(eng *engine.Engine, scale Scale) *SpeedupResult {
-	return runPlan(eng, scale, planTable11)
-}
-
-// Table12 reproduces Table 12 standalone on the given engine.
-func Table12(eng *engine.Engine, scale Scale) *SpeedupResult {
-	return runPlan(eng, scale, planTable12)
-}
-
-// Table13 reproduces Table 13 standalone on the given engine.
-func Table13(eng *engine.Engine, scale Scale) *SpeedupResult {
-	return runPlan(eng, scale, planTable13)
 }
 
 // planSpeedupStudy plans each application over its inputs on four

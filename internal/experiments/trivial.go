@@ -3,7 +3,6 @@ package experiments
 import (
 	"math"
 
-	"memotable/internal/engine"
 	"memotable/internal/isa"
 	"memotable/internal/memo"
 	"memotable/internal/report"
@@ -80,11 +79,6 @@ func planTable9(ctx *Context) ([]Demand, func() *Table9Result) {
 		return res
 	}
 	return demands, finish
-}
-
-// Table9 reproduces the policy comparison standalone on the given engine.
-func Table9(eng *engine.Engine, scale Scale) *Table9Result {
-	return runPlan(eng, scale, planTable9)
 }
 
 // Average returns the column means across applications, skipping '-'.

@@ -1,6 +1,6 @@
 // Package faults is a process-wide fault-injection registry. Production
 // code threads named injection points through its I/O and compute edges
-// (faults.Inject(faults.SpillWrite) before a spill-file write, for
+// (faults.Inject(faults.StoreWrite) before a trace-store entry write, for
 // instance); a test or a soak run activates a Plan describing which
 // points should fail, how often, and how — as a returned error or as a
 // panic. With no plan active every injection point is a single atomic
@@ -25,7 +25,7 @@
 //	        | "error"       injected failure returns an error (default)
 //	        | "panic"       injected failure panics with a *Fault
 //
-// Example: "seed=7;engine.spill.write:p=0.01;engine.sink.emit:count=1:panic"
+// Example: "seed=7;store.write:p=0.01;engine.sink.emit:count=1:panic"
 package faults
 
 import (
@@ -47,16 +47,6 @@ const (
 	// direct re-execution) is about to run. Error mode fails the capture;
 	// panic mode simulates the workload itself panicking.
 	CaptureRun = "engine.capture.run"
-	// SpillCreate fires before the spill temp file is created.
-	SpillCreate = "engine.spill.create"
-	// SpillWrite fires before each write to an open spill file.
-	SpillWrite = "engine.spill.write"
-	// SpillRename fires before a sealed spill file is renamed from its
-	// temp name to its durable name.
-	SpillRename = "engine.spill.rename"
-	// SpillRead fires before a spill file is opened for verification,
-	// replay, or block decoding.
-	SpillRead = "engine.spill.read"
 	// FrameCRC fires when a v2 trace frame's checksum is about to be
 	// accepted: an injected failure reports the frame as corrupt.
 	FrameCRC = "trace.frame.crc"
@@ -82,11 +72,14 @@ const (
 	// stays valid but nothing is persisted.
 	IngestSeal = "ingest.seal"
 	// StoreRead fires before a persistent trace-store entry is opened
-	// and verified, and before an entry the engine replays in place is
-	// opened for verification, replay, or block decoding. Error mode
-	// makes the lookup a miss; at replay it is a transient read failure.
+	// and verified, and before a disk-tier entry (an overflowed capture
+	// or an over-budget store hit) is opened for verification, replay,
+	// or block decoding. Error mode makes the lookup a miss; at replay it
+	// is a transient read failure.
 	StoreRead = "store.read"
-	// StoreWrite fires before each write to a trace-store temp file.
+	// StoreWrite fires before each write to a trace-store temp file: a
+	// publish of a memory-tier capture, or a capture overflowing its
+	// budget into a store entry (persistent or scratch).
 	StoreWrite = "store.write"
 	// StoreRename fires before a sealed store temp file is renamed to
 	// its content-addressed name.
@@ -120,7 +113,7 @@ const (
 // Points returns the injection-point catalog, sorted.
 func Points() []string {
 	pts := []string{
-		CaptureRun, SpillCreate, SpillWrite, SpillRename, SpillRead,
+		CaptureRun,
 		FrameCRC, BlockDecode, SinkEmit,
 		IngestFeed, IngestFrame, IngestSeal,
 		StoreRead, StoreWrite, StoreRename,

@@ -19,18 +19,18 @@ func TestInjectWithoutPlanIsNil(t *testing.T) {
 	if Enabled() {
 		t.Fatal("Enabled with no plan")
 	}
-	if err := Inject(SpillWrite); err != nil {
+	if err := Inject(StoreWrite); err != nil {
 		t.Fatalf("injection with no plan: %v", err)
 	}
 }
 
 func TestErrorModeFiresAndWraps(t *testing.T) {
-	p, err := New(1, Rule{Point: SpillWrite})
+	p, err := New(1, Rule{Point: StoreWrite})
 	if err != nil {
 		t.Fatal(err)
 	}
 	activate(t, p)
-	got := Inject(SpillWrite)
+	got := Inject(StoreWrite)
 	if got == nil {
 		t.Fatal("p=1 rule did not fire")
 	}
@@ -38,10 +38,10 @@ func TestErrorModeFiresAndWraps(t *testing.T) {
 		t.Fatalf("injected error %v is not ErrInjected", got)
 	}
 	var f *Fault
-	if !errors.As(got, &f) || f.Point != SpillWrite {
-		t.Fatalf("injected error %v carries no *Fault for %s", got, SpillWrite)
+	if !errors.As(got, &f) || f.Point != StoreWrite {
+		t.Fatalf("injected error %v carries no *Fault for %s", got, StoreWrite)
 	}
-	if err := Inject(SpillRead); err != nil {
+	if err := Inject(StoreRead); err != nil {
 		t.Fatalf("unruled point fired: %v", err)
 	}
 	if p.Fired() != 1 {
@@ -88,13 +88,13 @@ func TestCountAndAfter(t *testing.T) {
 
 func TestProbabilityIsDeterministicAndRoughlyCalibrated(t *testing.T) {
 	run := func(seed uint64) []bool {
-		p, err := New(seed, Rule{Point: SpillWrite, Prob: 0.1})
+		p, err := New(seed, Rule{Point: StoreWrite, Prob: 0.1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		pattern := make([]bool, 10000)
 		for i := range pattern {
-			pattern[i] = p.inject(SpillWrite) != nil
+			pattern[i] = p.inject(StoreWrite) != nil
 		}
 		return pattern
 	}
@@ -124,16 +124,16 @@ func TestProbabilityIsDeterministicAndRoughlyCalibrated(t *testing.T) {
 }
 
 func TestParse(t *testing.T) {
-	p, err := Parse("seed=7; engine.spill.write:p=0.25:count=3 ;engine.sink.emit:after=2:panic")
+	p, err := Parse("seed=7; store.write:p=0.25:count=3 ;engine.sink.emit:after=2:panic")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Seed != 7 {
 		t.Errorf("seed = %d, want 7", p.Seed)
 	}
-	w := p.rules[SpillWrite]
+	w := p.rules[StoreWrite]
 	if len(w) != 1 || w[0].Prob != 0.25 || w[0].Count != 3 || w[0].Mode != ModeError {
-		t.Errorf("spill.write rule parsed as %+v", w)
+		t.Errorf("store.write rule parsed as %+v", w)
 	}
 	s := p.rules[SinkEmit]
 	if len(s) != 1 || s[0].After != 2 || s[0].Mode != ModePanic || s[0].Prob != 1 {
@@ -144,10 +144,10 @@ func TestParse(t *testing.T) {
 func TestParseRejectsGarbage(t *testing.T) {
 	for _, spec := range []string{
 		"nosuch.point",
-		"engine.spill.write:p=2",
-		"engine.spill.write:p=x",
-		"engine.spill.write:count=-1",
-		"engine.spill.write:frob=1",
+		"store.write:p=2",
+		"store.write:p=x",
+		"store.write:count=-1",
+		"store.write:frob=1",
 		"seed=nope",
 	} {
 		if _, err := Parse(spec); err == nil {
@@ -161,7 +161,7 @@ func TestFromEnv(t *testing.T) {
 	if p, err := FromEnv(); err != nil || p != nil {
 		t.Fatalf("empty FAULTS: plan=%v err=%v", p, err)
 	}
-	t.Setenv("FAULTS", "engine.spill.read:count=1")
+	t.Setenv("FAULTS", "store.read:count=1")
 	p, err := FromEnv()
 	if err != nil || p == nil {
 		t.Fatalf("FromEnv: plan=%v err=%v", p, err)
@@ -173,7 +173,7 @@ func TestFromEnv(t *testing.T) {
 }
 
 func TestCountIsRaceSafeUnderConcurrency(t *testing.T) {
-	p, err := New(1, Rule{Point: SpillWrite, Count: 5})
+	p, err := New(1, Rule{Point: StoreWrite, Count: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestCountIsRaceSafeUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			local := 0
 			for i := 0; i < 1000; i++ {
-				if Inject(SpillWrite) != nil {
+				if Inject(StoreWrite) != nil {
 					local++
 				}
 			}

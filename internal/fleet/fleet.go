@@ -53,8 +53,7 @@ type Config struct {
 	// the sleep.
 	RetryBase time.Duration
 	// Args contributes extra worker argv entries per shard — the CLI
-	// forwards -parallel/-store/-faults here and points each worker at
-	// its own spill directory.
+	// forwards -parallel/-store/-faults here.
 	Args func(shard int) []string
 	// Stderr receives every worker's stderr (nil discards it).
 	Stderr io.Writer
@@ -170,7 +169,7 @@ func (cfg *Config) runShard(ctx context.Context, shard int, names []string) (*Ma
 
 // backoff draws a full-jitter exponential delay: uniform over
 // [0, base<<attempt), capped at 64× base — the same shape the engine
-// uses for spill-I/O retries.
+// uses for overflow-I/O retries.
 func backoff(base time.Duration, attempt int) time.Duration {
 	ceil := base << attempt
 	if lim := 64 * base; ceil > lim || ceil <= 0 {

@@ -119,7 +119,7 @@ func (s *Service) Engine() *engine.Engine { return s.eng }
 
 // Close shuts the service down: new runs fail with engine.ErrClosed
 // (in-flight passes drain first — Engine.Close waits for them), and the
-// engine's spill tier is torn down. Idempotent, like Engine.Close.
+// engine's scratch store is removed. Idempotent, like Engine.Close.
 func (s *Service) Close() error {
 	s.mu.Lock()
 	s.closed = true

@@ -171,11 +171,13 @@ func TestCoalescing(t *testing.T) {
 }
 
 // TestTenantBudgetDegradation: a tenant whose budget is exhausted gets
-// byte-identical results (its workloads degrade to direct re-execution)
-// and leaves nothing in the shared cache; a healthy tenant's caching is
-// untouched before and after.
+// byte-identical results (its captures overflow to the disk tier) and
+// holds no memory-tier bytes; a healthy tenant replays those entries
+// without re-capturing, and its own memory-tier entries are untouched by
+// later starved runs.
 func TestTenantBudgetDegradation(t *testing.T) {
 	eng := engine.New(2)
+	eng.SetTraceDir(t.TempDir())
 	svc := New(eng, Config{MaxInflight: 2})
 	defer svc.Close()
 
@@ -189,21 +191,21 @@ func TestTenantBudgetDegradation(t *testing.T) {
 	if len(srep.Errors) > 0 {
 		t.Fatalf("starved run degraded cells: %v", srep.Errors)
 	}
-	if got := eng.Stats().CachedTraces; got != 0 {
-		t.Fatalf("starved tenant cached %d traces past its budget", got)
+	if st := eng.Stats(); st.CachedTraces != 0 || st.SpilledTraces == 0 {
+		t.Fatalf("starved tenant: %d traces cached past its budget, %d overflowed to disk", st.CachedTraces, st.SpilledTraces)
 	}
 	if used := starved.Budget().Used(); used != 0 {
 		t.Fatalf("starved tenant holds %d bytes", used)
 	}
 
 	healthy := svc.Session("healthy")
+	captures := eng.Stats().Captures
 	hr, _, err := healthy.Run(context.Background(), experiments.Tiny, "figure4")
 	if err != nil {
 		t.Fatalf("healthy run: %v", err)
 	}
-	cached := eng.Stats().CachedTraces
-	if cached == 0 {
-		t.Fatal("healthy tenant cached nothing")
+	if got := eng.Stats().Captures; got != captures {
+		t.Fatalf("healthy tenant re-captured %d overflowed workloads", got-captures)
 	}
 
 	sj, err := report.JSONArray(sr)
@@ -215,11 +217,18 @@ func TestTenantBudgetDegradation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(sj, hj) {
-		t.Fatal("degraded tenant's results differ from the cached tenant's")
+		t.Fatal("degraded tenant's results differ from the healthy tenant's")
 	}
 
+	if _, _, err := healthy.Run(context.Background(), experiments.Tiny, "table5"); err != nil {
+		t.Fatalf("healthy table5 run: %v", err)
+	}
+	cached := eng.Stats().CachedTraces
+	if cached == 0 {
+		t.Fatal("healthy tenant cached nothing")
+	}
 	// A further starved run must not evict the healthy tenant's entries.
-	if _, _, err := starved.Run(context.Background(), experiments.Tiny, "figure4"); err != nil {
+	if _, _, err := starved.Run(context.Background(), experiments.Tiny, "figure4", "table5"); err != nil {
 		t.Fatalf("second starved run: %v", err)
 	}
 	if got := eng.Stats().CachedTraces; got != cached {

@@ -14,7 +14,7 @@ import (
 )
 
 // Trace format v2 layers CRC-framed chunks over the v1 event encoding so
-// that corruption anywhere in a stream — a torn spill file, a flipped
+// that corruption anywhere in a stream — a torn store entry, a flipped
 // bit, a truncated frame — is detected before any damaged event reaches
 // a sink:
 //
@@ -188,7 +188,7 @@ func (w *WriterV2) Err() error { return w.err }
 // flushFrame seals the open frame in place — its header is written into
 // the bytes reserved in front of the payload — and writes header and
 // payload to the underlying writer as a single Write call, so
-// downstream writers (the engine's capture slabs and spill fail-over,
+// downstream writers (the engine's capture slabs and store-entry fail-over,
 // for two) observe whole frames. A compressed payload is deflated
 // behind a header reserved the same way.
 func (w *WriterV2) flushFrame() error {
@@ -457,7 +457,7 @@ func decodeEvents(dst []Event, p []byte, pos int, n uint32) ([]Event, int, error
 // Verify scans a trace stream end to end and returns its event count
 // without feeding any sink. For v2 streams only frame headers and
 // checksums are examined — no decompression, no event decoding — so a
-// spill file is vetted at sequential-read speed before a replay commits
+// disk-tier entry is vetted at sequential-read speed before a replay commits
 // events to a sink. v1 streams carry no checksums and are fully decoded.
 func Verify(rd io.Reader) (uint64, error) {
 	r, err := NewReader(rd)

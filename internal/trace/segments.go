@@ -9,7 +9,7 @@ import (
 // first segment begins with the whole stream header, and every frame
 // lies whole inside one segment. A contiguous buffer is the one-segment
 // case. The engine's capture slabs (SlabWriter) are such a list, so a
-// capture is decoded, verified, spilled and published where it was
+// capture is decoded, verified and published where it was
 // written, without ever being joined into one buffer.
 
 // NewSegmentReader validates the header of a stream held in memory as

@@ -17,13 +17,15 @@
 // old generation's names, so stale entries are invisible — not deleted
 // from under a concurrent reader still running the old build.
 //
-// Writes follow the temp-then-rename discipline of the engine's spill
-// tier: the stream lands in a "t-*.mtrc.tmp" file that is synced, closed
-// and atomically renamed to its durable name, so a reader can never
-// observe a torn entry and a process death mid-put leaves only suffixed
-// garbage, which Open sweeps. Concurrent writers of the same key are
-// benign: captures are deterministic, so both write the same bytes and
-// the last rename wins.
+// Every write goes through one streaming entry writer (Create): the
+// stream lands in a "t-*.mtrc.tmp" file that is sealed, synced, closed
+// and atomically renamed to its durable name on Commit, so a reader can
+// never observe a torn entry and a process death mid-write leaves only
+// suffixed garbage, which Open sweeps once it has sat untouched for a
+// grace period. Put is that writer over bytes already in memory; an
+// engine capture that overflows its memory budget streams into a writer
+// directly. Concurrent writers of the same key are benign: captures are
+// deterministic, so both write the same bytes and the last rename wins.
 //
 // The trace bytes are followed on disk by a 16-byte seal trailer: a
 // magic, a CRC32C over the whole body, and the body length. Frame
@@ -43,11 +45,13 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"time"
 
 	"memotable/internal/faults"
 	"memotable/internal/trace"
@@ -55,6 +59,13 @@ import (
 
 // tempSuffix marks an entry that has not been sealed yet.
 const tempSuffix = ".tmp"
+
+// orphanGrace is how long a temp file must sit unmodified before Open
+// sweeps it. A store directory is shared by concurrent processes — a
+// fleet retry starts a fresh worker mid-run — and a live writer touches
+// its temp file with every frame it streams, so only a writer that died
+// (or stalled this long, and then merely fails its Commit) loses it.
+const orphanGrace = time.Hour
 
 // The seal trailer closing every entry: magic, CRC32C of the body, body
 // length. Its only job is detecting truncation and damage that frame
@@ -79,8 +90,10 @@ type Store struct {
 }
 
 // Open prepares dir as a trace store, creating it if needed and
-// sweeping temp files a dead process left behind. Sealed entries are
-// never touched by the sweep.
+// sweeping temp files a dead process left behind: those not modified
+// for orphanGrace, so a writer streaming into the same directory from
+// another process keeps its file. Sealed entries are never touched by
+// the sweep.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("tracestore: empty directory")
@@ -91,7 +104,9 @@ func Open(dir string) (*Store, error) {
 	orphans, err := filepath.Glob(filepath.Join(dir, "t-*.mtrc"+tempSuffix))
 	if err == nil {
 		for _, p := range orphans {
-			_ = os.Remove(p)
+			if fi, err := os.Stat(p); err == nil && time.Since(fi.ModTime()) > orphanGrace {
+				_ = os.Remove(p)
+			}
 		}
 	}
 	return &Store{dir: dir}, nil
@@ -241,76 +256,114 @@ func verify(f *os.File, size int64, data []byte) (uint64, error) {
 // segments are written to the entry file where they lie, without being
 // joined or copied.
 func (s *Store) Put(fingerprint string, segs ...[]byte) error {
-	return s.install(fingerprint, func(w io.Writer) (int64, error) {
-		var n int64
-		for _, seg := range segs {
-			m, err := w.Write(seg)
-			n += int64(m)
-			if err != nil {
-				return n, err
-			}
-		}
-		return n, nil
-	})
-}
-
-// PutFile installs a trace for a fingerprint by copying an existing
-// trace file (an engine spill file, typically).
-func (s *Store) PutFile(fingerprint, path string) error {
-	f, err := os.Open(path)
+	w, err := s.Create(fingerprint)
 	if err != nil {
-		return fmt.Errorf("tracestore: %w", err)
+		return err
 	}
-	defer func() { _ = f.Close() }()
-	return s.install(fingerprint, func(w io.Writer) (int64, error) { return io.Copy(w, f) })
+	for _, seg := range segs {
+		if _, err := w.Write(seg); err != nil {
+			return err
+		}
+	}
+	_, err = w.Commit()
+	return err
 }
 
-// install writes a trace into a temp file through write, appends the
-// seal trailer, and atomically renames the file to the fingerprint's
-// durable name. On any failure the temp file is removed and the store
-// is unchanged.
-func (s *Store) install(fingerprint string, write func(io.Writer) (int64, error)) error {
+// Writer streams one entry into the store: Write appends trace bytes to
+// the entry's temp file, Commit seals it under the fingerprint's durable
+// name, and Abort abandons it. A failed Write or Commit aborts the entry
+// itself, so on any failure the temp file is gone and the store is
+// unchanged. A Writer is not safe for concurrent use.
+type Writer struct {
+	path string   // the entry's durable name
+	f    *os.File // the temp file; nil once committed or aborted
+	crc  hash.Hash32
+	n    int64
+	err  error // sticky: why the writer accepts no more bytes
+}
+
+// errDone is the sticky error of a committed or aborted Writer.
+var errDone = errors.New("tracestore: entry already committed or aborted")
+
+// Create opens a streaming writer for a fingerprint's entry.
+func (s *Store) Create(fingerprint string) (*Writer, error) {
 	f, err := os.CreateTemp(s.dir, "t-*.mtrc"+tempSuffix)
 	if err != nil {
-		return fmt.Errorf("tracestore: %w", err)
+		return nil, fmt.Errorf("tracestore: %w", err)
 	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return fmt.Errorf("tracestore: %w", err)
+	return &Writer{path: s.entryPath(fingerprint), f: f, crc: crc32.New(castagnoli)}, nil
+}
+
+// Write implements io.Writer. The store.write injection point fires
+// before every write.
+func (w *Writer) Write(p []byte) (int, error) {
+	if w.err != nil {
+		return 0, w.err
 	}
 	if err := faults.Inject(faults.StoreWrite); err != nil {
-		return fail(err)
+		return 0, w.fail(err)
 	}
-	crc := crc32.New(castagnoli)
-	n, err := write(io.MultiWriter(f, crc))
+	n, err := w.f.Write(p)
+	_, _ = w.crc.Write(p[:n]) // hash writes cannot fail
+	w.n += int64(n)
 	if err != nil {
-		return fail(err)
+		return n, w.fail(err)
+	}
+	return n, nil
+}
+
+// Size returns the trace bytes written so far.
+func (w *Writer) Size() int64 { return w.n }
+
+// Commit appends the seal trailer, syncs and closes the temp file, and
+// atomically renames it to the fingerprint's durable name, which it
+// returns. The store.rename injection point fires before the rename.
+func (w *Writer) Commit() (string, error) {
+	if w.err != nil {
+		return "", w.err
 	}
 	var seal [trailerLen]byte
 	copy(seal[:4], trailerMagic)
-	binary.LittleEndian.PutUint32(seal[4:], crc.Sum32())
-	binary.LittleEndian.PutUint64(seal[8:], uint64(n))
-	if _, err := f.Write(seal[:]); err != nil {
-		return fail(err)
+	binary.LittleEndian.PutUint32(seal[4:], w.crc.Sum32())
+	binary.LittleEndian.PutUint64(seal[8:], uint64(w.n))
+	if _, err := w.f.Write(seal[:]); err != nil {
+		return "", w.fail(err)
 	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
+	if err := w.f.Sync(); err != nil {
+		return "", w.fail(err)
 	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("tracestore: %w", err)
+	if err := w.f.Close(); err != nil {
+		return "", w.fail(err)
 	}
 	if err := faults.Inject(faults.StoreRename); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("tracestore: %w", err)
+		return "", w.fail(err)
 	}
-	if err := os.Rename(tmp, s.entryPath(fingerprint)); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("tracestore: %w", err)
+	if err := os.Rename(w.f.Name(), w.path); err != nil {
+		return "", w.fail(err)
 	}
-	return nil
+	w.f, w.err = nil, errDone
+	return w.path, nil
+}
+
+// Abort abandons the entry: the temp file is closed and removed. It is
+// a no-op once the entry is committed or has failed, so it can be
+// deferred.
+func (w *Writer) Abort() {
+	if w.f != nil {
+		_ = w.f.Close() // a second Close after Commit's is harmless
+		_ = os.Remove(w.f.Name())
+		w.f = nil
+	}
+	if w.err == nil {
+		w.err = errDone
+	}
+}
+
+// fail aborts the entry and records err as the reason.
+func (w *Writer) fail(err error) error {
+	w.Abort()
+	w.err = fmt.Errorf("tracestore: %w", err)
+	return w.err
 }
 
 // Len counts the sealed entries of the current format generation.

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"memotable/internal/faults"
 	"memotable/internal/isa"
@@ -63,25 +64,54 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStorePutFile(t *testing.T) {
+// TestWriterStreamsEntry: an entry streamed through Create in chunks
+// is byte-identical to a Put of the same bytes, and an aborted writer
+// leaves neither an entry nor a temp file. (TestStoreFaultPoints covers
+// a failed Write or Commit.)
+func TestWriterStreamsEntry(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := testTrace(t, 50)
-	src := filepath.Join(t.TempDir(), "spill.mtrc")
-	if err := os.WriteFile(src, data, 0o644); err != nil {
+	data := testTrace(t, 5000)
+	w, err := s.Create("streamed")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutFile("sci|vpenta", src); err != nil {
+	for off := 0; off < len(data); off += 1000 {
+		if _, err := w.Write(data[off:min(off+1000, len(data))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path, err := w.Commit()
+	if err != nil || w.Size() != int64(len(data)) {
+		t.Fatalf("Commit = %v after %d of %d bytes", err, w.Size(), len(data))
+	}
+	if err := s.Put("put", data); err != nil {
 		t.Fatal(err)
 	}
-	got, events, err := s.Get("sci|vpenta")
-	if err != nil || !bytes.Equal(got, data) || events != 50 {
-		t.Fatalf("PutFile round trip: %v, %d events", err, events)
+	a, errA := os.ReadFile(path)
+	b, errB := os.ReadFile(s.entryPath("put"))
+	if errA != nil || errB != nil || !bytes.Equal(a, b) {
+		t.Fatalf("streamed entry differs from a Put of the same bytes (%v, %v)", errA, errB)
 	}
-	if err := s.PutFile("sci|nope", filepath.Join(t.TempDir(), "absent")); err == nil {
-		t.Fatal("PutFile accepted a missing source")
+
+	aborted, err := s.Create("aborted")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := aborted.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	aborted.Abort()
+	if _, err := aborted.Commit(); err == nil {
+		t.Fatal("Commit after Abort succeeded")
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(s.Dir(), "t-*"+tempSuffix)); len(tmps) != 0 {
+		t.Fatalf("%d temp files left behind", len(tmps))
+	}
+	if _, _, err := s.Get("aborted"); !errors.Is(err, ErrMiss) {
+		t.Fatal("aborted entry is readable")
 	}
 }
 
@@ -191,7 +221,14 @@ func TestOpenSweepsOrphans(t *testing.T) {
 		t.Fatal(err)
 	}
 	orphan := filepath.Join(dir, "t-deadbeef.mtrc"+tempSuffix)
-	if err := os.WriteFile(orphan, []byte("torn"), 0o644); err != nil {
+	fresh := filepath.Join(dir, "t-cafef00d.mtrc"+tempSuffix)
+	for _, p := range []string{orphan, fresh} {
+		if err := os.WriteFile(p, []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stale := time.Now().Add(-orphanGrace - time.Minute)
+	if err := os.Chtimes(orphan, stale, stale); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir); err != nil {
@@ -200,8 +237,43 @@ func TestOpenSweepsOrphans(t *testing.T) {
 	if _, err := os.Stat(orphan); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("orphan temp file survived Open")
 	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Fatal("Open swept a temp file modified within the grace period")
+	}
 	if _, _, err := s.Get("keep"); err != nil {
 		t.Fatal("sealed entry swept alongside orphans")
+	}
+}
+
+// TestOpenLeavesLiveWriter: a process opening a store while another
+// process streams an entry into it must not sweep that entry's temp
+// file — the writer's Commit still succeeds and the entry reads back.
+func TestOpenLeavesLiveWriter(t *testing.T) {
+	dir := t.TempDir()
+	writer, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := testTrace(t, 20000)
+	w, err := writer.Create("fp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(data[:len(data)/2]); err != nil {
+		t.Fatal(err)
+	}
+	other, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(data[len(data)/2:]); err != nil {
+		t.Fatalf("Write after a concurrent Open: %v", err)
+	}
+	if _, err := w.Commit(); err != nil {
+		t.Fatalf("Commit after a concurrent Open: %v", err)
+	}
+	if got, _, err := other.Get("fp"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("entry committed past a concurrent Open: %v", err)
 	}
 }
 

@@ -108,12 +108,13 @@ func NewSharedStriped(op Op, cfg Config, ports, stripes int) *Shared {
 // Engine is the parallel experiment engine: a bounded worker pool with a
 // tiered trace cache that captures each workload once and replays it to
 // every table configuration — from memory within the byte budget
-// (Engine.SetCacheLimit), from CRC-framed spill files on disk beyond it
-// (Engine.SetTraceDir), and from decoded event blocks shared across
+// (Engine.SetCacheLimit), from sealed trace-store entries on disk beyond
+// it (the attached Engine.SetStore store, or a scratch store the engine
+// removes on Close), and from decoded event blocks shared across
 // replays of the same workload when the budget also has room for them.
 // Engine.ReplayAll feeds several configurations' sinks in one pass over
 // the stream. Experiment output is bit-identical at any worker count and
-// budget, spill on or off.
+// budget, whichever tier serves the trace.
 type Engine = engine.Engine
 
 // CaptureFunc runs a workload, emitting its operand trace into a sink;
@@ -296,7 +297,8 @@ var (
 	ErrCanceled = engine.ErrCanceled
 	// ErrCaptureFailed marks a workload whose capture errored or panicked.
 	ErrCaptureFailed = engine.ErrCaptureFailed
-	// ErrSpillIO marks spill-tier I/O that kept failing after retries.
+	// ErrSpillIO marks disk-tier I/O (an overflowing capture's store
+	// entry, or a disk-tier read) that kept failing after retries.
 	ErrSpillIO = engine.ErrSpillIO
 	// ErrCorruptTrace marks a trace that failed verification even after
 	// transparent re-capture.
@@ -326,7 +328,9 @@ func RenderJSON(r *Result) ([]byte, error) { return report.JSON(r) }
 // RunExperiment reproduces one of the paper's tables or figures on the
 // reference serial path and returns its rendered text.
 func RunExperiment(name string, scale Scale) (string, error) {
-	return RunExperimentWith(engine.Serial(), name, scale)
+	eng := engine.Serial()
+	defer func() { _ = eng.Close() }()
+	return RunExperimentWith(eng, name, scale)
 }
 
 // RunExperimentWith runs one experiment on the given engine and returns
