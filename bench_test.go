@@ -255,7 +255,7 @@ func BenchmarkProbeOverhead(b *testing.B) {
 
 // BenchmarkTraceWrite measures binary trace encoding throughput.
 func BenchmarkTraceWrite(b *testing.B) {
-	w, err := trace.NewWriter(discard{})
+	w, err := trace.NewWriterV2(discard{}, false)
 	if err != nil {
 		b.Fatal(err)
 	}

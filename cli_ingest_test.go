@@ -43,7 +43,7 @@ func TestTracecapIngestStdinMatchesOffline(t *testing.T) {
 		t.Skip("builds and executes command binaries")
 	}
 	dir := t.TempDir()
-	path := captureTrace(t, dir, "v2")
+	path := captureTrace(t, dir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestTracecapIngestListenSocket(t *testing.T) {
 		t.Skip("builds and executes command binaries")
 	}
 	dir := t.TempDir()
-	path := captureTrace(t, dir, "v2")
+	path := captureTrace(t, dir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestTracecapIngestFailureModes(t *testing.T) {
 		t.Skip("builds and executes command binaries")
 	}
 	dir := t.TempDir()
-	path := captureTrace(t, dir, "v2")
+	path := captureTrace(t, dir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

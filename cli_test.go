@@ -70,11 +70,11 @@ func runCLI(t *testing.T, env []string, bin string, args ...string) (string, str
 
 // captureTrace writes a small kernel trace with tracecap and returns
 // its path.
-func captureTrace(t *testing.T, dir, format string) string {
+func captureTrace(t *testing.T, dir string) string {
 	t.Helper()
-	path := filepath.Join(dir, "trace-"+format+".mtrc")
+	path := filepath.Join(dir, "trace.mtrc")
 	stdout, stderr, code := runCLI(t, nil, cliBin(t, "tracecap"),
-		"-out", path, "-kernel", "TRFD", "-format", format)
+		"-out", path, "-kernel", "TRFD")
 	if code != 0 {
 		t.Fatalf("tracecap exited %d: %s", code, stderr)
 	}
@@ -90,6 +90,8 @@ func TestTracecapCLI(t *testing.T) {
 	}
 	dir := t.TempDir()
 	out := filepath.Join(dir, "t.mtrc")
+	compressed := filepath.Join(dir, "compressed.mtrc")
+	rejected := filepath.Join(dir, "rejected.mtrc")
 	tests := []struct {
 		name     string
 		args     []string
@@ -101,10 +103,10 @@ func TestTracecapCLI(t *testing.T) {
 		{"unknown kernel", []string{"-out", out, "-kernel", "nope"}, 2, "unknown kernel"},
 		{"unknown app", []string{"-out", out, "-app", "nope"}, 2, "unknown"},
 		{"unknown input", []string{"-out", out, "-app", "vspatial", "-input", "nope"}, 2, "unknown input"},
-		{"bad format", []string{"-out", out, "-kernel", "TRFD", "-format", "v9"}, 2, "unknown format"},
-		{"compress without v2", []string{"-out", out, "-kernel", "TRFD", "-compress"}, 2, "requires -format v2"},
+		{"zero maxdim", []string{"-out", rejected, "-app", "vspatial", "-maxdim", "0"}, 2, "-maxdim must be positive"},
 		{"unwritable out", []string{"-out", filepath.Join(dir, "no-such-dir", "t.mtrc"), "-kernel", "TRFD"}, 1, "no-such-dir"},
-		{"ok", []string{"-out", out, "-kernel", "TRFD", "-format", "v2"}, 0, ""},
+		{"ok", []string{"-out", out, "-kernel", "TRFD"}, 0, ""},
+		{"compress", []string{"-out", compressed, "-kernel", "TRFD", "-compress"}, 0, ""},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -115,7 +117,26 @@ func TestTracecapCLI(t *testing.T) {
 			if tc.wantCode != 0 && !strings.Contains(stderr, tc.wantErr) {
 				t.Fatalf("stderr = %q, want substring %q", stderr, tc.wantErr)
 			}
+			if strings.Contains(stderr, "panic:") {
+				t.Fatalf("stderr = %q, want a usage error, not a panic", stderr)
+			}
 		})
+	}
+	if _, err := os.Stat(rejected); !os.IsNotExist(err) {
+		t.Fatalf("rejected capture left an output file (stat: %v)", err)
+	}
+
+	// The compressed trace replays to the same report as the plain one.
+	plain, stderr, code := runCLI(t, nil, cliBin(t, "tracereplay"), "-in", out)
+	if code != 0 {
+		t.Fatalf("tracereplay on the plain trace exited %d: %s", code, stderr)
+	}
+	packed, stderr, code := runCLI(t, nil, cliBin(t, "tracereplay"), "-in", compressed)
+	if code != 0 {
+		t.Fatalf("tracereplay on the compressed trace exited %d: %s", code, stderr)
+	}
+	if packed != plain || !strings.Contains(plain, "hit ratio") {
+		t.Fatalf("compressed trace report %q, plain %q", packed, plain)
 	}
 }
 
@@ -125,7 +146,7 @@ func TestTracereplayCLI(t *testing.T) {
 	}
 	dir := t.TempDir()
 
-	good := captureTrace(t, dir, "v2")
+	good := captureTrace(t, dir)
 
 	garbage := filepath.Join(dir, "garbage.mtrc")
 	if err := os.WriteFile(garbage, []byte("this is not a trace file at all"), 0o644); err != nil {
@@ -151,6 +172,9 @@ func TestTracereplayCLI(t *testing.T) {
 	}{
 		{"missing in", nil, 2, "need -in"},
 		{"bad policy", []string{"-in", good, "-policy", "nope"}, 2, "unknown policy"},
+		{"entries not a power of two", []string{"-in", good, "-entries", "30"}, 2, "not a power of two"},
+		{"negative entries", []string{"-in", good, "-entries", "-4"}, 2, "negative entry count"},
+		{"ways not dividing entries", []string{"-in", good, "-ways", "3"}, 2, "not divisible by ways"},
 		{"missing file", []string{"-in", filepath.Join(dir, "absent.mtrc")}, 1, "absent.mtrc"},
 		{"garbage input", []string{"-in", garbage}, 3, "corrupt or truncated"},
 		{"truncated input", []string{"-in", truncated}, 3, "corrupt or truncated"},
@@ -164,6 +188,9 @@ func TestTracereplayCLI(t *testing.T) {
 			}
 			if tc.wantCode != 0 && !strings.Contains(stderr, tc.wantErr) {
 				t.Fatalf("stderr = %q, want substring %q", stderr, tc.wantErr)
+			}
+			if strings.Contains(stderr, "panic:") {
+				t.Fatalf("stderr = %q, want a usage error, not a panic", stderr)
 			}
 			if tc.wantCode == 0 && !strings.Contains(stdout, "hit ratio") {
 				t.Fatalf("stdout = %q, want hit ratio report", stdout)

@@ -6,14 +6,14 @@
 // Usage:
 //
 //	tracecap -out trace.mtrc -app vspatial -input mandrill [-maxdim 128]
-//	tracecap -out trace.mtrc -kernel hydro2d [-format v2] [-compress]
+//	tracecap -out trace.mtrc -kernel hydro2d [-compress]
 //	tracecap -listen unix:/tmp/cap.sock [-snapshot N] [-store DIR] [-seal KEY]
 //	tracecap -stdin [-snapshot N] [-store DIR] [-seal KEY]
 //
-// Capture mode writes a trace file. Format v2 frames the stream with
-// CRC32C checksums so corruption is detected on replay; -compress
-// additionally DEFLATE-compresses each frame. tracereplay reads either
-// format.
+// Capture mode writes a trace file in format v2, which frames the stream
+// with CRC32C checksums so corruption is detected on replay; -compress
+// additionally DEFLATE-compresses each frame. tracereplay reads v2 and
+// the older unframed v1.
 //
 // Ingest mode (-listen or -stdin) accepts a self-delimiting CRC-framed
 // v2 stream — from one connection on a unix or TCP socket, or from
@@ -55,8 +55,7 @@ func run() int {
 	input := flag.String("input", "mandrill", "catalog input image for -app")
 	kernel := flag.String("kernel", "", "scientific kernel to trace")
 	maxDim := flag.Int("maxdim", 128, "decimate the input to this many pixels per side")
-	format := flag.String("format", "v1", "trace format to write: v1, or v2 (CRC-framed)")
-	compress := flag.Bool("compress", false, "DEFLATE-compress v2 frames (requires -format v2)")
+	compress := flag.Bool("compress", false, "DEFLATE-compress the trace frames")
 	listen := flag.String("listen", "", "ingest a live v2 stream from one connection on this address (unix:/path, tcp:host:port, or a bare unix socket path)")
 	stdinMode := flag.Bool("stdin", false, "ingest a live v2 stream from standard input")
 	snapshot := flag.Uint64("snapshot", 0, "ingest mode: print a rolling snapshot every N events (0 = final only)")
@@ -100,18 +99,13 @@ func run() int {
 		flag.Usage()
 		return 2
 	}
-	if *format != "v1" && *format != "v2" {
-		fmt.Fprintf(os.Stderr, "tracecap: unknown format %q\n", *format)
-		return 2
-	}
-	if *compress && *format != "v2" {
-		fmt.Fprintln(os.Stderr, "tracecap: -compress requires -format v2")
-		return 2
-	}
 
 	var runWorkload func(*memotable.Probe)
 	switch {
 	case *app != "":
+		if *maxDim <= 0 {
+			return usage(fmt.Errorf("-maxdim must be positive, got %d", *maxDim))
+		}
 		a, err := workloads.Lookup(*app)
 		if err != nil {
 			return usage(err)
@@ -140,12 +134,7 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-	var n uint64
-	if *format == "v2" {
-		n, err = memotable.CaptureV2(f, *compress, runWorkload)
-	} else {
-		n, err = memotable.Capture(f, runWorkload)
-	}
+	n, err := memotable.Capture(f, *compress, runWorkload)
 	if err != nil {
 		return fail(err)
 	}
@@ -266,8 +255,8 @@ func fail(err error) int {
 	return 1
 }
 
-// usage reports a bad selection (unknown app, kernel or input): exit 2,
-// like the flag-validation errors above.
+// usage reports a bad selection (unknown app, kernel or input, or a
+// non-positive -maxdim): exit 2, like the flag-validation errors above.
 func usage(err error) int {
 	fmt.Fprintln(os.Stderr, "tracecap:", err)
 	return 2

@@ -49,13 +49,18 @@ func main() {
 		os.Exit(2)
 	}
 
+	cfg := memotable.Config{Entries: *entries, Ways: *ways, MantissaOnly: *mantissa}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "tracereplay:", err)
+		os.Exit(2)
+	}
+
 	f, err := os.Open(*in)
 	if err != nil {
 		fail(err)
 	}
 	defer func() { _ = f.Close() }()
 
-	cfg := memotable.Config{Entries: *entries, Ways: *ways, MantissaOnly: *mantissa}
 	stats, err := memotable.Replay(f, cfg, pol)
 	if err != nil {
 		fail(err)

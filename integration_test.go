@@ -29,7 +29,7 @@ func TestEndToEndCaptureSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := memotable.Capture(f, func(p *memotable.Probe) {
+	n, err := memotable.Capture(f, false, func(p *memotable.Probe) {
 		as := imaging.NewAddressSpace()
 		app.Run(p, as, as.Clone(input))
 	})
@@ -101,7 +101,7 @@ func TestEndToEndSpeedupStory(t *testing.T) {
 // the file round trip.
 func TestTraceFileInteroperatesWithUnits(t *testing.T) {
 	var buf bytes.Buffer
-	_, err := memotable.Capture(&buf, func(p *memotable.Probe) {
+	_, err := memotable.Capture(&buf, true, func(p *memotable.Probe) {
 		for i := 0; i < 200; i++ {
 			p.FSqrt(float64(i % 9))
 			p.FMul(float64(i%7), 3.5)

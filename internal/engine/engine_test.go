@@ -156,13 +156,13 @@ func TestWarmThenReplayServesFromCache(t *testing.T) {
 }
 
 // TestEnginePoolHammersSharedTable is the engine-side -race target: Map
-// fans replays of one cached trace into a striped multi-ported table, and
+// fans replays of one cached trace into a multi-ported table, and
 // the final hit/miss counts must equal a serial pass's (the infinite
 // table's totals are order-independent).
 func TestEnginePoolHammersSharedTable(t *testing.T) {
 	capture := emitN(30000, 512)
 
-	serialTable := memo.NewSharedStriped(isa.OpFMul, memo.Infinite(), 8, 8)
+	serialTable := memo.NewShared(memo.New(isa.OpFMul, memo.Infinite()), 8)
 	serialEng := Serial()
 	feedShared := func(e *Engine, sh *memo.Shared, cells int) {
 		e.Map(cells, func(int) {
@@ -176,7 +176,7 @@ func TestEnginePoolHammersSharedTable(t *testing.T) {
 	}
 	feedShared(serialEng, serialTable, 8)
 
-	parTable := memo.NewSharedStriped(isa.OpFMul, memo.Infinite(), 8, 8)
+	parTable := memo.NewShared(memo.New(isa.OpFMul, memo.Infinite()), 8)
 	parEng := New(8)
 	feedShared(parEng, parTable, 8)
 

@@ -42,7 +42,7 @@ func TestTableSetRoutesMemoizableOps(t *testing.T) {
 	}
 }
 
-func TestMeasureAndMeasureMany(t *testing.T) {
+func TestMeasure(t *testing.T) {
 	run := func(p *probe.Probe, _ *imaging.AddressSpace) {
 		for i := 0; i < 10; i++ {
 			p.FMul(2, 3)
@@ -55,13 +55,6 @@ func TestMeasureAndMeasureMany(t *testing.T) {
 	}
 	if c.Of(isa.OpLoad) != 10 {
 		t.Fatalf("loads %d", c.Of(isa.OpLoad))
-	}
-	sets := MeasureMany(run, memo.NonTrivialOnly, memo.Paper32x4(), memo.Infinite())
-	if len(sets) != 2 {
-		t.Fatal("MeasureMany set count")
-	}
-	if sets[0].HitRatio(isa.OpFMul) != sets[1].HitRatio(isa.OpFMul) {
-		t.Fatal("single-pair run must hit identically at any size")
 	}
 }
 

@@ -205,26 +205,6 @@ func Measure(run Runner, cfg memo.Config, policy memo.TrivialPolicy) (*TableSet,
 	return ts, &c
 }
 
-// MeasureMany runs the program once with several table configurations
-// simultaneously (one pass over the trace feeds them all), the way the
-// paper's simulator evaluated multiple geometries per run: the first set
-// is the sink, and the rest join it.
-func MeasureMany(run Runner, policy memo.TrivialPolicy, cfgs ...memo.Config) []*TableSet {
-	sets := make([]*TableSet, len(cfgs))
-	for i, cfg := range cfgs {
-		sets[i] = NewTableSet(cfg, policy)
-		if i > 0 {
-			sets[0].join(sets[i])
-		}
-	}
-	var sink trace.Sink
-	if len(sets) > 0 {
-		sink = sets[0]
-	}
-	run(probe.New(sink), imaging.NewAddressSpace())
-	return sets
-}
-
 // kernelKey names a scientific kernel's trace in the engine cache.
 func kernelKey(name string) string { return "sci|" + name }
 

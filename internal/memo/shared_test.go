@@ -8,9 +8,8 @@ import (
 	"memotable/internal/isa"
 )
 
-// stream builds a deterministic operand stream with heavy reuse, some
-// commutative reversed pairs, and enough distinct values to force
-// conflicts in a 32-entry geometry.
+// stream builds a deterministic operand stream with heavy reuse and some
+// commutative reversed pairs.
 func stream(op isa.Op, n int) [][2]uint64 {
 	rng := rand.New(rand.NewSource(42))
 	out := make([][2]uint64, 0, n)
@@ -29,154 +28,42 @@ func stream(op isa.Op, n int) [][2]uint64 {
 	return out
 }
 
-// feed pushes the stream through an accessor and returns nothing; the
-// accessor's own stats are the observable.
-func feed(events [][2]uint64, access func(a, b uint64)) {
+// feed pushes the stream through a shared table's Access.
+func feed(s *Shared, events [][2]uint64) {
 	for _, ev := range events {
-		access(ev[0], ev[1])
+		a, b := ev[0], ev[1]
+		s.Access(a, b, func() uint64 { return a*3 + b })
 	}
 }
 
-// compute is an arbitrary deterministic stand-in result function.
-func compute(a, b uint64) func() uint64 {
-	return func() uint64 { return a*3 + b }
-}
-
-// TestStripedMatchesSingleTableSerial is the partition-exactness witness:
-// a striped shared table fed serially performs, statistic for statistic,
-// the same protocol as one plain table — across tagging schemes (integer
-// low-bit hashing, fp mantissa-MSB hashing, mantissa-only tags) and both
-// finite and infinite geometries.
-func TestStripedMatchesSingleTableSerial(t *testing.T) {
-	mant := Config{Entries: 64, Ways: 4, MantissaOnly: true}
-	cases := []struct {
-		name    string
-		op      isa.Op
-		cfg     Config
-		stripes int
-	}{
-		{"imul-32x4-4stripes", isa.OpIMul, Paper32x4(), 4},
-		{"fmul-32x4-4stripes", isa.OpFMul, Paper32x4(), 4},
-		{"fdiv-32x4-2stripes", isa.OpFDiv, Paper32x4(), 2},
-		{"fmul-64x4-8stripes", isa.OpFMul, Config{Entries: 64, Ways: 4}, 8},
-		{"fmul-mantissa-4stripes", isa.OpFMul, mant, 4},
-		{"fdiv-infinite-8stripes", isa.OpFDiv, Infinite(), 8},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			events := stream(tc.op, 20000)
-			plain := New(tc.op, tc.cfg)
-			striped := NewSharedStriped(tc.op, tc.cfg, tc.stripes, tc.stripes)
-			if striped.Stripes() != tc.stripes {
-				t.Fatalf("stripes = %d, want %d", striped.Stripes(), tc.stripes)
-			}
-			feed(events, func(a, b uint64) { plain.Access(a, b, compute(a, b)) })
-			feed(events, func(a, b uint64) { striped.Access(a, b, compute(a, b)) })
-			if got, want := striped.Stats(), plain.Stats(); got != want {
-				t.Fatalf("striped stats %+v diverge from single table %+v", got, want)
-			}
-			if got, want := striped.Len(), plain.Len(); got != want {
-				t.Fatalf("striped len %d, single table %d", got, want)
-			}
-		})
-	}
-}
-
-// TestStripedConcurrentMatchesSerial is the -race hammer: many goroutines
-// drive a striped infinite table, whose hit/miss totals are
+// TestSharedConcurrentMatchesSerial is the -race hammer: many goroutines
+// drive a shared infinite table, whose hit/miss totals are
 // order-independent (first access of a key misses and inserts, all others
 // hit, and a commutative class's reversed twin resolves under the same
-// stripe lock), so the final statistics must equal a serial run's.
-func TestStripedConcurrentMatchesSerial(t *testing.T) {
+// lock), so the final statistics must equal a serial run's.
+func TestSharedConcurrentMatchesSerial(t *testing.T) {
 	for _, op := range []isa.Op{isa.OpIMul, isa.OpFMul, isa.OpFDiv} {
 		events := stream(op, 40000)
-		serial := NewSharedStriped(op, Infinite(), 8, 8)
-		feed(events, func(a, b uint64) { serial.Access(a, b, compute(a, b)) })
+		serial := NewShared(New(op, Infinite()), 8)
+		feed(serial, events)
 
-		hammered := NewSharedStriped(op, Infinite(), 8, 8)
+		hammered := NewShared(New(op, Infinite()), 8)
 		const workers = 8
 		var wg sync.WaitGroup
 		chunk := (len(events) + workers - 1) / workers
 		for w := 0; w < workers; w++ {
 			lo := w * chunk
-			hi := lo + chunk
-			if hi > len(events) {
-				hi = len(events)
-			}
+			hi := min(lo+chunk, len(events))
 			wg.Add(1)
 			go func(part [][2]uint64) {
 				defer wg.Done()
-				feed(part, func(a, b uint64) { hammered.Access(a, b, compute(a, b)) })
+				feed(hammered, part)
 			}(events[lo:hi])
 		}
 		wg.Wait()
 
 		if got, want := hammered.Stats(), serial.Stats(); got != want {
 			t.Fatalf("%v: concurrent stats %+v diverge from serial %+v", op, got, want)
-		}
-		if got, want := hammered.Len(), serial.Len(); got != want {
-			t.Fatalf("%v: concurrent len %d, serial %d", op, got, want)
-		}
-	}
-}
-
-// TestStripedLookupInsert exercises the explicit two-step protocol and
-// Reset across stripes.
-func TestStripedLookupInsert(t *testing.T) {
-	s := NewSharedStriped(isa.OpFMul, Paper32x4(), 4, 4)
-	a, b := fbits(2.5), fbits(3.0)
-	if _, ok := s.Lookup(a, b); ok {
-		t.Fatal("hit in empty table")
-	}
-	s.Insert(a, b, fbits(7.5))
-	if v, ok := s.Lookup(a, b); !ok || v != fbits(7.5) {
-		t.Fatalf("lookup after insert: %v %v", v, ok)
-	}
-	// Commutative reversed probe must land in the same stripe and hit.
-	if v, ok := s.Lookup(b, a); !ok || v != fbits(7.5) {
-		t.Fatalf("reversed lookup: %v %v", v, ok)
-	}
-	if s.Len() == 0 {
-		t.Fatal("Len lost the entry")
-	}
-	s.Reset()
-	if s.Len() != 0 {
-		t.Fatal("Reset left entries")
-	}
-	if _, ok := s.Lookup(a, b); ok {
-		t.Fatal("hit after Reset")
-	}
-}
-
-// TestStripedConstruction covers the stripe-count validation and the
-// automatic bank selection.
-func TestStripedConstruction(t *testing.T) {
-	// Auto selection: largest power of two within ports and geometry.
-	if s := NewSharedStriped(isa.OpFMul, Paper32x4(), 4, 0); s.Stripes() != 4 {
-		t.Fatalf("auto stripes = %d, want 4", s.Stripes())
-	}
-	// Paper32x4 has 8 sets; 16 ports must clamp to 8 stripes.
-	if s := NewSharedStriped(isa.OpFMul, Paper32x4(), 16, 0); s.Stripes() != 8 {
-		t.Fatalf("auto stripes = %d, want 8", s.Stripes())
-	}
-	if s := NewSharedStriped(isa.OpFMul, Infinite(), 3, 0); s.Stripes() != 2 {
-		t.Fatalf("infinite auto stripes = %d, want 2", s.Stripes())
-	}
-	if s := NewSharedStriped(isa.OpFDiv, Paper32x4(), 1, 0); s.Stripes() != 1 || s.Ports() != 1 {
-		t.Fatal("single-port table must fall back to one stripe")
-	}
-	mustPanic(t, func() { NewSharedStriped(isa.OpFMul, Paper32x4(), 0, 1) })
-	mustPanic(t, func() { NewSharedStriped(isa.OpFMul, Paper32x4(), 4, 3) })  // not a power of two
-	mustPanic(t, func() { NewSharedStriped(isa.OpFMul, Paper32x4(), 4, 16) }) // exceeds 8 sets
-}
-
-// TestSymmetricMix pins the stripe router's swap invariance.
-func TestSymmetricMix(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 1000; i++ {
-		a, b := rng.Uint64(), rng.Uint64()
-		if symmetricMix(a, b) != symmetricMix(b, a) {
-			t.Fatalf("symmetricMix not symmetric for %#x, %#x", a, b)
 		}
 	}
 }

@@ -100,36 +100,6 @@ func (c *Counter) EmitBatch(evs []Event) {
 	}
 }
 
-// EmitBatch implements BatchSink: the kept events are compacted into a
-// reused scratch block and forwarded in one call. Order is preserved.
-func (f *Filter) EmitBatch(evs []Event) {
-	if cap(f.scratch) < len(evs) {
-		f.scratch = make([]Event, 0, len(evs))
-	}
-	kept := f.scratch[:0]
-	for _, ev := range evs {
-		if f.Keep[ev.Op] {
-			kept = append(kept, ev)
-		}
-	}
-	f.scratch = kept
-	if len(kept) > 0 {
-		EmitAll(f.Next, kept)
-	}
-}
-
-// OpMask implements OpMasker: the filter consumes the classes it keeps
-// that its downstream sink also consumes.
-func (f *Filter) OpMask() OpMask {
-	var m OpMask
-	for op := isa.Op(0); op < isa.NumOps; op++ {
-		if f.Keep[op] {
-			m |= 1 << op
-		}
-	}
-	return m & SinkMask(f.Next)
-}
-
 // EmitBatch implements BatchSink.
 func (r *Recorder) EmitBatch(evs []Event) { r.Events = append(r.Events, evs...) }
 

@@ -2,27 +2,24 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
 	"memotable/internal/isa"
 )
 
-// encodeV1 runs events through the v1 Writer and returns the wire bytes.
-func encodeV1(t testing.TB, events []Event) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatalf("NewWriter: %v", err)
-	}
+// encodeV1 renders events as a version-1 stream: the header, then
+// {op byte, a uvarint, b uvarint} per event. The package only reads v1,
+// so tests that need v1 input build it here.
+func encodeV1(events []Event) []byte {
+	buf := []byte{magic[0], magic[1], magic[2], magic[3], formatVersion}
 	for _, ev := range events {
-		w.Emit(ev)
+		buf = append(buf, byte(ev.Op))
+		buf = binary.AppendUvarint(buf, ev.A)
+		buf = binary.AppendUvarint(buf, ev.B)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	return buf.Bytes()
+	return buf
 }
 
 // plainRecorder records events without implementing BatchSink, so batch
@@ -49,7 +46,7 @@ func (b *batchRecorder) EmitBatch(evs []Event) {
 func encodings(t *testing.T, events []Event) map[string][]byte {
 	t.Helper()
 	return map[string][]byte{
-		"v1":           encodeV1(t, events),
+		"v1":           encodeV1(events),
 		"v2":           encodeV2(t, events, false),
 		"v2compressed": encodeV2(t, events, true),
 	}
@@ -174,32 +171,6 @@ func TestMultiBatchFanOut(t *testing.T) {
 	}
 }
 
-// TestFilterBatch checks batched filtering keeps exactly the per-event
-// filter's stream, preserving order.
-func TestFilterBatch(t *testing.T) {
-	events := randomEvents(5000, 5)
-	var want Recorder
-	perEvent := NewFilter(&want, isa.OpFMul, isa.OpFDiv)
-	for _, ev := range events {
-		perEvent.Emit(ev)
-	}
-
-	var got batchRecorder
-	batched := NewFilter(&got, isa.OpFMul, isa.OpFDiv)
-	// Deliver in uneven blocks to exercise scratch reuse.
-	for i := 0; i < len(events); {
-		end := i + 100 + i%37
-		if end > len(events) {
-			end = len(events)
-		}
-		batched.EmitBatch(events[i:end])
-		i = end
-	}
-	if !reflect.DeepEqual(got.events, want.Events) {
-		t.Fatal("batched filter diverged from per-event filter")
-	}
-}
-
 // TestCounterBatch checks the batched tally equals the per-event one.
 func TestCounterBatch(t *testing.T) {
 	events := randomEvents(5000, 13)
@@ -213,25 +184,27 @@ func TestCounterBatch(t *testing.T) {
 	}
 }
 
-// TestOpMasks pins the short-circuit query: filters advertise their kept
-// classes intersected with downstream, fan-outs the union, and unknown
-// sinks everything.
+// maskedSink is a sink that advertises a fixed class mask.
+type maskedSink struct {
+	Counter
+	mask OpMask
+}
+
+func (s *maskedSink) OpMask() OpMask { return s.mask }
+
+// TestOpMasks pins the short-circuit query: masked sinks advertise their
+// classes, fan-outs the union, and unknown sinks everything.
 func TestOpMasks(t *testing.T) {
 	var c Counter // no mask: consumes everything
 	if SinkMask(&c) != MaskAll {
 		t.Fatal("maskless sink must advertise MaskAll")
 	}
-	f := NewFilter(&c, isa.OpFMul, isa.OpFDiv)
+	f := &maskedSink{mask: MaskOf(isa.OpFMul, isa.OpFDiv)}
 	if m := SinkMask(f); m != MaskOf(isa.OpFMul, isa.OpFDiv) {
-		t.Fatalf("filter mask %b", m)
-	}
-	// A filter stacked on a filter intersects.
-	outer := NewFilter(f, isa.OpFDiv, isa.OpIMul)
-	if m := SinkMask(outer); m != MaskOf(isa.OpFDiv) {
-		t.Fatalf("stacked filter mask %b", m)
+		t.Fatalf("masked sink mask %b", m)
 	}
 	// A fan-out unions.
-	multi := Multi{f, NewFilter(&c, isa.OpIMul)}
+	multi := Multi{f, &maskedSink{mask: MaskOf(isa.OpIMul)}}
 	if m := SinkMask(multi); m != MaskOf(isa.OpFMul, isa.OpFDiv, isa.OpIMul) {
 		t.Fatalf("multi mask %b", m)
 	}

@@ -24,7 +24,9 @@ import (
 //
 // Version 2 (filev2.go) keeps the per-event encoding but groups events
 // into CRC32C-checksummed, optionally compressed frames. Reader decodes
-// both versions transparently; Writer emits v1, WriterV2 emits v2.
+// both versions transparently. Only v2 is written (WriterV2); v1 is read
+// for the traces captured before v2 existed, such as the seed trace in
+// testdata.
 
 var magic = [4]byte{'M', 'T', 'R', 'C'}
 
@@ -32,48 +34,6 @@ const formatVersion = 1
 
 // ErrBadTrace reports a corrupt or truncated trace stream.
 var ErrBadTrace = errors.New("trace: corrupt or truncated stream")
-
-// Writer encodes events to an io.Writer.
-type Writer struct {
-	w      *bufio.Writer
-	buf    [1 + 2*binary.MaxVarintLen64]byte
-	count  uint64
-	opened bool
-}
-
-// NewWriter starts a trace stream on w, writing the header immediately.
-func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return nil, err
-	}
-	if err := bw.WriteByte(formatVersion); err != nil {
-		return nil, err
-	}
-	return &Writer{w: bw, opened: true}, nil
-}
-
-// Emit implements Sink. Encoding errors are deferred to Flush, matching
-// bufio semantics.
-func (w *Writer) Emit(ev Event) {
-	w.count++
-	w.buf[0] = byte(ev.Op)
-	n := 1
-	n += binary.PutUvarint(w.buf[n:], ev.A)
-	n += binary.PutUvarint(w.buf[n:], ev.B)
-	_, _ = w.w.Write(w.buf[:n]) // error deferred to Flush, bufio-style
-}
-
-// Count returns the number of events emitted.
-func (w *Writer) Count() uint64 { return w.count }
-
-// Flush drains buffered bytes and surfaces any deferred write error.
-func (w *Writer) Flush() error {
-	if !w.opened {
-		return errors.New("trace: writer not initialized")
-	}
-	return w.w.Flush()
-}
 
 // Reader decodes a trace stream of either format version: the header's
 // version byte selects the raw v1 event decoder or the checksummed v2

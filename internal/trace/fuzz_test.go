@@ -16,7 +16,8 @@ import (
 )
 
 // readSeedTrace loads the checked-in capture of a real workload (vdiff at
-// 16x16, recorded through the public Capture API).
+// 16x16, recorded in format v1 through the public Capture API before it
+// wrote v2).
 func readSeedTrace(t testing.TB) []byte {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", "vdiff-16.mtrc"))
@@ -237,7 +238,7 @@ func FuzzTraceReader(f *testing.F) {
 	})
 }
 
-// FuzzTraceRoundTrip drives Writer -> Reader with an arbitrary event
+// FuzzTraceRoundTrip drives WriterV2 -> Reader with an arbitrary event
 // stream derived from the fuzz input and requires a lossless round trip;
 // it then truncates the encoding at every prefix length and requires a
 // clean error, never a panic.
@@ -256,22 +257,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			events = append(events, Event{Op: isa.Op(op) % isa.NumOps, A: a, B: b})
 		}
 
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
-		if err != nil {
-			t.Fatalf("NewWriter: %v", err)
-		}
-		for _, ev := range events {
-			w.Emit(ev)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatalf("Flush: %v", err)
-		}
-		if w.Count() != uint64(len(events)) {
-			t.Fatalf("writer count %d, emitted %d", w.Count(), len(events))
-		}
-
-		encoded := buf.Bytes()
+		encoded := encodeV2(t, events, false)
 		r, err := NewReader(bytes.NewReader(encoded))
 		if err != nil {
 			t.Fatalf("NewReader on own encoding: %v", err)

@@ -67,31 +67,6 @@ func (c *Counter) Of(op isa.Op) uint64 { return c.Counts[op] }
 // Reset zeroes the counters.
 func (c *Counter) Reset() { c.Counts = [isa.NumOps]uint64{} }
 
-// Filter forwards only events of the given classes.
-type Filter struct {
-	Next Sink
-	Keep [isa.NumOps]bool
-
-	// scratch is the reused compaction block of EmitBatch.
-	scratch []Event
-}
-
-// NewFilter builds a filter passing only ops.
-func NewFilter(next Sink, ops ...isa.Op) *Filter {
-	f := &Filter{Next: next}
-	for _, op := range ops {
-		f.Keep[op] = true
-	}
-	return f
-}
-
-// Emit implements Sink.
-func (f *Filter) Emit(ev Event) {
-	if f.Keep[ev.Op] {
-		f.Next.Emit(ev)
-	}
-}
-
 // Recorder buffers events in memory, mainly for tests and small replays.
 type Recorder struct {
 	Events []Event

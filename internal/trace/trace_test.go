@@ -34,22 +34,6 @@ func TestCounterReset(t *testing.T) {
 	}
 }
 
-func TestFilterKeepsOnlySelected(t *testing.T) {
-	var rec Recorder
-	f := NewFilter(&rec, isa.OpFMul, isa.OpFDiv)
-	for _, op := range []isa.Op{isa.OpFMul, isa.OpLoad, isa.OpFDiv, isa.OpIAlu, isa.OpFMul} {
-		f.Emit(Event{Op: op})
-	}
-	if len(rec.Events) != 3 {
-		t.Fatalf("kept %d events, want 3", len(rec.Events))
-	}
-	for _, ev := range rec.Events {
-		if ev.Op != isa.OpFMul && ev.Op != isa.OpFDiv {
-			t.Fatalf("leaked op %v", ev.Op)
-		}
-	}
-}
-
 func TestSinkFunc(t *testing.T) {
 	n := 0
 	SinkFunc(func(Event) { n++ }).Emit(Event{})
@@ -68,22 +52,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 			B:  rng.Uint64(),
 		}
 	}
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range events {
-		w.Emit(ev)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != uint64(len(events)) {
-		t.Fatalf("writer count %d", w.Count())
-	}
-
-	r, err := NewReader(&buf)
+	r, err := NewReader(bytes.NewReader(encodeV1(events)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,13 +76,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 func TestRoundTripProperty(t *testing.T) {
 	f := func(op8 uint8, a, b uint64) bool {
 		ev := Event{Op: isa.Op(op8 % uint8(isa.NumOps)), A: a, B: b}
-		var buf bytes.Buffer
-		w, _ := NewWriter(&buf)
-		w.Emit(ev)
-		if w.Flush() != nil {
-			return false
-		}
-		r, err := NewReader(&buf)
+		r, err := NewReader(bytes.NewReader(encodeV1([]Event{ev})))
 		if err != nil {
 			return false
 		}
@@ -126,15 +89,11 @@ func TestRoundTripProperty(t *testing.T) {
 }
 
 func TestReplay(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
+	var events []Event
 	for i := 0; i < 100; i++ {
-		w.Emit(Event{Op: isa.OpFDiv, A: math.Float64bits(float64(i)), B: math.Float64bits(2)})
+		events = append(events, Event{Op: isa.OpFDiv, A: math.Float64bits(float64(i)), B: math.Float64bits(2)})
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(&buf)
+	r, err := NewReader(bytes.NewReader(encodeV1(events)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,13 +129,8 @@ func TestReaderRejectsCorruption(t *testing.T) {
 		t.Errorf("bad op: %v", err)
 	}
 	// Truncated operand.
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.Emit(Event{Op: isa.OpFMul, A: 1 << 60, B: 2})
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-3]
+	full := encodeV1([]Event{{Op: isa.OpFMul, A: 1 << 60, B: 2}})
+	trunc := full[:len(full)-3]
 	r2, err := NewReader(bytes.NewReader(trunc))
 	if err != nil {
 		t.Fatal(err)

@@ -61,10 +61,6 @@ type (
 	// Probe is the instrumented arithmetic layer workloads compute
 	// through.
 	Probe = probe.Probe
-	// Event is one dynamic operation in a trace.
-	Event = trace.Event
-	// Sink consumes a stream of trace events.
-	Sink = trace.Sink
 )
 
 // Operation classes.
@@ -97,14 +93,6 @@ type Shared = memo.Shared
 // NewShared wraps a table for multi-ported use.
 func NewShared(table *Table, ports int) *Shared { return memo.NewShared(table, ports) }
 
-// NewSharedStriped builds a multi-ported table whose sets are partitioned
-// across independently locked stripes, the way separate banks of a
-// multi-ported SRAM service separate ports. stripes <= 0 picks a bank
-// count matched to the port count and geometry.
-func NewSharedStriped(op Op, cfg Config, ports, stripes int) *Shared {
-	return memo.NewSharedStriped(op, cfg, ports, stripes)
-}
-
 // Engine is the parallel experiment engine: a bounded worker pool with a
 // tiered trace cache that captures each workload once and replays it to
 // every table configuration — from memory within the byte budget
@@ -125,14 +113,11 @@ type CaptureFunc = engine.CaptureFunc
 // selects GOMAXPROCS.
 func NewEngine(workers int) *Engine { return engine.New(workers) }
 
-// IngestSession is a live trace ingestion session (Engine.NewIngest):
-// an external producer pushes encoded v2 stream bytes as it generates
-// them, complete frames replay incrementally into the session's sinks,
-// and sealing settles the stream into the engine cache and the
-// persistent trace store as if it had been captured locally.
-type IngestSession = engine.IngestSession
-
-// IngestOptions configures a live ingest session.
+// IngestOptions configures a live trace ingestion session
+// (Engine.NewIngest): an external producer pushes encoded v2 stream bytes
+// as it generates them, complete frames replay incrementally into the
+// session's sinks, and sealing settles the stream into the engine cache
+// and the persistent trace store as if it had been captured locally.
 type IngestOptions = engine.IngestOptions
 
 // IngestStats is a point-in-time view of an ingest session's progress.
@@ -140,10 +125,6 @@ type IngestStats = engine.IngestStats
 
 // IngestResult reports what sealing an ingest session settled.
 type IngestResult = engine.IngestResult
-
-// ErrIngestBroken marks an ingest session that failed — corrupt frame,
-// injected fault, torn tail at seal — and accepts no more bytes.
-var ErrIngestBroken = engine.ErrIngestBroken
 
 // LiveBank bundles the rolling instruments of a live ingest session —
 // MEMO-TABLE banks, a cycle tally priced on baseline and memo-enhanced
@@ -187,24 +168,10 @@ func NewUnit(table *Table, policy TrivialPolicy, compute func(a, b uint64) uint6
 func NewProbe(sinks ...trace.Sink) *Probe { return probe.New(sinks...) }
 
 // Capture runs an instrumented program and streams its operand trace to
-// w in binary trace format v1, returning the event count.
-func Capture(w io.Writer, run func(*Probe)) (uint64, error) {
-	tw, err := trace.NewWriter(w)
-	if err != nil {
-		return 0, err
-	}
-	run(probe.New(tw))
-	if err := tw.Flush(); err != nil {
-		return tw.Count(), err
-	}
-	return tw.Count(), nil
-}
-
-// CaptureV2 is Capture writing trace format v2: events are grouped into
-// CRC32C-checksummed frames (optionally DEFLATE-compressed), so torn or
-// corrupted files are detected on read. Replay accepts both formats
-// transparently.
-func CaptureV2(w io.Writer, compress bool, run func(*Probe)) (uint64, error) {
+// w in binary trace format v2, returning the event count. Events are
+// grouped into CRC32C-checksummed frames, DEFLATE-compressed when
+// compress is set, so torn or corrupted files are detected on read.
+func Capture(w io.Writer, compress bool, run func(*Probe)) (uint64, error) {
 	tw, err := trace.NewWriterV2(w, compress)
 	if err != nil {
 		return 0, err
@@ -217,7 +184,8 @@ func CaptureV2(w io.Writer, compress bool, run func(*Probe)) (uint64, error) {
 }
 
 // Replay streams a captured trace through MEMO-TABLEs built from cfg and
-// returns the per-class hit statistics.
+// returns the per-class hit statistics. It reads both trace formats: v2,
+// which Capture writes, and the older unframed v1.
 func Replay(r io.Reader, cfg Config, policy TrivialPolicy) (map[Op]Stats, error) {
 	tr, err := trace.NewReader(r)
 	if err != nil {
@@ -253,7 +221,7 @@ const (
 type Experiment = experiments.Experiment
 
 // Result is a typed experiment result tree; render it with RenderText or
-// RenderJSON.
+// RenderJSONArray.
 type Result = report.Result
 
 // Experiments lists the runnable experiment names, sorted.
@@ -277,53 +245,26 @@ func Run(eng *Engine, scale Scale, names ...string) ([]*Result, error) {
 // was cut short by cancellation. RunContext returns one per invocation.
 type PassReport = engine.PassReport
 
-// CellError attributes one pass failure to the workload cell that
-// observed it; its cause always wraps one of the sentinel errors below.
-type CellError = engine.CellError
-
-// RunError is one workload failure in renderer-ready form, carried by a
-// degraded Result's Errs list and surfaced by both renderers.
-type RunError = report.RunError
-
 // ErrBadTrace reports a corrupt or truncated trace stream: bad magic,
 // torn frame, CRC mismatch. Replay errors wrap it, so callers can
 // distinguish corruption from plain I/O failure with errors.Is.
 var ErrBadTrace = trace.ErrBadTrace
 
-// The failure taxonomy: every error a degraded run reports wraps one of
-// these sentinels, so callers classify with errors.Is.
-var (
-	// ErrCanceled marks work abandoned to context cancellation.
-	ErrCanceled = engine.ErrCanceled
-	// ErrCaptureFailed marks a workload whose capture errored or panicked.
-	ErrCaptureFailed = engine.ErrCaptureFailed
-	// ErrSpillIO marks disk-tier I/O (an overflowing capture's store
-	// entry, or a disk-tier read) that kept failing after retries.
-	ErrSpillIO = engine.ErrSpillIO
-	// ErrCorruptTrace marks a trace that failed verification even after
-	// transparent re-capture.
-	ErrCorruptTrace = engine.ErrCorruptTrace
-	// ErrSinkPanic marks a measurement sink that panicked mid-replay.
-	ErrSinkPanic = engine.ErrSinkPanic
-)
-
 // RunContext is Run with cooperative cancellation and degraded-mode
 // results: workload failures do not abort the selection. Experiments
 // untouched by any failure return exact Results; an experiment that
 // demanded a failed workload returns a degraded Result carrying the
-// RunErrors that poisoned it (rendered by RenderText and RenderJSON as
-// an errors section). The PassReport is the engine's cell-level account
-// of the pass; the error return is reserved for selection defects that
-// prevent planning entirely.
+// workload errors that poisoned it (rendered by RenderText and
+// RenderJSONArray as an errors section). The PassReport is the engine's
+// cell-level account of the pass: each failed cell with its stage and
+// cause. The error return is reserved for selection defects that prevent
+// planning entirely.
 func RunContext(ctx context.Context, eng *Engine, scale Scale, names ...string) ([]*Result, *PassReport, error) {
 	return experiments.RunContext(ctx, eng, scale, names...)
 }
 
 // RenderText renders a result as the paper-style text table.
 func RenderText(r *Result) string { return report.Text(r) }
-
-// RenderJSON renders a result as indented JSON (NaN cells become null).
-func RenderJSON(r *Result) ([]byte, error) { return report.JSON(r) }
 
 // RunExperiment reproduces one of the paper's tables or figures on the
 // reference serial path and returns its rendered text.
@@ -361,37 +302,6 @@ func RenderJSONArray(results []*Result) ([]byte, error) { return report.JSONArra
 // MEMO-TABLE hit counters, which carried it first.
 type EngineStats = engine.Stats
 
-// EngineTier is the narrow read-only view of one engine cache layer
-// (Engine.Tiers): its name, entry count, and resident bytes.
-type EngineTier = engine.Tier
-
-// TierStats is the serializable form of one tier's view
-// (Engine.TierStats).
-type TierStats = engine.TierStats
-
-// Budget is a hierarchical byte-budget accountant. The engine's root
-// budget (Engine.Budget) bounds its whole trace cache; children
-// (Budget.Child) nest tenant slices under it, so a tenant exhausting
-// its slice degrades only its own workloads.
-type Budget = engine.Budget
-
-// BudgetAccountant is the reserve/commit/release seam the engine's
-// cache tiers charge through.
-type BudgetAccountant = engine.BudgetAccountant
-
-// NewBudget builds a standalone root budget of limit bytes.
-func NewBudget(limit int64) *Budget { return engine.NewBudget(limit) }
-
-// WithBudget returns a context carrying a budget accountant; engine
-// passes run under it charge their captures and decoded blocks to that
-// accountant instead of the engine's root budget.
-func WithBudget(ctx context.Context, acct BudgetAccountant) context.Context {
-	return engine.WithBudget(ctx, acct)
-}
-
-// ErrClosed marks work submitted to an engine after Close.
-var ErrClosed = engine.ErrClosed
-
 // Service is the multi-tenant front-end over one shared engine: per-
 // tenant sessions with nested byte budgets, admission control, and
 // coalescing of identical concurrent selections. Serve it over HTTP
@@ -402,19 +312,9 @@ type Service = service.Service
 // run timeout); zero values select defaults.
 type ServiceConfig = service.Config
 
-// ServiceSession is one tenant's handle on a Service.
-type ServiceSession = service.Session
-
-// ServiceStats is a snapshot of a Service's request flow.
-type ServiceStats = service.Stats
-
 // NewService builds a Service over an engine the caller configured;
 // the Service owns the engine from here (Service.Close closes it).
 func NewService(eng *Engine, cfg ServiceConfig) *Service { return service.New(eng, cfg) }
-
-// ErrAdmission marks a request refused by the service's admission
-// control: queue full, or no engine slot freed within the max wait.
-var ErrAdmission = service.ErrAdmission
 
 // FleetConfig shapes a sharded fleet run (`memosim -shards`): the worker
 // executable, the shard count, the selection, and the supervision knobs
@@ -425,10 +325,6 @@ type FleetConfig = fleet.Config
 // combined provenance root. Its merge methods reassemble output
 // byte-identical to a single-process run for every clean cell.
 type FleetReport = fleet.Report
-
-// ShardManifest is one worker's verified output: its assignment, its
-// rendered result cells, and the hash chain binding them.
-type ShardManifest = fleet.Manifest
 
 // RunFleet executes a selection across supervised worker subprocesses
 // and returns the merged, provenance-verified report. Shard failures

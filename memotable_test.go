@@ -28,7 +28,7 @@ func TestFacadeTableAndUnit(t *testing.T) {
 
 func TestFacadeCaptureReplay(t *testing.T) {
 	var buf bytes.Buffer
-	n, err := memotable.Capture(&buf, func(p *memotable.Probe) {
+	n, err := memotable.Capture(&buf, false, func(p *memotable.Probe) {
 		for i := 0; i < 50; i++ {
 			p.FDiv(float64(i%5)+1, 2)
 			p.IMul(int64(i%3), 7)
