@@ -22,6 +22,16 @@ var (
 	cliBuildErr  error
 )
 
+// TestMain removes the directory cliBin built the commands into once
+// every test has run.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if cliBinDir != "" {
+		_ = os.RemoveAll(cliBinDir)
+	}
+	os.Exit(code)
+}
+
 // cliBin builds (once) and returns the path of a command's binary.
 func cliBin(t *testing.T, name string) string {
 	t.Helper()
@@ -104,6 +114,9 @@ func TestTracecapCLI(t *testing.T) {
 		{"unknown app", []string{"-out", out, "-app", "nope"}, 2, "unknown"},
 		{"unknown input", []string{"-out", out, "-app", "vspatial", "-input", "nope"}, 2, "unknown input"},
 		{"zero maxdim", []string{"-out", rejected, "-app", "vspatial", "-maxdim", "0"}, 2, "-maxdim must be positive"},
+		// A flag of the other mode is refused even at its default value.
+		{"ingest flag in capture mode", []string{"-out", rejected, "-kernel", "TRFD", "-seal", "live"}, 2, "no ingest flag -seal"},
+		{"capture flag in ingest mode", []string{"-stdin", "-maxdim", "128"}, 2, "no capture flag -maxdim"},
 		{"unwritable out", []string{"-out", filepath.Join(dir, "no-such-dir", "t.mtrc"), "-kernel", "TRFD"}, 1, "no-such-dir"},
 		{"ok", []string{"-out", out, "-kernel", "TRFD"}, 0, ""},
 		{"compress", []string{"-out", compressed, "-kernel", "TRFD", "-compress"}, 0, ""},

@@ -311,6 +311,7 @@ func runOfflineIngest(path string) int {
 	}
 	bank := memotable.NewLiveBank(1)
 	eng := memotable.NewEngine(1)
+	defer func() { _ = eng.Close() }()
 	sess := eng.NewIngest("offline", memotable.IngestOptions{Sinks: bank.Sinks()})
 	var serr error
 	if serr = sess.Feed(data); serr == nil {

@@ -26,6 +26,10 @@
 // for later memosim/tracereplay runs. -listen addresses take the forms
 // "unix:/path", "tcp:host:port", or a bare filesystem path (unix).
 //
+// Each mode rejects the other's flags (-compress, -maxdim and -input are
+// capture flags; -snapshot, -store and -seal are ingest flags) rather
+// than ignoring them; -faults is valid in both.
+//
 // Exit codes: 0 on success, 1 on I/O failure (including a failed
 // listen/accept), 2 on usage errors, 3 when the ingested stream is
 // corrupt or torn.
@@ -63,6 +67,8 @@ func run() int {
 	sealKey := flag.String("seal", "live", "ingest mode: workload fingerprint the sealed stream is stored under")
 	faultsFlag := flag.String("faults", "", "fault-injection spec (testing), e.g. 'seed=1;ingest.frame:p=0.01'; overrides $FAULTS")
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	spec := *faultsFlag
 	if spec == "" {
@@ -83,8 +89,8 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "tracecap: -listen and -stdin are mutually exclusive")
 			return 2
 		}
-		if *out != "" || *app != "" || *kernel != "" {
-			fmt.Fprintln(os.Stderr, "tracecap: ingest mode takes no capture flags (-out/-app/-kernel)")
+		if name := firstSet(set, "out", "app", "kernel", "input", "maxdim", "compress"); name != "" {
+			fmt.Fprintf(os.Stderr, "tracecap: ingest mode takes no capture flag -%s\n", name)
 			return 2
 		}
 		if *sealKey == "" {
@@ -94,6 +100,10 @@ func run() int {
 		return runIngest(*listen, *snapshot, *storeDir, *sealKey)
 	}
 
+	if name := firstSet(set, "snapshot", "store", "seal"); name != "" {
+		fmt.Fprintf(os.Stderr, "tracecap: capture mode takes no ingest flag -%s (ingest needs -listen or -stdin)\n", name)
+		return 2
+	}
 	if *out == "" || (*app == "") == (*kernel == "") {
 		fmt.Fprintln(os.Stderr, "tracecap: need -out and exactly one of -app/-kernel (or -listen/-stdin)")
 		flag.Usage()
@@ -156,7 +166,10 @@ func runIngest(addr string, snapshotEvery uint64, storeDir, sealKey string) int 
 	}
 	defer cleanup()
 
+	// An over-budget stream without -store settles in the engine's
+	// scratch store, which only Close removes.
 	eng := memotable.NewEngine(1)
+	defer func() { _ = eng.Close() }()
 	if storeDir != "" {
 		st, err := memotable.OpenTraceStore(storeDir)
 		if err != nil {
@@ -204,10 +217,20 @@ func runIngest(addr string, snapshotEvery uint64, storeDir, sealKey string) int 
 		if res.Published {
 			fmt.Fprintf(os.Stderr, "tracecap: sealed stream stored under %q in %s\n", sealKey, storeDir)
 		} else {
-			fmt.Fprintln(os.Stderr, "tracecap: stream not stored (retain overflow or store failure)")
+			fmt.Fprintln(os.Stderr, "tracecap: stream not stored (store failure)")
 		}
 	}
 	return 0
+}
+
+// firstSet returns the first of names given on the command line, or "".
+func firstSet(set map[string]bool, names ...string) string {
+	for _, name := range names {
+		if set[name] {
+			return name
+		}
+	}
+	return ""
 }
 
 // ingestSource resolves the ingest input: stdin for an empty address,

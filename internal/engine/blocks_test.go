@@ -191,7 +191,7 @@ func TestReplayAllMatchesSerialReplays(t *testing.T) {
 		sameEvents(t, "duplicate-subscription sink", rec.Events, twice)
 	})
 
-	// The same stream adopted as v1, plain v2 and compressed v2 replays
+	// The same stream settled as v1, plain v2 and compressed v2 replays
 	// identically to every sink, from decoded blocks and, under a budget
 	// that holds the encoded bytes but not the blocks, from the bytes.
 	t.Run("formats", func(t *testing.T) {
@@ -207,7 +207,7 @@ func TestReplayAllMatchesSerialReplays(t *testing.T) {
 			events uint64
 		}{{"v1", v1, n1}, {"v2", v2, n2}, {"v2-compressed", v2c, n2c}}
 
-		noCapture := func(trace.Sink) { t.Error("adopted trace re-executed its workload") }
+		noCapture := func(trace.Sink) { t.Error("settled trace re-executed its workload") }
 		masks := []trace.OpMask{trace.MaskAll, trace.MaskAll, trace.MaskOf(isa.OpFMul),
 			trace.MaskAll, trace.MaskOf(isa.OpIMul, isa.OpFDiv), trace.MaskAll, trace.MaskAll, trace.MaskAll}
 		for _, enc := range encodings {
@@ -216,9 +216,7 @@ func TestReplayAllMatchesSerialReplays(t *testing.T) {
 				if !blocks {
 					e.SetCacheLimit(int64(len(enc.data)))
 				}
-				if !e.adoptIngest("fmt", enc.data, enc.events) {
-					t.Fatalf("%s: adoptIngest refused the stream", enc.name)
-				}
+				settleBytes(t, e, "fmt", enc.data, enc.events)
 				n, got := replayRecorded(t, e, "fmt", noCapture, masks)
 				if n != enc.events {
 					t.Fatalf("%s: replayed %d events, want %d", enc.name, n, enc.events)
@@ -232,6 +230,21 @@ func TestReplayAllMatchesSerialReplays(t *testing.T) {
 			}
 		}
 	})
+}
+
+// settleBytes installs encoded bytes as key's memory-tier entry through
+// the engine's one settle function, reserving them first as a store hit
+// or a capture arm does.
+func settleBytes(t *testing.T, e *Engine, key string, data []byte, events uint64) {
+	t.Helper()
+	if !e.budget.Reserve(int64(len(data))) {
+		t.Fatalf("budget refused %d bytes", len(data))
+	}
+	e.mu.Lock()
+	ent := e.entryLocked(key)
+	ent.state = stateInflight
+	e.mu.Unlock()
+	e.settle(ent, e.budget, entrySnapshot{state: stateMemory, data: [][]byte{data}, events: events}, false)
 }
 
 // TestDecodedBlocksSharedAcrossReplays checks the decode-once property:

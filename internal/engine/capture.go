@@ -7,8 +7,10 @@ import (
 	"memotable/internal/tracestore"
 )
 
-// captureArm is the io.Writer a capture encodes into. It lands the v2
-// byte stream in whichever tier has room, deciding mid-stream:
+// captureArm is the io.Writer a capture encodes into, and the one an
+// ingest session lands its stream in (the header, then each delivered
+// frame's raw bytes). It lands the v2 byte stream in whichever tier has
+// room, deciding mid-stream:
 //
 //   - While the memory tier is viable, every chunk reserves its size
 //     against the capture's BudgetAccountant *before* it is buffered,
@@ -24,8 +26,8 @@ import (
 //     a trace-store entry (Engine.overflowStore): the slabs — header
 //     plus whole frames, because WriterV2 writes frame-atomically — are
 //     written to the entry and freed, the reservation is released, and
-//     the rest of the stream goes straight to the entry. captureOnce
-//     commits it, and the entry settles in the disk tier.
+//     the rest of the stream goes straight to the entry. settle commits
+//     it, and the entry settles in the disk tier.
 //
 // Entry writes fire the store.write injection point and the commit
 // fires store.rename; store treats their errors as transient overflow
@@ -96,6 +98,29 @@ func (a *captureArm) overflow() error {
 	return nil
 }
 
+// settle settles an in-flight entry from a finished arm: its slabs into
+// the memory tier, or its overflow entry into the disk tier. Committing
+// the overflow entry is its publish when it lies in the persistent
+// store. A commit that fails discards the arm and leaves the entry in
+// flight for the caller.
+func (a *captureArm) settle(ent *traceEntry, events uint64) error {
+	if a.mem {
+		a.e.settle(ent, a.acct, entrySnapshot{state: stateMemory, data: a.slabs.Segments(), events: events}, false)
+		a.reserved = 0
+		return nil
+	}
+	path, err := a.w.Commit()
+	if err != nil {
+		a.discard()
+		return err
+	}
+	if a.persistent {
+		a.e.storePuts.Add(1)
+	}
+	a.e.settle(ent, a.acct, entrySnapshot{state: stateDisk, path: path, body: a.w.Size(), events: events}, true)
+	return nil
+}
+
 // discard abandons the capture: reservation released, any partial
 // overflow entry removed.
 func (a *captureArm) discard() {
@@ -108,12 +133,16 @@ func (a *captureArm) discard() {
 // overflowStore returns the store an overflowing capture streams into:
 // the attached persistent store (persistent is true), or else the
 // engine's scratch store, created on first use in a fresh directory
-// under the trace dir and removed by Close.
+// under the trace dir and removed by Close. A closed engine refuses the
+// scratch store, so none is used or created after Close.
 func (e *Engine) overflowStore() (st *tracestore.Store, persistent bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.tstore != nil {
 		return e.tstore, true, nil
+	}
+	if e.closed {
+		return nil, false, ErrClosed
 	}
 	if e.scratch == nil {
 		parent := e.traceDir

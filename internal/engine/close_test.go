@@ -101,10 +101,9 @@ func TestStatsSnapshotMatchesGetters(t *testing.T) {
 	if st.Captures != 1 || st.Replays != 3 {
 		t.Fatalf("snapshot captures/replays %d/%d, want 1/3", st.Captures, st.Replays)
 	}
-	mem := memoryTier{e}
-	if st.CachedTraces != mem.Entries() || st.CachedBytes != mem.Bytes() {
-		t.Fatalf("snapshot cache shape %d/%d, memory tier %d/%d",
-			st.CachedTraces, st.CachedBytes, mem.Entries(), mem.Bytes())
+	mem := e.TierStats()[0]
+	if mem.Name != "memory" || st.CachedTraces != mem.Entries || st.CachedBytes != mem.Bytes {
+		t.Fatalf("snapshot cache shape %d/%d, memory tier %+v", st.CachedTraces, st.CachedBytes, mem)
 	}
 	if st.Workers != e.Workers() {
 		t.Fatalf("snapshot workers %d, getter %d", st.Workers, e.Workers())

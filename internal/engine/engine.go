@@ -19,17 +19,18 @@
 //     memory tier never exceeds its byte budget (reservations are taken
 //     under the cache lock before bytes are buffered, so concurrent
 //     captures cannot transiently hold multiples of the budget), and a
-//     capture that outgrows the budget fails over mid-stream to a
-//     sealed trace-store entry: in the attached persistent store, or
-//     else in a scratch store the engine creates on first overflow and
-//     removes on Close. The disk tier has one format and one read
-//     path: an overflowed capture and a persistent-store hit that
-//     outgrows the budget both settle there, pointing at a store entry
-//     the engine replays in place. A capture is declined only when its
-//     overflow entry keeps failing to write — and a decline re-arms as
-//     soon as the budget grows or another tenant asks for it. Corrupt
-//     or torn disk-tier entries are detected by frame checksum on every
-//     replay and transparently re-captured.
+//     capture or ingest stream that outgrows the budget fails over
+//     mid-stream to a sealed trace-store entry: in the attached
+//     persistent store, or else in a scratch store the engine creates
+//     on first overflow and removes on Close. The disk tier has one
+//     format and one read path: an overflowed capture and a
+//     persistent-store hit that outgrows the budget both settle there,
+//     pointing at a store entry the engine replays in place. A capture
+//     is declined only when its overflow entry keeps failing to write —
+//     and a decline re-arms as soon as the budget grows or another
+//     tenant asks for it. Corrupt or torn disk-tier entries are
+//     detected by frame checksum on every replay and transparently
+//     re-captured.
 //
 // On top of the two encoded tiers sits the decoded-block cache
 // (blocks.go): the first replay of a key decodes its bytes once into
@@ -39,6 +40,12 @@
 // blocks: M sinks cost one decode, and per-block class masks skip sinks
 // that consume none of a block's events. Every path feeds its sinks
 // through one serial delivery loop (deliver.go).
+//
+// The cache has one way in and one way out for every entry. A capture
+// and a live-ingest session (ingest.go) land their bytes through the
+// same captureArm (capture.go), charged to one budget; they and a store
+// hit settle through Engine.settle, and a settled entry returns to
+// stateEmpty only through retireLocked.
 package engine
 
 import (
@@ -302,10 +309,7 @@ func (e *Engine) Close() error {
 	}
 	for _, ent := range e.traces {
 		if ent.state == stateDisk {
-			ent.state = stateEmpty
-			ent.path, ent.body, ent.spilled = "", 0, false
-			// Blocks decoded from a removed entry must not outlive it.
-			e.dropBlocksLocked(ent)
+			e.retireLocked(ent)
 		}
 	}
 	scratch := e.scratch
@@ -380,11 +384,7 @@ func (e *Engine) Map(n int, cell func(i int)) {
 // settle buffers are charged to acct.
 func (e *Engine) ensure(acct BudgetAccountant, key string, capture CaptureFunc) (entrySnapshot, error) {
 	e.mu.Lock()
-	ent, ok := e.traces[key]
-	if !ok {
-		ent = &traceEntry{key: key}
-		e.traces[key] = ent
-	}
+	ent := e.entryLocked(key)
 	for {
 		switch ent.state {
 		case stateMemory, stateDisk:
@@ -410,6 +410,17 @@ func (e *Engine) ensure(acct BudgetAccountant, key string, capture CaptureFunc) 
 			e.cond.Wait()
 		}
 	}
+}
+
+// entryLocked returns key's cache slot, making an empty one on first
+// use. Callers hold e.mu.
+func (e *Engine) entryLocked(key string) *traceEntry {
+	ent, ok := e.traces[key]
+	if !ok {
+		ent = &traceEntry{key: key}
+		e.traces[key] = ent
+	}
+	return ent
 }
 
 // Warm ensures key's trace is captured and stored (tier permitting)
@@ -661,22 +672,29 @@ func verifySpill(snap entrySnapshot) error {
 	return nil
 }
 
-// invalidateSpill retires a disk-tier entry observed to be corrupt: the
-// entry returns to stateEmpty, so the next request re-captures (or finds
-// a healed persistent-store entry). The file is left for the store: the
-// re-capture's commit renames over it. The path guard makes concurrent
-// detections idempotent.
+// invalidateSpill retires a disk-tier entry observed to be corrupt, so
+// the next request re-captures (or finds a healed persistent-store
+// entry). The file is left for the store: the re-capture's commit
+// renames over it. The path guard makes concurrent detections
+// idempotent.
 func (e *Engine) invalidateSpill(key string, snap entrySnapshot) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	ent := e.traces[key]
 	if ent != nil && ent.state == stateDisk && ent.path == snap.path {
-		ent.state = stateEmpty
-		ent.path, ent.body, ent.spilled = "", 0, false
-		ent.events = 0
-		e.dropBlocksLocked(ent)
+		e.retireLocked(ent)
 		e.recaptures.Add(1)
 	}
+}
+
+// retireLocked is the one way a settled entry returns to stateEmpty: a
+// disk-tier entry whose file is corrupt or, at Close, about to be
+// removed. Blocks decoded from the file must not outlive it. Callers
+// hold e.mu.
+func (e *Engine) retireLocked(ent *traceEntry) {
+	ent.state = stateEmpty
+	ent.path, ent.body, ent.spilled, ent.events = "", 0, false, 0
+	e.dropBlocksLocked(ent)
 }
 
 // runCapture executes a workload capture, converting a panicking
@@ -730,7 +748,7 @@ func (e *Engine) store(acct BudgetAccountant, ent *traceEntry, capture CaptureFu
 			e.putToStore(ent)
 			return nil
 		case captureFailed:
-			e.settle(ent, stateEmpty)
+			e.rearm(ent)
 			return fmt.Errorf("%w: %w", ErrCaptureFailed, err)
 		}
 		if try >= attempts {
@@ -746,10 +764,29 @@ func (e *Engine) store(acct BudgetAccountant, ent *traceEntry, capture CaptureFu
 	}
 }
 
-// settle moves an in-flight entry to the given state and wakes waiters.
-func (e *Engine) settle(ent *traceEntry, s entryState) {
+// rearm returns an in-flight entry that did not settle to stateEmpty and
+// wakes waiters; the next request captures it.
+func (e *Engine) rearm(ent *traceEntry) {
 	e.mu.Lock()
-	ent.state = s
+	ent.state = stateEmpty
+	e.cond.Broadcast()
+	e.mu.Unlock()
+}
+
+// settle is the one way an in-flight entry reaches a settled tier, for a
+// store hit, a capture and a sealed ingest alike: it installs the tier
+// that to describes and wakes the entry's waiters. A memory-tier settle commits its segments'
+// length to acct, which the caller has already reserved there. spilled
+// marks a disk-tier entry an overflowing arm wrote, not a store hit.
+func (e *Engine) settle(ent *traceEntry, acct BudgetAccountant, to entrySnapshot, spilled bool) {
+	e.mu.Lock()
+	if to.state == stateMemory {
+		n := trace.SegmentsLen(to.data)
+		acct.Commit(n, n)
+		e.memBytes += n
+	}
+	ent.state, ent.data, ent.events = to.state, to.data, to.events
+	ent.path, ent.body, ent.spilled = to.path, to.body, spilled
 	e.cond.Broadcast()
 	e.mu.Unlock()
 }
@@ -785,40 +822,31 @@ func (e *Engine) loadFromStore(acct BudgetAccountant, ent *traceEntry) bool {
 	if err != nil {
 		return false
 	}
-	e.mu.Lock()
+	to := entrySnapshot{state: stateDisk, path: hit.Path, body: hit.Size, events: hit.Events}
 	if hit.Data != nil {
-		acct.Commit(hit.Size, hit.Size)
-		e.memBytes += hit.Size
-		ent.data = [][]byte{hit.Data}
-		ent.state = stateMemory
-	} else {
-		ent.path, ent.body = hit.Path, hit.Size
-		ent.state = stateDisk
+		to = entrySnapshot{state: stateMemory, data: [][]byte{hit.Data}, events: hit.Events}
 	}
-	ent.events = hit.Events
-	e.cond.Broadcast()
-	e.mu.Unlock()
+	e.settle(ent, acct, to, false)
 	e.storeHits.Add(1)
 	return true
 }
 
-// putToStore publishes a freshly settled memory-tier capture to the
-// persistent trace store (an overflowed capture is already a store
-// entry). Failures are deliberately dropped: the store is an
-// accelerator, and a faulted publish must not cost the cell — the entry
-// is simply captured again by the next cold process, whose own publish
-// heals the store.
-func (e *Engine) putToStore(ent *traceEntry) {
+// putToStore publishes a freshly settled memory-tier entry to the
+// persistent trace store (an overflowed one is already a store entry)
+// and reports whether it did. Failures are deliberately dropped: the
+// store is an accelerator, and a faulted publish must not cost the cell
+// — the entry is simply captured again by the next cold process, whose
+// own publish heals the store.
+func (e *Engine) putToStore(ent *traceEntry) bool {
 	e.mu.Lock()
 	st := e.tstore
 	state, data := ent.state, ent.data
 	e.mu.Unlock()
-	if st == nil || state != stateMemory {
-		return
+	if st == nil || state != stateMemory || st.Put(ent.key, data...) != nil {
+		return false
 	}
-	if st.Put(ent.key, data...) == nil {
-		e.storePuts.Add(1)
-	}
+	e.storePuts.Add(1)
+	return true
 }
 
 // captureOnce runs one capture attempt and either adopts its encoding
@@ -838,38 +866,15 @@ func (e *Engine) captureOnce(acct BudgetAccountant, ent *traceEntry, capture Cap
 		err = tw.Close()
 	}
 
-	if err == nil && arm.mem {
-		// The whole stream fits the memory reservation: adopt its slabs.
-		e.mu.Lock()
-		acct.Commit(arm.reserved, arm.slabs.Len())
-		arm.reserved = 0
-		e.memBytes += arm.slabs.Len()
-		ent.data = arm.slabs.Segments()
-		ent.events = tw.Count()
-		ent.state = stateMemory
-		e.cond.Broadcast()
-		e.mu.Unlock()
-		return captureStored, nil
-	}
 	if err == nil {
-		// The stream overflowed into a store entry: seal it, and it
-		// settles in the disk tier as a store hit would.
-		var path string
-		if path, err = arm.w.Commit(); err == nil {
-			if arm.persistent {
-				e.storePuts.Add(1)
-			}
-			e.mu.Lock()
-			ent.path, ent.body, ent.spilled = path, arm.w.Size(), true
-			ent.events = tw.Count()
-			ent.state = stateDisk
-			e.cond.Broadcast()
-			e.mu.Unlock()
-			return captureStored, nil
-		}
+		err = arm.settle(ent, tw.Count())
+	} else {
+		arm.discard()
 	}
-	arm.discard()
-	return captureSpillErr, fmt.Errorf("%w: %w", ErrSpillIO, err)
+	if err != nil {
+		return captureSpillErr, fmt.Errorf("%w: %w", ErrSpillIO, err)
+	}
+	return captureStored, nil
 }
 
 // countingSink counts events on their way to the wrapped sink.

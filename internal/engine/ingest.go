@@ -18,27 +18,29 @@ import (
 // a pipe, a file tail), the session decodes complete frames incrementally
 // (trace.StreamDecoder) and feeds each one through the same delivery
 // loop a ReplayAll uses (deliver.go), so MEMO-TABLE banks simulate the
-// workload while it is still running. When the producer finishes, Seal
-// verifies the stream ended at a clean frame boundary and settles the
-// accumulated bytes exactly where a local capture would have gone: the
-// engine's memory tier and the persistent trace store, so the live
-// session becomes a warm cache entry for every later run.
+// workload while it is still running. The stream lands as it arrives in
+// the same captureArm a local capture encodes into (capture.go): the
+// header, then each delivered frame's raw bytes, reserved against the
+// engine's root budget and overflowing into a trace-store entry once the
+// budget refuses them. When the producer finishes, Seal verifies the
+// stream ended at a clean frame boundary and settles the arm exactly as
+// a capture's is settled — the memory tier (then published to the
+// persistent store) or the disk tier — so the live session becomes a
+// warm cache entry for every later run.
 //
 // A session is single-producer: Feed and Seal must be called from one
 // goroutine. Everything a session shares with the rest of the engine —
-// the ingest counters, cache adoption, the store publish — is safe
-// against concurrent Replay/ReplayAll traffic and stat reads.
+// the ingest counters, the budget, the cache entry, the store — is safe
+// against concurrent Replay/ReplayAll traffic and stat reads. A session
+// must end in Seal or a failure: one abandoned mid-stream holds its
+// reservation, and any overflow temp file stays until the store sweeps
+// it.
 
 // ErrIngestBroken reports that an ingest session has failed — corrupt
 // frame, injected fault, torn tail at seal — and will accept no more
 // bytes. The sinks may have been partially fed; the caller must discard
 // the session's cell.
 var ErrIngestBroken = errors.New("engine: ingest session broken")
-
-// DefaultIngestRetain bounds how many raw stream bytes a session retains
-// for sealing when the caller does not say: the engine's default cache
-// budget, since a stream that outgrows it could not be adopted anyway.
-const DefaultIngestRetain = DefaultCacheBytes
 
 // IngestStats is a point-in-time view of a session's progress.
 type IngestStats struct {
@@ -62,30 +64,22 @@ type IngestOptions struct {
 	// OnSnapshot receives rolling progress from inside Feed, on the
 	// producer's goroutine, after the crossing frame has been delivered.
 	OnSnapshot func(IngestStats)
-
-	// RetainLimit bounds the raw bytes kept for Seal to settle into the
-	// cache and store (<= 0 selects DefaultIngestRetain). A stream that
-	// outgrows the limit still replays live — the session just cannot be
-	// sealed into a warm entry, which Seal reports via Retained=false.
-	RetainLimit int64
 }
 
 // IngestResult reports what Seal settled.
 type IngestResult struct {
 	Stats IngestStats
-	// Retained reports whether the full raw stream was held within the
-	// retain limit (the precondition for adoption and publish).
-	Retained bool
-	// Adopted reports whether the stream settled into the engine's
-	// memory tier under the session key.
+	// Adopted reports whether the stream settled into the engine's cache
+	// under the session key: the memory tier, or a disk-tier store entry
+	// when it outgrew the budget.
 	Adopted bool
 	// Published reports whether the stream was installed in the
 	// persistent trace store under the session key.
 	Published bool
 }
 
-// IngestSession is one live stream being decoded, replayed, and
-// accumulated for sealing. Construct with Engine.NewIngest.
+// IngestSession is one live stream being decoded, replayed, and landed
+// for sealing. Construct with Engine.NewIngest.
 type IngestSession struct {
 	e     *Engine
 	key   string
@@ -94,8 +88,7 @@ type IngestSession struct {
 	masks []trace.OpMask
 	opts  IngestOptions
 
-	raw      []byte // retained stream bytes, nil after overflow
-	overflow bool
+	arm      *captureArm // where the stream lands; nil once discarded
 	nextSnap uint64
 	sealed   bool
 	err      error // latched first failure
@@ -107,15 +100,13 @@ type IngestSession struct {
 // store, so a later Replay(key, ...) — in this process or any other
 // sharing the store — is a hit instead of a capture.
 func (e *Engine) NewIngest(key string, opts IngestOptions) *IngestSession {
-	if opts.RetainLimit <= 0 {
-		opts.RetainLimit = DefaultIngestRetain
-	}
 	s := &IngestSession{
 		e:     e,
 		key:   key,
 		dec:   trace.NewStreamDecoder(),
 		sinks: opts.Sinks,
 		opts:  opts,
+		arm:   &captureArm{e: e, key: key, acct: e.budget, mem: true},
 	}
 	s.masks = trace.SinkMasks(opts.Sinks)
 	if opts.SnapshotEvery > 0 {
@@ -124,10 +115,11 @@ func (e *Engine) NewIngest(key string, opts IngestOptions) *IngestSession {
 	// A closed engine accepts no new sessions: the failure is latched so
 	// the first Feed or Seal reports it, same shape as any broken session.
 	e.mu.Lock()
-	if e.closed {
-		s.err = fmt.Errorf("%w: %w", ErrIngestBroken, ErrClosed)
-	}
+	closed := e.closed
 	e.mu.Unlock()
+	if closed {
+		_ = s.fail(ErrClosed)
+	}
 	return s
 }
 
@@ -139,12 +131,43 @@ func (s *IngestSession) Stats() IngestStats {
 // Err returns the session's latched failure, nil while healthy.
 func (s *IngestSession) Err() error { return s.err }
 
-// fail latches the session's first failure and returns it wrapped.
+// fail latches the session's first failure and returns it wrapped. A
+// broken session settles nothing, so its arm is discarded at once: the
+// reservation returns to the budget and any overflow entry is aborted.
 func (s *IngestSession) fail(err error) error {
 	if s.err == nil {
 		s.err = fmt.Errorf("%w: %w", ErrIngestBroken, err)
+		s.dropArm()
 	}
 	return s.err
+}
+
+// dropArm discards the session's arm; Seal then settles nothing.
+func (s *IngestSession) dropArm() {
+	if s.arm != nil {
+		s.arm.discard()
+		s.arm = nil
+	}
+}
+
+// land writes stream bytes the decoder consumed to the session's arm. An
+// arm that cannot take them — its overflow entry failed to write, or
+// the engine is closed — is discarded and the stream keeps replaying
+// live. The write is bracketed against Close like any cache work, so
+// Close never removes a scratch store an overflow is writing into.
+func (s *IngestSession) land(p []byte) {
+	if s.arm == nil || len(p) == 0 {
+		return
+	}
+	if s.e.begin() != nil {
+		s.dropArm()
+		return
+	}
+	_, err := s.arm.Write(p)
+	s.e.end()
+	if err != nil {
+		s.dropArm()
+	}
 }
 
 // Feed pushes arriving stream bytes and delivers every frame they
@@ -163,29 +186,26 @@ func (s *IngestSession) Feed(p []byte) error {
 	if ferr := faults.Inject(faults.IngestFeed); ferr != nil {
 		return s.fail(fmt.Errorf("feed rejected: %w", ferr))
 	}
-	if !s.overflow {
-		if int64(len(s.raw))+int64(len(p)) > s.opts.RetainLimit {
-			s.raw, s.overflow = nil, true
-		} else {
-			s.raw = append(s.raw, p...)
-		}
-	}
 	s.e.ingestBytes.Add(uint64(len(p)))
 	s.dec.Feed(p)
 	return s.drain()
 }
 
-// drain delivers every currently complete frame. ErrStreamOpen is the
-// healthy resting state between feeds; io.EOF is drain's clean end after
-// CloseInput; anything else breaks the session.
+// drain lands and delivers every currently complete frame. ErrStreamOpen
+// is the healthy resting state between feeds; io.EOF is drain's clean
+// end after CloseInput; anything else breaks the session.
 func (s *IngestSession) drain() error {
 	for {
 		evs, err := s.dec.NextFrame()
-		if errors.Is(err, trace.ErrStreamOpen) || errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
+		open := errors.Is(err, trace.ErrStreamOpen) || errors.Is(err, io.EOF)
+		if err != nil && !open {
 			return s.fail(err)
+		}
+		// The stream header lands with the call that parsed it, even
+		// when that call then waits for the first frame.
+		s.land(s.dec.Consumed())
+		if open {
+			return nil
 		}
 		if err := s.deliver(evs); err != nil {
 			return err
@@ -219,9 +239,9 @@ func (s *IngestSession) deliver(evs []trace.Event) error {
 
 // Seal declares the stream finished: the remaining buffered frames are
 // delivered, the stream must end at a clean frame boundary (a torn tail
-// is corruption here, exactly as a torn file would be), and the
-// accumulated bytes settle where a local capture's would — the memory
-// tier, budget permitting, and the persistent store when one is
+// is corruption here, exactly as a torn file would be), and the landed
+// bytes settle where a local capture's would — the memory tier, budget
+// permitting, else the disk tier, and the persistent store when one is
 // attached. Store and adoption failures do not fail the seal (the store
 // is an accelerator, same contract as putToStore); what settled is
 // reported in the result. A second Seal, or a Seal on a broken session,
@@ -240,64 +260,42 @@ func (s *IngestSession) Seal() (IngestResult, error) {
 	if err := s.drain(); err != nil {
 		return IngestResult{Stats: s.Stats()}, err
 	}
-	res := IngestResult{Stats: s.Stats(), Retained: !s.overflow}
+	res := IngestResult{Stats: s.Stats()}
 	if ferr := faults.Inject(faults.IngestSeal); ferr != nil {
 		return res, s.fail(fmt.Errorf("seal rejected: %w", ferr))
 	}
 	s.e.sealedIngests.Add(1)
-	if !res.Retained {
-		return res, nil
+	if s.arm != nil {
+		res.Adopted, res.Published = s.e.sealArm(s.key, s.arm, s.dec.Events())
+		s.arm = nil
 	}
-	res.Adopted = s.e.adoptIngest(s.key, s.raw, s.dec.Events())
-	res.Published = s.e.publishIngest(s.key, s.raw)
 	return res, nil
 }
 
-// adoptIngest settles a sealed stream into the engine's memory tier
-// under key, the same way loadFromStore adopts a store hit: only into
-// an empty slot (an in-flight or settled entry must not be shadowed)
-// and only when the byte budget covers the stream.
-func (e *Engine) adoptIngest(key string, data []byte, events uint64) bool {
+// sealArm settles a sealed session's arm under key through the arm's
+// own settle, as store settles a capture's, and reports whether the
+// entry settled and whether the stream reached the persistent store. It
+// claims only an empty (or declined) slot — an in-flight or settled
+// entry must not be shadowed — and only while the engine is open;
+// otherwise the arm is discarded.
+func (e *Engine) sealArm(key string, arm *captureArm, events uint64) (adopted, published bool) {
+	if e.begin() != nil {
+		arm.discard()
+		return false, false
+	}
+	defer e.end()
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return false
-	}
-	ent, ok := e.traces[key]
-	if !ok {
-		ent = &traceEntry{key: key}
-		e.traces[key] = ent
-	}
+	ent := e.entryLocked(key)
 	if ent.state != stateEmpty && ent.state != stateDeclined {
-		return false
+		e.mu.Unlock()
+		arm.discard()
+		return false, false
 	}
-	n := int64(len(data))
-	if !e.budget.Reserve(n) {
-		return false
-	}
-	e.budget.Commit(n, n)
-	e.memBytes += n
-	ent.data = [][]byte{data}
-	ent.events = events
-	ent.state = stateMemory
-	ent.path = ""
-	e.cond.Broadcast()
-	return true
-}
-
-// publishIngest installs a sealed stream in the persistent store under
-// key. Failures are dropped, same contract as putToStore: the store is
-// an accelerator, and the next cold run's capture heals it.
-func (e *Engine) publishIngest(key string, data []byte) bool {
-	e.mu.Lock()
-	st := e.tstore
+	ent.state = stateInflight
 	e.mu.Unlock()
-	if st == nil {
-		return false
+	if arm.settle(ent, events) != nil {
+		e.rearm(ent)
+		return false, false
 	}
-	if err := st.Put(key, data); err != nil {
-		return false
-	}
-	e.storePuts.Add(1)
-	return true
+	return true, arm.persistent || e.putToStore(ent)
 }

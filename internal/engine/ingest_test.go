@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -107,8 +109,8 @@ func TestIngestSealedBecomesWarmEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Retained || !res.Adopted || !res.Published {
-		t.Fatalf("seal result %+v, want retained+adopted+published", res)
+	if !res.Adopted || !res.Published {
+		t.Fatalf("seal result %+v, want adopted+published", res)
 	}
 
 	// Same engine: the adopted entry replays without capturing.
@@ -248,28 +250,301 @@ func TestIngestSnapshots(t *testing.T) {
 	}
 }
 
-// TestIngestRetainOverflow: a stream outgrowing the retain limit still
-// replays live but cannot be sealed into a warm entry.
-func TestIngestRetainOverflow(t *testing.T) {
-	dir := t.TempDir()
-	data, events := encodeStream(t, emitN(30000, 64), false)
+// tempFiles lists the unsealed entry files left in a store directory.
+func tempFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tmps
+}
+
+// scratchStores lists the scratch stores engines made under dir.
+func scratchStores(t *testing.T, dir string) []string {
+	t.Helper()
+	got, err := filepath.Glob(filepath.Join(dir, "memotable-traces-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestIngestReservesBudgetMidStream: the bytes a session has landed but
+// not sealed are reserved in the root budget as they arrive, used +
+// reserved never exceeds the limit, and Seal turns the reservation into
+// the entry's used bytes.
+func TestIngestReservesBudgetMidStream(t *testing.T) {
+	data, _ := encodeStream(t, emitN(60000, 64), false)
 	e := New(1)
+	defer e.Close()
+	limit := int64(len(data)) + 4096
+	e.SetCacheLimit(limit)
+	s := e.NewIngest("budgeted", IngestOptions{Sinks: []trace.Sink{&trace.Counter{}}})
+	rng := rand.New(rand.NewSource(41))
+	for off := 0; off < len(data); {
+		n := min(1+rng.Intn(16<<10), len(data)-off)
+		if err := s.Feed(data[off : off+n]); err != nil {
+			t.Fatal(err)
+		}
+		off += n
+		st := e.Stats()
+		if landed := int64(off - s.dec.Buffered()); st.BudgetReserved != landed {
+			t.Fatalf("at offset %d: reserved %d, want the %d landed bytes", off, st.BudgetReserved, landed)
+		}
+		if st.BudgetUsed+st.BudgetReserved > limit {
+			t.Fatalf("at offset %d: used %d + reserved %d exceeds limit %d", off, st.BudgetUsed, st.BudgetReserved, limit)
+		}
+	}
+	if _, err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.BudgetReserved != 0 || st.BudgetUsed != int64(len(data)) || st.CachedTraces != 1 {
+		t.Fatalf("after seal: reserved %d used %d cached %d, want 0/%d/1",
+			st.BudgetReserved, st.BudgetUsed, st.CachedTraces, len(data))
+	}
+}
+
+// TestIngestOverflowSealsIntoStore: a stream larger than the cache limit
+// overflows into its persistent store entry as it arrives, and Seal
+// commits that entry — byte-identical to the stream — as the key's
+// disk-tier entry, so this engine and a cold one on the store both
+// replay it without capturing.
+func TestIngestOverflowSealsIntoStore(t *testing.T) {
+	dir := t.TempDir()
+	capture := emitN(30000, 64)
+	data, events := encodeStream(t, capture, false)
+	e := New(1)
+	defer e.Close()
+	e.SetCacheLimit(1024)
 	e.SetStore(openStore(t, dir))
-	var cnt trace.Counter
-	s := e.NewIngest("big", IngestOptions{Sinks: []trace.Sink{&cnt}, RetainLimit: 1024})
+	s := e.NewIngest("big", IngestOptions{Sinks: []trace.Sink{&trace.Counter{}}})
 	feedChunked(t, s, data, 35)
 	res, err := s.Seal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Retained || res.Adopted || res.Published {
-		t.Fatalf("overflowed session sealed as warm: %+v", res)
+	if !res.Adopted || !res.Published || res.Stats.Events != events {
+		t.Fatalf("seal result %+v, want adopted+published with %d events", res, events)
 	}
-	if res.Stats.Events != events {
-		t.Fatalf("overflowed session delivered %d of %d events", res.Stats.Events, events)
+	entries := storeEntries(t, dir)
+	if len(entries) != 1 {
+		t.Fatalf("store entries %v, want one", entries)
 	}
-	if got := storeEntries(t, dir); len(got) != 0 {
-		t.Fatalf("overflowed session installed store entries: %v", got)
+	onDisk, err := os.ReadFile(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(onDisk) != len(data)+16 || !bytes.Equal(onDisk[:len(data)], data) {
+		t.Fatalf("store entry is %d bytes, not the %d-byte stream plus its seal", len(onDisk), len(data))
+	}
+	if st := e.Stats(); st.SpilledTraces != 1 || st.BudgetReserved != 0 || st.StorePuts != 1 {
+		t.Fatalf("spilled %d reserved %d puts %d, want 1/0/1", st.SpilledTraces, st.BudgetReserved, st.StorePuts)
+	}
+
+	mustNotRun := func(trace.Sink) { t.Error("workload executed despite the sealed ingest entry") }
+	if n, err := e.Replay("big", mustNotRun, &trace.Counter{}); err != nil || n != events {
+		t.Fatalf("replay after seal: n=%d err=%v", n, err)
+	}
+	cold := New(1)
+	defer cold.Close()
+	cold.SetStore(openStore(t, dir))
+	if n, err := cold.Replay("big", mustNotRun, &trace.Counter{}); err != nil || n != events {
+		t.Fatalf("cold replay: n=%d err=%v", n, err)
+	}
+	if e.Stats().Captures != 0 || cold.Stats().Captures != 0 || cold.Stats().StoreHits != 1 {
+		t.Fatalf("captures %d/%d, cold store hits %d; want 0/0/1",
+			e.Stats().Captures, cold.Stats().Captures, cold.Stats().StoreHits)
+	}
+}
+
+// TestIngestOverflowSettlesInScratchStore: with no persistent store, an
+// overflowing stream settles in the engine's scratch store, replays
+// without capturing, and goes with the scratch store at Close.
+func TestIngestOverflowSettlesInScratchStore(t *testing.T) {
+	traceDir := t.TempDir()
+	capture := emitN(30000, 64)
+	data, events := encodeStream(t, capture, false)
+	e := New(1)
+	e.SetCacheLimit(1024)
+	e.SetTraceDir(traceDir)
+	s := e.NewIngest("big", IngestOptions{Sinks: []trace.Sink{&trace.Counter{}}})
+	feedChunked(t, s, data, 36)
+	res, err := s.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec trace.Recorder
+	if n, err := e.Replay("big", capture, &rec); err != nil || n != events {
+		t.Fatalf("replay after seal: n=%d err=%v", n, err)
+	}
+	if st := e.Stats(); st.Captures != 0 || st.SpilledTraces != 1 {
+		t.Fatalf("captures %d spilled %d, want 0/1", st.Captures, st.SpilledTraces)
+	}
+	if !res.Adopted || res.Published {
+		t.Fatalf("seal result %+v, want adopted, not published", res)
+	}
+	if got := scratchStores(t, traceDir); len(got) != 1 {
+		t.Fatalf("scratch stores %v, want one", got)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := scratchStores(t, traceDir); len(got) != 0 {
+		t.Fatalf("Close left scratch stores %v", got)
+	}
+}
+
+// TestIngestBrokenAfterOverflowLeavesNothing: a session that has
+// overflowed into its store entry and then breaks — on a corrupt frame
+// or an injected frame fault — aborts that entry at once: no entry, no
+// temp file, and no reservation survive it.
+func TestIngestBrokenAfterOverflowLeavesNothing(t *testing.T) {
+	data, _ := encodeStream(t, emitN(60000, 64), false)
+	corrupt := append([]byte(nil), data...)
+	corrupt[len(corrupt)*3/4] ^= 0x01
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		rule   *faults.Rule
+		want   error
+	}{
+		{"corrupt frame", corrupt, nil, trace.ErrBadTrace},
+		{"ingest.frame fault", data, &faults.Rule{Point: faults.IngestFrame, After: 1, Count: 1}, faults.ErrInjected},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			e := New(1)
+			defer e.Close()
+			e.SetCacheLimit(1024)
+			e.SetStore(openStore(t, dir))
+			s := e.NewIngest("broken", IngestOptions{Sinks: []trace.Sink{&trace.Counter{}}})
+			if tc.rule != nil {
+				plan, err := faults.New(1, *tc.rule)
+				if err != nil {
+					t.Fatal(err)
+				}
+				faults.Activate(plan)
+				defer faults.Activate(nil)
+			}
+			half := len(data) / 2
+			if err := s.Feed(tc.stream[:half]); err != nil {
+				t.Fatal(err)
+			}
+			if s.arm == nil || s.arm.mem || len(tempFiles(t, dir)) != 1 {
+				t.Fatalf("session did not overflow into a store entry by mid-stream")
+			}
+			if err := s.Feed(tc.stream[half:]); !errors.Is(err, ErrIngestBroken) || !errors.Is(err, tc.want) {
+				t.Fatalf("feed err = %v, want ErrIngestBroken wrapping %v", err, tc.want)
+			}
+			if _, err := s.Seal(); !errors.Is(err, ErrIngestBroken) {
+				t.Fatalf("seal on broken session err = %v", err)
+			}
+			if got := append(storeEntries(t, dir), tempFiles(t, dir)...); len(got) != 0 {
+				t.Fatalf("broken session left store files %v", got)
+			}
+			if st := e.Stats(); st.BudgetReserved != 0 || len(e.TraceFingerprints()) != 0 {
+				t.Fatalf("broken session left reserved %d, entries %v", st.BudgetReserved, e.TraceFingerprints())
+			}
+		})
+	}
+}
+
+// TestIngestOverflowFailureStillDelivers: a session whose stream cannot
+// overflow — its store entry keeps failing to write, or the engine
+// closed before the budget ran out — discards its arm and keeps
+// delivering. Seal succeeds and settles nothing, and no scratch store is
+// made.
+func TestIngestOverflowFailureStillDelivers(t *testing.T) {
+	data, events := encodeStream(t, emitN(60000, 64), false)
+	check := func(t *testing.T, e *Engine, s *IngestSession, cnt *trace.Counter) {
+		t.Helper()
+		res, err := s.Seal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Adopted || res.Published {
+			t.Fatalf("seal result %+v, want neither adopted nor published", res)
+		}
+		if res.Stats.Events != events || cnt.Total() != events {
+			t.Fatalf("delivered %d (sink %d) of %d events", res.Stats.Events, cnt.Total(), events)
+		}
+		if st := e.Stats(); st.BudgetReserved != 0 || len(e.TraceFingerprints()) != 0 {
+			t.Fatalf("reserved %d, entries %v after a failed overflow", st.BudgetReserved, e.TraceFingerprints())
+		}
+	}
+
+	t.Run("store.write fault", func(t *testing.T) {
+		dir := t.TempDir()
+		e := New(1)
+		defer e.Close()
+		e.SetCacheLimit(1024)
+		e.SetStore(openStore(t, dir))
+		withFaults(t, "store.write")
+		var cnt trace.Counter
+		s := e.NewIngest("faulted", IngestOptions{Sinks: []trace.Sink{&cnt}})
+		feedChunked(t, s, data, 38)
+		check(t, e, s, &cnt)
+		if got := append(storeEntries(t, dir), tempFiles(t, dir)...); len(got) != 0 {
+			t.Fatalf("failed overflow left store files %v", got)
+		}
+	})
+
+	t.Run("closed before overflow", func(t *testing.T) {
+		traceDir := t.TempDir()
+		e := New(1)
+		e.SetCacheLimit(int64(len(data)) / 2)
+		e.SetTraceDir(traceDir)
+		var cnt trace.Counter
+		s := e.NewIngest("closed", IngestOptions{Sinks: []trace.Sink{&cnt}})
+		quarter := len(data) / 4
+		if err := s.Feed(data[:quarter]); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := e.overflowStore(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("overflowStore after Close err = %v, want ErrClosed", err)
+		}
+		if err := s.Feed(data[quarter:]); err != nil {
+			t.Fatal(err)
+		}
+		check(t, e, s, &cnt)
+		if got := scratchStores(t, traceDir); len(got) != 0 {
+			t.Fatalf("closed engine made scratch stores %v", got)
+		}
+	})
+}
+
+// TestIngestOverflowRacesClose: Close racing a session that overflows
+// into the scratch store — mid-stream, mid-seal or after — never leaves
+// the scratch store or a reservation behind, and the session delivers
+// every event whichever side wins.
+func TestIngestOverflowRacesClose(t *testing.T) {
+	data, events := encodeStream(t, emitN(60000, 64), false)
+	for i := 0; i < 8; i++ {
+		traceDir := t.TempDir()
+		e := New(1)
+		e.SetCacheLimit(1024)
+		e.SetTraceDir(traceDir)
+		var cnt trace.Counter
+		s := e.NewIngest("racing", IngestOptions{Sinks: []trace.Sink{&cnt}})
+		closed := make(chan error, 1)
+		go func() { closed <- e.Close() }()
+		feedChunked(t, s, data, int64(i))
+		if _, err := s.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-closed; err != nil {
+			t.Fatal(err)
+		}
+		if cnt.Total() != events {
+			t.Fatalf("run %d: delivered %d of %d events", i, cnt.Total(), events)
+		}
+		if got := scratchStores(t, traceDir); len(got) != 0 || e.Stats().BudgetReserved != 0 {
+			t.Fatalf("run %d: scratch stores %v, reserved %d after Close", i, got, e.Stats().BudgetReserved)
+		}
 	}
 }
 

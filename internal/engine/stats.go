@@ -3,7 +3,7 @@ package engine
 import (
 	"sort"
 
-	"memotable/internal/trace"
+	"memotable/internal/tracestore"
 )
 
 // The engine's observability layer. Historically every counter grew its
@@ -14,11 +14,10 @@ import (
 // directly to JSON (flat, snake_case, CSV-friendly): take one Stats()
 // and read its fields.
 //
-// Tiers() is the structural companion: each cache layer — memory,
-// decoded blocks, overflowed captures, the persistent store — presented through
-// the narrow Tier interface (name, entry count, resident bytes), which
-// is how the service front-end and the CLI describe the cache without
-// reaching into engine internals.
+// TierStats is the structural companion: each cache layer — memory,
+// decoded blocks, overflowed captures, the persistent store — as a name,
+// an entry count and resident bytes, which is how the service front-end
+// describes the cache without reaching into engine internals.
 
 // Stats is a point-in-time snapshot of every engine counter and
 // cache-shape figure. Counter fields are monotonic; shape fields
@@ -92,23 +91,10 @@ func (e *Engine) Stats() Stats {
 		IngestedBytes:    e.ingestBytes.Load(),
 		SealedIngests:    e.sealedIngests.Load(),
 	}
-	e.mu.Lock()
-	s.CachedBytes = e.memBytes
-	s.DecodedBlockBytes = e.blockBytes
-	for _, ent := range e.traces {
-		switch ent.state {
-		case stateMemory:
-			s.CachedTraces++
-		case stateDisk:
-			if ent.spilled {
-				s.SpilledTraces++
-			}
-		}
-		if ent.blocks != nil {
-			s.DecodedEntries++
-		}
-	}
-	e.mu.Unlock()
+	mem, blocks, spill, _ := e.shape()
+	s.CachedTraces, s.CachedBytes = mem.Entries, mem.Bytes
+	s.DecodedEntries, s.DecodedBlockBytes = blocks.Entries, blocks.Bytes
+	s.SpilledTraces = spill.Entries
 	s.BudgetLimit = e.budget.Limit()
 	s.BudgetUsed = e.budget.Used()
 	s.BudgetReserved = e.budget.Reserved()
@@ -134,135 +120,51 @@ func (e *Engine) TraceFingerprints() []string {
 	return keys
 }
 
-// Tier is the narrow read-only view of one cache layer: what it is, how
-// many entries it holds, and how many bytes they occupy.
-type Tier interface {
-	// Name identifies the layer ("memory", "blocks", "spill", "store").
-	Name() string
-	// Entries returns the number of entries resident in the layer.
-	Entries() int
-	// Bytes returns the bytes those entries occupy (encoded bytes for
-	// memory and spill, decoded cost for blocks, on-disk size for store).
-	Bytes() int64
-}
-
-// TierStats is the serializable form of one Tier's view.
+// TierStats describes one cache layer: what it is, how many entries it
+// holds, and how many bytes they occupy (encoded bytes for memory and
+// spill, decoded cost for blocks, on-disk size for store).
 type TierStats struct {
 	Name    string `json:"name"`
 	Entries int    `json:"entries"`
 	Bytes   int64  `json:"bytes"`
 }
 
-// Tiers returns the engine's cache layers, outermost first: the memory
-// tier (encoded v2 bytes), the decoded-block tier, the spill view (disk
-// entries settled by overflowing captures), and — when a persistent
-// store is attached — the store tier.
-func (e *Engine) Tiers() []Tier {
-	tiers := []Tier{memoryTier{e}, blockTier{e}, spillTier{e}}
-	if e.Store() != nil {
-		tiers = append(tiers, storeTier{e})
-	}
-	return tiers
-}
-
-// TierStats snapshots every tier of Tiers into serializable form.
-func (e *Engine) TierStats() []TierStats {
-	tiers := e.Tiers()
-	out := make([]TierStats, len(tiers))
-	for i, t := range tiers {
-		out[i] = TierStats{Name: t.Name(), Entries: t.Entries(), Bytes: t.Bytes()}
-	}
-	return out
-}
-
-// countTier tallies entries matching keep and sums bytes via cost, under
-// one acquisition of the cache lock — the shared body of the in-process
-// tier views.
-func (e *Engine) countTier(keep func(*traceEntry) bool, cost func(*traceEntry) int64) (int, int64) {
+// shape walks the cache once under its lock: the memory tier (encoded v2
+// bytes), the decoded-block tier, the spill view (disk-tier entries an
+// overflowing arm settled, in the attached store or the scratch one;
+// store hits replayed in place are not spilled), and the attached store.
+func (e *Engine) shape() (mem, blocks, spill TierStats, st *tracestore.Store) {
+	mem, blocks, spill = TierStats{Name: "memory"}, TierStats{Name: "blocks"}, TierStats{Name: "spill"}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var n int
-	var b int64
+	mem.Bytes, blocks.Bytes = e.memBytes, e.blockBytes
 	for _, ent := range e.traces {
-		if keep(ent) {
-			n++
-			b += cost(ent)
+		switch {
+		case ent.state == stateMemory:
+			mem.Entries++
+		case ent.state == stateDisk && ent.spilled:
+			spill.Entries++
+			spill.Bytes += ent.body
+		}
+		if ent.blocks != nil {
+			blocks.Entries++
 		}
 	}
-	return n, b
+	return mem, blocks, spill, e.tstore
 }
 
-// memoryTier views the encoded in-memory trace cache as a Tier.
-type memoryTier struct{ e *Engine }
-
-func (t memoryTier) Name() string { return "memory" }
-func (t memoryTier) Entries() int {
-	n, _ := t.e.countTier(
-		func(ent *traceEntry) bool { return ent.state == stateMemory },
-		func(ent *traceEntry) int64 { return trace.SegmentsLen(ent.data) })
-	return n
-}
-func (t memoryTier) Bytes() int64 {
-	t.e.mu.Lock()
-	defer t.e.mu.Unlock()
-	return t.e.memBytes
-}
-
-// blockTier views the decoded-block cache as a Tier.
-type blockTier struct{ e *Engine }
-
-func (t blockTier) Name() string { return "blocks" }
-func (t blockTier) Entries() int {
-	n, _ := t.e.countTier(
-		func(ent *traceEntry) bool { return ent.blocks != nil },
-		func(ent *traceEntry) int64 { return ent.blockBytes })
-	return n
-}
-func (t blockTier) Bytes() int64 {
-	t.e.mu.Lock()
-	defer t.e.mu.Unlock()
-	return t.e.blockBytes
-}
-
-// spillTier views, as a Tier, the disk-tier entries an overflowing
-// capture settled (in the attached store or the scratch one). Store hits
-// replayed in place are the store tier's, not the spill tier's.
-type spillTier struct{ e *Engine }
-
-func (t spillTier) Name() string { return "spill" }
-func (t spillTier) Entries() int {
-	n, _ := t.spilled()
-	return n
-}
-func (t spillTier) Bytes() int64 {
-	_, b := t.spilled()
-	return b
-}
-func (t spillTier) spilled() (int, int64) {
-	return t.e.countTier(
-		func(ent *traceEntry) bool { return ent.state == stateDisk && ent.spilled },
-		func(ent *traceEntry) int64 { return ent.body })
-}
-
-// storeTier views the attached persistent trace store as a Tier. Store
-// I/O failures read as an empty tier — the store is an accelerator, and
-// its stats follow the same can't-hurt contract as its entries.
-type storeTier struct{ e *Engine }
-
-func (t storeTier) Name() string { return "store" }
-func (t storeTier) Entries() int {
-	st := t.e.Store()
-	if st == nil {
-		return 0
+// TierStats returns the engine's cache layers, outermost first: memory,
+// blocks, spill and — when a persistent store is attached — the store,
+// whose entry count and size are read outside the cache lock. Store I/O
+// failures read as an empty tier: the store is an accelerator, and its
+// stats follow the same can't-hurt contract as its entries.
+func (e *Engine) TierStats() []TierStats {
+	mem, blocks, spill, st := e.shape()
+	tiers := []TierStats{mem, blocks, spill}
+	if st != nil {
+		n, _ := st.Len()
+		b, _ := st.Bytes()
+		tiers = append(tiers, TierStats{Name: "store", Entries: n, Bytes: b})
 	}
-	n, _ := st.Len()
-	return n
-}
-func (t storeTier) Bytes() int64 {
-	st := t.e.Store()
-	if st == nil {
-		return 0
-	}
-	b, _ := st.Bytes()
-	return b
+	return tiers
 }

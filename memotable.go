@@ -115,15 +115,22 @@ func NewEngine(workers int) *Engine { return engine.New(workers) }
 
 // IngestOptions configures a live trace ingestion session
 // (Engine.NewIngest): an external producer pushes encoded v2 stream bytes
-// as it generates them, complete frames replay incrementally into the
-// session's sinks, and sealing settles the stream into the engine cache
-// and the persistent trace store as if it had been captured locally.
+// as it generates them, and complete frames replay incrementally into
+// the session's sinks. The bytes land as a local capture's do — charged
+// to the engine's cache budget as they arrive, overflowing into a trace
+// store entry when the budget cannot hold them — and sealing settles the
+// stream into the engine cache and the persistent trace store as if it
+// had been captured locally. An engine that ingests must be closed: an
+// overflowing stream without a persistent store lands in the engine's
+// scratch store, which only Close removes.
 type IngestOptions = engine.IngestOptions
 
 // IngestStats is a point-in-time view of an ingest session's progress.
 type IngestStats = engine.IngestStats
 
-// IngestResult reports what sealing an ingest session settled.
+// IngestResult reports what sealing an ingest session settled: whether
+// the stream became the key's cache entry (in memory, or on disk when it
+// outgrew the budget) and whether it reached the persistent store.
 type IngestResult = engine.IngestResult
 
 // LiveBank bundles the rolling instruments of a live ingest session —
