@@ -189,6 +189,7 @@ func runIngest(addr string, snapshotEvery uint64, storeDir, sealKey string) int 
 			fmt.Println(memotable.RenderText(bank.Snapshot(st)))
 		},
 	})
+	defer sess.Abort() // a read error below returns without sealing
 
 	buf := make([]byte, 64<<10)
 	for {

@@ -144,3 +144,47 @@ func TestExperimentGoldensWithSpillTier(t *testing.T) {
 		t.Errorf("%d captures in the memory tier despite a 1-byte budget", eng.Stats().CachedTraces)
 	}
 }
+
+// TestWarmPassHoldsNothing primes a tiny store, then runs one full pass
+// over it on a fresh engine. Every trace must come from the store and
+// replay from its entry file: nothing captured, no byte charged to the
+// cache budget, no memory-tier entry, and — each key replayed once — no
+// decoded blocks. The output must match the cold pass byte for byte.
+func TestWarmPassHoldsNothing(t *testing.T) {
+	dir := t.TempDir()
+	render := func(eng *memotable.Engine) string {
+		st, err := memotable.OpenTraceStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.SetStore(st)
+		results, err := memotable.Run(eng, memotable.Tiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out string
+		for _, r := range results {
+			out += memotable.RenderText(r)
+		}
+		return out
+	}
+	cold := memotable.NewEngine(2)
+	defer cold.Close()
+	want := render(cold)
+
+	warm := memotable.NewEngine(2)
+	defer warm.Close()
+	if got := render(warm); got != want {
+		t.Fatal("warm pass output diverged from the cold pass")
+	}
+	st := warm.Stats()
+	if st.StoreHits == 0 || st.Captures != 0 || st.BudgetUsed != 0 || st.DecodedEntries != 0 {
+		t.Fatalf("warm pass: %d store hits, %d captures, %d budget bytes used, %d decoded entries; want hits and 0, 0, 0",
+			st.StoreHits, st.Captures, st.BudgetUsed, st.DecodedEntries)
+	}
+	for _, ts := range warm.TierStats() {
+		if ts.Name == "memory" && (ts.Entries != 0 || ts.Bytes != 0) {
+			t.Fatalf("warm pass memory tier %+v, want empty", ts)
+		}
+	}
+}

@@ -14,9 +14,16 @@ import (
 // — by several passes on one engine, or by several requests to the
 // service — would pay that decode each time. This tier decodes a key's
 // v1/v2 bytes (in place, for the memory tier) or its store entry into
-// immutable []trace.Event blocks exactly once; every later replay of the
-// key walks the shared blocks read-only and feeds sinks whole blocks at
-// a time.
+// immutable []trace.Event blocks once; every later replay of the key
+// walks the shared blocks read-only and feeds sinks whole blocks at a
+// time.
+//
+// Blocks are built on a key's second replay, not its first: the first
+// replay of an entry decodes its bytes batch by batch, and only an
+// entry that has already served a replay — one that is being reused —
+// is decoded into blocks, which the third and later replays hit. A
+// pass that replays every key once (a CLI run) therefore holds no
+// blocks at all.
 //
 // Block memory is charged against the same byte budget as the encoded
 // tier (decoded events cost bytesPerEvent each), so a tight budget simply
@@ -43,8 +50,9 @@ type traceBlock struct {
 	mask   trace.OpMask
 }
 
-// blocksFor returns key's decoded blocks, building them on first use.
-// It returns nil (and no error) when the tier cannot serve: another
+// blocksFor returns key's decoded blocks, building them when the entry
+// has already served a replay. It returns nil (and no error) when the
+// tier does not serve: this is the entry's first replay, another
 // goroutine is mid-decode, or the byte budget has no room — callers then
 // fall back to the byte decoder. A decode failure of a disk-tier entry
 // is returned as an error so the caller can invalidate the entry and
@@ -61,6 +69,11 @@ func (e *Engine) blocksFor(acct BudgetAccountant, key string, snap entrySnapshot
 		e.mu.Unlock()
 		e.decodeHits.Add(1)
 		return blocks, nil
+	}
+	if !ent.served {
+		ent.served = true
+		e.mu.Unlock()
+		return nil, nil
 	}
 	cost := int64(snap.events) * bytesPerEvent
 	if ent.blockBusy || !acct.Reserve(cost) {
@@ -81,7 +94,7 @@ func (e *Engine) blocksFor(acct BudgetAccountant, key string, snap entrySnapshot
 		return nil, nil
 	}
 
-	blocks, err := e.decodeBlocksRetrying(snap)
+	blocks, err := e.decodeBlocks(snap)
 
 	e.mu.Lock()
 	ent.blockBusy = false
@@ -106,56 +119,44 @@ func (e *Engine) blocksFor(acct BudgetAccountant, key string, snap entrySnapshot
 	return blocks, nil
 }
 
-// decodeBlocksRetrying decodes with the engine's disk-read retry
-// policy: a disk-tier decode that fails for a reason other than
-// corruption (an injected store.read fault, a vanished file) is retried
-// with backoff before the caller gives up and invalidates the file.
-func (e *Engine) decodeBlocksRetrying(snap entrySnapshot) ([]traceBlock, error) {
-	if snap.state != stateDisk {
-		return decodeBlocks(snap)
-	}
-	var blocks []traceBlock
-	err := e.withSpillRetry(func() error {
-		var derr error
-		blocks, derr = decodeBlocks(snap)
-		return derr
-	})
-	return blocks, err
-}
-
 // decodeBlocks decodes a settled entry's whole stream — memory bytes or
-// a store entry's trace bytes — into owned blocks. For
+// a disk-tier entry, mapped for the decode — into owned blocks. For
 // disk-tier entries the frame checksums are verified by the decode
 // itself, so a torn or corrupt file fails here before any event could
 // reach a sink.
-func decodeBlocks(snap entrySnapshot) ([]traceBlock, error) {
-	r, done, err := openSnapshot(snap)
+func (e *Engine) decodeBlocks(snap entrySnapshot) ([]traceBlock, error) {
+	blocks := make([]traceBlock, 0, snap.events/blockLen+1)
+	err := e.readSnapshot(snap, func(segs [][]byte) error {
+		r, err := trace.NewSegmentReader(segs)
+		if err != nil {
+			return err
+		}
+		var decoded uint64
+		for decoded < snap.events {
+			n := snap.events - decoded
+			if n > blockLen {
+				n = blockLen
+			}
+			batch, err := r.ReadBatch(make([]trace.Event, 0, n))
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return err
+			}
+			blocks = append(blocks, traceBlock{events: batch, mask: batchMask(batch)})
+			decoded += uint64(len(batch))
+		}
+		if decoded != snap.events {
+			return fmt.Errorf("decoded %d of %d events", decoded, snap.events)
+		}
+		if _, err := r.ReadBatch(make([]trace.Event, 0, 1)); err != io.EOF {
+			return fmt.Errorf("stream continues past %d declared events", snap.events)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	defer done()
-	blocks := make([]traceBlock, 0, snap.events/blockLen+1)
-	var decoded uint64
-	for decoded < snap.events {
-		n := snap.events - decoded
-		if n > blockLen {
-			n = blockLen
-		}
-		batch, err := r.ReadBatch(make([]trace.Event, 0, n))
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		blocks = append(blocks, traceBlock{events: batch, mask: batchMask(batch)})
-		decoded += uint64(len(batch))
-	}
-	if decoded != snap.events {
-		return nil, fmt.Errorf("decoded %d of %d events", decoded, snap.events)
-	}
-	if _, err := r.ReadBatch(make([]trace.Event, 0, 1)); err != io.EOF {
-		return nil, fmt.Errorf("stream continues past %d declared events", snap.events)
 	}
 	return blocks, nil
 }

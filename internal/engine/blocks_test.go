@@ -192,8 +192,9 @@ func TestReplayAllMatchesSerialReplays(t *testing.T) {
 	})
 
 	// The same stream settled as v1, plain v2 and compressed v2 replays
-	// identically to every sink, from decoded blocks and, under a budget
-	// that holds the encoded bytes but not the blocks, from the bytes.
+	// identically to every sink: from the bytes on its first replay, and
+	// on its second from decoded blocks or, under a budget that holds
+	// the encoded bytes but not the blocks, from the bytes again.
 	t.Run("formats", func(t *testing.T) {
 		capture := emitMixed(2*blockLen + 137) // a ragged tail block
 		var want trace.Recorder
@@ -217,15 +218,19 @@ func TestReplayAllMatchesSerialReplays(t *testing.T) {
 					e.SetCacheLimit(int64(len(enc.data)))
 				}
 				settleBytes(t, e, "fmt", enc.data, enc.events)
-				n, got := replayRecorded(t, e, "fmt", noCapture, masks)
-				if n != enc.events {
-					t.Fatalf("%s: replayed %d events, want %d", enc.name, n, enc.events)
-				}
-				if decoded := e.Stats().DecodedEntries == 1; decoded != blocks {
-					t.Fatalf("%s: decoded entries %d, want blocks=%v", enc.name, e.Stats().DecodedEntries, blocks)
-				}
-				for i := range got {
-					sameEvents(t, fmt.Sprintf("%s (blocks=%v) sink %d", enc.name, blocks, i), got[i], want.Events)
+				for round := 1; round <= 2; round++ {
+					n, got := replayRecorded(t, e, "fmt", noCapture, masks)
+					if n != enc.events {
+						t.Fatalf("%s round %d: replayed %d events, want %d", enc.name, round, n, enc.events)
+					}
+					if decoded := e.Stats().DecodedEntries == 1; decoded != (blocks && round == 2) {
+						t.Fatalf("%s round %d: decoded entries %d, want blocks=%v",
+							enc.name, round, e.Stats().DecodedEntries, blocks && round == 2)
+					}
+					for i := range got {
+						sameEvents(t, fmt.Sprintf("%s round %d (blocks=%v) sink %d", enc.name, round, blocks, i),
+							got[i], want.Events)
+					}
 				}
 			}
 		}
@@ -247,37 +252,34 @@ func settleBytes(t *testing.T, e *Engine, key string, data []byte, events uint64
 	e.settle(ent, e.budget, entrySnapshot{state: stateMemory, data: [][]byte{data}, events: events}, false)
 }
 
-// TestDecodedBlocksSharedAcrossReplays checks the decode-once property:
-// the first replay builds blocks, later replays hit them, and the budget
-// accounting covers them.
+// TestDecodedBlocksSharedAcrossReplays checks the decode-once property
+// and when it starts: the first replay decodes from the bytes and builds
+// nothing, the second builds blocks, later replays hit them, and the
+// budget accounting covers them.
 func TestDecodedBlocksSharedAcrossReplays(t *testing.T) {
 	e := New(1)
 	const events = 20000
 	capture := emitMixed(events)
 
-	var r1 trace.Recorder
-	if _, err := e.Replay("k", capture, &r1); err != nil {
-		t.Fatal(err)
+	var recs [3]trace.Recorder
+	for i, want := range []struct {
+		entries int
+		hits    uint64
+	}{{0, 0}, {1, 0}, {1, 1}} {
+		if _, err := e.Replay("k", capture, &recs[i]); err != nil {
+			t.Fatal(err)
+		}
+		st := e.Stats()
+		if st.DecodedEntries != want.entries || st.DecodeOnceHits != want.hits {
+			t.Fatalf("after replay %d: %d decoded entries, %d decode-once hits; want %d and %d",
+				i+1, st.DecodedEntries, st.DecodeOnceHits, want.entries, want.hits)
+		}
+		if got, want := st.DecodedBlockBytes, int64(want.entries)*events*bytesPerEvent; got != want {
+			t.Fatalf("after replay %d: decoded block bytes %d, want %d", i+1, got, want)
+		}
 	}
-	if e.Stats().DecodedEntries != 1 {
-		t.Fatalf("decoded entries %d after first replay, want 1", e.Stats().DecodedEntries)
-	}
-	if got, want := e.Stats().DecodedBlockBytes, int64(events)*bytesPerEvent; got != want {
-		t.Fatalf("decoded block bytes %d, want %d", got, want)
-	}
-	if e.Stats().DecodeOnceHits != 0 {
-		t.Fatalf("first replay counted as a decode-once hit")
-	}
-
-	var r2 trace.Recorder
-	if _, err := e.Replay("k", capture, &r2); err != nil {
-		t.Fatal(err)
-	}
-	if e.Stats().DecodeOnceHits != 1 {
-		t.Fatalf("decode-once hits %d after second replay, want 1", e.Stats().DecodeOnceHits)
-	}
-	if !reflect.DeepEqual(r1.Events, r2.Events) {
-		t.Fatal("block-served replay diverged from decoding replay")
+	if !reflect.DeepEqual(recs[0].Events, recs[1].Events) || !reflect.DeepEqual(recs[0].Events, recs[2].Events) {
+		t.Fatal("block-built and block-served replays diverged from the decoding replay")
 	}
 }
 

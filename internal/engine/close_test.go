@@ -129,9 +129,18 @@ func TestTiersAccountTheCache(t *testing.T) {
 	if !ok || mem.Entries != 1 || mem.Bytes != e.Stats().CachedBytes {
 		t.Fatalf("memory tier %+v, want 1 entry of %d bytes", mem, e.Stats().CachedBytes)
 	}
-	blocks := byName["blocks"]
-	if blocks.Entries != 1 || blocks.Bytes != e.Stats().DecodedBlockBytes {
-		t.Fatalf("blocks tier %+v, want 1 entry of %d bytes", blocks, e.Stats().DecodedBlockBytes)
+	// One replay decodes from the bytes and leaves no blocks; the
+	// second builds them.
+	if blocks := byName["blocks"]; blocks.Entries != 0 || blocks.Bytes != 0 {
+		t.Fatalf("blocks tier %+v after one replay, want empty", blocks)
+	}
+	if _, err := e.ReplayAll("k", emitN(1000, 64), []trace.Sink{&cnt}); err != nil {
+		t.Fatal(err)
+	}
+	blocks := e.TierStats()[1]
+	if blocks.Name != "blocks" || blocks.Entries != 1 || blocks.Bytes != 1000*bytesPerEvent ||
+		blocks.Bytes != e.Stats().DecodedBlockBytes {
+		t.Fatalf("blocks tier %+v after two replays, want 1 entry of %d bytes", blocks, 1000*bytesPerEvent)
 	}
 	if spill := byName["spill"]; spill.Entries != 0 || spill.Bytes != 0 {
 		t.Fatalf("spill tier %+v, want empty", spill)

@@ -74,43 +74,39 @@ var batchBufs = sync.Pool{New: func() any {
 }}
 
 // replayBytes decodes a settled entry's encoded stream (memory-tier
-// segments or a disk-tier file) in blockLen batches and delivers each
-// one, returning the count of events delivered. A failure to read the
-// stream comes back as readErr, after the events decoded before the
-// defect were delivered; a failed delivery (cancellation, an injected
-// sink.emit fault) comes back as err. Callers treat the two differently:
-// only a read failure says anything about the entry's storage.
+// segments or a disk-tier entry, mapped for the replay) in blockLen
+// batches and delivers each one, returning the count of events
+// delivered. A failure to read the stream comes back as readErr, after
+// the events decoded before the defect were delivered; a failed
+// delivery (cancellation, an injected sink.emit fault) comes back as
+// err. Callers treat the two differently: only a read failure says
+// anything about the entry's storage.
 func (e *Engine) replayBytes(ctx context.Context, snap entrySnapshot, sinks []trace.Sink, masks []trace.OpMask) (n uint64, readErr, err error) {
-	// No event has reached a sink yet, so a disk-tier open that fails
-	// transiently is retried like any other disk read.
-	var r *trace.Reader
-	var done func()
-	if oerr := e.withSpillRetry(func() (err error) {
-		r, done, err = openSnapshot(snap)
-		return err
-	}); oerr != nil {
-		return 0, oerr, nil
-	}
-	defer done()
 	buf := batchBufs.Get().(*[]trace.Event)
 	defer batchBufs.Put(buf)
-	for {
-		batch, rerr := r.ReadBatch(*buf)
-		if rerr == io.EOF {
-			break
-		}
-		if len(batch) > 0 {
-			if err := e.deliver(ctx, sinks, masks, batch, batchMask(batch)); err != nil {
-				return n, nil, err
-			}
-			n += uint64(len(batch))
-		}
+	readErr = e.readSnapshot(snap, func(segs [][]byte) error {
+		r, rerr := trace.NewSegmentReader(segs)
 		if rerr != nil {
-			return n, rerr, nil
+			return rerr
 		}
+		for {
+			batch, rerr := r.ReadBatch(*buf)
+			if rerr == io.EOF {
+				return nil
+			}
+			if len(batch) > 0 {
+				if err = e.deliver(ctx, sinks, masks, batch, batchMask(batch)); err != nil {
+					return nil
+				}
+				n += uint64(len(batch))
+			}
+			if rerr != nil {
+				return rerr
+			}
+		}
+	})
+	if readErr == nil && err == nil && n != snap.events {
+		readErr = fmt.Errorf("replayed %d of %d events", n, snap.events)
 	}
-	if n != snap.events {
-		return n, fmt.Errorf("replayed %d of %d events", n, snap.events), nil
-	}
-	return n, nil, nil
+	return n, readErr, err
 }

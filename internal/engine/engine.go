@@ -23,9 +23,11 @@
 //     mid-stream to a sealed trace-store entry: in the attached
 //     persistent store, or else in a scratch store the engine creates
 //     on first overflow and removes on Close. The disk tier has one
-//     format and one read path: an overflowed capture and a
-//     persistent-store hit that outgrows the budget both settle there,
-//     pointing at a store entry the engine replays in place. A capture
+//     format and one read path: an overflowed capture and every
+//     persistent-store hit settle there, pointing at a store entry the
+//     engine maps read-only for each verify, replay or decode and
+//     unmaps when that use ends, so a store hit holds no heap bytes and
+//     charges no budget. A capture
 //     is declined only when its overflow entry keeps failing to write —
 //     and a decline re-arms as soon as the budget grows or another
 //     tenant asks for it. Corrupt or torn disk-tier entries are
@@ -33,9 +35,10 @@
 //     re-captured.
 //
 // On top of the two encoded tiers sits the decoded-block cache
-// (blocks.go): the first replay of a key decodes its bytes once into
-// immutable []trace.Event blocks — charged against the same byte budget —
-// and every later replay walks the shared blocks instead of re-decoding.
+// (blocks.go): a key's first replay decodes its bytes batch by batch,
+// its second decodes them once into immutable []trace.Event blocks —
+// charged against the same byte budget — and every later replay walks
+// the shared blocks instead of re-decoding.
 // ReplayAll fuses a whole configuration sweep into one pass over those
 // blocks: M sinks cost one decode, and per-block class masks skip sinks
 // that consume none of a block's events. Every path feeds its sinks
@@ -52,7 +55,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"sync"
@@ -106,7 +108,9 @@ type traceEntry struct {
 	body    int64  // stateDisk: trace bytes in front of the entry's seal
 	spilled bool   // stateDisk: settled by an overflowing capture, not a store hit
 
-	// Decoded-block tier: the stream decoded once into event blocks.
+	// Decoded-block tier: the stream decoded once into event blocks, on
+	// the entry's second replay (served marks the first).
+	served     bool
 	blocks     []traceBlock
 	blockBytes int64            // bytes blocks charge against the budget
 	blockAcct  BudgetAccountant // the accountant those bytes are committed to
@@ -235,8 +239,8 @@ func (e *Engine) SetTraceDir(dir string) {
 // fresh capture is published back — one that overflows the cache
 // budget by streaming straight into its store entry — so a store shared
 // across processes (or across runs of the same binary) makes all but
-// the first run replay-only; an entry the cache budget cannot hold is
-// replayed from the store's own file. A nil store detaches. Store reads
+// the first run replay-only; a store hit is replayed from the store's
+// own file and costs no cache budget. A nil store detaches. Store reads
 // and memory-tier publishes are strictly an accelerator: a failed read
 // is a miss and a failed publish is dropped — neither can fail a cell.
 func (e *Engine) SetStore(st *tracestore.Store) {
@@ -466,10 +470,11 @@ func (e *Engine) ReplayAll(key string, capture CaptureFunc, sinks []trace.Sink) 
 
 // ReplayAllContext feeds key's operand stream into every sink in one
 // fused pass and returns the event count: M configuration sinks cost one
-// decode of the stream, not M. The first fused replay of a key decodes
-// its bytes into the shared decoded-block tier (budget permitting) and
-// later replays of the key — fused or not — walk the blocks read-only;
-// without room for blocks the encoded bytes are decoded batch by batch.
+// decode of the stream, not M. The first replay of a key decodes its
+// encoded bytes batch by batch; the second decodes them into the shared
+// decoded-block tier (budget permitting), and later replays of the key —
+// fused or not — walk the blocks read-only; without room for blocks the
+// encoded bytes are decoded batch by batch again.
 // Either way every batch goes through one serial delivery loop
 // (deliver.go): a batch whose events all fall outside a sink's
 // advertised class mask skips that sink, and every sink observes the
@@ -563,7 +568,7 @@ func (e *Engine) ReplayAllContext(ctx context.Context, key string, capture Captu
 			// emitted: a corrupt or torn file must be caught while the
 			// sink is still untouched, so re-capturing stays
 			// transparent to the caller.
-			if err := e.withSpillRetry(func() error { return verifySpill(snap) }); err != nil {
+			if err := e.verifySpill(snap); err != nil {
 				if err = e.retireSpill(key, snap, attempt, err); err != nil {
 					return 0, err
 				}
@@ -621,55 +626,44 @@ func (e *Engine) withSpillRetry(op func() error) error {
 	}
 }
 
-// openDisk opens a disk-tier entry's trace stream: the store entry's
-// trace bytes, which stop at its seal trailer. The store.read injection
-// point fires first.
-func openDisk(snap entrySnapshot) (*os.File, io.Reader, error) {
-	if err := faults.Inject(faults.StoreRead); err != nil {
-		return nil, nil, err
-	}
-	f, err := os.Open(snap.path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, io.LimitReader(f, snap.body), nil
-}
-
-// openSnapshot opens a settled entry's encoded stream for decoding: its
-// memory-tier segments in place, or its disk-tier file. done releases
-// the file (a no-op for memory).
-func openSnapshot(snap entrySnapshot) (r *trace.Reader, done func(), err error) {
+// readSnapshot hands a settled entry's encoded stream to use as
+// frame-aligned segments: the memory tier's where they lie, or the disk
+// tier's store entry mapped for this one call (tracestore.ReadEntry),
+// unmapped when use returns. Only opening the entry is retried under
+// the engine's retry policy; once use has begun its failure comes back
+// as it is — a fault on the mapping (the file was truncated under it)
+// included — because use may have fed sinks.
+func (e *Engine) readSnapshot(snap entrySnapshot, use func(segs [][]byte) error) error {
 	if snap.state != stateDisk {
-		r, err = trace.NewSegmentReader(snap.data)
-		return r, func() {}, err
+		return use(snap.data)
 	}
-	f, rd, err := openDisk(snap)
-	if err != nil {
-		return nil, nil, err
+	began := false
+	var err error
+	if oerr := e.withSpillRetry(func() error {
+		err = tracestore.ReadEntry(snap.path, snap.body, func(body []byte) error {
+			began = true
+			return use([][]byte{body})
+		})
+		if began {
+			return nil
+		}
+		return err
+	}); oerr != nil {
+		return oerr
 	}
-	if r, err = trace.NewReader(rd); err != nil {
-		_ = f.Close()
-		return nil, nil, err
-	}
-	return r, func() { _ = f.Close() }, nil
+	return err
 }
 
 // verifySpill checksums every frame of a disk-tier entry and checks the
 // total event count against the capture's, without emitting anything.
-func verifySpill(snap entrySnapshot) error {
-	f, r, err := openDisk(snap)
-	if err != nil {
+func (e *Engine) verifySpill(snap entrySnapshot) error {
+	return e.readSnapshot(snap, func(segs [][]byte) error {
+		n, err := trace.VerifySegments(segs)
+		if err == nil && n != snap.events {
+			err = fmt.Errorf("disk tier holds %d of %d events", n, snap.events)
+		}
 		return err
-	}
-	defer func() { _ = f.Close() }()
-	n, err := trace.Verify(r)
-	if err != nil {
-		return err
-	}
-	if n != snap.events {
-		return fmt.Errorf("disk tier holds %d of %d events", n, snap.events)
-	}
-	return nil
+	})
 }
 
 // invalidateSpill retires a disk-tier entry observed to be corrupt, so
@@ -737,7 +731,7 @@ const (
 // retry — and the failure is returned wrapping ErrCaptureFailed. The
 // caller has already moved the entry to stateInflight.
 func (e *Engine) store(acct BudgetAccountant, ent *traceEntry, capture CaptureFunc) error {
-	if e.loadFromStore(acct, ent) {
+	if e.loadFromStore(ent) {
 		return nil
 	}
 	attempts, base := e.retryPolicy()
@@ -787,6 +781,7 @@ func (e *Engine) settle(ent *traceEntry, acct BudgetAccountant, to entrySnapshot
 	}
 	ent.state, ent.data, ent.events = to.state, to.data, to.events
 	ent.path, ent.body, ent.spilled = to.path, to.body, spilled
+	ent.served = false
 	e.cond.Broadcast()
 	e.mu.Unlock()
 }
@@ -804,29 +799,24 @@ func (e *Engine) settleDeclined(acct BudgetAccountant, ent *traceEntry) {
 
 // loadFromStore tries to settle an in-flight entry from the persistent
 // trace store. The store verifies the entry's seal and every frame CRC
-// before handing anything over. An entry the byte budget covers is
-// adopted into the memory tier; one it does not cover settles as a
-// disk-tier entry that points at the store file and is replayed in
-// place, exactly as an overflowed capture is; it counts as a store hit,
-// not a spilled trace. Any store failure (absent, torn, corrupt,
-// injected fault) is a miss: the caller captures, and the put that
-// follows heals the entry.
-func (e *Engine) loadFromStore(acct BudgetAccountant, ent *traceEntry) bool {
+// before handing anything over, and the entry settles in the disk tier,
+// pointing at the store file it is replayed from — exactly as an
+// overflowed capture is — so a hit holds no memory and charges no
+// budget; it counts as a store hit, not a spilled trace. Any store
+// failure (absent, torn, corrupt, injected fault) is a miss: the caller
+// captures, and the put that follows heals the entry.
+func (e *Engine) loadFromStore(ent *traceEntry) bool {
 	e.mu.Lock()
 	st := e.tstore
 	e.mu.Unlock()
 	if st == nil {
 		return false
 	}
-	hit, err := st.Lookup(ent.key, acct)
+	hit, err := st.Lookup(ent.key)
 	if err != nil {
 		return false
 	}
-	to := entrySnapshot{state: stateDisk, path: hit.Path, body: hit.Size, events: hit.Events}
-	if hit.Data != nil {
-		to = entrySnapshot{state: stateMemory, data: [][]byte{hit.Data}, events: hit.Events}
-	}
-	e.settle(ent, acct, to, false)
+	e.settle(ent, nil, entrySnapshot{state: stateDisk, path: hit.Path, body: hit.Size, events: hit.Events}, false)
 	e.storeHits.Add(1)
 	return true
 }

@@ -28,13 +28,14 @@ import (
 // persistent store) or the disk tier — so the live session becomes a
 // warm cache entry for every later run.
 //
-// A session is single-producer: Feed and Seal must be called from one
-// goroutine. Everything a session shares with the rest of the engine —
-// the ingest counters, the budget, the cache entry, the store — is safe
-// against concurrent Replay/ReplayAll traffic and stat reads. A session
-// must end in Seal or a failure: one abandoned mid-stream holds its
-// reservation, and any overflow temp file stays until the store sweeps
-// it.
+// A session is single-producer: Feed, Seal and Abort must be called
+// from one goroutine. Everything a session shares with the rest of the
+// engine — the ingest counters, the budget, the cache entry, the store —
+// is safe against concurrent Replay/ReplayAll traffic and stat reads. A
+// session must end in Seal, a failure or Abort: one abandoned
+// mid-stream would hold its reservation, and its overflow temp file
+// would stay until the store sweeps it. Deferring Abort right after
+// NewIngest covers every early return.
 
 // ErrIngestBroken reports that an ingest session has failed — corrupt
 // frame, injected fault, torn tail at seal — and will accept no more
@@ -140,6 +141,16 @@ func (s *IngestSession) fail(err error) error {
 		s.dropArm()
 	}
 	return s.err
+}
+
+// Abort abandons the session: its arm is discarded (the reservation
+// returns to the budget, an overflow entry is removed) and
+// ErrIngestBroken is latched, so a later Feed or Seal fails. It does
+// nothing once the session is sealed or broken, so it can be deferred.
+func (s *IngestSession) Abort() {
+	if !s.sealed {
+		_ = s.fail(errors.New("aborted"))
+	}
 }
 
 // dropArm discards the session's arm; Seal then settles nothing.

@@ -450,6 +450,54 @@ func TestIngestBrokenAfterOverflowLeavesNothing(t *testing.T) {
 	}
 }
 
+// TestIngestAbortLeavesNothing: a session that overflowed into its
+// persistent store entry and is then abandoned — the producer's read
+// failed — and aborted leaves no temp file and no reservation, and a
+// later Feed or Seal reports ErrIngestBroken. Abort after a Seal leaves
+// the sealed entry alone.
+func TestIngestAbortLeavesNothing(t *testing.T) {
+	data, events := encodeStream(t, emitN(60000, 64), false)
+	dir := t.TempDir()
+	e := New(1)
+	defer e.Close()
+	e.SetCacheLimit(1024)
+	e.SetStore(openStore(t, dir))
+	s := e.NewIngest("abandoned", IngestOptions{Sinks: []trace.Sink{&trace.Counter{}}})
+	if err := s.Feed(data[:len(data)/2]); err != nil {
+		t.Fatal(err)
+	}
+	if s.arm == nil || s.arm.mem || len(tempFiles(t, dir)) != 1 {
+		t.Fatal("session did not overflow into a store entry by mid-stream")
+	}
+	s.Abort()
+	if got := append(storeEntries(t, dir), tempFiles(t, dir)...); len(got) != 0 {
+		t.Fatalf("aborted session left store files %v", got)
+	}
+	if st := e.Stats(); st.BudgetReserved != 0 || st.BudgetUsed != 0 || len(e.TraceFingerprints()) != 0 {
+		t.Fatalf("aborted session left reserved %d, used %d, entries %v",
+			st.BudgetReserved, st.BudgetUsed, e.TraceFingerprints())
+	}
+	if err := s.Feed(data[len(data)/2:]); !errors.Is(err, ErrIngestBroken) {
+		t.Fatalf("feed after abort err = %v, want ErrIngestBroken", err)
+	}
+	if _, err := s.Seal(); !errors.Is(err, ErrIngestBroken) {
+		t.Fatalf("seal after abort err = %v, want ErrIngestBroken", err)
+	}
+
+	sealed := e.NewIngest("sealed", IngestOptions{Sinks: []trace.Sink{&trace.Counter{}}})
+	feedChunked(t, sealed, data, 37)
+	if _, err := sealed.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	sealed.Abort()
+	if sealed.Err() != nil || len(storeEntries(t, dir)) != 1 {
+		t.Fatalf("abort after seal: err %v, store entries %v", sealed.Err(), storeEntries(t, dir))
+	}
+	if n, err := e.Replay("sealed", func(trace.Sink) { t.Error("sealed stream re-executed") }, &trace.Counter{}); err != nil || n != events {
+		t.Fatalf("replay after abort-after-seal: n=%d err=%v", n, err)
+	}
+}
+
 // TestIngestOverflowFailureStillDelivers: a session whose stream cannot
 // overflow — its store entry keeps failing to write, or the engine
 // closed before the budget ran out — discards its arm and keeps

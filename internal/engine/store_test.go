@@ -474,6 +474,113 @@ func (s putOnFirstEmit) Emit(ev trace.Event) {
 	s.rec.Emit(ev)
 }
 
+// truncateOnFirstBatch records events and truncates a file when the
+// first batch arrives.
+type truncateOnFirstBatch struct {
+	t    *testing.T
+	rec  *trace.Recorder
+	path string
+}
+
+func (s truncateOnFirstBatch) Emit(ev trace.Event) { s.EmitBatch([]trace.Event{ev}) }
+func (s truncateOnFirstBatch) EmitBatch(evs []trace.Event) {
+	if len(s.rec.Events) == 0 {
+		if err := os.Truncate(s.path, 0); err != nil {
+			s.t.Error(err)
+		}
+	}
+	s.rec.EmitBatch(evs)
+}
+
+// TestStoreHitTruncatedMidReplay truncates a store hit's entry file from
+// inside the sink while the entry is replayed from its mapping: the next
+// read past the new end faults, and the fault comes back as an error
+// wrapping ErrSpillIO instead of killing the process. The entry is
+// invalidated, and the next Replay re-captures exactly once and heals
+// the store.
+func TestStoreHitTruncatedMidReplay(t *testing.T) {
+	dir := t.TempDir()
+	const events = 200000 // many frames, so most of the file is unread at the first batch
+	want, path := seedStore(t, dir, "big", emitN(events, 1<<20))
+	e := New(1)
+	defer e.Close()
+	e.SetStore(openStore(t, dir))
+	var execs atomic.Int64
+	capture := countingCapture(&execs, events, 1<<20)
+
+	var rec trace.Recorder
+	n, err := e.Replay("big", capture, truncateOnFirstBatch{t: t, rec: &rec, path: path})
+	if !errors.Is(err, ErrSpillIO) {
+		t.Fatalf("replay over a truncated mapping: n=%d err=%v, want ErrSpillIO", n, err)
+	}
+	if n == 0 || n >= events || uint64(len(rec.Events)) != n {
+		t.Fatalf("sink received %d events (n=%d), want some but fewer than %d", len(rec.Events), n, events)
+	}
+	if st := e.Stats(); st.StoreHits != 1 || st.Recaptures != 1 || execs.Load() != 0 {
+		t.Fatalf("%d store hits, %d recaptures, %d executions; want 1, 1, 0", st.StoreHits, st.Recaptures, execs.Load())
+	}
+
+	var again trace.Recorder
+	if n, err := e.Replay("big", capture, &again); err != nil || n != events {
+		t.Fatalf("replay after the truncation: n=%d err=%v", n, err)
+	}
+	sameEvents(t, "re-captured stream", again.Events, want)
+	if st := e.Stats(); execs.Load() != 1 || st.Captures != 1 || st.StorePuts != 1 {
+		t.Fatalf("%d executions, %d captures, %d puts; want 1, 1, 1", execs.Load(), st.Captures, st.StorePuts)
+	}
+	if _, n, err := e.Store().Get("big"); err != nil || n != events {
+		t.Fatalf("store not healed: %d events, %v", n, err)
+	}
+}
+
+// TestStoreReadFiresOnEveryMapping counts the mapping opens of a store
+// hit's replays with the store.read injection point: the lookup maps the
+// entry once; the first replay maps it twice (verify, then replay from
+// the bytes); the second once, to decode its blocks; the third not at
+// all. A fault armed past the expected count never fires, and one armed
+// at the last expected open fires once and is retried.
+func TestStoreReadFiresOnEveryMapping(t *testing.T) {
+	dir := t.TempDir()
+	seedStore(t, dir, "k", emitN(3*blockLen, 64))
+	perReplay := []int64{2, 1, 0}
+	for round, opens := range perReplay {
+		for _, after := range []int64{opens, opens - 1} {
+			if after < 0 {
+				continue
+			}
+			e := New(1)
+			e.SetStore(openStore(t, dir))
+			e.SetRetryPolicy(1, 0)
+			if err := e.Warm("k", emitN(3*blockLen, 64)); err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < round; r++ {
+				if _, err := e.Replay("k", emitN(3*blockLen, 64), &trace.Counter{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			plan := withFaults(t, fmt.Sprintf("%s:after=%d:count=1", faults.StoreRead, after))
+			n, err := e.Replay("k", emitN(3*blockLen, 64), &trace.Counter{})
+			faults.Activate(nil)
+			if err != nil || n != 3*blockLen {
+				t.Fatalf("replay %d with store.read armed after %d opens: n=%d err=%v", round+1, after, n, err)
+			}
+			wantFired := int64(0)
+			if after < opens {
+				wantFired = 1
+			}
+			if plan.Fired() != wantFired {
+				t.Fatalf("replay %d: store.read armed after %d of %d expected opens fired %d times, want %d",
+					round+1, after, opens, plan.Fired(), wantFired)
+			}
+			if st := e.Stats(); st.Captures != 0 || st.Recaptures != 0 {
+				t.Fatalf("replay %d: %d captures, %d recaptures; want none", round+1, st.Captures, st.Recaptures)
+			}
+			_ = e.Close()
+		}
+	}
+}
+
 // TestStoreHammer drives several engines' worth of goroutines over
 // overlapping keys against one shared store while store I/O faults fire,
 // asserting the singleflight contract holds end to end: at most one

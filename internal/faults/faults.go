@@ -73,8 +73,8 @@ const (
 	IngestSeal = "ingest.seal"
 	// StoreRead fires before a persistent trace-store entry is opened
 	// and verified, and before a disk-tier entry (an overflowed capture
-	// or an over-budget store hit) is opened for verification, replay,
-	// or block decoding. Error mode makes the lookup a miss; at replay it
+	// or a store hit) is opened and mapped for verification, replay, or
+	// block decoding. Error mode makes the lookup a miss; at replay it
 	// is a transient read failure.
 	StoreRead = "store.read"
 	// StoreWrite fires before each write to a trace-store temp file: a

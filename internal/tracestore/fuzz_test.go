@@ -62,11 +62,11 @@ func FuzzStoreKey(f *testing.F) {
 
 // FuzzStoreEntryCorruption installs a valid entry, lets the fuzzer
 // vandalize it at an arbitrary offset — bit flip or truncation — and
-// reads it back through all three readers: Get, Lookup with room in the
-// budget (read whole, verified in place) and Lookup without (verified by
-// streaming). None may panic or hand back corrupt data, and all must
-// reach one verdict: ErrMiss from each, or the original trace and its
-// event count from each. A miss must hold no reservation.
+// reads it back through both readers: Get (copied into memory, verified
+// there) and Lookup (verified in its mapping). Neither may panic or hand
+// back corrupt data, and both must reach one verdict: ErrMiss from
+// each, or the original trace and its event count from each — for
+// Lookup, the entry's path, whose mapped trace is the original.
 func FuzzStoreEntryCorruption(f *testing.F) {
 	f.Add(uint32(0), byte(0x01), false)
 	f.Add(uint32(4), byte(0xff), false)
@@ -111,46 +111,32 @@ func FuzzStoreEntryCorruption(f *testing.F) {
 		}
 
 		got, events, getErr := s.Get("victim")
-		room := &testBudget{limit: 1 << 20}
-		mem, memErr := s.Lookup("victim", room)
-		streamed, streamErr := s.Lookup("victim", &testBudget{})
-		for _, err := range []error{getErr, memErr, streamErr} {
+		hit, lookupErr := s.Lookup("victim")
+		for _, err := range []error{getErr, lookupErr} {
 			if err != nil && !errors.Is(err, ErrMiss) {
 				t.Fatalf("corrupt entry error %v does not wrap ErrMiss", err)
 			}
 		}
-		if (getErr == nil) != (memErr == nil) || (getErr == nil) != (streamErr == nil) {
-			t.Fatalf("readers disagree (offset %d, flip %#x, truncate %v): Get %v, Lookup in memory %v, Lookup streaming %v",
-				pos, flip, truncate, getErr, memErr, streamErr)
+		if (getErr == nil) != (lookupErr == nil) {
+			t.Fatalf("readers disagree (offset %d, flip %#x, truncate %v): Get %v, Lookup %v",
+				pos, flip, truncate, getErr, lookupErr)
 		}
 		if getErr != nil {
-			if room.reserved != 0 {
-				t.Fatalf("a miss holds %d reserved bytes", room.reserved)
-			}
 			return
 		}
 		// A no-op corruption (flip == 0 at a surviving offset) may still
 		// verify — then every reader must return exactly the original.
+		var mapped []byte
+		if err := ReadEntry(hit.Path, hit.Size, func(trace []byte) error {
+			mapped = bytes.Clone(trace)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 		if !bytes.Equal(got, orig) || events != 32 ||
-			!bytes.Equal(mem.Data, orig) || mem.Events != 32 || room.reserved != int64(len(orig)) ||
-			streamed.Data != nil || streamed.Path != path || streamed.Size != int64(len(orig)) || streamed.Events != 32 {
+			hit.Path != path || hit.Size != int64(len(orig)) || hit.Events != 32 || !bytes.Equal(mapped, orig) {
 			t.Fatalf("a reader returned corrupt data as valid (offset %d, flip %#x, truncate %v)",
 				pos, flip, truncate)
 		}
 	})
 }
-
-// testBudget is a Reserver with a fixed limit that tracks what it holds.
-type testBudget struct {
-	limit, reserved int64
-}
-
-func (b *testBudget) Reserve(n int64) bool {
-	if b.reserved+n > b.limit {
-		return false
-	}
-	b.reserved += n
-	return true
-}
-
-func (b *testBudget) Release(reserved, used int64) { b.reserved -= reserved }

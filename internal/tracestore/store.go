@@ -34,12 +34,20 @@
 // so the entry reads as a miss. Get and Lookup verify the seal and every
 // frame CRC before a byte or a path is handed to the engine; a corrupt
 // or truncated entry reads as a miss, and the put that follows the
-// re-capture heals it. Lookup serves an entry too large for the caller's
-// budget by path: it is verified by streaming, never read whole, and the
-// caller replays the trace bytes in front of the seal from disk.
+// re-capture heals it.
+//
+// Reads map the entry file read-only for one use and unmap it when that
+// use ends (ReadEntry): Lookup verifies an entry in its mapping and
+// hands back only its path, and the engine maps the file again for each
+// verify, replay or decode. A store hit therefore holds no heap memory —
+// the entry's durable home is the file, and its pages are the kernel's
+// page cache. Get alone copies an entry into memory. A file truncated
+// under a mapping raises SIGBUS on the next read past its end; the read
+// runs with debug.SetPanicOnFault, and the fault comes back as an error.
 package tracestore
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -47,11 +55,13 @@ import (
 	"fmt"
 	"hash"
 	"hash/crc32"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime/debug"
+	"syscall"
 	"time"
+	"unsafe"
 
 	"memotable/internal/faults"
 	"memotable/internal/trace"
@@ -132,123 +142,160 @@ func (s *Store) entryPath(fingerprint string) string {
 }
 
 // Get returns the verified trace bytes for a fingerprint and their
-// event count, or ErrMiss. The seal trailer and every frame checksum
-// are verified before the bytes are returned, so a torn, truncated, or
+// event count, or ErrMiss. The entry is copied out of its mapping into
+// memory, and the seal trailer and every frame checksum of that copy
+// are verified before it is returned, so a torn, truncated, or
 // bit-flipped entry is reported as a miss rather than replayed.
 func (s *Store) Get(fingerprint string) ([]byte, uint64, error) {
-	h, err := s.Lookup(fingerprint, nil)
-	return h.Data, h.Events, err
+	h, entry, err := s.lookup(fingerprint, true)
+	if err != nil {
+		return nil, 0, err
+	}
+	return entry[:h.Size], h.Events, nil
 }
 
-// Reserver is the slice of a byte budget Lookup charges an entry it
-// reads into memory.
-type Reserver interface {
-	// Reserve claims n bytes, or has no effect and returns false.
-	Reserve(n int64) bool
-	// Release returns reserved bytes that were never used.
-	Release(reserved, used int64)
-}
-
-// Hit is a verified store entry. Exactly one of Data and Path is set.
+// Hit is a verified store entry: the file the caller replays, and the
+// trace bytes in front of its seal.
 type Hit struct {
-	Data   []byte // the trace bytes, when the entry was read into memory
-	Path   string // the entry file, when it was not
+	Path   string // the entry file
 	Size   int64  // the trace's length: the entry file minus its seal
 	Events uint64 // the trace's event count
 }
 
-// Lookup is Get under a byte budget. The entry file is opened once and
-// one reservation of the trace's length is taken from budget (a nil
-// budget admits everything). When the reservation succeeds the entry is
-// read into memory and verified in place; Hit.Data holds the bytes and
-// the reservation passes to the caller, who commits it. When it fails
-// the entry is verified by streaming it through a bounded buffer and
-// nothing is held: Hit.Path and Hit.Size name the file and the trace
-// bytes that lie before its seal, for the caller to replay from disk.
-// Either way the seal trailer and every frame checksum are verified
-// before Lookup returns, and a miss holds no reservation.
-func (s *Store) Lookup(fingerprint string, budget Reserver) (Hit, error) {
+// Lookup finds and verifies a fingerprint's entry without reading it
+// into memory: the file is mapped read-only, its seal trailer and every
+// frame checksum are verified in the mapping, and the mapping is gone
+// before Lookup returns. The caller replays the trace from Hit.Path
+// through ReadEntry. Any failure — absent, torn, corrupt, or truncated
+// while it was being verified — wraps ErrMiss.
+func (s *Store) Lookup(fingerprint string) (Hit, error) {
+	h, _, err := s.lookup(fingerprint, false)
+	return h, err
+}
+
+// lookup opens and verifies a fingerprint's entry for Get and Lookup;
+// with copyOut it also returns the whole entry copied into memory.
+func (s *Store) lookup(fingerprint string, copyOut bool) (Hit, []byte, error) {
 	if err := faults.Inject(faults.StoreRead); err != nil {
-		return Hit{}, fmt.Errorf("%w: %w", ErrMiss, err)
+		return Hit{}, nil, fmt.Errorf("%w: %w", ErrMiss, err)
 	}
 	path := s.entryPath(fingerprint)
 	f, err := os.Open(path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			return Hit{}, ErrMiss
+			return Hit{}, nil, ErrMiss
 		}
-		return Hit{}, fmt.Errorf("%w: %w", ErrMiss, err)
+		return Hit{}, nil, fmt.Errorf("%w: %w", ErrMiss, err)
 	}
 	defer func() { _ = f.Close() }()
 	fi, err := f.Stat()
 	if err != nil {
-		return Hit{}, fmt.Errorf("%w: %w", ErrMiss, err)
+		return Hit{}, nil, fmt.Errorf("%w: %w", ErrMiss, err)
 	}
-	if fi.Size() < trailerLen {
-		return Hit{}, fmt.Errorf("%w: entry shorter than its seal", ErrMiss)
+	h := Hit{Path: path, Size: fi.Size() - trailerLen}
+	var entry []byte
+	if h.Events, entry, err = verifyEntry(f, fi.Size(), copyOut); err != nil {
+		return Hit{}, nil, err
 	}
-	h := Hit{Size: fi.Size() - trailerLen}
-	if budget != nil && !budget.Reserve(h.Size) {
-		if h.Events, err = verify(f, h.Size, nil); err != nil {
-			return Hit{}, err
+	return h, entry, nil
+}
+
+// verifyEntry maps an entry file of the given size and verifies it (see
+// verify). With copyOut the entry is first copied out of the mapping,
+// and the copy — the bytes verified — is returned. A fault reading the
+// mapping (the file was truncated after its stat) is a miss like any
+// other damage. Every failure wraps ErrMiss.
+func verifyEntry(f *os.File, size int64, copyOut bool) (events uint64, entry []byte, err error) {
+	if size < trailerLen {
+		return 0, nil, fmt.Errorf("%w: entry shorter than its seal", ErrMiss)
+	}
+	err = readMapped(f, size, func(mapped []byte) (err error) {
+		if copyOut {
+			mapped = bytes.Clone(mapped)
+			entry = mapped
 		}
-		h.Path = path
-		return h, nil
-	}
-	data := make([]byte, fi.Size())
-	if _, err = io.ReadFull(f, data); err == nil {
-		h.Events, err = verify(f, h.Size, data)
-	} else {
+		events, err = verify(mapped)
+		return err
+	})
+	if err != nil && !errors.Is(err, ErrMiss) {
 		err = fmt.Errorf("%w: %w", ErrMiss, err)
 	}
 	if err != nil {
-		if budget != nil {
-			budget.Release(h.Size, 0)
-		}
-		return Hit{}, err
+		return 0, nil, err
 	}
-	h.Data = data[:h.Size]
-	return h, nil
+	return events, entry, nil
 }
 
-// verify checks an entry whose trace is size bytes long — its seal
-// trailer, the seal's CRC32C over the trace, and every frame — and
-// returns the trace's event count. An entry read whole (data) is checked
-// where it lies; otherwise the trace is streamed from f through a
-// bounded buffer, so an entry of any size is vetted in constant memory.
-// Every failure wraps ErrMiss.
-func verify(f *os.File, size int64, data []byte) (uint64, error) {
-	seal := make([]byte, trailerLen)
-	if data != nil {
-		seal = data[size:]
-	} else if _, err := f.ReadAt(seal, size); err != nil {
-		return 0, fmt.Errorf("%w: %w", ErrMiss, err)
-	}
+// verify checks a whole entry — its seal trailer, the seal's CRC32C
+// over the trace in front of it, and every frame — and returns the
+// trace's event count. Every failure wraps ErrMiss.
+func verify(entry []byte) (uint64, error) {
+	size := len(entry) - trailerLen
+	seal := entry[size:]
 	switch {
 	case string(seal[:4]) != trailerMagic:
 		return 0, fmt.Errorf("%w: entry seal missing", ErrMiss)
 	case binary.LittleEndian.Uint64(seal[8:]) != uint64(size):
 		return 0, fmt.Errorf("%w: entry truncated", ErrMiss)
+	case crc32.Checksum(entry[:size], castagnoli) != binary.LittleEndian.Uint32(seal[4:]):
+		return 0, fmt.Errorf("%w: entry seal CRC mismatch", ErrMiss)
 	}
-	want := binary.LittleEndian.Uint32(seal[4:])
-	var events uint64
-	var err error
-	if data != nil {
-		if crc32.Checksum(data[:size], castagnoli) != want {
-			return 0, fmt.Errorf("%w: entry seal CRC mismatch", ErrMiss)
-		}
-		events, err = trace.VerifyBytes(data[:size])
-	} else {
-		crc := crc32.New(castagnoli)
-		events, err = trace.Verify(io.TeeReader(io.NewSectionReader(f, 0, size), crc))
-		if err == nil && crc.Sum32() != want {
-			return 0, fmt.Errorf("%w: entry seal CRC mismatch", ErrMiss)
-		}
-	}
+	events, err := trace.VerifyBytes(entry[:size])
 	if err != nil {
 		return 0, fmt.Errorf("%w: entry corrupt: %w", ErrMiss, err)
 	}
 	return events, nil
+}
+
+// ReadEntry maps the first n bytes of an entry file — a Hit's trace,
+// named by its Path and Size — read-only and runs use over them. The
+// mapping lasts exactly as long as use: use must not keep the bytes.
+// The store.read injection point fires before the file is opened. A
+// fault reading the mapping (the file was truncated under it) stops use
+// and comes back as an error; nothing else is checked here, so a caller
+// that needs the bytes intact verifies them (trace.VerifyBytes) or
+// decodes them, which checks every frame.
+func ReadEntry(path string, n int64, use func(trace []byte) error) error {
+	if err := faults.Inject(faults.StoreRead); err != nil {
+		return err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer func() { _ = f.Close() }()
+	return readMapped(f, n, use)
+}
+
+// errFault reports a memory fault reading a mapped entry: the file
+// shrank under its mapping.
+var errFault = errors.New("tracestore: entry file truncated under its mapping")
+
+// readMapped maps f's first n bytes read-only, runs use over them on
+// this goroutine, and unmaps them before it returns. Reading a page
+// past the end of a file that shrank after it was mapped raises
+// SIGBUS; for the duration of use that fault panics instead of killing
+// the process (debug.SetPanicOnFault), and readMapped turns a fault
+// inside the mapping into an error. Any other panic from use — a fault
+// elsewhere included — propagates unchanged.
+func readMapped(f *os.File, n int64, use func([]byte) error) (err error) {
+	data, err := syscall.Mmap(int(f.Fd()), 0, int(n), syscall.PROT_READ, syscall.MAP_SHARED)
+	if err != nil {
+		return fmt.Errorf("tracestore: map %s: %w", f.Name(), err)
+	}
+	defer func() { _ = syscall.Munmap(data) }()
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			fault, ok := r.(interface{ Addr() uintptr })
+			base := uintptr(unsafe.Pointer(&data[0]))
+			if !ok || fault.Addr() < base || fault.Addr()-base >= uintptr(n) {
+				panic(r)
+			}
+			err = fmt.Errorf("%w (offset %d)", errFault, fault.Addr()-base)
+		}
+	}()
+	return use(data)
 }
 
 // Put installs a trace for a fingerprint from its in-memory bytes: one

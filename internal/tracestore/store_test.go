@@ -148,34 +148,33 @@ func TestStoreCorruptEntryIsMiss(t *testing.T) {
 	}
 }
 
-// TestLookupStreamsOverBudgetEntry reads a multi-frame entry through
-// Lookup with and without room in the budget: with room it comes back in
-// memory and holds its reservation, without it comes back by path having
-// been verified in a stream, and damage to its last frame or to its
-// seal makes both lookups a miss that holds nothing.
-func TestLookupStreamsOverBudgetEntry(t *testing.T) {
+// TestLookupVerifiesMappedEntry reads a multi-frame entry through
+// Lookup, which hands back its path, size and event count without
+// reading it into memory, and through ReadEntry, which maps the trace
+// in front of the seal. Damage to the last frame or to the seal makes
+// the lookup a miss.
+func TestLookupVerifiesMappedEntry(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const events = 100000 // several frames, more than one read buffer
+	const events = 100000 // several frames, many pages
 	data := testTrace(t, events)
 	if err := s.Put("fp", data); err != nil {
 		t.Fatal(err)
 	}
-	room := &testBudget{limit: 1 << 30}
-	if h, err := s.Lookup("fp", room); err != nil || !bytes.Equal(h.Data, data) || h.Path != "" ||
-		h.Size != int64(len(data)) || h.Events != events || room.reserved != h.Size {
-		t.Fatalf("in-budget Lookup: %v, %d events, %d bytes reserved", err, h.Events, room.reserved)
+	h, err := s.Lookup("fp")
+	if err != nil || h.Size != int64(len(data)) || h.Events != events {
+		t.Fatalf("Lookup: %v, %+v", err, h)
 	}
-	none := &testBudget{}
-	h, err := s.Lookup("fp", none)
-	if err != nil || h.Data != nil || h.Size != int64(len(data)) || h.Events != events || none.reserved != 0 {
-		t.Fatalf("over-budget Lookup: %v, %+v", err, h)
-	}
-	if raw, err := os.ReadFile(h.Path); err != nil || !bytes.Equal(raw[:h.Size], data) {
-		t.Fatalf("over-budget Lookup path %q does not hold the trace: %v", h.Path, err)
+	if err := ReadEntry(h.Path, h.Size, func(trace []byte) error {
+		if !bytes.Equal(trace, data) {
+			return errors.New("mapped trace differs from the put bytes")
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("ReadEntry(%q): %v", h.Path, err)
 	}
 
 	orig, err := os.ReadFile(h.Path)
@@ -190,11 +189,104 @@ func TestLookupStreamsOverBudgetEntry(t *testing.T) {
 		if err := os.WriteFile(h.Path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, b := range []*testBudget{{limit: 1 << 30}, {}} {
-			if _, err := s.Lookup("fp", b); !errors.Is(err, ErrMiss) || b.reserved != 0 {
-				t.Fatalf("entry damaged at %d: Lookup (limit %d) = %v with %d bytes reserved", off, b.limit, err, b.reserved)
-			}
+		if _, err := s.Lookup("fp"); !errors.Is(err, ErrMiss) {
+			t.Fatalf("entry damaged at %d: Lookup = %v, want ErrMiss", off, err)
 		}
+	}
+}
+
+// TestLookupEntryTruncatedAfterStat truncates an entry between Lookup's
+// stat and its verify, where its size is already fixed: the verify's
+// read past the new end faults, and the fault reads as a miss instead of
+// killing the process. Truncations that leave the seal's page in place
+// and ones that take it are both covered.
+func TestLookupEntryTruncatedAfterStat(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := testTrace(t, 100000)
+	for _, keep := range []int64{0, 1, int64(len(data)) / 2} {
+		if err := s.Put("fp", data); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(s.entryPath("fp"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fi, err := f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(f.Name(), keep); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = verifyEntry(f, fi.Size(), false)
+		_ = f.Close()
+		if !errors.Is(err, ErrMiss) || !errors.Is(err, errFault) {
+			t.Fatalf("entry truncated to %d after its stat: verify = %v, want a fault wrapping ErrMiss", keep, err)
+		}
+	}
+}
+
+// TestReadEntryFaultsAreErrors truncates an entry while a ReadEntry use
+// is reading it: the next read past the new end comes back as an error,
+// a panic of use's own propagates unchanged, and the store.read
+// injection point fires on every open, Lookup's and ReadEntry's alike.
+func TestReadEntryFaultsAreErrors(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := testTrace(t, 100000)
+	if err := s.Put("fp", data); err != nil {
+		t.Fatal(err)
+	}
+	h, err := s.Lookup("fp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum byte
+	err = ReadEntry(h.Path, h.Size, func(trace []byte) error {
+		if err := os.Truncate(h.Path, 0); err != nil {
+			return err
+		}
+		for _, b := range trace {
+			sum += b
+		}
+		return nil
+	})
+	if !errors.Is(err, errFault) {
+		t.Fatalf("read past a truncation: %v, want errFault", err)
+	}
+
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("use's panic came back as %v", r)
+			}
+		}()
+		_ = ReadEntry(h.Path, 1, func([]byte) error { panic("boom") })
+		t.Fatal("use's panic was swallowed")
+	}()
+
+	plan, err := faults.Parse(faults.StoreRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults.Activate(plan)
+	defer faults.Activate(nil)
+	if _, err := s.Lookup("fp"); !errors.Is(err, ErrMiss) || !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("Lookup under a store.read fault: %v", err)
+	}
+	used := false
+	if err := ReadEntry(h.Path, h.Size, func([]byte) error { used = true; return nil }); !errors.Is(err, faults.ErrInjected) || used {
+		t.Fatalf("ReadEntry under a store.read fault: %v (use ran: %v)", err, used)
+	}
+	if plan.Fired() != 2 {
+		t.Fatalf("store.read fired %d times over one Lookup and one ReadEntry, want 2", plan.Fired())
 	}
 }
 

@@ -98,8 +98,9 @@ func NewShared(table *Table, ports int) *Shared { return memo.NewShared(table, p
 // every table configuration — from memory within the byte budget
 // (Engine.SetCacheLimit), from sealed trace-store entries on disk beyond
 // it (the attached Engine.SetStore store, or a scratch store the engine
-// removes on Close), and from decoded event blocks shared across
-// replays of the same workload when the budget also has room for them.
+// removes on Close) and for every hit in the attached store, and from
+// decoded event blocks shared across later replays of the same workload
+// when the budget also has room for them.
 // Engine.ReplayAll feeds several configurations' sinks in one pass over
 // the stream. Experiment output is bit-identical at any worker count and
 // budget, whichever tier serves the trace.
