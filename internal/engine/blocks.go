@@ -29,8 +29,10 @@ import (
 // tier (decoded events cost bytesPerEvent each), so a tight budget simply
 // leaves the tier cold and replays fall back to the byte decoder; and the
 // tier covers the disk tier too: a disk-tier entry's blocks are decoded
-// straight from its CRC-framed store entry, after which replays never
-// touch the disk again.
+// inside the read that verified its store entry, after which replays
+// never touch the disk again. A build and a byte replay take the same
+// one read (replaySettled), so a budget with no room for the blocks
+// costs no second read.
 
 // bytesPerEvent is the in-memory cost of one decoded trace.Event: Op
 // (uint8) padded to 8 bytes plus two uint64 operands.
@@ -50,113 +52,104 @@ type traceBlock struct {
 	mask   trace.OpMask
 }
 
-// blocksFor returns key's decoded blocks, building them when the entry
-// has already served a replay. It returns nil (and no error) when the
-// tier does not serve: this is the entry's first replay, another
-// goroutine is mid-decode, or the byte budget has no room — callers then
-// fall back to the byte decoder. A decode failure of a disk-tier entry
-// is returned as an error so the caller can invalidate the entry and
-// retry; nothing has been emitted.
-func (e *Engine) blocksFor(acct BudgetAccountant, key string, snap entrySnapshot) ([]traceBlock, error) {
+// blocksFor looks up key's decoded blocks for a replay of snap. It
+// returns them when the entry has them. Otherwise claim is the entry
+// when this replay should decode them — it has already served a replay,
+// and no other goroutine is decoding it — and nil when the tier does
+// not serve: this is the entry's first replay, or another goroutine is
+// mid-decode. The caller builds the blocks inside its read of the
+// stream (buildBlocks) and releases a claim with unclaim.
+func (e *Engine) blocksFor(key string, snap entrySnapshot) (blocks []traceBlock, claim *traceEntry) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	ent := e.traces[key]
-	if ent == nil || ent.state != snap.state || ent.path != snap.path {
-		e.mu.Unlock()
+	switch {
+	case ent == nil || ent.state != snap.state || ent.path != snap.path:
 		return nil, nil
-	}
-	if ent.blocks != nil {
-		blocks := ent.blocks
-		e.mu.Unlock()
+	case ent.blocks != nil:
 		e.decodeHits.Add(1)
-		return blocks, nil
-	}
-	if !ent.served {
+		return ent.blocks, nil
+	case !ent.served:
 		ent.served = true
-		e.mu.Unlock()
 		return nil, nil
-	}
-	cost := int64(snap.events) * bytesPerEvent
-	if ent.blockBusy || !acct.Reserve(cost) {
-		e.mu.Unlock()
+	case ent.blockBusy:
 		return nil, nil
 	}
 	ent.blockBusy = true
-	e.mu.Unlock()
+	return nil, ent
+}
 
+// unclaim releases a build claim blocksFor granted.
+func (e *Engine) unclaim(ent *traceEntry) {
+	e.mu.Lock()
+	ent.blockBusy = false
+	e.mu.Unlock()
+}
+
+// buildBlocks decodes a claimed entry's verified stream — segs, holding
+// events events — into blocks, reserving their bytes in acct once the
+// count is known, and publishes them. It returns nil and no error when
+// the budget has no room or the block.decode injection point declines;
+// the caller then delivers from the bytes. A decode failure is
+// returned; nothing has been emitted.
+func (e *Engine) buildBlocks(acct BudgetAccountant, ent *traceEntry, snap entrySnapshot, segs [][]byte, events uint64) (blocks []traceBlock, err error) {
+	cost := int64(events) * bytesPerEvent
+	if !acct.Reserve(cost) {
+		return nil, nil
+	}
+	// Publish or release under the cache lock however the decode ends: a
+	// fault on a mapped store entry unwinds it as a panic. Publish only
+	// if the entry still holds the stream we decoded; a concurrent
+	// invalidation means the slot is being re-captured and these blocks
+	// must not shadow it.
+	defer func() {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if blocks != nil && ent.state == snap.state && ent.path == snap.path && ent.blocks == nil {
+			acct.Commit(cost, cost)
+			ent.blocks = blocks
+			ent.blockBytes = cost
+			ent.blockAcct = acct
+			e.blockBytes += cost
+		} else {
+			acct.Release(cost, 0)
+		}
+	}()
 	// The block.decode injection point: an injected error makes the tier
 	// unavailable for this replay (the caller falls back to the byte
 	// path); an injected panic unwinds to the replay's panic isolation.
-	if ferr := faults.Inject(faults.BlockDecode); ferr != nil {
-		e.mu.Lock()
-		acct.Release(cost, 0)
-		ent.blockBusy = false
-		e.mu.Unlock()
+	if faults.Inject(faults.BlockDecode) != nil {
 		return nil, nil
 	}
-
-	blocks, err := e.decodeBlocks(snap)
-
-	e.mu.Lock()
-	ent.blockBusy = false
-	if err != nil {
-		acct.Release(cost, 0)
-		e.mu.Unlock()
-		return nil, err
-	}
-	// Publish only if the entry still holds the capture we decoded; a
-	// concurrent invalidation means the slot is being re-captured and
-	// these blocks must not shadow it.
-	if ent.state == snap.state && ent.path == snap.path && ent.blocks == nil {
-		acct.Commit(cost, cost)
-		ent.blocks = blocks
-		ent.blockBytes = cost
-		ent.blockAcct = acct
-		e.blockBytes += cost
-	} else {
-		acct.Release(cost, 0)
-	}
-	e.mu.Unlock()
-	return blocks, nil
+	return decodeBlocks(segs, events)
 }
 
-// decodeBlocks decodes a settled entry's whole stream — memory bytes or
-// a disk-tier entry, mapped for the decode — into owned blocks. For
-// disk-tier entries the frame checksums are verified by the decode
-// itself, so a torn or corrupt file fails here before any event could
-// reach a sink.
-func (e *Engine) decodeBlocks(snap entrySnapshot) ([]traceBlock, error) {
-	blocks := make([]traceBlock, 0, snap.events/blockLen+1)
-	err := e.readSnapshot(snap, func(segs [][]byte) error {
-		r, err := trace.NewSegmentReader(segs)
-		if err != nil {
-			return err
-		}
-		var decoded uint64
-		for decoded < snap.events {
-			n := snap.events - decoded
-			if n > blockLen {
-				n = blockLen
-			}
-			batch, err := r.ReadBatch(make([]trace.Event, 0, n))
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			blocks = append(blocks, traceBlock{events: batch, mask: batchMask(batch)})
-			decoded += uint64(len(batch))
-		}
-		if decoded != snap.events {
-			return fmt.Errorf("decoded %d of %d events", decoded, snap.events)
-		}
-		if _, err := r.ReadBatch(make([]trace.Event, 0, 1)); err != io.EOF {
-			return fmt.Errorf("stream continues past %d declared events", snap.events)
-		}
-		return nil
-	})
+// decodeBlocks decodes a whole stream of events events, held as
+// segments, into owned blocks. The decode checks every frame, and the
+// stream must hold exactly events events.
+func decodeBlocks(segs [][]byte, events uint64) ([]traceBlock, error) {
+	r, err := trace.NewSegmentReader(segs)
 	if err != nil {
 		return nil, err
+	}
+	blocks := make([]traceBlock, 0, events/blockLen+1)
+	var decoded uint64
+	for decoded < events {
+		batch, err := r.ReadBatch(make([]trace.Event, 0, min(events-decoded, blockLen)))
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		blocks = append(blocks, traceBlock{events: batch, mask: batchMask(batch)})
+		decoded += uint64(len(batch))
+	}
+	if decoded != events {
+		return nil, fmt.Errorf("decoded %d of %d events", decoded, events)
+	}
+	if _, err := r.ReadBatch(make([]trace.Event, 0, 1)); err != io.EOF {
+		return nil, fmt.Errorf("stream continues past %d declared events", events)
 	}
 	return blocks, nil
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"memotable/internal/faults"
 	"memotable/internal/isa"
 	"memotable/internal/trace"
 )
@@ -624,5 +625,40 @@ func TestFanoutStatsHammer(t *testing.T) {
 	// every replay.
 	if want := st.ReplayedEvents * 6; st.DeliveredEvents != want {
 		t.Fatalf("delivered %d per-sink events, want %d", st.DeliveredEvents, want)
+	}
+}
+
+// TestBlockBuildPanicReleasesItsClaim: an injected panic in a store
+// hit's block build, which runs inside the read of its mapped entry,
+// unwinds the replay and leaves neither a budget reservation nor the
+// build claim behind, so the next replay builds the blocks.
+func TestBlockBuildPanicReleasesItsClaim(t *testing.T) {
+	dir := t.TempDir()
+	const events = 3 * blockLen
+	seedStore(t, dir, "k", emitN(events, 64))
+	e := New(1)
+	defer e.Close()
+	e.SetStore(openStore(t, dir))
+	replay := func() (uint64, error) { return e.Replay("k", emitN(events, 64), &trace.Counter{}) }
+	if _, err := replay(); err != nil {
+		t.Fatal(err)
+	}
+	withFaults(t, faults.BlockDecode+":count=1:panic")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the injected block.decode panic did not unwind the replay")
+			}
+		}()
+		_, _ = replay()
+	}()
+	if st := e.Stats(); st.BudgetReserved != 0 || st.DecodedEntries != 0 {
+		t.Fatalf("after the panic: %d bytes reserved, %d decoded entries; want 0, 0", st.BudgetReserved, st.DecodedEntries)
+	}
+	if n, err := replay(); err != nil || n != events {
+		t.Fatalf("replay after the panic: n=%d err=%v", n, err)
+	}
+	if st := e.Stats(); st.DecodedEntries != 1 || st.Captures != 0 {
+		t.Fatalf("%d decoded entries, %d captures; want the blocks built from the store entry", st.DecodedEntries, st.Captures)
 	}
 }

@@ -102,7 +102,9 @@ func (a *captureArm) overflow() error {
 // the memory tier, or its overflow entry into the disk tier. Committing
 // the overflow entry is its publish when it lies in the persistent
 // store. A commit that fails discards the arm and leaves the entry in
-// flight for the caller.
+// flight for the caller. events, the stream's count, is kept by a
+// memory-tier entry only: the store's verify counts a disk-tier entry's
+// events at every read, and its seal covers exactly the bytes written.
 func (a *captureArm) settle(ent *traceEntry, events uint64) error {
 	if a.mem {
 		a.e.settle(ent, a.acct, entrySnapshot{state: stateMemory, data: a.slabs.Segments(), events: events}, false)
@@ -117,7 +119,7 @@ func (a *captureArm) settle(ent *traceEntry, events uint64) error {
 	if a.persistent {
 		a.e.storePuts.Add(1)
 	}
-	a.e.settle(ent, a.acct, entrySnapshot{state: stateDisk, path: path, body: a.w.Size(), events: events}, true)
+	a.e.settle(ent, a.acct, entrySnapshot{state: stateDisk, path: path, body: a.w.Size()}, true)
 	return nil
 }
 

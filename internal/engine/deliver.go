@@ -73,40 +73,71 @@ var batchBufs = sync.Pool{New: func() any {
 	return &buf
 }}
 
-// replayBytes decodes a settled entry's encoded stream (memory-tier
-// segments or a disk-tier entry, mapped for the replay) in blockLen
-// batches and delivers each one, returning the count of events
-// delivered. A failure to read the stream comes back as readErr, after
-// the events decoded before the defect were delivered; a failed
-// delivery (cancellation, an injected sink.emit fault) comes back as
-// err. Callers treat the two differently: only a read failure says
-// anything about the entry's storage.
-func (e *Engine) replayBytes(ctx context.Context, snap entrySnapshot, sinks []trace.Sink, masks []trace.OpMask) (n uint64, readErr, err error) {
+// replaySettled feeds a settled entry's stream — memory or disk tier
+// alike — to every sink and returns the count of events delivered. A
+// key with decoded blocks replays them without reading its stream.
+// Otherwise the stream is read once (readSnapshot): on the entry's
+// second replay it is decoded into blocks first, budget permitting
+// (blocksFor, buildBlocks), and otherwise decoded and delivered batch
+// by batch (replayBytes). A failure to read the stream comes back as
+// readErr, after any events decoded before the defect were delivered; a
+// failed delivery (cancellation, an injected sink.emit fault) comes
+// back as err. Callers treat the two differently: only a read failure
+// says anything about the entry's storage.
+func (e *Engine) replaySettled(ctx context.Context, acct BudgetAccountant, key string, snap entrySnapshot, sinks []trace.Sink, masks []trace.OpMask) (n uint64, readErr, err error) {
+	blocks, claim := e.blocksFor(key, snap)
+	if claim != nil {
+		defer e.unclaim(claim)
+	}
+	if blocks == nil {
+		readErr = e.readSnapshot(snap, func(segs [][]byte, events uint64) (rerr error) {
+			if claim != nil {
+				if blocks, rerr = e.buildBlocks(acct, claim, snap, segs, events); blocks != nil || rerr != nil {
+					return rerr
+				}
+			}
+			rerr, err = e.replayBytes(ctx, segs, events, sinks, masks, &n)
+			return rerr
+		})
+		if readErr != nil || blocks == nil {
+			return n, readErr, err
+		}
+	}
+	n, err = e.emitBlocks(ctx, blocks, sinks, masks)
+	return n, nil, err
+}
+
+// replayBytes decodes a stream of events events, held as segments, in
+// blockLen batches and delivers each one, counting the events delivered
+// in *n as it goes: a fault on a mapped store entry unwinds the decode
+// as a panic (tracestore.ReadEntry), and the count must survive it. A
+// failure to decode the stream, or a count that is not events, comes
+// back as readErr, after the events decoded before the defect were
+// delivered; a failed delivery comes back as err.
+func (e *Engine) replayBytes(ctx context.Context, segs [][]byte, events uint64, sinks []trace.Sink, masks []trace.OpMask, n *uint64) (readErr, err error) {
 	buf := batchBufs.Get().(*[]trace.Event)
 	defer batchBufs.Put(buf)
-	readErr = e.readSnapshot(snap, func(segs [][]byte) error {
-		r, rerr := trace.NewSegmentReader(segs)
-		if rerr != nil {
-			return rerr
-		}
-		for {
-			batch, rerr := r.ReadBatch(*buf)
-			if rerr == io.EOF {
-				return nil
-			}
-			if len(batch) > 0 {
-				if err = e.deliver(ctx, sinks, masks, batch, batchMask(batch)); err != nil {
-					return nil
-				}
-				n += uint64(len(batch))
-			}
-			if rerr != nil {
-				return rerr
-			}
-		}
-	})
-	if readErr == nil && err == nil && n != snap.events {
-		readErr = fmt.Errorf("replayed %d of %d events", n, snap.events)
+	r, rerr := trace.NewSegmentReader(segs)
+	if rerr != nil {
+		return rerr, nil
 	}
-	return n, readErr, err
+	for {
+		batch, rerr := r.ReadBatch(*buf)
+		if rerr == io.EOF {
+			break
+		}
+		if len(batch) > 0 {
+			if err := e.deliver(ctx, sinks, masks, batch, batchMask(batch)); err != nil {
+				return nil, err
+			}
+			*n += uint64(len(batch))
+		}
+		if rerr != nil {
+			return rerr, nil
+		}
+	}
+	if *n != events {
+		return fmt.Errorf("replayed %d of %d events", *n, events), nil
+	}
+	return nil, nil
 }

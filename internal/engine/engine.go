@@ -24,16 +24,18 @@
 //     persistent store, or else in a scratch store the engine creates
 //     on first overflow and removes on Close. The disk tier has one
 //     format and one read path: an overflowed capture and every
-//     persistent-store hit settle there, pointing at a store entry the
-//     engine maps read-only for each verify, replay or decode and
-//     unmaps when that use ends, so a store hit holds no heap bytes and
-//     charges no budget. A capture
-//     is declined only when its overflow entry keeps failing to write —
-//     and a decline re-arms as soon as the budget grows or another
-//     tenant asks for it. Corrupt or torn disk-tier entries are
-//     detected by frame checksum on every replay and transparently
-//     re-captured.
+//     persistent-store hit settle there, pointing at a store entry that
+//     each replay or decode reads through tracestore.ReadEntry — one
+//     mapping, verified by the store in that mapping before the first
+//     event, unmapped when the read ends — so a store hit holds no heap
+//     bytes and charges no budget. A capture is declined only when its
+//     overflow entry keeps failing to write — and a decline re-arms as
+//     soon as the budget grows or another tenant asks for it. A corrupt
+//     or torn disk-tier entry is caught by that verify and transparently
+//     re-captured without consulting the store, whose file the
+//     re-capture's put renames over.
 //
+// Memory and disk entries replay through one path (replaySettled).
 // On top of the two encoded tiers sits the decoded-block cache
 // (blocks.go): a key's first replay decodes its bytes batch by batch,
 // its second decodes them once into immutable []trace.Event blocks —
@@ -103,10 +105,16 @@ type traceEntry struct {
 	key     string // the workload fingerprint this slot caches
 	state   entryState
 	data    [][]byte // stateMemory: encoded v2 trace as frame-aligned segments
-	events  uint64
-	path    string // stateDisk: the store entry file
-	body    int64  // stateDisk: trace bytes in front of the entry's seal
-	spilled bool   // stateDisk: settled by an overflowing capture, not a store hit
+	events  uint64   // stateMemory: the capture's event count
+	path    string   // stateDisk: the store entry file
+	body    int64    // stateDisk, spilled: trace bytes in front of the entry's seal
+	spilled bool     // stateDisk: settled by an overflowing capture, not a store hit
+
+	// skipStore marks a slot whose store entry was retired as unreadable:
+	// its next settle captures instead of looking the store up again,
+	// and that capture's put or overflow renames a good entry over the
+	// file.
+	skipStore bool
 
 	// Decoded-block tier: the stream decoded once into event blocks, on
 	// the entry's second replay (served marks the first).
@@ -125,7 +133,9 @@ type traceEntry struct {
 }
 
 // entrySnapshot is the immutable view of a settled entry that Replay
-// works from after releasing the cache lock.
+// works from after releasing the cache lock. A disk-tier snapshot
+// carries no event count: the store's verify counts the events of every
+// read (readSnapshot).
 type entrySnapshot struct {
 	state  entryState
 	data   [][]byte
@@ -174,7 +184,7 @@ type Engine struct {
 	replayedEv  atomic.Uint64 // events delivered by cache replays
 	spillRetry  atomic.Uint64 // overflow I/O operations retried after a transient failure
 	degradedCap atomic.Uint64 // captures degraded to direct re-execution by persistent overflow failure
-	storeHits   atomic.Uint64 // entries settled from the persistent store instead of capturing
+	storeHits   atomic.Uint64 // entries settled from the persistent store, less those retired before delivering an event
 	storePuts   atomic.Uint64 // fresh captures published to the persistent store
 
 	// Delivery counters (deliver.go), written by every replay and
@@ -510,8 +520,7 @@ func (e *Engine) ReplayAllContext(ctx context.Context, key string, capture Captu
 		if err != nil {
 			return 0, err
 		}
-		switch snap.state {
-		case stateDeclined:
+		if snap.state == stateDeclined {
 			// No tier holds the stream: degrade to direct re-execution,
 			// through the same guarded path captures take (capture.run
 			// injection, panic recovery, capture-lock hygiene).
@@ -521,71 +530,30 @@ func (e *Engine) ReplayAllContext(ctx context.Context, key string, capture Captu
 				return cs.n, fmt.Errorf("engine: workload %q: %w: %w", key, ErrCaptureFailed, err)
 			}
 			return cs.n, nil
-
-		case stateMemory:
-			blocks, err := e.blocksFor(acct, key, snap)
-			if err != nil {
-				// The memory tier holds bytes our own writer encoded;
-				// failing to decode them is a programming error.
-				return 0, fmt.Errorf("engine: cached trace %q: %w", key, err)
-			}
-			var n uint64
-			if blocks != nil {
-				n, err = e.emitBlocks(ctx, blocks, sinks, masks)
-			} else {
-				var readErr error
-				n, readErr, err = e.replayBytes(ctx, snap, sinks, masks)
-				if err == nil {
-					err = readErr
-				}
-			}
-			if err != nil {
-				return n, fmt.Errorf("engine: cached trace %q: %w", key, err)
-			}
+		}
+		n, readErr, err := e.replaySettled(ctx, acct, key, snap, sinks, masks)
+		switch {
+		case err != nil:
+			return n, fmt.Errorf("engine: cached trace %q: %w", key, err)
+		case readErr == nil:
 			return replayed(n)
-
-		case stateDisk:
-			const what = "disk-tier trace"
-			// Decoding into blocks verifies every frame checksum before
-			// any event reaches a sink, so a corrupt file detected here is
-			// re-captured transparently, exactly like the
-			// verify-then-replay byte path below.
-			blocks, err := e.blocksFor(acct, key, snap)
-			if err != nil {
-				if err = e.retireSpill(key, snap, attempt, err); err != nil {
-					return 0, err
-				}
-				continue
+		case snap.state == stateMemory:
+			// The memory tier holds bytes our own writer encoded;
+			// failing to decode them is a programming error.
+			return n, fmt.Errorf("engine: cached trace %q: %w", key, readErr)
+		case n == 0:
+			// Nothing reached a sink: the store's verify rejected the
+			// entry, or it could not be read at all, before the first
+			// event. Retire it and re-capture transparently.
+			if err := e.retireSpill(key, snap, attempt, readErr); err != nil {
+				return 0, err
 			}
-			if blocks != nil {
-				n, err := e.emitBlocks(ctx, blocks, sinks, masks)
-				if err != nil {
-					return n, fmt.Errorf("engine: %s %q: %w", what, key, err)
-				}
-				return replayed(n)
-			}
-			// Verify every frame checksum before the first event is
-			// emitted: a corrupt or torn file must be caught while the
-			// sink is still untouched, so re-capturing stays
-			// transparent to the caller.
-			if err := e.verifySpill(snap); err != nil {
-				if err = e.retireSpill(key, snap, attempt, err); err != nil {
-					return 0, err
-				}
-				continue
-			}
-			n, readErr, err := e.replayBytes(ctx, snap, sinks, masks)
-			if err != nil {
-				return n, fmt.Errorf("engine: %s %q: %w", what, key, err)
-			}
-			if readErr != nil {
-				// Post-verification failure (the file changed under
-				// us): the sink has seen partial events, so a silent
-				// re-capture would double-feed it. Surface the error.
-				e.invalidateSpill(key, snap)
-				return n, fmt.Errorf("engine: %s %q: %w: %w", what, key, ErrSpillIO, readErr)
-			}
-			return replayed(n)
+		default:
+			// The file changed under a verified read: the sinks have
+			// seen part of the stream, so a silent re-capture would
+			// double-feed them. Surface the error.
+			e.invalidateSpill(key, snap, true)
+			return n, fmt.Errorf("engine: disk-tier trace %q: %w: %w", key, ErrSpillIO, readErr)
 		}
 	}
 }
@@ -596,7 +564,7 @@ func (e *Engine) ReplayAllContext(ctx context.Context, key string, capture Captu
 // point the failure surfaces wrapping ErrCorruptTrace (frame verification
 // failed) or ErrSpillIO (the file could not be read at all).
 func (e *Engine) retireSpill(key string, snap entrySnapshot, attempt int, err error) error {
-	e.invalidateSpill(key, snap)
+	e.invalidateSpill(key, snap, false)
 	if attempt < maxSpillAttempts {
 		return nil
 	}
@@ -626,23 +594,26 @@ func (e *Engine) withSpillRetry(op func() error) error {
 	}
 }
 
-// readSnapshot hands a settled entry's encoded stream to use as
-// frame-aligned segments: the memory tier's where they lie, or the disk
-// tier's store entry mapped for this one call (tracestore.ReadEntry),
-// unmapped when use returns. Only opening the entry is retried under
-// the engine's retry policy; once use has begun its failure comes back
-// as it is — a fault on the mapping (the file was truncated under it)
-// included — because use may have fed sinks.
-func (e *Engine) readSnapshot(snap entrySnapshot, use func(segs [][]byte) error) error {
+// readSnapshot hands a settled entry's encoded stream and its event
+// count to use, as frame-aligned segments: the memory tier's where they
+// lie, with the capture's count; or the disk tier's store entry,
+// verified and mapped for this one call (tracestore.ReadEntry) and
+// unmapped when use returns, with the count its verify made. Only the
+// read up to use — opening, mapping, verifying — is retried under the
+// engine's retry policy, and a verify failure (trace.ErrBadTrace) is
+// not; once use has begun its failure comes back as it is — a fault on
+// the mapping (the file was truncated under it) included — because use
+// may have fed sinks.
+func (e *Engine) readSnapshot(snap entrySnapshot, use func(segs [][]byte, events uint64) error) error {
 	if snap.state != stateDisk {
-		return use(snap.data)
+		return use(snap.data, snap.events)
 	}
 	began := false
 	var err error
 	if oerr := e.withSpillRetry(func() error {
-		err = tracestore.ReadEntry(snap.path, snap.body, func(body []byte) error {
+		err = tracestore.ReadEntry(snap.path, func(body []byte, events uint64) error {
 			began = true
-			return use([][]byte{body})
+			return use([][]byte{body}, events)
 		})
 		if began {
 			return nil
@@ -654,29 +625,23 @@ func (e *Engine) readSnapshot(snap entrySnapshot, use func(segs [][]byte) error)
 	return err
 }
 
-// verifySpill checksums every frame of a disk-tier entry and checks the
-// total event count against the capture's, without emitting anything.
-func (e *Engine) verifySpill(snap entrySnapshot) error {
-	return e.readSnapshot(snap, func(segs [][]byte) error {
-		n, err := trace.VerifySegments(segs)
-		if err == nil && n != snap.events {
-			err = fmt.Errorf("disk tier holds %d of %d events", n, snap.events)
-		}
-		return err
-	})
-}
-
-// invalidateSpill retires a disk-tier entry observed to be corrupt, so
-// the next request re-captures (or finds a healed persistent-store
-// entry). The file is left for the store: the re-capture's commit
-// renames over it. The path guard makes concurrent detections
-// idempotent.
-func (e *Engine) invalidateSpill(key string, snap entrySnapshot) {
+// invalidateSpill retires a disk-tier entry whose read failed, so the
+// next request re-captures. The file is left in place — a read never
+// changes the store — so the re-capture skips the store's lookup, which
+// would find the same file again, and its put or overflow renames a
+// good entry over it. A store hit retired before its read delivered an
+// event is withdrawn from the hit count. The path guard makes
+// concurrent detections idempotent.
+func (e *Engine) invalidateSpill(key string, snap entrySnapshot, delivered bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	ent := e.traces[key]
 	if ent != nil && ent.state == stateDisk && ent.path == snap.path {
+		if !ent.spilled && !delivered {
+			e.storeHits.Add(^uint64(0))
+		}
 		e.retireLocked(ent)
+		ent.skipStore = true
 		e.recaptures.Add(1)
 	}
 }
@@ -769,9 +734,10 @@ func (e *Engine) rearm(ent *traceEntry) {
 
 // settle is the one way an in-flight entry reaches a settled tier, for a
 // store hit, a capture and a sealed ingest alike: it installs the tier
-// that to describes and wakes the entry's waiters. A memory-tier settle commits its segments'
-// length to acct, which the caller has already reserved there. spilled
-// marks a disk-tier entry an overflowing arm wrote, not a store hit.
+// described by to and wakes the entry's waiters. A memory-tier settle
+// commits its segments' length to acct, which the caller has already
+// reserved there. spilled marks a disk-tier entry an overflowing arm
+// wrote, not a store hit.
 func (e *Engine) settle(ent *traceEntry, acct BudgetAccountant, to entrySnapshot, spilled bool) {
 	e.mu.Lock()
 	if to.state == stateMemory {
@@ -798,26 +764,29 @@ func (e *Engine) settleDeclined(acct BudgetAccountant, ent *traceEntry) {
 }
 
 // loadFromStore tries to settle an in-flight entry from the persistent
-// trace store. The store verifies the entry's seal and every frame CRC
-// before handing anything over, and the entry settles in the disk tier,
-// pointing at the store file it is replayed from — exactly as an
-// overflowed capture is — so a hit holds no memory and charges no
-// budget; it counts as a store hit, not a spilled trace. Any store
-// failure (absent, torn, corrupt, injected fault) is a miss: the caller
-// captures, and the put that follows heals the entry.
+// trace store. The store's Lookup only finds the entry file; the entry
+// settles in the disk tier, pointing at the file it is replayed from —
+// exactly as an overflowed capture is — so a hit holds no memory and
+// charges no budget; it counts as a store hit, not a spilled trace.
+// Every replay's read verifies the file's seal and every frame CRC
+// before the first event (readSnapshot). A miss (absent, shorter than a
+// seal, injected fault) makes the caller capture, and the put that
+// follows heals the entry. So does a slot whose store entry was retired
+// as unreadable (invalidateSpill): it skips the lookup once.
 func (e *Engine) loadFromStore(ent *traceEntry) bool {
 	e.mu.Lock()
-	st := e.tstore
+	st, skip := e.tstore, ent.skipStore
+	ent.skipStore = false
 	e.mu.Unlock()
-	if st == nil {
+	if st == nil || skip {
 		return false
 	}
-	hit, err := st.Lookup(ent.key)
+	path, err := st.Lookup(ent.key)
 	if err != nil {
 		return false
 	}
-	e.settle(ent, nil, entrySnapshot{state: stateDisk, path: hit.Path, body: hit.Size, events: hit.Events}, false)
-	e.storeHits.Add(1)
+	e.storeHits.Add(1) // before the settle: a replay may retire the hit
+	e.settle(ent, nil, entrySnapshot{state: stateDisk, path: path}, false)
 	return true
 }
 

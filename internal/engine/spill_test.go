@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -249,7 +248,7 @@ func recapturesDamagedOverflow(t *testing.T, damage func(path string, data []byt
 					if err := damage(path, data); err != nil {
 						t.Fatal(err)
 					}
-				} else if _, err := trace.Verify(bytes.NewReader(data[:len(data)-16])); err != nil {
+				} else if _, err := trace.VerifyBytes(data[:len(data)-16]); err != nil {
 					t.Fatalf("replay %d left a damaged entry: %v", i, err)
 				}
 			}

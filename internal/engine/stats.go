@@ -20,8 +20,10 @@ import (
 // describes the cache without reaching into engine internals.
 
 // Stats is a point-in-time snapshot of every engine counter and
-// cache-shape figure. Counter fields are monotonic; shape fields
-// (cached/spilled/decoded, budget) describe the instant of the call.
+// cache-shape figure. Counter fields are monotonic, except that
+// StoreHits withdraws a store hit whose read fails before delivering an
+// event; shape fields (cached/spilled/decoded, budget) describe the
+// instant of the call.
 type Stats struct {
 	Workers int `json:"workers"`
 

@@ -148,6 +148,10 @@ func TestStoreCorruptEntryRecapture(t *testing.T) {
 				t.Fatalf("offset %d truncate=%v: workload executed %d times, want exactly 1",
 					offset, truncate, got)
 			}
+			// A hit whose entry fails its read is no hit.
+			if got := e.Stats().StoreHits; got != 0 {
+				t.Fatalf("offset %d truncate=%v: %d store hits counted, want 0", offset, truncate, got)
+			}
 			// The re-capture's put healed the entry: the next engine hits.
 			h := New(1)
 			h.SetStore(openStore(t, dir))
@@ -160,6 +164,61 @@ func TestStoreCorruptEntryRecapture(t *testing.T) {
 					offset, truncate, h.Stats().StoreHits, h.Stats().Captures)
 			}
 		}
+	}
+}
+
+// TestStoreCorruptEntryStaysPut damages an entry in a store whose
+// directory is read-only and whose writes fail, so nothing can remove or
+// replace the damaged file. A replay still runs the workload exactly
+// once and fails nothing: after the read rejects the entry, the
+// re-capture skips the store instead of finding the same file again.
+// A second engine over the still-damaged store does the same.
+func TestStoreCorruptEntryStaysPut(t *testing.T) {
+	dir := t.TempDir()
+	const events = 64
+	seed := New(1)
+	seed.SetStore(openStore(t, dir))
+	var cnt trace.Counter
+	if _, err := seed.Replay("victim", emitN(events, 8), &cnt); err != nil {
+		t.Fatal(err)
+	}
+	path := storeEntries(t, dir)[0]
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x20
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chmod(dir, 0o555); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = os.Chmod(dir, 0o755) })
+	withFaults(t, "store.write") // a privileged test process could still write
+
+	for round := 0; round < 2; round++ {
+		e := New(1)
+		e.SetStore(openStore(t, dir))
+		var execs atomic.Int64
+		capture := func(s trace.Sink) {
+			execs.Add(1)
+			emitN(events, 8)(s)
+		}
+		for replay := 0; replay < 2; replay++ {
+			var cnt trace.Counter
+			if n, err := e.Replay("victim", capture, &cnt); err != nil || n != events {
+				t.Fatalf("engine %d replay %d: n=%d err=%v", round, replay, n, err)
+			}
+		}
+		st := e.Stats()
+		if execs.Load() != 1 || st.StoreHits != 0 || st.Recaptures != 1 || st.StorePuts != 0 {
+			t.Fatalf("engine %d: %d executions, %d hits, %d recaptures, %d puts; want 1, 0, 1, 0",
+				round, execs.Load(), st.StoreHits, st.Recaptures, st.StorePuts)
+		}
+	}
+	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, raw) {
+		t.Fatalf("the damaged entry changed (%v)", err)
 	}
 }
 
@@ -334,47 +393,45 @@ func TestStoreHitOverBudgetCorruptedBeforeReplay(t *testing.T) {
 }
 
 // TestStoreHitOverBudgetReadFault fails the replay-time opens of an
-// entry settled in place, at every position and for every run length:
-// the replay either surfaces an error before any event reaches the sink
-// or delivers the whole stream, never a part of it, and the store entry
-// survives its invalidation. A run of faults the retry policy covers —
-// at the verify open or at the replay open after it — is retried and
-// never fails the replay.
+// entry settled in place — a replay opens it once, so the faults start
+// at that open — for every run length: the replay either surfaces an
+// error before any event reaches the sink or delivers the whole stream,
+// never a part of it, and the store entry survives its invalidation. A
+// run of faults the retry policy covers is retried and never fails the
+// replay.
 func TestStoreHitOverBudgetReadFault(t *testing.T) {
 	dir := t.TempDir()
 	want, path := seedStore(t, dir, "big", emitN(5000, 32))
-	for after := 0; after < 2; after++ {
-		for _, count := range []int{1, 2, 4, 8, 1000} {
-			label := fmt.Sprintf("after=%d count=%d", after, count)
-			e, capture, _ := overBudget(t, dir, emitN(5000, 32))
-			e.SetRetryPolicy(3, 0)
-			if err := e.Warm("big", capture); err != nil {
-				t.Fatal(err)
+	for _, count := range []int{1, 2, 4, 8, 1000} {
+		label := fmt.Sprintf("count=%d", count)
+		e, capture, _ := overBudget(t, dir, emitN(5000, 32))
+		e.SetRetryPolicy(3, 0)
+		if err := e.Warm("big", capture); err != nil {
+			t.Fatal(err)
+		}
+		withFaults(t, fmt.Sprintf("%s:count=%d", faults.StoreRead, count))
+		var got trace.Recorder
+		n, err := e.Replay("big", capture, &got)
+		faults.Activate(nil)
+		if err != nil {
+			if count <= 3 {
+				t.Fatalf("%s: a fault run within the 3 retries failed the replay: %v", label, err)
 			}
-			withFaults(t, fmt.Sprintf("%s:after=%d:count=%d", faults.StoreRead, after, count))
-			var got trace.Recorder
-			n, err := e.Replay("big", capture, &got)
-			faults.Activate(nil)
-			if err != nil {
-				if count <= 3 {
-					t.Fatalf("%s: a fault run within the 3 retries failed the replay: %v", label, err)
-				}
-				if len(got.Events) != 0 || n != 0 {
-					t.Fatalf("%s: error %v after %d events reached the sink", label, err, len(got.Events))
-				}
-				if !errors.Is(err, ErrSpillIO) {
-					t.Fatalf("%s: error %v does not wrap ErrSpillIO", label, err)
-				}
-			} else {
-				if n != 5000 {
-					t.Fatalf("%s: n=%d", label, n)
-				}
-				sameEvents(t, label, got.Events, want)
+			if len(got.Events) != 0 || n != 0 {
+				t.Fatalf("%s: error %v after %d events reached the sink", label, err, len(got.Events))
 			}
-			_ = e.Close()
-			if _, err := os.Stat(path); err != nil {
-				t.Fatalf("%s: the engine removed the store entry: %v", label, err)
+			if !errors.Is(err, ErrSpillIO) {
+				t.Fatalf("%s: error %v does not wrap ErrSpillIO", label, err)
 			}
+		} else {
+			if n != 5000 {
+				t.Fatalf("%s: n=%d", label, n)
+			}
+			sameEvents(t, label, got.Events, want)
+		}
+		_ = e.Close()
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("%s: the engine removed the store entry: %v", label, err)
 		}
 	}
 }
@@ -534,15 +591,16 @@ func TestStoreHitTruncatedMidReplay(t *testing.T) {
 }
 
 // TestStoreReadFiresOnEveryMapping counts the mapping opens of a store
-// hit's replays with the store.read injection point: the lookup maps the
-// entry once; the first replay maps it twice (verify, then replay from
-// the bytes); the second once, to decode its blocks; the third not at
-// all. A fault armed past the expected count never fires, and one armed
-// at the last expected open fires once and is retried.
+// hit's replays with the store.read injection point: the lookup only
+// stats the entry; the first replay maps it once, verifying it in the
+// mapping it replays from; the second once, to verify it and decode its
+// blocks; the third not at all. A fault armed past the expected count
+// never fires, and one armed at the last expected open fires once and
+// is retried.
 func TestStoreReadFiresOnEveryMapping(t *testing.T) {
 	dir := t.TempDir()
 	seedStore(t, dir, "k", emitN(3*blockLen, 64))
-	perReplay := []int64{2, 1, 0}
+	perReplay := []int64{1, 1, 0}
 	for round, opens := range perReplay {
 		for _, after := range []int64{opens, opens - 1} {
 			if after < 0 {

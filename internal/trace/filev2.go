@@ -454,38 +454,7 @@ func decodeEvents(dst []Event, p []byte, pos int, n uint32) ([]Event, int, error
 	return dst, pos, nil
 }
 
-// Verify scans a trace stream end to end and returns its event count
-// without feeding any sink. For v2 streams only frame headers and
-// checksums are examined — no decompression, no event decoding — so a
-// disk-tier entry is vetted at sequential-read speed before a replay commits
-// events to a sink. v1 streams carry no checksums and are fully decoded.
-func Verify(rd io.Reader) (uint64, error) {
-	r, err := NewReader(rd)
-	if err != nil {
-		return 0, err
-	}
-	return r.verify()
-}
-
-// verify implements Verify and VerifySegments on a fresh reader.
-func (r *Reader) verify() (uint64, error) {
-	if r.version == formatVersion {
-		return r.Replay(discardSink{})
-	}
-	var events uint64
-	for {
-		f, err := r.nextFrame()
-		if err == io.EOF {
-			return events, nil
-		}
-		if err != nil {
-			return events, err
-		}
-		events += uint64(f.events)
-	}
-}
-
-// discardSink drops every event; Verify uses it to drive the v1 decoder.
+// discardSink drops every event; VerifyBytes uses it to drive the v1 decoder.
 type discardSink struct{}
 
 // Emit implements Sink.

@@ -85,9 +85,9 @@ func TestV2RoundTripMultiFrame(t *testing.T) {
 				t.Fatalf("compress=%v: event %d: %+v != %+v", compress, i, got[i], events[i])
 			}
 		}
-		n, err := Verify(bytes.NewReader(data))
+		n, err := VerifyBytes(data)
 		if err != nil || n != uint64(len(events)) {
-			t.Fatalf("compress=%v: Verify = %d,%v", compress, n, err)
+			t.Fatalf("compress=%v: VerifyBytes = %d,%v", compress, n, err)
 		}
 	}
 }
@@ -97,8 +97,8 @@ func TestV2EmptyStream(t *testing.T) {
 	if got := decodeAll(t, data); len(got) != 0 {
 		t.Fatalf("decoded %d events from empty stream", len(got))
 	}
-	if n, err := Verify(bytes.NewReader(data)); err != nil || n != 0 {
-		t.Fatalf("Verify = %d,%v", n, err)
+	if n, err := VerifyBytes(data); err != nil || n != 0 {
+		t.Fatalf("VerifyBytes = %d,%v", n, err)
 	}
 }
 
@@ -114,8 +114,8 @@ func TestV1SeedTraceCompat(t *testing.T) {
 	if len(v1) != seedTraceEvents {
 		t.Fatalf("v1 seed replayed %d events, want %d", len(v1), seedTraceEvents)
 	}
-	if n, err := Verify(bytes.NewReader(seed)); err != nil || n != seedTraceEvents {
-		t.Fatalf("Verify(v1) = %d,%v", n, err)
+	if n, err := VerifyBytes(seed); err != nil || n != seedTraceEvents {
+		t.Fatalf("VerifyBytes(v1) = %d,%v", n, err)
 	}
 	for _, compress := range []bool{false, true} {
 		v2 := decodeAll(t, encodeV2(t, v1, compress))
@@ -205,8 +205,8 @@ func TestV2TruncationAlwaysClean(t *testing.T) {
 		if _, err := r.Replay(&Recorder{}); err != nil && !errors.Is(err, ErrBadTrace) {
 			t.Fatalf("cut %d: unclassified Replay error %v", cut, err)
 		}
-		if _, err := Verify(bytes.NewReader(data[:cut])); err != nil && !errors.Is(err, ErrBadTrace) {
-			t.Fatalf("cut %d: unclassified Verify error %v", cut, err)
+		if _, err := VerifyBytes(data[:cut]); err != nil && !errors.Is(err, ErrBadTrace) {
+			t.Fatalf("cut %d: unclassified VerifyBytes error %v", cut, err)
 		}
 	}
 }

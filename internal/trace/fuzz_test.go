@@ -83,10 +83,10 @@ func splitAt(data []byte, cuts []int) [][]byte {
 // the same events, the same Count() and the same error class from both.
 // A v2 stream is also decoded as frame-aligned segments, cut at every
 // frame boundary and at a random subset of them, and must match the
-// reader over the bytes. Verify, VerifyBytes and VerifySegments must
-// agree on the count and the error class too, and none of them may
-// return an unclassified error. It returns the decoded events and the
-// decode error.
+// reader over the bytes. VerifyBytes, which checks frames without
+// decoding events, must not return an unclassified error, must not
+// reject a stream the decoder accepts, and must count a clean stream's
+// events exactly. It returns the decoded events and the decode error.
 func decodeBothWays(t *testing.T, data []byte) ([]Event, error) {
 	t.Helper()
 	type outcome struct {
@@ -127,13 +127,15 @@ func decodeBothWays(t *testing.T, data []byte) ([]Event, error) {
 	if viaIO.count != uint64(len(viaIO.evs)) {
 		t.Fatalf("reader count %d, delivered %d events", viaIO.count, len(viaIO.evs))
 	}
-	n, err := Verify(bytes.NewReader(data))
-	nb, errb := VerifyBytes(data)
-	if !cleanDecodeErr(err) || !cleanDecodeErr(errb) {
-		t.Fatalf("Verify: unclassified error %v / %v", err, errb)
+	n, err := VerifyBytes(data)
+	if !cleanDecodeErr(err) {
+		t.Fatalf("VerifyBytes: unclassified error %v", err)
 	}
-	if n != nb || errClass(err) != errClass(errb) {
-		t.Fatalf("Verify = %d, %v; VerifyBytes = %d, %v", n, err, nb, errb)
+	if err != nil && inMem.err == nil {
+		t.Fatalf("VerifyBytes rejects a stream that decodes cleanly: %v", err)
+	}
+	if inMem.err == nil && n != uint64(len(inMem.evs)) {
+		t.Fatalf("clean decode of %d events, VerifyBytes counts %d", len(inMem.evs), n)
 	}
 	if cuts := frameBoundaries(data); cuts != nil {
 		rng := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(data))))
@@ -144,14 +146,7 @@ func decodeBothWays(t *testing.T, data []byte) ([]Event, error) {
 				t.Fatalf("%d segments decoded %d events (count %d, %v), one buffer %d (count %d, %v)",
 					len(segs), len(seg.evs), seg.count, seg.err, len(inMem.evs), inMem.count, inMem.err)
 			}
-			ns, errs := VerifySegments(segs)
-			if ns != nb || errClass(errs) != errClass(errb) {
-				t.Fatalf("VerifySegments over %d segments = %d, %v; VerifyBytes = %d, %v", len(segs), ns, errs, nb, errb)
-			}
 		}
-	}
-	if errClass(viaIO.err) == "clean" && (err != nil || n != uint64(len(viaIO.evs))) {
-		t.Fatalf("clean decode of %d events, Verify = %d, %v", len(viaIO.evs), n, err)
 	}
 	return viaIO.evs, viaIO.err
 }
@@ -182,7 +177,7 @@ func reencodeV2(t testing.TB, v1 []byte, compress bool) []byte {
 // panic and never return an unclassified error. Next, ReadBatch over an
 // io.Reader, ReadBatch over bytes and, for v2, ReadBatch over
 // frame-aligned segments must deliver the same events and the same
-// error class, and Verify must agree with VerifyBytes and VerifySegments.
+// error class, and VerifyBytes must agree with the decode.
 func FuzzTraceReader(f *testing.F) {
 	seed := readSeedTrace(f)
 	f.Add(seed)
@@ -299,8 +294,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 // but well-formed stream only when the CRC also collides — effectively
 // never) or fail with ErrBadTrace. Panics, hangs and unclassified errors
 // are the bugs being hunted. The io.Reader, in-memory and segmented
-// decoders must agree event for event, and Verify with VerifyBytes and
-// VerifySegments.
+// decoders must agree event for event, and VerifyBytes with the decode.
 func FuzzTraceV2FrameCorruption(f *testing.F) {
 	seed := readSeedTrace(f)
 	f.Add(seed[5:2048], uint32(77), false)

@@ -42,20 +42,31 @@ func NewBytesReader(data []byte) (*Reader, error) {
 	return NewSegmentReader([][]byte{data})
 }
 
-// VerifySegments is Verify over a stream held in memory as
-// frame-aligned segments: v2 frames are checked where they lie, without
-// a copy.
-func VerifySegments(segs [][]byte) (uint64, error) {
-	r, err := NewSegmentReader(segs)
+// VerifyBytes scans a trace stream held in one buffer end to end and
+// returns its event count without feeding any sink. For v2 streams only
+// frame headers and checksums are examined, where the frames lie — no
+// copy, no decompression, no event decoding — so a store entry is
+// vetted at memory speed before a replay commits events to a sink. v1
+// streams carry no checksums and are fully decoded.
+func VerifyBytes(data []byte) (uint64, error) {
+	r, err := NewBytesReader(data)
 	if err != nil {
 		return 0, err
 	}
-	return r.verify()
-}
-
-// VerifyBytes is VerifySegments over one contiguous buffer.
-func VerifyBytes(data []byte) (uint64, error) {
-	return VerifySegments([][]byte{data})
+	if r.version == formatVersion {
+		return r.Replay(discardSink{})
+	}
+	var events uint64
+	for {
+		f, err := r.nextFrame()
+		if err == io.EOF {
+			return events, nil
+		}
+		if err != nil {
+			return events, err
+		}
+		events += uint64(f.events)
+	}
 }
 
 // SegmentsLen returns the total length of segs.

@@ -138,9 +138,6 @@ func TestSlabWriterLandsFramesInSlabs(t *testing.T) {
 	if n, err := r.Replay(&got); err != nil || n != uint64(len(events)) || !slices.Equal(got.Events, events) {
 		t.Fatalf("segment reader replayed %d of %d events: %v", n, len(events), err)
 	}
-	if n, err := VerifySegments(segs); err != nil || n != uint64(len(events)) {
-		t.Fatalf("VerifySegments = %d, %v", n, err)
-	}
 }
 
 // TestSegmentReaderRejectsCutFrames: segments must be frame-aligned. A
@@ -156,16 +153,18 @@ func TestSegmentReaderRejectsCutFrames(t *testing.T) {
 	}
 
 	padded := [][]byte{flat[:cuts[0]], nil, flat[cuts[0]:cuts[1]], {}, flat[cuts[1]:], nil}
-	if n, err := VerifySegments(padded); err != nil || n != uint64(len(events)) {
-		t.Fatalf("empty segments: VerifySegments = %d, %v", n, err)
+	r, err := NewSegmentReader(padded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Recorder
+	if n, err := r.Replay(&got); err != nil || n != uint64(len(events)) || !slices.Equal(got.Events, events) {
+		t.Fatalf("empty segments: replayed %d of %d events: %v", n, len(events), err)
 	}
 
 	mid := cuts[1] + 100
 	torn := [][]byte{flat[:mid], flat[mid:]}
-	if _, err := VerifySegments(torn); !errors.Is(err, ErrBadTrace) {
-		t.Fatalf("frame cut between segments: VerifySegments = %v, want ErrBadTrace", err)
-	}
-	r, err := NewSegmentReader(torn)
+	r, err = NewSegmentReader(torn)
 	if err != nil {
 		t.Fatal(err)
 	}

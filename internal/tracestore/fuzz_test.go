@@ -63,10 +63,10 @@ func FuzzStoreKey(f *testing.F) {
 // FuzzStoreEntryCorruption installs a valid entry, lets the fuzzer
 // vandalize it at an arbitrary offset — bit flip or truncation — and
 // reads it back through both readers: Get (copied into memory, verified
-// there) and Lookup (verified in its mapping). Neither may panic or hand
-// back corrupt data, and both must reach one verdict: ErrMiss from
-// each, or the original trace and its event count from each — for
-// Lookup, the entry's path, whose mapped trace is the original.
+// there) and Lookup plus ReadEntry (verified in its mapping). Neither
+// may panic or hand back corrupt data, and both must reach one verdict:
+// ErrMiss from each, or the original trace and its event count from
+// each.
 func FuzzStoreEntryCorruption(f *testing.F) {
 	f.Add(uint32(0), byte(0x01), false)
 	f.Add(uint32(4), byte(0xff), false)
@@ -111,30 +111,31 @@ func FuzzStoreEntryCorruption(f *testing.F) {
 		}
 
 		got, events, getErr := s.Get("victim")
-		hit, lookupErr := s.Lookup("victim")
-		for _, err := range []error{getErr, lookupErr} {
+		var mapped []byte
+		var mappedEvents uint64
+		hit, readErr := s.Lookup("victim")
+		if readErr == nil {
+			readErr = ReadEntry(hit, func(trace []byte, n uint64) error {
+				mapped, mappedEvents = bytes.Clone(trace), n
+				return nil
+			})
+		}
+		for _, err := range []error{getErr, readErr} {
 			if err != nil && !errors.Is(err, ErrMiss) {
 				t.Fatalf("corrupt entry error %v does not wrap ErrMiss", err)
 			}
 		}
-		if (getErr == nil) != (lookupErr == nil) {
-			t.Fatalf("readers disagree (offset %d, flip %#x, truncate %v): Get %v, Lookup %v",
-				pos, flip, truncate, getErr, lookupErr)
+		if (getErr == nil) != (readErr == nil) {
+			t.Fatalf("readers disagree (offset %d, flip %#x, truncate %v): Get %v, Lookup+ReadEntry %v",
+				pos, flip, truncate, getErr, readErr)
 		}
 		if getErr != nil {
 			return
 		}
 		// A no-op corruption (flip == 0 at a surviving offset) may still
 		// verify — then every reader must return exactly the original.
-		var mapped []byte
-		if err := ReadEntry(hit.Path, hit.Size, func(trace []byte) error {
-			mapped = bytes.Clone(trace)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
 		if !bytes.Equal(got, orig) || events != 32 ||
-			hit.Path != path || hit.Size != int64(len(orig)) || hit.Events != 32 || !bytes.Equal(mapped, orig) {
+			hit != path || !bytes.Equal(mapped, orig) || mappedEvents != 32 {
 			t.Fatalf("a reader returned corrupt data as valid (offset %d, flip %#x, truncate %v)",
 				pos, flip, truncate)
 		}

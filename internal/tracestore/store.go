@@ -30,20 +30,21 @@
 // The trace bytes are followed on disk by a 16-byte seal trailer: a
 // magic, a CRC32C over the whole body, and the body length. Frame
 // checksums alone cannot catch a file truncated at a frame boundary —
-// the stream just looks shorter — but such a cut destroys the trailer,
-// so the entry reads as a miss. Get and Lookup verify the seal and every
-// frame CRC before a byte or a path is handed to the engine; a corrupt
-// or truncated entry reads as a miss, and the put that follows the
-// re-capture heals it.
+// the stream just looks shorter — but such a cut destroys the trailer.
+// Every read verifies the seal and every frame CRC before a byte
+// reaches its caller, and this package holds the only such verifier. A
+// corrupt or truncated entry reads as a miss, and a read never changes
+// the store: the caller that finds an entry corrupt re-captures it, and
+// that capture's put renames a good entry over the damaged one.
 //
 // Reads map the entry file read-only for one use and unmap it when that
-// use ends (ReadEntry): Lookup verifies an entry in its mapping and
-// hands back only its path, and the engine maps the file again for each
-// verify, replay or decode. A store hit therefore holds no heap memory —
-// the entry's durable home is the file, and its pages are the kernel's
-// page cache. Get alone copies an entry into memory. A file truncated
-// under a mapping raises SIGBUS on the next read past its end; the read
-// runs with debug.SetPanicOnFault, and the fault comes back as an error.
+// use ends (ReadEntry), and the verify runs in that same mapping: one
+// open, one mapping and one check per read. Lookup only stats the file
+// and hands back its path, so a store hit holds no heap memory — the
+// entry's durable home is the file, and its pages are the kernel's page
+// cache. Get alone copies an entry into memory. A file truncated under a
+// mapping raises SIGBUS on the next read past its end; the read runs
+// with debug.SetPanicOnFault, and the fault comes back as an error.
 package tracestore
 
 import (
@@ -55,7 +56,6 @@ import (
 	"fmt"
 	"hash"
 	"hash/crc32"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime/debug"
@@ -79,7 +79,7 @@ const orphanGrace = time.Hour
 
 // The seal trailer closing every entry: magic, CRC32C of the body, body
 // length. Its only job is detecting truncation and damage that frame
-// checksums cannot see; it is stripped before the bytes leave Get.
+// checksums cannot see; it is stripped before the bytes reach a reader.
 const (
 	trailerMagic = "MTSE"
 	trailerLen   = 16
@@ -146,139 +146,88 @@ func (s *Store) entryPath(fingerprint string) string {
 // memory, and the seal trailer and every frame checksum of that copy
 // are verified before it is returned, so a torn, truncated, or
 // bit-flipped entry is reported as a miss rather than replayed.
-func (s *Store) Get(fingerprint string) ([]byte, uint64, error) {
-	h, entry, err := s.lookup(fingerprint, true)
-	if err != nil {
-		return nil, 0, err
+func (s *Store) Get(fingerprint string) (body []byte, events uint64, err error) {
+	err = readEntry(s.entryPath(fingerprint), true, func(trace []byte, n uint64) error {
+		body, events = trace, n
+		return nil
+	})
+	if err != nil && !errors.Is(err, ErrMiss) {
+		return nil, 0, fmt.Errorf("%w: %w", ErrMiss, err)
 	}
-	return entry[:h.Size], h.Events, nil
+	return body, events, err
 }
 
-// Hit is a verified store entry: the file the caller replays, and the
-// trace bytes in front of its seal.
-type Hit struct {
-	Path   string // the entry file
-	Size   int64  // the trace's length: the entry file minus its seal
-	Events uint64 // the trace's event count
-}
-
-// Lookup finds and verifies a fingerprint's entry without reading it
-// into memory: the file is mapped read-only, its seal trailer and every
-// frame checksum are verified in the mapping, and the mapping is gone
-// before Lookup returns. The caller replays the trace from Hit.Path
-// through ReadEntry. Any failure — absent, torn, corrupt, or truncated
-// while it was being verified — wraps ErrMiss.
-func (s *Store) Lookup(fingerprint string) (Hit, error) {
-	h, _, err := s.lookup(fingerprint, false)
-	return h, err
-}
-
-// lookup opens and verifies a fingerprint's entry for Get and Lookup;
-// with copyOut it also returns the whole entry copied into memory.
-func (s *Store) lookup(fingerprint string, copyOut bool) (Hit, []byte, error) {
+// Lookup returns the path of a fingerprint's entry, or ErrMiss when the
+// file is absent or shorter than a seal. It only stats the file:
+// ReadEntry verifies the entry in the mapping that replays it.
+func (s *Store) Lookup(fingerprint string) (string, error) {
 	if err := faults.Inject(faults.StoreRead); err != nil {
-		return Hit{}, nil, fmt.Errorf("%w: %w", ErrMiss, err)
+		return "", fmt.Errorf("%w: %w", ErrMiss, err)
 	}
 	path := s.entryPath(fingerprint)
+	fi, err := os.Stat(path)
+	if err == nil && fi.Size() < trailerLen {
+		err = errors.New("entry shorter than its seal")
+	}
+	if err != nil {
+		return "", fmt.Errorf("%w: %w", ErrMiss, err)
+	}
+	return path, nil
+}
+
+// ReadEntry maps an entry file read-only, verifies it there — the seal
+// trailer, the seal's CRC32C over the trace in front of it, and every
+// frame — and runs use over the verified trace and its event count. The
+// mapping lasts exactly as long as use: use must not keep the bytes.
+// The store.read injection point fires before the file is opened.
+//
+// A verification failure wraps both ErrMiss and trace.ErrBadTrace, and
+// use does not run. The file is left as it is: Lookup keeps finding it
+// until a put renames a good entry over it. A fault reading the mapping
+// (the file was truncated under it) stops the verify or use and comes
+// back as an error.
+func ReadEntry(path string, use func(trace []byte, events uint64) error) error {
+	return readEntry(path, false, use)
+}
+
+// readEntry opens an entry file for Get (copyOut) and ReadEntry.
+func readEntry(path string, copyOut bool, use func([]byte, uint64) error) error {
+	if err := faults.Inject(faults.StoreRead); err != nil {
+		return err
+	}
 	f, err := os.Open(path)
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return Hit{}, nil, ErrMiss
-		}
-		return Hit{}, nil, fmt.Errorf("%w: %w", ErrMiss, err)
+		return err
 	}
 	defer func() { _ = f.Close() }()
 	fi, err := f.Stat()
 	if err != nil {
-		return Hit{}, nil, fmt.Errorf("%w: %w", ErrMiss, err)
-	}
-	h := Hit{Path: path, Size: fi.Size() - trailerLen}
-	var entry []byte
-	if h.Events, entry, err = verifyEntry(f, fi.Size(), copyOut); err != nil {
-		return Hit{}, nil, err
-	}
-	return h, entry, nil
-}
-
-// verifyEntry maps an entry file of the given size and verifies it (see
-// verify). With copyOut the entry is first copied out of the mapping,
-// and the copy — the bytes verified — is returned. A fault reading the
-// mapping (the file was truncated after its stat) is a miss like any
-// other damage. Every failure wraps ErrMiss.
-func verifyEntry(f *os.File, size int64, copyOut bool) (events uint64, entry []byte, err error) {
-	if size < trailerLen {
-		return 0, nil, fmt.Errorf("%w: entry shorter than its seal", ErrMiss)
-	}
-	err = readMapped(f, size, func(mapped []byte) (err error) {
-		if copyOut {
-			mapped = bytes.Clone(mapped)
-			entry = mapped
-		}
-		events, err = verify(mapped)
-		return err
-	})
-	if err != nil && !errors.Is(err, ErrMiss) {
-		err = fmt.Errorf("%w: %w", ErrMiss, err)
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	return events, entry, nil
-}
-
-// verify checks a whole entry — its seal trailer, the seal's CRC32C
-// over the trace in front of it, and every frame — and returns the
-// trace's event count. Every failure wraps ErrMiss.
-func verify(entry []byte) (uint64, error) {
-	size := len(entry) - trailerLen
-	seal := entry[size:]
-	switch {
-	case string(seal[:4]) != trailerMagic:
-		return 0, fmt.Errorf("%w: entry seal missing", ErrMiss)
-	case binary.LittleEndian.Uint64(seal[8:]) != uint64(size):
-		return 0, fmt.Errorf("%w: entry truncated", ErrMiss)
-	case crc32.Checksum(entry[:size], castagnoli) != binary.LittleEndian.Uint32(seal[4:]):
-		return 0, fmt.Errorf("%w: entry seal CRC mismatch", ErrMiss)
-	}
-	events, err := trace.VerifyBytes(entry[:size])
-	if err != nil {
-		return 0, fmt.Errorf("%w: entry corrupt: %w", ErrMiss, err)
-	}
-	return events, nil
-}
-
-// ReadEntry maps the first n bytes of an entry file — a Hit's trace,
-// named by its Path and Size — read-only and runs use over them. The
-// mapping lasts exactly as long as use: use must not keep the bytes.
-// The store.read injection point fires before the file is opened. A
-// fault reading the mapping (the file was truncated under it) stops use
-// and comes back as an error; nothing else is checked here, so a caller
-// that needs the bytes intact verifies them (trace.VerifyBytes) or
-// decodes them, which checks every frame.
-func ReadEntry(path string, n int64, use func(trace []byte) error) error {
-	if err := faults.Inject(faults.StoreRead); err != nil {
 		return err
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = f.Close() }()
-	return readMapped(f, n, use)
+	return readVerified(f, fi.Size(), copyOut, use)
 }
+
+// errCorrupt is the class of every verification failure: a miss to the
+// store's callers, and damage, not I/O, to the engine's.
+var errCorrupt = fmt.Errorf("%w: %w", ErrMiss, trace.ErrBadTrace)
 
 // errFault reports a memory fault reading a mapped entry: the file
 // shrank under its mapping.
 var errFault = errors.New("tracestore: entry file truncated under its mapping")
 
-// readMapped maps f's first n bytes read-only, runs use over them on
-// this goroutine, and unmaps them before it returns. Reading a page
-// past the end of a file that shrank after it was mapped raises
-// SIGBUS; for the duration of use that fault panics instead of killing
-// the process (debug.SetPanicOnFault), and readMapped turns a fault
-// inside the mapping into an error. Any other panic from use — a fault
-// elsewhere included — propagates unchanged.
-func readMapped(f *os.File, n int64, use func([]byte) error) (err error) {
+// readVerified maps the open entry file f, n bytes long, read-only,
+// verifies it and runs use over its trace on this goroutine, and unmaps
+// it before it returns (see ReadEntry). With copyOut the entry is first
+// copied out of the mapping, and the copy is what is verified and
+// handed to use. Reading a page past the end of a file that shrank
+// after it was mapped raises SIGBUS; for the duration of the read that
+// fault panics instead of killing the process (debug.SetPanicOnFault),
+// and a fault inside the mapping comes back as errFault. Any other
+// panic — a fault elsewhere included — propagates unchanged.
+func readVerified(f *os.File, n int64, copyOut bool, use func([]byte, uint64) error) (err error) {
+	if n < trailerLen {
+		return fmt.Errorf("%w: entry shorter than its seal", errCorrupt)
+	}
 	data, err := syscall.Mmap(int(f.Fd()), 0, int(n), syscall.PROT_READ, syscall.MAP_SHARED)
 	if err != nil {
 		return fmt.Errorf("tracestore: map %s: %w", f.Name(), err)
@@ -295,7 +244,36 @@ func readMapped(f *os.File, n int64, use func([]byte) error) (err error) {
 			err = fmt.Errorf("%w (offset %d)", errFault, fault.Addr()-base)
 		}
 	}()
-	return use(data)
+	entry := data
+	if copyOut {
+		entry = bytes.Clone(data)
+	}
+	events, err := verify(entry)
+	if err != nil {
+		return err
+	}
+	return use(entry[:n-trailerLen], events)
+}
+
+// verify checks a whole entry — its seal trailer, the seal's CRC32C
+// over the trace in front of it, and every frame — and returns the
+// trace's event count. Every failure wraps errCorrupt.
+func verify(entry []byte) (uint64, error) {
+	size := len(entry) - trailerLen
+	seal := entry[size:]
+	switch {
+	case string(seal[:4]) != trailerMagic:
+		return 0, fmt.Errorf("%w: entry seal missing", errCorrupt)
+	case binary.LittleEndian.Uint64(seal[8:]) != uint64(size):
+		return 0, fmt.Errorf("%w: entry truncated", errCorrupt)
+	case crc32.Checksum(entry[:size], castagnoli) != binary.LittleEndian.Uint32(seal[4:]):
+		return 0, fmt.Errorf("%w: entry seal CRC mismatch", errCorrupt)
+	}
+	events, err := trace.VerifyBytes(entry[:size])
+	if err != nil {
+		return 0, fmt.Errorf("%w: entry frames: %w", errCorrupt, err)
+	}
+	return events, nil
 }
 
 // Put installs a trace for a fingerprint from its in-memory bytes: one

@@ -2,8 +2,10 @@ package tracestore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -149,10 +151,11 @@ func TestStoreCorruptEntryIsMiss(t *testing.T) {
 }
 
 // TestLookupVerifiesMappedEntry reads a multi-frame entry through
-// Lookup, which hands back its path, size and event count without
-// reading it into memory, and through ReadEntry, which maps the trace
-// in front of the seal. Damage to the last frame or to the seal makes
-// the lookup a miss.
+// Lookup, which only finds its path, and ReadEntry, which maps the
+// entry, verifies it in the mapping and hands use the trace in front of
+// the seal with its event count. Damage to the last frame or to the
+// seal is caught by ReadEntry, which leaves the file in place: Lookup
+// still finds it until a put renames a good entry over it.
 func TestLookupVerifiesMappedEntry(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -164,20 +167,20 @@ func TestLookupVerifiesMappedEntry(t *testing.T) {
 	if err := s.Put("fp", data); err != nil {
 		t.Fatal(err)
 	}
-	h, err := s.Lookup("fp")
-	if err != nil || h.Size != int64(len(data)) || h.Events != events {
-		t.Fatalf("Lookup: %v, %+v", err, h)
+	path, err := s.Lookup("fp")
+	if err != nil || path != s.entryPath("fp") {
+		t.Fatalf("Lookup = %q, %v", path, err)
 	}
-	if err := ReadEntry(h.Path, h.Size, func(trace []byte) error {
-		if !bytes.Equal(trace, data) {
-			return errors.New("mapped trace differs from the put bytes")
+	if err := ReadEntry(path, func(trace []byte, n uint64) error {
+		if !bytes.Equal(trace, data) || n != events {
+			return fmt.Errorf("mapped trace differs from the put bytes (%d events)", n)
 		}
 		return nil
 	}); err != nil {
-		t.Fatalf("ReadEntry(%q): %v", h.Path, err)
+		t.Fatalf("ReadEntry(%q): %v", path, err)
 	}
 
-	orig, err := os.ReadFile(h.Path)
+	orig, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,20 +189,33 @@ func TestLookupVerifiesMappedEntry(t *testing.T) {
 	for _, off := range []int{len(orig) - trailerLen - 3, len(orig) - trailerLen + 4} {
 		raw := append([]byte(nil), orig...)
 		raw[off] ^= 0x04
-		if err := os.WriteFile(h.Path, raw, 0o644); err != nil {
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Lookup("fp"); !errors.Is(err, ErrMiss) {
-			t.Fatalf("entry damaged at %d: Lookup = %v, want ErrMiss", off, err)
+		if _, err := s.Lookup("fp"); err != nil {
+			t.Fatalf("entry damaged at %d: Lookup = %v before any read", off, err)
 		}
+		if err := ReadEntry(path, func([]byte, uint64) error { return nil }); !errors.Is(err, ErrMiss) {
+			t.Fatalf("entry damaged at %d: ReadEntry = %v, want ErrMiss", off, err)
+		}
+		if _, err := s.Lookup("fp"); err != nil {
+			t.Fatalf("entry damaged at %d: Lookup after the read = %v, want the file", off, err)
+		}
+	}
+	if err := s.Put("fp", data); err != nil {
+		t.Fatal(err)
+	}
+	if err := ReadEntry(path, func([]byte, uint64) error { return nil }); err != nil {
+		t.Fatalf("entry healed by a put: ReadEntry = %v", err)
 	}
 }
 
-// TestLookupEntryTruncatedAfterStat truncates an entry between Lookup's
-// stat and its verify, where its size is already fixed: the verify's
-// read past the new end faults, and the fault reads as a miss instead of
-// killing the process. Truncations that leave the seal's page in place
-// and ones that take it are both covered.
+// TestLookupEntryTruncatedAfterStat truncates an entry between a read's
+// stat and its verify, where the mapping's size is already fixed: the
+// verify's read past the new end faults, the fault comes back as an
+// error instead of killing the process, and use never runs.
+// Truncations that leave the seal's page in place and ones that take it
+// are both covered.
 func TestLookupEntryTruncatedAfterStat(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -222,10 +238,62 @@ func TestLookupEntryTruncatedAfterStat(t *testing.T) {
 		if err := os.Truncate(f.Name(), keep); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err = verifyEntry(f, fi.Size(), false)
+		used := false
+		err = readVerified(f, fi.Size(), false, func([]byte, uint64) error { used = true; return nil })
 		_ = f.Close()
-		if !errors.Is(err, ErrMiss) || !errors.Is(err, errFault) {
-			t.Fatalf("entry truncated to %d after its stat: verify = %v, want a fault wrapping ErrMiss", keep, err)
+		if !errors.Is(err, errFault) || used {
+			t.Fatalf("entry truncated to %d after its stat: read = %v (use ran: %v), want a fault", keep, err, used)
+		}
+	}
+}
+
+// TestReadEntryRejectsCorruptEntry damages an entry three ways — a
+// flipped frame byte under a seal recomputed to match, which only the
+// frame checks see, a flipped seal byte, and a cut at a frame boundary,
+// which the frames alone cannot see. Each time ReadEntry and Get report
+// the damage as a miss and as a corrupt trace and never run use, and
+// neither read changes the store: the damaged file is still there, byte
+// for byte, for a put to rename over.
+func TestReadEntryRejectsCorruptEntry(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := testTrace(t, 100000) // several frames
+	firstFrame := 6 + 16 + int(binary.LittleEndian.Uint32(data[6+4:]))
+	path := s.entryPath("fp")
+	damage := map[string]func(raw []byte) []byte{
+		"frame byte": func(raw []byte) []byte {
+			raw[firstFrame-1] ^= 0x01
+			body := raw[:len(raw)-trailerLen]
+			binary.LittleEndian.PutUint32(raw[len(body)+4:], crc32.Checksum(body, castagnoli))
+			return raw
+		},
+		"seal byte":      func(raw []byte) []byte { raw[len(raw)-1] ^= 0x01; return raw },
+		"frame boundary": func(raw []byte) []byte { return raw[:firstFrame] },
+	}
+	for name, spoil := range damage {
+		if err := s.Put("fp", data); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := spoil(raw)
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		used := false
+		err = ReadEntry(path, func([]byte, uint64) error { used = true; return nil })
+		if !errors.Is(err, ErrMiss) || !errors.Is(err, trace.ErrBadTrace) || used {
+			t.Fatalf("%s: ReadEntry = %v (use ran: %v), want ErrMiss and ErrBadTrace", name, err, used)
+		}
+		if _, _, err := s.Get("fp"); !errors.Is(err, ErrMiss) || !errors.Is(err, trace.ErrBadTrace) {
+			t.Fatalf("%s: Get = %v, want ErrMiss and ErrBadTrace", name, err)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, bad) {
+			t.Fatalf("%s: the reads changed the damaged file (%v)", name, err)
 		}
 	}
 }
@@ -233,7 +301,7 @@ func TestLookupEntryTruncatedAfterStat(t *testing.T) {
 // TestReadEntryFaultsAreErrors truncates an entry while a ReadEntry use
 // is reading it: the next read past the new end comes back as an error,
 // a panic of use's own propagates unchanged, and the store.read
-// injection point fires on every open, Lookup's and ReadEntry's alike.
+// injection point fires on Lookup's stat and on every ReadEntry open.
 func TestReadEntryFaultsAreErrors(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -244,13 +312,13 @@ func TestReadEntryFaultsAreErrors(t *testing.T) {
 	if err := s.Put("fp", data); err != nil {
 		t.Fatal(err)
 	}
-	h, err := s.Lookup("fp")
+	path, err := s.Lookup("fp")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sum byte
-	err = ReadEntry(h.Path, h.Size, func(trace []byte) error {
-		if err := os.Truncate(h.Path, 0); err != nil {
+	err = ReadEntry(path, func(trace []byte, _ uint64) error {
+		if err := os.Truncate(path, 0); err != nil {
 			return err
 		}
 		for _, b := range trace {
@@ -262,13 +330,16 @@ func TestReadEntryFaultsAreErrors(t *testing.T) {
 		t.Fatalf("read past a truncation: %v, want errFault", err)
 	}
 
+	if err := s.Put("fp", data); err != nil {
+		t.Fatal(err)
+	}
 	func() {
 		defer func() {
 			if r := recover(); r != "boom" {
 				t.Fatalf("use's panic came back as %v", r)
 			}
 		}()
-		_ = ReadEntry(h.Path, 1, func([]byte) error { panic("boom") })
+		_ = ReadEntry(path, func([]byte, uint64) error { panic("boom") })
 		t.Fatal("use's panic was swallowed")
 	}()
 
@@ -282,7 +353,7 @@ func TestReadEntryFaultsAreErrors(t *testing.T) {
 		t.Fatalf("Lookup under a store.read fault: %v", err)
 	}
 	used := false
-	if err := ReadEntry(h.Path, h.Size, func([]byte) error { used = true; return nil }); !errors.Is(err, faults.ErrInjected) || used {
+	if err := ReadEntry(path, func([]byte, uint64) error { used = true; return nil }); !errors.Is(err, faults.ErrInjected) || used {
 		t.Fatalf("ReadEntry under a store.read fault: %v (use ran: %v)", err, used)
 	}
 	if plan.Fired() != 2 {
