@@ -1,7 +1,7 @@
 package memotable_test
 
-// Replay-delivery throughput: a fused 8-sink geometry sweep over one
-// warmed workload, in delivered events/s. CI's bench smoke runs it.
+// Delivery throughput: a fused 8-sink geometry sweep over one synthetic
+// workload, in delivered events/s. CI's bench smoke runs it.
 
 import (
 	"math"
@@ -58,15 +58,11 @@ func benchReplaySinkSet(n int) []trace.Sink {
 	return sinks
 }
 
-// BenchmarkReplayDelivery times fused replays of the warmed workload
-// into the geometry sweep, delivered serially from the decoded blocks.
+// BenchmarkReplayDelivery times fused runs of the workload into the
+// geometry sweep, delivered serially in 8192-event batches.
 func BenchmarkReplayDelivery(b *testing.B) {
 	eng := memotable.NewEngine(benchReplaySinks)
 	defer func() { _ = eng.Close() }()
-	if err := eng.Warm(benchReplayKey, benchReplayCapture); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinks := benchReplaySinkSet(benchReplaySinks)
 		if _, err := eng.ReplayAll(benchReplayKey, benchReplayCapture, sinks); err != nil {

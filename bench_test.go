@@ -278,25 +278,11 @@ var sinkFloat float64
 
 // --- engine benchmarks -----------------------------------------------------
 //
-// The serial per-table benchmarks above re-execute every workload from
-// scratch each run (RunExperiment uses the serial reference engine). The
-// benchmarks below drive the same experiments through the parallel
-// trace-cached engine, in two regimes:
-//
-//   - *Parallel: a fresh engine per iteration. First touch of each
-//     workload captures its operand trace; every further (workload ×
-//     config) cell replays the cached bytes on the worker pool. This is
-//     what `cmd/memosim -parallel N` does per invocation.
-//   - *EngineCached: one engine shared across iterations, so after the
-//     first iteration every cell is a pure replay — the steady state a
-//     long-lived sweep session reaches.
-//
-// On a multi-core box (GOMAXPROCS >= 4) the Parallel variants beat the
-// serial benchmarks well past 1.5x on figure3/table13, because the
-// config-sweep cells replay concurrently instead of back to back. On a
-// single hardware thread the win comes from trace caching alone: replay
-// decodes varints instead of re-running the imaging kernels and bit-exact
-// arithmetic units.
+// The serial per-table benchmarks above run every experiment on the
+// serial reference engine (RunExperiment). The *Parallel benchmarks
+// below drive the same experiments through a fresh parallel engine per
+// iteration, which runs independent workloads concurrently on the worker
+// pool — what `cmd/memosim -parallel N` does per invocation.
 
 // benchEngineExperiment runs one experiment per iteration through eng
 // (nil means a fresh parallel engine each iteration).
@@ -315,45 +301,22 @@ func benchEngineExperiment(b *testing.B, eng *memotable.Engine, name string, sca
 	}
 }
 
-// BenchmarkFigure3Parallel runs the table-size sweep on a cold parallel
-// engine each iteration (capture once, replay 11 configs concurrently).
+// BenchmarkFigure3Parallel runs the table-size sweep on a fresh parallel
+// engine each iteration (each workload runs once into all 11 configs).
 func BenchmarkFigure3Parallel(b *testing.B) {
 	benchEngineExperiment(b, nil, "figure3", memotable.Tiny)
 }
 
-// BenchmarkFigure3EngineCached runs the sweep against a warm shared
-// trace cache: every cell is a pure replay.
-func BenchmarkFigure3EngineCached(b *testing.B) {
-	eng := memotable.NewEngine(0)
-	if _, err := memotable.RunExperimentWith(eng, "figure3", memotable.Tiny); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	benchEngineExperiment(b, eng, "figure3", memotable.Tiny)
-}
-
 // BenchmarkTable13Parallel runs the combined fmul+fdiv speedup study on a
-// cold parallel engine each iteration.
+// fresh parallel engine each iteration.
 func BenchmarkTable13Parallel(b *testing.B) {
 	benchEngineExperiment(b, nil, "table13", memotable.Tiny)
 }
 
-// BenchmarkTable13EngineCached runs the speedup study against a warm
-// shared trace cache.
-func BenchmarkTable13EngineCached(b *testing.B) {
-	eng := memotable.NewEngine(0)
-	if _, err := memotable.RunExperimentWith(eng, "table13", memotable.Tiny); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	benchEngineExperiment(b, eng, "table13", memotable.Tiny)
-}
-
-// BenchmarkSpeedupSuiteSharedEngine runs tables 11-13 on one engine per
-// iteration. The three studies share the same nine applications, so the
-// engine captures each workload once and tables 12 and 13 run entirely
-// from the trace cache — the cross-experiment reuse cmd/memosim gets when
-// several -run targets share an invocation.
+// BenchmarkSpeedupSuiteSharedEngine runs tables 11-13 on one parallel
+// engine per iteration, one experiment at a time; memotable.Run would
+// run the nine applications the three studies share once for all of
+// them.
 func BenchmarkSpeedupSuiteSharedEngine(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := memotable.NewEngine(0)
@@ -368,7 +331,7 @@ func BenchmarkSpeedupSuiteSharedEngine(b *testing.B) {
 }
 
 // BenchmarkSpeedupSuiteSerial is the baseline for the shared-engine
-// benchmark: the same three studies, each re-executing its workloads.
+// benchmark: the same three studies on the serial reference engine.
 func BenchmarkSpeedupSuiteSerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, name := range []string{"table11", "table12", "table13"} {
@@ -381,8 +344,8 @@ func BenchmarkSpeedupSuiteSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineReplay measures the raw replay path: decoding one cached
-// trace and feeding a sink, the unit of work the pool parallelizes.
+// BenchmarkEngineReplay measures the raw run path: one small workload
+// run into one sink, the unit of work the pool parallelizes.
 func BenchmarkEngineReplay(b *testing.B) {
 	eng := memotable.NewEngine(1)
 	capture := func(p *probe.Probe) {
@@ -397,8 +360,6 @@ func BenchmarkEngineReplay(b *testing.B) {
 			b.Fatalf("replay: n=%d err=%v", n, err)
 		}
 	}
-	run() // capture once
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()
 	}
@@ -424,19 +385,18 @@ func benchMatrix(b *testing.B, workers int, configure func(b *testing.B, eng *me
 	}
 }
 
-// BenchmarkEvaluationMatrixCached is the baseline: every capture fits
-// the default memory budget, the decoded-block tier is on, and the
-// drivers replay each workload in fused multi-config passes — but each
-// experiment still runs as its own invocation, so a workload shared by
-// several experiments is replayed once per experiment.
+// BenchmarkEvaluationMatrixCached is the baseline: the drivers run each
+// workload in fused multi-config passes, but each experiment runs as its
+// own invocation, so a workload shared by several experiments runs once
+// per experiment. The name predates the removal of the trace cache.
 func BenchmarkEvaluationMatrixCached(b *testing.B) {
 	benchMatrix(b, 8, func(*testing.B, *memotable.Engine) {})
 }
 
 // benchFusedMatrix runs the whole registry through one planned
-// memotable.Run pass per iteration: the cross-experiment planner
-// captures each demanded workload once and replays it once, feeding
-// every subscribed experiment's sinks together.
+// memotable.Run pass per iteration: the cross-experiment planner runs
+// each demanded workload once, feeding every subscribed experiment's
+// sinks together.
 func benchFusedMatrix(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -460,129 +420,11 @@ func BenchmarkEvaluationMatrixFused(b *testing.B) { benchFusedMatrix(b, 8) }
 // threaded; compare against BenchmarkEvaluationMatrix1Worker.
 func BenchmarkEvaluationMatrixFused1Worker(b *testing.B) { benchFusedMatrix(b, 1) }
 
-// BenchmarkEvaluationMatrix1Worker is the single-threaded matrix with the
-// block tier on, isolating the decode-once win from pool parallelism.
+// BenchmarkEvaluationMatrix1Worker is the single-threaded per-experiment
+// matrix; compare against BenchmarkEvaluationMatrixCached for the pool's
+// parallelism.
 func BenchmarkEvaluationMatrix1Worker(b *testing.B) {
 	benchMatrix(b, 1, func(*testing.B, *memotable.Engine) {})
-}
-
-// BenchmarkEvaluationMatrixSpillTier models a full-scale run whose
-// captures overflow memory: a 1-byte budget forces every trace into a
-// scratch store entry, and all replays stream from disk.
-func BenchmarkEvaluationMatrixSpillTier(b *testing.B) {
-	benchMatrix(b, 8, func(b *testing.B, eng *memotable.Engine) {
-		eng.SetCacheLimit(1)
-		eng.SetTraceDir(b.TempDir())
-	})
-}
-
-// --- replay-mode benchmarks ------------------------------------------------
-//
-// BenchmarkReplayModes isolates the tentpole's three regimes on one real
-// MM workload trace (vdiff over the ablation input) swept across the 11
-// Figure 3 configurations:
-//
-//   - bytes-per-cell: a budget that holds the encoded trace but not its
-//     decoded blocks, one Replay per configuration — the pre-block-cache
-//     engine's cost: 11 full varint decodes per sweep.
-//   - blocks-per-cell: block tier on, one Replay per configuration — one
-//     decode, 11 block walks.
-//   - fused: one ReplayAll feeding all 11 configurations in a single pass
-//     over the decoded blocks.
-func BenchmarkReplayModes(b *testing.B) {
-	cfgs := make([]memo.Config, len(experiments.Figure3Sizes))
-	for i, n := range experiments.Figure3Sizes {
-		ways := 4
-		if n < 4 {
-			ways = n
-		}
-		cfgs[i] = memo.Config{Entries: n, Ways: ways}
-	}
-	run := func(b *testing.B, blocks, fused bool) {
-		capture, events := spillBenchCapture(b)
-		eng := memotable.NewEngine(1)
-		defer eng.Close()
-		if err := eng.Warm("bench", capture); err != nil {
-			b.Fatal(err)
-		}
-		if !blocks {
-			// Room for the encoded bytes already held, none for blocks.
-			eng.SetCacheLimit(eng.Stats().CachedBytes)
-		}
-		var c trace.Counter
-		if _, err := eng.Replay("bench", capture, &c); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sinks := make([]trace.Sink, len(cfgs))
-			for j, cfg := range cfgs {
-				sinks[j] = experiments.NewTableSet(cfg, memo.NonTrivialOnly)
-			}
-			if fused {
-				if _, err := eng.ReplayAll("bench", capture, sinks); err != nil {
-					b.Fatal(err)
-				}
-			} else {
-				for _, s := range sinks {
-					if _, err := eng.Replay("bench", capture, s); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}
-		b.ReportMetric(float64(events)*float64(len(cfgs))*float64(b.N)/b.Elapsed().Seconds(),
-			"events/s")
-	}
-	b.Run("bytes-per-cell", func(b *testing.B) { run(b, false, false) })
-	b.Run("blocks-per-cell", func(b *testing.B) { run(b, true, false) })
-	b.Run("fused", func(b *testing.B) { run(b, true, true) })
-}
-
-// spillBenchCapture is a real MM workload (vdiff over the ablation
-// input), so a capture pays what it pays in practice: the imaging
-// kernel executes, not just a stream re-emission.
-func spillBenchCapture(b *testing.B) (memotable.CaptureFunc, uint64) {
-	b.Helper()
-	app, err := workloads.Lookup("vdiff")
-	if err != nil {
-		b.Fatal(err)
-	}
-	img := ablationInput()
-	var c trace.Counter
-	capture := func(s trace.Sink) {
-		as := imaging.NewAddressSpace()
-		app.Run(probe.New(s), as, as.Clone(img))
-	}
-	capture(&c)
-	return capture, c.Total()
-}
-
-// BenchmarkEngineSpillReplay measures the disk tier on a real workload:
-// the capture exceeds the memory budget and every request streams from
-// its CRC-framed store entry (verify pass + frame decode).
-func BenchmarkEngineSpillReplay(b *testing.B) {
-	capture, events := spillBenchCapture(b)
-	eng := memotable.NewEngine(1)
-	eng.SetCacheLimit(1) // force every capture past the memory tier
-	eng.SetTraceDir(b.TempDir())
-	defer eng.Close()
-	run := func() {
-		var c trace.Counter
-		n, err := eng.Replay("bench", capture, &c)
-		if err != nil || n != events {
-			b.Fatalf("replay: n=%d want=%d err=%v", n, events, err)
-		}
-	}
-	run() // capture and spill once
-	if eng.Stats().SpilledTraces != 1 {
-		b.Fatal("capture did not spill")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
-	}
-	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
 // BenchmarkExtensionSqrt regenerates the square-root memoization study

@@ -115,7 +115,7 @@ func TestTracecapCLI(t *testing.T) {
 		{"unknown input", []string{"-out", out, "-app", "vspatial", "-input", "nope"}, 2, "unknown input"},
 		{"zero maxdim", []string{"-out", rejected, "-app", "vspatial", "-maxdim", "0"}, 2, "-maxdim must be positive"},
 		// A flag of the other mode is refused even at its default value.
-		{"ingest flag in capture mode", []string{"-out", rejected, "-kernel", "TRFD", "-seal", "live"}, 2, "no ingest flag -seal"},
+		{"ingest flag in capture mode", []string{"-out", rejected, "-kernel", "TRFD", "-snapshot", "0"}, 2, "no ingest flag -snapshot"},
 		{"capture flag in ingest mode", []string{"-stdin", "-maxdim", "128"}, 2, "no capture flag -maxdim"},
 		{"unwritable out", []string{"-out", filepath.Join(dir, "no-such-dir", "t.mtrc"), "-kernel", "TRFD"}, 1, "no-such-dir"},
 		{"ok", []string{"-out", out, "-kernel", "TRFD"}, 0, ""},
@@ -290,36 +290,6 @@ func TestMemosimCLI(t *testing.T) {
 		}
 		if !strings.Contains(stdout, `"errors"`) || !strings.Contains(stdout, `"stage": "sink"`) {
 			t.Fatalf("stdout = %q, want errors array in JSON", stdout)
-		}
-	})
-
-	// A persistent store across two invocations: the cold run captures
-	// and publishes everything; the warm run executes no workload at all
-	// and its tables are byte-identical to the cold run's.
-	t.Run("warm store", func(t *testing.T) {
-		storeArgs := append(base, "-store", t.TempDir())
-
-		cold, stderr, code := runCLI(t, nil, bin, storeArgs...)
-		if code != 0 {
-			t.Fatalf("cold run exit code = %d, want 0 (stderr: %s)", code, stderr)
-		}
-		if !strings.Contains(cold, "trace store:") || strings.Contains(cold, "engine: 0 captures") {
-			t.Fatalf("cold stdout = %q, want store summary and nonzero captures", cold)
-		}
-
-		warm, stderr, code := runCLI(t, nil, bin, storeArgs...)
-		if code != 0 {
-			t.Fatalf("warm run exit code = %d, want 0 (stderr: %s)", code, stderr)
-		}
-		if !strings.Contains(warm, "engine: 0 captures") {
-			t.Fatalf("warm stdout = %q, want zero captures", warm)
-		}
-		// Everything above the suite summary — the rendered tables — must
-		// not move by a byte between cold and warm.
-		tables := func(out string) string { return strings.SplitN(out, "suite:", 2)[0] }
-		if tables(cold) != tables(warm) {
-			t.Fatalf("warm tables differ from cold\n--- cold ---\n%s\n--- warm ---\n%s",
-				tables(cold), tables(warm))
 		}
 	})
 

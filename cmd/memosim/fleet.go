@@ -25,7 +25,6 @@ type fleetOpts struct {
 	retries      int
 	retryBase    time.Duration
 	parallel     int
-	store        string
 	faults       string
 }
 
@@ -129,16 +128,11 @@ func runFleet(o fleetOpts) int {
 	return exit
 }
 
-// workerArgs forwards the run-shaping flags to a shard's worker. The
-// content-addressed -store is shared by every worker; each worker's
-// overflow scratch store is its own.
+// workerArgs forwards the run-shaping flags to a shard's worker.
 func workerArgs(o fleetOpts) []string {
 	var args []string
 	if o.parallel != 0 {
 		args = append(args, "-parallel", strconv.Itoa(o.parallel))
-	}
-	if o.store != "" {
-		args = append(args, "-store", o.store)
 	}
 	if o.faults != "" {
 		args = append(args, "-faults", o.faults)

@@ -6,15 +6,15 @@
 //
 //	memosim -list
 //	memosim [-scale tiny|quick|full] [-run all|table5,table6,...|figure4]
-//	        [-json] [-parallel N] [-store DIR]
+//	        [-json] [-parallel N]
 //	        [-timeout D] [-keep-going] [-faults SPEC]
 //	        [-shards N] [-shard-timeout D] [-shard-retries R]
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //	memosim -ingest trace.mtrc
 //
 // A -run selection is executed as one planned pass: every workload the
-// selected experiments demand is captured once and replayed once,
-// feeding all their measurement sinks together.
+// selected experiments demand runs once, feeding all their measurement
+// sinks together.
 //
 // -shards N runs the same selection as a supervised fleet: the
 // selection is dealt round-robin into N shards, each executed by a
@@ -67,20 +67,16 @@ func run() int {
 	jsonFlag := flag.Bool("json", false, "emit results as a JSON array instead of text tables")
 	parallelFlag := flag.Int("parallel", 0,
 		"experiment engine workers: 1 is serial, 0 selects GOMAXPROCS")
-	storeFlag := flag.String("store", "",
-		"persistent trace-store directory shared across runs and processes: workloads already stored there replay without executing, fresh captures are published back (empty disables)")
 	timeoutFlag := flag.Duration("timeout", 0,
 		"wall-clock budget for the whole run; on expiry the pass cancels cooperatively and remaining cells report as canceled (0 = no limit)")
 	keepGoingFlag := flag.Bool("keep-going", false,
 		"print partial results and exit 2 when workload cells fail, instead of aborting with exit 1")
 	faultsFlag := flag.String("faults", "",
-		"fault-injection spec (testing), e.g. 'seed=1;store.write:p=0.01'; overrides $FAULTS")
+		"fault-injection spec (testing), e.g. 'seed=1;engine.capture.run:p=0.01'; overrides $FAULTS")
 	ingestFlag := flag.String("ingest", "",
 		"replay a v2 trace file through the live-ingest instruments and print the final snapshot (offline comparator for tracecap -listen)")
 	serveFlag := flag.String("serve", "",
-		"serve the experiment engine over HTTP on this address (e.g. 127.0.0.1:8080): GET /v1/run responses are byte-identical to -run -json output for the same selection; tenants share one warm trace cache")
-	tenantBudgetFlag := flag.Int64("tenant-budget", 0,
-		"with -serve: per-tenant trace-cache byte budget, nested under the engine's global limit (0 gives every tenant the global limit)")
+		"serve the experiment engine over HTTP on this address (e.g. 127.0.0.1:8080): GET /v1/run responses are byte-identical to -run -json output for the same selection")
 	shardsFlag := flag.Int("shards", 0,
 		"run the selection as a supervised fleet of this many worker processes; merged output is byte-identical to a single-process run plus a trailing provenance line (0 = single process)")
 	workerFlag := flag.Bool("worker", false,
@@ -95,7 +91,7 @@ func run() int {
 	memProfileFlag := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	// Profiling brackets the whole run, so replay hot paths can be
+	// Profiling brackets the whole run, so hot paths can be
 	// inspected without a rebuild: memosim -cpuprofile cpu.pprof, then
 	// go tool pprof -top cpu.pprof.
 	if *cpuProfileFlag != "" {
@@ -183,26 +179,14 @@ func run() int {
 			retries:      *shardRetriesFlag,
 			retryBase:    50 * time.Millisecond,
 			parallel:     *parallelFlag,
-			store:        *storeFlag,
 			faults:       spec,
 		})
 	}
 
-	// One engine for the whole invocation: its trace cache makes workloads
-	// shared between experiments run once per process, and its worker pool
-	// fans each experiment's cells across -parallel goroutines. Output is
-	// bit-identical at any worker count. Over-budget captures overflow
-	// into -store, or into a scratch store under $TMPDIR that Close
-	// removes, rather than being re-executed on every replay.
+	// One engine for the whole invocation: its worker pool runs the
+	// selection's workloads across -parallel goroutines. Output is
+	// bit-identical at any worker count.
 	eng := memotable.NewEngine(*parallelFlag)
-	if *storeFlag != "" {
-		st, err := memotable.OpenTraceStore(*storeFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "memosim:", err)
-			return 2
-		}
-		eng.SetStore(st)
-	}
 	defer func() { _ = eng.Close() }()
 
 	// Fleet worker mode: run this process's shard slice and emit a
@@ -215,10 +199,7 @@ func run() int {
 	// The run-shaping flags (-scale, -run) don't apply — each request
 	// carries its own selection — but -timeout becomes the per-run cap.
 	if *serveFlag != "" {
-		return runServe(*serveFlag, eng, memotable.ServiceConfig{
-			TenantBudget: *tenantBudgetFlag,
-			RunTimeout:   *timeoutFlag,
-		})
+		return runServe(*serveFlag, eng, memotable.ServiceConfig{RunTimeout: *timeoutFlag})
 	}
 
 	ctx := context.Background()
@@ -269,31 +250,22 @@ func run() int {
 		fmt.Printf("(%s)\n\n", r.Name)
 	}
 
-	// Engine summary: how much the trace cache and the decoded-block tier
-	// saved across the whole invocation.
+	// Engine summary: what the invocation ran and delivered.
 	st := eng.Stats()
 	fmt.Printf("suite: %d experiments in %v, %d workers\n",
 		len(results), elapsed.Round(time.Millisecond), st.Workers)
-	engineSummary(os.Stdout, eng, st, elapsed)
+	engineSummary(os.Stdout, st, elapsed)
 	return exit
 }
 
-// engineSummary prints the engine's cache/replay footer from one stats
+// engineSummary prints the engine's run/delivery footer from one stats
 // snapshot. The -run path and the -serve shutdown path share it, so the
-// line formats — which the goldens and CI greps pin — stay in lockstep.
-func engineSummary(w io.Writer, eng *memotable.Engine, st memotable.EngineStats, elapsed time.Duration) {
-	fmt.Fprintf(w, "engine: %d captures, %d replays (%d recaptures, %d traces spilled to disk)\n",
-		st.Captures, st.Replays, st.Recaptures, st.SpilledTraces)
-	if s := eng.Store(); s != nil {
-		n, _ := s.Len()
-		fmt.Fprintf(w, "engine: trace store: %d hits, %d puts (%d entries in %s)\n",
-			st.StoreHits, st.StorePuts, n, s.Dir())
-	}
+// line formats — which tests grep — stay in lockstep.
+func engineSummary(w io.Writer, st memotable.EngineStats, elapsed time.Duration) {
+	fmt.Fprintf(w, "engine: %d captures, %d replays\n", st.Captures, st.Replays)
 	fmt.Fprintf(w, "engine: replayed %d events in %v (%.1fM events/sec)\n",
 		st.ReplayedEvents, elapsed.Round(time.Millisecond),
 		float64(st.ReplayedEvents)/elapsed.Seconds()/1e6)
-	fmt.Fprintf(w, "engine: decoded-block cache: %d entries, %.1f MiB, %d decode-once hits\n",
-		st.DecodedEntries, float64(st.DecodedBlockBytes)/(1<<20), st.DecodeOnceHits)
 	fmt.Fprintf(w, "engine: delivery: %d per-sink events delivered (%.1fM events/sec), %d mask skips\n",
 		st.DeliveredEvents, float64(st.DeliveredEvents)/elapsed.Seconds()/1e6,
 		st.MaskSkips)
@@ -312,7 +284,7 @@ func runOfflineIngest(path string) int {
 	bank := memotable.NewLiveBank(1)
 	eng := memotable.NewEngine(1)
 	defer func() { _ = eng.Close() }()
-	sess := eng.NewIngest("offline", memotable.IngestOptions{Sinks: bank.Sinks()})
+	sess := eng.NewIngest(memotable.IngestOptions{Sinks: bank.Sinks()})
 	var serr error
 	if serr = sess.Feed(data); serr == nil {
 		var res memotable.IngestResult

@@ -18,7 +18,7 @@ import (
 // HTTP front-end from internal/service, graceful drain on SIGINT or
 // SIGTERM. The listen address is announced on stderr (with the resolved
 // port, so ":0" is usable in tests), and a final summary — service
-// counters plus the shared engine's cache footer — prints on shutdown.
+// counters plus the shared engine's run footer — prints on shutdown.
 func runServe(addr string, eng *memotable.Engine, cfg memotable.ServiceConfig) int {
 	svc := memotable.NewService(eng, cfg)
 	ln, err := net.Listen("tcp", addr)
@@ -62,6 +62,6 @@ func runServe(addr string, eng *memotable.Engine, cfg memotable.ServiceConfig) i
 	fmt.Fprintf(os.Stderr, "service: %d requests from %d tenants in %v (%d runs, %d coalesced, %d rejected)\n",
 		ss.Requests, ss.Tenants, elapsed.Round(time.Millisecond),
 		ss.RunsStarted, ss.RunsCoalesced, ss.Rejected)
-	engineSummary(os.Stderr, eng, eng.Stats(), elapsed)
+	engineSummary(os.Stderr, eng.Stats(), elapsed)
 	return exit
 }

@@ -7,8 +7,8 @@
 //
 //	tracecap -out trace.mtrc -app vspatial -input mandrill [-maxdim 128]
 //	tracecap -out trace.mtrc -kernel hydro2d [-compress]
-//	tracecap -listen unix:/tmp/cap.sock [-snapshot N] [-store DIR] [-seal KEY]
-//	tracecap -stdin [-snapshot N] [-store DIR] [-seal KEY]
+//	tracecap -listen unix:/tmp/cap.sock [-snapshot N]
+//	tracecap -stdin [-snapshot N]
 //
 // Capture mode writes a trace file in format v2, which frames the stream
 // with CRC32C checksums so corruption is detected on replay; -compress
@@ -20,15 +20,13 @@
 // standard input — and feeds each complete frame through live
 // MEMO-TABLE banks and a cycle tally as it arrives. -snapshot N prints a
 // rolling hit-ratio/speedup snapshot every N events; the final snapshot
-// always prints on stdout. With -store DIR, a stream that ends at a
-// clean frame boundary is sealed into the persistent trace store under
-// the -seal fingerprint, so the live session becomes a warm cache entry
-// for later memosim/tracereplay runs. -listen addresses take the forms
-// "unix:/path", "tcp:host:port", or a bare filesystem path (unix).
+// prints on stdout once the stream has ended at a clean frame boundary.
+// -listen addresses take the forms "unix:/path", "tcp:host:port", or a
+// bare filesystem path (unix).
 //
 // Each mode rejects the other's flags (-compress, -maxdim and -input are
-// capture flags; -snapshot, -store and -seal are ingest flags) rather
-// than ignoring them; -faults is valid in both.
+// capture flags; -snapshot is an ingest flag) rather than ignoring them;
+// -faults is valid in both.
 //
 // Exit codes: 0 on success, 1 on I/O failure (including a failed
 // listen/accept), 2 on usage errors, 3 when the ingested stream is
@@ -63,8 +61,6 @@ func run() int {
 	listen := flag.String("listen", "", "ingest a live v2 stream from one connection on this address (unix:/path, tcp:host:port, or a bare unix socket path)")
 	stdinMode := flag.Bool("stdin", false, "ingest a live v2 stream from standard input")
 	snapshot := flag.Uint64("snapshot", 0, "ingest mode: print a rolling snapshot every N events (0 = final only)")
-	storeDir := flag.String("store", "", "ingest mode: seal the settled stream into this persistent trace store")
-	sealKey := flag.String("seal", "live", "ingest mode: workload fingerprint the sealed stream is stored under")
 	faultsFlag := flag.String("faults", "", "fault-injection spec (testing), e.g. 'seed=1;ingest.frame:p=0.01'; overrides $FAULTS")
 	flag.Parse()
 	set := map[string]bool{}
@@ -93,14 +89,10 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "tracecap: ingest mode takes no capture flag -%s\n", name)
 			return 2
 		}
-		if *sealKey == "" {
-			fmt.Fprintln(os.Stderr, "tracecap: -seal fingerprint must not be empty")
-			return 2
-		}
-		return runIngest(*listen, *snapshot, *storeDir, *sealKey)
+		return runIngest(*listen, *snapshot)
 	}
 
-	if name := firstSet(set, "snapshot", "store", "seal"); name != "" {
+	if name := firstSet(set, "snapshot"); name != "" {
 		fmt.Fprintf(os.Stderr, "tracecap: capture mode takes no ingest flag -%s (ingest needs -listen or -stdin)\n", name)
 		return 2
 	}
@@ -157,8 +149,9 @@ func run() int {
 
 // runIngest drives one live ingest session from a socket or stdin:
 // frames replay into a LiveBank as they arrive, rolling snapshots print
-// per -snapshot, and a cleanly ended stream seals into the trace store.
-func runIngest(addr string, snapshotEvery uint64, storeDir, sealKey string) int {
+// per -snapshot, and a cleanly ended stream seals and prints the final
+// snapshot.
+func runIngest(addr string, snapshotEvery uint64) int {
 	src, cleanup, err := ingestSource(addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tracecap:", err)
@@ -166,23 +159,13 @@ func runIngest(addr string, snapshotEvery uint64, storeDir, sealKey string) int 
 	}
 	defer cleanup()
 
-	// An over-budget stream without -store settles in the engine's
-	// scratch store, which only Close removes.
 	eng := memotable.NewEngine(1)
 	defer func() { _ = eng.Close() }()
-	if storeDir != "" {
-		st, err := memotable.OpenTraceStore(storeDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracecap:", err)
-			return 1
-		}
-		eng.SetStore(st)
-	}
 
 	// Fixed sketch seed: live and offline (memosim -ingest) snapshots of
 	// the same stream must render byte-identically.
 	bank := memotable.NewLiveBank(1)
-	sess := eng.NewIngest(sealKey, memotable.IngestOptions{
+	sess := eng.NewIngest(memotable.IngestOptions{
 		Sinks:         bank.Sinks(),
 		SnapshotEvery: snapshotEvery,
 		OnSnapshot: func(st memotable.IngestStats) {
@@ -214,13 +197,6 @@ func runIngest(addr string, snapshotEvery uint64, storeDir, sealKey string) int 
 	fmt.Println(memotable.RenderText(bank.Snapshot(res.Stats)))
 	fmt.Fprintf(os.Stderr, "tracecap: ingested %d events in %d frames (%d bytes)\n",
 		res.Stats.Events, res.Stats.Frames, res.Stats.Bytes)
-	if storeDir != "" {
-		if res.Published {
-			fmt.Fprintf(os.Stderr, "tracecap: sealed stream stored under %q in %s\n", sealKey, storeDir)
-		} else {
-			fmt.Fprintln(os.Stderr, "tracecap: stream not stored (store failure)")
-		}
-	}
 	return 0
 }
 

@@ -1,19 +1,18 @@
 package memotable_test
 
-// The fault soak: the full experiment registry at 8 workers with a
-// tiny memory budget that overflows most captures into a shared
-// persistent trace store, under an injected ~1% fault rate on every
-// store I/O edge, plus exactly one panicking sink, swept
-// over deterministic seeds. The pass must complete (no planning error),
-// every faulted cell must appear exactly once in the PassReport, every
-// experiment untouched by a fault must render byte-identically to the
-// serial goldens, and every degraded experiment must carry the failed
-// workloads it demanded. Run under -race this doubles as the
-// concurrency soak for the whole hardened path: retry, degradation,
-// panic isolation and report assembly all race against 8 workers.
+// The fault soak: the full experiment registry at 8 workers under an
+// injected ~1% fault rate on the workload-run edge, plus exactly one
+// panicking sink, swept over deterministic seeds. The pass must
+// complete (no planning error), every faulted cell must appear exactly
+// once in the PassReport, every experiment untouched by a fault must
+// render byte-identically to the serial goldens, and every degraded
+// experiment must carry the failed workloads it demanded. Run under
+// -race this doubles as the concurrency soak for the whole hardened
+// path: panic isolation, degradation and report assembly all race
+// against 8 workers.
 //
-// Wall clock: a seed costs roughly one spill-tier matrix run (see
-// EXPERIMENTS.md); MEMOTABLE_SOAK_SEEDS widens the sweep in CI.
+// Wall clock: a seed costs roughly one matrix run (see EXPERIMENTS.md);
+// MEMOTABLE_SOAK_SEEDS widens the sweep in CI.
 
 import (
 	"context"
@@ -40,16 +39,10 @@ func TestFaultSoak(t *testing.T) {
 		seeds = n
 	}
 
-	// One store directory across every seed: later seeds run against the
-	// entries earlier seeds published, so warm hits, faulty reads of good
-	// entries, and faulty publishes all occur in the same sweep.
-	storeDir := t.TempDir()
-
 	for seed := 1; seed <= seeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			plan, err := faults.Parse(fmt.Sprintf(
-				"seed=%d;engine.sink.emit:count=1:panic;"+
-					"store.read:p=0.01;store.write:p=0.01;store.rename:p=0.01", seed))
+				"seed=%d;engine.sink.emit:count=1:panic;engine.capture.run:p=0.01", seed))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,14 +51,6 @@ func TestFaultSoak(t *testing.T) {
 
 			eng := memotable.NewEngine(8)
 			defer eng.Close()
-			eng.SetCacheLimit(64 << 10) // push most captures through the faulty overflow path
-			eng.SetTraceDir(t.TempDir())
-			eng.SetRetryPolicy(2, 0) // bounded retries, no backoff sleep
-			st, err := memotable.OpenTraceStore(storeDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng.SetStore(st)
 
 			results, rep, err := memotable.RunContext(context.Background(), eng, memotable.Tiny)
 			if err != nil {
@@ -116,8 +101,8 @@ func TestFaultSoak(t *testing.T) {
 			if clean == 0 {
 				t.Error("every experiment degraded; the soak should leave survivors to compare")
 			}
-			t.Logf("seed %d: %d faulted cells, %d/%d experiments clean, %d spill retries, %d degraded captures, %d store hits, %d store puts, %d faults fired",
-				seed, len(rep.Errors), clean, len(results), eng.Stats().SpillRetries, eng.Stats().DegradedCaptures, eng.Stats().StoreHits, eng.Stats().StorePuts, plan.Fired())
+			t.Logf("seed %d: %d faulted cells, %d/%d experiments clean, %d runs, %d faults fired",
+				seed, len(rep.Errors), clean, len(results), eng.Stats().Captures, plan.Fired())
 		})
 	}
 }

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -38,15 +40,15 @@ func TestClosedEngineRefusesWork(t *testing.T) {
 	if _, err := e.RunPassContext(context.Background(), nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("RunPassContext after Close: %v, want ErrClosed", err)
 	}
-	sess := e.NewIngest("live", IngestOptions{})
+	sess := e.NewIngest(IngestOptions{})
 	err := sess.Feed([]byte{0})
 	if !errors.Is(err, ErrClosed) || !errors.Is(err, ErrIngestBroken) {
 		t.Fatalf("ingest Feed after Close: %v, want ErrClosed and ErrIngestBroken", err)
 	}
 }
 
-// TestCloseWaitsForInflight: Close must not remove the scratch store
-// under a pass still replaying — it blocks until in-flight work drains.
+// TestCloseWaitsForInflight: Close must not return while a run is still
+// feeding its sinks — it blocks until in-flight work drains.
 func TestCloseWaitsForInflight(t *testing.T) {
 	e := New(2)
 	started := make(chan struct{})
@@ -98,54 +100,41 @@ func TestStatsSnapshotMatchesGetters(t *testing.T) {
 		}
 	}
 	st := e.Stats()
-	if st.Captures != 1 || st.Replays != 3 {
-		t.Fatalf("snapshot captures/replays %d/%d, want 1/3", st.Captures, st.Replays)
-	}
-	mem := e.TierStats()[0]
-	if mem.Name != "memory" || st.CachedTraces != mem.Entries || st.CachedBytes != mem.Bytes {
-		t.Fatalf("snapshot cache shape %d/%d, memory tier %+v", st.CachedTraces, st.CachedBytes, mem)
+	if st.Captures != 3 || st.Replays != 3 || st.ReplayedEvents != 3000 || st.DeliveredEvents != cnt.Total() {
+		t.Fatalf("snapshot captures/replays/events/delivered %d/%d/%d/%d, want 3/3/3000/%d",
+			st.Captures, st.Replays, st.ReplayedEvents, st.DeliveredEvents, cnt.Total())
 	}
 	if st.Workers != e.Workers() {
 		t.Fatalf("snapshot workers %d, getter %d", st.Workers, e.Workers())
 	}
-	if st.BudgetLimit != e.Budget().Limit() || st.BudgetUsed <= 0 {
-		t.Fatalf("snapshot budget %d/%d inconsistent with root budget %d/%d",
-			st.BudgetLimit, st.BudgetUsed, e.Budget().Limit(), e.Budget().Used())
+	if got := e.TraceFingerprints(); len(got) != 1 || got[0] != "k" {
+		t.Fatalf("fingerprints %v, want [k]", got)
 	}
 }
 
-func TestTiersAccountTheCache(t *testing.T) {
+// TestCloseRemovesScratchStoreOnly: the engine makes no scratch store,
+// so Close removes nothing: the trace dir and an attached store keep
+// exactly the files they held before the engine ran.
+func TestCloseRemovesScratchStoreOnly(t *testing.T) {
+	traceDir, storeDir := t.TempDir(), t.TempDir()
+	if err := os.WriteFile(filepath.Join(traceDir, "notes.tmp"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	seedStore(t, storeDir, "w", emitN(5000, 32))
+	beforeTrace, beforeStore := dirFiles(t, traceDir), dirFiles(t, storeDir)
+
 	e := New(1)
-	defer e.Close()
-	var cnt trace.Counter
-	if _, err := e.ReplayAll("k", emitN(1000, 64), []trace.Sink{&cnt}); err != nil {
+	e.SetTraceDir(traceDir)
+	e.SetStore(openStore(t, storeDir))
+	if err := e.Warm("w", emitN(5000, 32)); err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]TierStats{}
-	for _, ts := range e.TierStats() {
-		byName[ts.Name] = ts
+	if n, err := e.Replay("w", emitN(5000, 32), &trace.Counter{}); err != nil || n != 5000 {
+		t.Fatalf("replay: n=%d err=%v", n, err)
 	}
-	mem, ok := byName["memory"]
-	if !ok || mem.Entries != 1 || mem.Bytes != e.Stats().CachedBytes {
-		t.Fatalf("memory tier %+v, want 1 entry of %d bytes", mem, e.Stats().CachedBytes)
-	}
-	// One replay decodes from the bytes and leaves no blocks; the
-	// second builds them.
-	if blocks := byName["blocks"]; blocks.Entries != 0 || blocks.Bytes != 0 {
-		t.Fatalf("blocks tier %+v after one replay, want empty", blocks)
-	}
-	if _, err := e.ReplayAll("k", emitN(1000, 64), []trace.Sink{&cnt}); err != nil {
+	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	blocks := e.TierStats()[1]
-	if blocks.Name != "blocks" || blocks.Entries != 1 || blocks.Bytes != 1000*bytesPerEvent ||
-		blocks.Bytes != e.Stats().DecodedBlockBytes {
-		t.Fatalf("blocks tier %+v after two replays, want 1 entry of %d bytes", blocks, 1000*bytesPerEvent)
-	}
-	if spill := byName["spill"]; spill.Entries != 0 || spill.Bytes != 0 {
-		t.Fatalf("spill tier %+v, want empty", spill)
-	}
-	if _, ok := byName["store"]; ok {
-		t.Fatal("store tier listed with no store attached")
-	}
+	sameFiles(t, "trace dir after Close", traceDir, beforeTrace)
+	sameFiles(t, "store after Close", storeDir, beforeStore)
 }

@@ -3,19 +3,23 @@ package engine
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 
 	"memotable/internal/faults"
 	"memotable/internal/trace"
 )
 
-// Delivery. Every event batch that reaches a measurement sink — a
-// decoded block, a batch decoded from the memory tier or a disk-tier
-// file, a live ingest frame — goes through deliver, serially, on the
-// goroutine that replays. Each sink therefore observes its stream in
-// order from one goroutine, and cancellation, the sink.emit fault point
-// and the delivery counters behave the same on every path.
+// Delivery. Every event batch that reaches a measurement sink — a batch
+// of a running workload's stream, a live ingest frame — goes through
+// deliver, serially, on the goroutine that produced it. Each sink
+// therefore observes its stream in order from one goroutine, and
+// cancellation, the sink.emit fault point and the delivery counters
+// behave the same on every path.
+
+// blockLen is the event length of the batches a workload's stream is
+// cut into: 8192 events (192 KiB) keeps a batch L2-resident while
+// amortizing per-batch dispatch across the sinks.
+const blockLen = 8192
 
 // deliver feeds one batch to every sink whose class mask meets the
 // batch's mask, in sink order. It checks ctx and fires the sink.emit
@@ -50,94 +54,88 @@ func batchMask(evs []trace.Event) trace.OpMask {
 	return mask
 }
 
-// emitBlocks delivers decoded blocks in order and returns the stream's
-// event count up to the first failure.
-func (e *Engine) emitBlocks(ctx context.Context, blocks []traceBlock, sinks []trace.Sink, masks []trace.OpMask) (uint64, error) {
-	var n uint64
-	for i := range blocks {
-		b := &blocks[i]
-		if err := e.deliver(ctx, sinks, masks, b.events, b.mask); err != nil {
-			return n, err
-		}
-		n += uint64(len(b.events))
-	}
-	return n, nil
-}
-
-// batchBufs recycles replayBytes's decode buffers. Batches are as long
-// as decoded blocks, so both paths cut a stream at the same events, and
-// a fresh 192 KiB buffer per replay raised a cold tiny pass's peak RSS
-// by about 15 MiB.
+// batchBufs recycles the batching sinks' buffers: a fresh 192 KiB
+// buffer per run would grow a pass's heap by one per workload.
 var batchBufs = sync.Pool{New: func() any {
 	buf := make([]trace.Event, 0, blockLen)
 	return &buf
 }}
 
-// replaySettled feeds a settled entry's stream — memory or disk tier
-// alike — to every sink and returns the count of events delivered. A
-// key with decoded blocks replays them without reading its stream.
-// Otherwise the stream is read once (readSnapshot): on the entry's
-// second replay it is decoded into blocks first, budget permitting
-// (blocksFor, buildBlocks), and otherwise decoded and delivered batch
-// by batch (replayBytes). A failure to read the stream comes back as
-// readErr, after any events decoded before the defect were delivered; a
-// failed delivery (cancellation, an injected sink.emit fault) comes
-// back as err. Callers treat the two differently: only a read failure
-// says anything about the entry's storage.
-func (e *Engine) replaySettled(ctx context.Context, acct BudgetAccountant, key string, snap entrySnapshot, sinks []trace.Sink, masks []trace.OpMask) (n uint64, readErr, err error) {
-	blocks, claim := e.blocksFor(key, snap)
-	if claim != nil {
-		defer e.unclaim(claim)
-	}
-	if blocks == nil {
-		readErr = e.readSnapshot(snap, func(segs [][]byte, events uint64) (rerr error) {
-			if claim != nil {
-				if blocks, rerr = e.buildBlocks(acct, claim, snap, segs, events); blocks != nil || rerr != nil {
-					return rerr
-				}
-			}
-			rerr, err = e.replayBytes(ctx, segs, events, sinks, masks, &n)
-			return rerr
-		})
-		if readErr != nil || blocks == nil {
-			return n, readErr, err
-		}
-	}
-	n, err = e.emitBlocks(ctx, blocks, sinks, masks)
-	return n, nil, err
+// stopRun is the panic a batchSink raises to stop the workload feeding
+// it once a delivery has failed; runCapture recovers it and returns err.
+type stopRun struct{ err error }
+
+// batchSink is the sink a workload runs into: it cuts the stream into
+// blockLen batches and hands each to deliver, counting the events
+// delivered in n. A delivery that fails — the context is done, a sink
+// or the sink.emit point panics, sink.emit injects an error — stops the
+// workload at once with a stopRun panic, so a canceled run ends at its
+// next batch instead of running to its last event.
+type batchSink struct {
+	e     *Engine
+	ctx   context.Context
+	sinks []trace.Sink
+	masks []trace.OpMask
+	buf   *[]trace.Event
+	n     uint64
 }
 
-// replayBytes decodes a stream of events events, held as segments, in
-// blockLen batches and delivers each one, counting the events delivered
-// in *n as it goes: a fault on a mapped store entry unwinds the decode
-// as a panic (tracestore.ReadEntry), and the count must survive it. A
-// failure to decode the stream, or a count that is not events, comes
-// back as readErr, after the events decoded before the defect were
-// delivered; a failed delivery comes back as err.
-func (e *Engine) replayBytes(ctx context.Context, segs [][]byte, events uint64, sinks []trace.Sink, masks []trace.OpMask, n *uint64) (readErr, err error) {
-	buf := batchBufs.Get().(*[]trace.Event)
-	defer batchBufs.Put(buf)
-	r, rerr := trace.NewSegmentReader(segs)
-	if rerr != nil {
-		return rerr, nil
+func (e *Engine) newBatchSink(ctx context.Context, sinks []trace.Sink) *batchSink {
+	return &batchSink{e: e, ctx: ctx, sinks: sinks, masks: trace.SinkMasks(sinks),
+		buf: batchBufs.Get().(*[]trace.Event)}
+}
+
+// release returns the sink's buffer to the pool.
+func (b *batchSink) release() {
+	*b.buf = (*b.buf)[:0]
+	batchBufs.Put(b.buf)
+	b.buf = nil
+}
+
+// Emit implements trace.Sink.
+func (b *batchSink) Emit(ev trace.Event) {
+	*b.buf = append(*b.buf, ev)
+	if len(*b.buf) == blockLen {
+		b.flush()
 	}
-	for {
-		batch, rerr := r.ReadBatch(*buf)
-		if rerr == io.EOF {
-			break
-		}
-		if len(batch) > 0 {
-			if err := e.deliver(ctx, sinks, masks, batch, batchMask(batch)); err != nil {
-				return nil, err
-			}
-			*n += uint64(len(batch))
-		}
-		if rerr != nil {
-			return rerr, nil
+}
+
+// EmitBatch implements trace.BatchSink, cutting evs at the same batch
+// boundaries a run of Emit calls would.
+func (b *batchSink) EmitBatch(evs []trace.Event) {
+	for len(evs) > 0 {
+		buf := *b.buf
+		k := copy(buf[len(buf):blockLen], evs)
+		*b.buf = buf[:len(buf)+k]
+		evs = evs[k:]
+		if len(*b.buf) == blockLen {
+			b.flush()
 		}
 	}
-	if *n != events {
-		return fmt.Errorf("replayed %d of %d events", *n, events), nil
+}
+
+// flush delivers the buffered batch, or stops the workload with the
+// delivery's failure.
+func (b *batchSink) flush() {
+	evs := *b.buf
+	if len(evs) == 0 {
+		return
 	}
-	return nil, nil
+	if err := b.deliver(evs); err != nil {
+		panic(stopRun{err})
+	}
+	b.n += uint64(len(evs))
+	*b.buf = evs[:0]
+}
+
+// deliver is Engine.deliver with panic isolation: a sink panicking
+// mid-batch, or an injected sink.emit panic, comes back wrapping
+// ErrSinkPanic.
+func (b *batchSink) deliver(evs []trace.Event) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%w: %w", ErrSinkPanic, panicError(r))
+		}
+	}()
+	return b.e.deliver(b.ctx, b.sinks, b.masks, evs, batchMask(evs))
 }

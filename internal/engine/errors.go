@@ -4,46 +4,35 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"sort"
 	"sync"
-	"time"
 )
 
-// The engine's failure model. Every fault on an I/O or compute edge is
-// either retried (transient overflow I/O, with jittered backoff),
-// degraded (a capture whose overflow entry keeps failing declines and
-// the workload direct-runs on every replay), or reported (as a typed
-// *CellError in the PassReport of the pass that observed it). The
-// sentinels below form the errors.Is-able taxonomy callers classify
-// against; DESIGN.md §10 maps every injection point to its sentinel.
+// The engine's failure model. Every fault on a compute edge is reported
+// as a typed *CellError in the PassReport of the pass that observed it;
+// nothing is retried, because a run that failed may already have fed
+// its sinks part of the stream. The sentinels below form the
+// errors.Is-able taxonomy callers classify against; DESIGN.md §10 maps
+// every injection point to its sentinel.
 
 // Sentinel errors of the failure taxonomy.
 var (
 	// ErrCanceled marks work abandoned because the pass context was
 	// canceled or its deadline expired.
 	ErrCanceled = errors.New("engine: pass canceled")
-	// ErrCaptureFailed marks a workload whose capture (or declined
-	// direct re-execution) returned a fault or panicked.
+	// ErrCaptureFailed marks a workload whose run returned a fault or
+	// panicked.
 	ErrCaptureFailed = errors.New("engine: workload capture failed")
-	// ErrSpillIO marks disk-tier I/O — an overflowing capture's store
-	// entry, or a disk-tier entry's read — that kept failing after the
-	// bounded retries.
-	ErrSpillIO = errors.New("engine: spill I/O failed")
-	// ErrCorruptTrace marks a trace whose frames failed verification
-	// even after transparent re-capture attempts.
-	ErrCorruptTrace = errors.New("engine: corrupt trace")
 	// ErrSinkPanic marks a measurement sink that panicked mid-replay;
-	// every sink fed by that replay may have observed a torn stream.
+	// every sink fed by that run may have observed a torn stream.
 	ErrSinkPanic = errors.New("engine: sink panicked during replay")
 	// ErrClosed marks work submitted to an engine after Close: new
-	// passes, replays, warms and ingest sessions are refused instead of
-	// racing the teardown of the scratch store.
+	// passes, replays and ingest sessions are refused.
 	ErrClosed = errors.New("engine: closed")
 )
 
 // CellError attributes one failure to the workload cell that observed
-// it. Key is the workload's cache key, Stage the execution edge that
+// it. Key is the workload's key, Stage the execution edge that
 // failed ("capture", "replay", "sink" or "schedule"), and Err the
 // underlying cause, always wrapping one of the taxonomy sentinels.
 type CellError struct {
@@ -114,48 +103,6 @@ func (r *PassReport) FailedKeys() []string {
 	return keys
 }
 
-// Retry policy defaults: transient overflow I/O is retried up to
-// defaultRetryAttempts times with exponential backoff starting at
-// defaultRetryBase (full jitter, so concurrent retries decorrelate).
-const (
-	defaultRetryAttempts = 3
-	defaultRetryBase     = 2 * time.Millisecond
-)
-
-// SetRetryPolicy adjusts how transient overflow I/O failures are retried:
-// at most attempts retries per operation, with jittered exponential
-// backoff starting at base. attempts <= 0 disables retries (a first
-// failure degrades immediately); base <= 0 retries without sleeping —
-// what fault-injection tests use to keep soak wall-clock flat.
-func (e *Engine) SetRetryPolicy(attempts int, base time.Duration) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.retryAttempts = attempts
-	e.retryBase = base
-}
-
-// retryPolicy snapshots the engine's retry knobs.
-func (e *Engine) retryPolicy() (int, time.Duration) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.retryAttempts, e.retryBase
-}
-
-// backoff sleeps before retry number attempt (1-based): full-jitter
-// exponential, capped at 64x base so a deep retry cannot stall a worker
-// for long.
-func backoff(base time.Duration, attempt int) {
-	if base <= 0 {
-		return
-	}
-	shift := attempt - 1
-	if shift > 6 {
-		shift = 6
-	}
-	max := base << shift
-	time.Sleep(time.Duration(rand.Int64N(int64(max)) + 1))
-}
-
 // panicError converts a recovered panic value into an error, preserving
 // an error-typed panic (an injected *faults.Fault, say) as the cause.
 func panicError(r any) error {
@@ -163,6 +110,11 @@ func panicError(r any) error {
 		return fmt.Errorf("panic: %w", err)
 	}
 	return fmt.Errorf("panic: %v", r)
+}
+
+// captureFailed wraps a workload's own failure in ErrCaptureFailed.
+func captureFailed(err error) error {
+	return fmt.Errorf("%w: %w", ErrCaptureFailed, err)
 }
 
 // ctxErr wraps a context's termination in ErrCanceled so both

@@ -3,13 +3,11 @@ package engine
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"memotable/internal/faults"
+	"memotable/internal/isa"
 	"memotable/internal/trace"
-	"memotable/internal/tracestore"
 )
 
 // withFaults activates a fault plan for one test and guarantees
@@ -23,58 +21,6 @@ func withFaults(t *testing.T, spec string) *faults.Plan {
 	faults.Activate(plan)
 	t.Cleanup(func() { faults.Activate(nil) })
 	return plan
-}
-
-// TestCloseRemovesScratchStoreOnly: Close removes the scratch store an
-// engine made for its overflowing captures, and nothing else in the
-// trace dir; an engine overflowing into a persistent store leaves the
-// entry there on Close.
-func TestCloseRemovesScratchStoreOnly(t *testing.T) {
-	dir := t.TempDir()
-	unrelated := filepath.Join(dir, "notes.tmp")
-	if err := os.WriteFile(unrelated, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	e := New(1)
-	e.SetTraceDir(dir)
-	e.SetCacheLimit(1)
-	if err := e.Warm("w", emitN(5000, 32)); err != nil {
-		t.Fatal(err)
-	}
-	scratch := filepath.Dir(spillPathOf(t, e, "w"))
-	if filepath.Dir(scratch) != dir {
-		t.Fatalf("scratch store %s is not under the trace dir %s", scratch, dir)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(scratch); !os.IsNotExist(err) {
-		t.Fatal("Close left the scratch store behind")
-	}
-	if _, err := os.Stat(unrelated); err != nil {
-		t.Fatal("Close removed a file it did not create")
-	}
-
-	st, err := tracestore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := New(1)
-	p.SetTraceDir(dir)
-	p.SetStore(st)
-	p.SetCacheLimit(1)
-	if err := p.Warm("w", emitN(5000, 32)); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := st.Len(); n != 1 {
-		t.Fatalf("persistent store holds %d entries after Close, want the overflow entry", n)
-	}
-	if left, _ := os.ReadDir(dir); len(left) != 1 {
-		t.Fatalf("an engine with a persistent store left %d files in the trace dir", len(left))
-	}
 }
 
 func TestCanceledPassReportsEveryCell(t *testing.T) {
@@ -138,22 +84,31 @@ func TestPersistentCaptureFaultReportsCell(t *testing.T) {
 	}
 }
 
+// TestTransientCaptureFaultRecovers: a one-shot capture fault fails only
+// the pass that met it — a run that failed may have fed its sinks, so
+// nothing retries it — and the engine keeps no trace of it: the next
+// pass over the same workload runs clean.
 func TestTransientCaptureFaultRecovers(t *testing.T) {
 	withFaults(t, "engine.capture.run:count=1")
 
 	e := Serial()
-	var cnt trace.Counter
-	rep, err := e.RunPassContext(context.Background(), []Subscription{{
-		Sinks:     []trace.Sink{&cnt},
-		Workloads: []PassWorkload{{Key: "w", Capture: emitN(100, 8)}},
-	}})
-	if err != nil {
-		t.Fatal(err)
+	pass := func() (*PassReport, *trace.Counter) {
+		var cnt trace.Counter
+		rep, err := e.RunPassContext(context.Background(), []Subscription{{
+			Sinks:     []trace.Sink{&cnt},
+			Workloads: []PassWorkload{{Key: "w", Capture: emitN(100, 8)}},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, &cnt
 	}
-	// The warm phase absorbs the single fault; the replay re-captures
-	// and succeeds, so the pass is clean.
+	if rep, _ := pass(); len(rep.Errors) != 1 || !errors.Is(rep.Errors[0], ErrCaptureFailed) {
+		t.Fatalf("errors = %v, want the one injected capture failure", rep.Errors)
+	}
+	rep, cnt := pass()
 	if len(rep.Errors) != 0 {
-		t.Fatalf("errors = %v, want none after transient fault", rep.Errors)
+		t.Fatalf("errors = %v, want none after the transient fault", rep.Errors)
 	}
 	if cnt.Total() != 100 {
 		t.Fatalf("sink saw %d events, want 100", cnt.Total())
@@ -161,10 +116,9 @@ func TestTransientCaptureFaultRecovers(t *testing.T) {
 }
 
 func TestCapturePanicIsolatedToCell(t *testing.T) {
-	// Two panics: the warm phase absorbs one, the replay the other; the
-	// follow-up capture below must then run clean — proving the capture
-	// lock survived both panics.
-	withFaults(t, "engine.capture.run:count=2:panic")
+	// One panic fails the pass's one run; the follow-up run below must
+	// then run clean — proving the engine survived the panic.
+	withFaults(t, "engine.capture.run:count=1:panic")
 
 	e := Serial()
 	var cnt trace.Counter
@@ -178,61 +132,10 @@ func TestCapturePanicIsolatedToCell(t *testing.T) {
 	if len(rep.Errors) != 1 || !errors.Is(rep.Errors[0], ErrCaptureFailed) {
 		t.Fatalf("errors = %v, want one ErrCaptureFailed from the panic", rep.Errors)
 	}
-	// The capture lock must have been released despite the panic:
-	// another capture on the same engine still proceeds.
+	// Another run on the same engine still proceeds.
 	n, rerr := e.Replay("other", emitN(10, 4), &cnt)
 	if rerr != nil || n != 10 {
 		t.Fatalf("engine wedged after capture panic: n=%d err=%v", n, rerr)
-	}
-}
-
-func TestPersistentSpillFaultDegradesToDirectRuns(t *testing.T) {
-	withFaults(t, "store.write")
-
-	e := New(2)
-	defer e.Close()
-	e.SetCacheLimit(64) // force every capture to overflow
-	e.SetTraceDir(t.TempDir())
-	e.SetRetryPolicy(2, 0)
-
-	var cnt trace.Counter
-	for i := 0; i < 2; i++ {
-		n, err := e.Replay("w", emitN(5000, 32), &cnt)
-		if err != nil || n != 5000 {
-			t.Fatalf("replay %d: n=%d err=%v, want clean degraded run", i, n, err)
-		}
-	}
-	if cnt.Total() != 10000 {
-		t.Fatalf("sink saw %d events, want 10000", cnt.Total())
-	}
-	if e.Stats().DegradedCaptures == 0 {
-		t.Fatal("degraded-capture counter not incremented")
-	}
-	if e.Stats().CachedTraces != 0 || e.Stats().SpilledTraces != 0 {
-		t.Fatalf("unspillable trace stored anyway: cached=%d spilled=%d",
-			e.Stats().CachedTraces, e.Stats().SpilledTraces)
-	}
-}
-
-func TestTransientSpillFaultRetriesAndSpills(t *testing.T) {
-	withFaults(t, "store.write:count=1")
-
-	e := New(2)
-	defer e.Close()
-	e.SetCacheLimit(64)
-	e.SetTraceDir(t.TempDir())
-	e.SetRetryPolicy(3, 0)
-
-	var cnt trace.Counter
-	n, err := e.Replay("w", emitN(5000, 32), &cnt)
-	if err != nil || n != 5000 {
-		t.Fatalf("replay: n=%d err=%v", n, err)
-	}
-	if e.Stats().SpilledTraces != 1 {
-		t.Fatalf("spilled traces = %d, want 1 after the retry", e.Stats().SpilledTraces)
-	}
-	if e.Stats().DegradedCaptures != 0 {
-		t.Fatal("transient fault degraded the capture instead of retrying")
 	}
 }
 
@@ -255,7 +158,7 @@ func TestSinkPanicIsolatedToCell(t *testing.T) {
 	if !errors.Is(ce, ErrSinkPanic) || ce.Stage != "sink" {
 		t.Fatalf("cell error %v (stage %q), want ErrSinkPanic at sink", ce.Err, ce.Stage)
 	}
-	// The serial engine replays the pass's serial order inline ("a" was
+	// The serial engine runs the pass's serial order inline ("a" was
 	// named first), so the panic lands on "a" and "b" must be untouched
 	// by it.
 	if ce.Key != "a" {
@@ -263,28 +166,6 @@ func TestSinkPanicIsolatedToCell(t *testing.T) {
 	}
 	if b.Total() != 100 {
 		t.Fatalf("surviving cell saw %d events, want 100", b.Total())
-	}
-}
-
-func TestCorruptSpillExhaustsRecaptureWithTypedError(t *testing.T) {
-	withFaults(t, "trace.frame.crc")
-
-	e := Serial()
-	defer e.Close()
-	e.SetCacheLimit(64)
-	e.SetTraceDir(t.TempDir())
-	e.SetRetryPolicy(1, 0)
-
-	var cnt trace.Counter
-	_, err := e.Replay("w", emitN(5000, 32), &cnt)
-	if err == nil {
-		t.Fatal("replay of a permanently corrupt spill succeeded")
-	}
-	if !errors.Is(err, ErrCorruptTrace) {
-		t.Fatalf("error %v, want ErrCorruptTrace", err)
-	}
-	if !errors.Is(err, trace.ErrBadTrace) {
-		t.Fatalf("error %v, want trace.ErrBadTrace preserved in the chain", err)
 	}
 }
 
@@ -303,5 +184,147 @@ func TestNoFaultsMeansNoBehaviorChange(t *testing.T) {
 	}
 	if cnt.Total() != 1000 {
 		t.Fatalf("sink saw %d events, want 1000", cnt.Total())
+	}
+}
+
+// TestCancelStopsRunningWorkload: a context canceled while a workload is
+// running stops it at its next batch, with the sinks fed only the
+// batches delivered before the cancel; the cell fails with ErrCanceled.
+func TestCancelStopsRunningWorkload(t *testing.T) {
+	const events = 40 * blockLen
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var emitted int
+	capture := func(s trace.Sink) {
+		for emitted = 0; emitted < events; emitted++ {
+			if emitted == 5*blockLen+100 {
+				cancel()
+			}
+			s.Emit(trace.Event{Op: isa.OpFMul, A: uint64(emitted), B: 3})
+		}
+	}
+	e := Serial()
+	var cnt trace.Counter
+	rep, err := e.RunPassContext(ctx, []Subscription{{
+		Sinks:     []trace.Sink{&cnt},
+		Workloads: []PassWorkload{{Key: "w", Capture: capture}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Canceled || len(rep.Errors) != 1 || !errors.Is(rep.Errors[0], ErrCanceled) ||
+		!errors.Is(rep.Errors[0], context.Canceled) || rep.Errors[0].Stage != "schedule" {
+		t.Fatalf("report canceled=%v errors=%v, want one ErrCanceled cell at schedule", rep.Canceled, rep.Errors)
+	}
+	if emitted >= events {
+		t.Fatalf("the workload ran to its last event (%d) after the cancel", emitted)
+	}
+	if emitted > 6*blockLen || cnt.Total() != 5*blockLen {
+		t.Fatalf("workload emitted %d events and the sink saw %d; want a stop at the batch after the cancel (%d delivered)",
+			emitted, cnt.Total(), 5*blockLen)
+	}
+	if st := e.Stats(); st.Replays != 0 || len(e.TraceFingerprints()) != 0 {
+		t.Fatalf("canceled run counted as complete: %d replays, fingerprints %v", st.Replays, e.TraceFingerprints())
+	}
+}
+
+// panicSink panics on its first event.
+type panicSink struct{}
+
+func (panicSink) Emit(trace.Event) { panic("sink exploded") }
+
+// TestFailureStageAttribution: every way a run can fail lands in the pass
+// report as one cell, with the stage and sentinel of the edge that
+// failed: the workload itself (a capture.run fault or panic, or a panic
+// in the workload) at capture, a panicking sink (its own or an injected
+// sink.emit panic) at sink, an injected sink.emit error at replay, and
+// cancellation at schedule.
+func TestFailureStageAttribution(t *testing.T) {
+	workloadPanics := func(s trace.Sink) {
+		emitN(100, 8)(s)
+		panic("workload exploded")
+	}
+	for _, tc := range []struct {
+		name    string
+		faults  string
+		capture CaptureFunc
+		sink    trace.Sink
+		cancel  bool
+		stage   string
+		want    error
+	}{
+		{name: "capture.run error", faults: "engine.capture.run", stage: "capture", want: ErrCaptureFailed},
+		{name: "capture.run panic", faults: "engine.capture.run:panic", stage: "capture", want: ErrCaptureFailed},
+		{name: "workload panic", capture: workloadPanics, stage: "capture", want: ErrCaptureFailed},
+		{name: "sink panic", sink: panicSink{}, stage: "sink", want: ErrSinkPanic},
+		{name: "sink.emit panic", faults: "engine.sink.emit:panic", stage: "sink", want: ErrSinkPanic},
+		{name: "sink.emit error", faults: "engine.sink.emit", stage: "replay", want: faults.ErrInjected},
+		{name: "canceled", cancel: true, stage: "schedule", want: ErrCanceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.faults != "" {
+				withFaults(t, tc.faults)
+			}
+			capture := tc.capture
+			if capture == nil {
+				capture = emitN(3*blockLen, 8)
+			}
+			sink := tc.sink
+			if sink == nil {
+				sink = &trace.Counter{}
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.cancel {
+				cancel()
+			}
+			e := New(2)
+			rep, err := e.RunPassContext(ctx, []Subscription{{
+				Sinks:     []trace.Sink{sink},
+				Workloads: []PassWorkload{{Key: "w", Capture: capture}},
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Errors) != 1 {
+				t.Fatalf("errors = %v, want exactly one", rep.Errors)
+			}
+			if ce := rep.Errors[0]; ce.Key != "w" || ce.Stage != tc.stage || !errors.Is(ce, tc.want) {
+				t.Fatalf("cell %q stage %q err %v, want w at %s wrapping %v", ce.Key, ce.Stage, ce.Err, tc.stage, tc.want)
+			}
+			if n := e.Stats().Replays; n != 0 {
+				t.Fatalf("failed run counted as %d completed replays", n)
+			}
+		})
+	}
+}
+
+// TestPersistentSpillFaultDegradesToDirectRuns: with store writes
+// failing on every attempt and a store and trace dir set, every replay
+// is a direct run of the workload that delivers its full stream — no
+// store write is ever attempted, so the fault never fires.
+func TestPersistentSpillFaultDegradesToDirectRuns(t *testing.T) {
+	plan := withFaults(t, "store.write")
+
+	e := New(2)
+	defer e.Close()
+	e.SetTraceDir(t.TempDir())
+	e.SetStore(openStore(t, t.TempDir()))
+
+	var cnt trace.Counter
+	for i := 0; i < 2; i++ {
+		n, err := e.Replay("w", emitN(5000, 32), &cnt)
+		if err != nil || n != 5000 {
+			t.Fatalf("replay %d: n=%d err=%v, want a clean direct run", i, n, err)
+		}
+	}
+	if cnt.Total() != 10000 {
+		t.Fatalf("sink saw %d events, want 10000", cnt.Total())
+	}
+	if st := e.Stats(); st.Captures != 2 || st.Replays != 2 || st.DegradedCaptures != 0 {
+		t.Fatalf("captures=%d replays=%d degraded=%d, want 2, 2 and 0", st.Captures, st.Replays, st.DegradedCaptures)
+	}
+	if plan.Fired() != 0 {
+		t.Fatalf("store.write fired %d times; the engine writes no store", plan.Fired())
 	}
 }

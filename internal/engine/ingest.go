@@ -10,32 +10,20 @@ import (
 	"memotable/internal/trace"
 )
 
-// Live trace ingestion. The capture/replay pipeline above assumes the
-// whole operand stream exists before the first sink sees an event — the
-// engine runs the workload, the encoding settles into a tier, replays
-// feed it to the sinks. An IngestSession inverts that: an external
-// producer pushes encoded v2 bytes as it generates them (over a socket,
-// a pipe, a file tail), the session decodes complete frames incrementally
+// Live trace ingestion. A workload run produces its stream inside the
+// engine; an IngestSession takes one from outside: an external producer
+// pushes encoded v2 bytes as it generates them (over a socket, a pipe, a
+// file tail), the session decodes complete frames incrementally
 // (trace.StreamDecoder) and feeds each one through the same delivery
-// loop a ReplayAll uses (deliver.go), so MEMO-TABLE banks simulate the
-// workload while it is still running. The stream lands as it arrives in
-// the same captureArm a local capture encodes into (capture.go): the
-// header, then each delivered frame's raw bytes, reserved against the
-// engine's root budget and overflowing into a trace-store entry once the
-// budget refuses them. When the producer finishes, Seal verifies the
-// stream ended at a clean frame boundary and settles the arm exactly as
-// a capture's is settled — the memory tier (then published to the
-// persistent store) or the disk tier — so the live session becomes a
-// warm cache entry for every later run.
+// loop a workload run uses (deliver.go), so MEMO-TABLE banks simulate
+// the workload while it is still running. When the producer finishes,
+// Seal verifies the stream ended at a clean frame boundary and ends the
+// session. Nothing of the stream is kept.
 //
 // A session is single-producer: Feed, Seal and Abort must be called
-// from one goroutine. Everything a session shares with the rest of the
-// engine — the ingest counters, the budget, the cache entry, the store —
-// is safe against concurrent Replay/ReplayAll traffic and stat reads. A
-// session must end in Seal, a failure or Abort: one abandoned
-// mid-stream would hold its reservation, and its overflow temp file
-// would stay until the store sweeps it. Deferring Abort right after
-// NewIngest covers every early return.
+// from one goroutine. What a session shares with the rest of the engine
+// — the ingest and delivery counters — is safe against concurrent
+// Replay/ReplayAll traffic and stat reads.
 
 // ErrIngestBroken reports that an ingest session has failed — corrupt
 // frame, injected fault, torn tail at seal — and will accept no more
@@ -67,47 +55,32 @@ type IngestOptions struct {
 	OnSnapshot func(IngestStats)
 }
 
-// IngestResult reports what Seal settled.
+// IngestResult reports a sealed session's final progress.
 type IngestResult struct {
 	Stats IngestStats
-	// Adopted reports whether the stream settled into the engine's cache
-	// under the session key: the memory tier, or a disk-tier store entry
-	// when it outgrew the budget.
-	Adopted bool
-	// Published reports whether the stream was installed in the
-	// persistent trace store under the session key.
-	Published bool
 }
 
-// IngestSession is one live stream being decoded, replayed, and landed
-// for sealing. Construct with Engine.NewIngest.
+// IngestSession is one live stream being decoded and replayed.
+// Construct with Engine.NewIngest.
 type IngestSession struct {
 	e     *Engine
-	key   string
 	dec   *trace.StreamDecoder
 	sinks []trace.Sink
 	masks []trace.OpMask
 	opts  IngestOptions
 
-	arm      *captureArm // where the stream lands; nil once discarded
 	nextSnap uint64
 	sealed   bool
 	err      error // latched first failure
 }
 
-// NewIngest opens a live ingest session for a workload key. The key
-// plays the same role as a Replay key: it is the fingerprint under
-// which Seal settles the stream into the cache and the persistent
-// store, so a later Replay(key, ...) — in this process or any other
-// sharing the store — is a hit instead of a capture.
-func (e *Engine) NewIngest(key string, opts IngestOptions) *IngestSession {
+// NewIngest opens a live ingest session feeding opts.Sinks.
+func (e *Engine) NewIngest(opts IngestOptions) *IngestSession {
 	s := &IngestSession{
 		e:     e,
-		key:   key,
 		dec:   trace.NewStreamDecoder(),
 		sinks: opts.Sinks,
 		opts:  opts,
-		arm:   &captureArm{e: e, key: key, acct: e.budget, mem: true},
 	}
 	s.masks = trace.SinkMasks(opts.Sinks)
 	if opts.SnapshotEvery > 0 {
@@ -132,52 +105,20 @@ func (s *IngestSession) Stats() IngestStats {
 // Err returns the session's latched failure, nil while healthy.
 func (s *IngestSession) Err() error { return s.err }
 
-// fail latches the session's first failure and returns it wrapped. A
-// broken session settles nothing, so its arm is discarded at once: the
-// reservation returns to the budget and any overflow entry is aborted.
+// fail latches the session's first failure and returns it wrapped.
 func (s *IngestSession) fail(err error) error {
 	if s.err == nil {
 		s.err = fmt.Errorf("%w: %w", ErrIngestBroken, err)
-		s.dropArm()
 	}
 	return s.err
 }
 
-// Abort abandons the session: its arm is discarded (the reservation
-// returns to the budget, an overflow entry is removed) and
-// ErrIngestBroken is latched, so a later Feed or Seal fails. It does
-// nothing once the session is sealed or broken, so it can be deferred.
+// Abort abandons the session: ErrIngestBroken is latched, so a later
+// Feed or Seal fails. It does nothing once the session is sealed or
+// broken, so it can be deferred.
 func (s *IngestSession) Abort() {
 	if !s.sealed {
 		_ = s.fail(errors.New("aborted"))
-	}
-}
-
-// dropArm discards the session's arm; Seal then settles nothing.
-func (s *IngestSession) dropArm() {
-	if s.arm != nil {
-		s.arm.discard()
-		s.arm = nil
-	}
-}
-
-// land writes stream bytes the decoder consumed to the session's arm. An
-// arm that cannot take them — its overflow entry failed to write, or
-// the engine is closed — is discarded and the stream keeps replaying
-// live. The write is bracketed against Close like any cache work, so
-// Close never removes a scratch store an overflow is writing into.
-func (s *IngestSession) land(p []byte) {
-	if s.arm == nil || len(p) == 0 {
-		return
-	}
-	if s.e.begin() != nil {
-		s.dropArm()
-		return
-	}
-	_, err := s.arm.Write(p)
-	s.e.end()
-	if err != nil {
-		s.dropArm()
 	}
 }
 
@@ -202,7 +143,7 @@ func (s *IngestSession) Feed(p []byte) error {
 	return s.drain()
 }
 
-// drain lands and delivers every currently complete frame. ErrStreamOpen
+// drain delivers every currently complete frame. ErrStreamOpen
 // is the healthy resting state between feeds; io.EOF is drain's clean
 // end after CloseInput; anything else breaks the session.
 func (s *IngestSession) drain() error {
@@ -212,9 +153,6 @@ func (s *IngestSession) drain() error {
 		if err != nil && !open {
 			return s.fail(err)
 		}
-		// The stream header lands with the call that parsed it, even
-		// when that call then waits for the first frame.
-		s.land(s.dec.Consumed())
 		if open {
 			return nil
 		}
@@ -249,14 +187,9 @@ func (s *IngestSession) deliver(evs []trace.Event) error {
 }
 
 // Seal declares the stream finished: the remaining buffered frames are
-// delivered, the stream must end at a clean frame boundary (a torn tail
-// is corruption here, exactly as a torn file would be), and the landed
-// bytes settle where a local capture's would — the memory tier, budget
-// permitting, else the disk tier, and the persistent store when one is
-// attached. Store and adoption failures do not fail the seal (the store
-// is an accelerator, same contract as putToStore); what settled is
-// reported in the result. A second Seal, or a Seal on a broken session,
-// fails.
+// delivered, and the stream must end at a clean frame boundary (a torn
+// tail is corruption here, exactly as a torn file would be). A second
+// Seal, or a Seal on a broken session, fails.
 func (s *IngestSession) Seal() (IngestResult, error) {
 	if s.err != nil {
 		return IngestResult{Stats: s.Stats()}, s.err
@@ -276,37 +209,5 @@ func (s *IngestSession) Seal() (IngestResult, error) {
 		return res, s.fail(fmt.Errorf("seal rejected: %w", ferr))
 	}
 	s.e.sealedIngests.Add(1)
-	if s.arm != nil {
-		res.Adopted, res.Published = s.e.sealArm(s.key, s.arm, s.dec.Events())
-		s.arm = nil
-	}
 	return res, nil
-}
-
-// sealArm settles a sealed session's arm under key through the arm's
-// own settle, as store settles a capture's, and reports whether the
-// entry settled and whether the stream reached the persistent store. It
-// claims only an empty (or declined) slot — an in-flight or settled
-// entry must not be shadowed — and only while the engine is open;
-// otherwise the arm is discarded.
-func (e *Engine) sealArm(key string, arm *captureArm, events uint64) (adopted, published bool) {
-	if e.begin() != nil {
-		arm.discard()
-		return false, false
-	}
-	defer e.end()
-	e.mu.Lock()
-	ent := e.entryLocked(key)
-	if ent.state != stateEmpty && ent.state != stateDeclined {
-		e.mu.Unlock()
-		arm.discard()
-		return false, false
-	}
-	ent.state = stateInflight
-	e.mu.Unlock()
-	if arm.settle(ent, events) != nil {
-		e.rearm(ent)
-		return false, false
-	}
-	return true, arm.persistent || e.putToStore(ent)
 }

@@ -78,27 +78,26 @@ func (e *Engine) RunPass(subs []Subscription) error {
 	return rep.Err()
 }
 
-// RunPassContext replays every workload named by the subscriptions
-// exactly once, feeding all subscribed sinks in one fused ReplayAll per
-// workload. Workloads are first warmed (captured) across the worker
-// pool; replays then run on the pool in a precedence DAG — two workloads
-// replay concurrently whenever no sink observes both, and a sink fed by
-// several workloads receives them in the pass's deterministic serial
-// order — so every sink observes exactly its declared stream sequence
-// and results are bit-identical at any worker count.
+// RunPassContext runs every workload named by the subscriptions exactly
+// once, feeding all subscribed sinks in one fused ReplayAll per
+// workload. Runs execute on the worker pool in a precedence DAG — two
+// workloads run concurrently whenever no sink observes both, and a sink
+// fed by several workloads receives them in the pass's deterministic
+// serial order — so every sink observes exactly its declared stream
+// sequence and results are bit-identical at any worker count.
 //
 // The pass degrades instead of aborting: a failing cell — a workload
-// whose capture errors or panics, a sink that panics mid-replay, an
-// unreadable trace that survived retry and re-capture — is recorded as
-// a typed *CellError in the returned PassReport and the rest of the
-// pass keeps going, so one poisoned cell costs its subscribers, not the
-// whole matrix. Cancellation is cooperative: the context is checked
-// before each capture, before each workload replay, and between decoded
-// blocks mid-replay; once it fires, remaining workloads report
-// ErrCanceled and the report is marked Canceled. The error return is
-// reserved for planning defects (empty keys, repeated workloads,
-// inconsistent subscription orders) — failures of the pass's shape, not
-// of any one cell — and is returned before anything is captured.
+// whose run errors or panics, a sink that panics mid-stream — is
+// recorded as a typed *CellError in the returned PassReport and the rest
+// of the pass keeps going, so one poisoned cell costs its subscribers,
+// not the whole matrix. Cancellation is cooperative: the context is
+// checked before each workload runs and before every batch it delivers,
+// so a running workload stops at its next batch; once it fires,
+// remaining workloads report ErrCanceled and the report is marked
+// Canceled. The error return is reserved for planning defects (empty
+// keys, repeated workloads, inconsistent subscription orders) —
+// failures of the pass's shape, not of any one cell — and is returned
+// before anything runs.
 func (e *Engine) RunPassContext(ctx context.Context, subs []Subscription) (*PassReport, error) {
 	if err := e.begin(); err != nil {
 		return nil, err
@@ -138,17 +137,6 @@ func (e *Engine) RunPassContext(ctx context.Context, subs []Subscription) (*Pass
 		return nil, err
 	}
 	linkSinks(nodes, order)
-
-	// Warm phase: every capture runs (once, singleflighted) before any
-	// replay, so the replay phase never stalls a chain on a capture.
-	// Warm failures are deliberately dropped here — the replay phase is
-	// authoritative and will observe (and attribute) the same failure, or
-	// succeed outright if the fault was transient.
-	e.Map(len(nodes), func(i int) {
-		if ctx.Err() == nil {
-			_ = e.WarmContext(ctx, nodes[i].key, nodes[i].capture)
-		}
-	})
 
 	rep := &PassReport{}
 	e.replayDAG(ctx, rep, nodes, order)
@@ -220,18 +208,18 @@ func linkSinks(nodes []*passNode, order []int) {
 	}
 }
 
-// replayDAG replays every workload once, on the worker pool, in an
-// order respecting the sink precedence edges; among ready workloads the
+// replayDAG runs every workload once, on the worker pool, in an order
+// respecting the sink precedence edges; among ready workloads the
 // earliest serial position goes first. A single-worker engine runs the
-// serial order inline — the reference path. A workload whose replay
-// fails is recorded in rep and its successors still run: their streams
-// are independent captures, so one poisoned cell must not starve the
-// rest of the pass.
+// serial order inline — the reference path. A workload whose run fails
+// is recorded in rep and its successors still run: their streams are
+// independent runs, so one poisoned cell must not starve the rest of
+// the pass.
 func (e *Engine) replayDAG(ctx context.Context, rep *PassReport, nodes []*passNode, order []int) {
 	run := func(n *passNode) {
 		if ctx.Err() != nil {
 			rep.add(&CellError{Key: n.key, Stage: "schedule", Err: ctxErr(ctx)})
-		} else if err := e.replayGuarded(ctx, n.key, n.capture, trace.Flatten(n.groups...)); err != nil {
+		} else if _, err := e.ReplayAllContext(ctx, n.key, n.capture, trace.Flatten(n.groups...)); err != nil {
 			rep.add(&CellError{Key: n.key, Stage: stageOf(err), Err: err})
 		}
 	}
@@ -285,20 +273,6 @@ func (e *Engine) replayDAG(ctx context.Context, rep *PassReport, nodes []*passNo
 		}()
 	}
 	wg.Wait()
-}
-
-// replayGuarded is ReplayAllContext with panic isolation: a sink (or
-// decoder) panicking mid-replay unwinds only this workload's cell,
-// converted to an ErrSinkPanic the report can carry, instead of killing
-// the worker pool.
-func (e *Engine) replayGuarded(ctx context.Context, key string, capture CaptureFunc, sinks []trace.Sink) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: %w", ErrSinkPanic, panicError(r))
-		}
-	}()
-	_, err = e.ReplayAllContext(ctx, key, capture, sinks)
-	return err
 }
 
 // stageOf names the execution edge a replay error belongs to, for

@@ -62,7 +62,7 @@ func TestRunPassOrdersAndFusesReplays(t *testing.T) {
 	if len(recC.Events) != 5 {
 		t.Errorf("independent subscription got %d events, want 5", len(recC.Events))
 	}
-	// The whole pass: each workload captured once and replayed once,
+	// The whole pass: each workload run once,
 	// however many subscriptions share it.
 	if e.Stats().Captures != 3 || e.Stats().Replays != 3 {
 		t.Errorf("captures=%d replays=%d, want 3 and 3", e.Stats().Captures, e.Stats().Replays)
@@ -132,16 +132,15 @@ func TestRunPassEmptyAndNoSinks(t *testing.T) {
 	if err := e.RunPass([]Subscription{{Workloads: []PassWorkload{{Key: "A", Capture: passCapture(1, 3)}}}}); err != nil {
 		t.Fatal(err)
 	}
-	// A sink-less subscription still warms and replays its workload once
-	// (the stream is decoded and counted, just delivered to nobody).
-	if e.Stats().Captures != 1 {
-		t.Errorf("captures=%d, want 1", e.Stats().Captures)
+	// A sink-less subscription feeds nobody, so its workload never runs.
+	if e.Stats().Captures != 0 {
+		t.Errorf("captures=%d, want 0", e.Stats().Captures)
 	}
 }
 
 func TestRunPassConcurrentPasses(t *testing.T) {
 	// Several passes over the same engine (the -race hammer's shape):
-	// the trace cache singleflights captures, each pass owns its sinks.
+	// each pass runs its own workloads into its own sinks.
 	e := New(8)
 	var wg sync.WaitGroup
 	out := make([][]int, 6)
@@ -173,8 +172,8 @@ func TestRunPassConcurrentPasses(t *testing.T) {
 			t.Errorf("pass %d event counts %v, want [100 50]", g, ns)
 		}
 	}
-	if e.Stats().Captures != 3 {
-		t.Errorf("captures=%d, want 3 (singleflight across passes)", e.Stats().Captures)
+	if e.Stats().Captures != 18 {
+		t.Errorf("captures=%d, want 18 (three runs per pass)", e.Stats().Captures)
 	}
 }
 

@@ -16,12 +16,11 @@ import (
 )
 
 // tEng is shared across the driver tests: results are bit-identical at
-// any worker count, replaying it here both exercises the pool under
-// -race and shares the trace cache between tests.
+// any worker count, so running them on one engine exercises the pool
+// under -race.
 var tEng = engine.New(4)
 
-// TestMain closes tEng after the package's tests, removing the scratch
-// store its overflowing captures landed in once the shared cache filled.
+// TestMain closes tEng after the package's tests.
 func TestMain(m *testing.M) {
 	code := m.Run()
 	_ = tEng.Close()
@@ -350,13 +349,9 @@ func TestReplayFansOut(t *testing.T) {
 	if a.Unit(isa.OpFMul).TotalOps() != 1 || b.Unit(isa.OpFMul).TotalOps() != 1 {
 		t.Fatal("fused replay did not fan out")
 	}
-	// The second request must be served from the trace cache, not by a
-	// second workload execution.
-	if _, err := eng.ReplayAll("test|fanout", capture, []trace.Sink{a}); err != nil {
-		t.Fatal(err)
-	}
-	if eng.Stats().Captures != 1 || eng.Stats().Replays != 2 {
-		t.Fatalf("captures=%d replays=%d, want 1 and 2", eng.Stats().Captures, eng.Stats().Replays)
+	// Both sinks were fed by one run of the workload.
+	if eng.Stats().Captures != 1 || eng.Stats().Replays != 1 {
+		t.Fatalf("captures=%d replays=%d, want 1 and 1", eng.Stats().Captures, eng.Stats().Replays)
 	}
 	var _ trace.Sink = a // TableSet is a Sink
 }

@@ -56,7 +56,7 @@ func TestLiveBankIncrementalMatchesOffline(t *testing.T) {
 	e := engine.New(2)
 	live := NewDefaultLiveBank(99)
 	var rolled int
-	s := e.NewIngest("live", engine.IngestOptions{
+	s := e.NewIngest(engine.IngestOptions{
 		Sinks:         live.Sinks(),
 		SnapshotEvery: 20000,
 		OnSnapshot: func(st engine.IngestStats) {

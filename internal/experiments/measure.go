@@ -5,9 +5,9 @@
 //
 // Every driver is a registered Experiment (registry.go): its plan half
 // declares which workload traces feed which sinks, the engine's
-// cross-experiment planner (engine.RunPass) captures each demanded
-// workload once and replays it once into every subscribed sink across
-// the whole selection, and its finish half assembles a typed
+// cross-experiment planner (engine.RunPass) runs each demanded workload
+// once into every subscribed sink across the whole selection, and its
+// finish half assembles a typed
 // report.Result. Every sink sees its workloads in declared order, so
 // rendered output is bit-identical at any worker count;
 // engine.Serial() gives the reference single-threaded path.
@@ -205,11 +205,11 @@ func Measure(run Runner, cfg memo.Config, policy memo.TrivialPolicy) (*TableSet,
 	return ts, &c
 }
 
-// kernelKey names a scientific kernel's trace in the engine cache.
+// kernelKey names a scientific kernel's workload for the planner.
 func kernelKey(name string) string { return "sci|" + name }
 
-// appKey names an MM application run's trace in the engine cache. The
-// decimation bound participates so different scales never share bytes.
+// appKey names an MM application run's workload for the planner. The
+// decimation bound participates so different scales never share a key.
 func appKey(app, input string, scale Scale) string {
 	return fmt.Sprintf("mm|%s|%s|%d", app, input, scale.maxDim())
 }
@@ -217,8 +217,8 @@ func appKey(app, input string, scale Scale) string {
 // captureOf adapts a Runner to the engine's capture interface: the
 // workload executes against a probe whose only sink is the recorder,
 // allocating every image from a private address space. The addresses a
-// workload emits (and hence its cached trace) are a pure function of the
-// workload, so the engine runs captures concurrently on its worker pool.
+// workload emits (and hence its trace) are a pure function of the
+// workload, so the engine runs workloads concurrently on its worker pool.
 func captureOf(run Runner) engine.CaptureFunc {
 	return func(s trace.Sink) {
 		run(probe.New(s), imaging.NewAddressSpace())
@@ -226,7 +226,7 @@ func captureOf(run Runner) engine.CaptureFunc {
 }
 
 // appRunner curries an MM application with a named input, deferring the
-// image load/decimate to capture time so cache hits skip it entirely.
+// image load/decimate to capture time, when the workload runs.
 // Decimating the input is the run's first allocation, so every capture
 // of the same (app, input, scale) triple sees identical addresses.
 func appRunner(app workloads.App, input string, scale Scale) Runner {

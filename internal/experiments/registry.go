@@ -26,9 +26,9 @@ import (
 //
 // Run collects the demands of every selected experiment and hands them
 // to the engine's cross-experiment planner (engine.RunPass) as one
-// batch, so a workload shared by any number of selected experiments is
-// captured once and replayed once, feeding all their sinks in a single
-// fused pass — fusion no longer stops at driver boundaries.
+// batch, so a workload shared by any number of selected experiments runs
+// once, feeding all their sinks in a single fused pass — fusion does not
+// stop at driver boundaries.
 
 // Scale bounds the image geometry the MM experiments run at. The paper
 // traced full applications under Shade; we trade input size for wall
@@ -103,7 +103,7 @@ func inputFor(name string, scale Scale) *imaging.Image {
 }
 
 // Workload names one capturable operand stream for the planner: the
-// engine cache key plus the capture that produces it.
+// workload key plus the capture that produces it.
 type Workload = engine.PassWorkload
 
 // Demand subscribes one group of an experiment's sinks to an ordered
@@ -305,9 +305,9 @@ func Run(eng *engine.Engine, scale Scale, names ...string) ([]*report.Result, er
 }
 
 // RunContext is Run with cooperative cancellation and degraded-mode
-// results. The replay pass runs under ctx; workload failures (injected
-// faults, panicking sinks, unreadable disk-tier entries, cancellation) do not
-// abort the selection. Instead:
+// results. The pass runs under ctx; workload failures (injected faults,
+// panicking workloads or sinks, cancellation) do not abort the
+// selection. Instead:
 //
 //   - an experiment none of whose demanded workloads failed finishes
 //     normally and its Result is exact;

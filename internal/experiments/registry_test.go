@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"context"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -67,9 +70,8 @@ func TestRunUnknownNameRunsNothing(t *testing.T) {
 }
 
 // TestRunFusesWholeMatrix is the planner's core guarantee: the full
-// registry in one Run captures each demanded workload exactly once and
-// replays it exactly once, even though many experiments demand the same
-// applications.
+// registry in one Run runs each demanded workload exactly once, even
+// though many experiments demand the same applications.
 func TestRunFusesWholeMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix")
@@ -97,20 +99,68 @@ func TestRunFusesWholeMatrix(t *testing.T) {
 		t.Fatal("matrix ran no captures")
 	}
 	if eng.Stats().Captures != eng.Stats().Replays {
-		t.Errorf("captures %d != replays %d: fusion failed (a workload was replayed per-sink or re-captured)",
-			eng.Stats().Captures, eng.Stats().Replays)
+		t.Errorf("captures %d != replays %d: a workload run failed", eng.Stats().Captures, eng.Stats().Replays)
 	}
-	if eng.Stats().Recaptures != 0 {
-		t.Errorf("%d recaptures in a fused pass", eng.Stats().Recaptures)
+	if want := len(registryWorkloadKeys(t)); eng.Stats().Captures != uint64(want) {
+		t.Errorf("%d workload runs for %d distinct workloads: fusion failed", eng.Stats().Captures, want)
 	}
 
-	// A second identical Run replays from cache: no further captures.
+	// A later Run on the same engine runs its own selection's workloads
+	// once each again.
 	before := eng.Stats().Captures
 	if _, err := Run(eng, Tiny, "table7", "table9"); err != nil {
 		t.Fatal(err)
 	}
-	if eng.Stats().Captures != before {
-		t.Errorf("cached selection re-captured: %d -> %d", before, eng.Stats().Captures)
+	if got, want := eng.Stats().Captures-before, len(registryWorkloadKeys(t, "table7", "table9")); got != uint64(want) {
+		t.Errorf("second selection ran %d workloads, want its %d distinct ones", got, want)
+	}
+}
+
+// registryWorkloadKeys is the sorted set of distinct workload keys the
+// named experiments (all of them when names is empty) demand at tiny
+// scale.
+func registryWorkloadKeys(t *testing.T, names ...string) []string {
+	t.Helper()
+	exps, err := Lookup(names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]bool)
+	for _, ex := range exps {
+		for _, keys := range demandKeys(ex.Plan(&Context{Eng: engine.New(1), Scale: Tiny})) {
+			for _, k := range keys {
+				seen[k] = true
+			}
+		}
+	}
+	keys := make([]string, 0, len(seen))
+	for k := range seen {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// TestTraceFingerprintsListRegistryWorkloads: after a fault-free tiny
+// pass of the whole registry, the engine's trace fingerprints — what a
+// fleet worker's provenance chain binds its run to — are exactly the
+// registry's distinct workload keys.
+func TestTraceFingerprintsListRegistryWorkloads(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full matrix")
+	}
+	eng := engine.New(2)
+	_, rep, err := RunContext(context.Background(), eng, Tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Errors) != 0 {
+		t.Fatalf("fault-free pass failed cells: %v", rep.Errors)
+	}
+	got, want := eng.TraceFingerprints(), registryWorkloadKeys(t)
+	if !slices.Equal(got, want) {
+		t.Fatalf("fingerprints (%d) differ from the registry's workload keys (%d):\ngot  %v\nwant %v",
+			len(got), len(want), got, want)
 	}
 }
 

@@ -43,21 +43,16 @@ import (
 // and trace layers is named here; Parse rejects unknown points so a typo
 // in a FAULTS spec fails loudly instead of silently injecting nothing.
 const (
-	// CaptureRun fires when a workload capture (or a declined workload's
-	// direct re-execution) is about to run. Error mode fails the capture;
-	// panic mode simulates the workload itself panicking.
+	// CaptureRun fires when a workload is about to run into its sinks.
+	// Error mode fails the run; panic mode simulates the workload itself
+	// panicking.
 	CaptureRun = "engine.capture.run"
 	// FrameCRC fires when a v2 trace frame's checksum is about to be
 	// accepted: an injected failure reports the frame as corrupt.
 	FrameCRC = "trace.frame.crc"
-	// BlockDecode fires before a trace is decoded into shared blocks.
-	// Error mode makes the decoded-block tier unavailable for that
-	// replay (it falls back to the byte path); panic mode panics.
-	BlockDecode = "engine.block.decode"
-	// SinkEmit fires once per batch delivered to a replay's or an
-	// ingest session's sinks: each decoded block, each batch decoded
-	// from the memory tier or a disk-tier file, each ingest frame.
-	// Panic mode simulates a panicking measurement sink.
+	// SinkEmit fires once per batch delivered to a workload run's or an
+	// ingest session's sinks: each blockLen batch of a run, each ingest
+	// frame. Panic mode simulates a panicking measurement sink.
 	SinkEmit = "engine.sink.emit"
 	// IngestFeed fires on each chunk of bytes fed into a live ingest
 	// session. Error mode fails the feed, aborting the session as a
@@ -66,20 +61,15 @@ const (
 	// IngestFrame fires when a complete, checksum-verified streamed frame
 	// is about to be delivered to the ingest session's sinks.
 	IngestFrame = "ingest.frame"
-	// IngestSeal fires when a settled ingest session is about to be
-	// sealed — adopted into the trace cache and published to the
-	// persistent store. Error mode fails the seal; the session's replay
-	// stays valid but nothing is persisted.
+	// IngestSeal fires when an ingest session whose stream ended at a
+	// clean frame boundary is about to be sealed. Error mode fails the
+	// seal; the frames already delivered stay delivered.
 	IngestSeal = "ingest.seal"
-	// StoreRead fires before a persistent trace-store entry is opened
-	// and verified, and before a disk-tier entry (an overflowed capture
-	// or a store hit) is opened and mapped for verification, replay, or
-	// block decoding. Error mode makes the lookup a miss; at replay it
-	// is a transient read failure.
+	// StoreRead fires before a trace-store entry is looked up, and
+	// before one is opened and mapped for a read (internal/tracestore).
+	// Error mode makes the lookup a miss and the read a failure.
 	StoreRead = "store.read"
-	// StoreWrite fires before each write to a trace-store temp file: a
-	// publish of a memory-tier capture, or a capture overflowing its
-	// budget into a store entry (persistent or scratch).
+	// StoreWrite fires before each write to a trace-store temp file.
 	StoreWrite = "store.write"
 	// StoreRename fires before a sealed store temp file is renamed to
 	// its content-addressed name.
@@ -94,7 +84,7 @@ const (
 	ServiceRun = "service.run"
 	// ServiceRender fires when a completed run's results are about to be
 	// rendered for the HTTP response. Error mode fails rendering for
-	// that request alone (HTTP 500) — the run's cache effects remain.
+	// that request alone (HTTP 500).
 	ServiceRender = "service.render"
 	// FleetSpawn fires when the fleet coordinator is about to launch a
 	// worker process for a shard attempt. Error mode fails the attempt
@@ -114,7 +104,7 @@ const (
 func Points() []string {
 	pts := []string{
 		CaptureRun,
-		FrameCRC, BlockDecode, SinkEmit,
+		FrameCRC, SinkEmit,
 		IngestFeed, IngestFrame, IngestSeal,
 		StoreRead, StoreWrite, StoreRename,
 		ServiceAdmit, ServiceRun, ServiceRender,

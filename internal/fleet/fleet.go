@@ -53,7 +53,7 @@ type Config struct {
 	// the sleep.
 	RetryBase time.Duration
 	// Args contributes extra worker argv entries per shard — the CLI
-	// forwards -parallel/-store/-faults here.
+	// forwards -parallel/-faults here.
 	Args func(shard int) []string
 	// Stderr receives every worker's stderr (nil discards it).
 	Stderr io.Writer

@@ -7,7 +7,7 @@
 // (experiments.ShardSelection), launches one `memosim -worker -shard
 // i/N` subprocess per shard, and collects from each a Manifest — the
 // shard's rendered result bytes plus a provenance chain over the trace
-// fingerprints it settled and the exact bytes it rendered. The
+// fingerprints of the workloads it ran and the exact bytes it rendered. The
 // coordinator recomputes every chain from the carried bytes before
 // trusting them; output that fails recomputation is rejected with
 // provenance.ErrProvenance and never merged.
@@ -53,8 +53,9 @@ type ShardResult struct {
 
 // Manifest is a worker's entire output: its identity (which shard of
 // which split, at what scale, over which experiments), the trace
-// fingerprints its engine settled, its rendered results, and the
-// provenance chain binding all of the above under a Merkle root.
+// fingerprints of the workloads its engine ran, its rendered results,
+// and the provenance chain binding all of the above under a Merkle
+// root.
 type Manifest struct {
 	Shard    int           `json:"shard"`
 	Shards   int           `json:"shards"`

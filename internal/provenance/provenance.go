@@ -37,7 +37,7 @@ var ErrProvenance = errors.New("provenance verification failed")
 const (
 	// KindHeader identifies the run: scale, shard assignment, selection.
 	KindHeader = "header"
-	// KindTrace is one captured-trace fingerprint the shard settled on.
+	// KindTrace is the fingerprint of one workload the shard ran.
 	KindTrace = "trace"
 	// KindCell is one experiment's rendered result bytes (JSON and text).
 	KindCell = "cell"

@@ -20,7 +20,7 @@ import (
 //
 //	GET /v1/experiments            the registry: [{"name","title"}, ...]
 //	GET /v1/run?run=a,b&scale=s    run a selection, return its results
-//	GET /v1/stats                  engine + tier + service snapshots
+//	GET /v1/stats                  engine + service snapshots
 //	GET /v1/metrics                the same snapshots as Prometheus text
 //
 // /v1/run parameters mirror the offline CLI flags: `run` is the
@@ -170,15 +170,13 @@ func runStatus(err error) int {
 	}
 }
 
-// handleStats snapshots the engine, its tiers, and the service.
+// handleStats snapshots the engine and the service.
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	snap := struct {
-		Engine  engine.Stats       `json:"engine"`
-		Tiers   []engine.TierStats `json:"tiers"`
-		Service Stats              `json:"service"`
+		Engine  engine.Stats `json:"engine"`
+		Service Stats        `json:"service"`
 	}{
 		Engine:  s.eng.Stats(),
-		Tiers:   s.eng.TierStats(),
 		Service: s.Stats(),
 	}
 	body, err := json.MarshalIndent(snap, "", "  ")

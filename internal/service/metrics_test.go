@@ -61,8 +61,7 @@ func TestHTTPMetrics(t *testing.T) {
 	for _, fam := range []string{
 		"memosim_engine_captures_total",
 		"memosim_engine_replays_total",
-		"memosim_engine_tier_entries",
-		"memosim_engine_tier_bytes",
+		"memosim_engine_delivered_events_total",
 		"memosim_service_requests_total",
 		"memosim_service_inflight",
 	} {
@@ -76,20 +75,23 @@ func TestHTTPMetrics(t *testing.T) {
 	if strings.Contains(body, "# TYPE memosim_engine_captures_total gauge") {
 		t.Error("counter family typed as gauge")
 	}
+	if strings.Contains(body, "{") {
+		t.Error("a labeled sample in an exposition of unlabeled families")
+	}
 
 	// The service is quiet (run finished, no other requests), so the
 	// exposition must agree exactly with a stats snapshot taken now.
 	es, ss := svc.Engine().Stats(), svc.Stats()
 	for sample, want := range map[string]float64{
-		"memosim_engine_captures_total":     float64(es.Captures),
-		"memosim_engine_replays_total":      float64(es.Replays),
-		"memosim_engine_workers":            float64(es.Workers),
-		"memosim_engine_cached_traces":      float64(es.CachedTraces),
-		"memosim_engine_budget_limit_bytes": float64(es.BudgetLimit),
-		"memosim_service_requests_total":    float64(ss.Requests),
-		"memosim_service_admitted_total":    float64(ss.Admitted),
-		"memosim_service_tenants":           float64(ss.Tenants),
-		"memosim_service_inflight":          0,
+		"memosim_engine_captures_total":         float64(es.Captures),
+		"memosim_engine_replays_total":          float64(es.Replays),
+		"memosim_engine_workers":                float64(es.Workers),
+		"memosim_engine_replayed_events_total":  float64(es.ReplayedEvents),
+		"memosim_engine_delivered_events_total": float64(es.DeliveredEvents),
+		"memosim_service_requests_total":        float64(ss.Requests),
+		"memosim_service_admitted_total":        float64(ss.Admitted),
+		"memosim_service_tenants":               float64(ss.Tenants),
+		"memosim_service_inflight":              0,
 	} {
 		if got := metricValue(t, body, sample); got != want {
 			t.Errorf("%s = %g, want %g", sample, got, want)
@@ -99,12 +101,4 @@ func TestHTTPMetrics(t *testing.T) {
 		t.Error("warm-up run recorded no captures; value assertions are vacuous")
 	}
 
-	// Per-tier samples carry the tier label and cover every tier the
-	// JSON endpoint reports.
-	for _, tier := range svc.Engine().TierStats() {
-		sample := fmt.Sprintf("memosim_engine_tier_entries{tier=%q}", tier.Name)
-		if got := metricValue(t, body, sample); got != float64(tier.Entries) {
-			t.Errorf("%s = %g, want %d", sample, got, tier.Entries)
-		}
-	}
 }

@@ -1,24 +1,17 @@
 // Package service is the multi-tenant front-end of the experiment
 // engine: one long-running Service owns one shared engine.Engine and
 // hands out per-tenant Sessions, so many concurrent clients run
-// experiment selections against a single two-tier trace cache instead
-// of each paying cold captures. Three concerns layer on top of the
-// engine's seams:
+// experiment selections on one bounded worker pool. Two concerns layer
+// on top of the engine:
 //
-//   - Per-tenant space control. Every Session carries an engine.Budget
-//     nested under the engine's root budget (engine.WithBudget), so a
-//     tenant that exhausts its byte slice degrades its own workloads to
-//     direct re-execution — byte-identical results, just uncached —
-//     without evicting or displacing another tenant's entries.
 //   - Admission control. At most MaxInflight passes run on the engine
 //     at once; excess requests queue up to MaxQueue deep and wait up to
 //     MaxWait for a slot. Overflow and timeout are rejected with the
 //     typed ErrAdmission rather than piling unbounded work on the pool.
 //   - Request coalescing. Identical selections (same scale, same
 //     ordered experiment names) arriving while a run is in flight join
-//     that run instead of starting their own — the cross-tenant
-//     analogue of the engine's per-workload singleflight. Joined
-//     requests share one pass, one admission slot, and one result set.
+//     that run instead of starting their own. Joined requests share
+//     one pass, one admission slot, and one result set.
 //
 // Results are the same []*report.Result / *engine.PassReport pair the
 // offline CLI uses, so the HTTP front-end (http.go) can serve bytes
@@ -56,10 +49,6 @@ type Config struct {
 	// MaxWait bounds how long a queued request waits for a slot before
 	// ErrAdmission (<= 0 selects 2s).
 	MaxWait time.Duration
-	// TenantBudget is the cache-byte budget of each tenant's Session,
-	// nested under the engine's root budget (<= 0 gives every tenant
-	// the root limit — bounded globally, unbounded per tenant).
-	TenantBudget int64
 	// RunTimeout bounds each run's wall clock on the engine, beyond any
 	// per-request deadline (0 = no limit).
 	RunTimeout time.Duration
@@ -89,9 +78,8 @@ type Service struct {
 	rejected      atomic.Uint64 // requests refused by admission control
 }
 
-// New builds a Service over an engine the caller constructed (workers,
-// trace dir and store already configured). The Service owns
-// the engine from here: Close closes it.
+// New builds a Service over an engine the caller constructed. The
+// Service owns the engine from here: Close closes it.
 func New(eng *engine.Engine, cfg Config) *Service {
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = eng.Workers()
@@ -114,12 +102,12 @@ func New(eng *engine.Engine, cfg Config) *Service {
 	}
 }
 
-// Engine returns the shared engine (stats, tiers, store access).
+// Engine returns the shared engine.
 func (s *Service) Engine() *engine.Engine { return s.eng }
 
-// Close shuts the service down: new runs fail with engine.ErrClosed
-// (in-flight passes drain first — Engine.Close waits for them), and the
-// engine's scratch store is removed. Idempotent, like Engine.Close.
+// Close shuts the service down: new runs fail with engine.ErrClosed,
+// and in-flight passes drain first — Engine.Close waits for them.
+// Idempotent, like Engine.Close.
 func (s *Service) Close() error {
 	s.mu.Lock()
 	s.closed = true
@@ -127,31 +115,24 @@ func (s *Service) Close() error {
 	return s.eng.Close()
 }
 
-// Session is one tenant's handle on the service: a name, a cache-byte
-// budget nested under the engine's global limit, and per-tenant request
-// counters. Sessions are cheap and long-lived; all methods are safe for
-// concurrent use.
+// Session is one tenant's handle on the service: a name and per-tenant
+// request counters. Sessions are cheap and long-lived; all methods are
+// safe for concurrent use.
 type Session struct {
 	svc    *Service
 	tenant string
-	budget *engine.Budget
 
 	requests atomic.Uint64 // runs requested by this tenant
 	degraded atomic.Uint64 // responses carrying failed cells
 }
 
-// Session returns tenant's session, creating it on first use with the
-// configured TenantBudget nested under the engine's root budget.
+// Session returns tenant's session, creating it on first use.
 func (s *Service) Session(tenant string) *Session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sess, ok := s.tenants[tenant]
 	if !ok {
-		limit := s.cfg.TenantBudget
-		if limit <= 0 {
-			limit = s.eng.Budget().Limit()
-		}
-		sess = &Session{svc: s, tenant: tenant, budget: s.eng.Budget().Child(limit)}
+		sess = &Session{svc: s, tenant: tenant}
 		s.tenants[tenant] = sess
 	}
 	return sess
@@ -159,10 +140,6 @@ func (s *Service) Session(tenant string) *Session {
 
 // Tenant returns the session's tenant name.
 func (s *Session) Tenant() string { return s.tenant }
-
-// Budget returns the session's byte budget (a child of the engine's
-// root budget), for inspection and limit adjustment.
-func (s *Session) Budget() *engine.Budget { return s.budget }
 
 // runCall is one in-flight coalescable run: the leader executes, every
 // identical request arriving before completion joins as a follower and
@@ -191,10 +168,7 @@ func runKey(scale experiments.Scale, names []string) string {
 // names is empty) at the given scale and returns the selection-ordered
 // results plus the engine's pass report, exactly as the offline
 // experiments.RunContext would. Identical concurrent selections — any
-// tenant's — coalesce into one engine pass. Cache bytes the run
-// captures are charged to this session's budget; a selection that
-// overflows it degrades to direct re-execution without touching other
-// tenants' entries.
+// tenant's — coalesce into one engine pass.
 //
 // Failure surfaces as: ErrAdmission (queue full or slot wait expired),
 // engine.ErrClosed (service shut down), a context/cancellation error
@@ -233,7 +207,7 @@ func (sess *Session) Run(ctx context.Context, scale experiments.Scale, names ...
 		s.runsStarted.Add(1)
 		hook := s.beforeRun
 		after := s.afterRun
-		go s.execute(base, c, sess, key, scale, names, hook, after)
+		go s.execute(base, c, key, scale, names, hook, after)
 	}
 	s.mu.Unlock()
 
@@ -263,11 +237,10 @@ func (s *Service) leave(key string, c *runCall) {
 }
 
 // execute is the run leader: it acquires an admission slot, runs the
-// selection on the shared engine under the leading tenant's budget, and
-// publishes the outcome to every waiter. The call is deregistered
+// selection on the shared engine, and publishes the outcome to every waiter. The call is deregistered
 // before done is closed, so a request arriving after completion starts
 // a fresh run — the coalescing window is exactly the in-flight window.
-func (s *Service) execute(ctx context.Context, c *runCall, sess *Session, key string, scale experiments.Scale, names []string, hook func(string), after func(string, *engine.PassReport, error)) {
+func (s *Service) execute(ctx context.Context, c *runCall, key string, scale experiments.Scale, names []string, hook func(string), after func(string, *engine.PassReport, error)) {
 	defer func() {
 		s.mu.Lock()
 		delete(s.runs, key)
@@ -290,8 +263,7 @@ func (s *Service) execute(ctx context.Context, c *runCall, sess *Session, key st
 		c.err = fmt.Errorf("service: run failed: %w", err)
 		return
 	}
-	runCtx := engine.WithBudget(ctx, sess.budget)
-	c.results, c.rep, c.err = experiments.RunContext(runCtx, s.eng, scale, names...)
+	c.results, c.rep, c.err = experiments.RunContext(ctx, s.eng, scale, names...)
 }
 
 // admit acquires an engine slot for one run: immediate when a slot is

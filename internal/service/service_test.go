@@ -170,72 +170,6 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
-// TestTenantBudgetDegradation: a tenant whose budget is exhausted gets
-// byte-identical results (its captures overflow to the disk tier) and
-// holds no memory-tier bytes; a healthy tenant replays those entries
-// without re-capturing, and its own memory-tier entries are untouched by
-// later starved runs.
-func TestTenantBudgetDegradation(t *testing.T) {
-	eng := engine.New(2)
-	eng.SetTraceDir(t.TempDir())
-	svc := New(eng, Config{MaxInflight: 2})
-	defer svc.Close()
-
-	starved := svc.Session("starved")
-	starved.Budget().SetLimit(1)
-
-	sr, srep, err := starved.Run(context.Background(), experiments.Tiny, "figure4")
-	if err != nil {
-		t.Fatalf("starved run: %v", err)
-	}
-	if len(srep.Errors) > 0 {
-		t.Fatalf("starved run degraded cells: %v", srep.Errors)
-	}
-	if st := eng.Stats(); st.CachedTraces != 0 || st.SpilledTraces == 0 {
-		t.Fatalf("starved tenant: %d traces cached past its budget, %d overflowed to disk", st.CachedTraces, st.SpilledTraces)
-	}
-	if used := starved.Budget().Used(); used != 0 {
-		t.Fatalf("starved tenant holds %d bytes", used)
-	}
-
-	healthy := svc.Session("healthy")
-	captures := eng.Stats().Captures
-	hr, _, err := healthy.Run(context.Background(), experiments.Tiny, "figure4")
-	if err != nil {
-		t.Fatalf("healthy run: %v", err)
-	}
-	if got := eng.Stats().Captures; got != captures {
-		t.Fatalf("healthy tenant re-captured %d overflowed workloads", got-captures)
-	}
-
-	sj, err := report.JSONArray(sr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hj, err := report.JSONArray(hr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sj, hj) {
-		t.Fatal("degraded tenant's results differ from the healthy tenant's")
-	}
-
-	if _, _, err := healthy.Run(context.Background(), experiments.Tiny, "table5"); err != nil {
-		t.Fatalf("healthy table5 run: %v", err)
-	}
-	cached := eng.Stats().CachedTraces
-	if cached == 0 {
-		t.Fatal("healthy tenant cached nothing")
-	}
-	// A further starved run must not evict the healthy tenant's entries.
-	if _, _, err := starved.Run(context.Background(), experiments.Tiny, "figure4", "table5"); err != nil {
-		t.Fatalf("second starved run: %v", err)
-	}
-	if got := eng.Stats().CachedTraces; got != cached {
-		t.Fatalf("starved tenant disturbed the cache: %d entries, was %d", got, cached)
-	}
-}
-
 // TestLastWaiterCancelReachesEnginePass pins the coalescing teardown
 // contract: when the last (here, only) waiter on a run abandons it, the
 // leader goroutine outlives the request — and its context must actually

@@ -8,9 +8,9 @@ import (
 // A v2 stream held in memory is a list of frame-aligned segments: the
 // first segment begins with the whole stream header, and every frame
 // lies whole inside one segment. A contiguous buffer is the one-segment
-// case. The engine's capture slabs (SlabWriter) are such a list, so a
-// capture is decoded, verified and published where it was
-// written, without ever being joined into one buffer.
+// case. A SlabWriter's slabs are such a list, so a stream written
+// through one is decoded and verified where it was written, without
+// ever being joined into one buffer.
 
 // NewSegmentReader validates the header of a stream held in memory as
 // frame-aligned segments and prepares to decode it. A v2 stream's

@@ -38,7 +38,6 @@ import (
 	"memotable/internal/report"
 	"memotable/internal/service"
 	"memotable/internal/trace"
-	"memotable/internal/tracestore"
 )
 
 // Re-exported core types. The aliases make the internal packages' types
@@ -93,21 +92,15 @@ type Shared = memo.Shared
 // NewShared wraps a table for multi-ported use.
 func NewShared(table *Table, ports int) *Shared { return memo.NewShared(table, ports) }
 
-// Engine is the parallel experiment engine: a bounded worker pool with a
-// tiered trace cache that captures each workload once and replays it to
-// every table configuration — from memory within the byte budget
-// (Engine.SetCacheLimit), from sealed trace-store entries on disk beyond
-// it (the attached Engine.SetStore store, or a scratch store the engine
-// removes on Close) and for every hit in the attached store, and from
-// decoded event blocks shared across later replays of the same workload
-// when the budget also has room for them.
-// Engine.ReplayAll feeds several configurations' sinks in one pass over
-// the stream. Experiment output is bit-identical at any worker count and
-// budget, whichever tier serves the trace.
+// Engine is the parallel experiment engine: a bounded worker pool that
+// runs each workload straight into the sinks of every table
+// configuration that consumes it. Engine.ReplayAll feeds several
+// configurations' sinks from one run of the workload. Experiment output
+// is bit-identical at any worker count.
 type Engine = engine.Engine
 
 // CaptureFunc runs a workload, emitting its operand trace into a sink;
-// it is what Engine.Replay captures and replays.
+// it is what Engine.Replay runs.
 type CaptureFunc = engine.CaptureFunc
 
 // NewEngine builds an engine with the given worker count; workers <= 0
@@ -117,21 +110,13 @@ func NewEngine(workers int) *Engine { return engine.New(workers) }
 // IngestOptions configures a live trace ingestion session
 // (Engine.NewIngest): an external producer pushes encoded v2 stream bytes
 // as it generates them, and complete frames replay incrementally into
-// the session's sinks. The bytes land as a local capture's do — charged
-// to the engine's cache budget as they arrive, overflowing into a trace
-// store entry when the budget cannot hold them — and sealing settles the
-// stream into the engine cache and the persistent trace store as if it
-// had been captured locally. An engine that ingests must be closed: an
-// overflowing stream without a persistent store lands in the engine's
-// scratch store, which only Close removes.
+// the session's sinks.
 type IngestOptions = engine.IngestOptions
 
 // IngestStats is a point-in-time view of an ingest session's progress.
 type IngestStats = engine.IngestStats
 
-// IngestResult reports what sealing an ingest session settled: whether
-// the stream became the key's cache entry (in memory, or on disk when it
-// outgrew the budget) and whether it reached the persistent store.
+// IngestResult reports a sealed ingest session's final progress.
 type IngestResult = engine.IngestResult
 
 // LiveBank bundles the rolling instruments of a live ingest session —
@@ -144,17 +129,6 @@ type LiveBank = experiments.LiveBank
 // fast-FP machine, 32x4 tables, trivial operations excluded), seeding
 // the sketch estimator deterministically.
 func NewLiveBank(seed uint64) *LiveBank { return experiments.NewDefaultLiveBank(seed) }
-
-// TraceStore is a persistent, content-addressed store of settled operand
-// traces, shared across processes (Engine.SetStore): each workload is
-// captured once per machine rather than once per process, and later runs
-// replay its verified bytes without executing anything.
-type TraceStore = tracestore.Store
-
-// OpenTraceStore prepares dir as a persistent trace store, creating the
-// directory if needed and sweeping unsealed temp files a dead process
-// left behind.
-func OpenTraceStore(dir string) (*TraceStore, error) { return tracestore.Open(dir) }
 
 // Paper32x4 returns the paper's basic configuration: 32 entries in sets
 // of 4, full-value tags.
@@ -239,9 +213,9 @@ func Experiments() []string { return experiments.Names() }
 func AllExperiments() []Experiment { return experiments.All() }
 
 // Run executes a selection of experiments (all of them when names is
-// empty) as one planned pass over the trace cache: every workload the
-// selection demands is captured once and replayed once, feeding all
-// subscribed experiments' sinks in a single fused pass. Results are
+// empty) as one planned pass: every workload the selection demands runs
+// once, feeding all subscribed experiments' sinks in a single fused
+// pass. Results are
 // returned in selection order. All unknown names are reported in one
 // error.
 func Run(eng *Engine, scale Scale, names ...string) ([]*Result, error) {
@@ -283,11 +257,9 @@ func RunExperiment(name string, scale Scale) (string, error) {
 }
 
 // RunExperimentWith runs one experiment on the given engine and returns
-// its rendered text. Sharing one engine across experiments shares its
-// trace cache, so workloads common to several tables are executed once
-// per process rather than once per table. Output is identical to
-// RunExperiment for any worker count. To run several experiments with
-// replay passes fused across them, use Run.
+// its rendered text. Output is identical to RunExperiment for any worker
+// count. To run several experiments with each shared workload run once
+// for all of them, use Run.
 func RunExperimentWith(eng *Engine, name string, scale Scale) (string, error) {
 	results, err := Run(eng, scale, name)
 	if err != nil {
@@ -305,19 +277,19 @@ func ParseScale(s string) (Scale, error) { return experiments.ParseScale(s) }
 // and CI diffs against offline output.
 func RenderJSONArray(results []*Result) ([]byte, error) { return report.JSONArray(results) }
 
-// EngineStats is the flat snapshot of every engine counter and
-// cache-shape figure (Engine.Stats). The name leaves Stats for the
+// EngineStats is the flat snapshot of every engine counter
+// (Engine.Stats). The name leaves Stats for the
 // MEMO-TABLE hit counters, which carried it first.
 type EngineStats = engine.Stats
 
 // Service is the multi-tenant front-end over one shared engine: per-
-// tenant sessions with nested byte budgets, admission control, and
-// coalescing of identical concurrent selections. Serve it over HTTP
+// tenant sessions, admission control, and coalescing of identical
+// concurrent selections. Serve it over HTTP
 // with Service.Handler (the `memosim -serve` daemon).
 type Service = service.Service
 
-// ServiceConfig shapes a Service (admission bounds, tenant budgets,
-// run timeout); zero values select defaults.
+// ServiceConfig shapes a Service (admission bounds, run timeout); zero
+// values select defaults.
 type ServiceConfig = service.Config
 
 // NewService builds a Service over an engine the caller configured;
