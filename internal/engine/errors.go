@@ -34,7 +34,9 @@ var (
 // CellError attributes one failure to the workload cell that observed
 // it. Key is the workload's key, Stage the execution edge that
 // failed ("capture", "replay", "sink" or "schedule"), and Err the
-// underlying cause, always wrapping one of the taxonomy sentinels.
+// underlying cause. Err wraps one of the taxonomy sentinels, with one
+// exception: an injected engine.sink.emit error, at stage "replay",
+// wraps only faults.ErrInjected.
 type CellError struct {
 	Key   string
 	Stage string

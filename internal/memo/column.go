@@ -1,9 +1,8 @@
 package memo
 
 import (
-	"math"
+	"unsafe"
 
-	"memotable/internal/arith"
 	"memotable/internal/isa"
 )
 
@@ -39,32 +38,69 @@ func (c *Column) Push(a, b uint64) {
 func (c *Column) Len() int { return len(c.a) }
 
 // classify runs the class's trivial-operand detectors over the column
-// once, keeping the non-trivial pairs in order.
+// once, keeping the non-trivial pairs in order. Each class has its own
+// loop over the raw bit patterns; the tests are exactly the cases the
+// arith.Classify functions mark trivial (classify_test.go holds them to
+// each other).
 func (c *Column) classify() {
 	if c.classified {
 		return
 	}
 	c.classified = true
 	c.na, c.nb = c.na[:0], c.nb[:0]
-	for i, a := range c.a {
-		b := c.b[i]
-		var tr arith.Triviality
-		switch c.op {
-		case isa.OpIMul:
-			tr, _ = arith.ClassifyIMul(int64(a), int64(b))
-		case isa.OpFMul:
-			tr, _ = arith.ClassifyFMul(math.Float64frombits(a), math.Float64frombits(b))
-		case isa.OpFDiv:
-			tr, _ = arith.ClassifyFDiv(math.Float64frombits(a), math.Float64frombits(b))
-		case isa.OpFSqrt:
-			tr, _ = arith.ClassifyFSqrt(math.Float64frombits(a))
+	bs := c.b[:len(c.a)]
+	switch c.op {
+	case isa.OpIMul:
+		for i, a := range c.a {
+			if b := bs[i]; a > 1 && b > 1 {
+				c.keep(a, b)
+			}
 		}
-		if !tr.Trivial() {
-			c.na = append(c.na, a)
-			c.nb = append(c.nb, b)
+	case isa.OpFMul:
+		// x*0 and x*1 in either order, unless the other operand is a
+		// NaN or an Inf.
+		for i, a := range c.a {
+			b := bs[i]
+			if (zeroOrOne(a) && !special(b)) || (zeroOrOne(b) && !special(a)) {
+				continue
+			}
+			c.keep(a, b)
+		}
+	case isa.OpFDiv:
+		// 0/x for x neither zero nor special, and x/1 for x not special.
+		for i, a := range c.a {
+			b := bs[i]
+			if (b == oneBits && !special(a)) || (isZero(a) && !isZero(b) && !special(b)) {
+				continue
+			}
+			c.keep(a, b)
+		}
+	case isa.OpFSqrt:
+		for i, a := range c.a {
+			if !zeroOrOne(a) {
+				c.keep(a, bs[i])
+			}
 		}
 	}
 }
+
+// keep appends a non-trivial pair.
+func (c *Column) keep(a, b uint64) {
+	c.na = append(c.na, a)
+	c.nb = append(c.nb, b)
+}
+
+// oneBits is the bit pattern of 1.0.
+const oneBits = 0x3ff0000000000000
+
+// isZero reports whether x is the pattern of +0 or -0.
+func isZero(x uint64) bool { return x<<1 == 0 }
+
+// zeroOrOne reports whether x is the pattern of ±0 or of 1.0.
+func zeroOrOne(x uint64) bool { return x<<1 == 0 || x == oneBits }
+
+// special reports whether x is a NaN or an Inf: its exponent is all ones.
+func special(x uint64) bool { return x>>52&0x7ff == 0x7ff }
 
 // ApplyColumn presents every pair of the column to the unit, in order.
 // The unit's counters and its table end exactly as Apply on each pair
@@ -119,6 +155,10 @@ func (t *Table) accessColumn(as, bs []uint64, compute func(a, b uint64) uint64) 
 			inf.put(at, a, b, compute(a, b), 0)
 		}
 		t.countColumn(len(as), hits, 0)
+	case t.ways == 4:
+		t.column4(as, bs, compute)
+	case t.ways == 1:
+		t.column1(as, bs, compute)
 	default:
 		var hits, evictions uint64
 		sets, ways := t.sets, t.ways
@@ -140,6 +180,102 @@ func (t *Table) accessColumn(as, bs []uint64, compute func(a, b uint64) uint64) 
 		}
 		t.countColumn(len(as), hits, evictions)
 	}
+}
+
+// column4 is the full-value column loop of a 4-way table. It views the
+// flat set slice as [4]entry sets and unrolls probe's walk, promote's
+// shift and insert's shift to constant indices: no call, no copy and no
+// bounds check per pair. A set's valid ways form a prefix, so testing
+// each way's valid bit stands for the walk's stop at the first invalid
+// way. The presented order is compared in all four ways before the
+// swapped order, which keeps probe's priority. Each way's tag compare is
+// one test of both words, (e.a^a)|(e.b^b) == 0: one branch per way, and
+// a pair whose first operand matches a way but not its second, common
+// where one operand is a coefficient, costs no extra misprediction.
+//
+// Both kernels index a set as (a^b)>>idxShift & (sets-1). That is
+// t.index: the fp mask keeps the mantissa's low 52 bits, and shifting
+// them down by 52-idxBits leaves the top idxBits, the same bits the
+// set-count mask keeps after the shift; integer tags shift by 0. Masking
+// with the slice's own length is what lets the compiler drop the check.
+func (t *Table) column4(as, bs []uint64, compute func(a, b uint64) uint64) {
+	var hits, evictions uint64
+	bs = bs[:len(as)]
+	sets := unsafe.Slice((*[4]entry)(unsafe.Pointer(unsafe.SliceData(t.sets))), len(t.sets)/4)
+	if len(sets) == 0 {
+		return // never: a finite table has a set; the test proves the mask below in range
+	}
+	shift, comm := t.idxShift, t.comm
+	for i, a := range as {
+		b := bs[i]
+		s := &sets[uint((a^b)>>shift)&uint(len(sets)-1)]
+		w := 4
+		switch {
+		case (s[0].a^a)|(s[0].b^b) == 0 && s[0].valid:
+			w = 0
+		case (s[1].a^a)|(s[1].b^b) == 0 && s[1].valid:
+			w = 1
+		case (s[2].a^a)|(s[2].b^b) == 0 && s[2].valid:
+			w = 2
+		case (s[3].a^a)|(s[3].b^b) == 0 && s[3].valid:
+			w = 3
+		case !comm:
+		case (s[0].a^b)|(s[0].b^a) == 0 && s[0].valid:
+			w = 0
+		case (s[1].a^b)|(s[1].b^a) == 0 && s[1].valid:
+			w = 1
+		case (s[2].a^b)|(s[2].b^a) == 0 && s[2].valid:
+			w = 2
+		case (s[3].a^b)|(s[3].b^a) == 0 && s[3].valid:
+			w = 3
+		}
+		switch w {
+		case 0:
+		case 1:
+			s[0], s[1] = s[1], s[0]
+		case 2:
+			s[0], s[1], s[2] = s[2], s[0], s[1]
+		case 3:
+			s[0], s[1], s[2], s[3] = s[3], s[0], s[1], s[2]
+		default:
+			res := compute(a, b)
+			if s[3].valid {
+				evictions++
+			}
+			s[3] = s[2]
+			s[2] = s[1]
+			s[1] = s[0]
+			s[0] = entry{a: a, b: b, val: res, valid: true}
+			continue
+		}
+		hits++
+	}
+	t.countColumn(len(as), hits, evictions)
+}
+
+// column1 is the full-value column loop of a direct-mapped table: one
+// entry compared in each order, and a miss overwrites it.
+func (t *Table) column1(as, bs []uint64, compute func(a, b uint64) uint64) {
+	var hits, evictions uint64
+	bs = bs[:len(as)]
+	sets := t.sets
+	if len(sets) == 0 {
+		return // never, as in column4
+	}
+	shift, comm := t.idxShift, t.comm
+	for i, a := range as {
+		b := bs[i]
+		e := &sets[uint((a^b)>>shift)&uint(len(sets)-1)]
+		if e.valid {
+			if (e.a == a && e.b == b) || (comm && e.a == b && e.b == a) {
+				hits++
+				continue
+			}
+			evictions++
+		}
+		*e = entry{a: a, b: b, val: compute(a, b), valid: true}
+	}
+	t.countColumn(len(as), hits, evictions)
 }
 
 // countColumn adds a full-value column run to the statistics: every pair

@@ -256,7 +256,9 @@ func (o *oracle) Apply(policy TrivialPolicy, a, b uint64) (uint64, Outcome) {
 
 // oracleGeometries are the lockstep-checked shapes: every power-of-two
 // size from 8 to 8192 entries at 1, 2 and 4 ways, fully associative
-// tables, and the unbounded table.
+// tables, the unbounded table, and then every size at 8 ways. The 8-way
+// shapes come last so the earlier shapes keep their stream seeds in
+// TestTableMatchesOracle.
 func oracleGeometries() []Config {
 	var cfgs []Config
 	for n := 8; n <= 8192; n *= 2 {
@@ -264,7 +266,11 @@ func oracleGeometries() []Config {
 			cfgs = append(cfgs, Config{Entries: n, Ways: w})
 		}
 	}
-	return append(cfgs, Config{Entries: 8}, Config{Entries: 64, Ways: 64}, Config{Entries: 16, Ways: 32}, Config{})
+	cfgs = append(cfgs, Config{Entries: 8}, Config{Entries: 64, Ways: 64}, Config{Entries: 16, Ways: 32}, Config{})
+	for n := 8; n <= 8192; n *= 2 {
+		cfgs = append(cfgs, Config{Entries: n, Ways: 8})
+	}
+	return cfgs
 }
 
 // operandPool draws a small universe of operand patterns for op, so
@@ -415,11 +421,12 @@ func sortEntries(es []storedEntry) {
 // lockstep drives a Table, a Unit over a second Table, and two oracles
 // through one random stream of Access, Lookup, Insert, Reset, Apply and
 // column steps, failing at the first divergence in a result, hit flag,
-// outcome, Stats or Len. A column step presents a random-length run of
-// pairs through one Column to the Unit and to two more units of other
-// geometries, tagging schemes and policies at once (columnCheck); their
-// stored entries are held to the oracles' at the end of the stream.
-func lockstep(t *testing.T, op isa.Op, cfg Config, policy TrivialPolicy, seed int64, steps int) {
+// outcome, Stats or Len. A column step presents a run of pairs through
+// one Column to the Unit and to two more units of other geometries,
+// tagging schemes and policies at once (columnCheck); their stored
+// entries are held to the oracles' at the end of the stream. A column
+// holds fewer than 64 pairs, or with long set, a full engine batch.
+func lockstep(t *testing.T, op isa.Op, cfg Config, policy TrivialPolicy, seed int64, steps int, long bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	size := 8
@@ -477,7 +484,11 @@ func lockstep(t *testing.T, op isa.Op, cfg Config, policy TrivialPolicy, seed in
 			ora.Reset()
 		case kind < 70:
 			col.Reset(op)
-			for n := rng.Intn(64); n > 0; n-- {
+			n := rng.Intn(64)
+			if long {
+				n = engineBatch
+			}
+			for ; n > 0; n-- {
 				col.Push(draw())
 			}
 			for _, c := range checks {
@@ -534,9 +545,30 @@ func TestTableMatchesOracle(t *testing.T) {
 					seed++
 					policy := policies[seed%3]
 					name := fmt.Sprintf("%dx%d/%v/mant=%v/nocomm=%v/%v", c.Entries, c.Ways, op, mant, noComm, policy)
-					t.Run(name, func(t *testing.T) { lockstep(t, op, c, policy, seed, 1500) })
+					t.Run(name, func(t *testing.T) { lockstep(t, op, c, policy, seed, 1500, false) })
 				}
 			}
+		}
+	}
+}
+
+// engineBatch is the length of the batches the engine delivers to its
+// sinks, and so the most pairs one column of a replay holds.
+const engineBatch = 8192
+
+// TestLongColumnsMatchOracle runs the lockstep with every column step a
+// full engine batch, over the geometries with their own column kernels
+// (1 and 4 ways), an 8-way table on the generic loop and the unbounded
+// table.
+func TestLongColumnsMatchOracle(t *testing.T) {
+	policies := []TrivialPolicy{CacheAll, NonTrivialOnly, Integrated}
+	seed := int64(100)
+	for _, cfg := range []Config{{Entries: 32, Ways: 4}, {Entries: 8192, Ways: 4}, {Entries: 32, Ways: 1}, {Entries: 32, Ways: 8}, {}} {
+		for _, op := range []isa.Op{isa.OpIMul, isa.OpFMul, isa.OpFDiv, isa.OpFSqrt} {
+			seed++
+			policy := policies[seed%3]
+			name := fmt.Sprintf("%dx%d/%v/%v", cfg.Entries, cfg.Ways, op, policy)
+			t.Run(name, func(t *testing.T) { lockstep(t, op, cfg, policy, seed, 200, true) })
 		}
 	}
 }
@@ -554,6 +586,6 @@ func FuzzTableMatchesOracle(f *testing.F) {
 		c := geos[int(geo)%len(geos)]
 		c.MantissaOnly, c.NoCommutativeLookup = flags&1 != 0, flags&2 != 0
 		policy := TrivialPolicy(flags >> 2 % 3)
-		lockstep(t, ops[int(op)%len(ops)], c, policy, seed, 400)
+		lockstep(t, ops[int(op)%len(ops)], c, policy, seed, 400, false)
 	})
 }

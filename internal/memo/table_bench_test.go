@@ -136,7 +136,9 @@ func BenchmarkUnitColumn(b *testing.B) {
 		pool uint64
 	}{
 		{"32x4-mixed", Config{Entries: 32, Ways: 4}, 64},
+		{"32x1-mixed", Config{Entries: 32, Ways: 1}, 64},
 		{"1024x4-mixed", Config{Entries: 1024, Ways: 4}, 64},
+		{"8192x4-mixed", Config{Entries: 8192, Ways: 4}, 64},
 		{"inf-mixed", Infinite(), 64},
 		{"32x4-mant", Config{Entries: 32, Ways: 4, MantissaOnly: true}, 64},
 	} {

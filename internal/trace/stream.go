@@ -34,7 +34,6 @@ var ErrStreamOpen = errors.New("trace: stream still open, frame incomplete")
 type StreamDecoder struct {
 	buf        []byte // fed, not-yet-consumed bytes (pos-prefix consumed)
 	pos        int
-	start      int // where the last NextFrame call began consuming buf
 	headerDone bool
 	compressed bool
 	sealed     bool
@@ -61,7 +60,6 @@ func (d *StreamDecoder) Feed(p []byte) {
 		d.buf = append(d.buf[:0], d.buf[d.pos:]...)
 		d.pos = 0
 	}
-	d.start = d.pos
 	d.buf = append(d.buf, p...)
 	d.bytesIn += int64(len(p))
 }
@@ -79,13 +77,6 @@ func (d *StreamDecoder) Events() uint64 { return d.events }
 
 // BytesIn returns the total bytes fed so far.
 func (d *StreamDecoder) BytesIn() int64 { return d.bytesIn }
-
-// Consumed returns the raw stream bytes the last NextFrame call
-// consumed: the stream header, if that call parsed it, and the frame it
-// delivered. Over a whole stream the consumed spans are the stream
-// itself, byte for byte. The slice aliases the decoder's buffer and is
-// valid until the next Feed.
-func (d *StreamDecoder) Consumed() []byte { return d.buf[d.start:d.pos] }
 
 // Buffered returns the fed bytes not yet consumed by a delivered frame —
 // the torn tail, while the stream is open.
@@ -112,7 +103,6 @@ func (d *StreamDecoder) incomplete(what string) error {
 //     frame failing its checksum or event decode, or a tail left torn by
 //     CloseInput.
 func (d *StreamDecoder) NextFrame() ([]Event, error) {
-	d.start = d.pos
 	if !d.headerDone {
 		if err := d.parseHeader(); err != nil {
 			return nil, err

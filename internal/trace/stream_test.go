@@ -270,39 +270,3 @@ func TestStreamDecoderCompaction(t *testing.T) {
 		t.Fatalf("buffered backlog reached %d bytes, want <= %d", maxBuf, limit)
 	}
 }
-
-// TestStreamDecoderConsumedRebuildsStream: the spans Consumed reports
-// after each NextFrame call — header-only calls that then wait for more
-// bytes included — concatenate to the fed stream exactly, at any chunk
-// size and with or without compression.
-func TestStreamDecoderConsumedRebuildsStream(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		data := encodeV2(t, randomEvents(30000, 23), compress)
-		for _, chunk := range []int{1, 5, 999, len(data)} {
-			d := NewStreamDecoder()
-			var rebuilt []byte
-			drain := func() error {
-				for {
-					_, err := d.NextFrame()
-					rebuilt = append(rebuilt, d.Consumed()...)
-					if err != nil {
-						return err
-					}
-				}
-			}
-			for off := 0; off < len(data); off += chunk {
-				d.Feed(data[off:min(off+chunk, len(data))])
-				if err := drain(); !errors.Is(err, ErrStreamOpen) {
-					t.Fatalf("compress=%v chunk=%d: drain err = %v", compress, chunk, err)
-				}
-			}
-			d.CloseInput()
-			if err := drain(); err != io.EOF {
-				t.Fatalf("compress=%v chunk=%d: final drain err = %v", compress, chunk, err)
-			}
-			if string(rebuilt) != string(data) {
-				t.Fatalf("compress=%v chunk=%d: consumed spans rebuild %d bytes, stream is %d", compress, chunk, len(rebuilt), len(data))
-			}
-		}
-	}
-}
