@@ -43,31 +43,36 @@ func TestTracecapIngestStdinMatchesOffline(t *testing.T) {
 		t.Skip("builds and executes command binaries")
 	}
 	dir := t.TempDir()
-	path := captureTrace(t, dir)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	compressed := filepath.Join(dir, "compressed.mtrc")
+	if _, stderr, code := runCLI(t, nil, cliBin(t, "tracecap"), "-out", compressed, "-kernel", "TRFD", "-compress"); code != 0 {
+		t.Fatalf("tracecap -compress exited %d: %s", code, stderr)
 	}
+	for _, path := range []string{captureTrace(t, dir), compressed} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	liveOut, liveErr, code := runCLIStdin(t, data, cliBin(t, "tracecap"), "-stdin")
-	if code != 0 {
-		t.Fatalf("tracecap -stdin exited %d: %s", code, liveErr)
-	}
-	if !strings.Contains(liveOut, "memo-table hit ratios") || !strings.Contains(liveOut, "speedup") {
-		t.Fatalf("live snapshot missing banks:\n%s", liveOut)
-	}
-	if !strings.Contains(liveErr, "ingested ") {
-		t.Fatalf("stderr = %q, want ingest summary", liveErr)
-	}
+		liveOut, liveErr, code := runCLIStdin(t, data, cliBin(t, "tracecap"), "-stdin")
+		if code != 0 {
+			t.Fatalf("%s: tracecap -stdin exited %d: %s", path, code, liveErr)
+		}
+		if !strings.Contains(liveOut, "memo-table hit ratios") || !strings.Contains(liveOut, "speedup") {
+			t.Fatalf("%s: live snapshot missing banks:\n%s", path, liveOut)
+		}
+		if !strings.Contains(liveErr, "ingested ") {
+			t.Fatalf("%s: stderr = %q, want ingest summary", path, liveErr)
+		}
 
-	// The acceptance differential: the offline comparator renders the
-	// byte-identical final snapshot from the same stream bytes.
-	offOut, offErr, code := runCLI(t, nil, cliBin(t, "memosim"), "-ingest", path)
-	if code != 0 {
-		t.Fatalf("memosim -ingest exited %d: %s", code, offErr)
-	}
-	if liveOut != offOut {
-		t.Fatalf("live and offline snapshots differ:\n--- live ---\n%s\n--- offline ---\n%s", liveOut, offOut)
+		// The acceptance differential: the offline comparator renders the
+		// byte-identical final snapshot from the same stream bytes.
+		offOut, offErr, code := runCLI(t, nil, cliBin(t, "memosim"), "-ingest", path)
+		if code != 0 {
+			t.Fatalf("%s: memosim -ingest exited %d: %s", path, code, offErr)
+		}
+		if liveOut != offOut {
+			t.Fatalf("%s: live and offline snapshots differ:\n--- live ---\n%s\n--- offline ---\n%s", path, liveOut, offOut)
+		}
 	}
 }
 

@@ -275,18 +275,36 @@ func engineSummary(w io.Writer, st memotable.EngineStats, elapsed time.Duration)
 // incremental path a live tracecap -listen session uses — stream
 // decoder, LiveBank sinks, fixed sketch seed — and prints the final
 // snapshot, so its stdout is byte-comparable with the live session's.
+// The file is fed in 64 KiB reads, as tracecap feeds its socket, so
+// only the decoder's open frame is ever held in memory.
 func runOfflineIngest(path string) int {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "memosim:", err)
 		return 1
 	}
+	defer func() { _ = f.Close() }()
 	bank := memotable.NewLiveBank(1)
 	eng := memotable.NewEngine(1)
 	defer func() { _ = eng.Close() }()
 	sess := eng.NewIngest(memotable.IngestOptions{Sinks: bank.Sinks()})
+	defer sess.Abort() // a read error below returns without sealing
+	buf := make([]byte, 64<<10)
 	var serr error
-	if serr = sess.Feed(data); serr == nil {
+	for serr == nil {
+		n, rerr := f.Read(buf)
+		if n > 0 {
+			serr = sess.Feed(buf[:n])
+		}
+		if rerr == io.EOF {
+			break
+		}
+		if rerr != nil && serr == nil {
+			fmt.Fprintln(os.Stderr, "memosim:", rerr)
+			return 1
+		}
+	}
+	if serr == nil {
 		var res memotable.IngestResult
 		if res, serr = sess.Seal(); serr == nil {
 			fmt.Println(memotable.RenderText(bank.Snapshot(res.Stats)))

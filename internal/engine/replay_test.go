@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"reflect"
@@ -192,7 +193,7 @@ func TestReplayAllMatchesSerialReplays(t *testing.T) {
 			events uint64
 		}{{"v1", v1, n1}, {"v2", v2, n2}, {"v2-compressed", v2c, n2c}} {
 			decode := func(s trace.Sink) {
-				r, err := trace.NewBytesReader(enc.data)
+				r, err := trace.NewReader(bytes.NewReader(enc.data))
 				if err != nil {
 					panic(err)
 				}

@@ -53,16 +53,20 @@ func encodings(t *testing.T, events []Event) map[string][]byte {
 }
 
 // TestReplayBatchMatchesReplay pins the batched decoder to the per-event
-// one: for every format version, ReplayBatch must deliver the exact event
-// sequence Replay delivers — through EmitBatch for batch-aware sinks and
-// through the Emit adapter for plain sinks.
+// pace: for every format version, ReplayBatch must deliver the exact event
+// sequence one-event reads deliver — through EmitBatch for batch-aware
+// sinks and through the Emit adapter for plain sinks.
 func TestReplayBatchMatchesReplay(t *testing.T) {
 	events := randomEvents(60000, 41)
 	for name, data := range encodings(t, events) {
 		t.Run(name, func(t *testing.T) {
-			want := decodeAll(t, data)
-			if !reflect.DeepEqual(want, events) {
-				t.Fatalf("per-event replay diverged from source events")
+			r0, err := NewReader(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := readEach(r0)
+			if err != nil || !reflect.DeepEqual(want, events) {
+				t.Fatalf("per-event read diverged from source events: %v", err)
 			}
 
 			r, err := NewReader(bytes.NewReader(data))
@@ -125,7 +129,7 @@ func TestReadBatchResumesMidFrame(t *testing.T) {
 }
 
 // TestReplayBatchCorruption checks that a corrupt v2 stream fails the
-// batched decoder exactly as it fails the per-event one: with ErrBadTrace
+// batched decoder exactly as it fails one-event reads: with ErrBadTrace
 // and with only verified frames' events delivered.
 func TestReplayBatchCorruption(t *testing.T) {
 	events := randomEvents(60000, 9)
@@ -136,8 +140,7 @@ func TestReplayBatchCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var per Recorder
-	_, perErr := r.Replay(&per)
+	per, perErr := readEach(r)
 
 	r2, err := NewReader(bytes.NewReader(data))
 	if err != nil {
@@ -149,9 +152,9 @@ func TestReplayBatchCorruption(t *testing.T) {
 	if (perErr == nil) != (batErr == nil) {
 		t.Fatalf("error disagreement: per-event %v, batch %v", perErr, batErr)
 	}
-	if !reflect.DeepEqual(bat.events, per.Events) {
+	if !reflect.DeepEqual(bat.events, per) {
 		t.Fatalf("delivered prefixes diverge: %d batch events vs %d per-event",
-			len(bat.events), len(per.Events))
+			len(bat.events), len(per))
 	}
 }
 

@@ -37,44 +37,47 @@ var ErrBadTrace = errors.New("trace: corrupt or truncated stream")
 
 // Reader decodes a trace stream of either format version: the header's
 // version byte selects the raw v1 event decoder or the checksummed v2
-// frame decoder. A reader over an io.Reader (NewReader) reads each v2
-// frame into one reused buffer; a reader over bytes (NewSegmentReader,
-// NewBytesReader) decodes v2 frames where they lie. Errors are sticky: once Next or
-// ReadBatch returns one other than io.EOF, every later call returns it
-// and delivers nothing.
+// frame walk, which a Reader drives by pulling bytes from its source into
+// a StreamDecoder (stream.go). Errors are sticky: once ReadBatch returns
+// one other than io.EOF, every later call returns it and delivers
+// nothing.
 type Reader struct {
-	r       *bufio.Reader // the source; nil for an in-memory v2 stream
+	src     io.Reader     // v2: the source the decoder reads from
+	v1      *bufio.Reader // v1: the buffered source
 	count   uint64
 	version uint8
 	err     error // the first decode error, returned from then on
 
 	// v2 frame state (filev2.go).
-	compressed bool
-	data       []byte   // in-memory stream: the unparsed frames of the current segment
-	segs       [][]byte // in-memory stream: the segments after data
-	buf        []byte   // io.Reader source: the reused frame buffer
-	z          inflater
-	frame      []byte // raw event bytes of the current frame
-	fpos       int
-	fEvents    uint32
+	d       StreamDecoder
+	frame   []byte // raw event bytes of the current frame
+	fpos    int
+	fEvents uint32
 }
 
 // NewReader validates the header and prepares to decode events.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	// Peek only as far as the version needs: a v1 header is five bytes,
+func NewReader(src io.Reader) (*Reader, error) {
+	// Read only as far as the version needs: a v1 header is five bytes,
 	// and the reader must not wait on a sixth. Short headers are
 	// reported by parseStreamHeader.
-	hdr, _ := br.Peek(len(magic) + 1)
-	if len(hdr) == len(magic)+1 && hdr[4] == formatVersionV2 {
-		hdr, _ = br.Peek(streamHeaderLen)
+	var hdr [streamHeaderLen]byte
+	n, _ := io.ReadFull(src, hdr[:len(magic)+1])
+	if n == len(magic)+1 && hdr[4] == formatVersionV2 {
+		m, _ := io.ReadFull(src, hdr[n:])
+		n += m
 	}
-	version, compressed, n, err := parseStreamHeader(hdr)
+	version, compressed, _, err := parseStreamHeader(hdr[:n])
 	if err != nil {
 		return nil, err
 	}
-	_, _ = br.Discard(n) // the n bytes are buffered: Peek returned them
-	return &Reader{r: br, version: version, compressed: compressed}, nil
+	r := &Reader{version: version}
+	if version == formatVersion {
+		r.v1 = bufio.NewReaderSize(src, 1<<16)
+	} else {
+		r.src = src
+		r.d.headerDone, r.d.compressed = true, compressed
+	}
+	return r, nil
 }
 
 // parseStreamHeader vets the preamble at the head of p — magic, version
@@ -103,20 +106,9 @@ func parseStreamHeader(p []byte) (version uint8, compressed bool, n int, err err
 	}
 }
 
-// Next decodes one event. It returns io.EOF at a clean end of stream and
-// ErrBadTrace on corruption.
-func (r *Reader) Next() (Event, error) {
-	var one [1]Event
-	batch, err := r.ReadBatch(one[:0])
-	if len(batch) == 1 {
-		return batch[0], nil
-	}
-	return Event{}, err
-}
-
 // nextV1 decodes one event of a v1 stream.
 func (r *Reader) nextV1() (Event, error) {
-	opByte, err := r.r.ReadByte()
+	opByte, err := r.v1.ReadByte()
 	if err == io.EOF {
 		return Event{}, io.EOF
 	}
@@ -126,11 +118,11 @@ func (r *Reader) nextV1() (Event, error) {
 	if opByte >= byte(isa.NumOps) {
 		return Event{}, fmt.Errorf("%w: op byte %d", ErrBadTrace, opByte)
 	}
-	a, err := binary.ReadUvarint(r.r)
+	a, err := binary.ReadUvarint(r.v1)
 	if err != nil {
 		return Event{}, fmt.Errorf("%w: operand A: %v", ErrBadTrace, err)
 	}
-	b, err := binary.ReadUvarint(r.r)
+	b, err := binary.ReadUvarint(r.v1)
 	if err != nil {
 		return Event{}, fmt.Errorf("%w: operand B: %v", ErrBadTrace, err)
 	}
@@ -140,19 +132,3 @@ func (r *Reader) nextV1() (Event, error) {
 
 // Count returns the number of events decoded so far.
 func (r *Reader) Count() uint64 { return r.count }
-
-// Replay streams every remaining event into sink, returning the count.
-func (r *Reader) Replay(sink Sink) (uint64, error) {
-	var n uint64
-	for {
-		ev, err := r.Next()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		sink.Emit(ev)
-		n++
-	}
-}

@@ -14,9 +14,8 @@ import (
 )
 
 // Trace format v2 layers CRC-framed chunks over the v1 event encoding so
-// that corruption anywhere in a stream — a torn store entry, a flipped
-// bit, a truncated frame — is detected before any damaged event reaches
-// a sink:
+// that corruption anywhere in a stream — a torn file, a flipped bit, a
+// truncated frame — is detected before any damaged event reaches a sink:
 //
 //	magic   "MTRC"              (4 bytes)
 //	version uint8 = 2
@@ -35,8 +34,8 @@ import (
 // A frame holds ~64 KiB of raw event bytes (frameTarget), so the reader
 // verifies each checksum over a bounded buffer before decoding a single
 // event from it, and a clean io.EOF is only reported at a frame
-// boundary. The per-event encoding is exactly v1's; NewReader and
-// NewSegmentReader dispatch on the version byte and read either stream.
+// boundary. The per-event encoding is exactly v1's; NewReader dispatches
+// on the version byte and reads either stream.
 
 const (
 	formatVersionV2 = 2
@@ -187,10 +186,10 @@ func (w *WriterV2) Err() error { return w.err }
 
 // flushFrame seals the open frame in place — its header is written into
 // the bytes reserved in front of the payload — and writes header and
-// payload to the underlying writer as a single Write call, so
-// downstream writers (the engine's capture slabs and store-entry fail-over,
-// for two) observe whole frames. A compressed payload is deflated
-// behind a header reserved the same way.
+// payload to the underlying writer as a single Write call, so a
+// downstream writer (a live ingest socket, for one) observes whole
+// frames. A compressed payload is deflated behind a header reserved the
+// same way.
 func (w *WriterV2) flushFrame() error {
 	out := w.frame
 	if w.comp != nil {
@@ -220,16 +219,16 @@ func (w *WriterV2) flushFrame() error {
 	return nil
 }
 
-// Reading v2 in place. Every v2 read — Reader over an io.Reader or over
-// bytes, Verify, StreamDecoder — checks a frame with the one function
-// parseFrame, where the frame already lies: in the caller's buffer, in
-// an in-memory stream, or in a reader's reused frame buffer. The
-// payload is then inflated (compressed streams only) into reused
-// scratch and decoded by the one event loop, decodeEvents.
+// Reading v2 in place. Every v2 read checks a frame with the one
+// function parseFrame, where the frame already lies. The Reader and the
+// push decoder share one frame walk (StreamDecoder.walk, stream.go) over
+// the decoder's buffer, which inflates a compressed payload into reused
+// scratch; VerifyBytes steps parseFrame over the caller's buffer. Events
+// are decoded by the one event loop, decodeEvents.
 
 // shortFrame reports that a buffer ends inside the frame at its head;
-// its value names the part cut off. A stream decoder waits for more
-// bytes, a reader over a complete stream reports a torn frame.
+// its value names the part cut off. An open stream waits for more
+// bytes, a closed one reports a torn frame.
 type shortFrame string
 
 const (
@@ -336,66 +335,28 @@ func (z *inflater) payload(f frame, compressed bool) ([]byte, error) {
 	return raw, nil
 }
 
-// nextFrame returns the stream's next checked frame: parsed where it
-// lies in an in-memory stream's segment, or read from the source into the
-// reader's reused frame buffer and parsed there. It returns io.EOF only
-// at a clean frame boundary; every other defect is ErrBadTrace.
-func (r *Reader) nextFrame() (frame, error) {
-	if r.r == nil {
-		for len(r.data) == 0 {
-			if len(r.segs) == 0 {
-				return frame{}, io.EOF
-			}
-			r.data, r.segs = r.segs[0], r.segs[1:]
-		}
-		f, err := parseFrame(r.data, r.compressed)
-		if part, ok := err.(shortFrame); ok {
-			return frame{}, fmt.Errorf("%w: torn %s", ErrBadTrace, string(part))
-		}
-		if err != nil {
-			return frame{}, err
-		}
-		r.data = r.data[f.size:]
-		return f, nil
-	}
-	if r.buf == nil {
-		r.buf = make([]byte, frameHeaderLen+maxFrameStored)
-	}
-	buf := r.buf[:frameHeaderLen]
-	if _, err := io.ReadFull(r.r, buf); err != nil {
-		if err == io.EOF {
-			return frame{}, io.EOF
-		}
-		return frame{}, fmt.Errorf("%w: torn frame header: %v", ErrBadTrace, err)
-	}
-	f, err := parseFrame(buf, r.compressed)
-	if err != shortPayload {
-		return f, err
-	}
-	buf = r.buf[:f.size] // checkFrameHeader bounds f.size
-	if _, err := io.ReadFull(r.r, buf[frameHeaderLen:]); err != nil {
-		return frame{}, fmt.Errorf("%w: torn frame payload: %v", ErrBadTrace, err)
-	}
-	return parseFrame(buf, r.compressed)
-}
-
-// readFrame loads the next frame's raw event bytes into r.frame. It
-// returns io.EOF only at a clean frame boundary; every other defect,
-// including undecoded bytes left in the current frame, is ErrBadTrace.
+// readFrame loads the next frame's raw event bytes into r.frame,
+// reading the source into the decoder whenever the walk needs more
+// bytes. It returns io.EOF only at a clean frame boundary; every other
+// defect, including undecoded bytes left in the current frame, is
+// ErrBadTrace.
 func (r *Reader) readFrame() error {
 	if r.fpos != len(r.frame) {
 		return fmt.Errorf("%w: %d trailing bytes in frame", ErrBadTrace, len(r.frame)-r.fpos)
 	}
-	f, err := r.nextFrame()
-	if err != nil {
-		return err
+	for {
+		raw, events, err := r.d.walk()
+		if err == nil {
+			r.frame, r.fpos, r.fEvents = raw, 0, events
+			return nil
+		}
+		if !errors.Is(err, ErrStreamOpen) {
+			return err
+		}
+		if err := r.d.readFrom(r.src); err != nil {
+			return err
+		}
 	}
-	raw, err := r.z.payload(f, r.compressed)
-	if err != nil {
-		return err
-	}
-	r.frame, r.fpos, r.fEvents = raw, 0, f.events
-	return nil
 }
 
 // readBatchV2 fills dst from the current frame, pulling in the next
@@ -454,8 +415,35 @@ func decodeEvents(dst []Event, p []byte, pos int, n uint32) ([]Event, int, error
 	return dst, pos, nil
 }
 
-// discardSink drops every event; VerifyBytes uses it to drive the v1 decoder.
-type discardSink struct{}
-
-// Emit implements Sink.
-func (discardSink) Emit(Event) {}
+// VerifyBytes scans a trace stream held in one buffer end to end and
+// returns its event count without feeding any sink. For v2 streams only
+// frame headers and checksums are examined, where the frames lie — no
+// copy, no decompression, no event decoding — so a stored trace is
+// vetted at memory speed before a replay commits events to a sink. v1
+// streams carry no checksums and are fully decoded.
+func VerifyBytes(data []byte) (uint64, error) {
+	version, compressed, n, err := parseStreamHeader(data)
+	if err != nil {
+		return 0, err
+	}
+	if version == formatVersion {
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			return 0, err
+		}
+		return r.ReplayBatch(&Counter{})
+	}
+	var events uint64
+	for p := data[n:]; len(p) > 0; {
+		f, err := parseFrame(p, compressed)
+		if part, ok := err.(shortFrame); ok {
+			return events, fmt.Errorf("%w: torn %s", ErrBadTrace, string(part))
+		}
+		if err != nil {
+			return events, err
+		}
+		events += uint64(f.events)
+		p = p[f.size:]
+	}
+	return events, nil
+}

@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"compress/flate"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"io"
@@ -63,10 +66,37 @@ func decodeAll(t testing.TB, data []byte) []Event {
 		t.Fatalf("NewReader: %v", err)
 	}
 	var rec Recorder
-	if _, err := r.Replay(&rec); err != nil {
-		t.Fatalf("Replay: %v", err)
+	if _, err := r.ReplayBatch(&rec); err != nil {
+		t.Fatalf("ReplayBatch: %v", err)
 	}
 	return rec.Events
+}
+
+// next reads one event through a one-event batch: a reader driven at
+// the per-event pace.
+func next(r *Reader) (Event, error) {
+	var one [1]Event
+	batch, err := r.ReadBatch(one[:0])
+	if len(batch) == 1 {
+		return batch[0], nil
+	}
+	return Event{}, err
+}
+
+// readEach drains r one event at a time and returns the events read
+// and the error that ended the stream, nil at a clean end.
+func readEach(r *Reader) ([]Event, error) {
+	var evs []Event
+	for {
+		ev, err := next(r)
+		if err == io.EOF {
+			return evs, nil
+		}
+		if err != nil {
+			return evs, err
+		}
+		evs = append(evs, ev)
+	}
 }
 
 func TestV2RoundTripMultiFrame(t *testing.T) {
@@ -147,8 +177,8 @@ func TestV2RejectsCorruption(t *testing.T) {
 			}
 			return
 		}
-		if _, err := r.Replay(&Recorder{}); !errors.Is(err, ErrBadTrace) {
-			t.Fatalf("%s: Replay error = %v, want ErrBadTrace", name, err)
+		if _, err := r.ReplayBatch(&Recorder{}); !errors.Is(err, ErrBadTrace) {
+			t.Fatalf("%s: ReplayBatch error = %v, want ErrBadTrace", name, err)
 		}
 	}
 
@@ -181,7 +211,7 @@ func TestV2RejectsCorruption(t *testing.T) {
 	cd[len(cd)/2] ^= 0x10
 	r, err := NewReader(bytes.NewReader(cd))
 	if err == nil {
-		_, err = r.Replay(&Recorder{})
+		_, err = r.ReplayBatch(&Recorder{})
 	}
 	if !errors.Is(err, ErrBadTrace) {
 		t.Fatalf("compressed flip: error = %v, want ErrBadTrace", err)
@@ -202,8 +232,8 @@ func TestV2TruncationAlwaysClean(t *testing.T) {
 			}
 			continue
 		}
-		if _, err := r.Replay(&Recorder{}); err != nil && !errors.Is(err, ErrBadTrace) {
-			t.Fatalf("cut %d: unclassified Replay error %v", cut, err)
+		if _, err := r.ReplayBatch(&Recorder{}); err != nil && !errors.Is(err, ErrBadTrace) {
+			t.Fatalf("cut %d: unclassified ReplayBatch error %v", cut, err)
 		}
 		if _, err := VerifyBytes(data[:cut]); err != nil && !errors.Is(err, ErrBadTrace) {
 			t.Fatalf("cut %d: unclassified VerifyBytes error %v", cut, err)
@@ -212,25 +242,18 @@ func TestV2TruncationAlwaysClean(t *testing.T) {
 }
 
 // TestV2ReaderCountMatchesReplay keeps Reader.Count coherent with the
-// events handed out, across frame boundaries.
+// events handed out one at a time, across frame boundaries.
 func TestV2ReaderCountMatchesReplay(t *testing.T) {
 	data := encodeV2(t, randomEvents(30000, 3), true)
 	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var n uint64
-	for {
-		_, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		n++
+	evs, err := readEach(r)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n != 30000 || r.Count() != n {
+	if n := uint64(len(evs)); n != 30000 || r.Count() != n {
 		t.Fatalf("decoded %d, reader count %d", n, r.Count())
 	}
 }
@@ -362,7 +385,7 @@ func v2Frame(payload []byte, events uint32) []byte {
 }
 
 // TestReaderErrorsAreSticky checks that once a Reader reports corruption
-// every later call, batched or not, returns the error again and delivers
+// every later call, whatever its batch size, returns the error again and delivers
 // nothing — no event twice, no event from past the defect, and no count
 // moving on. Two defects: a CRC-valid frame of three good events and
 // then one whose operand B varint runs past ten bytes (the first batch
@@ -391,29 +414,90 @@ func TestReaderErrorsAreSticky(t *testing.T) {
 		{"operand B overflow", append(append([]byte(nil), header...), v2Frame(overflowB, 4)...), good},
 		{"frame CRC", slices.Concat(header, badCRC, v2Frame(payload, 3)), nil},
 	} {
-		for name, open := range map[string]func() (*Reader, error){
-			"io":    func() (*Reader, error) { return NewReader(bytes.NewReader(tc.data)) },
-			"bytes": func() (*Reader, error) { return NewBytesReader(tc.data) },
-		} {
-			r, err := open()
-			if err != nil {
-				t.Fatalf("%s/%s: %v", tc.name, name, err)
+		r, err := NewReader(bytes.NewReader(tc.data))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		batch, err := r.ReadBatch(make([]Event, 0, 16))
+		if !errors.Is(err, ErrBadTrace) || !slices.Equal(batch, tc.first) {
+			t.Fatalf("%s: first batch = %v, %v; want %v and ErrBadTrace", tc.name, batch, err, tc.first)
+		}
+		for i := 0; i < 2; i++ {
+			if batch, err := r.ReadBatch(make([]Event, 0, 16)); len(batch) != 0 || !errors.Is(err, ErrBadTrace) {
+				t.Fatalf("%s: later batch = %v, %v; want nothing and ErrBadTrace", tc.name, batch, err)
 			}
-			batch, err := r.ReadBatch(make([]Event, 0, 16))
-			if !errors.Is(err, ErrBadTrace) || !slices.Equal(batch, tc.first) {
-				t.Fatalf("%s/%s: first batch = %v, %v; want %v and ErrBadTrace", tc.name, name, batch, err, tc.first)
-			}
-			for i := 0; i < 2; i++ {
-				if batch, err := r.ReadBatch(make([]Event, 0, 16)); len(batch) != 0 || !errors.Is(err, ErrBadTrace) {
-					t.Fatalf("%s/%s: later batch = %v, %v; want nothing and ErrBadTrace", tc.name, name, batch, err)
-				}
-				if ev, err := r.Next(); !errors.Is(err, ErrBadTrace) {
-					t.Fatalf("%s/%s: later Next = %v, %v; want ErrBadTrace", tc.name, name, ev, err)
-				}
-			}
-			if r.Count() != uint64(len(tc.first)) {
-				t.Fatalf("%s/%s: Count() = %d after the error, want %d", tc.name, name, r.Count(), len(tc.first))
+			if ev, err := next(r); !errors.Is(err, ErrBadTrace) {
+				t.Fatalf("%s: later one-event read = %v, %v; want ErrBadTrace", tc.name, ev, err)
 			}
 		}
+		if r.Count() != uint64(len(tc.first)) {
+			t.Fatalf("%s: Count() = %d after the error, want %d", tc.name, r.Count(), len(tc.first))
+		}
+	}
+}
+
+// referenceV2 encodes events straight from the format description in
+// filev2.go, one buffer per frame: a frame is sealed once its raw
+// payload reaches frameTarget, and at the end of the stream.
+func referenceV2(t *testing.T, events []Event, compress bool) []byte {
+	t.Helper()
+	var flags byte
+	if compress {
+		flags = flagFlate
+	}
+	out := []byte{'M', 'T', 'R', 'C', formatVersionV2, flags}
+	var raw []byte
+	var n uint32
+	seal := func() {
+		stored := raw
+		if compress {
+			var c bytes.Buffer
+			fw, err := flate.NewWriter(&c, flate.BestSpeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fw.Write(raw); err != nil {
+				t.Fatal(err)
+			}
+			if err := fw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			stored = c.Bytes()
+		}
+		hdr := binary.LittleEndian.AppendUint32(nil, uint32(len(raw)))
+		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(stored)))
+		hdr = binary.LittleEndian.AppendUint32(hdr, n)
+		crc := crc32.Update(crc32.Update(0, castagnoli, hdr), castagnoli, stored)
+		out = append(binary.LittleEndian.AppendUint32(append(out, hdr...), crc), stored...)
+		raw, n = nil, 0
+	}
+	for _, ev := range events {
+		raw = append(raw, byte(ev.Op))
+		raw = binary.AppendUvarint(raw, ev.A)
+		raw = binary.AppendUvarint(raw, ev.B)
+		if n++; len(raw) >= frameTarget {
+			seal()
+		}
+	}
+	if n > 0 {
+		seal()
+	}
+	return out
+}
+
+// TestWriterV2MatchesReference pins the encoder's output: WriterV2 must
+// write exactly the bytes the format description gives, plain and
+// compressed, and the plain encoding of a fixed stream keeps its
+// recorded digest.
+func TestWriterV2MatchesReference(t *testing.T) {
+	events := randomEvents(150000, 7)
+	for _, compress := range []bool{false, true} {
+		if got, want := encodeV2(t, events, compress), referenceV2(t, events, compress); !bytes.Equal(got, want) {
+			t.Fatalf("compress=%v: WriterV2 wrote %d bytes, the reference %d, and they differ", compress, len(got), len(want))
+		}
+	}
+	sum := sha256.Sum256(encodeV2(t, events, false))
+	if got, want := hex.EncodeToString(sum[:]), "17fcfe8ade79930a3eb43d49391fb72dda7f3f7d0043ceb955c810bb452cb152"; got != want {
+		t.Fatalf("plain encoding digest %s, want %s", got, want)
 	}
 }

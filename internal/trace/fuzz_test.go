@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math/rand"
@@ -46,11 +47,10 @@ func errClass(err error) string {
 	}
 }
 
-// frameBoundaries returns the offsets at which a v2 stream can be cut
-// into frame-aligned segments: after the stream header, and after every
+// frameBoundaries returns the offsets at which a prefix of a v2 stream
+// ends at a frame boundary: after the stream header, and after every
 // frame whose declared size ends within data. Frames are walked by
-// their declared sizes alone, so a corrupt frame is cut where a reader
-// of the whole buffer would also take it to end.
+// their declared sizes alone.
 func frameBoundaries(data []byte) []int {
 	if len(data) < streamHeaderLen || data[4] != formatVersionV2 {
 		return nil
@@ -67,26 +67,53 @@ func frameBoundaries(data []byte) []int {
 	return cuts
 }
 
-// splitAt cuts data into segments at the given ascending offsets.
-func splitAt(data []byte, cuts []int) [][]byte {
-	segs := make([][]byte, 0, len(cuts)+1)
-	prev := 0
-	for _, c := range cuts {
-		segs = append(segs, data[prev:c])
-		prev = c
+// pushDecode feeds data to a StreamDecoder in chunks whose sizes are
+// drawn from rng, from one byte to 64 KiB, draining every complete frame
+// after each chunk, then closes the input and drains the rest. It
+// returns the events delivered and the error that ended the stream, nil
+// at a clean end.
+func pushDecode(data []byte, rng *rand.Rand) ([]Event, error) {
+	d := NewStreamDecoder()
+	var evs []Event
+	drain := func() error {
+		for {
+			frame, err := d.NextFrame()
+			if err != nil {
+				return err
+			}
+			evs = append(evs, frame...)
+		}
 	}
-	return append(segs, data[prev:])
+	for off := 0; off < len(data); {
+		n := min(len(data)-off, 1+rng.Intn(1<<rng.Intn(17)))
+		d.Feed(data[off : off+n])
+		off += n
+		if err := drain(); !errors.Is(err, ErrStreamOpen) {
+			return evs, err
+		}
+	}
+	d.CloseInput()
+	if err := drain(); err != io.EOF {
+		return evs, err
+	}
+	if d.Events() != uint64(len(evs)) {
+		return evs, fmt.Errorf("decoder counts %d events, delivered %d", d.Events(), len(evs))
+	}
+	return evs, nil
 }
 
-// decodeBothWays decodes data through a Reader over an io.Reader and a
-// Reader over the bytes, in batches that straddle frames, and requires
-// the same events, the same Count() and the same error class from both.
-// A v2 stream is also decoded as frame-aligned segments, cut at every
-// frame boundary and at a random subset of them, and must match the
-// reader over the bytes. VerifyBytes, which checks frames without
-// decoding events, must not return an unclassified error, must not
-// reject a stream the decoder accepts, and must count a clean stream's
-// events exactly. It returns the decoded events and the decode error.
+// decodeBothWays decodes data three ways: a Reader read one event at a
+// time, a Reader read in 97-event batches that straddle frames, and,
+// unless data opens with a v1 header, a StreamDecoder fed in chunks
+// whose sizes derive from the input. The two Readers must give the same
+// events, the same Count() and the same error class. The push decoder
+// must give the same error class, and on a clean stream the same
+// events; it fails a malformed frame whole, so on a corrupt stream its
+// events are a prefix of the Readers'. VerifyBytes, which checks frames
+// without decoding events, must not return an unclassified error, must
+// not reject a stream the decoder accepts, and must count a clean
+// stream's events exactly. It returns the decoded events and the decode
+// error.
 func decodeBothWays(t *testing.T, data []byte) ([]Event, error) {
 	t.Helper()
 	type outcome struct {
@@ -94,12 +121,13 @@ func decodeBothWays(t *testing.T, data []byte) ([]Event, error) {
 		count uint64
 		err   error
 	}
-	decode := func(r *Reader, err error) outcome {
+	decode := func(batchLen int) outcome {
+		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			return outcome{err: err}
 		}
 		var o outcome
-		buf := make([]Event, 0, 97)
+		buf := make([]Event, 0, batchLen)
 		for {
 			batch, err := r.ReadBatch(buf)
 			o.evs = append(o.evs, batch...)
@@ -112,43 +140,42 @@ func decodeBothWays(t *testing.T, data []byte) ([]Event, error) {
 			}
 		}
 	}
-	viaIO := decode(NewReader(bytes.NewReader(data)))
-	inMem := decode(NewBytesReader(data))
-	if !cleanDecodeErr(viaIO.err) || !cleanDecodeErr(inMem.err) {
-		t.Fatalf("decode: unclassified error %v / %v", viaIO.err, inMem.err)
+	one, batched := decode(1), decode(97)
+	if !cleanDecodeErr(one.err) || !cleanDecodeErr(batched.err) {
+		t.Fatalf("decode: unclassified error %v / %v", one.err, batched.err)
 	}
-	if errClass(viaIO.err) != errClass(inMem.err) {
-		t.Fatalf("io.Reader path error %v, in-memory path error %v", viaIO.err, inMem.err)
+	if errClass(one.err) != errClass(batched.err) {
+		t.Fatalf("one-event reads error %v, 97-event batches error %v", one.err, batched.err)
 	}
-	if !slices.Equal(viaIO.evs, inMem.evs) || viaIO.count != inMem.count {
-		t.Fatalf("io.Reader path decoded %d events (count %d), in-memory path %d (count %d)",
-			len(viaIO.evs), viaIO.count, len(inMem.evs), inMem.count)
+	if !slices.Equal(one.evs, batched.evs) || one.count != batched.count {
+		t.Fatalf("one-event reads decoded %d events (count %d), 97-event batches %d (count %d)",
+			len(one.evs), one.count, len(batched.evs), batched.count)
 	}
-	if viaIO.count != uint64(len(viaIO.evs)) {
-		t.Fatalf("reader count %d, delivered %d events", viaIO.count, len(viaIO.evs))
+	if batched.count != uint64(len(batched.evs)) {
+		t.Fatalf("reader count %d, delivered %d events", batched.count, len(batched.evs))
+	}
+	if version, _, _, err := parseStreamHeader(data); err != nil || version != formatVersion {
+		rng := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(data))))
+		pushed, err := pushDecode(data, rng)
+		if !cleanDecodeErr(err) || errClass(err) != errClass(batched.err) {
+			t.Fatalf("push decoder error %v, reader error %v", err, batched.err)
+		}
+		if len(pushed) > len(batched.evs) || !slices.Equal(pushed, batched.evs[:len(pushed)]) ||
+			(err == nil && len(pushed) != len(batched.evs)) {
+			t.Fatalf("push decoder delivered %d events (%v), reader %d (%v)", len(pushed), err, len(batched.evs), batched.err)
+		}
 	}
 	n, err := VerifyBytes(data)
 	if !cleanDecodeErr(err) {
 		t.Fatalf("VerifyBytes: unclassified error %v", err)
 	}
-	if err != nil && inMem.err == nil {
+	if err != nil && batched.err == nil {
 		t.Fatalf("VerifyBytes rejects a stream that decodes cleanly: %v", err)
 	}
-	if inMem.err == nil && n != uint64(len(inMem.evs)) {
-		t.Fatalf("clean decode of %d events, VerifyBytes counts %d", len(inMem.evs), n)
+	if batched.err == nil && n != uint64(len(batched.evs)) {
+		t.Fatalf("clean decode of %d events, VerifyBytes counts %d", len(batched.evs), n)
 	}
-	if cuts := frameBoundaries(data); cuts != nil {
-		rng := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(data))))
-		some := slices.DeleteFunc(slices.Clone(cuts), func(int) bool { return rng.Intn(2) == 0 })
-		for _, segs := range [][][]byte{splitAt(data, cuts), splitAt(data, some)} {
-			seg := decode(NewSegmentReader(segs))
-			if errClass(seg.err) != errClass(inMem.err) || !slices.Equal(seg.evs, inMem.evs) || seg.count != inMem.count {
-				t.Fatalf("%d segments decoded %d events (count %d, %v), one buffer %d (count %d, %v)",
-					len(segs), len(seg.evs), seg.count, seg.err, len(inMem.evs), inMem.count, inMem.err)
-			}
-		}
-	}
-	return viaIO.evs, viaIO.err
+	return batched.evs, batched.err
 }
 
 // reencodeV2 decodes a v1 stream and re-encodes it in format v2.
@@ -163,7 +190,7 @@ func reencodeV2(t testing.TB, v1 []byte, compress bool) []byte {
 	if err != nil {
 		t.Fatalf("reencode: %v", err)
 	}
-	if _, err := r.Replay(w); err != nil {
+	if _, err := r.ReplayBatch(w); err != nil {
 		t.Fatalf("reencode: %v", err)
 	}
 	if err := w.Flush(); err != nil {
@@ -174,10 +201,9 @@ func reencodeV2(t testing.TB, v1 []byte, compress bool) []byte {
 
 // FuzzTraceReader feeds arbitrary bytes to the reader: corrupt or
 // truncated input must surface ErrBadTrace (or decode cleanly), never
-// panic and never return an unclassified error. Next, ReadBatch over an
-// io.Reader, ReadBatch over bytes and, for v2, ReadBatch over
-// frame-aligned segments must deliver the same events and the same
-// error class, and VerifyBytes must agree with the decode.
+// panic and never return an unclassified error. One-event reads,
+// 97-event batches and, for v2, the push decoder must agree as
+// decodeBothWays requires, and VerifyBytes must agree with the decode.
 func FuzzTraceReader(f *testing.F) {
 	seed := readSeedTrace(f)
 	f.Add(seed)
@@ -196,39 +222,24 @@ func FuzzTraceReader(f *testing.F) {
 	f.Add(reencodeV2(f, seed, true))
 	f.Add(v2[:6])
 	f.Add(v2[:6+frameHeaderLen/2])
+	// A CRC-valid frame whose payload holds a byte past its declared
+	// events, then a good frame: a flipped bit cannot forge such a frame.
+	var payload []byte
+	for _, ev := range []Event{{Op: isa.OpFMul, A: 100, B: 200}, {Op: isa.OpIMul, A: 3, B: 4}} {
+		payload = append(payload, byte(ev.Op))
+		payload = binary.AppendUvarint(payload, ev.A)
+		payload = binary.AppendUvarint(payload, ev.B)
+	}
+	f.Add(slices.Concat(v2[:6], v2Frame(append(slices.Clone(payload), 0), 2), v2Frame(payload, 2)))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			if !errors.Is(err, ErrBadTrace) {
-				t.Fatalf("NewReader: unclassified error %v", err)
-			}
-			return
+		if _, err := NewReader(bytes.NewReader(data)); err != nil && !errors.Is(err, ErrBadTrace) {
+			t.Fatalf("NewReader: unclassified error %v", err)
 		}
-		var evs []Event
-		var nextErr error
-		for {
-			ev, err := r.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				if !cleanDecodeErr(err) {
-					t.Fatalf("Next: unclassified error %v", err)
-				}
-				nextErr = err
-				break
-			}
+		evs, _ := decodeBothWays(t, data)
+		for i, ev := range evs {
 			if ev.Op >= isa.NumOps {
-				t.Fatalf("decoded out-of-range op %d", ev.Op)
+				t.Fatalf("event %d: decoded out-of-range op %d", i, ev.Op)
 			}
-			evs = append(evs, ev)
-		}
-		if uint64(len(evs)) != r.Count() {
-			t.Fatalf("reader count %d, decoded %d", r.Count(), len(evs))
-		}
-		batched, err := decodeBothWays(t, data)
-		if errClass(err) != errClass(nextErr) || !slices.Equal(batched, evs) {
-			t.Fatalf("Next decoded %d events (%v), ReadBatch %d (%v)", len(evs), nextErr, len(batched), err)
 		}
 	})
 }
@@ -258,9 +269,9 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			t.Fatalf("NewReader on own encoding: %v", err)
 		}
 		var got Recorder
-		n, err := r.Replay(&got)
+		n, err := r.ReplayBatch(&got)
 		if err != nil {
-			t.Fatalf("Replay on own encoding: %v", err)
+			t.Fatalf("ReplayBatch on own encoding: %v", err)
 		}
 		if n != uint64(len(events)) {
 			t.Fatalf("replayed %d events, wrote %d", n, len(events))
@@ -281,7 +292,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 				}
 				continue
 			}
-			if _, err := tr.Replay(&Recorder{}); !cleanDecodeErr(err) {
+			if _, err := tr.ReplayBatch(&Recorder{}); !cleanDecodeErr(err) {
 				t.Fatalf("truncation at %d: unclassified error %v", cut, err)
 			}
 		}
@@ -293,16 +304,16 @@ func FuzzTraceRoundTrip(f *testing.F) {
 // either decode cleanly (flips in a varint payload can yield a different
 // but well-formed stream only when the CRC also collides — effectively
 // never) or fail with ErrBadTrace. Panics, hangs and unclassified errors
-// are the bugs being hunted. The io.Reader, in-memory and segmented
-// decoders must agree event for event, and VerifyBytes with the decode.
+// are the bugs being hunted. The pull and push decoders must agree as
+// decodeBothWays requires, and VerifyBytes with the decode.
 func FuzzTraceV2FrameCorruption(f *testing.F) {
 	seed := readSeedTrace(f)
 	f.Add(seed[5:2048], uint32(77), false)
 	f.Add(seed[5:2048], uint32(1<<20), true)
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8}, uint32(3), false)
 	f.Add([]byte{}, uint32(0), true)
-	// 4096 events of two 9-byte operands: two frames, so the segmented
-	// decode sees more than one frame.
+	// 4096 events of two 9-byte operands: two frames, so every decoder
+	// crosses a frame boundary.
 	nineByte := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
 	twoFrames := bytes.Repeat(append(append([]byte{0}, nineByte...), nineByte...), 4096)
 	f.Add(twoFrames, uint32(70000), false) // flips a bit in the second frame

@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -170,6 +172,83 @@ func TestStreamDecoderTornTail(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestStreamDecoderEveryPrefix feeds every prefix of a small multi-frame
+// stream, plain and compressed, in several chunkings. While the input is
+// open, NextFrame yields exactly the events of the frames that lie whole
+// in the prefix, then ErrStreamOpen. After CloseInput it returns io.EOF
+// if the prefix ends at a frame boundary and ErrBadTrace anywhere else,
+// with no further events. The pull Reader takes the same walk, so over
+// the same prefix it must read the same events and end the same way.
+func TestStreamDecoderEveryPrefix(t *testing.T) {
+	const perFrame = 9
+	events := randomEvents(60, 28)
+	for _, compress := range []bool{false, true} {
+		var buf bytes.Buffer
+		w, err := NewWriterV2(&buf, compress)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ev := range events {
+			w.Emit(ev)
+			if i%perFrame == perFrame-1 {
+				if err := w.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		cuts := frameBoundaries(data) // the header's end, then every frame's
+		if wantFrames := (len(events) + perFrame - 1) / perFrame; len(cuts) != wantFrames+1 || cuts[wantFrames] != len(data) {
+			t.Fatalf("compress=%v: frame ends %v in %d bytes, want %d frames", compress, cuts, len(data), wantFrames)
+		}
+		for cut := 0; cut <= len(data); cut++ {
+			whole := 0 // frames that lie whole in data[:cut]
+			for _, c := range cuts[1:] {
+				if c <= cut {
+					whole++
+				}
+			}
+			want := events[:min(whole*perFrame, len(events))]
+			boundary := slices.Contains(cuts, cut)
+			for _, chunk := range []int{1, 5, 64, max(cut, 1)} {
+				d := NewStreamDecoder()
+				var got []Event
+				for off := 0; off < cut; off += chunk {
+					d.Feed(data[off:min(off+chunk, cut)])
+					if err := drainFrames(d, &got); !errors.Is(err, ErrStreamOpen) {
+						t.Fatalf("compress=%v cut=%d chunk=%d: open drain err = %v, want ErrStreamOpen", compress, cut, chunk, err)
+					}
+				}
+				if err := drainFrames(d, &got); !errors.Is(err, ErrStreamOpen) || !slices.Equal(got, want) {
+					t.Fatalf("compress=%v cut=%d chunk=%d: open stream gave %d events and %v, want %d and ErrStreamOpen",
+						compress, cut, chunk, len(got), err, len(want))
+				}
+				d.CloseInput()
+				err := drainFrames(d, &got)
+				if boundary && err != io.EOF || !boundary && (!errors.Is(err, ErrBadTrace) || errors.Is(err, ErrStreamOpen)) {
+					t.Fatalf("compress=%v cut=%d chunk=%d (boundary %v): sealed drain err = %v", compress, cut, chunk, boundary, err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("compress=%v cut=%d chunk=%d: %d events after CloseInput, want none", compress, cut, chunk, len(got)-len(want))
+				}
+			}
+
+			r, err := NewReader(bytes.NewReader(data[:cut]))
+			var pulled Recorder
+			if err == nil {
+				_, err = r.ReplayBatch(&pulled)
+			}
+			if boundary && err != nil || !boundary && !errors.Is(err, ErrBadTrace) || !slices.Equal(pulled.Events, want) {
+				t.Fatalf("compress=%v cut=%d (boundary %v): Reader gave %d events and %v, want %d",
+					compress, cut, boundary, len(pulled.Events), err, len(want))
+			}
+		}
+	}
 }
 
 // TestStreamDecoderEmptyStream: a header-only stream is a valid, empty

@@ -57,7 +57,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, want := range events {
-		got, err := r.Next()
+		got, err := next(r)
 		if err != nil {
 			t.Fatalf("event %d: %v", i, err)
 		}
@@ -65,7 +65,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 			t.Fatalf("event %d: got %+v want %+v", i, got, want)
 		}
 	}
-	if _, err := r.Next(); err != io.EOF {
+	if _, err := next(r); err != io.EOF {
 		t.Fatalf("expected EOF, got %v", err)
 	}
 	if r.Count() != uint64(len(events)) {
@@ -80,7 +80,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := r.Next()
+		got, err := next(r)
 		return err == nil && got == ev
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -98,7 +98,7 @@ func TestReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	var c Counter
-	n, err := r.Replay(&c)
+	n, err := r.ReplayBatch(&c)
 	if err != nil || n != 100 {
 		t.Fatalf("replay = %d,%v", n, err)
 	}
@@ -125,7 +125,7 @@ func TestReaderRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Next(); !errors.Is(err, ErrBadTrace) {
+	if _, err := next(r); !errors.Is(err, ErrBadTrace) {
 		t.Errorf("bad op: %v", err)
 	}
 	// Truncated operand.
@@ -135,7 +135,7 @@ func TestReaderRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r2.Next(); !errors.Is(err, ErrBadTrace) {
+	if _, err := next(r2); !errors.Is(err, ErrBadTrace) {
 		t.Errorf("truncated operand: %v", err)
 	}
 }

@@ -497,30 +497,34 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 }
 
 // TestPutSegmentsWithoutCopy: Put writes a trace's segments to the entry
-// file where they lie. Publishing an 8 MiB trace held as capture slabs
+// file where they lie. Publishing an 8 MiB trace held as 1 MiB segments
 // allocates well under 1 MiB — no joined or copied trace — as does
 // publishing it from contiguous bytes, and the two entries are
 // byte-identical.
 func TestPutSegmentsWithoutCopy(t *testing.T) {
-	var slabs trace.SlabWriter
-	w, err := trace.NewWriterV2(&slabs, false)
+	var encoded bytes.Buffer
+	w, err := trace.NewWriterV2(&encoded, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; slabs.Len() < 8<<20; i++ {
+	for i := 0; encoded.Len() < 8<<20; i++ {
 		w.Emit(trace.Event{Op: isa.OpFMul, A: uint64(i) * 0x9e3779b97f4a7c15, B: uint64(i)})
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs := slabs.Segments()
+	flat := encoded.Bytes()
+	var segs [][]byte
+	for rest := flat; len(rest) > 0; {
+		n := min(len(rest), 1<<20)
+		segs, rest = append(segs, rest[:n]), rest[n:]
+	}
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	flat := bytes.Join(segs, nil)
 	put := func(key string, segs ...[]byte) {
 		t.Helper()
 		var before, after runtime.MemStats
@@ -531,7 +535,7 @@ func TestPutSegmentsWithoutCopy(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
-			t.Fatalf("Put of a %d-byte trace in %d segments allocated %d bytes", slabs.Len(), len(segs), alloc)
+			t.Fatalf("Put of a %d-byte trace in %d segments allocated %d bytes", len(flat), len(segs), alloc)
 		}
 	}
 	put("segments", segs...)
