@@ -1,6 +1,12 @@
 package imaging
 
-import "sync"
+import (
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
+)
 
 // Catalog builds the synthetic stand-ins for the paper's Table 8 input
 // images. We do not have the photographic originals (mandrill, lenna, …);
@@ -20,110 +26,224 @@ type Input struct {
 	Image         *Image
 }
 
-var (
-	catalogOnce sync.Once
-	catalog     []Input
-)
+// gen renders one w×h plane of an input.
+type gen func(w, h int) *Image
 
-// Catalog returns the fourteen Table 8 inputs. Generation happens once;
-// the returned images are shared, so treat them as read-only and Clone
-// before modifying.
-func Catalog() []Input {
-	catalogOnce.Do(func() { catalog = buildCatalog() })
-	return catalog
+// spec is one catalog input before it is built: its metadata, its
+// geometry, and one generator call per band. Every call has its own
+// seed, so the pixels do not depend on the order the calls run in.
+type spec struct {
+	name, desc string
+	target     float64
+	w, h       int
+	bands      []gen
 }
 
-func buildCatalog() []Input {
-	return []Input{
+func specs() []spec {
+	return []spec{
 		{
-			Name: "mandrill", Desc: "256x256 BYTE, high-detail primate photo",
-			TargetEntropy: 7.34,
-			Image:         photographic(256, 256, 101, 0.62, 0.22, 256),
+			name: "mandrill", desc: "256x256 BYTE, high-detail primate photo",
+			target: 7.34, w: 256, h: 256,
+			bands: []gen{photo(101, 0.62, 0.22, 256)},
 		},
 		{
-			Name: "nature", Desc: "256x256 BYTE, natural scene",
-			TargetEntropy: 7.38,
-			Image:         photographic(256, 256, 102, 0.60, 0.25, 256),
+			name: "nature", desc: "256x256 BYTE, natural scene",
+			target: 7.38, w: 256, h: 256,
+			bands: []gen{photo(102, 0.60, 0.25, 256)},
 		},
 		{
-			Name: "Muppet1", Desc: "240x256 BYTE, studio scene",
-			TargetEntropy: 7.04,
-			Image:         photographic(256, 240, 103, 0.62, 0.12, 168),
+			name: "Muppet1", desc: "240x256 BYTE, studio scene",
+			target: 7.04, w: 256, h: 240,
+			bands: []gen{photo(103, 0.62, 0.12, 168)},
 		},
 		{
-			Name: "guya", Desc: "128x128 BYTE, portrait",
-			TargetEntropy: 6.99,
-			Image:         photographic(128, 128, 104, 0.62, 0.11, 160),
+			name: "guya", desc: "128x128 BYTE, portrait",
+			target: 6.99, w: 128, h: 128,
+			bands: []gen{photo(104, 0.62, 0.11, 160)},
 		},
 		{
-			Name: "star", Desc: "158x158 BYTE, star field",
-			TargetEntropy: 5.93,
-			Image:         photographic(158, 158, 105, 0.60, 0.05, 90),
+			name: "star", desc: "158x158 BYTE, star field",
+			target: 5.93, w: 158, h: 158,
+			bands: []gen{photo(105, 0.60, 0.05, 90)},
 		},
 		{
-			Name: "chroms", Desc: "64x64 BYTE, chromosome spread",
-			TargetEntropy: 4.82,
-			Image:         blobsQuantized(64, 64, 12, 106, 40),
+			name: "chroms", desc: "64x64 BYTE, chromosome spread",
+			target: 4.82, w: 64, h: 64,
+			bands: []gen{func(w, h int) *Image { return blobsQuantized(w, h, 12, 106, 40) }},
 		},
 		{
-			Name: "airport1", Desc: "256x256 BYTE, aerial view",
-			TargetEntropy: 4.47,
-			Image:         gammaQuantized(256, 256, 107, 3.0, 48),
+			name: "airport1", desc: "256x256 BYTE, aerial view",
+			target: 4.47, w: 256, h: 256,
+			bands: []gen{func(w, h int) *Image { return gammaQuantized(w, h, 107, 3.0, 48) }},
 		},
 		{
-			Name: "lablabel", Desc: "243x486 INTEGER, labelled lab scene",
-			TargetEntropy: 3.37,
-			Image:         Labels(243, 486, 12, 108),
+			name: "lablabel", desc: "243x486 INTEGER, labelled lab scene",
+			target: 3.37, w: 243, h: 486,
+			bands: []gen{func(w, h int) *Image { return Labels(w, h, 12, 108) }},
 		},
 		{
-			Name: "fractal", Desc: "450x409 BYTE, fractal over flat background",
-			TargetEntropy: 1.42,
-			Image:         fractalByte(450, 409, 109),
+			name: "fractal", desc: "450x409 BYTE, fractal over flat background",
+			target: 1.42, w: 450, h: 409,
+			bands: []gen{func(w, h int) *Image { return fractalByte(w, h, 109) }},
 		},
 		{
-			Name: "head", Desc: "228x256 FLOAT, MRI head section",
-			Image: GaussianBlobs(228, 256, 24, 110),
+			name: "head", desc: "228x256 FLOAT, MRI head section",
+			w: 228, h: 256,
+			bands: []gen{func(w, h int) *Image { return GaussianBlobs(w, h, 24, 110) }},
 		},
 		{
-			Name: "spine", Desc: "228x256 FLOAT, MRI spine section",
-			Image: GaussianBlobs(228, 256, 30, 111),
+			name: "spine", desc: "228x256 FLOAT, MRI spine section",
+			w: 228, h: 256,
+			bands: []gen{func(w, h int) *Image { return GaussianBlobs(w, h, 30, 111) }},
 		},
 		{
-			Name: "lenna.rgb", Desc: "480x512 BYTE x3, portrait",
-			TargetEntropy: 7.75,
-			Image: Multi(
-				photographic(480, 512, 112, 0.62, 0.60, 256),
-				photographic(480, 512, 113, 0.62, 0.60, 256),
-				photographic(480, 512, 114, 0.62, 0.60, 256),
-			),
+			name: "lenna.rgb", desc: "480x512 BYTE x3, portrait",
+			target: 7.75, w: 480, h: 512,
+			bands: []gen{
+				photo(112, 0.62, 0.60, 256),
+				photo(113, 0.62, 0.60, 256),
+				photo(114, 0.62, 0.60, 256),
+			},
 		},
 		{
-			Name: "mandril.rgb", Desc: "480x512 BYTE x3, primate photo",
-			TargetEntropy: 7.75,
-			Image: Multi(
-				photographic(480, 512, 115, 0.62, 0.60, 256),
-				photographic(480, 512, 116, 0.62, 0.60, 256),
-				photographic(480, 512, 117, 0.62, 0.60, 256),
-			),
+			name: "mandril.rgb", desc: "480x512 BYTE x3, primate photo",
+			target: 7.75, w: 480, h: 512,
+			bands: []gen{
+				photo(115, 0.62, 0.60, 256),
+				photo(116, 0.62, 0.60, 256),
+				photo(117, 0.62, 0.60, 256),
+			},
 		},
 		{
-			Name: "lizard.rgb", Desc: "512x768 BYTE x3, reptile skin texture",
-			TargetEntropy: 7.60,
-			Image: Multi(
-				photographic(512, 768, 118, 0.62, 0.42, 256),
-				photographic(512, 768, 119, 0.62, 0.42, 256),
-				photographic(512, 768, 120, 0.62, 0.42, 256),
-			),
+			name: "lizard.rgb", desc: "512x768 BYTE x3, reptile skin texture",
+			target: 7.60, w: 512, h: 768,
+			bands: []gen{
+				photo(118, 0.62, 0.42, 256),
+				photo(119, 0.62, 0.42, 256),
+				photo(120, 0.62, 0.42, 256),
+			},
 		},
 	}
 }
 
-// Find returns the catalog input with the given name, or nil.
+// photo is one photographic band.
+func photo(seed int64, roughness, noise float64, levels int) gen {
+	return func(w, h int) *Image { return photographic(w, h, seed, roughness, noise, levels) }
+}
+
+// entry is one input being built. Each band is one memoised generator
+// call; a multi-band input's calls write their bands straight into its
+// stacked image and drop the plane, so no more than one plane per
+// worker is alive at once.
+type entry struct {
+	spec
+	bands []func()      // one memoised generator call per band
+	alloc sync.Once     // allocates img for a multi-band input
+	img   *Image        // the input, complete once every band has run
+	image func() *Image // memoised: runs every band, returns img
+}
+
+func newEntry(s spec, calls *atomic.Int32) *entry {
+	e := &entry{spec: s}
+	for b, g := range s.bands {
+		e.bands = append(e.bands, sync.OnceFunc(func() {
+			calls.Add(1)
+			plane := g(s.w, s.h)
+			if len(s.bands) == 1 {
+				e.img = plane
+				return
+			}
+			e.alloc.Do(func() { e.img = New(s.w, s.h, len(s.bands), plane.Kind) })
+			e.img.setBand(b, plane)
+		}))
+	}
+	e.image = sync.OnceValue(func() *Image {
+		run(runtime.GOMAXPROCS(0), e.bands)
+		return e.img
+	})
+	return e
+}
+
+// input builds the input if no one has yet and returns it.
+func (e *entry) input() Input {
+	return Input{Name: e.name, Desc: e.desc, TargetEntropy: e.target, Image: e.image()}
+}
+
+// builder builds one catalog. Catalog and Find share one builder, so
+// each generator call runs once per process however the two interleave.
+type builder struct {
+	entries []*entry
+	all     func() []Input
+	calls   atomic.Int32 // generator calls made
+}
+
+func newBuilder() *builder {
+	b := &builder{}
+	for _, s := range specs() {
+		b.entries = append(b.entries, newEntry(s, &b.calls))
+	}
+	b.all = sync.OnceValue(func() []Input { return b.build(runtime.GOMAXPROCS(0)) })
+	return b
+}
+
+// build runs every band of every input on at most workers goroutines,
+// largest first, and returns the inputs in catalog order.
+func (b *builder) build(workers int) []Input {
+	largest := slices.Clone(b.entries)
+	slices.SortStableFunc(largest, func(x, y *entry) int { return y.w*y.h - x.w*x.h })
+	var bands []func()
+	for _, e := range largest {
+		bands = append(bands, e.bands...)
+	}
+	run(workers, bands)
+	out := make([]Input, len(b.entries))
+	for i, e := range b.entries {
+		out[i] = e.input()
+	}
+	return out
+}
+
+// run calls every job, in order, on at most workers goroutines.
+func run(workers int, jobs []func()) {
+	workers = min(workers, len(jobs))
+	if workers <= 1 {
+		for _, j := range jobs {
+			j()
+		}
+		return
+	}
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(jobs); i = int(next.Add(1)) - 1 {
+				jobs[i]()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// std is the process's catalog.
+var std = newBuilder()
+
+// Catalog returns the fourteen Table 8 inputs, built once on at most
+// GOMAXPROCS goroutines. The returned images are shared, so treat them
+// as read-only and Clone before modifying.
+func Catalog() []Input { return std.all() }
+
+// buildCatalog builds a fresh catalog, sharing nothing with Catalog's.
+func buildCatalog() []Input { return newBuilder().all() }
+
+// Find returns the catalog input with the given name, or nil. It builds
+// only that input; its image is the one Catalog returns.
 func Find(name string) *Input {
-	for _, in := range Catalog() {
-		if in.Name == name {
-			c := in
-			return &c
+	for _, e := range std.entries {
+		if e.name == name {
+			in := e.input()
+			return &in
 		}
 	}
 	return nil
@@ -133,7 +253,13 @@ func Find(name string) *Input {
 // the texture/entropy profile of a photographic byte image. noise is the
 // blend weight of the uniform-noise field.
 func photographic(w, h int, seed int64, roughness, noise float64, levels int) *Image {
-	im := Blend(Plasma(w, h, seed, roughness), Noise(w, h, seed+5000), noise)
+	im := Plasma(w, h, seed, roughness)
+	// Blend(im, Noise(w, h, seed+5000), noise) in place: the same draws
+	// and sums without either copy.
+	rng := rand.New(rand.NewSource(seed + 5000))
+	for i := range im.Pix {
+		im.Pix[i] += noise * rng.Float64()
+	}
 	im.Quantize(levels)
 	im.Kind = Byte
 	return im

@@ -16,63 +16,71 @@ import (
 // variation, the texture profile of natural photographs.
 func Plasma(w, h int, seed int64, roughness float64) *Image {
 	rng := rand.New(rand.NewSource(seed))
-	// Work on a (2^k+1)² grid covering the image, then crop.
+	// Work on a (2^k+1)² grid covering the image, then crop. The grid is
+	// one flat slice; row(y) is its y-th row.
 	n := 1
 	for n+1 < w || n+1 < h {
 		n <<= 1
 	}
-	g := make([][]float64, n+1)
-	for i := range g {
-		g[i] = make([]float64, n+1)
-	}
-	g[0][0], g[0][n], g[n][0], g[n][n] =
+	m := n + 1
+	g := make([]float64, m*m)
+	row := func(y int) []float64 { return g[y*m : y*m+m] }
+	g[0], g[n], g[n*m], g[n*m+n] =
 		rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()
 	amp := 1.0
 	for step := n; step > 1; step /= 2 {
 		half := step / 2
 		// Diamond step.
-		for y := half; y < n+1; y += step {
-			for x := half; x < n+1; x += step {
-				avg := (g[y-half][x-half] + g[y-half][x+half] +
-					g[y+half][x-half] + g[y+half][x+half]) / 4
-				g[y][x] = avg + (rng.Float64()-0.5)*amp
+		for y := half; y < m; y += step {
+			up, cur, down := row(y-half), row(y), row(y+half)
+			for x := half; x < m; x += step {
+				avg := (up[x-half] + up[x+half] +
+					down[x-half] + down[x+half]) / 4
+				cur[x] = avg + (rng.Float64()-0.5)*amp
 			}
 		}
 		// Square step.
-		for y := 0; y < n+1; y += half {
+		for y := 0; y < m; y += half {
 			x0 := half
 			if (y/half)%2 == 1 {
 				x0 = 0
 			}
-			for x := x0; x < n+1; x += step {
+			var up, down []float64
+			if y >= half {
+				up = row(y - half)
+			}
+			if y+half <= n {
+				down = row(y + half)
+			}
+			cur := row(y)
+			for x := x0; x < m; x += step {
 				var sum float64
 				var cnt int
-				if y >= half {
-					sum += g[y-half][x]
+				if up != nil {
+					sum += up[x]
 					cnt++
 				}
-				if y+half <= n {
-					sum += g[y+half][x]
+				if down != nil {
+					sum += down[x]
 					cnt++
 				}
 				if x >= half {
-					sum += g[y][x-half]
+					sum += cur[x-half]
 					cnt++
 				}
 				if x+half <= n {
-					sum += g[y][x+half]
+					sum += cur[x+half]
 					cnt++
 				}
-				g[y][x] = sum/float64(cnt) + (rng.Float64()-0.5)*amp
+				cur[x] = sum/float64(cnt) + (rng.Float64()-0.5)*amp
 			}
 		}
 		amp *= roughness
 	}
-	im := New(w, h, 1, Float)
+	// Crop and normalise straight into the image.
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			v := g[y][x]
+		for _, v := range row(y)[:w] {
 			if v < lo {
 				lo = v
 			}
@@ -85,9 +93,11 @@ func Plasma(w, h int, seed int64, roughness float64) *Image {
 	if span == 0 {
 		span = 1
 	}
+	im := New(w, h, 1, Float)
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			im.Set(x, y, 0, (g[y][x]-lo)/span)
+		out := im.Pix[y*w : y*w+w]
+		for x, v := range row(y)[:w] {
+			out[x] = (v - lo) / span
 		}
 	}
 	return im
@@ -122,24 +132,24 @@ func Blend(a, b *Image, alpha float64) *Image {
 func GaussianBlobs(w, h, n int, seed int64) *Image {
 	rng := rand.New(rand.NewSource(seed))
 	im := New(w, h, 1, Float)
-	type blob struct{ cx, cy, sigma, amp float64 }
+	// den is 2σ², the Gaussian's denominator.
+	type blob struct{ cx, cy, den, amp float64 }
 	blobs := make([]blob, n)
 	for i := range blobs {
-		blobs[i] = blob{
-			cx:    rng.Float64() * float64(w),
-			cy:    rng.Float64() * float64(h),
-			sigma: (0.05 + 0.15*rng.Float64()) * float64(min(w, h)),
-			amp:   0.3 + rng.Float64(),
-		}
+		cx := rng.Float64() * float64(w)
+		cy := rng.Float64() * float64(h)
+		sigma := (0.05 + 0.15*rng.Float64()) * float64(min(w, h))
+		blobs[i] = blob{cx: cx, cy: cy, den: 2 * sigma * sigma, amp: 0.3 + rng.Float64()}
 	}
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
+		out := im.Pix[y*w : y*w+w]
+		for x := range out {
 			var v float64
 			for _, b := range blobs {
 				dx, dy := float64(x)-b.cx, float64(y)-b.cy
-				v += b.amp * math.Exp(-(dx*dx+dy*dy)/(2*b.sigma*b.sigma))
+				v += b.amp * math.Exp(-(dx*dx+dy*dy)/b.den)
 			}
-			im.Set(x, y, 0, v)
+			out[x] = v
 		}
 	}
 	return im
@@ -157,7 +167,8 @@ func Labels(w, h, k int, seed int64) *Image {
 	}
 	im := New(w, h, 1, Integer)
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
+		out := im.Pix[y*w : y*w+w]
+		for x := range out {
 			best, bd := 0, math.Inf(1)
 			for i, s := range sites {
 				dx, dy := float64(x)-s.x, float64(y)-s.y
@@ -165,7 +176,7 @@ func Labels(w, h, k int, seed int64) *Image {
 					bd, best = d, i
 				}
 			}
-			im.Set(x, y, 0, float64(best))
+			out[x] = float64(best)
 		}
 	}
 	return im
@@ -181,7 +192,8 @@ func FractalBasin(w, h int, seed int64) *Image {
 	ci := 0.11 + 0.02*rng.Float64()
 	const maxIter = 32
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
+		out := im.Pix[y*w : y*w+w]
+		for x := range out {
 			zr := (float64(x)/float64(w))*3 - 1.5
 			zi := (float64(y)/float64(h))*3 - 1.5
 			it := 0
@@ -195,7 +207,7 @@ func FractalBasin(w, h int, seed int64) *Image {
 			if it < maxIter && it >= 2 {
 				v = float64(it) / maxIter
 			}
-			im.Set(x, y, 0, v)
+			out[x] = v
 		}
 	}
 	return im
@@ -213,25 +225,28 @@ func Ramp(w, h int) *Image {
 	return im
 }
 
-// Multi stacks n single-band images into one n-band image (RGB inputs of
-// Table 8).
+// Multi stacks n single-band images of one geometry and kind into one
+// n-band image.
 func Multi(bands ...*Image) *Image {
 	if len(bands) == 0 {
 		panic("imaging: Multi needs at least one band")
 	}
-	w, h := bands[0].W, bands[0].H
-	out := New(w, h, len(bands), bands[0].Kind)
+	out := New(bands[0].W, bands[0].H, len(bands), bands[0].Kind)
 	for b, im := range bands {
-		if im.W != w || im.H != h || im.Bands != 1 {
-			panic("imaging: Multi band geometry mismatch")
-		}
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				out.Set(x, y, b, im.At(x, y, 0))
-			}
-		}
+		out.setBand(b, im)
 	}
 	return out
+}
+
+// setBand copies the single-band image im, of out's geometry and kind,
+// into band b of out.
+func (out *Image) setBand(b int, im *Image) {
+	if im.W != out.W || im.H != out.H || im.Bands != 1 || im.Kind != out.Kind {
+		panic("imaging: Multi band geometry mismatch")
+	}
+	for i, v := range im.Pix {
+		out.Pix[i*out.Bands+b] = v
+	}
 }
 
 // Gamma raises all samples (assumed in [0,1]) to the given power,
@@ -242,11 +257,4 @@ func Gamma(im *Image, gamma float64) *Image {
 		out.Pix[i] = math.Pow(Clamp(v, 0, 1), gamma)
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

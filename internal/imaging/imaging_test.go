@@ -2,7 +2,12 @@ package imaging
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -140,13 +145,130 @@ func TestCatalogGeometry(t *testing.T) {
 	}
 }
 
+// catalogDigests pins every input's pixels: a SHA-256 over W, H, Bands,
+// Kind and the Float64bits of each sample. They were recorded from the
+// generators as they stood before the flat-grid and in-place kernels, so
+// any rewrite of a generator must reproduce the old bits exactly.
+var catalogDigests = map[string]string{
+	"mandrill":    "7e54e8b7831de04d6f76e0bb360afb1eb67f1abd460036344311f80d3ab58b4b",
+	"nature":      "d6ee4504fea24b3fe2a932b71cafec1a95777efbd15a3ae93c686c8bb56abc6b",
+	"Muppet1":     "ee3c08e754b38ad9f3f6d8a9b7605ea0f4eca852eb43d64994d1c91ed1cbc902",
+	"guya":        "bf8d6995929e0ca1ea22022883432ba53accce0aeb4292c816cfe22ffbb1726c",
+	"star":        "5223315168c532411b93f22a578160540f22bbc29728d3396f079c7668050831",
+	"chroms":      "0221f229827b1d40ac02b97ba922d0e1826623e8c7ceef9c2b0983e2dabd6b7a",
+	"airport1":    "8459c88071e1abea0bd89f68aa48fba63875bc2180e6ea373bb8b16fcc37110d",
+	"lablabel":    "5e5947c802e431dec5378311efe61d7724fc93ce73c1843bbe177123a090f200",
+	"fractal":     "8bdc183b813816fe43200107a397ccf29b7b4c75929a32802af3d363b28e4426",
+	"head":        "570fe8ad981afdc6dfa1eb45b409ee0d4f1f7a777324f9504df8a95465ab353a",
+	"spine":       "8588a21a1b6d3d9fe825cfab5e64b14c41ef6ec137779374ecf8456ebc08bab5",
+	"lenna.rgb":   "c117b30ab0c57e6187697efa61dace3f502c1f8f752f1cefd72a4a80788c0a10",
+	"mandril.rgb": "bd3ad004175a265e83374ddcf92ed70347f99f526be1898f404eba20b7d13121",
+	"lizard.rgb":  "1d888388fe670ed91838c879e42bfbbd0c714b6348b40704b8daf0c17f6753e6",
+}
+
+func imageDigest(im *Image) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, v := range []int{im.W, im.H, im.Bands, int(im.Kind)} {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	for _, p := range im.Pix {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p))
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 func TestCatalogDeterministic(t *testing.T) {
-	a := Find("mandrill").Image
-	b := Find("mandrill").Image
-	for i := range a.Pix {
-		if a.Pix[i] != b.Pix[i] {
-			t.Fatal("catalog generation not deterministic")
+	a, b := buildCatalog(), buildCatalog()
+	if len(a) != len(catalogDigests) || len(b) != len(a) {
+		t.Fatalf("catalog sizes %d, %d; %d digests", len(a), len(b), len(catalogDigests))
+	}
+	for i, in := range a {
+		if in.Image == b[i].Image {
+			t.Fatalf("%s: two fresh builds share an image", in.Name)
 		}
+		got, again := imageDigest(in.Image), imageDigest(b[i].Image)
+		if got != again {
+			t.Errorf("%s: two fresh builds differ", in.Name)
+		}
+		if want := catalogDigests[in.Name]; got != want {
+			t.Errorf("%s: pixel digest %s, want %s", in.Name, got, want)
+		}
+	}
+}
+
+// TestCatalogConcurrent mixes Catalog and Find on one fresh builder: every
+// caller sees the same images, a Find that runs first hands out the image
+// Catalog later returns, and no generator runs twice.
+func TestCatalogConcurrent(t *testing.T) {
+	b := newBuilder()
+	early := b.entries[len(b.entries)-1].input() // a multi-band input, before the rest
+	names := make([]string, len(b.entries))
+	for i, e := range b.entries {
+		names[i] = e.name
+	}
+	const goroutines = 8
+	seen := make([][]*Image, goroutines)
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seen[g] = make([]*Image, len(names))
+			if g%2 == 0 {
+				for i, in := range b.all() {
+					seen[g][i] = in.Image
+				}
+				return
+			}
+			for i := range names {
+				// Odd goroutines walk the inputs from different ends.
+				j := i
+				if g%4 == 3 {
+					j = len(names) - 1 - i
+				}
+				seen[g][j] = b.entries[j].input().Image
+			}
+		}()
+	}
+	wg.Wait()
+	all := b.all()
+	if all[len(all)-1].Image != early.Image {
+		t.Error("Catalog rebuilt an input that an earlier lookup had built")
+	}
+	for g, ims := range seen {
+		for i, im := range ims {
+			if im != all[i].Image {
+				t.Errorf("goroutine %d got a different %s", g, names[i])
+			}
+		}
+	}
+	for i, in := range Catalog() {
+		if Find(in.Name).Image != in.Image {
+			t.Errorf("Find and Catalog disagree on %s", names[i])
+		}
+	}
+	var bands int32
+	for _, e := range b.entries {
+		bands += int32(len(e.bands))
+	}
+	if got := b.calls.Load(); got != bands {
+		t.Errorf("%d generator calls for %d bands", got, bands)
+	}
+}
+
+func BenchmarkCatalog(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"serial", 1}, {"pool", runtime.GOMAXPROCS(0)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for range b.N {
+				newBuilder().build(bc.workers)
+			}
+		})
 	}
 }
 
@@ -182,6 +304,7 @@ func TestBlendAndMultiPanic(t *testing.T) {
 	mustPanic(t, func() { Blend(New(2, 2, 1, Float), New(3, 2, 1, Float), 1) })
 	mustPanic(t, func() { Multi() })
 	mustPanic(t, func() { Multi(New(2, 2, 1, Float), New(3, 2, 1, Float)) })
+	mustPanic(t, func() { Multi(New(2, 2, 1, Float), New(2, 2, 1, Byte)) })
 	mustPanic(t, func() { New(2, 2, 1, Float).Quantize(1) })
 	mustPanic(t, func() { New(2, 2, 1, Float).WindowEntropy(0) })
 }

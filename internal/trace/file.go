@@ -59,11 +59,17 @@ type Reader struct {
 func NewReader(src io.Reader) (*Reader, error) {
 	// Read only as far as the version needs: a v1 header is five bytes,
 	// and the reader must not wait on a sixth. Short headers are
-	// reported by parseStreamHeader.
+	// reported by parseStreamHeader; a failed read is returned as is.
 	var hdr [streamHeaderLen]byte
-	n, _ := io.ReadFull(src, hdr[:len(magic)+1])
+	n, err := readHeader(src, hdr[:len(magic)+1])
+	if err != nil {
+		return nil, err
+	}
 	if n == len(magic)+1 && hdr[4] == formatVersionV2 {
-		m, _ := io.ReadFull(src, hdr[n:])
+		m, err := readHeader(src, hdr[n:])
+		if err != nil {
+			return nil, err
+		}
 		n += m
 	}
 	version, compressed, _, err := parseStreamHeader(hdr[:n])
@@ -78,6 +84,16 @@ func NewReader(src io.Reader) (*Reader, error) {
 		r.d.headerDone, r.d.compressed = true, compressed
 	}
 	return r, nil
+}
+
+// readHeader fills p from src as far as src goes. An early EOF is not an
+// error here: the short header it leaves is parseStreamHeader's to report.
+func readHeader(src io.Reader, p []byte) (int, error) {
+	n, err := io.ReadFull(src, p)
+	if err == nil || err == io.EOF || err == io.ErrUnexpectedEOF {
+		return n, nil
+	}
+	return n, fmt.Errorf("trace: reading header: %w", err)
 }
 
 // parseStreamHeader vets the preamble at the head of p — magic, version

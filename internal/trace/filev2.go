@@ -337,9 +337,9 @@ func (z *inflater) payload(f frame, compressed bool) ([]byte, error) {
 
 // readFrame loads the next frame's raw event bytes into r.frame,
 // reading the source into the decoder whenever the walk needs more
-// bytes. It returns io.EOF only at a clean frame boundary; every other
-// defect, including undecoded bytes left in the current frame, is
-// ErrBadTrace.
+// bytes. It returns io.EOF only at a clean frame boundary and a failed
+// read as the source's error; every other defect, including undecoded
+// bytes left in the current frame, is ErrBadTrace.
 func (r *Reader) readFrame() error {
 	if r.fpos != len(r.frame) {
 		return fmt.Errorf("%w: %d trailing bytes in frame", ErrBadTrace, len(r.frame)-r.fpos)

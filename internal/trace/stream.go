@@ -75,7 +75,8 @@ func (d *StreamDecoder) compact() {
 
 // readFrom makes one read of src straight into the buffer's free space,
 // which always has room for a whole frame, and closes the input at src's
-// EOF. A failed read is a torn stream.
+// EOF. A failed read is returned as the source's error, not as a
+// corrupt stream.
 func (d *StreamDecoder) readFrom(src io.Reader) error {
 	d.compact()
 	if cap(d.buf)-len(d.buf) < frameHeaderLen+maxFrameStored {
@@ -89,7 +90,7 @@ func (d *StreamDecoder) readFrom(src io.Reader) error {
 		return nil
 	}
 	if err != nil {
-		return fmt.Errorf("%w: reading stream: %v", ErrBadTrace, err)
+		return fmt.Errorf("trace: reading stream: %w", err)
 	}
 	return nil
 }

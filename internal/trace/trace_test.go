@@ -139,3 +139,42 @@ func TestReaderRejectsCorruption(t *testing.T) {
 		t.Errorf("truncated operand: %v", err)
 	}
 }
+
+// failingReader yields data, then fails every read with err.
+type failingReader struct {
+	data []byte
+	err  error
+}
+
+func (f *failingReader) Read(p []byte) (int, error) {
+	if len(f.data) == 0 {
+		return 0, f.err
+	}
+	n := copy(p, f.data)
+	f.data = f.data[n:]
+	return n, nil
+}
+
+// A source that fails to read is an I/O error, not a corrupt trace: the
+// Reader hands the source's error back, in the header and past it.
+func TestReaderSurfacesReadErrors(t *testing.T) {
+	errDisk := errors.New("disk on fire")
+	v2 := encodeV2(t, []Event{{Op: isa.OpFMul, A: 1, B: 2}, {Op: isa.OpIMul, A: 3, B: 4}}, false)
+	for _, cut := range []int{0, 3, 5, streamHeaderLen, len(v2) - 1} {
+		src := &failingReader{data: v2[:cut], err: errDisk}
+		r, err := NewReader(src)
+		if err == nil {
+			_, err = r.ReadBatch(make([]Event, 0, 16))
+		}
+		if !errors.Is(err, errDisk) || errors.Is(err, ErrBadTrace) {
+			t.Errorf("source fails after %d bytes: got %v, want the source's error", cut, err)
+		}
+	}
+	// A short stream that ends cleanly is still a corrupt trace.
+	if _, err := NewReader(bytes.NewReader(v2[:3])); !errors.Is(err, ErrBadTrace) {
+		t.Errorf("short header: %v", err)
+	}
+	if _, err := NewReader(bytes.NewReader(v2[:5])); !errors.Is(err, ErrBadTrace) {
+		t.Errorf("v2 header without flags: %v", err)
+	}
+}
