@@ -3,8 +3,8 @@ package memotable_test
 // End-to-end tests of the live-ingestion CLI surface: tracecap -stdin /
 // -listen must replay a streamed v2 trace into the live banks, print
 // snapshots identical to the offline comparator (memosim -ingest), seal
-// cleanly ended streams, and classify torn or corrupt streams with exit
-// code 3.
+// cleanly ended streams, and classify torn, corrupt or v1 streams with
+// exit code 3.
 
 import (
 	"bytes"
@@ -190,6 +190,26 @@ func TestTracecapIngestFailureModes(t *testing.T) {
 		_, stderr, code := runCLI(t, nil, cliBin(t, "memosim"), "-ingest", bad)
 		if code != 3 {
 			t.Fatalf("exit %d stderr %q, want 3", code, stderr)
+		}
+	})
+
+	// A v1 trace has no frames, so a live ingest cannot tell its torn
+	// tail from its end: both ingest paths refuse it, naming v2, while
+	// tracereplay still reads the file.
+	t.Run("v1 stream exits 3", func(t *testing.T) {
+		v1 := filepath.Join("internal", "trace", "testdata", "vdiff-16.mtrc")
+		seed, err := os.ReadFile(v1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, stderr, code := runCLIStdin(t, seed, bin, "-stdin"); code != 3 || !strings.Contains(stderr, "v2") {
+			t.Fatalf("tracecap -stdin: exit %d stderr %q, want 3 naming v2", code, stderr)
+		}
+		if _, stderr, code := runCLI(t, nil, cliBin(t, "memosim"), "-ingest", v1); code != 3 || !strings.Contains(stderr, "v2") {
+			t.Fatalf("memosim -ingest: exit %d stderr %q, want 3 naming v2", code, stderr)
+		}
+		if _, stderr, code := runCLI(t, nil, cliBin(t, "tracereplay"), "-in", v1); code != 0 {
+			t.Fatalf("tracereplay -in: exit %d stderr %q, want 0", code, stderr)
 		}
 	})
 

@@ -28,12 +28,12 @@
 // (manifest with degraded cells), 2 (usage/planning error) or 1
 // (internal failure); the coordinator only trusts 0 and 3.
 //
-// -ingest is the offline comparator for live ingestion: it feeds a v2
-// trace file through the same incremental decode path and LiveBank
+// -ingest is the offline comparator for live ingestion: it reads a v2
+// trace file through the same Engine.Ingest call and LiveBank
 // instruments a `tracecap -listen` session uses, and prints the same
 // final snapshot — so live-streamed results can be diffed against an
 // offline replay of the identical bytes. Exit 3 marks a corrupt or torn
-// stream, as in tracereplay.
+// stream, as in tracereplay, or a v1 one, which has no frames to ingest.
 //
 // Exit codes: 0 on success; 1 when workloads failed and -keep-going is
 // not set (hard failure, no results printed); 2 on usage errors, and on
@@ -271,12 +271,11 @@ func engineSummary(w io.Writer, st memotable.EngineStats, elapsed time.Duration)
 		st.MaskSkips)
 }
 
-// runOfflineIngest feeds a v2 trace file through the identical
-// incremental path a live tracecap -listen session uses — stream
-// decoder, LiveBank sinks, fixed sketch seed — and prints the final
-// snapshot, so its stdout is byte-comparable with the live session's.
-// The file is fed in 64 KiB reads, as tracecap feeds its socket, so
-// only the decoder's open frame is ever held in memory.
+// runOfflineIngest ingests a v2 trace file through the identical path
+// a live tracecap -listen session uses — Engine.Ingest, LiveBank sinks,
+// fixed sketch seed — and prints the final snapshot, so its stdout is
+// byte-comparable with the live session's. Only the open frame is ever
+// held in memory.
 func runOfflineIngest(path string) int {
 	f, err := os.Open(path)
 	if err != nil {
@@ -287,39 +286,16 @@ func runOfflineIngest(path string) int {
 	bank := memotable.NewLiveBank(1)
 	eng := memotable.NewEngine(1)
 	defer func() { _ = eng.Close() }()
-	sess := eng.NewIngest(memotable.IngestOptions{Sinks: bank.Sinks()})
-	defer sess.Abort() // a read error below returns without sealing
-	buf := make([]byte, 64<<10)
-	var serr error
-	for serr == nil {
-		n, rerr := f.Read(buf)
-		if n > 0 {
-			serr = sess.Feed(buf[:n])
+	st, err := eng.Ingest(f, memotable.IngestOptions{Sinks: bank.Sinks()})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "memosim:", err)
+		if errors.Is(err, memotable.ErrBadTrace) {
+			return 3
 		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil && serr == nil {
-			fmt.Fprintln(os.Stderr, "memosim:", rerr)
-			return 1
-		}
+		return 1
 	}
-	if serr == nil {
-		var res memotable.IngestResult
-		if res, serr = sess.Seal(); serr == nil {
-			fmt.Println(memotable.RenderText(bank.Snapshot(res.Stats)))
-			// The engine-level ingest counters equal the session's stats
-			// here (one session per invocation); printing from the same
-			// Stats snapshot the other paths use keeps one formatter.
-			st := eng.Stats()
-			fmt.Fprintf(os.Stderr, "memosim: replayed %d events in %d frames (%d bytes) from %s\n",
-				st.IngestedEvents, st.IngestedFrames, st.IngestedBytes, path)
-			return 0
-		}
-	}
-	fmt.Fprintln(os.Stderr, "memosim:", serr)
-	if errors.Is(serr, memotable.ErrBadTrace) {
-		return 3
-	}
-	return 1
+	fmt.Println(memotable.RenderText(bank.Snapshot(st)))
+	fmt.Fprintf(os.Stderr, "memosim: replayed %d events in %d frames (%d bytes) from %s\n",
+		st.Events, st.Frames, st.Bytes, path)
+	return 0
 }

@@ -30,7 +30,7 @@
 //
 // Exit codes: 0 on success, 1 on I/O failure (including a failed
 // listen/accept), 2 on usage errors, 3 when the ingested stream is
-// corrupt or torn.
+// corrupt, torn or v1 (which has no frames to ingest).
 package main
 
 import (
@@ -147,10 +147,9 @@ func run() int {
 	return 0
 }
 
-// runIngest drives one live ingest session from a socket or stdin:
-// frames replay into a LiveBank as they arrive, rolling snapshots print
-// per -snapshot, and a cleanly ended stream seals and prints the final
-// snapshot.
+// runIngest ingests one live stream from a socket or stdin: frames
+// replay into a LiveBank as they arrive, rolling snapshots print per
+// -snapshot, and a cleanly ended stream prints the final snapshot.
 func runIngest(addr string, snapshotEvery uint64) int {
 	src, cleanup, err := ingestSource(addr)
 	if err != nil {
@@ -165,38 +164,23 @@ func runIngest(addr string, snapshotEvery uint64) int {
 	// Fixed sketch seed: live and offline (memosim -ingest) snapshots of
 	// the same stream must render byte-identically.
 	bank := memotable.NewLiveBank(1)
-	sess := eng.NewIngest(memotable.IngestOptions{
+	st, err := eng.Ingest(src, memotable.IngestOptions{
 		Sinks:         bank.Sinks(),
 		SnapshotEvery: snapshotEvery,
 		OnSnapshot: func(st memotable.IngestStats) {
 			fmt.Println(memotable.RenderText(bank.Snapshot(st)))
 		},
 	})
-	defer sess.Abort() // a read error below returns without sealing
-
-	buf := make([]byte, 64<<10)
-	for {
-		n, rerr := src.Read(buf)
-		if n > 0 {
-			if ferr := sess.Feed(buf[:n]); ferr != nil {
-				return ingestFail(ferr)
-			}
-		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			fmt.Fprintln(os.Stderr, "tracecap:", rerr)
-			return 1
-		}
-	}
-	res, err := sess.Seal()
 	if err != nil {
-		return ingestFail(err)
+		fmt.Fprintln(os.Stderr, "tracecap:", err)
+		if errors.Is(err, memotable.ErrBadTrace) {
+			return 3 // tracereplay's corrupt-trace code
+		}
+		return 1
 	}
-	fmt.Println(memotable.RenderText(bank.Snapshot(res.Stats)))
+	fmt.Println(memotable.RenderText(bank.Snapshot(st)))
 	fmt.Fprintf(os.Stderr, "tracecap: ingested %d events in %d frames (%d bytes)\n",
-		res.Stats.Events, res.Stats.Frames, res.Stats.Bytes)
+		st.Events, st.Frames, st.Bytes)
 	return 0
 }
 
@@ -237,16 +221,6 @@ func ingestSource(addr string) (io.Reader, func(), error) {
 		_ = conn.Close()
 		_ = ln.Close()
 	}, nil
-}
-
-// ingestFail classifies a broken session: corrupt or torn streams exit
-// 3 (tracereplay's corrupt-trace code), everything else exits 1.
-func ingestFail(err error) int {
-	fmt.Fprintln(os.Stderr, "tracecap:", err)
-	if errors.Is(err, memotable.ErrBadTrace) {
-		return 3
-	}
-	return 1
 }
 
 // fail reports a write/capture failure: exit 1.

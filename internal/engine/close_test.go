@@ -40,10 +40,10 @@ func TestClosedEngineRefusesWork(t *testing.T) {
 	if _, err := e.RunPassContext(context.Background(), nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("RunPassContext after Close: %v, want ErrClosed", err)
 	}
-	sess := e.NewIngest(IngestOptions{})
-	err := sess.Feed([]byte{0})
-	if !errors.Is(err, ErrClosed) || !errors.Is(err, ErrIngestBroken) {
-		t.Fatalf("ingest Feed after Close: %v, want ErrClosed and ErrIngestBroken", err)
+	src := chunked([]byte{0}, 1)
+	src.onRead = func(int) { t.Error("closed engine read its ingest source") }
+	if _, err := e.Ingest(src, IngestOptions{}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Ingest after Close: %v, want ErrClosed", err)
 	}
 }
 

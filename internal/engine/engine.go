@@ -27,8 +27,9 @@
 // execution").
 //
 // Every batch reaches its sinks through one serial delivery loop
-// (deliver.go), for workload runs and live-ingest sessions (ingest.go)
-// alike.
+// (deliver.go), for workload runs and live ingests (ingest.go) alike:
+// Ingest pulls a v2 stream from an io.Reader while its producer still
+// writes it, and delivers each frame as soon as it is whole.
 package engine
 
 import (
@@ -65,7 +66,7 @@ type Engine struct {
 	// store is what SetStore recorded; nothing reads it but Store.
 	store *tracestore.Store
 
-	// Close latch: once closed, new passes, replays and ingest sessions
+	// Close latch: once closed, new passes, replays and ingests
 	// fail with ErrClosed; Close itself waits for in-flight work (begin/
 	// end brackets) to drain.
 	closed   bool
@@ -76,16 +77,15 @@ type Engine struct {
 	replays    atomic.Uint64 // workload runs that fed their sinks to the end
 	replayedEv atomic.Uint64 // events those runs delivered, each stream counted once
 
-	// Delivery counters (deliver.go), written by every run and ingest
-	// session.
+	// Delivery counters (deliver.go), written by every run and ingest.
 	deliveredEv atomic.Uint64 // events delivered per sink
 	maskSkips   atomic.Uint64 // (sink, batch) deliveries skipped by class mask
 
 	// Live-ingest counters (ingest.go).
-	ingestFrames  atomic.Uint64 // frames delivered by ingest sessions
-	ingestEvents  atomic.Uint64 // events delivered by ingest sessions
-	ingestBytes   atomic.Uint64 // raw stream bytes fed to ingest sessions
-	sealedIngests atomic.Uint64 // ingest sessions sealed cleanly
+	ingestFrames  atomic.Uint64 // frames delivered by ingests
+	ingestEvents  atomic.Uint64 // events delivered by ingests
+	ingestBytes   atomic.Uint64 // raw stream bytes ingests read
+	sealedIngests atomic.Uint64 // ingests whose stream ended cleanly
 }
 
 // New builds an engine with the given worker count (<= 0 selects
@@ -161,7 +161,7 @@ func (e *Engine) end() {
 	e.mu.Unlock()
 }
 
-// Close shuts the engine down: new RunPassContext, Replay and NewIngest
+// Close shuts the engine down: new RunPassContext, Replay and Ingest
 // calls fail with ErrClosed, and Close returns once in-flight work has
 // drained. Close is idempotent and never fails.
 func (e *Engine) Close() error {

@@ -27,7 +27,7 @@ var (
 	// every sink fed by that run may have observed a torn stream.
 	ErrSinkPanic = errors.New("engine: sink panicked during replay")
 	// ErrClosed marks work submitted to an engine after Close: new
-	// passes, replays and ingest sessions are refused.
+	// passes, replays and ingests are refused.
 	ErrClosed = errors.New("engine: closed")
 )
 

@@ -13,7 +13,7 @@ import (
 	"memotable/internal/trace"
 )
 
-// LiveBank is the measurement half of a live ingest session: the banks a
+// LiveBank is the measurement half of a live ingest (engine.Ingest): the banks a
 // streamed operand trace feeds while it is still arriving. It bundles
 // the same instruments the offline drivers use — a TableSet for per-class
 // hit ratios, a cycle tally priced on a baseline machine and on one

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -45,8 +46,24 @@ func encodeCapture(t *testing.T, capture engine.CaptureFunc) []byte {
 	return buf.Bytes()
 }
 
+// randomReads hands out data in reads of 1 byte to 32 KiB drawn from
+// rng, as a socket would.
+type randomReads struct {
+	data []byte
+	rng  *rand.Rand
+}
+
+func (r *randomReads) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.data[:min(len(r.data), 1+r.rng.Intn(32<<10))])
+	r.data = r.data[n:]
+	return n, nil
+}
+
 // TestLiveBankIncrementalMatchesOffline is the acceptance differential:
-// a bank fed frame-at-a-time by a live ingest session renders the
+// a bank fed frame-at-a-time by a live ingest renders the
 // byte-identical snapshot as a bank fed by an offline ReplayAll of the
 // same workload.
 func TestLiveBankIncrementalMatchesOffline(t *testing.T) {
@@ -56,7 +73,8 @@ func TestLiveBankIncrementalMatchesOffline(t *testing.T) {
 	e := engine.New(2)
 	live := NewDefaultLiveBank(99)
 	var rolled int
-	s := e.NewIngest(engine.IngestOptions{
+	src := &randomReads{data: data, rng: rand.New(rand.NewSource(13))}
+	st, err := e.Ingest(src, engine.IngestOptions{
 		Sinks:         live.Sinks(),
 		SnapshotEvery: 20000,
 		OnSnapshot: func(st engine.IngestStats) {
@@ -66,18 +84,6 @@ func TestLiveBankIncrementalMatchesOffline(t *testing.T) {
 			}
 		},
 	})
-	rng := rand.New(rand.NewSource(13))
-	for off := 0; off < len(data); {
-		n := 1 + rng.Intn(32<<10)
-		if off+n > len(data) {
-			n = len(data) - off
-		}
-		if err := s.Feed(data[off : off+n]); err != nil {
-			t.Fatal(err)
-		}
-		off += n
-	}
-	res, err := s.Seal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +96,8 @@ func TestLiveBankIncrementalMatchesOffline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	liveText := report.Text(live.Snapshot(res.Stats))
-	offText := report.Text(offline.Snapshot(res.Stats))
+	liveText := report.Text(live.Snapshot(st))
+	offText := report.Text(offline.Snapshot(st))
 	if liveText != offText {
 		t.Fatalf("live and offline snapshots differ:\n--- live ---\n%s\n--- offline ---\n%s", liveText, offText)
 	}

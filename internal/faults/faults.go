@@ -51,19 +51,18 @@ const (
 	// accepted: an injected failure reports the frame as corrupt.
 	FrameCRC = "trace.frame.crc"
 	// SinkEmit fires once per batch delivered to a workload run's or an
-	// ingest session's sinks: each blockLen batch of a run, each ingest
-	// frame. Panic mode simulates a panicking measurement sink.
+	// ingest's sinks: each blockLen batch of a run, each ingest frame. Panic mode simulates a panicking measurement sink.
 	SinkEmit = "engine.sink.emit"
-	// IngestFeed fires on each chunk of bytes fed into a live ingest
-	// session. Error mode fails the feed, aborting the session as a
-	// dropped connection would.
+	// IngestFeed fires on each read from a live ingest's source. Error
+	// mode fails the read, ending the ingest as a dropped connection
+	// would.
 	IngestFeed = "ingest.feed"
 	// IngestFrame fires when a complete, checksum-verified streamed frame
-	// is about to be delivered to the ingest session's sinks.
+	// is about to be delivered to the ingest's sinks.
 	IngestFrame = "ingest.frame"
-	// IngestSeal fires when an ingest session whose stream ended at a
-	// clean frame boundary is about to be sealed. Error mode fails the
-	// seal; the frames already delivered stay delivered.
+	// IngestSeal fires when an ingest's stream has ended at a clean
+	// frame boundary, before the ingest returns. Error mode fails the
+	// ingest; the frames already delivered stay delivered.
 	IngestSeal = "ingest.seal"
 	// StoreRead fires before a trace-store entry is looked up, and
 	// before one is opened and mapped for a read (internal/tracestore).

@@ -168,8 +168,7 @@ func (cfg *Config) runShard(ctx context.Context, shard int, names []string) (*Ma
 }
 
 // backoff draws a full-jitter exponential delay: uniform over
-// [0, base<<attempt), capped at 64× base — the same shape the engine
-// uses for overflow-I/O retries.
+// [0, base<<attempt), capped at 64× base.
 func backoff(base time.Duration, attempt int) time.Duration {
 	ceil := base << attempt
 	if lim := 64 * base; ceil > lim || ceil <= 0 {

@@ -57,10 +57,10 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{name: "memosim_engine_mask_skips_total", help: "Sink/batch deliveries skipped by class-mask mismatch.", typ: "counter", value: float64(es.MaskSkips)},
 
 		// Live-ingest counters.
-		{name: "memosim_engine_ingested_frames_total", help: "Frames delivered by live ingest sessions.", typ: "counter", value: float64(es.IngestedFrames)},
-		{name: "memosim_engine_ingested_events_total", help: "Events delivered by live ingest sessions.", typ: "counter", value: float64(es.IngestedEvents)},
-		{name: "memosim_engine_ingested_bytes_total", help: "Bytes fed into live ingest sessions.", typ: "counter", value: float64(es.IngestedBytes)},
-		{name: "memosim_engine_sealed_ingests_total", help: "Ingest sessions sealed at a clean frame boundary.", typ: "counter", value: float64(es.SealedIngests)},
+		{name: "memosim_engine_ingested_frames_total", help: "Frames delivered by live ingests.", typ: "counter", value: float64(es.IngestedFrames)},
+		{name: "memosim_engine_ingested_events_total", help: "Events delivered by live ingests.", typ: "counter", value: float64(es.IngestedEvents)},
+		{name: "memosim_engine_ingested_bytes_total", help: "Stream bytes read by live ingests.", typ: "counter", value: float64(es.IngestedBytes)},
+		{name: "memosim_engine_sealed_ingests_total", help: "Live ingests whose stream ended at a clean frame boundary.", typ: "counter", value: float64(es.SealedIngests)},
 
 		// Engine shape.
 		{name: "memosim_engine_workers", help: "Engine worker-pool size.", typ: "gauge", value: float64(es.Workers)},

@@ -37,22 +37,28 @@ var ErrBadTrace = errors.New("trace: corrupt or truncated stream")
 
 // Reader decodes a trace stream of either format version: the header's
 // version byte selects the raw v1 event decoder or the checksummed v2
-// frame walk, which a Reader drives by pulling bytes from its source into
-// a StreamDecoder (stream.go). Errors are sticky: once ReadBatch returns
-// one other than io.EOF, every later call returns it and delivers
-// nothing.
+// frame walk, which pulls bytes from the source into the Reader's own
+// buffer as it needs them (filev2.go). Errors are sticky: once ReadBatch
+// or NextFrame returns one other than io.EOF, every later call returns
+// it and delivers nothing.
 type Reader struct {
-	src     io.Reader     // v2: the source the decoder reads from
-	v1      *bufio.Reader // v1: the buffered source
+	src     io.Reader     // v2: the source the frame walk reads from
+	v1      *bufio.Reader // v1: the buffered source, over v1src
+	v1src   errSource
 	count   uint64
 	version uint8
 	err     error // the first decode error, returned from then on
 
-	// v2 frame state (filev2.go).
-	d       StreamDecoder
-	frame   []byte // raw event bytes of the current frame
-	fpos    int
-	fEvents uint32
+	// v2 frame walk state (filev2.go).
+	buf        []byte // bytes read from src; buf[pos:] is not walked yet
+	pos        int
+	end        error // io.EOF once src is exhausted, or src's read error
+	compressed bool
+	z          inflater // decompression scratch, reused
+	frame      []byte   // raw event bytes of the current frame
+	fpos       int
+	fEvents    uint32
+	evbuf      []Event // NextFrame's decoded frame, reused
 }
 
 // NewReader validates the header and prepares to decode events.
@@ -78,12 +84,28 @@ func NewReader(src io.Reader) (*Reader, error) {
 	}
 	r := &Reader{version: version}
 	if version == formatVersion {
-		r.v1 = bufio.NewReaderSize(src, 1<<16)
+		r.v1src.src = src
+		r.v1 = bufio.NewReaderSize(&r.v1src, 1<<16)
 	} else {
-		r.src = src
-		r.d.headerDone, r.d.compressed = true, compressed
+		r.src, r.compressed = src, compressed
 	}
 	return r, nil
+}
+
+// errSource records the first failed read of a v1 source beneath its
+// bufio.Reader, so a read that fails mid-event is told apart from a
+// stream that ends or overflows there.
+type errSource struct {
+	src io.Reader
+	err error
+}
+
+func (s *errSource) Read(p []byte) (int, error) {
+	n, err := s.src.Read(p)
+	if err != nil && err != io.EOF && s.err == nil {
+		s.err = err
+	}
+	return n, err
 }
 
 // readHeader fills p from src as far as src goes. An early EOF is not an
@@ -129,21 +151,31 @@ func (r *Reader) nextV1() (Event, error) {
 		return Event{}, io.EOF
 	}
 	if err != nil {
-		return Event{}, err
+		return Event{}, r.v1Fail("op byte", err)
 	}
 	if opByte >= byte(isa.NumOps) {
 		return Event{}, fmt.Errorf("%w: op byte %d", ErrBadTrace, opByte)
 	}
 	a, err := binary.ReadUvarint(r.v1)
 	if err != nil {
-		return Event{}, fmt.Errorf("%w: operand A: %v", ErrBadTrace, err)
+		return Event{}, r.v1Fail("operand A", err)
 	}
 	b, err := binary.ReadUvarint(r.v1)
 	if err != nil {
-		return Event{}, fmt.Errorf("%w: operand B: %v", ErrBadTrace, err)
+		return Event{}, r.v1Fail("operand B", err)
 	}
 	r.count++
 	return Event{Op: isa.Op(opByte), A: a, B: b}, nil
+}
+
+// v1Fail classifies a failed read of a v1 event's field: the source's
+// own error comes back as itself, like the v2 path's; a stream that ends
+// or a varint that overflows there is a corrupt trace.
+func (r *Reader) v1Fail(field string, err error) error {
+	if r.v1src.err != nil {
+		return fmt.Errorf("trace: reading stream: %w", r.v1src.err)
+	}
+	return fmt.Errorf("%w: %s: %v", ErrBadTrace, field, err)
 }
 
 // Count returns the number of events decoded so far.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"memotable/internal/faults"
 	"memotable/internal/isa"
@@ -220,15 +221,22 @@ func (w *WriterV2) flushFrame() error {
 }
 
 // Reading v2 in place. Every v2 read checks a frame with the one
-// function parseFrame, where the frame already lies. The Reader and the
-// push decoder share one frame walk (StreamDecoder.walk, stream.go) over
-// the decoder's buffer, which inflates a compressed payload into reused
-// scratch; VerifyBytes steps parseFrame over the caller's buffer. Events
-// are decoded by the one event loop, decodeEvents.
+// function parseFrame, where the frame already lies. The Reader's one
+// frame walk (readFrame) runs it over the bytes pulled from the source,
+// reading more whenever the buffer ends inside a frame, and inflates a
+// compressed payload into reused scratch; VerifyBytes steps parseFrame
+// over the caller's buffer. Events are decoded by the one event loop,
+// decodeEvents.
+//
+// Because every v2 frame is self-delimiting and carries its own CRC32C,
+// the walk never guesses: a frame is either not yet complete (read
+// more), complete and valid (deliver), or complete and damaged (fail).
+// A source that ends inside a frame leaves a torn stream; one that ends
+// at a frame boundary, a clean one.
 
 // shortFrame reports that a buffer ends inside the frame at its head;
-// its value names the part cut off. An open stream waits for more
-// bytes, a closed one reports a torn frame.
+// its value names the part cut off. The Reader reads more of its source;
+// at the source's end the frame is torn.
 type shortFrame string
 
 const (
@@ -335,28 +343,116 @@ func (z *inflater) payload(f frame, compressed bool) ([]byte, error) {
 	return raw, nil
 }
 
-// readFrame loads the next frame's raw event bytes into r.frame,
-// reading the source into the decoder whenever the walk needs more
-// bytes. It returns io.EOF only at a clean frame boundary and a failed
-// read as the source's error; every other defect, including undecoded
-// bytes left in the current frame, is ErrBadTrace.
+// readChunk sizes the buffer the walk reads its source into: a few
+// frames, so the partial frame moved to the front before a read is small
+// next to what the read brings in.
+const readChunk = 256 << 10
+
+// readFrame is the one v2 frame walk. It loads the next frame's raw
+// event bytes into r.frame, reading the source whenever the buffer ends
+// inside the frame. The payload aliases the buffer or the inflate
+// scratch, so it is valid until the next readFrame. It returns io.EOF
+// only at a clean frame boundary at the source's end and a failed read
+// as the source's error, after every frame wholly read before it; every
+// other defect, including a frame the source's end cuts off and
+// undecoded bytes left in the current frame, is ErrBadTrace.
 func (r *Reader) readFrame() error {
 	if r.fpos != len(r.frame) {
 		return fmt.Errorf("%w: %d trailing bytes in frame", ErrBadTrace, len(r.frame)-r.fpos)
 	}
 	for {
-		raw, events, err := r.d.walk()
-		if err == nil {
-			r.frame, r.fpos, r.fEvents = raw, 0, events
-			return nil
+		// A complete header is vetted even while its payload is unread.
+		f, err := parseFrame(r.buf[r.pos:], r.compressed)
+		if part, ok := err.(shortFrame); ok {
+			switch {
+			case r.end == nil:
+				r.fill()
+				continue
+			case r.end != io.EOF:
+				return r.end
+			case r.pos == len(r.buf):
+				return io.EOF
+			default:
+				return fmt.Errorf("%w: torn %s", ErrBadTrace, string(part))
+			}
 		}
-		if !errors.Is(err, ErrStreamOpen) {
+		if err != nil {
 			return err
 		}
-		if err := r.d.readFrom(r.src); err != nil {
+		raw, err := r.z.payload(f, r.compressed)
+		if err != nil {
 			return err
+		}
+		r.pos += f.size
+		r.frame, r.fpos, r.fEvents = raw, 0, f.events
+		return nil
+	}
+}
+
+// fill makes one read of the source straight into the buffer's free
+// space, which always has room for a whole frame, after moving the
+// unwalked tail to the front. The source's end, io.EOF or a failed read
+// (as the source's error), is recorded in r.end for the walk to act on
+// once it has used the bytes that came with it.
+func (r *Reader) fill() {
+	if r.pos > 0 {
+		r.buf = append(r.buf[:0], r.buf[r.pos:]...)
+		r.pos = 0
+	}
+	if cap(r.buf)-len(r.buf) < frameHeaderLen+maxFrameStored {
+		r.buf = slices.Grow(r.buf, readChunk)
+	}
+	n, err := r.src.Read(r.buf[len(r.buf):cap(r.buf)])
+	r.buf = r.buf[:len(r.buf)+n]
+	if err == io.EOF {
+		r.end = io.EOF
+	} else if err != nil {
+		r.end = fmt.Errorf("trace: reading stream: %w", err)
+	}
+}
+
+// NextFrame decodes the rest of the current v2 frame — the next whole
+// frame, unless ReadBatch stopped inside one — and returns its events,
+// reading the source only as far as that frame ends, so a live stream's
+// frames can be handled as they arrive. The returned slice is reused by
+// the next call. A frame with a malformed event delivers none of its
+// events. It returns io.EOF at a clean frame boundary at the source's
+// end, the source's error on a failed read, and ErrBadTrace on a torn or
+// corrupt stream, and on a v1 stream, whose unframed events cannot be
+// told from a torn tail.
+func (r *Reader) NextFrame() ([]Event, error) {
+	if r.err != nil {
+		return nil, r.err
+	}
+	evs, err := r.nextFrame()
+	if err != nil && err != io.EOF {
+		r.err = err
+	}
+	return evs, err
+}
+
+func (r *Reader) nextFrame() ([]Event, error) {
+	if r.version != formatVersionV2 {
+		return nil, fmt.Errorf("%w: v1 streams are not self-delimiting; stream ingest requires v2", ErrBadTrace)
+	}
+	if r.fEvents == 0 {
+		if err := r.readFrame(); err != nil {
+			return nil, err
 		}
 	}
+	if cap(r.evbuf) < int(r.fEvents) {
+		r.evbuf = make([]Event, 0, r.fEvents)
+	}
+	evs, pos, err := decodeEvents(r.evbuf[:0], r.frame, r.fpos, r.fEvents)
+	if err != nil {
+		return nil, err
+	}
+	if pos != len(r.frame) {
+		return nil, fmt.Errorf("%w: %d trailing bytes in frame", ErrBadTrace, len(r.frame)-pos)
+	}
+	r.evbuf, r.fpos, r.fEvents = evs, pos, 0
+	r.count += uint64(len(evs))
+	return evs, nil
 }
 
 // readBatchV2 fills dst from the current frame, pulling in the next

@@ -67,49 +67,40 @@ func frameBoundaries(data []byte) []int {
 	return cuts
 }
 
-// pushDecode feeds data to a StreamDecoder in chunks whose sizes are
-// drawn from rng, from one byte to 64 KiB, draining every complete frame
-// after each chunk, then closes the input and drains the rest. It
+// pullDecode reads data frame by frame with NextFrame from a source
+// whose read sizes are drawn from rng, from one byte to 64 KiB. It
 // returns the events delivered and the error that ended the stream, nil
 // at a clean end.
-func pushDecode(data []byte, rng *rand.Rand) ([]Event, error) {
-	d := NewStreamDecoder()
-	var evs []Event
-	drain := func() error {
-		for {
-			frame, err := d.NextFrame()
-			if err != nil {
-				return err
-			}
-			evs = append(evs, frame...)
-		}
+func pullDecode(data []byte, rng *rand.Rand) ([]Event, error) {
+	r, err := NewReader(&chunkSource{data: data, next: func() int { return 1 + rng.Intn(1<<rng.Intn(17)) }, end: io.EOF})
+	if err != nil {
+		return nil, err
 	}
-	for off := 0; off < len(data); {
-		n := min(len(data)-off, 1+rng.Intn(1<<rng.Intn(17)))
-		d.Feed(data[off : off+n])
-		off += n
-		if err := drain(); !errors.Is(err, ErrStreamOpen) {
+	var evs []Event
+	for {
+		frame, err := r.NextFrame()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
 			return evs, err
 		}
+		evs = append(evs, frame...)
 	}
-	d.CloseInput()
-	if err := drain(); err != io.EOF {
-		return evs, err
-	}
-	if d.Events() != uint64(len(evs)) {
-		return evs, fmt.Errorf("decoder counts %d events, delivered %d", d.Events(), len(evs))
+	if r.Count() != uint64(len(evs)) {
+		return evs, fmt.Errorf("reader counts %d events, delivered %d", r.Count(), len(evs))
 	}
 	return evs, nil
 }
 
 // decodeBothWays decodes data three ways: a Reader read one event at a
 // time, a Reader read in 97-event batches that straddle frames, and,
-// unless data opens with a v1 header, a StreamDecoder fed in chunks
-// whose sizes derive from the input. The two Readers must give the same
-// events, the same Count() and the same error class. The push decoder
-// must give the same error class, and on a clean stream the same
-// events; it fails a malformed frame whole, so on a corrupt stream its
-// events are a prefix of the Readers'. VerifyBytes, which checks frames
+// unless data opens with a v1 header, a Reader read frame by frame
+// (NextFrame) from a source whose read sizes derive from the input. The
+// two batch Readers must give the same events, the same Count() and the
+// same error class. The frame reads must give the same error class, and
+// on a clean stream the same events; they fail a malformed frame whole,
+// so on a corrupt stream their events are a prefix of the batches'. VerifyBytes, which checks frames
 // without decoding events, must not return an unclassified error, must
 // not reject a stream the decoder accepts, and must count a clean
 // stream's events exactly. It returns the decoded events and the decode
@@ -156,13 +147,13 @@ func decodeBothWays(t *testing.T, data []byte) ([]Event, error) {
 	}
 	if version, _, _, err := parseStreamHeader(data); err != nil || version != formatVersion {
 		rng := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(data))))
-		pushed, err := pushDecode(data, rng)
+		pulled, err := pullDecode(data, rng)
 		if !cleanDecodeErr(err) || errClass(err) != errClass(batched.err) {
-			t.Fatalf("push decoder error %v, reader error %v", err, batched.err)
+			t.Fatalf("frame reads error %v, batch reads error %v", err, batched.err)
 		}
-		if len(pushed) > len(batched.evs) || !slices.Equal(pushed, batched.evs[:len(pushed)]) ||
-			(err == nil && len(pushed) != len(batched.evs)) {
-			t.Fatalf("push decoder delivered %d events (%v), reader %d (%v)", len(pushed), err, len(batched.evs), batched.err)
+		if len(pulled) > len(batched.evs) || !slices.Equal(pulled, batched.evs[:len(pulled)]) ||
+			(err == nil && len(pulled) != len(batched.evs)) {
+			t.Fatalf("frame reads delivered %d events (%v), batch reads %d (%v)", len(pulled), err, len(batched.evs), batched.err)
 		}
 	}
 	n, err := VerifyBytes(data)
@@ -202,7 +193,7 @@ func reencodeV2(t testing.TB, v1 []byte, compress bool) []byte {
 // FuzzTraceReader feeds arbitrary bytes to the reader: corrupt or
 // truncated input must surface ErrBadTrace (or decode cleanly), never
 // panic and never return an unclassified error. One-event reads,
-// 97-event batches and, for v2, the push decoder must agree as
+// 97-event batches and, for v2, frame reads must agree as
 // decodeBothWays requires, and VerifyBytes must agree with the decode.
 func FuzzTraceReader(f *testing.F) {
 	seed := readSeedTrace(f)
@@ -304,7 +295,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 // either decode cleanly (flips in a varint payload can yield a different
 // but well-formed stream only when the CRC also collides — effectively
 // never) or fail with ErrBadTrace. Panics, hangs and unclassified errors
-// are the bugs being hunted. The pull and push decoders must agree as
+// are the bugs being hunted. Batch and frame reads must agree as
 // decodeBothWays requires, and VerifyBytes with the decode.
 func FuzzTraceV2FrameCorruption(f *testing.F) {
 	seed := readSeedTrace(f)

@@ -6,181 +6,261 @@ import (
 	"io"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
+	"testing/iotest"
+	"time"
 )
 
-// drainFrames pulls every currently decodable frame, appending events to
-// got, and returns the first non-nil "no frame" condition (ErrStreamOpen,
-// io.EOF, or a corruption error).
-func drainFrames(d *StreamDecoder, got *[]Event) error {
+// Per-frame pulls (Reader.NextFrame) of a stream that is still being
+// written. A live producer's stream reaches the Reader in reads of any
+// size, and may stop mid-frame; the sources below stand in for it.
+
+// errStillOpen stands for a producer that has not finished its stream:
+// a source returns it where the written bytes run out.
+var errStillOpen = errors.New("producer still writing")
+
+// chunkSource hands out data in reads of the sizes next returns and
+// returns end (io.EOF for a finished stream) with the last of them, as
+// io.Reader allows, so a reader must use those bytes before it acts on
+// end. read counts the bytes handed out.
+type chunkSource struct {
+	data []byte
+	next func() int
+	end  error
+	read int
+}
+
+func (c *chunkSource) Read(p []byte) (int, error) {
+	if len(c.data) == 0 {
+		return 0, c.end
+	}
+	n := copy(p, c.data[:min(len(c.data), c.next())])
+	c.data = c.data[n:]
+	c.read += n
+	if len(c.data) == 0 {
+		return n, c.end
+	}
+	return n, nil
+}
+
+// fixedChunks returns reads of n bytes.
+func fixedChunks(n int) func() int { return func() int { return n } }
+
+// randomChunks returns reads of 1 to max bytes drawn from rng.
+func randomChunks(rng *rand.Rand, max int) func() int {
+	return func() int { return 1 + rng.Intn(max) }
+}
+
+// pullFrames reads src frame by frame with NextFrame and returns the
+// events of every frame delivered and the error that ended the stream
+// (io.EOF at a clean end), from NewReader or NextFrame.
+func pullFrames(src io.Reader) ([]Event, error) {
+	r, err := NewReader(src)
+	if err != nil {
+		return nil, err
+	}
+	var got []Event
 	for {
-		evs, err := d.NextFrame()
+		evs, err := r.NextFrame()
 		if err != nil {
-			return err
+			return got, err
 		}
-		*got = append(*got, evs...)
+		got = append(got, evs...)
 	}
 }
 
-// TestStreamDecoderChunkedRoundTrip feeds a multi-frame stream in chunks
-// of several fixed sizes — including one byte at a time — and checks the
-// decoder delivers exactly the encoded events with a clean EOF.
+// TestStreamDecoderChunkedRoundTrip reads a multi-frame stream frame by
+// frame from sources of several read sizes — one byte at a time, bytes
+// that arrive with io.EOF, the whole stream at once — and checks the
+// exact encoded events arrive with a clean EOF and the Reader counts
+// them.
 func TestStreamDecoderChunkedRoundTrip(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		events := randomEvents(60000, 21)
 		data := encodeV2(t, events, compress)
-		for _, chunk := range []int{1, 7, 1000, 64 << 10, len(data)} {
-			d := NewStreamDecoder()
+		sources := map[string]func() io.Reader{
+			"one byte":   func() io.Reader { return iotest.OneByteReader(bytes.NewReader(data)) },
+			"data+EOF":   func() io.Reader { return iotest.DataErrReader(bytes.NewReader(data)) },
+			"whole":      func() io.Reader { return bytes.NewReader(data) },
+			"7 bytes":    func() io.Reader { return &chunkSource{data: data, next: fixedChunks(7), end: io.EOF} },
+			"1000 bytes": func() io.Reader { return &chunkSource{data: data, next: fixedChunks(1000), end: io.EOF} },
+			"64 KiB":     func() io.Reader { return &chunkSource{data: data, next: fixedChunks(64 << 10), end: io.EOF} },
+		}
+		for name, src := range sources {
+			r, err := NewReader(src())
+			if err != nil {
+				t.Fatal(err)
+			}
 			var got []Event
-			for off := 0; off < len(data); off += chunk {
-				end := off + chunk
-				if end > len(data) {
-					end = len(data)
+			frames := 0
+			for {
+				evs, err := r.NextFrame()
+				if err == io.EOF {
+					break
 				}
-				d.Feed(data[off:end])
-				if err := drainFrames(d, &got); !errors.Is(err, ErrStreamOpen) {
-					t.Fatalf("compress=%v chunk=%d: mid-stream drain err = %v, want ErrStreamOpen", compress, chunk, err)
+				if err != nil {
+					t.Fatalf("compress=%v %s: NextFrame: %v", compress, name, err)
 				}
+				got = append(got, evs...)
+				frames++
 			}
-			d.CloseInput()
-			if err := drainFrames(d, &got); err != io.EOF {
-				t.Fatalf("compress=%v chunk=%d: final drain err = %v, want io.EOF", compress, chunk, err)
+			if !slices.Equal(got, events) {
+				t.Fatalf("compress=%v %s: decoded %d events, not the %d encoded", compress, name, len(got), len(events))
 			}
-			if len(got) != len(events) {
-				t.Fatalf("compress=%v chunk=%d: decoded %d events, want %d", compress, chunk, len(got), len(events))
+			if r.Count() != uint64(len(events)) || frames < 2 {
+				t.Fatalf("compress=%v %s: count %d in %d frames", compress, name, r.Count(), frames)
 			}
-			for i := range got {
-				if got[i] != events[i] {
-					t.Fatalf("compress=%v chunk=%d: event %d = %+v, want %+v", compress, chunk, i, got[i], events[i])
-				}
-			}
-			if d.Events() != uint64(len(events)) || d.Frames() == 0 {
-				t.Fatalf("compress=%v chunk=%d: counters events=%d frames=%d", compress, chunk, d.Events(), d.Frames())
-			}
-			if d.BytesIn() != int64(len(data)) {
-				t.Fatalf("compress=%v chunk=%d: BytesIn = %d, want %d", compress, chunk, d.BytesIn(), len(data))
+			if _, err := r.NextFrame(); err != io.EOF {
+				t.Fatalf("compress=%v %s: NextFrame past the end: %v, want io.EOF", compress, name, err)
 			}
 		}
 	}
 }
 
 // TestStreamDecoderRandomChunksMatchReader is the differential pin: for
-// random chunkings of the same stream, the decoder's event sequence is
-// identical to the pull Reader's.
+// random read sizes of the same stream, the frame-by-frame event
+// sequence is identical to ReadBatch's, and every byte is read.
 func TestStreamDecoderRandomChunksMatchReader(t *testing.T) {
 	events := randomEvents(30000, 22)
 	data := encodeV2(t, events, true)
 	want := decodeAll(t, data)
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 20; trial++ {
-		d := NewStreamDecoder()
-		var got []Event
-		for off := 0; off < len(data); {
-			n := 1 + rng.Intn(32<<10)
-			if off+n > len(data) {
-				n = len(data) - off
-			}
-			d.Feed(data[off : off+n])
-			off += n
-			if err := drainFrames(d, &got); !errors.Is(err, ErrStreamOpen) {
-				t.Fatalf("trial %d: drain err = %v", trial, err)
-			}
-		}
-		d.CloseInput()
-		if err := drainFrames(d, &got); err != io.EOF {
+		src := &chunkSource{data: data, next: randomChunks(rng, 32<<10), end: io.EOF}
+		got, err := pullFrames(src)
+		if err != io.EOF {
 			t.Fatalf("trial %d: final err = %v, want io.EOF", trial, err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d events, want %d", trial, len(got), len(want))
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: %d events differ from the Reader's %d", trial, len(got), len(want))
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: event %d differs", trial, i)
-			}
+		if src.read != len(data) {
+			t.Fatalf("trial %d: read %d of %d bytes", trial, src.read, len(data))
 		}
 	}
 }
 
-// A torn tail is "stream open" while input may still arrive, and becomes
-// a hard corruption error the moment CloseInput declares it final — the
-// semantic split that distinguishes a live socket from a torn file.
+// A source that stops mid-frame with an error hands that error back
+// after every frame that came whole before it, and nothing of the
+// partial frame; one that ends there (io.EOF) leaves a torn stream.
+// That is the split between a producer that is still writing and a torn
+// file.
 func TestStreamDecoderTornTail(t *testing.T) {
 	events := randomEvents(60000, 24)
 	data := encodeV2(t, events, false)
 	// Cut inside the last frame's payload.
 	cut := len(data) - 100
+	whole := wholeEvents(t, data, cut)
 
 	t.Run("open tail waits", func(t *testing.T) {
-		d := NewStreamDecoder()
-		d.Feed(data[:cut])
-		var got []Event
-		if err := drainFrames(d, &got); !errors.Is(err, ErrStreamOpen) {
-			t.Fatalf("drain err = %v, want ErrStreamOpen", err)
+		got, err := pullFrames(&chunkSource{data: data[:cut], next: fixedChunks(8 << 10), end: errStillOpen})
+		if !errors.Is(err, errStillOpen) || errors.Is(err, ErrBadTrace) {
+			t.Fatalf("err = %v, want the source's error", err)
 		}
-		if len(got) == 0 || len(got) >= len(events) {
-			t.Fatalf("complete frames should deliver some but not all events (got %d of %d)", len(got), len(events))
+		if len(got) != whole || !slices.Equal(got, events[:whole]) {
+			t.Fatalf("delivered %d events, want the %d of the whole frames", len(got), whole)
 		}
-		// The missing bytes arrive: the stream completes cleanly.
-		d.Feed(data[cut:])
-		d.CloseInput()
-		if err := drainFrames(d, &got); err != io.EOF {
+
+		// A producer that pauses mid-frame: the frames before the pause
+		// are delivered while the read blocks, and the stream ends
+		// cleanly once the rest arrives.
+		pr, pw := io.Pipe()
+		delivered := make(chan int, len(frameBoundaries(data)))
+		done := make(chan error, 1)
+		var live []Event
+		go func() {
+			r, err := NewReader(pr)
+			for err == nil {
+				var evs []Event
+				if evs, err = r.NextFrame(); err == nil {
+					live = append(live, evs...)
+					delivered <- len(live)
+				}
+			}
+			done <- err
+		}()
+		if _, err := pw.Write(data[:cut]); err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < whole; {
+			select {
+			case n = <-delivered:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%d of %d events delivered while the source blocks mid-frame", n, whole)
+			}
+		}
+		if _, err := pw.Write(data[cut:]); err != nil {
+			t.Fatal(err)
+		}
+		_ = pw.Close()
+		if err := <-done; err != io.EOF {
 			t.Fatalf("final err = %v, want io.EOF", err)
 		}
-		if len(got) != len(events) {
-			t.Fatalf("decoded %d events, want %d", len(got), len(events))
+		if !slices.Equal(live, events) {
+			t.Fatalf("decoded %d events, want %d", len(live), len(events))
 		}
 	})
 
 	t.Run("sealed tail is torn", func(t *testing.T) {
-		d := NewStreamDecoder()
-		d.Feed(data[:cut])
-		d.CloseInput()
-		var got []Event
-		err := drainFrames(d, &got)
-		if !errors.Is(err, ErrBadTrace) {
-			t.Fatalf("drain err = %v, want ErrBadTrace", err)
+		got, err := pullFrames(bytes.NewReader(data[:cut]))
+		if !errors.Is(err, ErrBadTrace) || !strings.Contains(err.Error(), "torn") {
+			t.Fatalf("err = %v, want a torn ErrBadTrace", err)
 		}
-		if errors.Is(err, ErrStreamOpen) {
-			t.Fatalf("sealed torn tail must not read as still-open: %v", err)
+		if len(got) != whole {
+			t.Fatalf("delivered %d events, want %d", len(got), whole)
 		}
 	})
 
-	// Every cut offset must classify the same way: open → ErrStreamOpen,
-	// sealed → ErrBadTrace — except at the self-delimiting boundaries
-	// (end of header, end of a frame), where a sealed cut is
-	// indistinguishable from a shorter complete stream and reads as a
-	// clean io.EOF. Catching those cuts is the store seal trailer's job,
-	// not the framing's.
+	// Every cut offset must classify the same way: a source still open
+	// → its own error, a source at its end → ErrBadTrace — except at the
+	// self-delimiting boundaries (end of header, end of a frame), where
+	// an ended cut is indistinguishable from a shorter complete stream
+	// and reads as a clean io.EOF. Catching those cuts is the store seal
+	// trailer's job, not the framing's.
 	t.Run("every offset", func(t *testing.T) {
 		small := encodeV2(t, randomEvents(50, 25), false)
 		boundaries := map[int]bool{streamHeaderLen: true, len(small): true}
 		for cut := 0; cut < len(small); cut++ {
-			d := NewStreamDecoder()
-			d.Feed(small[:cut])
-			var got []Event
-			if err := drainFrames(d, &got); !errors.Is(err, ErrStreamOpen) {
-				t.Fatalf("open cut %d: err = %v, want ErrStreamOpen", cut, err)
+			_, err := pullFrames(&chunkSource{data: small[:cut], next: fixedChunks(len(small)), end: errStillOpen})
+			if !errors.Is(err, errStillOpen) || errors.Is(err, ErrBadTrace) {
+				t.Fatalf("open cut %d: err = %v, want the source's error", cut, err)
 			}
-			d.CloseInput()
-			err := drainFrames(d, &got)
+			_, err = pullFrames(bytes.NewReader(small[:cut]))
 			if boundaries[cut] {
 				if err != io.EOF {
-					t.Fatalf("sealed boundary cut %d: err = %v, want io.EOF", cut, err)
+					t.Fatalf("ended boundary cut %d: err = %v, want io.EOF", cut, err)
 				}
 			} else if !errors.Is(err, ErrBadTrace) {
-				t.Fatalf("sealed cut %d: err = %v, want ErrBadTrace", cut, err)
+				t.Fatalf("ended cut %d: err = %v, want ErrBadTrace", cut, err)
 			}
 		}
 	})
 }
 
-// TestStreamDecoderEveryPrefix feeds every prefix of a small multi-frame
-// stream, plain and compressed, in several chunkings. While the input is
-// open, NextFrame yields exactly the events of the frames that lie whole
-// in the prefix, then ErrStreamOpen. After CloseInput it returns io.EOF
-// if the prefix ends at a frame boundary and ErrBadTrace anywhere else,
-// with no further events. The pull Reader takes the same walk, so over
-// the same prefix it must read the same events and end the same way.
+// wholeEvents returns the events of the frames of an uncompressed
+// stream that lie whole in data[:cut].
+func wholeEvents(t *testing.T, data []byte, cut int) int {
+	t.Helper()
+	cuts, n := frameBoundaries(data), 0
+	for i := 0; i+1 < len(cuts) && cuts[i+1] <= cut; i++ {
+		f, err := parseFrame(data[cuts[i]:], false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += int(f.events)
+	}
+	return n
+}
+
+// TestStreamDecoderEveryPrefix reads every prefix of a small multi-frame
+// stream, plain and compressed, in several read sizes. From a source
+// that stops with an error after the prefix, NextFrame yields exactly
+// the events of the frames that lie whole in the prefix, then that
+// error. From a source that ends after it, the same events, then io.EOF
+// if the prefix ends at a frame boundary and ErrBadTrace anywhere else.
+// ReadBatch takes the same walk, so over the same prefix it must read
+// the same events and end the same way.
 func TestStreamDecoderEveryPrefix(t *testing.T) {
 	const perFrame = 9
 	events := randomEvents(60, 28)
@@ -216,25 +296,17 @@ func TestStreamDecoderEveryPrefix(t *testing.T) {
 			want := events[:min(whole*perFrame, len(events))]
 			boundary := slices.Contains(cuts, cut)
 			for _, chunk := range []int{1, 5, 64, max(cut, 1)} {
-				d := NewStreamDecoder()
-				var got []Event
-				for off := 0; off < cut; off += chunk {
-					d.Feed(data[off:min(off+chunk, cut)])
-					if err := drainFrames(d, &got); !errors.Is(err, ErrStreamOpen) {
-						t.Fatalf("compress=%v cut=%d chunk=%d: open drain err = %v, want ErrStreamOpen", compress, cut, chunk, err)
-					}
-				}
-				if err := drainFrames(d, &got); !errors.Is(err, ErrStreamOpen) || !slices.Equal(got, want) {
-					t.Fatalf("compress=%v cut=%d chunk=%d: open stream gave %d events and %v, want %d and ErrStreamOpen",
+				got, err := pullFrames(&chunkSource{data: data[:cut], next: fixedChunks(chunk), end: errStillOpen})
+				if !errors.Is(err, errStillOpen) || errors.Is(err, ErrBadTrace) || !slices.Equal(got, want) {
+					t.Fatalf("compress=%v cut=%d chunk=%d: open stream gave %d events and %v, want %d and the source's error",
 						compress, cut, chunk, len(got), err, len(want))
 				}
-				d.CloseInput()
-				err := drainFrames(d, &got)
-				if boundary && err != io.EOF || !boundary && (!errors.Is(err, ErrBadTrace) || errors.Is(err, ErrStreamOpen)) {
-					t.Fatalf("compress=%v cut=%d chunk=%d (boundary %v): sealed drain err = %v", compress, cut, chunk, boundary, err)
+				got, err = pullFrames(&chunkSource{data: data[:cut], next: fixedChunks(chunk), end: io.EOF})
+				if boundary && err != io.EOF || !boundary && !errors.Is(err, ErrBadTrace) {
+					t.Fatalf("compress=%v cut=%d chunk=%d (boundary %v): ended stream err = %v", compress, cut, chunk, boundary, err)
 				}
-				if len(got) != len(want) {
-					t.Fatalf("compress=%v cut=%d chunk=%d: %d events after CloseInput, want none", compress, cut, chunk, len(got)-len(want))
+				if !slices.Equal(got, want) {
+					t.Fatalf("compress=%v cut=%d chunk=%d: ended stream gave %d events, want %d", compress, cut, chunk, len(got), len(want))
 				}
 			}
 
@@ -254,27 +326,18 @@ func TestStreamDecoderEveryPrefix(t *testing.T) {
 // TestStreamDecoderEmptyStream: a header-only stream is a valid, empty
 // capture; no bytes at all is a torn header.
 func TestStreamDecoderEmptyStream(t *testing.T) {
-	d := NewStreamDecoder()
-	d.Feed(encodeV2(t, nil, false))
-	d.CloseInput()
-	var got []Event
-	if err := drainFrames(d, &got); err != io.EOF {
-		t.Fatalf("header-only stream err = %v, want io.EOF", err)
+	got, err := pullFrames(bytes.NewReader(encodeV2(t, nil, false)))
+	if err != io.EOF || len(got) != 0 {
+		t.Fatalf("header-only stream: %d events, err = %v, want none and io.EOF", len(got), err)
 	}
-	if len(got) != 0 || d.Events() != 0 {
-		t.Fatalf("empty stream delivered %d events", len(got))
-	}
-
-	d = NewStreamDecoder()
-	d.CloseInput()
-	if err := drainFrames(d, &got); !errors.Is(err, ErrBadTrace) {
-		t.Fatalf("zero-byte sealed stream err = %v, want ErrBadTrace", err)
+	if _, err := pullFrames(bytes.NewReader(nil)); !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("zero-byte stream err = %v, want ErrBadTrace", err)
 	}
 }
 
 // TestStreamDecoderMidStreamCorruption flips one byte of a mid-stream
 // frame payload: the damaged frame must fail its checksum even though
-// the stream is still open, and the preceding frames must already have
+// the source is still open, and the preceding frames must already have
 // been delivered intact.
 func TestStreamDecoderMidStreamCorruption(t *testing.T) {
 	events := randomEvents(60000, 26)
@@ -282,70 +345,79 @@ func TestStreamDecoderMidStreamCorruption(t *testing.T) {
 	corrupt := append([]byte(nil), data...)
 	corrupt[len(corrupt)/2] ^= 0x40
 
-	d := NewStreamDecoder()
-	d.Feed(corrupt)
+	r, err := NewReader(&chunkSource{data: corrupt, next: fixedChunks(len(corrupt)), end: errStillOpen})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var got []Event
-	err := drainFrames(d, &got)
-	if !errors.Is(err, ErrBadTrace) || errors.Is(err, ErrStreamOpen) {
-		t.Fatalf("drain err = %v, want hard ErrBadTrace", err)
+	for err == nil {
+		var evs []Event
+		evs, err = r.NextFrame()
+		got = append(got, evs...)
+	}
+	if !errors.Is(err, ErrBadTrace) || errors.Is(err, errStillOpen) {
+		t.Fatalf("err = %v, want hard ErrBadTrace", err)
+	}
+	// The error is sticky: nothing past the damaged frame is read.
+	if evs, again := r.NextFrame(); again != err || len(evs) != 0 {
+		t.Fatalf("NextFrame after the failure: %d events, %v; want none and %v", len(evs), again, err)
 	}
 	if len(got) == 0 {
 		t.Fatalf("frames before the corruption should have been delivered")
 	}
-	for i := range got {
-		if got[i] != events[i] {
-			t.Fatalf("delivered event %d differs from the encoded stream", i)
-		}
+	if !slices.Equal(got, events[:len(got)]) {
+		t.Fatalf("delivered events differ from the encoded stream")
 	}
 }
 
 // TestStreamDecoderRejectsBadHeaders: wrong magic, v1 streams, and
-// unknown flag bits are corruption, not wait states.
+// unknown flag bits are corruption, not wait states, even while the
+// source is still open.
 func TestStreamDecoderRejectsBadHeaders(t *testing.T) {
 	cases := map[string][]byte{
 		"bad magic":     []byte("XTRC\x02\x00"),
-		"v1 stream":     []byte("MTRC\x01"),
+		"v1 stream":     []byte("MTRC\x01\x00\x01\x02"),
 		"future":        []byte("MTRC\x09\x00"),
 		"unknown flags": []byte("MTRC\x02\x80"),
 	}
 	for name, hdr := range cases {
-		d := NewStreamDecoder()
-		d.Feed(hdr)
-		// Pad v1's short header so the preamble is complete.
-		if len(hdr) < streamHeaderLen {
-			d.Feed(make([]byte, streamHeaderLen-len(hdr)))
-		}
-		if _, err := d.NextFrame(); !errors.Is(err, ErrBadTrace) {
+		_, err := pullFrames(&chunkSource{data: hdr, next: fixedChunks(len(hdr)), end: errStillOpen})
+		if !errors.Is(err, ErrBadTrace) {
 			t.Errorf("%s: err = %v, want ErrBadTrace", name, err)
 		}
 	}
+	if _, err := pullFrames(bytes.NewReader(cases["v1 stream"])); err == nil || !strings.Contains(err.Error(), "v2") {
+		t.Errorf("v1 stream: err = %v, want one that names v2", err)
+	}
 }
 
-// TestStreamDecoderCompaction pins that a drained decoder does not
-// accumulate consumed bytes: after draining, feeding more compacts the
-// buffer down to the open tail.
+// TestStreamDecoderCompaction pins that a Reader pulling a long stream
+// does not accumulate consumed bytes: before each read the walked prefix
+// is dropped, so the buffer holds at most one partial frame plus one
+// read.
 func TestStreamDecoderCompaction(t *testing.T) {
 	events := randomEvents(60000, 27)
 	data := encodeV2(t, events, false)
-	d := NewStreamDecoder()
-	var got []Event
-	maxBuf := 0
-	for off := 0; off < len(data); off += 16 << 10 {
-		end := off + 16<<10
-		if end > len(data) {
-			end = len(data)
-		}
-		d.Feed(data[off:end])
-		if err := drainFrames(d, &got); !errors.Is(err, ErrStreamOpen) {
-			t.Fatalf("drain err = %v", err)
-		}
-		if d.Buffered() > maxBuf {
-			maxBuf = d.Buffered()
-		}
+	r, err := NewReader(&chunkSource{data: data, next: fixedChunks(16 << 10), end: io.EOF})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The backlog must stay bounded by roughly one frame plus one chunk,
-	// not grow with the stream.
+	maxBuf, maxCap := 0, 0
+	for {
+		if _, err := r.NextFrame(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		maxBuf = max(maxBuf, len(r.buf)-r.pos)
+		maxCap = max(maxCap, cap(r.buf))
+	}
+	// The backlog must stay bounded by roughly one frame plus one read,
+	// and the buffer must not grow with the stream.
 	if limit := maxFrameStored + 32<<10; maxBuf > limit {
 		t.Fatalf("buffered backlog reached %d bytes, want <= %d", maxBuf, limit)
+	}
+	if limit := 2 * (readChunk + maxFrameStored); maxCap > limit {
+		t.Fatalf("buffer grew to %d bytes, want <= %d", maxCap, limit)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -169,6 +170,29 @@ func TestReaderSurfacesReadErrors(t *testing.T) {
 		if !errors.Is(err, errDisk) || errors.Is(err, ErrBadTrace) {
 			t.Errorf("source fails after %d bytes: got %v, want the source's error", cut, err)
 		}
+	}
+	// A v1 stream that fails after an op byte, or inside an operand's
+	// varint, hands back the source's error too; one that ends there is
+	// a corrupt trace.
+	v1 := []byte{'M', 'T', 'R', 'C', formatVersion, byte(isa.OpIMul), 0xac, 0x02, 0x05}
+	for _, cut := range []int{len(magic) + 2, len(magic) + 3} {
+		r, err := NewReader(&failingReader{data: v1[:cut], err: errDisk})
+		if err == nil {
+			_, err = r.ReadBatch(make([]Event, 0, 16))
+		}
+		if !errors.Is(err, errDisk) || errors.Is(err, ErrBadTrace) || !strings.HasPrefix(err.Error(), "trace: reading stream: ") {
+			t.Errorf("v1 source fails after %d bytes: got %v, want the source's error", cut, err)
+		}
+		r, err = NewReader(bytes.NewReader(v1[:cut]))
+		if err == nil {
+			_, err = r.ReadBatch(make([]Event, 0, 16))
+		}
+		if !errors.Is(err, ErrBadTrace) {
+			t.Errorf("v1 stream ends after %d bytes: got %v, want ErrBadTrace", cut, err)
+		}
+	}
+	if evs := decodeAll(t, v1); len(evs) != 1 || evs[0] != (Event{Op: isa.OpIMul, A: 300, B: 5}) {
+		t.Errorf("whole v1 stream decoded to %v", evs)
 	}
 	// A short stream that ends cleanly is still a corrupt trace.
 	if _, err := NewReader(bytes.NewReader(v2[:3])); !errors.Is(err, ErrBadTrace) {

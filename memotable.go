@@ -107,19 +107,18 @@ type CaptureFunc = engine.CaptureFunc
 // selects GOMAXPROCS.
 func NewEngine(workers int) *Engine { return engine.New(workers) }
 
-// IngestOptions configures a live trace ingestion session
-// (Engine.NewIngest): an external producer pushes encoded v2 stream bytes
-// as it generates them, and complete frames replay incrementally into
-// the session's sinks.
+// IngestOptions configures a live trace ingestion (Engine.Ingest): the
+// engine reads a v2 stream from an io.Reader while an external producer
+// still writes it, and each frame replays into the sinks as soon as it
+// is whole.
 type IngestOptions = engine.IngestOptions
 
-// IngestStats is a point-in-time view of an ingest session's progress.
+// IngestStats is a point-in-time view of an ingest's progress: frames
+// and events delivered, stream bytes read. Engine.Ingest returns the
+// final one.
 type IngestStats = engine.IngestStats
 
-// IngestResult reports a sealed ingest session's final progress.
-type IngestResult = engine.IngestResult
-
-// LiveBank bundles the rolling instruments of a live ingest session —
+// LiveBank bundles the rolling instruments of a live ingest —
 // MEMO-TABLE banks, a cycle tally priced on baseline and memo-enhanced
 // machines, and a bounded-memory reuse-ratio sketch — behind one sink
 // list with typed report snapshots.
