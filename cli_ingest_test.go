@@ -1,28 +1,30 @@
 package memotable_test
 
 // End-to-end tests of the live-ingestion CLI surface: tracecap -stdin /
-// -listen must replay a streamed v2 trace into the live banks, print
-// snapshots identical to the offline comparator (memosim -ingest), seal
-// cleanly ended streams, and classify torn, corrupt or v1 streams with
-// exit code 3.
+// -listen must replay a streamed v2 trace into the live banks, print a
+// final snapshot that does not depend on how the stream was cut into
+// reads or on the rolling snapshots printed before it, and map every
+// way an ingest ends to its documented exit code.
 
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
-// runCLIStdin is runCLI with bytes piped into the process's stdin.
-func runCLIStdin(t *testing.T, stdin []byte, bin string, args ...string) (string, string, int) {
+// runCLIStdin is runCLI with stdin as the process's standard input.
+func runCLIStdin(t *testing.T, stdin io.Reader, bin string, args ...string) (string, string, int) {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
-	cmd.Stdin = bytes.NewReader(stdin)
+	cmd.Stdin = stdin
 	var stdout, stderr strings.Builder
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
@@ -38,6 +40,10 @@ func runCLIStdin(t *testing.T, stdin []byte, bin string, args ...string) (string
 	return stdout.String(), stderr.String(), code
 }
 
+// TestTracecapIngestStdinMatchesOffline is the acceptance differential
+// for live ingest: tracecap -stdin over a whole file prints the
+// byte-identical final snapshot as a -snapshot 1000 session fed the same
+// bytes one at a time, for a plain and a compressed capture.
 func TestTracecapIngestStdinMatchesOffline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and executes command binaries")
@@ -53,25 +59,28 @@ func TestTracecapIngestStdinMatchesOffline(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		liveOut, liveErr, code := runCLIStdin(t, data, cliBin(t, "tracecap"), "-stdin")
+		offOut, offErr, code := runCLIStdin(t, bytes.NewReader(data), cliBin(t, "tracecap"), "-stdin")
 		if code != 0 {
-			t.Fatalf("%s: tracecap -stdin exited %d: %s", path, code, liveErr)
+			t.Fatalf("%s: tracecap -stdin exited %d: %s", path, code, offErr)
 		}
-		if !strings.Contains(liveOut, "memo-table hit ratios") || !strings.Contains(liveOut, "speedup") {
-			t.Fatalf("%s: live snapshot missing banks:\n%s", path, liveOut)
+		if !strings.Contains(offOut, "memo-table hit ratios") || !strings.Contains(offOut, "speedup") {
+			t.Fatalf("%s: snapshot missing banks:\n%s", path, offOut)
 		}
-		if !strings.Contains(liveErr, "ingested ") {
-			t.Fatalf("%s: stderr = %q, want ingest summary", path, liveErr)
+		if !strings.Contains(offErr, "ingested ") {
+			t.Fatalf("%s: stderr = %q, want ingest summary", path, offErr)
 		}
 
-		// The acceptance differential: the offline comparator renders the
-		// byte-identical final snapshot from the same stream bytes.
-		offOut, offErr, code := runCLI(t, nil, cliBin(t, "memosim"), "-ingest", path)
+		// One-byte writes into the pipe: the stream arrives in pieces
+		// that cut every frame.
+		liveOut, liveErr, code := runCLIStdin(t, iotest.OneByteReader(bytes.NewReader(data)), cliBin(t, "tracecap"), "-stdin", "-snapshot", "1000")
 		if code != 0 {
-			t.Fatalf("%s: memosim -ingest exited %d: %s", path, code, offErr)
+			t.Fatalf("%s: tracecap -stdin -snapshot 1000 exited %d: %s", path, code, liveErr)
 		}
-		if liveOut != offOut {
-			t.Fatalf("%s: live and offline snapshots differ:\n--- live ---\n%s\n--- offline ---\n%s", path, liveOut, offOut)
+		if n := strings.Count(liveOut, "events = "); n < 3 {
+			t.Fatalf("%s: %d snapshots printed, want the rolling ones and the final one:\n%s", path, n, liveOut)
+		}
+		if final := liveOut[strings.LastIndex(liveOut, "events = "):]; final != offOut {
+			t.Fatalf("%s: live and offline final snapshots differ:\n--- live ---\n%s\n--- offline ---\n%s", path, final, offOut)
 		}
 	}
 }
@@ -135,6 +144,9 @@ func TestTracecapIngestListenSocket(t *testing.T) {
 	}
 }
 
+// TestTracecapIngestFailureModes maps every way an ingest can end to
+// tracecap's exit code and the start of its stderr. No row may print a
+// Go panic trace.
 func TestTracecapIngestFailureModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and executes command binaries")
@@ -147,76 +159,54 @@ func TestTracecapIngestFailureModes(t *testing.T) {
 	}
 	corrupt := append([]byte(nil), data...)
 	corrupt[len(corrupt)/2] ^= 0x01
+	// A v1 trace has no frames, so a live ingest cannot tell its torn
+	// tail from its end: tracecap refuses it, naming v2, while tracereplay
+	// still reads the file (checked below).
+	v1 := filepath.Join("internal", "trace", "testdata", "vdiff-16.mtrc")
+	v1Data, err := os.ReadFile(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A directory as stdin fails its first read.
+	dirStdin, err := os.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = dirStdin.Close() }()
 	bin := cliBin(t, "tracecap")
 
-	t.Run("usage", func(t *testing.T) {
-		for _, args := range [][]string{
-			{"-listen", "unix:/tmp/x.sock", "-stdin"},
-			{"-stdin", "-out", filepath.Join(dir, "x.mtrc")},
-			{"-stdin", "-store", dir}, // the trace store is gone; so is its flag
-		} {
-			if _, stderr, code := runCLIStdin(t, nil, bin, args...); code != 2 {
-				t.Fatalf("%v: exit %d (stderr %s), want 2", args, code, stderr)
+	for _, tc := range []struct {
+		name     string
+		args     []string
+		stdin    io.Reader
+		code     int
+		prefix   string // stderr starts with this
+		contains string // and names this
+	}{
+		{"clean stream exits 0", []string{"-stdin"}, bytes.NewReader(data), 0, "tracecap: ingested 9600 events", ""},
+		{"usage", []string{"-listen", "unix:/tmp/x.sock", "-stdin"}, nil, 2, "tracecap: -listen and -stdin are mutually exclusive", ""},
+		{"usage: capture flag", []string{"-stdin", "-out", filepath.Join(dir, "x.mtrc")}, nil, 2, "tracecap: ingest mode takes no capture flag -out", ""},
+		{"usage: the store flag is gone", []string{"-stdin", "-store", dir}, nil, 2, "flag provided but not defined: -store", ""},
+		{"unreadable stdin exits 1", []string{"-stdin"}, dirStdin, 1, "tracecap: trace: reading header: ", "is a directory"},
+		{"torn stream exits 3", []string{"-stdin"}, bytes.NewReader(data[:len(data)-50]), 3, "tracecap: trace: corrupt or truncated stream: ", "torn"},
+		{"corrupt stream exits 3", []string{"-stdin"}, bytes.NewReader(corrupt), 3, "tracecap: trace: corrupt or truncated stream: ", "frame CRC"},
+		{"v1 stream exits 3", []string{"-stdin"}, bytes.NewReader(v1Data), 3, "tracecap: trace: corrupt or truncated stream: ", "v2"},
+		{"injected ingest fault exits 1", []string{"-stdin", "-faults", "seed=1;ingest.frame:count=1"}, bytes.NewReader(data), 1, "tracecap: frame delivery: injected fault at ingest.frame", ""},
+		{"injected ingest panic exits 1", []string{"-stdin", "-faults", "seed=1;ingest.frame:count=1:panic"}, bytes.NewReader(data), 1, "tracecap: panic: injected fault at ingest.frame", ""},
+		{"sink panic exits 1", []string{"-stdin", "-faults", "seed=1;engine.sink.emit:count=1:panic"}, bytes.NewReader(data), 1, "tracecap: frame delivery: engine: sink panicked", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, stderr, code := runCLIStdin(t, tc.stdin, bin, tc.args...)
+			if code != tc.code || !strings.HasPrefix(stderr, tc.prefix) || !strings.Contains(stderr, tc.contains) {
+				t.Fatalf("exit %d stderr %q, want %d starting %q naming %q", code, stderr, tc.code, tc.prefix, tc.contains)
 			}
-		}
-	})
+			if strings.Contains(stderr, "goroutine ") {
+				t.Fatalf("stderr carries a Go panic trace: %q", stderr)
+			}
+		})
+	}
 
-	t.Run("torn stream exits 3", func(t *testing.T) {
-		_, stderr, code := runCLIStdin(t, data[:len(data)-50], bin, "-stdin")
-		if code != 3 || !strings.Contains(stderr, "torn") {
-			t.Fatalf("exit %d stderr %q, want 3 with torn tail", code, stderr)
-		}
-	})
-
-	t.Run("corrupt stream exits 3", func(t *testing.T) {
-		_, stderr, code := runCLIStdin(t, corrupt, bin, "-stdin")
-		if code != 3 {
-			t.Fatalf("exit %d stderr %q, want 3", code, stderr)
-		}
-	})
-
-	t.Run("injected ingest fault exits 1", func(t *testing.T) {
-		_, stderr, code := runCLIStdin(t, data, bin, "-stdin", "-faults", "seed=1;ingest.frame:count=1")
-		if code != 1 || !strings.Contains(stderr, "injected fault") {
-			t.Fatalf("exit %d stderr %q, want 1 with injected fault", code, stderr)
-		}
-	})
-
-	t.Run("memosim -ingest corrupt exits 3", func(t *testing.T) {
-		bad := filepath.Join(dir, "bad.mtrc")
-		if err := os.WriteFile(bad, corrupt, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, stderr, code := runCLI(t, nil, cliBin(t, "memosim"), "-ingest", bad)
-		if code != 3 {
-			t.Fatalf("exit %d stderr %q, want 3", code, stderr)
-		}
-	})
-
-	// A v1 trace has no frames, so a live ingest cannot tell its torn
-	// tail from its end: both ingest paths refuse it, naming v2, while
-	// tracereplay still reads the file.
-	t.Run("v1 stream exits 3", func(t *testing.T) {
-		v1 := filepath.Join("internal", "trace", "testdata", "vdiff-16.mtrc")
-		seed, err := os.ReadFile(v1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, stderr, code := runCLIStdin(t, seed, bin, "-stdin"); code != 3 || !strings.Contains(stderr, "v2") {
-			t.Fatalf("tracecap -stdin: exit %d stderr %q, want 3 naming v2", code, stderr)
-		}
-		if _, stderr, code := runCLI(t, nil, cliBin(t, "memosim"), "-ingest", v1); code != 3 || !strings.Contains(stderr, "v2") {
-			t.Fatalf("memosim -ingest: exit %d stderr %q, want 3 naming v2", code, stderr)
-		}
-		if _, stderr, code := runCLI(t, nil, cliBin(t, "tracereplay"), "-in", v1); code != 0 {
-			t.Fatalf("tracereplay -in: exit %d stderr %q, want 0", code, stderr)
-		}
-	})
-
-	t.Run("memosim -ingest missing file exits 1", func(t *testing.T) {
-		_, _, code := runCLI(t, nil, cliBin(t, "memosim"), "-ingest", filepath.Join(dir, "absent.mtrc"))
-		if code != 1 {
-			t.Fatalf("exit %d, want 1", code)
-		}
-	})
+	if _, stderr, code := runCLI(t, nil, cliBin(t, "tracereplay"), "-in", v1); code != 0 {
+		t.Fatalf("tracereplay -in %s: exit %d stderr %q, want 0", v1, code, stderr)
+	}
 }

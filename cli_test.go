@@ -228,6 +228,8 @@ func TestMemosimCLI(t *testing.T) {
 			{"unknown scale", []string{"-scale", "huge"}, "unknown scale"},
 			{"unknown experiment", []string{"-scale", "tiny", "-run", "tableX"}, "unknown experiment"},
 			{"bad faults spec", append(base, "-faults", "bogus.point"), "unknown injection point"},
+			// tracecap -stdin < file is the offline ingest comparator.
+			{"ingest flag is gone", []string{"-ingest", "x"}, "flag provided but not defined: -ingest"},
 		} {
 			stdout, stderr, code := runCLI(t, nil, bin, tc.args...)
 			if code != 2 {

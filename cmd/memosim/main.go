@@ -10,7 +10,6 @@
 //	        [-timeout D] [-keep-going] [-faults SPEC]
 //	        [-shards N] [-shard-timeout D] [-shard-retries R]
 //	        [-cpuprofile FILE] [-memprofile FILE]
-//	memosim -ingest trace.mtrc
 //
 // A -run selection is executed as one planned pass: every workload the
 // selected experiments demand runs once, feeding all their measurement
@@ -28,13 +27,6 @@
 // (manifest with degraded cells), 2 (usage/planning error) or 1
 // (internal failure); the coordinator only trusts 0 and 3.
 //
-// -ingest is the offline comparator for live ingestion: it reads a v2
-// trace file through the same Engine.Ingest call and LiveBank
-// instruments a `tracecap -listen` session uses, and prints the same
-// final snapshot — so live-streamed results can be diffed against an
-// offline replay of the identical bytes. Exit 3 marks a corrupt or torn
-// stream, as in tracereplay, or a v1 one, which has no frames to ingest.
-//
 // Exit codes: 0 on success; 1 when workloads failed and -keep-going is
 // not set (hard failure, no results printed); 2 on usage errors, and on
 // partial results under -keep-going (results printed, failed cells
@@ -43,7 +35,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -73,8 +64,6 @@ func run() int {
 		"print partial results and exit 2 when workload cells fail, instead of aborting with exit 1")
 	faultsFlag := flag.String("faults", "",
 		"fault-injection spec (testing), e.g. 'seed=1;engine.capture.run:p=0.01'; overrides $FAULTS")
-	ingestFlag := flag.String("ingest", "",
-		"replay a v2 trace file through the live-ingest instruments and print the final snapshot (offline comparator for tracecap -listen)")
 	serveFlag := flag.String("serve", "",
 		"serve the experiment engine over HTTP on this address (e.g. 127.0.0.1:8080): GET /v1/run responses are byte-identical to -run -json output for the same selection")
 	shardsFlag := flag.Int("shards", 0,
@@ -150,10 +139,6 @@ func run() int {
 			return 2
 		}
 		faults.Activate(plan)
-	}
-
-	if *ingestFlag != "" {
-		return runOfflineIngest(*ingestFlag)
 	}
 
 	var names []string
@@ -269,33 +254,4 @@ func engineSummary(w io.Writer, st memotable.EngineStats, elapsed time.Duration)
 	fmt.Fprintf(w, "engine: delivery: %d per-sink events delivered (%.1fM events/sec), %d mask skips\n",
 		st.DeliveredEvents, float64(st.DeliveredEvents)/elapsed.Seconds()/1e6,
 		st.MaskSkips)
-}
-
-// runOfflineIngest ingests a v2 trace file through the identical path
-// a live tracecap -listen session uses — Engine.Ingest, LiveBank sinks,
-// fixed sketch seed — and prints the final snapshot, so its stdout is
-// byte-comparable with the live session's. Only the open frame is ever
-// held in memory.
-func runOfflineIngest(path string) int {
-	f, err := os.Open(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "memosim:", err)
-		return 1
-	}
-	defer func() { _ = f.Close() }()
-	bank := memotable.NewLiveBank(1)
-	eng := memotable.NewEngine(1)
-	defer func() { _ = eng.Close() }()
-	st, err := eng.Ingest(f, memotable.IngestOptions{Sinks: bank.Sinks()})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "memosim:", err)
-		if errors.Is(err, memotable.ErrBadTrace) {
-			return 3
-		}
-		return 1
-	}
-	fmt.Println(memotable.RenderText(bank.Snapshot(st)))
-	fmt.Fprintf(os.Stderr, "memosim: replayed %d events in %d frames (%d bytes) from %s\n",
-		st.Events, st.Frames, st.Bytes, path)
-	return 0
 }

@@ -22,15 +22,19 @@
 // rolling hit-ratio/speedup snapshot every N events; the final snapshot
 // prints on stdout once the stream has ended at a clean frame boundary.
 // -listen addresses take the forms "unix:/path", "tcp:host:port", or a
-// bare filesystem path (unix).
+// bare filesystem path (unix). `tracecap -stdin < trace.mtrc` is the
+// offline comparator: a live session and a replay of the file it
+// streamed print the same final snapshot.
 //
 // Each mode rejects the other's flags (-compress, -maxdim and -input are
 // capture flags; -snapshot is an ingest flag) rather than ignoring them;
 // -faults is valid in both.
 //
 // Exit codes: 0 on success, 1 on I/O failure (including a failed
-// listen/accept), 2 on usage errors, 3 when the ingested stream is
-// corrupt, torn or v1 (which has no frames to ingest).
+// listen/accept or an unreadable stdin) and on any other failed ingest
+// (an injected fault or a panicking sink, recovered), 2 on usage
+// errors, 3 when the ingested stream is corrupt, torn or v1 (which has
+// no frames to ingest).
 package main
 
 import (
@@ -158,13 +162,10 @@ func runIngest(addr string, snapshotEvery uint64) int {
 	}
 	defer cleanup()
 
-	eng := memotable.NewEngine(1)
-	defer func() { _ = eng.Close() }()
-
-	// Fixed sketch seed: live and offline (memosim -ingest) snapshots of
-	// the same stream must render byte-identically.
+	// Fixed sketch seed: a live session and a replay of the file it
+	// streamed must render byte-identical snapshots.
 	bank := memotable.NewLiveBank(1)
-	st, err := eng.Ingest(src, memotable.IngestOptions{
+	st, err := memotable.Ingest(src, memotable.IngestOptions{
 		Sinks:         bank.Sinks(),
 		SnapshotEvery: snapshotEvery,
 		OnSnapshot: func(st memotable.IngestStats) {

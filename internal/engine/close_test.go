@@ -40,11 +40,6 @@ func TestClosedEngineRefusesWork(t *testing.T) {
 	if _, err := e.RunPassContext(context.Background(), nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("RunPassContext after Close: %v, want ErrClosed", err)
 	}
-	src := chunked([]byte{0}, 1)
-	src.onRead = func(int) { t.Error("closed engine read its ingest source") }
-	if _, err := e.Ingest(src, IngestOptions{}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Ingest after Close: %v, want ErrClosed", err)
-	}
 }
 
 // TestCloseWaitsForInflight: Close must not return while a run is still

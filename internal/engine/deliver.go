@@ -13,8 +13,9 @@ import (
 // of a running workload's stream, a live ingest frame — goes through
 // deliver, serially, on the goroutine that produced it. Each sink
 // therefore observes its stream in order from one goroutine, and
-// cancellation, the sink.emit fault point and the delivery counters
-// behave the same on every path.
+// cancellation, the sink.emit fault point and sink-panic isolation
+// behave the same on every path. Only a workload run counts its
+// deliveries in the engine's counters.
 
 // blockLen is the event length of the batches a workload's stream is
 // cut into: 8192 events (192 KiB) keeps a batch L2-resident while
@@ -22,27 +23,32 @@ import (
 const blockLen = 8192
 
 // deliver feeds one batch to every sink whose class mask meets the
-// batch's mask, in sink order. It checks ctx and fires the sink.emit
-// injection point first: an error from either means nothing of this
-// batch was delivered, but earlier batches of the stream may have been,
-// so the caller must treat the cell as failed.
-func (e *Engine) deliver(ctx context.Context, sinks []trace.Sink, masks []trace.OpMask, evs []trace.Event, mask trace.OpMask) error {
+// batch's mask, in sink order, and returns how many sinks it fed. It
+// checks ctx and fires the sink.emit injection point first: an error
+// from either means nothing of this batch was delivered, but earlier
+// batches of the stream may have been, so the caller must treat the
+// stream as failed. A sink panicking mid-batch, or an injected
+// sink.emit panic, comes back wrapping ErrSinkPanic.
+func deliver(ctx context.Context, sinks []trace.Sink, masks []trace.OpMask, evs []trace.Event) (fed int, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%w: %w", ErrSinkPanic, panicError(r))
+		}
+	}()
 	if ctx.Err() != nil {
-		return ctxErr(ctx)
+		return 0, ctxErr(ctx)
 	}
 	if err := faults.Inject(faults.SinkEmit); err != nil {
-		return fmt.Errorf("replay delivery: %w", err)
+		return 0, fmt.Errorf("replay delivery: %w", err)
 	}
-	fed := 0
+	mask := batchMask(evs)
 	for i, s := range sinks {
 		if masks[i]&mask != 0 {
 			trace.EmitAll(s, evs)
 			fed++
 		}
 	}
-	e.deliveredEv.Add(uint64(fed) * uint64(len(evs)))
-	e.maskSkips.Add(uint64(len(sinks) - fed))
-	return nil
+	return fed, nil
 }
 
 // batchMask is the union of a batch's event classes.
@@ -66,11 +72,12 @@ var batchBufs = sync.Pool{New: func() any {
 type stopRun struct{ err error }
 
 // batchSink is the sink a workload runs into: it cuts the stream into
-// blockLen batches and hands each to deliver, counting the events
-// delivered in n. A delivery that fails — the context is done, a sink
-// or the sink.emit point panics, sink.emit injects an error — stops the
-// workload at once with a stopRun panic, so a canceled run ends at its
-// next batch instead of running to its last event.
+// blockLen batches, hands each to deliver, and counts each delivered
+// batch in the engine's delivery counters and its events in n. A
+// delivery that fails — the context is done, a sink or the sink.emit
+// point panics, sink.emit injects an error — stops the workload at once
+// with a stopRun panic, so a canceled run ends at its next batch
+// instead of running to its last event.
 type batchSink struct {
 	e     *Engine
 	ctx   context.Context
@@ -121,21 +128,12 @@ func (b *batchSink) flush() {
 	if len(evs) == 0 {
 		return
 	}
-	if err := b.deliver(evs); err != nil {
+	fed, err := deliver(b.ctx, b.sinks, b.masks, evs)
+	if err != nil {
 		panic(stopRun{err})
 	}
+	b.e.deliveredEv.Add(uint64(fed) * uint64(len(evs)))
+	b.e.maskSkips.Add(uint64(len(b.sinks) - fed))
 	b.n += uint64(len(evs))
 	*b.buf = evs[:0]
-}
-
-// deliver is Engine.deliver with panic isolation: a sink panicking
-// mid-batch, or an injected sink.emit panic, comes back wrapping
-// ErrSinkPanic.
-func (b *batchSink) deliver(evs []trace.Event) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: %w", ErrSinkPanic, panicError(r))
-		}
-	}()
-	return b.e.deliver(b.ctx, b.sinks, b.masks, evs, batchMask(evs))
 }

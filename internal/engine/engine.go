@@ -27,9 +27,10 @@
 // execution").
 //
 // Every batch reaches its sinks through one serial delivery loop
-// (deliver.go), for workload runs and live ingests (ingest.go) alike:
-// Ingest pulls a v2 stream from an io.Reader while its producer still
-// writes it, and delivers each frame as soon as it is whole.
+// (deliver.go), for workload runs and live ingests (ingest.go) alike.
+// Ingest is a function, not an Engine method: it pulls a v2 stream from
+// an io.Reader while its producer still writes it, and delivers each
+// frame as soon as it is whole.
 package engine
 
 import (
@@ -66,8 +67,8 @@ type Engine struct {
 	// store is what SetStore recorded; nothing reads it but Store.
 	store *tracestore.Store
 
-	// Close latch: once closed, new passes, replays and ingests
-	// fail with ErrClosed; Close itself waits for in-flight work (begin/
+	// Close latch: once closed, new passes and replays fail with
+	// ErrClosed; Close itself waits for in-flight work (begin/
 	// end brackets) to drain.
 	closed   bool
 	inflight int
@@ -77,15 +78,9 @@ type Engine struct {
 	replays    atomic.Uint64 // workload runs that fed their sinks to the end
 	replayedEv atomic.Uint64 // events those runs delivered, each stream counted once
 
-	// Delivery counters (deliver.go), written by every run and ingest.
+	// Delivery counters (deliver.go), written by every workload run.
 	deliveredEv atomic.Uint64 // events delivered per sink
 	maskSkips   atomic.Uint64 // (sink, batch) deliveries skipped by class mask
-
-	// Live-ingest counters (ingest.go).
-	ingestFrames  atomic.Uint64 // frames delivered by ingests
-	ingestEvents  atomic.Uint64 // events delivered by ingests
-	ingestBytes   atomic.Uint64 // raw stream bytes ingests read
-	sealedIngests atomic.Uint64 // ingests whose stream ended cleanly
 }
 
 // New builds an engine with the given worker count (<= 0 selects
@@ -161,9 +156,9 @@ func (e *Engine) end() {
 	e.mu.Unlock()
 }
 
-// Close shuts the engine down: new RunPassContext, Replay and Ingest
-// calls fail with ErrClosed, and Close returns once in-flight work has
-// drained. Close is idempotent and never fails.
+// Close shuts the engine down: new RunPassContext and Replay calls fail
+// with ErrClosed, and Close returns once in-flight work has drained.
+// Close is idempotent and never fails.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()

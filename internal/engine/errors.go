@@ -23,11 +23,12 @@ var (
 	// ErrCaptureFailed marks a workload whose run returned a fault or
 	// panicked.
 	ErrCaptureFailed = errors.New("engine: workload capture failed")
-	// ErrSinkPanic marks a measurement sink that panicked mid-replay;
-	// every sink fed by that run may have observed a torn stream.
+	// ErrSinkPanic marks a measurement sink that panicked mid-replay or
+	// mid-ingest; every sink fed by that stream may have observed it
+	// torn.
 	ErrSinkPanic = errors.New("engine: sink panicked during replay")
 	// ErrClosed marks work submitted to an engine after Close: new
-	// passes, replays and ingests are refused.
+	// passes and replays are refused.
 	ErrClosed = errors.New("engine: closed")
 )
 

@@ -9,17 +9,15 @@ import (
 	"memotable/internal/trace"
 )
 
-// Live trace ingestion. A workload run produces its stream inside the
+// Live trace ingestion. A workload run produces its stream inside an
 // engine; Ingest takes one from outside: it pulls encoded v2 bytes from
 // a reader while an external producer is still writing them (a socket,
 // a pipe, a file tail), takes each frame out as soon as it is whole
-// (trace.Reader.NextFrame) and feeds it through the same delivery loop
-// a workload run uses (deliver.go), so MEMO-TABLE banks simulate the
-// workload while it is still running. Nothing of the stream is kept.
-//
-// What an ingest shares with the rest of the engine — the ingest and
-// delivery counters — is safe against concurrent Replay/ReplayAll
-// traffic and stat reads.
+// (trace.Reader.NextFrame) and hands it to the same guarded delivery a
+// workload batch uses (deliver.go), so MEMO-TABLE banks simulate the
+// workload while it is still running. Nothing of the stream is kept,
+// and no engine is involved: an ingest's only state is how far it has
+// read, which IngestStats reports.
 
 // IngestStats is a point-in-time view of an ingest's progress.
 type IngestStats struct {
@@ -49,20 +47,20 @@ type IngestOptions struct {
 // frame to opts.Sinks, in stream order, as soon as the frame is whole.
 // It returns nil when src ends at a clean frame boundary; ErrBadTrace
 // for a torn tail, a corrupt frame or a v1 stream, which has no frames;
-// the source's own error for a failed read; ErrClosed on a closed
-// engine; and an injected ingest fault's error. On failure the frames
+// the source's own error for a failed read; an error wrapping
+// ErrSinkPanic for a sink that panics; and an injected ingest or
+// sink.emit fault's error. No panic escapes: any other panic on the way
+// — an injected one in panic mode, say — comes back as an error that
+// keeps an error-typed panic value as its cause. On failure the frames
 // before the failure stay delivered and nothing of the failed frame is;
-// the caller must discard the sinks' state. A Close that lands while
-// Ingest runs does not stop it.
-func (e *Engine) Ingest(src io.Reader, opts IngestOptions) (IngestStats, error) {
-	var st IngestStats
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
-		return st, ErrClosed
-	}
-	r, err := trace.NewReader(&ingestSource{src: src, e: e, n: &st.Bytes})
+// the caller must discard the sinks' state.
+func Ingest(src io.Reader, opts IngestOptions) (st IngestStats, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = panicError(r)
+		}
+	}()
+	r, err := trace.NewReader(&ingestSource{src: src, n: &st.Bytes})
 	if err != nil {
 		return st, err
 	}
@@ -79,11 +77,9 @@ func (e *Engine) Ingest(src io.Reader, opts IngestOptions) (IngestStats, error) 
 		if ferr := faults.Inject(faults.IngestFrame); ferr != nil {
 			return st, fmt.Errorf("frame delivery: %w", ferr)
 		}
-		if err := e.deliver(context.TODO(), opts.Sinks, masks, evs, batchMask(evs)); err != nil {
+		if _, err := deliver(context.TODO(), opts.Sinks, masks, evs); err != nil {
 			return st, fmt.Errorf("frame delivery: %w", err)
 		}
-		e.ingestFrames.Add(1)
-		e.ingestEvents.Add(uint64(len(evs)))
 		st.Frames++
 		st.Events += uint64(len(evs))
 		if nextSnap > 0 && st.Events >= nextSnap {
@@ -98,16 +94,13 @@ func (e *Engine) Ingest(src io.Reader, opts IngestOptions) (IngestStats, error) 
 	if ferr := faults.Inject(faults.IngestSeal); ferr != nil {
 		return st, fmt.Errorf("seal rejected: %w", ferr)
 	}
-	e.sealedIngests.Add(1)
 	return st, nil
 }
 
 // ingestSource is the ingest's view of its source: each read fires the
-// ingest.feed fault point and is counted in the ingest's stats and the
-// engine's byte counter.
+// ingest.feed fault point and is counted in the ingest's stats.
 type ingestSource struct {
 	src io.Reader
-	e   *Engine
 	n   *int64
 }
 
@@ -117,6 +110,5 @@ func (s *ingestSource) Read(p []byte) (int, error) {
 	}
 	n, err := s.src.Read(p)
 	*s.n += int64(n)
-	s.e.ingestBytes.Add(uint64(n))
 	return n, err
 }

@@ -17,16 +17,11 @@ type Stats struct {
 	Replays        uint64 `json:"replays"`
 	ReplayedEvents uint64 `json:"replayed_events"`
 
-	// Delivery (deliver.go): per-sink events fed, and (sink, batch)
-	// deliveries skipped by class mask.
+	// Delivery (deliver.go) of workload runs: per-sink events fed, and
+	// (sink, batch) deliveries skipped by class mask. An ingest
+	// (ingest.go) counts in neither.
 	DeliveredEvents uint64 `json:"delivered_events"`
 	MaskSkips       uint64 `json:"mask_skips"`
-
-	// Live ingest.
-	IngestedFrames uint64 `json:"ingested_frames"`
-	IngestedEvents uint64 `json:"ingested_events"`
-	IngestedBytes  uint64 `json:"ingested_bytes"`
-	SealedIngests  uint64 `json:"sealed_ingests"`
 
 	// The fields below always read 0: they counted the trace cache,
 	// which is gone. They exist only for the frozen benchmark
@@ -54,9 +49,5 @@ func (e *Engine) Stats() Stats {
 		ReplayedEvents:  e.replayedEv.Load(),
 		DeliveredEvents: e.deliveredEv.Load(),
 		MaskSkips:       e.maskSkips.Load(),
-		IngestedFrames:  e.ingestFrames.Load(),
-		IngestedEvents:  e.ingestEvents.Load(),
-		IngestedBytes:   e.ingestBytes.Load(),
-		SealedIngests:   e.sealedIngests.Load(),
 	}
 }

@@ -70,11 +70,10 @@ func TestLiveBankIncrementalMatchesOffline(t *testing.T) {
 	capture := liveCapture(80000, 700, 11)
 	data := encodeCapture(t, capture)
 
-	e := engine.New(2)
 	live := NewDefaultLiveBank(99)
 	var rolled int
 	src := &randomReads{data: data, rng: rand.New(rand.NewSource(13))}
-	st, err := e.Ingest(src, engine.IngestOptions{
+	st, err := engine.Ingest(src, engine.IngestOptions{
 		Sinks:         live.Sinks(),
 		SnapshotEvery: 20000,
 		OnSnapshot: func(st engine.IngestStats) {

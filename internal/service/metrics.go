@@ -53,14 +53,8 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{name: "memosim_engine_replayed_events_total", help: "Events delivered by completed workload runs (each stream counted once).", typ: "counter", value: float64(es.ReplayedEvents)},
 
 		// Delivery counters.
-		{name: "memosim_engine_delivered_events_total", help: "Per-sink delivered events across workload runs and ingest.", typ: "counter", value: float64(es.DeliveredEvents)},
+		{name: "memosim_engine_delivered_events_total", help: "Per-sink delivered events of workload runs.", typ: "counter", value: float64(es.DeliveredEvents)},
 		{name: "memosim_engine_mask_skips_total", help: "Sink/batch deliveries skipped by class-mask mismatch.", typ: "counter", value: float64(es.MaskSkips)},
-
-		// Live-ingest counters.
-		{name: "memosim_engine_ingested_frames_total", help: "Frames delivered by live ingests.", typ: "counter", value: float64(es.IngestedFrames)},
-		{name: "memosim_engine_ingested_events_total", help: "Events delivered by live ingests.", typ: "counter", value: float64(es.IngestedEvents)},
-		{name: "memosim_engine_ingested_bytes_total", help: "Stream bytes read by live ingests.", typ: "counter", value: float64(es.IngestedBytes)},
-		{name: "memosim_engine_sealed_ingests_total", help: "Live ingests whose stream ended at a clean frame boundary.", typ: "counter", value: float64(es.SealedIngests)},
 
 		// Engine shape.
 		{name: "memosim_engine_workers", help: "Engine worker-pool size.", typ: "gauge", value: float64(es.Workers)},

@@ -107,16 +107,21 @@ type CaptureFunc = engine.CaptureFunc
 // selects GOMAXPROCS.
 func NewEngine(workers int) *Engine { return engine.New(workers) }
 
-// IngestOptions configures a live trace ingestion (Engine.Ingest): the
-// engine reads a v2 stream from an io.Reader while an external producer
-// still writes it, and each frame replays into the sinks as soon as it
-// is whole.
+// IngestOptions configures a live trace ingestion (Ingest).
 type IngestOptions = engine.IngestOptions
 
 // IngestStats is a point-in-time view of an ingest's progress: frames
-// and events delivered, stream bytes read. Engine.Ingest returns the
-// final one.
+// and events delivered, stream bytes read. Ingest returns the final one.
 type IngestStats = engine.IngestStats
+
+// Ingest reads a v2 trace stream from src while an external producer
+// still writes it, replaying each frame into opts.Sinks as soon as it is
+// whole. It returns nil when src ends at a clean frame boundary and
+// ErrBadTrace for a torn, corrupt or v1 stream; a panic on the way, a
+// sink's included, comes back as an error. No engine is involved.
+func Ingest(src io.Reader, opts IngestOptions) (IngestStats, error) {
+	return engine.Ingest(src, opts)
+}
 
 // LiveBank bundles the rolling instruments of a live ingest —
 // MEMO-TABLE banks, a cycle tally priced on baseline and memo-enhanced
