@@ -193,7 +193,7 @@ func TestTracecapIngestFailureModes(t *testing.T) {
 		{"v1 stream exits 3", []string{"-stdin"}, bytes.NewReader(v1Data), 3, "tracecap: trace: corrupt or truncated stream: ", "v2"},
 		{"injected ingest fault exits 1", []string{"-stdin", "-faults", "seed=1;ingest.frame:count=1"}, bytes.NewReader(data), 1, "tracecap: frame delivery: injected fault at ingest.frame", ""},
 		{"injected ingest panic exits 1", []string{"-stdin", "-faults", "seed=1;ingest.frame:count=1:panic"}, bytes.NewReader(data), 1, "tracecap: panic: injected fault at ingest.frame", ""},
-		{"sink panic exits 1", []string{"-stdin", "-faults", "seed=1;engine.sink.emit:count=1:panic"}, bytes.NewReader(data), 1, "tracecap: frame delivery: engine: sink panicked", ""},
+		{"sink panic exits 1", []string{"-stdin", "-faults", "seed=1;engine.sink.emit:count=1:panic"}, bytes.NewReader(data), 1, "tracecap: frame delivery: engine: sink panicked: panic:", ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, stderr, code := runCLIStdin(t, tc.stdin, bin, tc.args...)

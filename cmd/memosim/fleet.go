@@ -40,11 +40,6 @@ func runFleet(o fleetOpts) int {
 		return 2
 	}
 	shards := experiments.ShardCount(o.shards, len(names))
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "memosim:", err)
-		return 2
-	}
 
 	ctx := context.Background()
 	if o.timeout > 0 {
@@ -54,7 +49,6 @@ func runFleet(o fleetOpts) int {
 	}
 
 	cfg := fleet.Config{
-		Exe:       exe,
 		Shards:    shards,
 		Scale:     o.scale,
 		Names:     names,
@@ -141,9 +135,10 @@ func workerArgs(o fleetOpts) []string {
 }
 
 // runWorker is the -worker entry point: run this shard's experiments
-// on the already-configured engine and emit a provenance-chained
-// manifest on stdout. Exit codes are the worker contract the
-// coordinator supervises against: 0 manifest emitted, all cells clean;
+// on the already-configured engine and emit a manifest on stdout whose
+// Merkle root binds the trace fingerprints and rendered result bytes.
+// Exit codes are the worker contract the coordinator supervises
+// against: 0 manifest emitted, all cells clean;
 // 2 usage or planning error (no manifest); 3 manifest emitted with
 // degraded cells; 1 internal failure.
 func runWorker(eng *memotable.Engine, scale memotable.Scale, names []string, shardSpec string) int {

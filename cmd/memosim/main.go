@@ -10,6 +10,8 @@
 //	        [-timeout D] [-keep-going] [-faults SPEC]
 //	        [-shards N] [-shard-timeout D] [-shard-retries R]
 //	        [-cpuprofile FILE] [-memprofile FILE]
+//	memosim -serve ADDR [-parallel N] [-timeout D]
+//	memosim -worker -shard i/N -run NAMES
 //
 // A -run selection is executed as one planned pass: every workload the
 // selected experiments demand runs once, feeding all their measurement
@@ -17,9 +19,9 @@
 //
 // -shards N runs the same selection as a supervised fleet: the
 // selection is dealt round-robin into N shards, each executed by a
-// `memosim -worker -shard i/N` subprocess whose output carries a
-// provenance chain (trace fingerprints + rendered result bytes under a
-// Merkle root). The coordinator recomputes every root before merging;
+// `memosim -worker -shard i/N` subprocess whose manifest carries its
+// trace fingerprints and rendered result bytes under one Merkle root.
+// The coordinator recomputes every root from those bytes before merging;
 // output that fails verification is rejected and retried, and a shard
 // that exhausts its retries degrades only its own cells. Merged output
 // is byte-identical to the single-process run, plus one trailing
@@ -69,7 +71,7 @@ func run() int {
 	shardsFlag := flag.Int("shards", 0,
 		"run the selection as a supervised fleet of this many worker processes; merged output is byte-identical to a single-process run plus a trailing provenance line (0 = single process)")
 	workerFlag := flag.Bool("worker", false,
-		"fleet worker mode (spawned by -shards): run the -shard slice of the selection and emit a provenance-chained shard manifest on stdout")
+		"fleet worker mode (spawned by -shards): run the -shard slice of the selection and emit a shard manifest, its bytes under one Merkle root, on stdout")
 	shardFlag := flag.String("shard", "",
 		"with -worker: this worker's shard assignment as i/N")
 	shardTimeoutFlag := flag.Duration("shard-timeout", 5*time.Minute,
@@ -126,19 +128,10 @@ func run() int {
 		return 2
 	}
 
-	// Fault injection: the -faults spec wins over the FAULTS env var, so
-	// a test harness can set a process-wide default and override per run.
-	spec := *faultsFlag
-	if spec == "" {
-		spec = os.Getenv("FAULTS")
-	}
-	if spec != "" {
-		plan, err := faults.Parse(spec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "memosim:", err)
-			return 2
-		}
-		faults.Activate(plan)
+	spec, err := faults.Install(*faultsFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "memosim:", err)
+		return 2
 	}
 
 	var names []string
@@ -175,7 +168,7 @@ func run() int {
 	defer func() { _ = eng.Close() }()
 
 	// Fleet worker mode: run this process's shard slice and emit a
-	// provenance-chained manifest for the coordinator to verify.
+	// rooted manifest for the coordinator to verify.
 	if *workerFlag {
 		return runWorker(eng, scale, names, *shardFlag)
 	}

@@ -70,17 +70,9 @@ func run() int {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
-	spec := *faultsFlag
-	if spec == "" {
-		spec = os.Getenv("FAULTS")
-	}
-	if spec != "" {
-		plan, err := faults.Parse(spec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracecap:", err)
-			return 2
-		}
-		faults.Activate(plan)
+	if _, err := faults.Install(*faultsFlag); err != nil {
+		fmt.Fprintln(os.Stderr, "tracecap:", err)
+		return 2
 	}
 
 	ingesting := *listen != "" || *stdinMode

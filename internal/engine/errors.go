@@ -23,10 +23,10 @@ var (
 	// ErrCaptureFailed marks a workload whose run returned a fault or
 	// panicked.
 	ErrCaptureFailed = errors.New("engine: workload capture failed")
-	// ErrSinkPanic marks a measurement sink that panicked mid-replay or
-	// mid-ingest; every sink fed by that stream may have observed it
-	// torn.
-	ErrSinkPanic = errors.New("engine: sink panicked during replay")
+	// ErrSinkPanic marks a measurement sink that panicked while a
+	// replay or an ingest fed it; every sink fed by that stream may have
+	// observed it torn.
+	ErrSinkPanic = errors.New("engine: sink panicked")
 	// ErrClosed marks work submitted to an engine after Close: new
 	// passes and replays are refused.
 	ErrClosed = errors.New("engine: closed")

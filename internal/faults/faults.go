@@ -252,14 +252,26 @@ func Parse(spec string) (*Plan, error) {
 	return New(seed, rules...)
 }
 
-// FromEnv parses the FAULTS environment variable; an empty or unset
-// variable yields a nil plan (nothing injected).
-func FromEnv() (*Plan, error) {
-	spec := os.Getenv("FAULTS")
+// Install resolves a command's fault-injection spec and activates it
+// process-wide: flagSpec (a -faults flag) wins over the FAULTS
+// environment variable, so a test harness can set a default and
+// override it per run. It returns the resolved spec — "" when neither
+// is set, and nothing is injected — so a caller can forward it to the
+// processes it spawns. A spec that does not parse activates nothing.
+func Install(flagSpec string) (string, error) {
+	spec := flagSpec
 	if spec == "" {
-		return nil, nil
+		spec = os.Getenv("FAULTS")
 	}
-	return Parse(spec)
+	if spec == "" {
+		return "", nil
+	}
+	p, err := Parse(spec)
+	if err != nil {
+		return "", err
+	}
+	Activate(p)
+	return spec, nil
 }
 
 // Fired returns how many faults the plan has injected so far.

@@ -157,18 +157,29 @@ func TestParseRejectsGarbage(t *testing.T) {
 }
 
 func TestFromEnv(t *testing.T) {
+	t.Cleanup(func() { Activate(nil) })
 	t.Setenv("FAULTS", "")
-	if p, err := FromEnv(); err != nil || p != nil {
-		t.Fatalf("empty FAULTS: plan=%v err=%v", p, err)
+	if spec, err := Install(""); err != nil || spec != "" || Enabled() {
+		t.Fatalf("empty FAULTS: spec=%q err=%v enabled=%v", spec, err, Enabled())
 	}
 	t.Setenv("FAULTS", "store.read:count=1")
-	p, err := FromEnv()
-	if err != nil || p == nil {
-		t.Fatalf("FromEnv: plan=%v err=%v", p, err)
+	spec, err := Install("")
+	if err != nil || spec != "store.read:count=1" || !Enabled() {
+		t.Fatalf("Install from FAULTS: spec=%q err=%v enabled=%v", spec, err, Enabled())
 	}
+	// The flag spec wins over the environment.
+	Activate(nil)
+	if spec, err := Install("store.write:count=1"); err != nil || spec != "store.write:count=1" {
+		t.Fatalf("flag spec: spec=%q err=%v", spec, err)
+	}
+	Activate(nil)
 	t.Setenv("FAULTS", "bogus:")
-	if _, err := FromEnv(); err == nil {
-		t.Fatal("bad FAULTS spec accepted")
+	if _, err := Install(""); err == nil || Enabled() {
+		t.Fatalf("bad FAULTS spec accepted (err=%v, enabled=%v)", err, Enabled())
+	}
+	t.Setenv("FAULTS", "")
+	if _, err := Install("bogus:"); err == nil || Enabled() {
+		t.Fatalf("bad flag spec accepted (err=%v, enabled=%v)", err, Enabled())
 	}
 }
 

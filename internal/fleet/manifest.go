@@ -6,11 +6,11 @@
 // coordinator deals the resolved selection into round-robin shards
 // (experiments.ShardSelection), launches one `memosim -worker -shard
 // i/N` subprocess per shard, and collects from each a Manifest — the
-// shard's rendered result bytes plus a provenance chain over the trace
-// fingerprints of the workloads it ran and the exact bytes it rendered. The
-// coordinator recomputes every chain from the carried bytes before
-// trusting them; output that fails recomputation is rejected with
-// provenance.ErrProvenance and never merged.
+// shard's rendered result bytes, the trace fingerprints of the
+// workloads it ran, and one Merkle root over both. The coordinator
+// recomputes every root from the carried bytes before trusting them;
+// output whose recomputed root differs from the carried one is
+// rejected with provenance.ErrProvenance and never merged.
 //
 // Supervision is bounded and isolating: each shard attempt runs under
 // its own timeout, failures (crash, hang, torn output, injected
@@ -54,8 +54,7 @@ type ShardResult struct {
 // Manifest is a worker's entire output: its identity (which shard of
 // which split, at what scale, over which experiments), the trace
 // fingerprints of the workloads its engine ran, its rendered results,
-// and the provenance chain binding all of the above under a Merkle
-// root.
+// and the Merkle root binding all of the above.
 type Manifest struct {
 	Shard    int           `json:"shard"`
 	Shards   int           `json:"shards"`
@@ -64,15 +63,12 @@ type Manifest struct {
 	Traces   []string      `json:"traces"`
 	Results  []ShardResult `json:"results"`
 	Degraded bool          `json:"degraded,omitempty"`
-	Chain    string        `json:"chain"`
 	Root     string        `json:"root"`
 }
 
-// BuildManifest renders a worker's results and chains them: one header
-// leaf (scale, assignment, selection), one leaf per settled trace
-// fingerprint (sorted), one leaf per experiment cell (JSON and text
-// bytes, length-framed). Degraded is set when any result carries
-// errors — the worker's exit code mirrors it.
+// BuildManifest renders a worker's results and roots them under the
+// manifest's chain. Degraded is set when any result carries errors —
+// the worker's exit code mirrors it.
 func BuildManifest(shard, shards int, scale string, names []string, results []*report.Result, traces []string) (*Manifest, error) {
 	if shard < 0 || shards < 1 || shard >= shards || shards > maxShards {
 		return nil, fmt.Errorf("fleet: shard assignment %d/%d out of range", shard, shards)
@@ -87,15 +83,6 @@ func BuildManifest(shard, shards int, scale string, names []string, results []*r
 		Names:  names,
 		Traces: traces,
 	}
-	chain := &provenance.Chain{}
-	if err := chain.Add(provenance.KindHeader, "run", headerPayload(scale, shard, shards, names)); err != nil {
-		return nil, err
-	}
-	for _, fp := range traces {
-		if err := chain.Add(provenance.KindTrace, fp, []byte(fp)); err != nil {
-			return nil, fmt.Errorf("fleet: trace fingerprint %q: %w", fp, err)
-		}
-	}
 	for i, r := range results {
 		if r.Name != names[i] {
 			return nil, fmt.Errorf("fleet: result %d is %q, selection says %q", i, r.Name, names[i])
@@ -104,18 +91,30 @@ func BuildManifest(shard, shards int, scale string, names []string, results []*r
 		if err != nil {
 			return nil, fmt.Errorf("fleet: rendering %s: %w", r.Name, err)
 		}
-		text := report.Text(r)
-		if err := chain.Add(provenance.KindCell, r.Name, cellPayload(doc, text)); err != nil {
-			return nil, err
-		}
-		m.Results = append(m.Results, ShardResult{Name: r.Name, JSON: string(doc), Text: text})
+		m.Results = append(m.Results, ShardResult{Name: r.Name, JSON: string(doc), Text: report.Text(r)})
 		if len(r.Errs) > 0 {
 			m.Degraded = true
 		}
 	}
-	m.Chain = string(chain.Encode())
-	m.Root = chain.Root()
+	m.Root = m.chain().Root()
 	return m, nil
+}
+
+// chain builds the manifest's provenance from its carried fields: one
+// header leaf (scale, assignment, selection), one leaf per trace
+// fingerprint in carried order, one leaf per experiment cell (JSON and
+// text bytes, length-framed). The worker roots it and the coordinator
+// recomputes it, so both sides hash the same bytes the same way.
+func (m *Manifest) chain() *provenance.Chain {
+	c := &provenance.Chain{}
+	c.Add(provenance.KindHeader, "run", headerPayload(m.Scale, m.Shard, m.Shards, m.Names))
+	for _, fp := range m.Traces {
+		c.Add(provenance.KindTrace, fp, []byte(fp))
+	}
+	for _, r := range m.Results {
+		c.Add(provenance.KindCell, r.Name, cellPayload([]byte(r.JSON), r.Text))
+	}
+	return c
 }
 
 // headerPayload is the chain's identity leaf: a shard cannot be
@@ -149,10 +148,10 @@ func (m *Manifest) Encode() ([]byte, error) {
 // DecodeManifest parses and structurally validates worker output. It
 // accepts exactly what a worker emits: a well-formed assignment, a
 // non-empty selection with one result per name in order, valid JSON
-// documents, clean fingerprints, a decodable chain and a hex root.
-// Structural garbage fails here with a plain error; bytes that are
-// structurally fine but don't match their chain are caught later by
-// Verify, with ErrProvenance. It never panics on arbitrary input
+// documents, clean fingerprints and a hex root. Structural garbage
+// fails here with a plain error; bytes that are structurally fine but
+// don't match their root are caught later by Verify, with
+// ErrProvenance. It never panics on arbitrary input
 // (fuzzed).
 func DecodeManifest(data []byte) (*Manifest, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -192,9 +191,6 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 			return nil, fmt.Errorf("fleet: manifest trace fingerprint %d is empty", i)
 		}
 	}
-	if _, err := provenance.Decode([]byte(m.Chain)); err != nil {
-		return nil, fmt.Errorf("fleet: manifest chain: %w", err)
-	}
 	if len(m.Root) != 64 {
 		return nil, fmt.Errorf("fleet: manifest root %q is not a sha256", m.Root)
 	}
@@ -204,8 +200,8 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 // Verify checks a decoded manifest against its shard assignment and
 // recomputes its provenance from the carried bytes. Every failure —
 // identity fields that don't match the assignment (stale or
-// misdirected output), a chain that differs from the recomputed one,
-// or a root that doesn't match — wraps provenance.ErrProvenance.
+// misdirected output), or a carried root that differs from the
+// recomputed one — wraps provenance.ErrProvenance.
 func Verify(m *Manifest, shard, shards int, scale string, names []string) error {
 	if m.Shard != shard || m.Shards != shards {
 		return fmt.Errorf("%w: manifest claims shard %d/%d, assignment is %d/%d",
@@ -225,26 +221,9 @@ func Verify(m *Manifest, shard, shards int, scale string, names []string) error 
 		}
 	}
 
-	// Recompute the chain from the carried bytes — identity fields,
+	// Recompute the root from the carried bytes — identity fields,
 	// fingerprints, rendered cells — exactly as the worker built it.
-	chain := &provenance.Chain{}
-	if err := chain.Add(provenance.KindHeader, "run", headerPayload(m.Scale, m.Shard, m.Shards, m.Names)); err != nil {
-		return fmt.Errorf("%w: %v", provenance.ErrProvenance, err)
-	}
-	for _, fp := range m.Traces {
-		if err := chain.Add(provenance.KindTrace, fp, []byte(fp)); err != nil {
-			return fmt.Errorf("%w: %v", provenance.ErrProvenance, err)
-		}
-	}
-	for _, r := range m.Results {
-		if err := chain.Add(provenance.KindCell, r.Name, cellPayload([]byte(r.JSON), r.Text)); err != nil {
-			return fmt.Errorf("%w: %v", provenance.ErrProvenance, err)
-		}
-	}
-	if enc := string(chain.Encode()); enc != m.Chain {
-		return fmt.Errorf("%w: carried chain differs from the chain of the carried bytes", provenance.ErrProvenance)
-	}
-	return chain.VerifyRoot(m.Root)
+	return m.chain().VerifyRoot(m.Root)
 }
 
 // ParseShard parses the -shard CLI spelling "i/N".

@@ -43,7 +43,7 @@ func TestManifestRoundTripAndVerify(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeManifest: %v", err)
 	}
-	if got.Root != m.Root || got.Chain != m.Chain {
+	if got.Root != m.Root {
 		t.Fatal("round trip changed the provenance")
 	}
 	if err := Verify(got, 1, 4, "tiny", []string{"table1", "table5"}); err != nil {
@@ -53,6 +53,14 @@ func TestManifestRoundTripAndVerify(t *testing.T) {
 
 func TestVerifyRejectsTamper(t *testing.T) {
 	names := []string{"table1", "table5"}
+	other, err := BuildManifest(0, 4, "tiny", names, sampleResults(names...), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherRoot := other.Root
+	if len(otherRoot) != 64 || otherRoot == sampleManifest(t).Root {
+		t.Fatalf("other manifest's root %q is not a distinct sha256", otherRoot)
+	}
 	mutations := map[string]func(m *Manifest){
 		"flip result json": func(m *Manifest) {
 			m.Results[0].JSON = strings.Replace(m.Results[0].JSON, `"kind"`, `"kund"`, 1)
@@ -60,12 +68,9 @@ func TestVerifyRejectsTamper(t *testing.T) {
 		"flip result text": func(m *Manifest) { m.Results[1].Text += " " },
 		"drop trace":       func(m *Manifest) { m.Traces = m.Traces[:1] },
 		"swap traces":      func(m *Manifest) { m.Traces[0], m.Traces[1] = m.Traces[1], m.Traces[0] },
-		"forge root":       func(m *Manifest) { m.Root = strings.Repeat("00", 32) },
-		"forge chain": func(m *Manifest) {
-			c := &provenance.Chain{}
-			_ = c.Add(provenance.KindHeader, "run", []byte("forged"))
-			m.Chain = string(c.Encode())
-		},
+		"zero root":        func(m *Manifest) { m.Root = strings.Repeat("00", 32) },
+		// A well-formed root that some other manifest really carries.
+		"forged root": func(m *Manifest) { m.Root = otherRoot },
 	}
 	for name, mutate := range mutations {
 		m := sampleManifest(t)
@@ -120,9 +125,8 @@ func TestDecodeManifestRejects(t *testing.T) {
 		"count mismatch": corrupt(func(m *Manifest) { m.Results = m.Results[:1] }),
 		"name mismatch":  corrupt(func(m *Manifest) { m.Results[0].Name = "other" }),
 		"missing result json": []byte(`{"shard":0,"shards":1,"scale":"tiny","names":["t"],"traces":[],` +
-			`"results":[{"name":"t","text":""}],"chain":"","root":"` + strings.Repeat("00", 32) + `"}`),
+			`"results":[{"name":"t","text":""}],"root":"` + strings.Repeat("00", 32) + `"}`),
 		"empty trace": corrupt(func(m *Manifest) { m.Traces[0] = "" }),
-		"bad chain":   corrupt(func(m *Manifest) { m.Chain = "garbage" }),
 		"short root":  corrupt(func(m *Manifest) { m.Root = "abc" }),
 	}
 	for name, in := range cases {
@@ -203,7 +207,7 @@ func FuzzShardManifest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded manifest does not decode: %v", err)
 		}
-		if again.Root != m.Root || again.Chain != m.Chain || again.Degraded != m.Degraded {
+		if again.Root != m.Root || again.Degraded != m.Degraded {
 			t.Fatal("round trip changed provenance fields")
 		}
 		// Verify must classify, never panic, whatever the content.

@@ -16,8 +16,6 @@
 package provenance
 
 import (
-	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -26,9 +24,9 @@ import (
 )
 
 // ErrProvenance is the sentinel every provenance-verification failure
-// wraps: a recomputed root that disagrees with the carried one, a chain
-// that does not decode, or shard output whose identity fields don't
-// match its assignment. Callers classify with errors.Is.
+// wraps: a recomputed root that disagrees with the carried one, or
+// shard output whose identity fields don't match its assignment.
+// Callers classify with errors.Is.
 var ErrProvenance = errors.New("provenance verification failed")
 
 // Leaf kinds. The kind participates in the leaf hash (domain
@@ -46,81 +44,33 @@ const (
 	KindShard = "shard"
 )
 
-// knownKind reports whether k is one of the leaf kinds above.
-func knownKind(k string) bool {
-	switch k {
-	case KindHeader, KindTrace, KindCell, KindShard:
-		return true
-	}
-	return false
-}
-
-// Leaf is one chain entry: a typed, named payload digest.
-type Leaf struct {
-	Kind string
-	Name string
-	Sum  [sha256.Size]byte
+// leaf is one chain entry: a typed, named payload digest.
+type leaf struct {
+	kind, name string
+	sum        [sha256.Size]byte
 }
 
 // Chain accumulates leaves in order. The zero value is ready to use.
 type Chain struct {
-	leaves []Leaf
+	leaves []leaf
 }
 
-// Decoding limits. A chain describes one shard's run — a handful of
-// header/trace/cell leaves — so anything near these bounds is garbage,
-// and the fuzz targets lean on them to keep adversarial inputs cheap.
-const (
-	maxLeaves  = 1 << 16
-	maxNameLen = 4096
-)
-
-// Add appends a leaf whose Sum is the SHA-256 of payload. Kind must be
-// one of the Kind constants; name must be free of the separators the
-// encoding uses (tabs and newlines).
-func (c *Chain) Add(kind, name string, payload []byte) error {
-	if !knownKind(kind) {
-		return fmt.Errorf("provenance: unknown leaf kind %q", kind)
-	}
-	if err := checkName(name); err != nil {
-		return err
-	}
-	if len(c.leaves) >= maxLeaves {
-		return fmt.Errorf("provenance: chain exceeds %d leaves", maxLeaves)
-	}
-	c.leaves = append(c.leaves, Leaf{Kind: kind, Name: name, Sum: sha256.Sum256(payload)})
-	return nil
+// Add appends a leaf whose digest is the SHA-256 of payload. Kind is one
+// of the Kind constants.
+func (c *Chain) Add(kind, name string, payload []byte) {
+	c.leaves = append(c.leaves, leaf{kind: kind, name: name, sum: sha256.Sum256(payload)})
 }
-
-// checkName rejects names the line encoding cannot carry.
-func checkName(name string) error {
-	if len(name) == 0 || len(name) > maxNameLen {
-		return fmt.Errorf("provenance: leaf name length %d out of [1,%d]", len(name), maxNameLen)
-	}
-	for i := 0; i < len(name); i++ {
-		if name[i] == '\t' || name[i] == '\n' || name[i] == '\r' {
-			return fmt.Errorf("provenance: leaf name %q contains a separator byte", name)
-		}
-	}
-	return nil
-}
-
-// Len returns the number of leaves.
-func (c *Chain) Len() int { return len(c.leaves) }
-
-// Leaves returns a copy of the chain's leaves, in order.
-func (c *Chain) Leaves() []Leaf { return append([]Leaf(nil), c.leaves...) }
 
 // leafHash domain-separates the leaf's identity from interior nodes:
 // 0x00, then kind/name/payload-sum joined by unit separators.
-func leafHash(l Leaf) [sha256.Size]byte {
+func leafHash(l leaf) [sha256.Size]byte {
 	h := sha256.New()
 	h.Write([]byte{0x00})
-	h.Write([]byte(l.Kind))
+	h.Write([]byte(l.kind))
 	h.Write([]byte{0x1f})
-	h.Write([]byte(l.Name))
+	h.Write([]byte(l.name))
 	h.Write([]byte{0x1f})
-	h.Write(l.Sum[:])
+	h.Write(l.sum[:])
 	var sum [sha256.Size]byte
 	h.Sum(sum[:0])
 	return sum
@@ -159,67 +109,6 @@ func (c *Chain) Root() string {
 	return hex.EncodeToString(level[0][:])
 }
 
-// Encode serializes the chain as one line per leaf —
-// "kind\tname\thex(sum)\n" — a format a worker embeds in its manifest
-// and Decode round-trips strictly.
-func (c *Chain) Encode() []byte {
-	var b bytes.Buffer
-	for _, l := range c.leaves {
-		b.WriteString(l.Kind)
-		b.WriteByte('\t')
-		b.WriteString(l.Name)
-		b.WriteByte('\t')
-		b.WriteString(hex.EncodeToString(l.Sum[:]))
-		b.WriteByte('\n')
-	}
-	return b.Bytes()
-}
-
-// Decode parses an Encode-format chain, rejecting anything the encoder
-// cannot produce: unknown kinds, separator bytes in names, malformed
-// digests, missing trailing newlines, oversized inputs. It never
-// panics on arbitrary input (fuzzed) and satisfies
-// Decode(c.Encode()) ≡ c for every valid chain.
-func Decode(data []byte) (*Chain, error) {
-	if len(data) > 0 && data[len(data)-1] != '\n' {
-		return nil, fmt.Errorf("provenance: chain encoding is not newline-terminated")
-	}
-	c := &Chain{}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 256), maxNameLen+128)
-	line := 0
-	for sc.Scan() {
-		line++
-		if line > maxLeaves {
-			return nil, fmt.Errorf("provenance: chain exceeds %d leaves", maxLeaves)
-		}
-		parts := bytes.Split(sc.Bytes(), []byte{'\t'})
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("provenance: line %d: want 3 tab-separated fields, got %d", line, len(parts))
-		}
-		kind, name := string(parts[0]), string(parts[1])
-		if !knownKind(kind) {
-			return nil, fmt.Errorf("provenance: line %d: unknown leaf kind %q", line, kind)
-		}
-		if err := checkName(name); err != nil {
-			return nil, fmt.Errorf("provenance: line %d: %w", line, err)
-		}
-		if len(parts[2]) != hex.EncodedLen(sha256.Size) {
-			return nil, fmt.Errorf("provenance: line %d: digest length %d", line, len(parts[2]))
-		}
-		var l Leaf
-		l.Kind, l.Name = kind, name
-		if _, err := hex.Decode(l.Sum[:], parts[2]); err != nil {
-			return nil, fmt.Errorf("provenance: line %d: bad digest: %v", line, err)
-		}
-		c.leaves = append(c.leaves, l)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("provenance: %v", err)
-	}
-	return c, nil
-}
-
 // VerifyRoot recomputes the chain's root and compares it with the
 // carried one; a mismatch wraps ErrProvenance.
 func (c *Chain) VerifyRoot(root string) error {
@@ -241,8 +130,7 @@ func Combine(shardRoots []string) string {
 		if r == "" {
 			payload = []byte("degraded")
 		}
-		// Names are shard ordinals; Add cannot fail on them.
-		_ = c.Add(KindShard, strconv.Itoa(i), payload)
+		c.Add(KindShard, strconv.Itoa(i), payload)
 	}
 	return c.Root()
 }

@@ -1,7 +1,6 @@
 package provenance
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -9,9 +8,8 @@ import (
 )
 
 // buildChain makes a representative chain: a header, a few trace
-// fingerprints, a few cells. It panics on Add errors so the fuzz
-// target can seed from it too.
-func buildChain(t *testing.T) *Chain {
+// fingerprints, a few cells.
+func buildChain() *Chain {
 	c := &Chain{}
 	for _, l := range []struct {
 		kind, name, payload string
@@ -22,15 +20,30 @@ func buildChain(t *testing.T) *Chain {
 		{KindCell, "table1", "json-bytes\x00text-bytes"},
 		{KindCell, "table5", "other-json\x00other-text"},
 	} {
-		if err := c.Add(l.kind, l.name, []byte(l.payload)); err != nil {
-			panic(err)
-		}
+		c.Add(l.kind, l.name, []byte(l.payload))
 	}
 	return c
 }
 
+// TestKnownRoots pins the hex roots of a fixed chain, a combined root
+// with a degraded shard, and the empty chain. Shard and combined roots
+// are attestations other runs compare against, so any drift in the
+// Merkle reduction or the leaf framing must fail here first.
+func TestKnownRoots(t *testing.T) {
+	var empty Chain
+	for name, c := range map[string]struct{ got, want string }{
+		"buildChain": {buildChain().Root(), "6242720220e73bbc1c9c08d36a84a52163d33ca1ea0fc37f10ffd8dfed009154"},
+		"combine":    {Combine([]string{"aa", "", "cc"}), "9593465082dc74c01941dbc316b04bc56a3b69a95897b0a147c45e1096435046"},
+		"empty":      {empty.Root(), "dbc1b4c900ffe48d575b5da5c638040125f65db0fe3e24494b76ea986457d986"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s root = %s, want %s", name, c.got, c.want)
+		}
+	}
+}
+
 func TestRootDeterministicAndSensitive(t *testing.T) {
-	a, b := buildChain(t), buildChain(t)
+	a, b := buildChain(), buildChain()
 	if a.Root() != b.Root() {
 		t.Fatalf("same chain, different roots: %s vs %s", a.Root(), b.Root())
 	}
@@ -39,10 +52,8 @@ func TestRootDeterministicAndSensitive(t *testing.T) {
 	}
 
 	// Any payload change moves the root.
-	c := buildChain(t)
-	if err := c.Add(KindCell, "extra", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
+	c := buildChain()
+	c.Add(KindCell, "extra", []byte("x"))
 	if c.Root() == a.Root() {
 		t.Fatal("appending a leaf did not change the root")
 	}
@@ -50,12 +61,8 @@ func TestRootDeterministicAndSensitive(t *testing.T) {
 	// Kind participates in the hash: same name+payload, different kind,
 	// different root.
 	var k1, k2 Chain
-	if err := k1.Add(KindTrace, "n", []byte("p")); err != nil {
-		t.Fatal(err)
-	}
-	if err := k2.Add(KindCell, "n", []byte("p")); err != nil {
-		t.Fatal(err)
-	}
+	k1.Add(KindTrace, "n", []byte("p"))
+	k2.Add(KindCell, "n", []byte("p"))
 	if k1.Root() == k2.Root() {
 		t.Fatal("leaf kind is not domain-separated")
 	}
@@ -63,14 +70,10 @@ func TestRootDeterministicAndSensitive(t *testing.T) {
 	// Order matters: Merkle over a list, not a set.
 	var o1, o2 Chain
 	for _, n := range []string{"a", "b", "c"} {
-		if err := o1.Add(KindTrace, n, []byte(n)); err != nil {
-			t.Fatal(err)
-		}
+		o1.Add(KindTrace, n, []byte(n))
 	}
 	for _, n := range []string{"c", "b", "a"} {
-		if err := o2.Add(KindTrace, n, []byte(n)); err != nil {
-			t.Fatal(err)
-		}
+		o2.Add(KindTrace, n, []byte(n))
 	}
 	if o1.Root() == o2.Root() {
 		t.Fatal("leaf order does not affect the root")
@@ -83,9 +86,7 @@ func TestEmptyChainRoot(t *testing.T) {
 		t.Fatalf("empty root: %q", c.Root())
 	}
 	var one Chain
-	if err := one.Add(KindHeader, "h", nil); err != nil {
-		t.Fatal(err)
-	}
+	one.Add(KindHeader, "h", nil)
 	if c.Root() == one.Root() {
 		t.Fatal("empty chain shares a root with a one-leaf chain")
 	}
@@ -97,90 +98,17 @@ func TestEmptyChainRoot(t *testing.T) {
 func TestOddPromotion(t *testing.T) {
 	var three, four Chain
 	for _, n := range []string{"a", "b", "c"} {
-		if err := three.Add(KindTrace, n, []byte(n)); err != nil {
-			t.Fatal(err)
-		}
-		if err := four.Add(KindTrace, n, []byte(n)); err != nil {
-			t.Fatal(err)
-		}
+		three.Add(KindTrace, n, []byte(n))
+		four.Add(KindTrace, n, []byte(n))
 	}
-	if err := four.Add(KindTrace, "c", []byte("c")); err != nil {
-		t.Fatal(err)
-	}
+	four.Add(KindTrace, "c", []byte("c"))
 	if three.Root() == four.Root() {
 		t.Fatal("odd promotion collides with a duplicated leaf")
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	c := buildChain(t)
-	enc := c.Encode()
-	got, err := Decode(enc)
-	if err != nil {
-		t.Fatalf("Decode(Encode()): %v", err)
-	}
-	if !bytes.Equal(got.Encode(), enc) {
-		t.Fatal("round trip is not byte-identical")
-	}
-	if got.Root() != c.Root() {
-		t.Fatal("round trip changed the root")
-	}
-	if got.Len() != c.Len() {
-		t.Fatalf("round trip changed the length: %d vs %d", got.Len(), c.Len())
-	}
-
-	empty, err := Decode(nil)
-	if err != nil {
-		t.Fatalf("Decode(nil): %v", err)
-	}
-	if empty.Len() != 0 {
-		t.Fatalf("Decode(nil) has %d leaves", empty.Len())
-	}
-}
-
-func TestDecodeRejects(t *testing.T) {
-	valid := string(buildChain(t).Encode())
-	cases := map[string]string{
-		"missing newline":    strings.TrimSuffix(valid, "\n"),
-		"two fields":         "trace\tname\n",
-		"four fields":        "trace\tname\tdeadbeef\textra\n",
-		"unknown kind":       "blob\tname\t" + strings.Repeat("00", 32) + "\n",
-		"short digest":       "trace\tname\tdeadbeef\n",
-		"non-hex digest":     "trace\tname\t" + strings.Repeat("zz", 32) + "\n",
-		"empty name":         "trace\t\t" + strings.Repeat("00", 32) + "\n",
-		"carriage in name":   "trace\ta\rb\t" + strings.Repeat("00", 32) + "\n",
-		"oversized name":     "trace\t" + strings.Repeat("n", maxNameLen+1) + "\t" + strings.Repeat("00", 32) + "\n",
-		"oversized line":     "trace\t" + strings.Repeat("n", maxNameLen+4096) + "\n",
-		"garbage mid-stream": valid + "not a leaf line\n",
-	}
-	for name, in := range cases {
-		if _, err := Decode([]byte(in)); err == nil {
-			t.Errorf("%s: Decode accepted %q", name, in)
-		}
-	}
-}
-
-func TestAddRejects(t *testing.T) {
-	var c Chain
-	if err := c.Add("blob", "n", nil); err == nil {
-		t.Error("unknown kind accepted")
-	}
-	if err := c.Add(KindTrace, "", nil); err == nil {
-		t.Error("empty name accepted")
-	}
-	if err := c.Add(KindTrace, "a\tb", nil); err == nil {
-		t.Error("tab in name accepted")
-	}
-	if err := c.Add(KindTrace, "a\nb", nil); err == nil {
-		t.Error("newline in name accepted")
-	}
-	if c.Len() != 0 {
-		t.Fatalf("rejected adds grew the chain to %d", c.Len())
-	}
-}
-
 func TestVerifyRoot(t *testing.T) {
-	c := buildChain(t)
+	c := buildChain()
 	if err := c.VerifyRoot(c.Root()); err != nil {
 		t.Fatalf("VerifyRoot(own root): %v", err)
 	}
@@ -218,9 +146,7 @@ func TestRootScalesPastOneLevel(t *testing.T) {
 	for n := 1; n <= 33; n++ {
 		var c Chain
 		for i := 0; i < n; i++ {
-			if err := c.Add(KindTrace, fmt.Sprintf("leaf-%d", i), []byte{byte(i)}); err != nil {
-				t.Fatal(err)
-			}
+			c.Add(KindTrace, fmt.Sprintf("leaf-%d", i), []byte{byte(i)})
 		}
 		r := c.Root()
 		if r == prev {
@@ -228,31 +154,4 @@ func TestRootScalesPastOneLevel(t *testing.T) {
 		}
 		prev = r
 	}
-}
-
-// FuzzProvenanceChain drives arbitrary bytes through Decode; whatever
-// decodes must re-encode byte-identically and carry a stable root.
-func FuzzProvenanceChain(f *testing.F) {
-	f.Add([]byte(nil))
-	f.Add(buildChain(nil).Encode())
-	f.Add([]byte("trace\tname\t" + strings.Repeat("00", 32) + "\n"))
-	f.Add([]byte("header\ta\tzz\n"))
-	f.Add([]byte("cell\t\t\n\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := Decode(data)
-		if err != nil {
-			return
-		}
-		enc := c.Encode()
-		if !bytes.Equal(enc, data) {
-			t.Fatalf("accepted input does not round-trip: %q -> %q", data, enc)
-		}
-		again, err := Decode(enc)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if again.Root() != c.Root() {
-			t.Fatal("root changed across round trip")
-		}
-	})
 }

@@ -46,16 +46,6 @@ func TestTableGolden(t *testing.T) {
 	checkGolden(t, "table", tab.String())
 }
 
-// TestSeriesGolden pins the figure-listing rendering, including integer
-// and fractional x positions and NaN cells.
-func TestSeriesGolden(t *testing.T) {
-	s := NewSeries("Figure X: golden series sample", "entries", "fmul", "fdiv")
-	s.Add(8, 0.25, math.NaN())
-	s.Add(32, 0.47, 0.62)
-	s.Add(0.125, 1, 0.995)
-	checkGolden(t, "series", s.String())
-}
-
 // TestUntitledTableGolden pins the title-less variant (no heading line).
 func TestUntitledTableGolden(t *testing.T) {
 	tab := NewTable("", "k", "v")

@@ -14,11 +14,13 @@ import (
 // option — the Result JSON encoding is deliberately lossy (cells drop
 // their Kind and precision), so only byte splicing preserves identity.
 
-// SpliceJSONArray assembles the JSONArray byte layout from per-result
-// JSON documents already rendered by JSON(). For any selection,
-// SpliceJSONArray of the individually rendered results is byte-equal
-// to JSONArray of the Result values — a test pins the equivalence, so
-// the two can never drift.
+// SpliceJSONArray lays out per-result JSON documents already rendered
+// by JSON() as the array `memosim -json` prints: documents comma-joined,
+// one per line group, wrapped in brackets. It is the only writer of that
+// layout — JSONArray renders through it — so a single-process run and
+// a fleet merge cannot drift. The byte layout is pinned: the service
+// front-end serves these bytes and CI diffs them against the offline
+// CLI, so any change here is a format break, not a cleanup.
 func SpliceJSONArray(docs [][]byte) []byte {
 	var b bytes.Buffer
 	b.WriteString("[\n")

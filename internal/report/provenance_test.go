@@ -16,22 +16,17 @@ func spliceFixture() []*Result {
 	tab.AddRow(Str("dec"), RatioCell(math.NaN()))
 	tab.Name = "table1"
 
-	ser := NewSeriesResult("Speedup", "entries", "mul", "div")
-	ser.AddPoint(32, 1.1, 1.3)
-	ser.AddPoint(64, 1.2, math.NaN())
-	ser.Name = "figure4"
-
 	deg := NewDegradedResult("table9", []RunError{{Workload: "mm|dec", Stage: "capture", Message: "boom"}})
 
 	grp := NewGroup("group1", tab, NewScalar("speedup", FloatCell(1.5, 2), "x"))
-	return []*Result{tab, ser, deg, grp}
+	return []*Result{tab, deg, grp}
 }
 
 // TestSpliceMatchesJSONArray pins the contract the fleet merge path
 // stands on: splicing individually rendered documents produces the
-// exact bytes JSONArray renders from the Result values. If either
-// renderer changes shape, this fails before any distributed run can
-// drift from the single-process output.
+// exact bytes JSONArray renders from the Result values, in the pinned
+// array layout. If the layout changes shape, this fails before any
+// distributed run can drift from the single-process output.
 func TestSpliceMatchesJSONArray(t *testing.T) {
 	results := spliceFixture()
 	want, err := JSONArray(results)
@@ -47,6 +42,10 @@ func TestSpliceMatchesJSONArray(t *testing.T) {
 	got := SpliceJSONArray(docs)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("splice differs from direct render:\n--- splice\n%s\n--- direct\n%s", got, want)
+	}
+	layout := "[\n" + string(bytes.Join(docs, []byte(",\n"))) + "\n]\n"
+	if string(got) != layout {
+		t.Fatalf("array layout changed:\n%s", got)
 	}
 
 	// Subsets splice identically too — the per-shard case.

@@ -1,6 +1,6 @@
 // Package report renders experiment results as fixed-width text tables
-// and series listings, following the layout of the paper's tables and
-// figures so reproduction output can be compared side by side.
+// and JSON, following the layout of the paper's tables and figures so
+// reproduction output can be compared side by side.
 package report
 
 import (
@@ -101,46 +101,4 @@ func (t *Table) writeRow(b *strings.Builder, cells []string) {
 		b.WriteByte('|')
 	}
 	b.WriteByte('\n')
-}
-
-// Series renders an (x, y...) listing for a figure: one row per x value
-// with one column per named line, the textual form of the paper's plots.
-type Series struct {
-	Title string
-	XName string
-	Lines []string
-	xs    []float64
-	ys    [][]float64
-}
-
-// NewSeries starts a figure listing.
-func NewSeries(title, xName string, lines ...string) *Series {
-	return &Series{Title: title, XName: xName, Lines: lines}
-}
-
-// Add appends one x position with its per-line values (NaN allowed).
-func (s *Series) Add(x float64, vals ...float64) {
-	if len(vals) != len(s.Lines) {
-		panic("report: series value count mismatch")
-	}
-	s.xs = append(s.xs, x)
-	s.ys = append(s.ys, append([]float64(nil), vals...))
-}
-
-// String renders the series as a table.
-func (s *Series) String() string {
-	t := NewTable(s.Title, append([]string{s.XName}, s.Lines...)...)
-	for i, x := range s.xs {
-		cells := make([]string, 0, len(s.Lines)+1)
-		if x == math.Trunc(x) {
-			cells = append(cells, fmt.Sprintf("%.0f", x))
-		} else {
-			cells = append(cells, fmt.Sprintf("%.3f", x))
-		}
-		for _, y := range s.ys[i] {
-			cells = append(cells, Ratio(y))
-		}
-		t.AddRow(cells...)
-	}
-	return t.String()
 }

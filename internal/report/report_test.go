@@ -66,22 +66,3 @@ func TestTablePanicsOnBadRow(t *testing.T) {
 	}()
 	NewTable("t", "a", "b").AddRow("only-one")
 }
-
-func TestSeries(t *testing.T) {
-	s := NewSeries("Figure X", "entries", "fmul", "fdiv")
-	s.Add(8, 0.11, 0.27)
-	s.Add(16, 0.14, math.NaN())
-	out := s.String()
-	if !strings.Contains(out, "Figure X") || !strings.Contains(out, "entries") {
-		t.Error("series header incomplete")
-	}
-	if !strings.Contains(out, ".27") || !strings.Contains(out, "-") {
-		t.Errorf("series values wrong:\n%s", out)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched series row accepted")
-		}
-	}()
-	s.Add(32, 0.5)
-}

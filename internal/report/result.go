@@ -1,7 +1,6 @@
 package report
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -9,7 +8,7 @@ import (
 )
 
 // The typed result model. Experiment drivers build Result trees —
-// tables, series, scalars with units, and groups of those — instead of
+// tables, scalars with units, and groups of those — instead of
 // pre-rendered strings; rendering to the paper text layout (Text) and to
 // JSON (JSON) lives entirely in this package. The text renderer is pinned
 // byte-for-byte by the golden tests, so a Result-producing driver emits
@@ -94,7 +93,6 @@ type ResultKind uint8
 const (
 	KindGroup ResultKind = iota
 	KindTable
-	KindSeries
 	KindScalar
 )
 
@@ -103,8 +101,6 @@ func (k ResultKind) String() string {
 	switch k {
 	case KindTable:
 		return "table"
-	case KindSeries:
-		return "series"
 	case KindScalar:
 		return "scalar"
 	default:
@@ -113,22 +109,16 @@ func (k ResultKind) String() string {
 }
 
 // Result is one node of a typed experiment result tree: a paper-layout
-// table, a figure series, a scalar with a unit, or a group of children.
+// table, a scalar with a unit, or a group of children.
 // Drivers return Result trees; Text and JSON are the two renderers.
 type Result struct {
 	Kind  ResultKind
 	Name  string // machine name (the registry experiment name at a root)
-	Title string // human heading (tables and series)
+	Title string // human heading (tables)
 
 	// KindTable.
 	Header []string
 	Rows   [][]Cell
-
-	// KindSeries: per-point x positions with one value per line.
-	XName string
-	Lines []string
-	X     []float64
-	Y     [][]float64
 
 	// KindScalar.
 	Value Cell
@@ -174,20 +164,6 @@ func (r *Result) AddRow(cells ...Cell) {
 	r.Rows = append(r.Rows, cells)
 }
 
-// NewSeriesResult starts a series node.
-func NewSeriesResult(title, xName string, lines ...string) *Result {
-	return &Result{Kind: KindSeries, Title: title, XName: xName, Lines: lines}
-}
-
-// AddPoint appends one x position with its per-line values (NaN allowed).
-func (r *Result) AddPoint(x float64, vals ...float64) {
-	if len(vals) != len(r.Lines) {
-		panic("report: series value count mismatch")
-	}
-	r.X = append(r.X, x)
-	r.Y = append(r.Y, append([]float64(nil), vals...))
-}
-
 // NewScalar builds a scalar node with a unit ("" for dimensionless).
 func NewScalar(name string, value Cell, unit string) *Result {
 	return &Result{Kind: KindScalar, Name: name, Value: value, Unit: unit}
@@ -200,8 +176,8 @@ func NewGroup(name string, children ...*Result) *Result {
 
 // Text renders a result tree in the paper text layout — the rendering
 // the root golden tests pin byte for byte. A table node renders exactly
-// like the legacy string-built Table; a series node like the legacy
-// Series; a group concatenates its children separated by blank lines.
+// like the legacy string-built Table; a group concatenates its children
+// separated by blank lines.
 func Text(r *Result) string {
 	if r == nil {
 		return ""
@@ -236,12 +212,6 @@ func textBody(r *Result) string {
 			tab.AddRow(cells...)
 		}
 		return tab.String()
-	case KindSeries:
-		s := NewSeries(r.Title, r.XName, r.Lines...)
-		for i, x := range r.X {
-			s.Add(x, r.Y[i]...)
-		}
-		return s.String()
 	case KindScalar:
 		if r.Unit != "" {
 			return fmt.Sprintf("%s = %s %s\n", r.Name, r.Value.Text(), r.Unit)
@@ -256,37 +226,17 @@ func textBody(r *Result) string {
 	}
 }
 
-// jsonCell wraps a float that may be NaN for JSON encoding.
-type jsonFloat float64
-
-func (f jsonFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return []byte("null"), nil
-	}
-	return json.Marshal(v)
-}
-
-// jsonPoint is one series point in the JSON encoding.
-type jsonPoint struct {
-	X      float64     `json:"x"`
-	Values []jsonFloat `json:"values"`
-}
-
 // jsonResult is the JSON shape of a Result node.
 type jsonResult struct {
-	Kind     string      `json:"kind"`
-	Name     string      `json:"name,omitempty"`
-	Title    string      `json:"title,omitempty"`
-	Header   []string    `json:"header,omitempty"`
-	Rows     [][]Cell    `json:"rows,omitempty"`
-	XName    string      `json:"x_name,omitempty"`
-	Lines    []string    `json:"lines,omitempty"`
-	Points   []jsonPoint `json:"points,omitempty"`
-	Value    *Cell       `json:"value,omitempty"`
-	Unit     string      `json:"unit,omitempty"`
-	Children []*Result   `json:"children,omitempty"`
-	Errors   []RunError  `json:"errors,omitempty"`
+	Kind     string     `json:"kind"`
+	Name     string     `json:"name,omitempty"`
+	Title    string     `json:"title,omitempty"`
+	Header   []string   `json:"header,omitempty"`
+	Rows     [][]Cell   `json:"rows,omitempty"`
+	Value    *Cell      `json:"value,omitempty"`
+	Unit     string     `json:"unit,omitempty"`
+	Children []*Result  `json:"children,omitempty"`
+	Errors   []RunError `json:"errors,omitempty"`
 }
 
 // MarshalJSON encodes the node with its kind spelled out and NaN values
@@ -298,21 +248,9 @@ func (r *Result) MarshalJSON() ([]byte, error) {
 		Title:    r.Title,
 		Header:   r.Header,
 		Rows:     r.Rows,
-		XName:    r.XName,
-		Lines:    r.Lines,
 		Unit:     r.Unit,
 		Children: r.Children,
 		Errors:   r.Errs,
-	}
-	if r.Kind == KindSeries {
-		j.Points = make([]jsonPoint, len(r.X))
-		for i, x := range r.X {
-			vals := make([]jsonFloat, len(r.Y[i]))
-			for k, y := range r.Y[i] {
-				vals[k] = jsonFloat(y)
-			}
-			j.Points[i] = jsonPoint{X: x, Values: vals}
-		}
 	}
 	if r.Kind == KindScalar {
 		v := r.Value
@@ -328,24 +266,17 @@ func JSON(r *Result) ([]byte, error) {
 }
 
 // JSONArray renders a selection's results as the JSON array `memosim
-// -json` prints: one JSON-rendered result per line group, comma-joined,
-// wrapped in brackets. The byte layout is pinned — the service
-// front-end serves these bytes and CI diffs them against the offline
-// CLI, so any change here is a format break, not a cleanup.
+// -json` prints: each result rendered by JSON, laid out by
+// SpliceJSONArray — the same layout a fleet coordinator splices from
+// its workers' documents.
 func JSONArray(results []*Result) ([]byte, error) {
-	var b bytes.Buffer
-	b.WriteString("[\n")
+	docs := make([][]byte, len(results))
 	for i, r := range results {
-		buf, err := JSON(r)
+		doc, err := JSON(r)
 		if err != nil {
 			return nil, err
 		}
-		b.Write(buf)
-		if i != len(results)-1 {
-			b.WriteByte(',')
-		}
-		b.WriteByte('\n')
+		docs[i] = doc
 	}
-	b.WriteString("]\n")
-	return b.Bytes(), nil
+	return SpliceJSONArray(docs), nil
 }

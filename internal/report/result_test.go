@@ -60,17 +60,12 @@ func sampleResult() *Result {
 	tab.AddRow(Str("vcost"), FixedCell(1.5, 2), FloatCell(0.125, 3), Int(0))
 	tab.Name = "sample-table"
 
-	ser := NewSeriesResult("Figure X: typed sample", "entries", "fmul", "fdiv")
-	ser.AddPoint(8, 0.25, math.NaN())
-	ser.AddPoint(32, 0.47, 0.62)
-	ser.Name = "sample-series"
-
 	sc := NewScalar("events-per-sec", FloatCell(4.75, 2), "M/s")
-	return NewGroup("sample", tab, ser, sc)
+	return NewGroup("sample", tab, sc)
 }
 
 // TestResultTextGolden pins the typed renderer's text byte for byte —
-// the same bytes the string-built Table/Series emit.
+// the same bytes the string-built Table emits.
 func TestResultTextGolden(t *testing.T) {
 	checkGolden(t, "result_text", Text(sampleResult()))
 }
