@@ -1,8 +1,11 @@
 package memotable_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -175,5 +178,44 @@ func TestWarmPassHoldsNothing(t *testing.T) {
 	if st.StoreHits != 0 || st.DecodeOnceHits != 0 || st.DecodedBlockBytes != 0 {
 		t.Fatalf("warm pass: %d store hits, %d decode-once hits, %d decoded block bytes; want none",
 			st.StoreHits, st.DecodeOnceHits, st.DecodedBlockBytes)
+	}
+}
+
+// TestQuickScaleDigest pins the whole registry at quick scale, where
+// table geometry and convergence differ from tiny: the SHA-256 over
+// every experiment's text in registry order, each followed by a NUL,
+// must equal quick_sha256 in bench/baseline.json, the digest memobench
+// holds every quick pass to.
+func TestQuickScaleDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full matrix at quick scale")
+	}
+	var base struct {
+		QuickSHA256 string `json:"quick_sha256"`
+	}
+	readJSON(t, filepath.Join("bench", "baseline.json"), &base, false)
+	if len(base.QuickSHA256) != 64 {
+		t.Fatalf("bench/baseline.json records no quick_sha256 (%q)", base.QuickSHA256)
+	}
+	eng := memotable.NewEngine(0)
+	defer func() { _ = eng.Close() }()
+	results, err := memotable.Run(eng, memotable.Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts := make(map[string]string, len(results))
+	for _, r := range results {
+		texts[r.Name] = memotable.RenderText(r)
+	}
+	h := sha256.New()
+	for _, name := range memotable.Experiments() {
+		if _, ok := texts[name]; !ok {
+			t.Fatalf("no result for %s", name)
+		}
+		io.WriteString(h, texts[name])
+		h.Write([]byte{0})
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != base.QuickSHA256 {
+		t.Errorf("quick-scale digest %s, want %s from bench/baseline.json", got, base.QuickSHA256)
 	}
 }

@@ -29,12 +29,14 @@ import (
 // any capture or replay rather than silently replaying twice.
 //
 // The serial schedule defines what every sink observes; it does not
-// have to be executed serially. For each sink the planner adds a
-// precedence edge from each workload that feeds it to the next one that
-// does, in serial order. Any execution respecting those edges delivers
-// every sink exactly its serial stream, so the pass replays the DAG on
-// the worker pool: two workloads run concurrently whenever no sink needs
-// them ordered, even when a chain of shared subscriptions connects them.
+// have to be executed serially. For each subscription the planner adds
+// a precedence edge from each workload of its sequence to the next, and
+// for each sink one from each workload that feeds it to the next one
+// that does, in serial order. Any execution respecting those edges
+// delivers every sink exactly its serial stream, so the pass replays the
+// DAG on the worker pool: two workloads run concurrently whenever no
+// subscription or sink orders them, even when a chain of shared
+// subscriptions connects them.
 
 // PassWorkload names one capturable operand stream for the planner.
 type PassWorkload struct {
@@ -44,9 +46,12 @@ type PassWorkload struct {
 
 // Subscription subscribes a group of sinks to an ordered workload
 // sequence: the sinks observe the workloads' streams back to back, in
-// order, exactly as if each workload were replayed for them alone. A
-// sequence must not name the same key twice (that would require two
-// replay passes by definition). Sinks must be comparable values —
+// order, exactly as if each workload were replayed for them alone. The
+// pass runs the sequence's workloads one after another even when the
+// subscription has no sinks, so a sink subscribed elsewhere to each
+// workload alone can still rely on their order. A sequence must not
+// name the same key twice (that would require two replay passes by
+// definition). Sinks must be comparable values —
 // pointers or pointer-shaped structs, as every experiment sink is — so
 // the planner can detect a sink shared between subscriptions.
 type Subscription struct {
@@ -136,7 +141,7 @@ func (e *Engine) RunPassContext(ctx context.Context, subs []Subscription) (*Pass
 	if err != nil {
 		return nil, err
 	}
-	linkSinks(nodes, order)
+	link(nodes, order)
 
 	rep := &PassReport{}
 	e.replayDAG(ctx, rep, nodes, order)
@@ -186,23 +191,35 @@ func serialOrder(nodes []*passNode) ([]int, error) {
 	return order, nil
 }
 
-// linkSinks builds the replay DAG over serial positions: for every sink,
-// an edge from each workload that feeds it to the next one that does.
-// Subscription chains need no edges of their own — each of a
-// subscription's sinks already orders its workloads — and a sink-less
-// subscription constrains nothing.
-func linkSinks(nodes []*passNode, order []int) {
+// link builds the replay DAG over serial positions: an edge from each
+// workload of a subscription to the next one, whether or not the
+// subscription has sinks, and for every sink an edge from each workload
+// that feeds it to the next one that does. The chain edges let sinks
+// that share state across subscriptions — a memo set joined to one lead
+// per workload — rely on a sequence's order without being subscribed to
+// it.
+func link(nodes []*passNode, order []int) {
+	pos := make([]int, len(nodes))
+	for p, id := range order {
+		pos[id] = p
+	}
+	edge := func(from, to int) {
+		nodes[order[from]].succ = append(nodes[order[from]].succ, to)
+		nodes[order[to]].indeg++
+	}
 	lastFed := make(map[trace.Sink]int)
-	for pos, id := range order {
+	for p, id := range order {
+		// Edges repeated by several chains or sinks are counted into
+		// indeg and retired alike.
+		for _, next := range nodes[id].chain {
+			edge(p, pos[next])
+		}
 		for _, g := range nodes[id].groups {
 			for _, s := range g {
-				// Sinks sharing an edge add it once each; the duplicates
-				// are counted into indeg and retired alike.
-				if prev, ok := lastFed[s]; ok && prev != pos {
-					nodes[order[prev]].succ = append(nodes[order[prev]].succ, pos)
-					nodes[id].indeg++
+				if prev, ok := lastFed[s]; ok && prev != p {
+					edge(prev, p)
 				}
-				lastFed[s] = pos
+				lastFed[s] = p
 			}
 		}
 	}

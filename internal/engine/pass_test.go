@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -322,5 +323,75 @@ func TestRunPassOverlapsChainsJoinedBySuite(t *testing.T) {
 	}
 	if e.Stats().Captures != 6 || e.Stats().Replays != 6 {
 		t.Errorf("captures=%d replays=%d, want 6 and 6", e.Stats().Captures, e.Stats().Replays)
+	}
+}
+
+// followSink counts the events it receives. At its first event it
+// records whether the sink it must follow had received all want of its
+// events by then.
+type followSink struct {
+	n     atomic.Int64
+	after *followSink
+	want  int64
+	early atomic.Bool
+}
+
+func (f *followSink) Emit(trace.Event) {
+	if f.n.Add(1) == 1 && f.after != nil && f.after.n.Load() != f.want {
+		f.early.Store(true)
+	}
+}
+
+// slowCapture emits n fmul events tagged tag, pausing every 4096 so a
+// workload that is not ordered after it would overtake it.
+func slowCapture(tag uint64, n int) CaptureFunc {
+	return func(s trace.Sink) {
+		for i := 0; i < n; i++ {
+			if i%4096 == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			s.Emit(trace.Event{Op: isa.OpFMul, A: tag, B: uint64(i)})
+		}
+	}
+}
+
+// TestRunPassOrdersSinklessSubscription: a subscription with no sinks
+// still orders its workloads. Its sinks are subscribed to each workload
+// alone, as a workload's memo lead is, yet B must not start before A
+// has delivered its whole stream. A sink shared by two subscriptions of
+// one workload each keeps its per-sink edge: D after C.
+func TestRunPassOrdersSinklessSubscription(t *testing.T) {
+	const n = 5 * 4096
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			sinkA := &followSink{}
+			sinkB := &followSink{after: sinkA, want: n}
+			shared := &trace.Recorder{}
+			wA := PassWorkload{Key: "A", Capture: slowCapture(1, n)}
+			wB := PassWorkload{Key: "B", Capture: passCapture(2, 10)}
+			wC := PassWorkload{Key: "C", Capture: slowCapture(3, n)}
+			wD := PassWorkload{Key: "D", Capture: passCapture(4, 10)}
+			e := New(workers)
+			err := e.RunPass([]Subscription{
+				{Workloads: []PassWorkload{wA, wB}},
+				{Sinks: []trace.Sink{sinkB}, Workloads: []PassWorkload{wB}},
+				{Sinks: []trace.Sink{sinkA}, Workloads: []PassWorkload{wA}},
+				{Sinks: []trace.Sink{shared}, Workloads: []PassWorkload{wC}},
+				{Sinks: []trace.Sink{shared}, Workloads: []PassWorkload{wD}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sinkB.early.Load() || sinkA.n.Load() != n || sinkB.n.Load() != 10 {
+				t.Errorf("B started before A completed (early=%v), or events %d and %d, want %d and 10",
+					sinkB.early.Load(), sinkA.n.Load(), sinkB.n.Load(), n)
+			}
+			if got := tagsOf(shared); !reflect.DeepEqual(got, []uint64{3, 4}) || len(shared.Events) != n+10 {
+				t.Errorf("shared sink saw tags %v over %d events, want [3 4] over %d", got, len(shared.Events), n+10)
+			}
+			if e.Stats().Replays != 4 {
+				t.Errorf("replays=%d, want 4", e.Stats().Replays)
+			}
+		})
 	}
 }

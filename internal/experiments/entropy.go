@@ -75,7 +75,7 @@ func planTable8(ctx *Context) ([]Demand, func() *Table8Result) {
 			f := ctx.Feed(ctx.AppWorkload(app, in.Name))
 			ts := f.Tables(memo.Paper32x4(), memo.NonTrivialOnly, ratioOps...)
 			cells[ci] = append(cells[ci], cell{app: app, ts: ts})
-			demands = append(demands, f.Demand())
+			demands = append(demands, f.Demands()...)
 		}
 	}
 

@@ -46,14 +46,14 @@ func planSqrt(ctx *Context) ([]Demand, func() *SqrtResult) {
 		tables *TableSet
 	}
 	ms := make([]machine, len(SqrtApps))
-	demands := make([]Demand, len(SqrtApps))
+	var demands []Demand
 	for i, name := range SqrtApps {
 		f := ctx.Feed(ctx.AppWorkloads(ctx.App(name))...)
 		ms[i] = machine{
 			tally:  f.Model(),
 			tables: f.Tables(memo.Paper32x4(), memo.NonTrivialOnly, isa.OpFSqrt),
 		}
-		demands[i] = f.Demand()
+		demands = append(demands, f.Demands()...)
 	}
 	finish := func() *SqrtResult {
 		res := &SqrtResult{Rows: make([]SqrtRow, len(SqrtApps))}
@@ -156,7 +156,7 @@ func planRecip(ctx *Context) ([]Demand, func() *RecipResult) {
 		rc      *memo.RecipCache
 	}
 	ss := make([]schemes, len(SpeedupApps))
-	demands := make([]Demand, len(SpeedupApps))
+	var demands []Demand
 	for i, name := range SpeedupApps {
 		f := ctx.Feed(ctx.AppWorkloads(ctx.App(name))...)
 		ss[i] = schemes{
@@ -164,7 +164,7 @@ func planRecip(ctx *Context) ([]Demand, func() *RecipResult) {
 			rc:      memo.NewRecipCache(memo.Paper32x4()),
 		}
 		f.Sink(recipSink{ss[i].rc})
-		demands[i] = f.Demand()
+		demands = append(demands, f.Demands()...)
 	}
 	finish := func() *RecipResult {
 		res := &RecipResult{}

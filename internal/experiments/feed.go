@@ -22,13 +22,17 @@ import (
 // A plan declares a demand through a Feed. Feed hands out the shared
 // instances and subscribes only the ones it created, since the engine
 // delivers twice to a sink named in two demands. Table sets go further:
-// the first set built over a sequence is its one memo sink, and every
-// later set over the sequence, of any configuration or policy, joins it
-// (TableSet.EmitBatch), so each block reaches the MEMO-TABLEs of a
-// sequence once. Every demand still lists its whole workload sequence,
-// even when all of its sinks belong to an earlier plan, so the pass's
-// serial order and the attribution of failed workloads to experiments do
-// not depend on what was shared.
+// each workload gets one lead set, holding no tables, that is its one
+// memo sink, and every set whose sequence contains the workload, of any
+// configuration or policy, joins that lead (TableSet.EmitBatch). So each
+// block of a workload reaches the MEMO-TABLEs once per pass, however
+// many sequences contain the workload. A lead is subscribed over its
+// workload alone, by the feed that created it. Every sequence demand
+// still lists its whole workload sequence, even when it subscribes no
+// sink: the engine orders a subscription's workloads whether or not it
+// has sinks, so a set joined to several leads sees its workloads in
+// order, and the pass's serial order and the attribution of failed
+// workloads to experiments do not depend on what was shared.
 
 // tablesKey names one shared TableSet.
 type tablesKey struct {
@@ -37,11 +41,11 @@ type tablesKey struct {
 	policy memo.TrivialPolicy
 }
 
-// interned holds the shared structures of one Context, by workload
-// sequence.
+// interned holds the shared structures of one Context: table sets and
+// cycle tallies by workload sequence, leads by workload key.
 type interned struct {
 	tables map[tablesKey]*TableSet
-	leads  map[string]*TableSet // the subscribed set of each sequence
+	leads  map[string]*TableSet
 	models map[string]*cpu.Model
 }
 
@@ -52,6 +56,7 @@ type Feed struct {
 	seq    string
 	ws     []Workload
 	sinks  []trace.Sink
+	leads  []Demand // one per lead this feed created
 }
 
 // Feed starts a demand over the workloads, in order.
@@ -73,20 +78,23 @@ func (c *Context) Feed(ws ...Workload) *Feed {
 // Tables returns the Context's one TableSet of the configuration and
 // policy over the feed's sequence, holding at least a table for each of
 // ops. A set another plan asked for with other classes is widened to the
-// union. The sequence's first set is subscribed and every later one joins
-// it; the subscribed set's mask is the union of its joined sets', so
-// replays still skip blocks with none of their classes.
+// union. A new set joins the lead of each workload of the sequence; a
+// lead's mask is the union of its joined sets', so replays still skip
+// blocks with none of their classes.
 func (f *Feed) Tables(cfg memo.Config, policy memo.TrivialPolicy, ops ...isa.Op) *TableSet {
 	k := tablesKey{seq: f.seq, cfg: cfg, policy: policy}
 	ts := f.shared.tables[k]
 	if ts == nil {
 		ts = newTableSet(cfg, policy)
 		f.shared.tables[k] = ts
-		if lead := f.shared.leads[f.seq]; lead != nil {
+		for _, w := range f.ws {
+			lead := f.shared.leads[w.Key]
+			if lead == nil {
+				lead = newLead()
+				f.shared.leads[w.Key] = lead
+				f.leads = append(f.leads, Demand{Sinks: []trace.Sink{lead}, Workloads: []Workload{w}})
+			}
 			lead.join(ts)
-		} else {
-			f.shared.leads[f.seq] = ts
-			f.sinks = append(f.sinks, ts)
 		}
 	}
 	ts.widen(ops...)
@@ -107,6 +115,9 @@ func (f *Feed) Model() *cpu.Model {
 // Sink adds a sink of the caller's own to the demand, unshared.
 func (f *Feed) Sink(s trace.Sink) { f.sinks = append(f.sinks, s) }
 
-// Demand subscribes the sinks this feed created to its whole workload
-// sequence.
-func (f *Feed) Demand() Demand { return Demand{Sinks: f.sinks, Workloads: f.ws} }
+// Demands returns the feed's sequence demand, which subscribes the
+// sinks this feed created to its whole workload sequence, followed by a
+// single-workload demand for each lead the feed created.
+func (f *Feed) Demands() []Demand {
+	return append([]Demand{{Sinks: f.sinks, Workloads: f.ws}}, f.leads...)
+}

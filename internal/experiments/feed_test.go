@@ -13,12 +13,31 @@ import (
 	"memotable/internal/trace"
 )
 
-// demandKeys lists each demand's workload keys, in order.
-func demandKeys(p Plan) [][]string {
-	out := make([][]string, len(p.Demands))
-	for i, d := range p.Demands {
+// demandKeys lists the workload keys of each of a plan's sequence
+// demands, in order. It leaves out the single-workload demands of the
+// workload leads the plan created, since which plan creates a lead
+// depends on planning order, and fails unless each of those names a
+// workload the sequence demands already list.
+func demandKeys(t *testing.T, ctx *Context, p Plan) [][]string {
+	t.Helper()
+	var out [][]string
+	listed := make(map[string]bool)
+	var leadKeys []string
+	for _, d := range p.Demands {
+		if len(d.Workloads) == 1 && len(d.Sinks) == 1 && d.Sinks[0] == ctx.shared.leads[d.Workloads[0].Key] {
+			leadKeys = append(leadKeys, d.Workloads[0].Key)
+			continue
+		}
+		var keys []string
 		for _, w := range d.Workloads {
-			out[i] = append(out[i], w.Key)
+			keys = append(keys, w.Key)
+			listed[w.Key] = true
+		}
+		out = append(out, keys)
+	}
+	for _, k := range leadKeys {
+		if !listed[k] {
+			t.Errorf("a lead demand names %s, which no sequence demand of its plan lists", k)
 		}
 	}
 	return out
@@ -60,7 +79,7 @@ func TestFigure2ReadsTable8Cells(t *testing.T) {
 			t.Fatalf("figure2 demand %d subscribes %d sinks after table8", i, len(d.Sinks))
 		}
 	}
-	if !reflect.DeepEqual(demandKeys(f2), demandKeys(t8)) {
+	if !reflect.DeepEqual(demandKeys(t, ctx, f2), demandKeys(t, ctx, t8)) {
 		t.Fatal("figure2 demands other workloads than table8")
 	}
 }
@@ -71,14 +90,15 @@ func TestFigure2ReadsTable8Cells(t *testing.T) {
 func TestPlanDemandsIndependentOfSharing(t *testing.T) {
 	all := All()
 	for i, ex := range all {
-		alone := demandKeys(ex.Plan(&Context{Eng: engine.New(1), Scale: Tiny}))
+		actx := &Context{Eng: engine.New(1), Scale: Tiny}
+		alone := demandKeys(t, actx, ex.Plan(actx))
 		ctx := &Context{Eng: engine.New(1), Scale: Tiny}
 		for j, other := range all {
 			if j != i {
 				other.Plan(ctx)
 			}
 		}
-		if after := demandKeys(ex.Plan(ctx)); !reflect.DeepEqual(alone, after) {
+		if after := demandKeys(t, ctx, ex.Plan(ctx)); !reflect.DeepEqual(alone, after) {
 			t.Errorf("%s demands differ when planned after the rest of the registry:\nalone %v\nafter %v",
 				ex.Name, alone, after)
 		}
@@ -153,10 +173,23 @@ func TestFeedSharesAndWidensTables(t *testing.T) {
 			t.Errorf("%s shares the set", name)
 		}
 	}
-	if d := f1.Demand(); len(d.Sinks) != 2 || len(d.Workloads) != 2 {
-		t.Errorf("first feed subscribes %d sinks over %d workloads, want its set and tally over 2", len(d.Sinks), len(d.Workloads))
+	ds := f1.Demands()
+	if len(ds) != 3 || len(ds[0].Sinks) != 1 || ds[0].Sinks[0] != f1.Model() || len(ds[0].Workloads) != 2 {
+		t.Fatalf("first feed demands %+v, want its tally over both workloads, then one lead per workload", ds)
 	}
-	if d := ctx.Feed(w("a"), w("b")).Demand(); len(d.Sinks) != 0 || len(d.Workloads) != 2 {
-		t.Errorf("a feed that created nothing subscribes %d sinks over %d workloads", len(d.Sinks), len(d.Workloads))
+	for i, key := range []string{"a", "b"} {
+		d := ds[i+1]
+		lead, ok := d.Sinks[0].(*TableSet)
+		if len(d.Sinks) != 1 || !ok || len(d.Workloads) != 1 || d.Workloads[0].Key != key {
+			t.Fatalf("lead demand %d: %d sinks over %v, want one lead over %s", i, len(d.Sinks), d.Workloads, key)
+		}
+		// Every set over a sequence holding the workload joins its lead,
+		// in the order the sets were built.
+		if len(lead.fed) != 4 || lead.fed[0] != ts {
+			t.Errorf("lead of %s feeds %d sets, want 4 with the first set first", key, len(lead.fed))
+		}
+	}
+	if ds := ctx.Feed(w("a"), w("b")).Demands(); len(ds) != 1 || len(ds[0].Sinks) != 0 || len(ds[0].Workloads) != 2 {
+		t.Errorf("a feed that created nothing demands %+v, want its sequence alone with no sinks", ds)
 	}
 }

@@ -86,7 +86,7 @@ func planFigure4(ctx *Context) ([]Demand, func() *GeometryResult) {
 // set, and figure3 and figure4 share it too.
 func planSweep(ctx *Context, title, xName string, cfgs []memo.Config) ([]Demand, func() *GeometryResult) {
 	perApp := make([][]*TableSet, len(GeometryApps))
-	demands := make([]Demand, len(GeometryApps))
+	var demands []Demand
 	for a, name := range GeometryApps {
 		f := ctx.Feed(ctx.AppWorkloads(ctx.App(name))...)
 		sets := make([]*TableSet, len(cfgs))
@@ -94,7 +94,7 @@ func planSweep(ctx *Context, title, xName string, cfgs []memo.Config) ([]Demand,
 			sets[i] = f.Tables(cfg, memo.NonTrivialOnly, isa.OpFMul, isa.OpFDiv)
 		}
 		perApp[a] = sets
-		demands[a] = f.Demand()
+		demands = append(demands, f.Demands()...)
 	}
 	finish := func() *GeometryResult {
 		res := &GeometryResult{Title: title, XName: xName}

@@ -89,11 +89,11 @@ func (p hitPair) row(name string) HitRow {
 // kernel, both table sets fed from the same fused replay.
 func planSuiteHit(ctx *Context, title string, names []string, runs []func(*probe.Probe)) ([]Demand, func() *HitTable) {
 	pairs := make([]hitPair, len(runs))
-	demands := make([]Demand, len(runs))
+	var demands []Demand
 	for i := range runs {
 		f := ctx.Feed(ctx.KernelWorkload(names[i], runs[i]))
 		pairs[i] = newHitPair(f)
-		demands[i] = f.Demand()
+		demands = append(demands, f.Demands()...)
 	}
 	finish := func() *HitTable {
 		t := &HitTable{Title: title, Rows: make([]HitRow, len(runs))}
@@ -143,11 +143,11 @@ var mmTable7Apps = []string{
 // input workloads as one sequence.
 func planTable7(ctx *Context) ([]Demand, func() *HitTable) {
 	pairs := make([]hitPair, len(mmTable7Apps))
-	demands := make([]Demand, len(mmTable7Apps))
+	var demands []Demand
 	for i, name := range mmTable7Apps {
 		f := ctx.Feed(ctx.AppWorkloads(ctx.App(name))...)
 		pairs[i] = newHitPair(f)
-		demands[i] = f.Demand()
+		demands = append(demands, f.Demands()...)
 	}
 	finish := func() *HitTable {
 		t := &HitTable{
@@ -197,7 +197,7 @@ func planTable10(ctx *Context) ([]Demand, func() *Table10Result) {
 	}
 	perfFeed, mmFeed := ctx.Feed(perfWs...), ctx.Feed(mmWs...)
 	perf, mm := newSuite(perfFeed), newSuite(mmFeed)
-	demands := []Demand{perfFeed.Demand(), mmFeed.Demand()}
+	demands := append(perfFeed.Demands(), mmFeed.Demands()...)
 	read := func(s suite) (full, mant map[isa.Op]float64) {
 		full = map[isa.Op]float64{}
 		mant = map[isa.Op]float64{}

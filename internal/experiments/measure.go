@@ -16,6 +16,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"memotable/internal/engine"
@@ -37,20 +38,28 @@ var MemoOps = []isa.Op{isa.OpIMul, isa.OpFMul, isa.OpFDiv, isa.OpFSqrt}
 // trace stream. Units are held in a per-class array, so dispatch costs
 // no map probe.
 //
-// A set is also a sink for itself and for the sets that joined it: every
-// set a Context builds over one workload sequence joins the first, and
-// only that first set is subscribed (Feed.Tables). Its EmitBatch splits
-// each block once into per-class operand columns and runs every joined
-// unit of a class over the class's column, so the block is walked and
-// its operands classified once per sequence, not once per set.
+// A set is also a sink: for itself, or, as a workload's lead, for the
+// sets that joined it. A Context gives each workload one lead, which
+// holds no units of its own; every set whose workload sequence contains
+// the workload joins it, and only the lead is subscribed, over that
+// workload alone (Feed.Tables). Its EmitBatch splits each block once
+// into per-class operand columns and runs every joined unit of a class
+// over the class's column, so a workload's blocks are walked and their
+// operands classified once per pass. Joined units of one class,
+// configuration and policy run as memo.Twins: a table whose entries
+// have become equal to its twin's copies them instead of simulating.
 type TableSet struct {
 	cfg    memo.Config
 	policy memo.TrivialPolicy
 	units  [isa.NumOps]*memo.Unit
 	mask   trace.OpMask
-	// fed lists the sets this set's Emit and EmitBatch feed: itself
-	// first, then the sets that joined it, in join order.
+	// fed lists the sets this set's Emit and EmitBatch feed: itself, or
+	// for a lead the sets that joined it, in join order.
 	fed []*TableSet
+	// twins holds the fed units by class, grouped by configuration and
+	// policy in join order. EmitBatch builds it on its first call.
+	twins   [isa.NumOps][]memo.Twins
+	grouped bool
 }
 
 // NewTableSet builds identical tables for all MemoOps.
@@ -67,6 +76,10 @@ func newTableSet(cfg memo.Config, policy memo.TrivialPolicy) *TableSet {
 	return ts
 }
 
+// newLead builds a workload's lead: a set with no tables that feeds
+// only the sets joining it.
+func newLead() *TableSet { return &TableSet{} }
+
 // widen gives the set a table for each of ops it does not hold yet. It
 // must run before the set sees its first event, or the new tables would
 // miss the start of the stream.
@@ -79,8 +92,8 @@ func (ts *TableSet) widen(ops ...isa.Op) {
 	}
 }
 
-// join makes ts feed o, which must hold no sets of its own and must not
-// be subscribed anywhere. Like widen, it runs before ts sees an event.
+// join makes the lead ts feed o. Like widen, it runs before ts sees an
+// event.
 func (ts *TableSet) join(o *TableSet) { ts.fed = append(ts.fed, o) }
 
 // Emit implements trace.Sink: a memoizable event exercises its class's
@@ -106,10 +119,13 @@ var columnPool = sync.Pool{New: func() any { return new(columns) }}
 const columnChunk = 8192
 
 // EmitBatch implements trace.BatchSink: the block is split into one
-// column per class the fed sets hold, and each fed unit runs over its
-// class's column. Every unit sees exactly the events Emit would give it,
-// in order.
+// column per class the fed sets hold, and each group of twin units runs
+// over its class's column. Every unit ends exactly as Emit would leave
+// it.
 func (ts *TableSet) EmitBatch(evs []trace.Event) {
+	if !ts.grouped {
+		ts.group()
+	}
 	mask := ts.OpMask()
 	cols := columnPool.Get().(*columns)
 	for len(evs) > 0 {
@@ -128,14 +144,35 @@ func (ts *TableSet) EmitBatch(evs []trace.Event) {
 			if c.Len() == 0 {
 				continue
 			}
-			for _, s := range ts.fed {
-				if u := s.units[op]; u != nil {
-					u.ApplyColumn(c)
-				}
+			for i := range ts.twins[op] {
+				ts.twins[op][i].ApplyColumn(c)
 			}
 		}
 	}
 	columnPool.Put(cols)
+}
+
+// group sorts the fed units into twins: per class, one group per
+// configuration and policy, each led by the first set to join with it.
+func (ts *TableSet) group() {
+	ts.grouped = true
+	for _, op := range MemoOps {
+		for _, s := range ts.fed {
+			u := s.units[op]
+			if u == nil {
+				continue
+			}
+			i := slices.IndexFunc(ts.twins[op], func(g memo.Twins) bool {
+				first := g.First()
+				return first.Table().Config() == s.cfg && first.Policy() == s.policy
+			})
+			if i < 0 {
+				i = len(ts.twins[op])
+				ts.twins[op] = append(ts.twins[op], memo.Twins{})
+			}
+			ts.twins[op][i].Add(u)
+		}
+	}
 }
 
 // OpMask implements trace.OpMasker: the union of the classes the fed sets

@@ -127,7 +127,8 @@ func registryWorkloadKeys(t *testing.T, names ...string) []string {
 	}
 	seen := make(map[string]bool)
 	for _, ex := range exps {
-		for _, keys := range demandKeys(ex.Plan(&Context{Eng: engine.New(1), Scale: Tiny})) {
+		ctx := &Context{Eng: engine.New(1), Scale: Tiny}
+		for _, keys := range demandKeys(t, ctx, ex.Plan(ctx)) {
 			for _, k := range keys {
 				seen[k] = true
 			}

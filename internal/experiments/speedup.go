@@ -91,14 +91,14 @@ func planSpeedupStudy(ctx *Context, title, fastLabel, slowLabel string, ops []is
 		tables *TableSet
 	}
 	ms := make([]machine, len(SpeedupApps))
-	demands := make([]Demand, len(SpeedupApps))
+	var demands []Demand
 	for i, name := range SpeedupApps {
 		f := ctx.Feed(ctx.AppWorkloads(ctx.App(name))...)
 		ms[i] = machine{
 			tally:  f.Model(),
 			tables: f.Tables(memo.Paper32x4(), memo.NonTrivialOnly, ops...),
 		}
-		demands[i] = f.Demand()
+		demands = append(demands, f.Demands()...)
 	}
 	finish := func() *SpeedupResult {
 		res := &SpeedupResult{

@@ -29,20 +29,22 @@ var joinedSpecs = []joinedSpec{
 	{memo.Config{Entries: 16}, memo.Integrated, []isa.Op{isa.OpIMul, isa.OpFMul}},
 }
 
-// planJoined builds the specs over one sequence, one Feed per set as
+// planJoined builds the specs over one workload, one Feed per set as
 // separate plans would, and returns the sets and the sinks the feeds
 // subscribe.
-func planJoined(t *testing.T, ctx *Context, specs []joinedSpec, ws ...Workload) ([]*TableSet, []trace.Sink) {
+func planJoined(t *testing.T, ctx *Context, specs []joinedSpec, w Workload) ([]*TableSet, []trace.Sink) {
 	t.Helper()
 	var sets []*TableSet
 	var sinks []trace.Sink
 	for _, s := range specs {
-		f := ctx.Feed(ws...)
+		f := ctx.Feed(w)
 		sets = append(sets, f.Tables(s.cfg, s.policy, s.ops...))
-		sinks = append(sinks, f.Demand().Sinks...)
+		for _, d := range f.Demands() {
+			sinks = append(sinks, d.Sinks...)
+		}
 	}
-	if len(sinks) != 1 || sinks[0] != sets[0] {
-		t.Fatalf("feeds over one sequence subscribe %v, want only the first set", sinks)
+	if len(sinks) != 1 || sinks[0] != ctx.shared.leads[w.Key] {
+		t.Fatalf("feeds over one workload subscribe %v, want only its lead", sinks)
 	}
 	return sets, sinks
 }

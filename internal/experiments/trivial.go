@@ -45,14 +45,14 @@ func planTable9(ctx *Context) ([]Demand, func() *Table9Result) {
 		all, non *TableSet
 	}
 	ps := make([]policies, len(Table9Apps))
-	demands := make([]Demand, len(Table9Apps))
+	var demands []Demand
 	for i, name := range Table9Apps {
 		f := ctx.Feed(ctx.AppWorkloads(ctx.App(name))...)
 		ps[i] = policies{
 			all: f.Tables(memo.Paper32x4(), memo.CacheAll, ratioOps...),
 			non: f.Tables(memo.Paper32x4(), memo.NonTrivialOnly, ratioOps...),
 		}
-		demands[i] = f.Demand()
+		demands = append(demands, f.Demands()...)
 	}
 	finish := func() *Table9Result {
 		res := &Table9Result{Rows: make([]Table9Row, len(Table9Apps))}
